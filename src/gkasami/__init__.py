@@ -38,7 +38,6 @@ from .gf2n import FieldCtx, make_field
 from .histogram import ValueHistogram
 from .quadform import (
     QuadFormParams,
-    SpectraCache,
     eval_f,
     spectrum_distribution,
     symplectic_rank,
@@ -69,7 +68,6 @@ __all__ = [
     "QuadFormParams",
     "SequenceFamily",
     "SequenceTag",
-    "SpectraCache",
     "ValueHistogram",
     "build_code",
     "build_family",

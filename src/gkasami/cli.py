@@ -99,7 +99,8 @@ def cmd_corr(args) -> int:
     ctx = _field(args)
     kind = fam.FamilyKind(args.kind)
     k = _resolve_k(ctx, args, kind)
-    family = fam.build_family(fam.family_params(ctx, kind, k))
+    params = fam.family_params(ctx, kind, k)
+    # both guards run before the family is built
     if args.engine == "brute" and ctx.n > corr.BRUTE_DEFAULT_MAX_N and not args.force:
         print(
             f"refusing brute engine at n = {ctx.n} (cap {corr.BRUTE_DEFAULT_MAX_N}); "
@@ -107,6 +108,11 @@ def cmd_corr(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    if args.engine == "spectral" and ctx.n > corr.SPECTRAL_MAX_N:
+        raise TooLarge(
+            f"spectral engine limited to n <= {corr.SPECTRAL_MAX_N}, got n = {ctx.n}"
+        )
+    family = fam.build_family(params)
     if args.engine == "brute":
         report = corr.full_distribution_brute(family, jobs=args.jobs)
     else:
@@ -230,7 +236,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UnsupportedN, NonPrimitivePolynomial, InvalidK, TooLarge, ValueError) as exc:
+    except TooLarge as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (UnsupportedN, NonPrimitivePolynomial, InvalidK, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
 

@@ -7,9 +7,14 @@ correlation of two members at a given shift equals a Walsh-transform value
 of one quadratic form (minus one), where the form's parameters are simple
 shift-twisted combinations of the two tags.  For the part-one grid, which
 covers all of E x F, a fixed shift makes the twisted parameters sweep the
-whole grid bijectively, so whole blocks reduce to precomputed per-lambda
-column histograms of the spectra cache; the small completion part is looked
-up triple by triple.  Both engines produce identical exact histograms.
+whole grid bijectively, so whole blocks reduce to per-lambda column
+histograms: the distribution of W_{b,c}(lam) over all (b, c).  Scaling
+x -> u x permutes E x F and moves lam to lam u, so every column with
+lam != 0 has the histogram of the lam = 1 column, and only the lam = 0 and
+lam = 1 columns are computed, a chunk of c at a time.  The completion part
+is looked up triple by triple in the lam = 0 transforms of the forms with
+c in {0, 1}, after scaling each form to c = 1.  Memory stays O(2^n) per
+chunk.  Both engines produce identical exact histograms.
 
 Histograms count all ordered triples including the in-phase ones; the
 maximum-correlation statistic excludes i = j at shift 0 by removing one
@@ -24,12 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quadform as qf
 from . import theory
 from .families import BinarySequence, FamilyKind, SequenceFamily
 from .histogram import ValueHistogram
-from .quadform import SpectraCache
 
 BRUTE_DEFAULT_MAX_N = 6
+# the spectral engine itself is cheap; the family it reads is the limit
+# (about 4 GB at n = 14)
+SPECTRAL_MAX_N = 12
+# transform values per lam = 1 column chunk
+_CHUNK_VALUES = 1 << 20
 
 
 class LengthMismatch(ValueError):
@@ -152,59 +162,72 @@ def full_distribution_brute(family: SequenceFamily, jobs: int = 1) -> Correlatio
 # -- spectral engine -------------------------------------------------------
 
 
+def _count_into(walsh: Counter, values: np.ndarray, times: int = 1) -> None:
+    """Add every transform value in the array, `times` times over."""
+    vals, cnts = np.unique(values, return_counts=True)
+    for v, c in zip(vals, cnts):
+        walsh[int(v)] += int(c) * times
+
+
+def _lambda1_column(ctx, k: int) -> Counter:
+    """Distribution of W_{b,c}(1) over all (b, c) in E x F."""
+    cs = ctx.subfield_elements
+    step = max(1, _CHUNK_VALUES // ctx.order)
+    col: Counter = Counter()
+    for lo in range(0, len(cs), step):
+        _count_into(col, qf.transform_column(ctx, k, cs[lo:lo + step], 1))
+    return col
+
+
 def full_distribution_spectral(family: SequenceFamily) -> CorrelationReport:
-    """Histogram via the shift-to-transform parameter map and cached spectra."""
+    """Histogram via the shift-to-transform parameter map and two transform columns."""
     params = family.params
     ctx, k = params.ctx, params.k
     order, group = ctx.order, ctx.group_order
-    cache = SpectraCache(ctx, k)
-    e1 = (1 << k) + 1
-    e2 = (1 << ctx.half) + 1
     taus = np.arange(group, dtype=np.int64)
-    twist_q = ctx.antilog[(e1 * taus) % group]  # alpha^(tau * (2^k + 1))
-    twist_n = ctx.antilog[(e2 * taus) % group]  # beta^tau
     walsh: Counter = Counter()
 
     if params.kind == FamilyKind.SMALL_KASAMI:
-        # part one is the gamma = 0 slice; look triples up directly
-        deltas = np.array([s.tag.delta for s in family.part1], dtype=np.int64)
-        cidx = ctx.subfield_index
-        zero_plane = cache.values[0]  # (|F|, 2^n)
-        for tau in range(group):
-            a1 = 1 ^ int(ctx.antilog[tau])
-            c1 = deltas[:, None] ^ ctx.scale_vec(int(twist_n[tau]), deltas)[None, :]
-            vals, cnts = np.unique(zero_plane[cidx[c1], a1], return_counts=True)
-            for v, c in zip(vals, cnts):
-                walsh[int(v)] += int(c)
+        # part one is the gamma = 0 slice.  At shift tau the pair (delta1,
+        # delta2) meets the form (0, delta1 + delta2 beta^tau) at
+        # lam = 1 + alpha^tau, and for each delta2 that sum sweeps F once.
+        sweep = 1 << ctx.half
+        lam = 1 ^ ctx.antilog[taus]
+        # the zero form c = 0: 2^n at lam = 0 (tau = 0), zero elsewhere
+        walsh[order] += sweep
+        walsh[0] += (group - 1) * sweep
+        # c != 0: W_{0,c}(lam) = W_{0,1}(lam u) with N(u) = 1/c
+        norm = qf.walsh_spectrum(qf.QuadFormParams(ctx, k, 0, 1))
+        cs = ctx.subfield_elements[1:]
+        _, lam_u = qf.scale_to_norm_one(ctx, k, 0, cs[None, :], lam[:, None])
+        _count_into(walsh, norm[lam_u], sweep)
     else:
         # part one covers all of E x F: for a fixed shift the twisted tag
-        # combinations sweep the grid bijectively, once per opposing tag,
-        # so each block is a multiple of a per-lambda column histogram.
+        # combinations sweep the grid bijectively, once per opposing tag, so
+        # each block is a multiple of a column histogram.  Part one against
+        # itself meets lam = 1 + alpha^tau (0 at tau = 0, else never 0 or 1);
+        # part one against part two, either way round, meets every lam != 0.
         grid = 1 << (3 * ctx.half)
         m2 = len(family.part2)
-        col = cache.column_histogram
-        for tau in range(group):
-            a1 = 1 ^ int(ctx.antilog[tau])  # in-phase tau = 0 gives a1 = 0
-            for v, c in col(a1).items():
-                walsh[v] += c * grid
-        h1 = col(1)
-        for v, c in h1.items():
-            walsh[v] += c * m2 * group
-        for tau in range(group):
-            a3 = int(ctx.antilog[tau])
-            for v, c in col(a3).items():
-                walsh[v] += c * m2
-        # completion-vs-completion block stays a direct lookup
+        at0 = qf.transform_column(ctx, k, [0, 1], 0)  # rows: c = 0, c = 1
+        _count_into(walsh, at0[0], grid)
+        _count_into(walsh, at0[1], grid * ((1 << ctx.half) - 1))  # each c != 0 scales to 1
+        for v, c in _lambda1_column(ctx, k).items():
+            walsh[v] += c * (grid * (order - 2) + 2 * m2 * group)
+        # completion against completion: direct lookups of W_{b4,c4}(0)
+        e1, e2 = qf.exponents(ctx, k)
+        twist_q = ctx.antilog[(e1 * taus) % group]  # alpha^(tau * (2^k + 1))
+        twist_n = ctx.antilog[(e2 * taus) % group]  # beta^tau
         tags2 = [s.tag for s in family.part2]
-        cidx = ctx.subfield_index
-        lam0 = cache.values[:, :, 0]
+        zeta_q = np.array([ctx.scale_vec(t.zeta, twist_q) for t in tags2])
+        eta_n = np.array([ctx.scale_vec(t.eta, twist_n) for t in tags2])
         for t1 in tags2:
-            for t2 in tags2:
-                b4 = t1.zeta ^ ctx.scale_vec(t2.zeta, twist_q)
-                c4 = t1.eta ^ ctx.scale_vec(t2.eta, twist_n)
-                vals, cnts = np.unique(lam0[b4, cidx[c4]], return_counts=True)
-                for v, c in zip(vals, cnts):
-                    walsh[int(v)] += int(c)
+            b4 = t1.zeta ^ zeta_q
+            c4 = t1.eta ^ eta_n
+            nz = c4 != 0
+            b1, _ = qf.scale_to_norm_one(ctx, k, b4[nz], c4[nz], 0)
+            _count_into(walsh, at0[0][b4[~nz]])
+            _count_into(walsh, at0[1][b1])
 
     hist = ValueHistogram({v - 1: c for v, c in walsh.items()})
     return _report(family, "spectral", hist)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2n import FieldCtx
-from .quadform import InvalidK, require_valid_k
+from .quadform import InvalidK, exponents, require_valid_k
 
 
 class FamilyKind(str, enum.Enum):
@@ -148,9 +148,10 @@ def sequence_term(params: FamilyParams, tag: SequenceTag, t: int) -> int:
     ctx = params.ctx
     if not 0 <= t < ctx.group_order:
         raise ValueError(f"t = {t} out of range")
+    e1, e2 = exponents(ctx, params.k)
     x = ctx.pow(ctx.alpha, t)
-    xq = ctx.pow(x, (1 << params.k) + 1)
-    xn = ctx.pow(x, (1 << ctx.half) + 1)
+    xq = ctx.pow(x, e1)
+    xn = ctx.pow(x, e2)
     if tag.variant == "gamma-delta":
         inner = x ^ ctx.mul(tag.gamma, xq)
         return ctx.trace(inner) ^ int(ctx.trh[ctx.mul(tag.delta, xn)])
@@ -172,8 +173,7 @@ def build_family(params: FamilyParams) -> SequenceFamily:
     ctx, k = params.ctx, params.k
     group = ctx.group_order
     t = np.arange(group, dtype=np.int64)
-    e1 = (1 << k) + 1
-    e2 = (1 << ctx.half) + 1
+    e1, e2 = exponents(ctx, k)
     log_a = t % group
     log_q = (e1 * t) % group
     log_n = (e2 * t) % group

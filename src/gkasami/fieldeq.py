@@ -17,7 +17,7 @@ import numpy as np
 
 from . import theory
 from .gf2n import FieldCtx, TooLarge, gf2_kernel_basis
-from .quadform import QuadFormParams, require_valid_k, walsh_point
+from .quadform import QuadFormParams, exponents, require_valid_k, walsh_point
 
 TRIPLE_SCAN_MAX_N = 6
 PAIR_SCAN_MAX_N = 8
@@ -153,8 +153,7 @@ def census(ctx: FieldCtx, k: int) -> EquationCensus:
     if ctx.n > PAIR_SCAN_MAX_N:
         raise TooLarge(f"census limited to n <= {PAIR_SCAN_MAX_N}")
     n = ctx.n
-    e1 = (1 << k) + 1
-    e2 = (1 << ctx.half) + 1
+    e1, e2 = exponents(ctx, k)
     xs = np.arange(ctx.order, dtype=np.int64)
     p1 = ctx.pow_vec(xs, e1)
     p2 = ctx.pow_vec(xs, e2)

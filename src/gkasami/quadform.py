@@ -6,6 +6,11 @@ parameter sets.  The fast transform works on the plain +-1 truth table with
 a Hadamard butterfly and then reindexes through the dual-basis permutation
 stored on the field context, so spectra are always indexed directly by
 lambda as a field element.
+
+Besides whole spectra (one form, every lambda) there are transform columns
+(one lambda and one c, every b), and a scaling that moves any form with
+c != 0 to one with c = 1: substituting x -> u*x gives
+W_{b,c}(lam) = W_{b u^(2^k+1), c N(u)}(lam u) with N(u) = u^(2^{n/2}+1).
 """
 
 from __future__ import annotations
@@ -18,8 +23,7 @@ import numpy as np
 from .gf2n import FieldCtx, TooLarge, gf2_kernel_basis
 from .histogram import ValueHistogram
 
-# full-grid spectra caches are capped at n = 10 (~134 MB of int32)
-SPECTRA_CACHE_MAX_N = 10
+# largest array spectra_block or transform_column may allocate
 _BLOCK_BYTES_CAP = 2 << 30
 
 
@@ -51,6 +55,29 @@ def require_valid_k(n: int, k: int) -> None:
         )
 
 
+def exponents(ctx: FieldCtx, k: int) -> tuple[int, int]:
+    """The form's two exponents: 2^k + 1 and the norm exponent 2^{n/2} + 1."""
+    return (1 << k) + 1, (1 << ctx.half) + 1
+
+
+def scale_to_norm_one(ctx: FieldCtx, k: int, b, c, lam):
+    """Elementwise (b', lam') with W_{b,c}(lam) = W_{b',1}(lam'), for c in F*.
+
+    Takes the u with N(u) = u^(2^{n/2}+1) = 1/c and returns
+    (b u^(2^k+1), lam u).  Every c in F* is beta^j = alpha^(j (2^{n/2}+1)),
+    so u = alpha^s with s = -j mod (2^{n/2} - 1).
+    """
+    e1, e2 = exponents(ctx, k)
+    s = (-(ctx.log[c] // e2)) % ((1 << ctx.half) - 1)
+    return _times_alpha_pow(ctx, b, s * e1), _times_alpha_pow(ctx, lam, s)
+
+
+def _times_alpha_pow(ctx: FieldCtx, x, t) -> np.ndarray:
+    """Elementwise x * alpha^t."""
+    x = np.asarray(x, dtype=np.int64)
+    return np.where(x != 0, ctx.antilog[(ctx.log[x] + t) % ctx.group_order], 0)
+
+
 @dataclass(frozen=True)
 class QuadFormParams:
     """Parameters of one quadratic form: ctx, exponent k, b in E, c in F."""
@@ -71,17 +98,17 @@ class QuadFormParams:
 def eval_f(params: QuadFormParams, x: int) -> int:
     """The form's value at a single point, as an int 0 or 1."""
     ctx = params.ctx
-    t1 = ctx.trace(ctx.mul(params.b, ctx.pow(x, (1 << params.k) + 1)))
-    t2 = int(ctx.trh[ctx.mul(params.c, ctx.pow(x, (1 << ctx.half) + 1))])
+    e1, e2 = exponents(ctx, params.k)
+    t1 = ctx.trace(ctx.mul(params.b, ctx.pow(x, e1)))
+    t2 = int(ctx.trh[ctx.mul(params.c, ctx.pow(x, e2))])
     return t1 ^ t2
 
 
 def truth_table(params: QuadFormParams) -> np.ndarray:
     """uint8 array of the form's values over all of E, indexed by x."""
     ctx = params.ctx
-    n, group = ctx.n, ctx.group_order
-    e1 = (1 << params.k) + 1
-    e2 = (1 << ctx.half) + 1
+    group = ctx.group_order
+    e1, e2 = exponents(ctx, params.k)
     lx = ctx.log[np.arange(1, ctx.order)]
     tt = np.zeros(ctx.order, dtype=np.uint8)
     if params.b:
@@ -150,6 +177,20 @@ def symplectic_rank(params: QuadFormParams) -> int:
     return n - len(gf2_kernel_basis(images, n))
 
 
+def _norm_rows(ctx: FieldCtx, c_list: list[int], p2: np.ndarray) -> np.ndarray:
+    """uint8 rows tr_h(c x^(2^{n/2}+1)) over x in E, one per c in c_list.
+
+    p2 holds log_alpha(x^(2^{n/2}+1)) for x = 1 .. 2^n - 1 in integer order.
+    """
+    rows = np.zeros((len(c_list), ctx.order), dtype=np.uint8)
+    for i, c in enumerate(c_list):
+        if not ctx.in_subfield(c):
+            raise ValueError(f"c = {c} is not in the subfield")
+        if c:
+            rows[i, 1:] = ctx.trh[ctx.antilog[(ctx.log[c] + p2) % ctx.group_order]]
+    return rows
+
+
 def spectra_block(
     ctx: FieldCtx, k: int, b_list, c_list
 ) -> np.ndarray:
@@ -166,8 +207,7 @@ def spectra_block(
         raise TooLarge(
             f"spectra block of {len(b_list)}x{len(c_list)}x{order} exceeds the memory cap"
         )
-    e1 = (1 << k) + 1
-    e2 = (1 << ctx.half) + 1
+    e1, e2 = exponents(ctx, k)
     lx = ctx.log[np.arange(1, order)]
     p1 = (e1 * lx) % group
     p2 = (e2 * lx) % group
@@ -175,52 +215,39 @@ def spectra_block(
     for i, b in enumerate(b_list):
         if b:
             u[i, 1:] = ctx.tr1[ctx.antilog[(ctx.log[b] + p1) % group]]
-    v = np.zeros((len(c_list), order), dtype=np.uint8)
-    for j, c in enumerate(c_list):
-        if not ctx.in_subfield(c):
-            raise ValueError(f"c = {c} is not in the subfield")
-        if c:
-            v[j, 1:] = ctx.trh[ctx.antilog[(ctx.log[c] + p2) % group]]
+    v = _norm_rows(ctx, c_list, p2)
     w = 1 - 2 * (u[:, None, :] ^ v[None, :, :]).astype(np.int32)
     fwht_inplace(w)
     return w[..., ctx.walsh_perm]
 
 
-class SpectraCache:
-    """All spectra over the full parameter grid E x F, plus per-lambda histograms.
+def transform_column(ctx: FieldCtx, k: int, c_list, lam: int) -> np.ndarray:
+    """W_{b,c}(lam) for every b in E, one row per c in c_list.
 
-    values[b, ci, lam] is the transform of the (b, c_i) form at lambda, with
-    c_i the i-th subfield element in increasing order.  Immutable once built;
-    safe to share.
+    Returns an int64 array of shape (len(c_list), 2^n) whose rows are
+    indexed by b.  Grouping x by y = x^(2^k+1) makes each row one Walsh
+    transform over y, evaluated at b, of
+    G_c(y) = sum over x with x^(2^k+1) = y of (-1)^(tr_h(c x^(2^{n/2}+1)) + tr(lam x)),
+    so a row costs one butterfly of size 2^n.
     """
-
-    def __init__(self, ctx: FieldCtx, k: int):
-        if ctx.n > SPECTRA_CACHE_MAX_N:
-            raise TooLarge(
-                f"full spectra cache limited to n <= {SPECTRA_CACHE_MAX_N}, got n = {ctx.n}"
-            )
-        self.ctx = ctx
-        self.k = k
-        self.values = spectra_block(ctx, k, range(ctx.order), ctx.subfield_elements)
-        self.values.setflags(write=False)
-        uniq, inv = np.unique(self.values, return_inverse=True)
-        codes = inv.reshape(-1, ctx.order)
-        per_col = np.empty((ctx.order, len(uniq)), dtype=np.int64)
-        for lam in range(ctx.order):
-            per_col[lam] = np.bincount(codes[:, lam], minlength=len(uniq))
-        self._uniq = [int(x) for x in uniq]
-        self._per_col = per_col
-
-    def point(self, b: int, c: int, lam: int) -> int:
-        ci = int(self.ctx.subfield_index[c])
-        if ci < 0:
-            raise ValueError(f"c = {c} is not in the subfield")
-        return int(self.values[b, ci, lam])
-
-    def column_histogram(self, lam: int) -> dict[int, int]:
-        """Distribution of transform values over all (b, c) at this lambda."""
-        col = self._per_col[lam]
-        return {v: int(c) for v, c in zip(self._uniq, col) if c}
+    require_valid_k(ctx.n, k)
+    c_list = [int(c) for c in c_list]
+    order, group = ctx.order, ctx.group_order
+    rows = len(c_list)
+    if rows * order * 8 > _BLOCK_BYTES_CAP:
+        raise TooLarge(f"transform column of {rows}x{order} exceeds the memory cap")
+    e1, e2 = exponents(ctx, k)
+    xs = np.arange(order, dtype=np.int64)
+    y = ctx.pow_vec(xs, e1)
+    odd = _norm_rows(ctx, c_list, (e2 * ctx.log[xs[1:]]) % group)
+    if lam:
+        odd ^= ctx.tr1[ctx.scale_all(lam)]
+    # G = (preimage count) - 2 * (preimages with an odd exponent)
+    row_y = np.arange(rows, dtype=np.int64)[:, None] * order + y
+    neg = np.bincount(row_y[odd == 1], minlength=rows * order).reshape(rows, order)
+    g = np.bincount(y, minlength=order) - 2 * neg
+    fwht_inplace(g)
+    return g[:, ctx.walsh_perm]
 
 
 def spectrum_distribution(

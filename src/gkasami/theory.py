@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .families import _pack
 from .gf2n import FieldCtx, TooLarge
 from .histogram import ValueHistogram
-from .quadform import require_valid_k
+from .quadform import exponents, require_valid_k
 
 
 class ParityMismatch(ValueError):
@@ -453,29 +454,24 @@ class CodeSpec:
         return lin.get(gamma, 0) ^ quad.get(delta, 0) ^ norm.get(eta, 0)
 
 
-def _pack_bits(bits: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
 def _codeword_tables(ctx: FieldCtx, k: int):
     """Per-coefficient packed contribution tables (linear, quadratic, norm)."""
     group = ctx.group_order
     t = np.arange(group, dtype=np.int64)
-    e1 = (1 << k) + 1
-    e2 = (1 << ctx.half) + 1
+    e1, e2 = exponents(ctx, k)
     p0 = t % group
     p1 = (e1 * t) % group
     p2 = (e2 * t) % group
     lin = {0: 0}
     for g in range(1, ctx.order):
-        lin[g] = _pack_bits(ctx.tr1[ctx.antilog[(ctx.log[g] + p0) % group]])
+        lin[g] = _pack(ctx.tr1[ctx.antilog[(ctx.log[g] + p0) % group]])
     quad = {0: 0}
     for d in range(1, ctx.order):
-        quad[d] = _pack_bits(ctx.tr1[ctx.antilog[(ctx.log[d] + p1) % group]])
+        quad[d] = _pack(ctx.tr1[ctx.antilog[(ctx.log[d] + p1) % group]])
     norm = {0: 0}
     for e in ctx.subfield_elements[1:]:
         e = int(e)
-        norm[e] = _pack_bits(ctx.trh[ctx.antilog[(ctx.log[e] + p2) % group]])
+        norm[e] = _pack(ctx.trh[ctx.antilog[(ctx.log[e] + p2) % group]])
     return lin, quad, norm
 
 

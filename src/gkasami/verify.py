@@ -21,10 +21,12 @@ from .gf2n import FieldCtx
 from .histogram import ValueHistogram
 from .quadform import (
     QuadFormParams,
-    SpectraCache,
+    spectra_block,
     spectrum_distribution,
     symplectic_rank,
+    transform_column,
 )
+from .theory import _half_odd
 
 VERIFY_NS = (4, 6, 8)
 BRUTE_CROSSCHECK_MAX_N = 6
@@ -58,15 +60,8 @@ class _Bundle:
     ctx: FieldCtx
     k: int
     jobs: int = 1
-    _cache: SpectraCache | None = None
     _family: fam.SequenceFamily | None = None
     _spectral: corr.CorrelationReport | None = None
-
-    @property
-    def cache(self) -> SpectraCache:
-        if self._cache is None:
-            self._cache = SpectraCache(self.ctx, self.k)
-        return self._cache
 
     @property
     def family(self) -> fam.SequenceFamily:
@@ -91,10 +86,6 @@ def _hist_claim(name: str, empirical: ValueHistogram, predicted: ValueHistogram,
                 note: str | None = None) -> ClaimResult:
     return ClaimResult(name, empirical == predicted, _entries(predicted),
                        _entries(empirical), note)
-
-
-def _half_odd(n: int) -> bool:
-    return (n // 2) % 2 == 1
 
 
 # -- individual claims ----------------------------------------------------
@@ -314,15 +305,16 @@ def _claim_rank_value_consistency(b: _Bundle) -> ClaimResult:
     quadratic-form multiplicities and vanishes elsewhere."""
     ctx, k = b.ctx, b.k
     n = ctx.n
-    cache = b.cache
     ok = True
-    for bb in range(ctx.order):
-        for ci, c in enumerate(ctx.subfield_elements):
+    for c in ctx.subfield_elements:
+        c = int(c)
+        block = spectra_block(ctx, k, range(ctx.order), [c])
+        for bb in range(ctx.order):
             if bb == 0 and c == 0:
                 continue
-            h2 = symplectic_rank(QuadFormParams(ctx, k, bb, int(c)))
+            h2 = symplectic_rank(QuadFormParams(ctx, k, bb, c))
             h = h2 // 2
-            spec = cache.values[bb, ci]
+            spec = block[bb, 0]
             plus = int(np.count_nonzero(spec == 1 << (n - h)))
             minus = int(np.count_nonzero(spec == -(1 << (n - h))))
             zero = int(np.count_nonzero(spec == 0))
@@ -373,11 +365,12 @@ def _claim_imbalance(b: _Bundle) -> ClaimResult:
     ok = got == want
     # per-sequence bridge: imbalance = transform value at 1 (part one) or
     # at 0 (part two), minus one
-    cache = b.cache
-    for s in b.family.part1:
-        ok &= fam.imbalance(s) == cache.point(s.tag.gamma, s.tag.delta, 1) - 1
-    for s in b.family.part2:
-        ok &= fam.imbalance(s) == cache.point(s.tag.zeta, s.tag.eta, 0) - 1
+    cidx = ctx.subfield_index
+    for lam, part in ((1, b.family.part1), (0, b.family.part2)):
+        column = transform_column(ctx, b.k, ctx.subfield_elements, lam)
+        for s in part:
+            bb, c = s.tag.pair()
+            ok &= fam.imbalance(s) == int(column[cidx[c], bb]) - 1
     return ClaimResult("imbalance", ok, _entries(want), _entries(got),
                        "per-sequence transform bridge included")
 

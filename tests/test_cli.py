@@ -76,6 +76,35 @@ def test_corr_brute_guard(capsys):
     assert "--force" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["corr", "--n", "14"], "n <= 12"),
+    (["corr", "--n", "8", "--k", "1", "--engine", "brute"], "--force"),
+], ids=["spectral-n14", "brute-n8"])
+def test_corr_guards_refuse_before_building_the_family(capsys, monkeypatch, argv, message):
+    def build_family(params):
+        raise AssertionError("the family was built before the guard ran")
+
+    monkeypatch.setattr(cli.fam, "build_family", build_family)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_corr_spectral_n10(capsys):
+    code, out, _ = run(capsys, ["corr", "--n", "10"])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["match"] is True and obj["r_max"] == 65
+
+
+def test_code_weights_guard_exit_code(capsys):
+    code, out, err = run(capsys, ["code", "weights", "--n", "10"])
+    assert code == 2
+    assert out == ""
+    assert "n <= 8" in err
+
+
 def test_corr_small_kasami(capsys):
     code, out, _ = run(capsys, ["corr", "--n", "6", "--kind", "small-kasami"])
     assert code == 0

@@ -1,10 +1,14 @@
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from gkasami import correlation as corr
 from gkasami import families as fam
+from gkasami import quadform as qf
 from gkasami import theory
+from gkasami.gf2n import make_field
 from gkasami.histogram import ValueHistogram
 
 EXAMPLE_N4 = {15: 67, -1: 28598, 3: 18418, -5: 11044, 7: 6902, -9: 2306}
@@ -135,3 +139,64 @@ def test_rotate():
     rotseq = fam.BinarySequence(rot, 15, seq.tag)
     for t in range(15):
         assert rotseq.bit(t) == seq.bit((t + 2) % 15)
+
+
+def grid_engine_histogram(family):
+    """Reference: the spectral engine that walks the full E x F spectra grid.
+
+    Every per-lambda column histogram of the grid is built from whole
+    spectra, spectra_block one c at a time, and every shift is summed
+    column by column; completion and small-Kasami triples are looked up in
+    the grid directly.  No scaling symmetry and no transform column is used.
+    """
+    params = family.params
+    ctx, k = params.ctx, params.k
+    order, group = ctx.order, ctx.group_order
+    cs = [int(c) for c in ctx.subfield_elements]
+    cidx = ctx.subfield_index
+    width = 2 * order + 1  # transform values lie in [-2^n, 2^n]
+    cols = np.zeros((order, width), dtype=np.int64)  # cols[lam, value + 2^n]
+    at0 = np.empty((order, len(cs)), dtype=np.int64)  # W_{b,c}(0)
+    zero_plane = np.empty((len(cs), order), dtype=np.int64)  # W_{0,c}(lam)
+    slot = np.arange(order, dtype=np.int64)[None, :] * width + order
+    for i, c in enumerate(cs):
+        block = qf.spectra_block(ctx, k, range(order), [c])[:, 0, :].astype(np.int64)
+        cols += np.bincount((block + slot).ravel(), minlength=order * width).reshape(order, width)
+        at0[:, i] = block[:, 0]
+        zero_plane[i] = block[0]
+
+    e1, e2 = qf.exponents(ctx, k)
+    taus = np.arange(group, dtype=np.int64)
+    twist_q = ctx.antilog[(e1 * taus) % group]
+    twist_n = ctx.antilog[(e2 * taus) % group]
+    walsh = Counter()
+    if params.kind == fam.FamilyKind.SMALL_KASAMI:
+        deltas = np.array([s.tag.delta for s in family.part1], dtype=np.int64)
+        for tau in range(group):
+            lam = 1 ^ int(ctx.antilog[tau])
+            c1 = deltas[:, None] ^ ctx.scale_vec(int(twist_n[tau]), deltas)[None, :]
+            walsh.update(zero_plane[cidx[c1], lam].ravel().tolist())
+    else:
+        grid = 1 << (3 * ctx.half)
+        m2 = len(family.part2)
+        counts = (grid * cols[1 ^ ctx.antilog[taus]].sum(axis=0)
+                  + m2 * group * cols[1]
+                  + m2 * cols[ctx.antilog[taus]].sum(axis=0))
+        walsh.update({v - order: int(c) for v, c in enumerate(counts) if c})
+        tags2 = [s.tag for s in family.part2]
+        for t1 in tags2:
+            for t2 in tags2:
+                b4 = t1.zeta ^ ctx.scale_vec(t2.zeta, twist_q)
+                c4 = t1.eta ^ ctx.scale_vec(t2.eta, twist_n)
+                walsh.update(at0[b4, cidx[c4]].tolist())
+    return ValueHistogram({v - 1: c for v, c in walsh.items()})
+
+
+@pytest.mark.parametrize("kind", ["fk", "small-kasami"])
+@pytest.mark.parametrize("n,k", [(8, 1), (8, 3), (8, 5), (8, 7), (10, 2)])
+def test_spectral_engine_matches_grid_engine(n, k, kind):
+    family = fam.build_family(fam.family_params(make_field(n), kind, k))
+    report = corr.full_distribution_spectral(family)
+    want = grid_engine_histogram(family)
+    assert report.histogram == want
+    assert report.r_max == corr._r_max_from_histogram(want, family.period, family.size)

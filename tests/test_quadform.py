@@ -6,7 +6,6 @@ import pytest
 from gkasami import quadform as qf
 from gkasami import theory
 from gkasami.gf2n import TooLarge, make_field
-from gkasami.histogram import ValueHistogram
 
 
 def all_params(ctx, k):
@@ -192,20 +191,40 @@ def test_spectrum_distribution_multiplicity(ctx4):
 
 
 def test_spectra_block_guard():
+    # spectra_block is what still materializes whole spectra: the E x F x E
+    # grid at n = 12 would be about 4.3 GB of int32, past the 2 GB cap
     ctx = make_field(12)
     with pytest.raises(TooLarge):
-        qf.SpectraCache(ctx, 1)
+        qf.spectra_block(ctx, 1, range(ctx.order), ctx.subfield_elements)
+    with pytest.raises(TooLarge):
+        qf.transform_column(ctx, 1, [1] * (1 << 18), 1)
 
 
-def test_spectra_cache_points_and_columns(ctx4):
-    cache = qf.SpectraCache(ctx4, 1)
-    for b in (0, 3, 9):
-        for c in (0, 1):
-            spec = qf.walsh_spectrum(qf.QuadFormParams(ctx4, 1, b, c))
-            for lam in range(16):
-                assert cache.point(b, c, lam) == int(spec[lam])
-    col = cache.column_histogram(0)
-    assert sum(col.values()) == 1 << 6
-    total = ValueHistogram(dict(col))
-    direct = qf.spectrum_distribution(ctx4, 1, range(16), ctx4.subfield_elements, [0])
-    assert total == direct
+@pytest.mark.parametrize("n", [4, 6])
+def test_transform_column_matches_walsh_spectrum(n):
+    ctx = make_field(n)
+    cs = [int(c) for c in ctx.subfield_elements]
+    for k in (k for k in range(1, n) if qf.valid_k(n, k)):
+        cols = {lam: qf.transform_column(ctx, k, cs, lam) for lam in (0, 1, 7)}
+        for b in range(ctx.order):
+            for i, c in enumerate(cs):
+                spec = qf.walsh_spectrum(qf.QuadFormParams(ctx, k, b, c))
+                for lam, col in cols.items():
+                    assert int(col[i, b]) == int(spec[lam])
+    with pytest.raises(ValueError):
+        qf.transform_column(ctx, 1 if n == 4 else 2, [2], 0)  # 2 = alpha is not in F
+
+
+@pytest.mark.parametrize("n,k", [(4, 1), (6, 2)])
+def test_scale_to_norm_one(n, k):
+    # W_{b,c}(lam) = W_{b',1}(lam') for every b, c in F* and lam
+    ctx = make_field(n)
+    bs = np.arange(ctx.order)
+    lams = np.arange(ctx.order)
+    for c in ctx.subfield_elements[1:]:
+        b1, _ = qf.scale_to_norm_one(ctx, k, bs, c, 0)
+        _, lam1 = qf.scale_to_norm_one(ctx, k, 0, c, lams)
+        for b in range(ctx.order):
+            spec = qf.walsh_spectrum(qf.QuadFormParams(ctx, k, b, int(c)))
+            at_one = qf.walsh_spectrum(qf.QuadFormParams(ctx, k, int(b1[b]), 1))
+            assert np.array_equal(spec[lams], at_one[lam1])
