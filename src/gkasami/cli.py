@@ -171,6 +171,13 @@ def cmd_census(args) -> int:
     return EXIT_OK if report["match"] else EXIT_MISMATCH
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, with_k: bool = True) -> None:
     p.add_argument("--n", type=int, required=True, help="field degree (even, 4..20)")
     if with_k:
@@ -208,14 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
     pcorr.add_argument("--kind", choices=[k.value for k in fam.FamilyKind],
                        default="fk")
     pcorr.add_argument("--engine", choices=["brute", "spectral"], default="spectral")
-    pcorr.add_argument("--jobs", type=int, default=1, help="brute-engine workers")
+    pcorr.add_argument("--jobs", type=positive_int, default=1, help="brute-engine workers")
     pcorr.add_argument("--force", action="store_true",
                        help="override the brute-engine size guard")
     pcorr.set_defaults(func=cmd_corr)
 
     pverify = sub.add_parser("verify", help="verify every applicable closed form")
     _add_common(pverify)
-    pverify.add_argument("--jobs", type=int, default=1)
+    pverify.add_argument("--jobs", type=positive_int, default=1)
     pverify.set_defaults(func=cmd_verify)
 
     code = sub.add_parser("code", help="linear-code utilities")

@@ -11,7 +11,10 @@ Three kinds share one container:
 * the small Kasami set, which lives inside part one as the gamma = 0 slice.
 
 Sequences are bit-packed into Python ints, LSB = t = 0, so correlation
-inner loops reduce to XOR plus popcount.
+inner loops reduce to XOR plus popcount.  Each member is a codeword of the
+[2^n - 1, 5n/2] generalized Kasami code, assembled by XOR from packed
+trace rows that packed_trace_rows builds once per family; theory.build_code
+packs the code's tables with the same function.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2n import FieldCtx
-from .quadform import InvalidK, exponents, require_valid_k
+from .quadform import InvalidK, exponents, require_valid_k, trace_rows
 
 
 class FamilyKind(str, enum.Enum):
@@ -158,71 +161,54 @@ def sequence_term(params: FamilyParams, tag: SequenceTag, t: int) -> int:
     return ctx.trace(ctx.mul(tag.zeta, xq)) ^ int(ctx.trh[ctx.mul(tag.eta, xn)])
 
 
-def _pack(bits: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+def packed_trace_rows(ctx: FieldCtx, coeffs, e: int, tr: np.ndarray) -> dict[int, int]:
+    """{a: tr(a alpha^(t e)) over t = 0 .. 2^n - 2, bit-packed}, one per a in coeffs.
+
+    The rows of quadform.trace_rows read at x = alpha^t; a = 0 packs to 0.
+    """
+    coeffs = [int(a) for a in coeffs]
+    rows = trace_rows(ctx, coeffs, e, tr)[:, ctx.antilog]
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return {a: int.from_bytes(row.tobytes(), "little") for a, row in zip(coeffs, packed)}
 
 
 def build_family(params: FamilyParams) -> SequenceFamily:
     """Materialize every sequence of the family, bit-packed.
 
-    Part one iterates gamma over E in integer order and delta over F in
-    increasing order; part two follows the (Gamma, Delta) listing.  For the
+    Every member is a codeword of the generalized Kasami code, the XOR of
+    packed trace rows: the m-sequence m = tr(alpha^t), a quadratic row
+    tr(a alpha^(t(2^k+1))) and a norm row tr_h(a alpha^(t(2^{n/2}+1))).
+    Part one, m ^ quad[gamma] ^ norm[delta], iterates gamma over E in
+    integer order and delta over F in increasing order; part two,
+    quad[zeta] ^ norm[eta], follows the (Gamma, Delta) listing.  For the
     small Kasami set, part one holds the 2^{n/2} sequences tagged
     (gamma = 0, delta = eta) and part two is empty.
     """
-    ctx, k = params.ctx, params.k
+    ctx = params.ctx
     group = ctx.group_order
-    t = np.arange(group, dtype=np.int64)
-    e1, e2 = exponents(ctx, k)
-    log_a = t % group
-    log_q = (e1 * t) % group
-    log_n = (e2 * t) % group
-    a_of_t = ctx.antilog[log_a]
-
-    def gd_bits(gamma: int, delta: int) -> np.ndarray:
-        inner = a_of_t.copy()
-        if gamma:
-            inner = inner ^ ctx.antilog[(ctx.log[gamma] + log_q) % group]
-        u = ctx.tr1[inner]
-        if delta:
-            u = u ^ ctx.trh[ctx.antilog[(ctx.log[delta] + log_n) % group]]
-        return u
-
-    def ze_bits(zeta: int, eta: int) -> np.ndarray:
-        u = np.zeros(group, dtype=np.uint8)
-        if zeta:
-            u = ctx.tr1[ctx.antilog[(ctx.log[zeta] + log_q) % group]]
-        if eta:
-            u = u ^ ctx.trh[ctx.antilog[(ctx.log[eta] + log_n) % group]]
-        return u
-
-    part1: list[BinarySequence] = []
-    part2: list[BinarySequence] = []
+    e1, e2 = exponents(ctx, params.k)
+    subfield = [int(c) for c in ctx.subfield_elements]
+    m = packed_trace_rows(ctx, [1], 1, ctx.tr1)[1]
+    norm = packed_trace_rows(ctx, subfield, e2, ctx.trh)
     if params.kind == FamilyKind.SMALL_KASAMI:
-        for eta in ctx.subfield_elements:
-            eta = int(eta)
-            part1.append(
-                BinarySequence(_pack(gd_bits(0, eta)), group, SequenceTag.gamma_delta(0, eta))
-            )
-    else:
-        subfield = [int(c) for c in ctx.subfield_elements]
-        for gamma in range(ctx.order):
-            for delta in subfield:
-                part1.append(
-                    BinarySequence(
-                        _pack(gd_bits(gamma, delta)),
-                        group,
-                        SequenceTag.gamma_delta(gamma, delta),
-                    )
-                )
-        gset, dset = gamma_delta_sets(ctx)
-        for zeta in gset:
-            for eta in dset:
-                part2.append(
-                    BinarySequence(
-                        _pack(ze_bits(zeta, eta)), group, SequenceTag.zeta_eta(zeta, eta)
-                    )
-                )
+        part1 = [
+            BinarySequence(m ^ norm[eta], group, SequenceTag.gamma_delta(0, eta))
+            for eta in subfield
+        ]
+        return SequenceFamily(params, part1, [])
+    quad = packed_trace_rows(ctx, range(ctx.order), e1, ctx.tr1)
+    part1 = [
+        BinarySequence(m ^ quad[gamma] ^ norm[delta], group,
+                       SequenceTag.gamma_delta(gamma, delta))
+        for gamma in range(ctx.order)
+        for delta in subfield
+    ]
+    gset, dset = gamma_delta_sets(ctx)
+    part2 = [
+        BinarySequence(quad[zeta] ^ norm[eta], group, SequenceTag.zeta_eta(zeta, eta))
+        for zeta in gset
+        for eta in dset
+    ]
     return SequenceFamily(params, part1, part2)
 
 

@@ -11,6 +11,9 @@ Besides whole spectra (one form, every lambda) there are transform columns
 (one lambda and one c, every b), and a scaling that moves any form with
 c != 0 to one with c = 1: substituting x -> u*x gives
 W_{b,c}(lam) = W_{b u^(2^k+1), c N(u)}(lam u) with N(u) = u^(2^{n/2}+1).
+
+Every term of a form, of a family member and of a codeword is a trace
+row tr(a x^e) over x in E; trace_rows is the one builder of such rows.
 """
 
 from __future__ import annotations
@@ -104,18 +107,27 @@ def eval_f(params: QuadFormParams, x: int) -> int:
     return t1 ^ t2
 
 
+def trace_rows(ctx: FieldCtx, coeffs, e: int, tr: np.ndarray) -> np.ndarray:
+    """uint8 rows tr(a x^e) over x in E, one per a in coeffs; 0 at x = 0.
+
+    tr is the trace table to apply: ctx.tr1, or ctx.trh when a and x^e lie
+    in the subfield F.  Rows are indexed by x in integer order.
+    """
+    group = ctx.group_order
+    log_xe = e * ctx.log[1:]  # reduced mod group once per row, below
+    rows = np.zeros((len(coeffs), ctx.order), dtype=np.uint8)
+    for i, a in enumerate(coeffs):
+        if a:
+            rows[i, 1:] = tr[ctx.antilog[(ctx.log[a] + log_xe) % group]]
+    return rows
+
+
 def truth_table(params: QuadFormParams) -> np.ndarray:
     """uint8 array of the form's values over all of E, indexed by x."""
     ctx = params.ctx
-    group = ctx.group_order
     e1, e2 = exponents(ctx, params.k)
-    lx = ctx.log[np.arange(1, ctx.order)]
-    tt = np.zeros(ctx.order, dtype=np.uint8)
-    if params.b:
-        tt[1:] ^= ctx.tr1[ctx.antilog[(ctx.log[params.b] + e1 * lx) % group]]
-    if params.c:
-        tt[1:] ^= ctx.trh[ctx.antilog[(ctx.log[params.c] + e2 * lx) % group]]
-    return tt
+    return (trace_rows(ctx, [params.b], e1, ctx.tr1)
+            ^ trace_rows(ctx, [params.c], e2, ctx.trh))[0]
 
 
 def walsh_point(params: QuadFormParams, lam: int) -> int:
@@ -177,18 +189,12 @@ def symplectic_rank(params: QuadFormParams) -> int:
     return n - len(gf2_kernel_basis(images, n))
 
 
-def _norm_rows(ctx: FieldCtx, c_list: list[int], p2: np.ndarray) -> np.ndarray:
-    """uint8 rows tr_h(c x^(2^{n/2}+1)) over x in E, one per c in c_list.
-
-    p2 holds log_alpha(x^(2^{n/2}+1)) for x = 1 .. 2^n - 1 in integer order.
-    """
-    rows = np.zeros((len(c_list), ctx.order), dtype=np.uint8)
-    for i, c in enumerate(c_list):
+def _subfield_list(ctx: FieldCtx, c_list) -> list[int]:
+    c_list = [int(c) for c in c_list]
+    for c in c_list:
         if not ctx.in_subfield(c):
             raise ValueError(f"c = {c} is not in the subfield")
-        if c:
-            rows[i, 1:] = ctx.trh[ctx.antilog[(ctx.log[c] + p2) % ctx.group_order]]
-    return rows
+    return c_list
 
 
 def spectra_block(
@@ -201,21 +207,15 @@ def spectra_block(
     """
     require_valid_k(ctx.n, k)
     b_list = [int(b) for b in b_list]
-    c_list = [int(c) for c in c_list]
-    order, group = ctx.order, ctx.group_order
+    c_list = _subfield_list(ctx, c_list)
+    order = ctx.order
     if len(b_list) * len(c_list) * order * 4 > _BLOCK_BYTES_CAP:
         raise TooLarge(
             f"spectra block of {len(b_list)}x{len(c_list)}x{order} exceeds the memory cap"
         )
     e1, e2 = exponents(ctx, k)
-    lx = ctx.log[np.arange(1, order)]
-    p1 = (e1 * lx) % group
-    p2 = (e2 * lx) % group
-    u = np.zeros((len(b_list), order), dtype=np.uint8)
-    for i, b in enumerate(b_list):
-        if b:
-            u[i, 1:] = ctx.tr1[ctx.antilog[(ctx.log[b] + p1) % group]]
-    v = _norm_rows(ctx, c_list, p2)
+    u = trace_rows(ctx, b_list, e1, ctx.tr1)
+    v = trace_rows(ctx, c_list, e2, ctx.trh)
     w = 1 - 2 * (u[:, None, :] ^ v[None, :, :]).astype(np.int32)
     fwht_inplace(w)
     return w[..., ctx.walsh_perm]
@@ -231,15 +231,14 @@ def transform_column(ctx: FieldCtx, k: int, c_list, lam: int) -> np.ndarray:
     so a row costs one butterfly of size 2^n.
     """
     require_valid_k(ctx.n, k)
-    c_list = [int(c) for c in c_list]
-    order, group = ctx.order, ctx.group_order
+    c_list = _subfield_list(ctx, c_list)
+    order = ctx.order
     rows = len(c_list)
     if rows * order * 8 > _BLOCK_BYTES_CAP:
         raise TooLarge(f"transform column of {rows}x{order} exceeds the memory cap")
     e1, e2 = exponents(ctx, k)
-    xs = np.arange(order, dtype=np.int64)
-    y = ctx.pow_vec(xs, e1)
-    odd = _norm_rows(ctx, c_list, (e2 * ctx.log[xs[1:]]) % group)
+    y = ctx.pow_vec(np.arange(order, dtype=np.int64), e1)
+    odd = trace_rows(ctx, c_list, e2, ctx.trh)
     if lam:
         odd ^= ctx.tr1[ctx.scale_all(lam)]
     # G = (preimage count) - 2 * (preimages with an odd exponent)

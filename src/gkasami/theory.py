@@ -12,11 +12,9 @@ flavors; requesting the wrong flavor raises ParityMismatch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-import numpy as np
-
-from .families import _pack
+from .families import packed_trace_rows
 from .gf2n import FieldCtx, TooLarge
 from .histogram import ValueHistogram
 from .quadform import exponents, require_valid_k
@@ -437,7 +435,11 @@ class CodeSpec:
     """The [2^n - 1, 5n/2] code with its empirically enumerated weights.
 
     Codeword positions are indexed by t with x = alpha^t, t = 0 .. 2^n - 2,
-    matching the sequence-time convention used elsewhere.
+    matching the sequence-time convention used elsewhere.  The codeword of
+    (gamma, delta, eta) is lin[gamma] ^ quad[delta] ^ norm[eta], from the
+    packed trace rows tr(gamma x), tr(delta x^(2^k+1)) and
+    tr_h(eta x^(2^{n/2}+1)); a spec built from a weight histogram alone
+    has empty tables and serves only the weight-based functions.
     """
 
     ctx: FieldCtx
@@ -445,34 +447,13 @@ class CodeSpec:
     length: int
     dimension: int
     weight_histogram: ValueHistogram
+    lin: dict[int, int] = field(default_factory=dict, repr=False)
+    quad: dict[int, int] = field(default_factory=dict, repr=False)
+    norm: dict[int, int] = field(default_factory=dict, repr=False)
 
     def codeword(self, gamma: int, delta: int, eta: int) -> int:
         """Bit-packed codeword for one (gamma, delta, eta), LSB = t = 0."""
-        ctx = self.ctx
-        rows = _codeword_tables(ctx, self.k)
-        lin, quad, norm = rows
-        return lin.get(gamma, 0) ^ quad.get(delta, 0) ^ norm.get(eta, 0)
-
-
-def _codeword_tables(ctx: FieldCtx, k: int):
-    """Per-coefficient packed contribution tables (linear, quadratic, norm)."""
-    group = ctx.group_order
-    t = np.arange(group, dtype=np.int64)
-    e1, e2 = exponents(ctx, k)
-    p0 = t % group
-    p1 = (e1 * t) % group
-    p2 = (e2 * t) % group
-    lin = {0: 0}
-    for g in range(1, ctx.order):
-        lin[g] = _pack(ctx.tr1[ctx.antilog[(ctx.log[g] + p0) % group]])
-    quad = {0: 0}
-    for d in range(1, ctx.order):
-        quad[d] = _pack(ctx.tr1[ctx.antilog[(ctx.log[d] + p1) % group]])
-    norm = {0: 0}
-    for e in ctx.subfield_elements[1:]:
-        e = int(e)
-        norm[e] = _pack(ctx.trh[ctx.antilog[(ctx.log[e] + p2) % group]])
-    return lin, quad, norm
+        return self.lin[gamma] ^ self.quad[delta] ^ self.norm[eta]
 
 
 def build_code(ctx: FieldCtx, k: int) -> CodeSpec:
@@ -480,7 +461,10 @@ def build_code(ctx: FieldCtx, k: int) -> CodeSpec:
     require_valid_k(ctx.n, k)
     if ctx.n > CODE_ENUM_MAX_N:
         raise TooLarge(f"code enumeration limited to n <= {CODE_ENUM_MAX_N}")
-    lin, quad, norm = _codeword_tables(ctx, k)
+    e1, e2 = exponents(ctx, k)
+    lin = packed_trace_rows(ctx, range(ctx.order), 1, ctx.tr1)
+    quad = packed_trace_rows(ctx, range(ctx.order), e1, ctx.tr1)
+    norm = packed_trace_rows(ctx, ctx.subfield_elements, e2, ctx.trh)
     weights: dict[int, int] = {}
     for lv in lin.values():
         for qv in quad.values():
@@ -494,6 +478,9 @@ def build_code(ctx: FieldCtx, k: int) -> CodeSpec:
         length=ctx.group_order,
         dimension=5 * ctx.n // 2,
         weight_histogram=ValueHistogram(weights),
+        lin=lin,
+        quad=quad,
+        norm=norm,
     )
 
 

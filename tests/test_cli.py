@@ -156,6 +156,16 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["corr", "--n", "4", "--jobs", "0"],
+    ["verify", "--n", "4", "--jobs", "-3"],
+])
+def test_non_positive_jobs_exit_code(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
 def test_determinism_across_runs_and_jobs(capsys):
     _, out1, _ = run(capsys, ["corr", "--n", "4", "--k", "1", "--engine", "brute", "--jobs", "1"])
     _, out2, _ = run(capsys, ["corr", "--n", "4", "--k", "1", "--engine", "brute", "--jobs", "2"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gkasami import families as fam
 from gkasami import quadform as qf
 from gkasami import theory
 from gkasami.gf2n import TooLarge, make_field
@@ -133,6 +134,28 @@ def test_codeword_distinctness(ctx4):
         for e in ctx4.subfield_elements
     }
     assert len(words) == 1 << 10
+
+
+def test_family_members_are_codewords(ctx4, ctx6, family4, family6):
+    for ctx, family in ((ctx4, family4), (ctx6, family6)):
+        code = theory.build_code(ctx, family.params.k)
+        for s in family.part1:
+            assert s.bits == code.codeword(1, s.tag.gamma, s.tag.delta)
+        for s in family.part2:
+            assert s.bits == code.codeword(0, s.tag.zeta, s.tag.eta)
+
+
+def test_codeword_does_not_rebuild_tables(ctx4, monkeypatch):
+    code = theory.build_code(ctx4, 1)
+    eta = int(ctx4.subfield_elements[1])
+    want = code.codeword(1, 2, eta)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("codeword rebuilt the packed tables")
+
+    monkeypatch.setattr(theory, "packed_trace_rows", boom)
+    monkeypatch.setattr(fam, "packed_trace_rows", boom)
+    assert code.codeword(1, 2, eta) == want
 
 
 def test_weight_transform_correspondence(ctx4, ctx6):

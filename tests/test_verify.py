@@ -30,6 +30,19 @@ def test_claims_report_shape(ctx4):
         assert block["parameters"] == {"n": 4, "k": 1}
 
 
+def test_affine_root_bound_is_the_grid_maximum(ctx4):
+    ctx = ctx4
+    result = verify._claim_affine_root_bound(verify._Bundle(ctx, 1))
+    want = max(
+        fieldeq.count_affine_roots(ctx, eps, v, theta, 1)
+        for eps in range(1, ctx.order)
+        for v in range(ctx.order)
+        for theta in range(1, ctx.order)
+    )
+    assert result.empirical == {"max-roots": want}
+    assert result.note == "exhaustive grid"
+
+
 def test_large_set_note_when_k_matches(ctx6):
     results = verify.run_claims(ctx6, 4)  # k = n/2 + 1
     assert all(r.ok for r in results)
