@@ -17,6 +17,7 @@ from . import families as fam
 from . import fieldeq, theory, verify
 from .gf2n import (
     FieldCtx,
+    MalformedPolynomial,
     NonPrimitivePolynomial,
     TooLarge,
     UnsupportedN,
@@ -246,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (UnsupportedN, NonPrimitivePolynomial, InvalidK, ValueError) as exc:
+    except (UnsupportedN, MalformedPolynomial, NonPrimitivePolynomial, InvalidK) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
 

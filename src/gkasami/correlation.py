@@ -1,11 +1,18 @@
 """Full periodic correlation distributions of a family, two ways.
 
-The brute engine walks every ordered (i, j, shift) triple and computes the
-inner product as period - 2 * popcount(s_i XOR rotate(s_j, shift)) on the
-bit-packed sequences.  The spectral engine never touches sequence bits: the
-correlation of two members at a given shift equals a Walsh-transform value
-of one quadratic form (minus one), where the form's parameters are simple
-shift-twisted combinations of the two tags.  For the part-one grid, which
+The brute engine computes every inner product directly and relies on no
+transform theory.  It unpacks the family's bits once into an m x p matrix
+S of +-1 float32 entries; for each shift tau, S rotated by tau times S
+transposed holds all m^2 correlations at that shift, exact because every
+partial sum is an integer of size at most p < 2^24.  Since
+C(i, j, tau) = C(j, i, p - tau) and p is odd, shift 0 is counted once and
+shifts 1 .. (p - 1)/2 twice.  Products are taken a block of rows at a
+time, so memory stays O(m p) plus one block buffer per thread.
+
+The spectral engine never touches sequence bits: the correlation of two
+members at a given shift equals a Walsh-transform value of one quadratic
+form (minus one), where the form's parameters are simple shift-twisted
+combinations of the two tags.  For the part-one grid, which
 covers all of E x F, a fixed shift makes the twisted parameters sweep the
 whole grid bijectively, so whole blocks reduce to per-lambda column
 histograms: the distribution of W_{b,c}(lam) over all (b, c).  Scaling
@@ -24,14 +31,14 @@ period-value count per family member.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import quadform as qf
 from . import theory
-from .families import BinarySequence, FamilyKind, SequenceFamily
+from .families import BinarySequence, FamilyKind, SequenceFamily, unpack_bits
 from .histogram import ValueHistogram
 
 BRUTE_DEFAULT_MAX_N = 6
@@ -40,6 +47,8 @@ BRUTE_DEFAULT_MAX_N = 6
 SPECTRAL_MAX_N = 12
 # transform values per lam = 1 column chunk
 _CHUNK_VALUES = 1 << 20
+# correlation values per brute-engine product block
+_BLOCK_VALUES = 1 << 20
 
 
 class LengthMismatch(ValueError):
@@ -127,35 +136,59 @@ def _report(family: SequenceFamily, engine: str, hist: ValueHistogram) -> Correl
 # -- brute engine --------------------------------------------------------
 
 
-def _weight_counts_block(seq_bits: list[int], rot_flat: list[int], lo: int, hi: int) -> Counter:
-    counts: Counter = Counter()
-    for i in range(lo, hi):
-        a = seq_bits[i]
-        counts.update((a ^ r).bit_count() for r in rot_flat)
+def _shift_block(doubled: np.ndarray, tau: int, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """correlate(s_i, s_j, tau) at [i - lo, j] for lo <= i < hi and every j, into out.
+
+    doubled holds the members' +-1 float32 rows twice side by side, so its
+    columns p - tau .. 2p - 1 - tau are each row rotated right by tau, which
+    pairs s_i(t) with s_j(t + tau).  The values are exact.
+    """
+    period = doubled.shape[1] // 2
+    return np.matmul(doubled[lo:hi, period - tau:2 * period - tau], doubled[:, :period].T, out=out)
+
+
+def _shift_counts(doubled: np.ndarray, taus: np.ndarray, times: np.ndarray,
+                  block: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """bincount of (value + p) over every (i, j) at each shift, times[s] times over.
+
+    block (float32) and index (intp) are (rows, m) buffers for one row block.
+    """
+    m, period = doubled.shape[0], doubled.shape[1] // 2
+    rows = len(block)
+    counts = np.zeros(2 * period + 1, dtype=np.int64)
+    for tau, t in zip(taus.tolist(), times.tolist()):
+        for lo in range(0, m, rows):
+            hi = min(lo + rows, m)
+            values = _shift_block(doubled, tau, lo, hi, block[:hi - lo])
+            np.add(values, period, out=index[:hi - lo], casting="unsafe")
+            counts += t * np.bincount(index[:hi - lo].ravel(), minlength=counts.size)
     return counts
 
 
 def full_distribution_brute(family: SequenceFamily, jobs: int = 1) -> CorrelationReport:
-    """Histogram over all ordered triples by direct bit-packed inner products."""
+    """Histogram over all ordered triples by direct +-1 inner products.
+
+    One float32 matrix product per shift and row block (see the module
+    docstring).  Shift 0 is counted once and shifts 1 .. (p - 1)/2 twice,
+    by C(i, j, tau) = C(j, i, p - tau).  jobs > 1 splits those shifts over
+    that many threads; numpy releases the interpreter lock in the matrix
+    product and the bincount.  The result does not depend on jobs.
+    """
     period = family.period
-    seqs = family.all_sequences()
-    seq_bits = [s.bits for s in seqs]
-    rot_flat = [rotate(b, tau, period) for b in seq_bits for tau in range(period)]
-    m = len(seq_bits)
-    if jobs > 1 and m > 1:
-        bounds = np.linspace(0, m, min(jobs, m) + 1).astype(int)
-        weight_counts: Counter = Counter()
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_weight_counts_block, seq_bits, rot_flat, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            for fut in futures:
-                weight_counts.update(fut.result())
-    else:
-        weight_counts = _weight_counts_block(seq_bits, rot_flat, 0, m)
-    hist = ValueHistogram({period - 2 * w: c for w, c in weight_counts.items()})
+    bits = unpack_bits([s.bits for s in family.all_sequences()], period)
+    doubled = np.tile(1 - 2 * bits.astype(np.float32), 2)
+    m = len(doubled)
+    rows = min(m, max(1, _BLOCK_VALUES // m))
+    taus = np.arange((period + 1) // 2)
+    times = np.where(taus == 0, 1, 2)
+    parts = [idx for idx in np.array_split(np.arange(taus.size), jobs) if idx.size]
+    # buffers come from this thread: ones made in a worker thread would stay
+    # resident in that thread's malloc arena after the worker exits
+    buffers = [(np.empty((rows, m), np.float32), np.empty((rows, m), np.intp)) for _ in parts]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        counts = sum(pool.map(
+            lambda idx, buf: _shift_counts(doubled, taus[idx], times[idx], *buf), parts, buffers))
+    hist = ValueHistogram({v - period: int(c) for v, c in enumerate(counts.tolist()) if c})
     return _report(family, "brute", hist)
 
 

@@ -10,11 +10,11 @@ Three kinds share one container:
   k = n/2 + 1;
 * the small Kasami set, which lives inside part one as the gamma = 0 slice.
 
-Sequences are bit-packed into Python ints, LSB = t = 0, so correlation
-inner loops reduce to XOR plus popcount.  Each member is a codeword of the
-[2^n - 1, 5n/2] generalized Kasami code, assembled by XOR from packed
-trace rows that packed_trace_rows builds once per family; theory.build_code
-packs the code's tables with the same function.
+Sequences are bit-packed into Python ints, LSB = t = 0.  Each member is a
+codeword of the [2^n - 1, 5n/2] generalized Kasami code, assembled by XOR
+from packed trace rows that packed_trace_rows builds once per family;
+theory.build_code packs the code's tables with the same function, and
+unpack_bits is its inverse.
 """
 
 from __future__ import annotations
@@ -170,6 +170,17 @@ def packed_trace_rows(ctx: FieldCtx, coeffs, e: int, tr: np.ndarray) -> dict[int
     rows = trace_rows(ctx, coeffs, e, tr)[:, ctx.antilog]
     packed = np.packbits(rows, axis=1, bitorder="little")
     return {a: int.from_bytes(row.tobytes(), "little") for a, row in zip(coeffs, packed)}
+
+
+def unpack_bits(bits: list[int], length: int) -> np.ndarray:
+    """uint8 matrix with bit t of bits[i] at [i, t], for t < length.
+
+    The inverse of the packing in packed_trace_rows (LSB = t = 0).
+    """
+    nbytes = (length + 7) // 8
+    buf = b"".join(b.to_bytes(nbytes, "little") for b in bits)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(bits), nbytes)
+    return np.unpackbits(packed, axis=1, count=length, bitorder="little")
 
 
 def build_family(params: FamilyParams) -> SequenceFamily:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import theory
 from .gf2n import FieldCtx, TooLarge, gf2_kernel_basis
-from .quadform import QuadFormParams, exponents, require_valid_k, walsh_point
+from .quadform import exponents, require_valid_k, transform_column
 
 TRIPLE_SCAN_MAX_N = 6
 PAIR_SCAN_MAX_N = 8
@@ -172,13 +172,10 @@ def census(ctx: FieldCtx, k: int) -> EquationCensus:
     norm_pairs = int(np.count_nonzero(b2 == 0))
     joint_pairs = int(np.count_nonzero((b1 == 0) & (b2 == 0)))
 
-    s1 = s2 = s3 = 0
-    for b in range(1, ctx.order):
-        for c in ctx.subfield_elements[1:]:
-            w = walsh_point(QuadFormParams(ctx, k, b, int(c)), 0)
-            s1 += w
-            s2 += w * w
-            s3 += w * w * w
+    # W_{b,c}(0) over b in E*, c in F*, summed as exact ints
+    col = transform_column(ctx, k, ctx.subfield_elements[1:], 0)[:, 1:]
+    vals, cnts = np.unique(col, return_counts=True)
+    s1, s2, s3 = (sum(int(v) ** d * int(c) for v, c in zip(vals, cnts)) for d in (1, 2, 3))
 
     first, second = count_three_root_thetas(ctx, k)
     return EquationCensus(

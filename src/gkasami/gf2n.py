@@ -56,6 +56,10 @@ class NonPrimitivePolynomial(ValueError):
     """Raised when the defining polynomial fails the multiplicative-order check."""
 
 
+class MalformedPolynomial(ValueError):
+    """Raised when polynomial text does not parse as a hex bitmask."""
+
+
 class NonDivisor(ValueError):
     """Raised when a trace is requested onto GF(2^m) with m not dividing n."""
 
@@ -70,7 +74,11 @@ def poly_to_hex(poly: int) -> str:
 
 
 def poly_from_hex(text: str) -> int:
-    return int(text, 16)
+    """Parse a polynomial bitmask written in hex, e.g. '0x13'."""
+    try:
+        return int(text, 16)
+    except ValueError:
+        raise MalformedPolynomial(f"{text!r} is not a hex polynomial bitmask") from None
 
 
 class FieldCtx:
@@ -103,7 +111,7 @@ class FieldCtx:
             raise UnsupportedN(f"n must be even with {N_MIN} <= n <= {N_MAX}, got {n}")
         if poly is None:
             poly = DEFAULT_POLYS[n]
-        if poly.bit_length() - 1 != n:
+        if poly < 0 or poly.bit_length() - 1 != n:
             raise NonPrimitivePolynomial(
                 f"defining polynomial must have degree {n}, got {hex(poly)}"
             )

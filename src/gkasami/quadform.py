@@ -111,14 +111,18 @@ def trace_rows(ctx: FieldCtx, coeffs, e: int, tr: np.ndarray) -> np.ndarray:
     """uint8 rows tr(a x^e) over x in E, one per a in coeffs; 0 at x = 0.
 
     tr is the trace table to apply: ctx.tr1, or ctx.trh when a and x^e lie
-    in the subfield F.  Rows are indexed by x in integer order.
+    in the subfield F.  Rows are indexed by x in integer order.  Raises
+    ValueError unless every a is a field element, 0 <= a < 2^n.
     """
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    if coeffs.size and (coeffs.min() < 0 or coeffs.max() >= ctx.order):
+        raise ValueError(f"coefficients must lie in [0, {ctx.order})")
     group = ctx.group_order
     log_xe = e * ctx.log[1:]  # reduced mod group once per row, below
-    rows = np.zeros((len(coeffs), ctx.order), dtype=np.uint8)
-    for i, a in enumerate(coeffs):
-        if a:
-            rows[i, 1:] = tr[ctx.antilog[(ctx.log[a] + log_xe) % group]]
+    rows = np.zeros((coeffs.size, ctx.order), dtype=np.uint8)
+    for i, log_a in enumerate(ctx.log[coeffs].tolist()):
+        if log_a >= 0:
+            rows[i, 1:] = tr[ctx.antilog[(log_a + log_xe) % group]]
     return rows
 
 

@@ -31,6 +31,23 @@ def test_field_info_bad_poly(capsys):
     assert "not primitive" in err
 
 
+@pytest.mark.parametrize("poly", ["xyz", "-0x13"])
+def test_field_info_malformed_poly(capsys, poly):
+    code, out, err = run(capsys, ["field", "info", "--n", "4", "--poly=" + poly])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unexpected_value_error_propagates(monkeypatch):
+    def census_report(ctx, k):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setattr(cli.fieldeq, "census_report", census_report)
+    with pytest.raises(ValueError, match="a bug"):
+        cli.main(["census", "--n", "4", "--k", "1"])
+
+
 def test_family_gen_counts(capsys):
     code, out, err = run(capsys, ["family", "gen", "--n", "6", "--k", "2", "--format", "hex"])
     assert code == 0

@@ -1,4 +1,6 @@
 import json
+import os
+import random
 from collections import Counter
 
 import numpy as np
@@ -84,6 +86,36 @@ def test_jobs_do_not_change_brute_result(family4):
     one = corr.full_distribution_brute(family4, jobs=1)
     two = corr.full_distribution_brute(family4, jobs=2)
     assert one.histogram == two.histogram
+
+
+def test_brute_shift_block_cells_match_correlate(family6):
+    seqs = family6.all_sequences()
+    bits = fam.unpack_bits([s.bits for s in seqs], family6.period)
+    doubled = np.tile(1 - 2 * bits.astype(np.float32), 2)
+    out = np.empty((7, len(seqs)), dtype=np.float32)
+    rng = random.Random(6)
+    for _ in range(20):
+        tau = rng.randrange(family6.period)
+        lo = rng.randrange(len(seqs) - 7)
+        block = corr._shift_block(doubled, tau, lo, lo + 7, out)
+        for _ in range(5):
+            i, j = rng.randrange(lo, lo + 7), rng.randrange(len(seqs))
+            assert block[i - lo, j] == corr.correlate(seqs[i], seqs[j], tau)
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_brute_matches_spectral_small_kasami(n):
+    family = fam.build_family(fam.family_params(make_field(n), "small-kasami"))
+    rb = corr.full_distribution_brute(family)
+    assert rb.histogram == corr.full_distribution_spectral(family).histogram
+    assert rb.histogram == theory.small_kasami_correlation(n)
+
+
+@pytest.mark.skipif(os.environ.get("GKASAMI_SLOW") != "1", reason="set GKASAMI_SLOW=1")
+def test_brute_matches_spectral_fk_n8(ctx8):
+    family = fam.build_family(fam.family_params(ctx8, "fk", 1))
+    rb = corr.full_distribution_brute(family, jobs=2)
+    assert rb.histogram == corr.full_distribution_spectral(family).histogram
 
 
 def test_small_set_engines_and_prediction(ctx6):

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from gkasami import families as fam
+from gkasami import quadform as qf
 from gkasami import theory
 from gkasami.histogram import ValueHistogram
 from gkasami.quadform import InvalidK
@@ -69,6 +71,18 @@ def test_sequence_term_matches_packed_bits(ctx4, family4):
     for seq in family4.all_sequences()[::7]:
         for t in range(seq.length):
             assert seq.bit(t) == fam.sequence_term(family4.params, seq.tag, t)
+
+
+def test_unpack_bits_inverts_packing(ctx6, family4):
+    seqs = family4.all_sequences()
+    rows = fam.unpack_bits([s.bits for s in seqs], family4.period)
+    assert rows.dtype == np.uint8
+    assert [row.tolist() for row in rows] == [[s.bit(t) for t in range(15)] for s in seqs]
+    e1, _ = qf.exponents(ctx6, 2)
+    coeffs = list(range(ctx6.order))
+    packed = fam.packed_trace_rows(ctx6, coeffs, e1, ctx6.tr1)
+    want = qf.trace_rows(ctx6, coeffs, e1, ctx6.tr1)[:, ctx6.antilog]
+    assert np.array_equal(fam.unpack_bits([packed[a] for a in coeffs], ctx6.group_order), want)
 
 
 def test_base_m_sequence(ctx6, family6):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gkasami import fieldeq as fe
+from gkasami import quadform as qf
 from gkasami import theory
 from gkasami.gf2n import TooLarge, make_field
 
@@ -153,3 +154,11 @@ def test_census_report_matches(ctx4, ctx6):
         assert all(block["match"] for block in report["counts"])
         skipped = [b for b in report["counts"] if b.get("skipped")]
         assert not skipped  # full scans available at n <= 6
+
+
+@pytest.mark.parametrize("n,k", [(4, 1), (4, 3), (6, 2), (6, 4)])
+def test_census_power_sums_match_pointwise_sums(n, k):
+    ctx = make_field(n)
+    w = [qf.walsh_point(qf.QuadFormParams(ctx, k, b, int(c)), 0)
+         for b in range(1, ctx.order) for c in ctx.subfield_elements[1:]]
+    assert fe.census(ctx, k).power_sums == tuple(sum(x**d for x in w) for d in (1, 2, 3))

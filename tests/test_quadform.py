@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gkasami import families as fam
 from gkasami import quadform as qf
 from gkasami import theory
 from gkasami.gf2n import TooLarge, make_field
@@ -228,3 +229,11 @@ def test_scale_to_norm_one(n, k):
             spec = qf.walsh_spectrum(qf.QuadFormParams(ctx, k, b, int(c)))
             at_one = qf.walsh_spectrum(qf.QuadFormParams(ctx, k, int(b1[b]), 1))
             assert np.array_equal(spec[lams], at_one[lam1])
+
+
+@pytest.mark.parametrize("a", [-1, 16])
+def test_trace_row_coefficients_must_be_field_elements(ctx4, a):
+    with pytest.raises(ValueError):
+        qf.spectra_block(ctx4, 1, [a], [0])
+    with pytest.raises(ValueError):
+        fam.packed_trace_rows(ctx4, [a], 1, ctx4.tr1)
