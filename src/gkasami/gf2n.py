@@ -46,6 +46,8 @@ DEFAULT_POLYS: dict[int, int] = {
 
 N_MIN = 4
 N_MAX = 20
+# powers of alpha computed one step at a time before the blocked build takes over
+SCALAR_POWERS = 1 << 10
 
 
 class UnsupportedN(ValueError):
@@ -139,73 +141,71 @@ class FieldCtx:
             arr.setflags(write=False)
 
     # -- construction -------------------------------------------------
+    #
+    # Every table is the table of a GF(2)-linear map (multiplication by
+    # alpha^m, the absolute trace, the trace pairing, x -> x^(2^{n/2}) + x),
+    # so each is filled by _linear_table from the images of the n basis
+    # elements; only the first SCALAR_POWERS powers of alpha are scalar steps.
+
+    def _times_alpha(self, x: int) -> int:
+        x <<= 1
+        return x ^ self.poly if x & self.order else x
 
     def _build_log_tables(self) -> None:
         order, group, poly = self.order, self.group_order, self.poly
-        log = [-1] * order
-        antilog = [0] * group
+        antilog = np.empty(group, dtype=np.int64)
+        filled = min(group, SCALAR_POWERS)
         x = 1
-        for i in range(group):
-            if log[x] != -1:
-                # the orbit of x closed early: order of alpha < 2^n - 1
-                raise NonPrimitivePolynomial(
-                    f"{hex(poly)} is not primitive (alpha has order {i})"
-                )
-            log[x] = i
+        for i in range(filled):
             antilog[i] = x
-            x <<= 1
-            if x & order:
-                x ^= poly
-        if x != 1:
-            raise NonPrimitivePolynomial(f"{hex(poly)} is not primitive")
-        self.log = np.array(log, dtype=np.int64)
-        self.antilog = np.array(antilog, dtype=np.int64)
-
-    def _frob_vec(self, xs: np.ndarray) -> np.ndarray:
-        """Square every element of xs (vectorized Frobenius)."""
-        out = np.zeros_like(xs)
-        nz = xs != 0
-        out[nz] = self.antilog[(2 * self.log[xs[nz]]) % self.group_order]
-        return out
+            x = self._times_alpha(x)
+        # x = alpha^filled; antilog[m:m+t] = alpha^m * antilog[:t]
+        while filled < group:
+            t = min(filled, group - filled)
+            images = [x]
+            for _ in range(self.n - 1):
+                images.append(self._times_alpha(images[-1]))
+            antilog[filled : filled + t] = _linear_table(images)[antilog[:t]]
+            filled += t
+            x = self._times_alpha(int(antilog[filled - 1]))
+        log = np.full(order, -1, dtype=np.int64)
+        log[antilog] = np.arange(group, dtype=np.int64)
+        # alpha is primitive iff its 2^n - 1 powers cover every nonzero
+        # element (so they are distinct) and alpha^(2^n - 1) = 1
+        if np.any(log[1:] < 0) or x != 1:
+            early = np.flatnonzero(antilog[1:] == 1)
+            detail = f" (alpha has order {early[0] + 1})" if len(early) else ""
+            raise NonPrimitivePolynomial(f"{hex(poly)} is not primitive{detail}")
+        self.log = log
+        self.antilog = antilog
 
     def _build_trace_tables(self) -> None:
-        idx = np.arange(self.order, dtype=np.int64)
-        acc = idx.copy()
-        y = idx.copy()
-        for _ in range(self.n - 1):
-            y = self._frob_vec(y)
-            acc ^= y
-        if not np.all((acc == 0) | (acc == 1)):
+        basis = self.antilog[: self.n]  # alpha^j is the basis element 1 << j
+        tr1 = np.bitwise_xor.reduce([self.frob_vec(basis, i) for i in range(self.n)])
+        if not np.all((tr1 == 0) | (tr1 == 1)):
             raise AssertionError("absolute trace must land in GF(2)")
-        self.tr1 = acc.astype(np.uint8)
-        # trace from F onto GF(2); only the entries at subfield elements matter
-        acc = idx.copy()
-        y = idx.copy()
-        for _ in range(self.half - 1):
-            y = self._frob_vec(y)
-            acc ^= y
-        self._trh_raw = acc
+        self.tr1 = _linear_table(tr1).astype(np.uint8)
 
     def _build_subfield_tables(self) -> None:
-        idx = np.arange(self.order, dtype=np.int64)
-        y = idx.copy()
-        for _ in range(self.half):
-            y = self._frob_vec(y)
-        self.subfield_mask = y == idx
-        self.subfield_elements = idx[self.subfield_mask]
-        if len(self.subfield_elements) != 1 << self.half:
+        # F is the kernel of x -> x^(2^{n/2}) + x
+        basis = self.antilog[: self.n]
+        kernel = gf2_kernel_basis((self.frob_vec(basis, self.half) ^ basis).tolist(), self.n)
+        if len(kernel) != self.half:
             raise AssertionError("subfield must have 2^{n/2} elements")
-        self.subfield_index = np.full(self.order, -1, dtype=np.int64)
-        self.subfield_index[self.subfield_elements] = np.arange(
-            len(self.subfield_elements)
-        )
-        trh = np.zeros(self.order, dtype=np.uint8)
-        vals = self._trh_raw[self.subfield_elements]
-        if not np.all((vals == 0) | (vals == 1)):
+        # kernel vector i has leading bit j_i with j_0 < j_1 < ..., so the
+        # table of their combinations is already in increasing order
+        self.subfield_elements = _linear_table(kernel)
+        # trace from F onto GF(2), at the same combinations of the kernel basis
+        kernel = np.array(kernel, dtype=np.int64)
+        kernel_tr = np.bitwise_xor.reduce([self.frob_vec(kernel, i) for i in range(self.half)])
+        if not np.all((kernel_tr == 0) | (kernel_tr == 1)):
             raise AssertionError("subfield trace must land in GF(2)")
-        trh[self.subfield_elements] = vals
-        self.trh = trh
-        del self._trh_raw
+        self.subfield_mask = np.zeros(self.order, dtype=bool)
+        self.subfield_mask[self.subfield_elements] = True
+        self.subfield_index = np.full(self.order, -1, dtype=np.int64)
+        self.subfield_index[self.subfield_elements] = np.arange(1 << self.half)
+        self.trh = np.zeros(self.order, dtype=np.uint8)
+        self.trh[self.subfield_elements] = _linear_table(kernel_tr)
         # beta must generate F*: its order is (2^n-1)/gcd(2^n-1, 2^{n/2}+1) = 2^{n/2}-1
         half_group = (1 << self.half) - 1
         if self.pow(self.beta, half_group) != 1 or any(
@@ -223,13 +223,9 @@ class FieldCtx:
                 if self.tr1[self.mul(1 << j, 1 << i)]:
                     m |= 1 << i
             masks.append(m)
-        lam = np.arange(self.order, dtype=np.int64)
-        perm = np.zeros(self.order, dtype=np.int64)
-        for j, m in enumerate(masks):
-            perm[(lam >> j) & 1 == 1] ^= m
-        if len(np.unique(perm)) != self.order:
+        if gf2_kernel_basis(masks, self.n):
             raise AssertionError("trace pairing must be nondegenerate")
-        self.walsh_perm = perm
+        self.walsh_perm = _linear_table(masks)
 
     # -- scalar operations --------------------------------------------
 
@@ -274,7 +270,8 @@ class FieldCtx:
         return acc
 
     def in_subfield(self, x: int) -> bool:
-        return bool(self.subfield_mask[x])
+        """True exactly for the elements of F; False for any x outside [0, 2^n)."""
+        return 0 <= x < self.order and bool(self.subfield_mask[x])
 
     def elements(self) -> range:
         return range(self.order)
@@ -332,12 +329,27 @@ def make_field(n: int, poly: int | None = None) -> FieldCtx:
     return FieldCtx(n, poly)
 
 
+def _linear_table(images) -> np.ndarray:
+    """Table of the GF(2)-linear map sending basis bit i to images[i].
+
+    out[x] is the XOR of images[i] over the set bits i of x, for every x
+    below 2^len(images); filled by doubling, out[2^i:2^{i+1}] = out[:2^i] ^ images[i].
+    """
+    out = np.zeros(1 << len(images), dtype=np.int64)
+    for i, img in enumerate(images):
+        h = 1 << i
+        np.bitwise_xor(out[:h], int(img), out=out[h : 2 * h])
+    return out
+
+
 def gf2_kernel_basis(images: list[int], dim: int) -> list[int]:
     """Kernel basis of the GF(2)-linear map sending basis vector 1<<j to images[j].
 
     Vectors are int bitmasks of length dim.  The returned basis vectors are
     the coefficient masks of kernel elements, i.e. the kernel elements
-    themselves when the basis is the polynomial basis of a field.
+    themselves when the basis is the polynomial basis of a field.  The
+    vector found at column j has leading bit j, so the leading bits of the
+    returned basis strictly increase.
     """
     pivots: dict[int, tuple[int, int]] = {}
     kernel: list[int] = []

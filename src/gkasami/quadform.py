@@ -161,12 +161,13 @@ def walsh_spectrum(params: QuadFormParams) -> np.ndarray:
     """Full spectrum as an int64 array indexed by lambda.
 
     Pointwise equal to walsh_point; computed in O(n * 2^n) by the fast
-    butterfly over the truth table plus the dual-basis reindexing.
+    butterfly over the truth table plus the dual-basis reindexing.  The
+    butterfly runs in int32, which holds every |W| <= 2^n exactly.
     """
     ctx = params.ctx
-    w = (1 - 2 * truth_table(params).astype(np.int64))
+    w = 1 - 2 * truth_table(params).astype(np.int32)
     fwht_inplace(w)
-    return w[ctx.walsh_perm]
+    return w[ctx.walsh_perm].astype(np.int64)
 
 
 def symplectic_rank(params: QuadFormParams) -> int:

@@ -19,6 +19,15 @@ def test_field_info(capsys):
     assert obj["valid_k"] == [2, 4]
 
 
+def test_field_info_n20(capsys):
+    code, out, _ = run(capsys, ["field", "info", "--n", "20"])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["poly"] == "0x100009"
+    assert obj["order"] == 1 << 20 and obj["subfield_order"] == 1 << 10
+    assert obj["beta"]["label"] == "a^1025"
+
+
 def test_field_info_poly_override(capsys):
     code, out, _ = run(capsys, ["field", "info", "--n", "4", "--poly", "0x19"])
     assert code == 0

@@ -5,6 +5,7 @@ import pytest
 
 from gkasami.gf2n import (
     DEFAULT_POLYS,
+    SCALAR_POWERS,
     NonDivisor,
     NonPrimitivePolynomial,
     UnsupportedN,
@@ -60,11 +61,90 @@ def test_reducible_poly_rejected():
         make_field(4, 0x13 << 1)  # wrong degree
 
 
+def alpha_order(poly, n):
+    """First i > 0 with alpha^i = 1, by raw multiplication (None if never)."""
+    x = 1
+    for i in range(1, 1 << n):
+        x = raw_mul(x, 2, poly, n)
+        if x == 1:
+            return i
+    return None
+
+
+def has_factor(poly):
+    """Whether poly has a nontrivial factor, by trial division."""
+
+    def rem(a, b):
+        while a.bit_length() >= b.bit_length():
+            a ^= b << (a.bit_length() - b.bit_length())
+        return a
+
+    deg = poly.bit_length() - 1
+    return any(rem(poly, q) == 0 for q in range(2, 1 << (deg // 2 + 1)))
+
+
+@pytest.mark.parametrize("n,poly,order", [(4, 0x1F, 5), (12, 0x103F, 1365)])
+def test_irreducible_non_primitive_poly_rejected(n, poly, order):
+    # 0x103f: alpha returns to 1 only past the scalar first block, so the
+    # check that the blocked powers are distinct is what must reject it
+    assert not has_factor(poly) and alpha_order(poly, n) == order
+    assert ((1 << n) - 1) % order == 0
+    if n == 12:
+        assert order > SCALAR_POWERS
+    with pytest.raises(NonPrimitivePolynomial, match=rf"alpha has order {order}\)"):
+        make_field(n, poly)
+
+
 def test_default_polys_all_primitive():
-    for n in DEFAULT_POLYS:
-        if n <= 12:
-            ctx = make_field(n)
-            assert ctx.n == n
+    for n, poly in DEFAULT_POLYS.items():
+        ctx = make_field(n)
+        assert ctx.n == n and ctx.poly == poly
+        assert len(ctx.antilog) == ctx.group_order and int(ctx.log[1]) == 0
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+def test_tables_match_scalar_reference(n):
+    # every table against raw multiplication alone: powers of alpha, and
+    # the traces as sums of Frobenius images (repeated raw squaring)
+    ctx = make_field(n)
+    poly, order, half = ctx.poly, ctx.order, ctx.half
+    powers = [1]
+    for _ in range(order - 2):
+        powers.append(raw_mul(powers[-1], 2, poly, n))
+    assert ctx.antilog.tolist() == powers
+    log = [-1] * order
+    for i, x in enumerate(powers):
+        log[x] = i
+    assert ctx.log.tolist() == log
+    assert ctx.beta == powers[(1 << half) + 1]
+    tr1, trh, in_f = [], [], []
+    for x in range(order):
+        y, acc = x, 0
+        for i in range(n):
+            if i == half:
+                in_f.append(y == x)
+                trh.append(acc if y == x else 0)
+            acc ^= y
+            y = raw_mul(y, y, poly, n)
+        tr1.append(acc)
+    assert ctx.tr1.tolist() == tr1
+    assert ctx.trh.tolist() == trh
+    assert ctx.subfield_mask.tolist() == in_f
+    elements = [x for x in range(order) if in_f[x]]
+    assert ctx.subfield_elements.tolist() == elements
+    index = [-1] * order
+    for i, x in enumerate(elements):
+        index[x] = i
+    assert ctx.subfield_index.tolist() == index
+    for name in ("log", "antilog", "subfield_elements", "subfield_index", "walsh_perm"):
+        assert getattr(ctx, name).dtype == np.int64
+    assert ctx.tr1.dtype == ctx.trh.dtype == np.uint8 and ctx.subfield_mask.dtype == bool
+    if n <= 6:
+        # walsh_perm: tr(lam * x) = <walsh_perm[lam], x> for every lam and x
+        for lam in range(order):
+            for x in range(order):
+                parity = bin(int(ctx.walsh_perm[lam]) & x).count("1") & 1
+                assert tr1[raw_mul(lam, x, poly, n)] == parity
 
 
 def test_mul_against_raw(ctx4, ctx6):
@@ -155,6 +235,12 @@ def test_frobenius(ctx4):
         assert ctx4.frobenius(x, 0) == x
         assert ctx4.frobenius(x, ctx4.n) == x
         assert ctx4.trace(ctx4.frobenius(x, 1)) == ctx4.trace(x)
+
+
+@pytest.mark.parametrize("x", [-15, -1, 16, 1 << 20])
+def test_in_subfield_outside_the_field(ctx4, x):
+    # -15 must not wrap onto 1 (which is in F)
+    assert ctx4.in_subfield(x) is False
 
 
 def test_subfield_membership(ctx6):

@@ -33,6 +33,17 @@ def test_params_validation(ctx6):
         qf.QuadFormParams(ctx6, 2, 1, 2)  # 2 = alpha is not in F at n=6
 
 
+@pytest.mark.parametrize("c", [-15, 16])
+def test_c_outside_the_field_is_not_in_the_subfield(ctx4, c):
+    # -15 must not wrap onto 1, and 16 = 2^4 must not reach past the tables
+    with pytest.raises(ValueError, match="not in the subfield"):
+        qf.QuadFormParams(ctx4, 1, 0, c)
+    with pytest.raises(ValueError, match="not in the subfield"):
+        qf.spectra_block(ctx4, 1, [1], [c])
+    with pytest.raises(ValueError, match="not in the subfield"):
+        qf.transform_column(ctx4, 1, [c], 0)
+
+
 def test_eval_f_trivial(ctx4):
     zero = qf.QuadFormParams(ctx4, 1, 0, 0)
     assert all(qf.eval_f(zero, x) == 0 for x in range(16))
@@ -87,8 +98,19 @@ def test_spectrum_equals_point_sampled(n, k):
         c = int(ctx.subfield_elements[rng.randint(0, 1 << ctx.half)])
         p = qf.QuadFormParams(ctx, k, b, c)
         spec = qf.walsh_spectrum(p)
+        assert spec.dtype == np.int64
         for lam in rng.randint(0, ctx.order, size=12):
             assert int(spec[int(lam)]) == qf.walsh_point(p, int(lam))
+
+
+def test_walsh_spectrum_exact_at_n20():
+    # the butterfly's widest values, +-2^20, must come out exact
+    ctx = make_field(20)
+    zero = qf.walsh_spectrum(qf.QuadFormParams(ctx, 1, 0, 0))
+    assert zero.dtype == np.int64
+    assert int(zero[0]) == 1 << 20 and not zero[1:].any()
+    spec = qf.walsh_spectrum(qf.QuadFormParams(ctx, 3, 123457, int(ctx.beta)))
+    assert int((spec * spec).sum()) == 1 << 40
 
 
 def test_parseval(ctx6):
