@@ -19,9 +19,13 @@ histograms: the distribution of W_{b,c}(lam) over all (b, c).  Scaling
 x -> u x permutes E x F and moves lam to lam u, so every column with
 lam != 0 has the histogram of the lam = 1 column, and only the lam = 0 and
 lam = 1 columns are computed, a chunk of c at a time.  The completion part
-is looked up triple by triple in the lam = 0 transforms of the forms with
-c in {0, 1}, after scaling each form to c = 1.  Memory stays O(2^n) per
-chunk.  Both engines produce identical exact histograms.
+against itself is a whole-grid count too: a shift by tau moves the part-two
+tag (zeta, eta) to (zeta alpha^(tau (2^k+1)), eta beta^tau), and over all
+part-two tags and shifts these images meet every pair of E* x F* exactly
+once (E* x F for odd n/2).  So the triples of one tag (zeta1, eta1) meet the
+lam = 0 values of the whole E x F grid minus the row b = zeta1, and for even
+n/2 minus the column c = eta1 plus the cell (zeta1, eta1).  Memory stays
+O(2^n) per chunk.  Both engines produce identical exact histograms.
 
 Histograms count all ordered triples including the in-phase ones; the
 maximum-correlation statistic excludes i = j at shift 0 by removing one
@@ -30,7 +34,6 @@ period-value count per family member.
 
 from __future__ import annotations
 
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -38,7 +41,8 @@ import numpy as np
 
 from . import quadform as qf
 from . import theory
-from .families import BinarySequence, FamilyKind, SequenceFamily, unpack_bits
+from .families import BinarySequence, FamilyKind, SequenceFamily, gamma_delta_sets, unpack_bits
+from .gf2n import half_odd
 from .histogram import ValueHistogram
 
 BRUTE_DEFAULT_MAX_N = 6
@@ -195,45 +199,53 @@ def full_distribution_brute(family: SequenceFamily, jobs: int = 1) -> Correlatio
 # -- spectral engine -------------------------------------------------------
 
 
-def _count_into(walsh: Counter, values: np.ndarray, times: int = 1) -> None:
-    """Add every transform value in the array, `times` times over."""
-    vals, cnts = np.unique(values, return_counts=True)
-    for v, c in zip(vals, cnts):
-        walsh[int(v)] += int(c) * times
-
-
-def _lambda1_column(ctx, k: int) -> Counter:
+def _lambda1_column(ctx, k: int) -> ValueHistogram:
     """Distribution of W_{b,c}(1) over all (b, c) in E x F."""
     cs = ctx.subfield_elements
     step = max(1, _CHUNK_VALUES // ctx.order)
-    col: Counter = Counter()
+    col = ValueHistogram()
     for lo in range(0, len(cs), step):
-        _count_into(col, qf.transform_column(ctx, k, cs[lo:lo + step], 1))
+        col.merge(ValueHistogram.from_array(qf.transform_column(ctx, k, cs[lo:lo + step], 1)))
     return col
 
 
+def _completion_block(ctx, k: int, at0: np.ndarray) -> ValueHistogram:
+    """W(0) over every (t1, t2, tau) with t1, t2 in part two, given the c = 0
+    and c = 1 rows at0 of W_{b,c}(0): per t1 the whole E x F grid minus one
+    row, and for even n/2 minus one column plus one cell (module docstring)."""
+    zeta, eta = (a.ravel() for a in np.meshgrid(*gamma_delta_sets(ctx), indexing="ij"))
+    row1 = ValueHistogram.from_array(at0[1])
+    block = ValueHistogram.from_array(at0[0], zeta.size)
+    block.merge(row1, zeta.size * ((1 << ctx.half) - 1))
+    if not half_odd(ctx.n):
+        cell, _ = qf.scale_to_norm_one(ctx, k, zeta, eta, 0)
+        block.merge(ValueHistogram.from_array(at0[1][cell]))
+        block.merge(row1, -zeta.size)
+    b1, _ = qf.scale_to_norm_one(ctx, k, zeta[:, None], ctx.subfield_elements[None, 1:], 0)
+    block.merge(ValueHistogram.from_array(at0[0][zeta]), -1)
+    return block.merge(ValueHistogram.from_array(at0[1][b1]), -1)
+
+
 def full_distribution_spectral(family: SequenceFamily) -> CorrelationReport:
-    """Histogram via the shift-to-transform parameter map and two transform columns."""
+    """Histogram via the shift-to-transform parameter map and two transform
+    columns; reads the family's parameters and size, never a member."""
     params = family.params
     ctx, k = params.ctx, params.k
     order, group = ctx.order, ctx.group_order
-    taus = np.arange(group, dtype=np.int64)
-    walsh: Counter = Counter()
 
     if params.kind == FamilyKind.SMALL_KASAMI:
         # part one is the gamma = 0 slice.  At shift tau the pair (delta1,
         # delta2) meets the form (0, delta1 + delta2 beta^tau) at
         # lam = 1 + alpha^tau, and for each delta2 that sum sweeps F once.
         sweep = 1 << ctx.half
-        lam = 1 ^ ctx.antilog[taus]
+        lam = 1 ^ ctx.antilog
         # the zero form c = 0: 2^n at lam = 0 (tau = 0), zero elsewhere
-        walsh[order] += sweep
-        walsh[0] += (group - 1) * sweep
+        walsh = ValueHistogram({order: sweep, 0: (group - 1) * sweep})
         # c != 0: W_{0,c}(lam) = W_{0,1}(lam u) with N(u) = 1/c
         norm = qf.walsh_spectrum(qf.QuadFormParams(ctx, k, 0, 1))
         cs = ctx.subfield_elements[1:]
         _, lam_u = qf.scale_to_norm_one(ctx, k, 0, cs[None, :], lam[:, None])
-        _count_into(walsh, norm[lam_u], sweep)
+        walsh.merge(ValueHistogram.from_array(norm[lam_u], sweep))
     else:
         # part one covers all of E x F: for a fixed shift the twisted tag
         # combinations sweep the grid bijectively, once per opposing tag, so
@@ -241,29 +253,14 @@ def full_distribution_spectral(family: SequenceFamily) -> CorrelationReport:
         # itself meets lam = 1 + alpha^tau (0 at tau = 0, else never 0 or 1);
         # part one against part two, either way round, meets every lam != 0.
         grid = 1 << (3 * ctx.half)
-        m2 = len(family.part2)
         at0 = qf.transform_column(ctx, k, [0, 1], 0)  # rows: c = 0, c = 1
-        _count_into(walsh, at0[0], grid)
-        _count_into(walsh, at0[1], grid * ((1 << ctx.half) - 1))  # each c != 0 scales to 1
-        for v, c in _lambda1_column(ctx, k).items():
-            walsh[v] += c * (grid * (order - 2) + 2 * m2 * group)
-        # completion against completion: direct lookups of W_{b4,c4}(0)
-        e1, e2 = qf.exponents(ctx, k)
-        twist_q = ctx.antilog[(e1 * taus) % group]  # alpha^(tau * (2^k + 1))
-        twist_n = ctx.antilog[(e2 * taus) % group]  # beta^tau
-        tags2 = [s.tag for s in family.part2]
-        zeta_q = np.array([ctx.scale_vec(t.zeta, twist_q) for t in tags2])
-        eta_n = np.array([ctx.scale_vec(t.eta, twist_n) for t in tags2])
-        for t1 in tags2:
-            b4 = t1.zeta ^ zeta_q
-            c4 = t1.eta ^ eta_n
-            nz = c4 != 0
-            b1, _ = qf.scale_to_norm_one(ctx, k, b4[nz], c4[nz], 0)
-            _count_into(walsh, at0[0][b4[~nz]])
-            _count_into(walsh, at0[1][b1])
+        walsh = ValueHistogram.from_array(at0[0], grid)
+        # each c != 0 scales to c = 1
+        walsh.merge(ValueHistogram.from_array(at0[1], grid * ((1 << ctx.half) - 1)))
+        walsh.merge(_lambda1_column(ctx, k), grid * (order - 2) + 2 * (family.size - grid) * group)
+        walsh.merge(_completion_block(ctx, k, at0))
 
-    hist = ValueHistogram({v - 1: c for v, c in walsh.items()})
-    return _report(family, "spectral", hist)
+    return _report(family, "spectral", walsh.shifted(-1))
 
 
 def predicted_histogram(family: SequenceFamily) -> ValueHistogram:

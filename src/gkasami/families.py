@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2n import FieldCtx
+from .gf2n import FieldCtx, half_odd
 from .quadform import InvalidK, exponents, require_valid_k, trace_rows
 
 
@@ -137,7 +137,7 @@ def gamma_delta_sets(ctx: FieldCtx) -> tuple[list[int], list[int]]:
     powers of beta).  n/2 even: Gamma = {1, alpha, alpha^2}, Delta = the
     first (2^{n/2} - 1)/3 powers of beta starting at beta^0 = 1.
     """
-    if (ctx.half % 2) == 1:
+    if half_odd(ctx.n):
         gamma = [1]
         delta = [0] + [ctx.pow(ctx.beta, j) for j in range((1 << ctx.half) - 1)]
     else:

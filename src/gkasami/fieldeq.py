@@ -17,6 +17,7 @@ import numpy as np
 
 from . import theory
 from .gf2n import FieldCtx, TooLarge, gf2_kernel_basis
+from .histogram import ValueHistogram
 from .quadform import exponents, require_valid_k, transform_column
 
 TRIPLE_SCAN_MAX_N = 6
@@ -173,9 +174,8 @@ def census(ctx: FieldCtx, k: int) -> EquationCensus:
     joint_pairs = int(np.count_nonzero((b1 == 0) & (b2 == 0)))
 
     # W_{b,c}(0) over b in E*, c in F*, summed as exact ints
-    col = transform_column(ctx, k, ctx.subfield_elements[1:], 0)[:, 1:]
-    vals, cnts = np.unique(col, return_counts=True)
-    s1, s2, s3 = (sum(int(v) ** d * int(c) for v, c in zip(vals, cnts)) for d in (1, 2, 3))
+    col = ValueHistogram.from_array(transform_column(ctx, k, ctx.subfield_elements[1:], 0)[:, 1:])
+    s1, s2, s3 = (sum(v**d * c for v, c in col.counts.items()) for d in (1, 2, 3))
 
     first, second = count_three_root_thetas(ctx, k)
     return EquationCensus(

@@ -229,13 +229,18 @@ class FieldCtx:
 
     # -- scalar operations --------------------------------------------
 
+    def _element(self, x: int) -> int:  # so that no table index wraps
+        if not 0 <= x < self.order:
+            raise ValueError(f"{x} is not an element of GF(2^{self.n})")
+        return x
+
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
+        if self._element(a) == 0 or self._element(b) == 0:
             return 0
         return int(self.antilog[(self.log[a] + self.log[b]) % self.group_order])
 
     def inv(self, a: int) -> int:
-        if a == 0:
+        if self._element(a) == 0:
             raise ZeroDivisionError("0 has no inverse")
         return int(self.antilog[(-self.log[a]) % self.group_order])
 
@@ -244,7 +249,7 @@ class FieldCtx:
 
     def pow(self, a: int, e: int) -> int:
         """a^e with the exponent reduced mod 2^n - 1; 0^0 = 1, 0^e = 0 for e > 0."""
-        if a == 0:
+        if self._element(a) == 0:
             if e == 0:
                 return 1
             if e < 0:
@@ -258,7 +263,7 @@ class FieldCtx:
 
     def trace(self, x: int) -> int:
         """Absolute trace onto GF(2), as an int 0 or 1."""
-        return int(self.tr1[x])
+        return int(self.tr1[self._element(x)])
 
     def trace_to_subfield(self, x: int, m: int) -> int:
         """Trace of x onto GF(2^m) embedded in E; m must divide n."""
@@ -285,7 +290,7 @@ class FieldCtx:
 
     def element_label(self, x: int) -> str:
         """'0' for zero, 'a^j' for alpha^j otherwise."""
-        if x == 0:
+        if self._element(x) == 0:
             return "0"
         return f"a^{int(self.log[x])}"
 
@@ -366,6 +371,11 @@ def gf2_kernel_basis(images: list[int], dim: int) -> list[int]:
         else:
             kernel.append(combo)
     return kernel
+
+
+def half_odd(n: int) -> bool:
+    """True when n/2 is odd, the parity of n/2 that splits every closed form."""
+    return (n // 2) % 2 == 1
 
 
 def gcd_pow2_plus_one(n: int, k: int) -> int:

@@ -8,8 +8,9 @@ overflow; the JSON form keeps counts as decimal strings for the benefit of
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass
@@ -22,11 +23,10 @@ class ValueHistogram:
             raise ValueError("histogram counts must be positive")
 
     @classmethod
-    def from_pairs(cls, pairs) -> "ValueHistogram":
-        h = Counter()
-        for v, c in pairs:
-            h[int(v)] += int(c)
-        return cls(dict(h))
+    def from_array(cls, values, times: int = 1) -> "ValueHistogram":
+        """Every value in the integer array, counted `times` times over."""
+        vals, cnts = np.unique(values, return_counts=True)
+        return cls({v: c * times for v, c in zip(vals.tolist(), cnts.tolist())})
 
     def entries(self) -> list[tuple[int, int]]:
         """(value, count) pairs, values strictly decreasing."""

@@ -1,11 +1,11 @@
 """Quadratic forms tr(b*x^(2^k+1)) + tr_half(c*x^(2^{n/2}+1)) on GF(2^n).
 
-Evaluates the forms, computes their symplectic ranks and exact Walsh
-(trace-transform) spectra, and tabulates spectrum-value distributions over
-parameter sets.  The fast transform works on the plain +-1 truth table with
-a Hadamard butterfly and then reindexes through the dual-basis permutation
-stored on the field context, so spectra are always indexed directly by
-lambda as a field element.
+Evaluates the forms, computes their symplectic ranks (batched over b) and
+exact Walsh (trace-transform) spectra, and tabulates spectrum-value
+distributions over parameter sets.  The fast transform works on the plain
++-1 truth table with a Hadamard butterfly and then reindexes through the
+dual-basis permutation stored on the field context, so spectra are always
+indexed directly by lambda as a field element.
 
 Besides whole spectra (one form, every lambda) there are transform columns
 (one lambda and one c, every b), and a scaling that moves any form with
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2n import FieldCtx, TooLarge, gf2_kernel_basis
+from .gf2n import FieldCtx, TooLarge, half_odd
 from .histogram import ValueHistogram
 
 # largest array spectra_block or transform_column may allocate
@@ -51,7 +51,7 @@ def valid_k(n: int, k: int) -> bool:
 
 def require_valid_k(n: int, k: int) -> None:
     if not valid_k(n, k):
-        want = 2 if (n // 2) % 2 == 1 else 1
+        want = 2 if half_odd(n) else 1
         raise InvalidK(
             f"k = {k} invalid for n = {n}: need gcd(k, n) = {want} "
             f"(equivalently gcd(n/2 - k, n) = 1)"
@@ -107,6 +107,14 @@ def eval_f(params: QuadFormParams, x: int) -> int:
     return t1 ^ t2
 
 
+def _field_elements(ctx: FieldCtx, xs) -> np.ndarray:
+    """xs as an int64 array; ValueError unless every entry lies in [0, 2^n)."""
+    xs = np.asarray(xs, dtype=np.int64)
+    if xs.size and (xs.min() < 0 or xs.max() >= ctx.order):
+        raise ValueError(f"field elements must lie in [0, {ctx.order})")
+    return xs
+
+
 def trace_rows(ctx: FieldCtx, coeffs, e: int, tr: np.ndarray) -> np.ndarray:
     """uint8 rows tr(a x^e) over x in E, one per a in coeffs; 0 at x = 0.
 
@@ -114,9 +122,7 @@ def trace_rows(ctx: FieldCtx, coeffs, e: int, tr: np.ndarray) -> np.ndarray:
     in the subfield F.  Rows are indexed by x in integer order.  Raises
     ValueError unless every a is a field element, 0 <= a < 2^n.
     """
-    coeffs = np.asarray(coeffs, dtype=np.int64)
-    if coeffs.size and (coeffs.min() < 0 or coeffs.max() >= ctx.order):
-        raise ValueError(f"coefficients must lie in [0, {ctx.order})")
+    coeffs = _field_elements(ctx, coeffs)
     group = ctx.group_order
     log_xe = e * ctx.log[1:]  # reduced mod group once per row, below
     rows = np.zeros((coeffs.size, ctx.order), dtype=np.uint8)
@@ -170,28 +176,38 @@ def walsh_spectrum(params: QuadFormParams) -> np.ndarray:
     return w[ctx.walsh_perm].astype(np.int64)
 
 
-def symplectic_rank(params: QuadFormParams) -> int:
-    """Rank of the form's symplectic bilinear pairing.
+def symplectic_ranks(ctx: FieldCtx, k: int, bs, c) -> np.ndarray:
+    """Symplectic ranks of the forms (b, c) for b in bs, as an int array.
 
-    Equals n minus the GF(2)-dimension of the kernel of the linearized map
-    L(z) = b^(2^{n-k}) z^(2^{n-k}) + b z^(2^k) + c z^(2^{n/2}),
-    which is exactly the radical { z : f(x)+f(z)+f(x+z) = 0 for all x }.
+    c is one subfield element or an array of them broadcast against bs.  The
+    radical { z : f(x)+f(z)+f(x+z) = 0 for all x } is the kernel of
+    L(z) = b^(2^{n-k}) z^(2^{n-k}) + b z^(2^k) + c z^(2^{n/2}), so the rank
+    is the GF(2)-rank of the n images L(alpha^j), reduced one bit at a time
+    for every form at once.  The zero form has rank 0.
     """
-    ctx = params.ctx
+    require_valid_k(ctx.n, k)
+    bs = _field_elements(ctx, bs)
+    c = np.asarray(c, dtype=np.int64)
+    _subfield_list(ctx, c.ravel())
+    j = np.arange(ctx.n).reshape((ctx.n,) + (1,) * max(bs.ndim, c.ndim))
+    rows = (ctx.frob_vec(_times_alpha_pow(ctx, bs, j), ctx.n - k)
+            ^ _times_alpha_pow(ctx, bs, j << k)
+            ^ _times_alpha_pow(ctx, c, j << ctx.half))
+    rank = np.zeros(rows.shape[1:], dtype=np.int64)
+    for p in range(ctx.n):
+        # the first image with bit p set clears that bit from every other
+        # image and from itself; no image keeps a bit already reduced
+        has = (rows >> p) & 1
+        rows ^= has * np.take_along_axis(rows, has.argmax(axis=0)[None], axis=0)
+        rank += has.max(axis=0)
+    return rank
+
+
+def symplectic_rank(params: QuadFormParams) -> int:
+    """Rank of one form's symplectic pairing; see symplectic_ranks."""
     if params.b == 0 and params.c == 0:
         raise ZeroForm("rank is undefined for the zero form")
-    n, k = ctx.n, params.k
-    bq = ctx.frobenius(params.b, n - k)
-
-    def lin_map(z: int) -> int:
-        return (
-            ctx.mul(bq, ctx.frobenius(z, n - k))
-            ^ ctx.mul(params.b, ctx.frobenius(z, k))
-            ^ ctx.mul(params.c, ctx.frobenius(z, ctx.half))
-        )
-
-    images = [lin_map(1 << j) for j in range(n)]
-    return n - len(gf2_kernel_basis(images, n))
+    return int(symplectic_ranks(params.ctx, params.k, params.b, params.c))
 
 
 def _subfield_list(ctx: FieldCtx, c_list) -> list[int]:
@@ -270,8 +286,4 @@ def spectrum_distribution(
         raise ValueError("multiplicity must be >= 1")
     block = spectra_block(ctx, k, sorted(set(b_set)), sorted(set(c_set)))
     lam = np.array(sorted(set(lambda_set)), dtype=np.int64)
-    sub = block[:, :, lam]
-    vals, cnts = np.unique(sub, return_counts=True)
-    return ValueHistogram.from_pairs(
-        (int(v), int(c) * multiplicity) for v, c in zip(vals, cnts)
-    )
+    return ValueHistogram.from_array(block[:, :, lam], multiplicity)

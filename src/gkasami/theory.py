@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .families import packed_trace_rows
-from .gf2n import FieldCtx, TooLarge
+from .gf2n import FieldCtx, TooLarge, half_odd
 from .histogram import ValueHistogram
 from .quadform import exponents, require_valid_k
 
@@ -26,10 +26,6 @@ class ParityMismatch(ValueError):
 
 class NonIntegerResult(ArithmeticError):
     """Raised when an exact division fails; signals an upstream bug."""
-
-
-def _half_odd(n: int) -> bool:
-    return (n // 2) % 2 == 1
 
 
 def _div3(v: int) -> int:
@@ -50,7 +46,7 @@ def _hist(rows: dict[int, int]) -> ValueHistogram:
 
 def three_root_theta_count(n: int) -> int:
     """Number of theta in E* whose kernel equation has three nonzero roots."""
-    if _half_odd(n):
+    if half_odd(n):
         return _div3((1 << (n + 1)) - (1 << (n // 2 + 1)) - 4)
     return _div3((1 << (n + 1)) - 2)
 
@@ -62,7 +58,7 @@ def rank_deficient_b_count(n: int) -> int:
 
 def quad_triples_size(n: int) -> int:
     """Triples (x,y,z) with x^(2^k+1) + y^(2^k+1) + z^(2^k+1) = 0."""
-    if _half_odd(n):
+    if half_odd(n):
         return 1 << (2 * n)
     return (1 << (2 * n)) - (1 << (3 * n // 2 + 1)) + (1 << (n // 2 + 1))
 
@@ -79,7 +75,7 @@ def joint_triples_size(n: int) -> int:
 
 def quad_pairs_size(n: int) -> int:
     """Pairs (x,y) with x^(2^k+1) = y^(2^k+1)."""
-    if _half_odd(n):
+    if half_odd(n):
         return 1 << n
     return 1 + 3 * ((1 << n) - 1)
 
@@ -98,7 +94,7 @@ def walsh0_power_sums(n: int) -> tuple[int, int, int]:
     """Sums of f^w(0)^d over (b,c) in E* x F* for d = 1, 2, 3."""
     m = n // 2
     s1 = (1 << m) * ((1 << n) - 1)
-    if _half_odd(n):
+    if half_odd(n):
         s2 = (1 << n) * ((1 << n) - 1) * ((1 << m) - 1)
         s3 = -(1 << (3 * m)) * ((1 << n) - 1) * ((1 << m) - 3)
     else:
@@ -109,7 +105,7 @@ def walsh0_power_sums(n: int) -> tuple[int, int, int]:
 
 def family_size(n: int) -> int:
     m = n // 2
-    return (1 << (3 * m)) + (1 << m) - (0 if _half_odd(n) else 1)
+    return (1 << (3 * m)) + (1 << m) - (0 if half_odd(n) else 1)
 
 
 def r_max_expected(n: int) -> int:
@@ -408,20 +404,20 @@ def predict(name: str, n: int, k: int | None = None) -> Prediction:
     if name not in PREDICTORS:
         raise KeyError(f"unknown prediction {name!r}; know {sorted(PREDICTORS)}")
     parity, builder = PREDICTORS[name]
-    if parity == _ODD and not _half_odd(n):
+    if parity == _ODD and not half_odd(n):
         raise ParityMismatch(f"{name} requires n = 2 mod 4, got n = {n}")
-    if parity == _EVEN and _half_odd(n):
+    if parity == _EVEN and half_odd(n):
         raise ParityMismatch(f"{name} requires n = 0 mod 4, got n = {n}")
     return Prediction(name, n, k, builder(n))
 
 
 def family_correlation_histogram(n: int) -> ValueHistogram:
-    name = "family-corr-odd" if _half_odd(n) else "family-corr-even"
+    name = "family-corr-odd" if half_odd(n) else "family-corr-even"
     return predict(name, n).histogram
 
 
 def imbalance_histogram(n: int) -> ValueHistogram:
-    name = "imbalance-odd" if _half_odd(n) else "imbalance-even"
+    name = "imbalance-odd" if half_odd(n) else "imbalance-even"
     return predict(name, n).histogram
 
 

@@ -17,16 +17,14 @@ import numpy as np
 from . import correlation as corr
 from . import families as fam
 from . import fieldeq, theory
-from .gf2n import FieldCtx
+from .gf2n import FieldCtx, half_odd
 from .histogram import ValueHistogram
 from .quadform import (
-    QuadFormParams,
     spectra_block,
     spectrum_distribution,
-    symplectic_rank,
+    symplectic_ranks,
     transform_column,
 )
-from .theory import _half_odd
 
 VERIFY_NS = (4, 6, 8)
 BRUTE_CROSSCHECK_MAX_N = 6
@@ -101,16 +99,14 @@ def _hist_claim(name: str, empirical: ValueHistogram, predicted: ValueHistogram,
 def _claim_pure_quad_rank(b: _Bundle) -> ClaimResult:
     ctx, k = b.ctx, b.k
     n = ctx.n
-    if _half_odd(n):
-        ranks = {symplectic_rank(QuadFormParams(ctx, k, bb, 0)) for bb in range(1, ctx.order)}
+    ranks = symplectic_ranks(ctx, k, range(1, ctx.order), 0)
+    if half_odd(n):
+        ranks = set(ranks.tolist())
         return ClaimResult(
             "pure-quad-rank", ranks == {n - 2}, {"all": n - 2}, {"ranks": sorted(ranks)}
         )
-    ok = True
-    for bb in range(1, ctx.order):
-        cubic = int(ctx.log[bb]) % 3 == 0
-        r = symplectic_rank(QuadFormParams(ctx, k, bb, 0))
-        ok &= r == (n - 2 if cubic else n)
+    cubic = ctx.log[1:] % 3 == 0
+    ok = bool(np.all(ranks == np.where(cubic, n - 2, n)))
     return ClaimResult(
         "pure-quad-rank", ok, {"cubic": n - 2, "non-cubic": n}, {"all-match": ok}
     )
@@ -121,7 +117,7 @@ def _claim_pure_quad_transform(b: _Bundle) -> ClaimResult:
     n = ctx.n
     bs = range(1, ctx.order)
     at1 = spectrum_distribution(ctx, k, bs, [0], [1])
-    if _half_odd(n):
+    if half_odd(n):
         at0 = spectrum_distribution(ctx, k, bs, [0], [0])
         ok = at0 == ValueHistogram({0: ctx.order - 1})
         want = theory.predict("walsh-b-at1-odd", n, k).histogram
@@ -145,7 +141,7 @@ def _claim_norm_form(b: _Bundle) -> ClaimResult:
     ctx, k = b.ctx, b.k
     n = ctx.n
     cs = [int(c) for c in ctx.subfield_elements[1:]]
-    ranks_ok = all(symplectic_rank(QuadFormParams(ctx, k, 0, c)) == n for c in cs)
+    ranks_ok = bool(np.all(symplectic_ranks(ctx, k, 0, cs) == n))
     at0 = spectrum_distribution(ctx, k, [0], cs, [0])
     at1 = spectrum_distribution(ctx, k, [0], cs, [1])
     want0 = theory.predict("walsh-c-at0", n, k).histogram
@@ -173,7 +169,7 @@ def _claim_walsh_mixed(b: _Bundle) -> ClaimResult:
     cs = [int(c) for c in ctx.subfield_elements[1:]]
     at0 = spectrum_distribution(ctx, k, bs, cs, [0])
     at1 = spectrum_distribution(ctx, k, bs, cs, [1])
-    suffix = "odd" if _half_odd(n) else "even"
+    suffix = "odd" if half_odd(n) else "even"
     want0 = theory.predict(f"walsh-bc-at0-{suffix}", n, k).histogram
     want1 = theory.predict(f"walsh-bc-at1-{suffix}", n, k).histogram
     return ClaimResult(
@@ -187,7 +183,7 @@ def _claim_walsh_family_mix(b: _Bundle) -> ClaimResult:
     ctx, k = b.ctx, b.k
     n = ctx.n
     cs_all = [int(c) for c in ctx.subfield_elements]
-    if _half_odd(n):
+    if half_odd(n):
         got = spectrum_distribution(ctx, k, range(ctx.order), cs_all, [1])
         got.merge(spectrum_distribution(ctx, k, [1], cs_all, [0]))
         want = theory.predict("walsh-family-mix-odd", n, k).histogram
@@ -282,16 +278,11 @@ def _claim_census(b: _Bundle) -> ClaimResult:
 def _claim_rank_split_per_c(b: _Bundle) -> ClaimResult:
     ctx, k = b.ctx, b.k
     want = theory.rank_deficient_b_count(ctx.n)
-    ok = True
-    got = None
-    for c in ctx.subfield_elements[1:]:
-        c = int(c)
-        cnt = sum(
-            symplectic_rank(QuadFormParams(ctx, k, bb, c)) == ctx.n - 2
-            for bb in range(1, ctx.order)
-        )
-        got = cnt if got is None else got
-        ok &= cnt == want
+    bs = np.arange(1, ctx.order)[:, None]
+    ranks = symplectic_ranks(ctx, k, bs, ctx.subfield_elements[None, 1:])
+    counts = np.count_nonzero(ranks == ctx.n - 2, axis=0)
+    ok = bool(np.all(counts == want))
+    got = int(counts[0])
     return ClaimResult("rank-split-per-c", ok, {"rank-deficient-b": want},
                        {"count": got, "same-for-every-c": ok})
 
@@ -302,23 +293,16 @@ def _claim_rank_value_consistency(b: _Bundle) -> ClaimResult:
     ctx, k = b.ctx, b.k
     n = ctx.n
     ok = True
-    for c in ctx.subfield_elements:
-        c = int(c)
-        block = spectra_block(ctx, k, range(ctx.order), [c])
-        for bb in range(ctx.order):
-            if bb == 0 and c == 0:
-                continue
-            h2 = symplectic_rank(QuadFormParams(ctx, k, bb, c))
-            h = h2 // 2
-            spec = block[bb, 0]
-            plus = int(np.count_nonzero(spec == 1 << (n - h)))
-            minus = int(np.count_nonzero(spec == -(1 << (n - h))))
-            zero = int(np.count_nonzero(spec == 0))
-            ok &= h2 % 2 == 0
-            ok &= plus == (1 << (h2 - 1)) + (1 << (h - 1))
-            ok &= minus == (1 << (h2 - 1)) - (1 << (h - 1))
-            ok &= zero == ctx.order - (1 << h2)
-            ok &= plus + minus + zero == ctx.order
+    for c in ctx.subfield_elements.tolist():
+        bs = np.arange(0 if c else 1, ctx.order)  # skip the zero form
+        h2 = symplectic_ranks(ctx, k, bs, c)
+        spec = spectra_block(ctx, k, bs, [c])[:, 0]
+        top = (1 << (n - h2 // 2))[:, None]
+        got = np.stack([np.count_nonzero(spec == v, axis=1) for v in (top, -top, 0)])
+        full, half = 1 << h2, 1 << (h2 // 2)
+        want = np.stack([(full + half) // 2, (full - half) // 2, ctx.order - full])
+        ok &= bool(np.all(h2 % 2 == 0) and np.array_equal(got, want)
+                   and np.all(got.sum(axis=0) == ctx.order))
     return ClaimResult("rank-value-consistency", ok,
                        {"spectra": "rank-determined"}, {"all-match": ok})
 
@@ -436,7 +420,7 @@ def run_claims(ctx: FieldCtx, k: int, jobs: int = 1) -> list[ClaimResult]:
     bundle = _Bundle(ctx, k, jobs)
     results = []
     for claim in _CLAIMS:
-        if claim is _claim_subgrid_orbits and _half_odd(ctx.n):
+        if claim is _claim_subgrid_orbits and half_odd(ctx.n):
             continue
         results.append(claim(bundle))
     return results

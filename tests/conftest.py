@@ -1,7 +1,19 @@
+import os
+
 import pytest
 
 from gkasami import build_family, family_params, make_field
 from gkasami.families import FamilyKind
+
+
+def pytest_collection_modifyitems(config, items):
+    """Tests marked slow run only with GKASAMI_SLOW=1."""
+    if os.environ.get("GKASAMI_SLOW") == "1":
+        return
+    skip = pytest.mark.skip(reason="set GKASAMI_SLOW=1")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,4 @@
 import json
-import os
 import random
 from collections import Counter
 
@@ -111,7 +110,7 @@ def test_brute_matches_spectral_small_kasami(n):
     assert rb.histogram == theory.small_kasami_correlation(n)
 
 
-@pytest.mark.skipif(os.environ.get("GKASAMI_SLOW") != "1", reason="set GKASAMI_SLOW=1")
+@pytest.mark.slow
 def test_brute_matches_spectral_fk_n8(ctx8):
     family = fam.build_family(fam.family_params(ctx8, "fk", 1))
     rb = corr.full_distribution_brute(family, jobs=2)
@@ -232,3 +231,69 @@ def test_spectral_engine_matches_grid_engine(n, k, kind):
     want = grid_engine_histogram(family)
     assert report.histogram == want
     assert report.r_max == corr._r_max_from_histogram(want, family.period, family.size)
+
+
+@pytest.mark.parametrize("n,k", [(6, 2), (8, 1), (8, 3), (10, 4), (12, 1), (12, 5)])
+def test_completion_images_are_a_transversal(n, k):
+    # the shift by tau sends the part-two tag (zeta, eta) to
+    # (zeta alpha^(tau (2^k+1)), eta beta^tau); over all tags and shifts the
+    # images meet each pair of E* x F* (E* x F for odd n/2) exactly once
+    ctx = make_field(n)
+    group, cidx = ctx.group_order, ctx.subfield_index
+    e1, e2 = qf.exponents(ctx, k)
+    taus = np.arange(group, dtype=np.int64)
+    twist_q, twist_n = ctx.antilog[(e1 * taus) % group], ctx.antilog[(e2 * taus) % group]
+    gset, dset = fam.gamma_delta_sets(ctx)
+    cells = []
+    for zeta in gset:
+        for eta in dset:
+            b, c = ctx.scale_vec(zeta, twist_q), ctx.scale_vec(eta, twist_n)
+            assert np.all(cidx[c] >= 0)
+            cells.append(b * (1 << ctx.half) + cidx[c])
+    hits = np.bincount(np.concatenate(cells), minlength=ctx.order << ctx.half)
+    want = np.ones((ctx.order, 1 << ctx.half), dtype=np.int64)
+    want[0] = 0  # b = 0 is never met
+    if (n // 2) % 2 == 0:
+        want[:, cidx[0]] = 0  # nor, for even n/2, c = 0
+    assert np.array_equal(hits.reshape(want.shape), want)
+
+
+def twist_completion(ctx, k):
+    """Reference: the completion block triple by triple.
+
+    Every part-two tag t1 against every twisted part-two tag t2 at every
+    shift, looking W_{b,c}(0) up directly in the lam = 0 transform column
+    of every c in F, with no scaling symmetry.
+    """
+    group, order = ctx.group_order, ctx.order
+    column = qf.transform_column(ctx, k, ctx.subfield_elements, 0)
+    cidx = ctx.subfield_index
+    e1, e2 = qf.exponents(ctx, k)
+    taus = np.arange(group, dtype=np.int64)
+    twist_q = ctx.antilog[(e1 * taus) % group]  # alpha^(tau (2^k+1))
+    twist_n = ctx.antilog[(e2 * taus) % group]  # beta^tau
+    gset, dset = fam.gamma_delta_sets(ctx)
+    tags2 = [(zeta, eta) for zeta in gset for eta in dset]
+    zeta_q = np.array([ctx.scale_vec(zeta, twist_q) for zeta, _ in tags2])
+    eta_n = np.array([ctx.scale_vec(eta, twist_n) for _, eta in tags2])
+    counts = np.zeros(2 * order + 1, dtype=np.int64)
+    for zeta1, eta1 in tags2:
+        values = column[cidx[eta1 ^ eta_n], zeta1 ^ zeta_q]
+        counts += np.bincount((values + order).ravel(), minlength=counts.size)
+    return ValueHistogram({v - order: int(c) for v, c in enumerate(counts.tolist()) if c})
+
+
+def engine_completion(ctx, k):
+    return corr._completion_block(ctx, k, qf.transform_column(ctx, k, [0, 1], 0))
+
+
+@pytest.mark.parametrize("n,k", [(8, 1), (8, 3), (8, 5), (8, 7), (10, 2), (10, 4), (12, 1), (12, 5)])
+def test_completion_block_matches_twist_loop(n, k):
+    ctx = make_field(n)
+    assert engine_completion(ctx, k) == twist_completion(ctx, k)
+
+
+@pytest.mark.slow
+def test_completion_block_matches_twist_loop_n14():
+    ctx = make_field(14)
+    assert engine_completion(ctx, 2) == twist_completion(ctx, 2)

@@ -248,6 +248,25 @@ def test_subfield_membership(ctx6):
     assert not any(ctx6.in_subfield(x) for x in (-63, -1, 64, 1 << 20))
 
 
+ACCESSORS = {
+    "mul-left": lambda ctx, x: ctx.mul(x, 1),
+    "mul-right": lambda ctx, x: ctx.mul(1, x),
+    "inv": lambda ctx, x: ctx.inv(x),
+    "pow": lambda ctx, x: ctx.pow(x, 1),
+    "trace": lambda ctx, x: ctx.trace(x),
+    "element_label": lambda ctx, x: ctx.element_label(x),
+}
+
+
+@pytest.mark.parametrize("x", [-1, 16])
+@pytest.mark.parametrize("name", sorted(ACCESSORS))
+def test_scalar_accessors_reject_non_elements(ctx4, name, x):
+    # -1 must not wrap onto the table entry for 15, and 16 = 2^4 must not
+    # raise a bare IndexError
+    with pytest.raises(ValueError, match="not an element"):
+        ACCESSORS[name](ctx4, x)
+
+
 def test_beta_order(ctx4, ctx6, ctx8):
     for ctx in (ctx4, ctx6, ctx8):
         half_group = (1 << ctx.half) - 1

@@ -6,7 +6,7 @@ import pytest
 from gkasami import families as fam
 from gkasami import quadform as qf
 from gkasami import theory
-from gkasami.gf2n import TooLarge, make_field
+from gkasami.gf2n import TooLarge, gf2_kernel_basis, make_field
 
 
 def all_params(ctx, k):
@@ -139,13 +139,53 @@ def brute_radical_dim(ctx, p):
     return dim.bit_length() - 1  # radical size is a power of two
 
 
+def scalar_rank(ctx, k, b, c):
+    """Reference: n minus the kernel dimension of the linearized map
+    L(z) = b^(2^{n-k}) z^(2^{n-k}) + b z^(2^k) + c z^(2^{n/2}),
+    one scalar image at a time."""
+    n = ctx.n
+    bq = ctx.frobenius(b, n - k)
+
+    def lin_map(z):
+        return (ctx.mul(bq, ctx.frobenius(z, n - k))
+                ^ ctx.mul(b, ctx.frobenius(z, k))
+                ^ ctx.mul(c, ctx.frobenius(z, ctx.half)))
+
+    return n - len(gf2_kernel_basis([lin_map(1 << j) for j in range(n)], n))
+
+
 def test_symplectic_rank_matches_definition_exhaustive_n4(ctx4):
-    for p in all_params(ctx4, 1):
-        if p.b == 0 and p.c == 0:
-            continue
-        rank = qf.symplectic_rank(p)
-        assert rank % 2 == 0
-        assert rank == ctx4.n - brute_radical_dim(ctx4, p)
+    for c in ctx4.subfield_elements.tolist():
+        batched = qf.symplectic_ranks(ctx4, 1, range(ctx4.order), c)
+        for b in range(ctx4.order):
+            p = qf.QuadFormParams(ctx4, 1, b, c)
+            want = ctx4.n - brute_radical_dim(ctx4, p)
+            assert batched[b] == want
+            if b or c:
+                assert qf.symplectic_rank(p) == want and want % 2 == 0
+
+
+@pytest.mark.parametrize("n,k", [(6, 2), (6, 4), (8, 1), (8, 3), (10, 2), (12, 1), (12, 5)])
+def test_symplectic_ranks_match_scalar_reference(n, k):
+    # every (b, c) up to n = 8; beyond that every b with c in {0, 1, beta^3}
+    ctx = make_field(n)
+    cs = ctx.subfield_elements.tolist() if n <= 8 else [0, 1, ctx.pow(ctx.beta, 3)]
+    bs = np.arange(ctx.order)
+    for c in cs:
+        got = qf.symplectic_ranks(ctx, k, bs, c)
+        assert got.tolist() == [scalar_rank(ctx, k, b, c) for b in range(ctx.order)]
+    # c broadcast against bs gives the same ranks as one c at a time
+    grid = qf.symplectic_ranks(ctx, k, bs[:, None], np.array(cs)[None, :])
+    assert grid.T.tolist() == [qf.symplectic_ranks(ctx, k, bs, c).tolist() for c in cs]
+
+
+def test_symplectic_ranks_reject_bad_input(ctx4):
+    with pytest.raises(ValueError, match="must lie in"):
+        qf.symplectic_ranks(ctx4, 1, [0, 16], 1)
+    with pytest.raises(ValueError, match="not in the subfield"):
+        qf.symplectic_ranks(ctx4, 1, [1], [1, 2])
+    with pytest.raises(qf.InvalidK):
+        qf.symplectic_ranks(ctx4, 2, [1], 1)
 
 
 def test_symplectic_rank_examples(ctx6, ctx8):
