@@ -244,9 +244,6 @@ class FieldCtx:
             raise ZeroDivisionError("0 has no inverse")
         return int(self.antilog[(-self.log[a]) % self.group_order])
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         """a^e with the exponent reduced mod 2^n - 1; 0^0 = 1, 0^e = 0 for e > 0."""
         if self._element(a) == 0:
@@ -277,12 +274,6 @@ class FieldCtx:
     def in_subfield(self, x: int) -> bool:
         """True exactly for the elements of F; False for any x outside [0, 2^n)."""
         return 0 <= x < self.order and bool(self.subfield_mask[x])
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    def nonzero_elements(self) -> range:
-        return range(1, self.order)
 
     @property
     def poly_hex(self) -> str:

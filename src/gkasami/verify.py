@@ -1,16 +1,21 @@
 """One-shot verification of every closed-form claim against exhaustive
 desk-scale computation.
 
-Each claim compares an independently computed quantity (direct spectra,
-rank computations, brute-force root or set counting, sequence enumeration)
-with its closed form, and reports a machine-readable block.  The applicable
-claim set depends on the parity of n/2; a few are additionally capped by
-the size guards of their underlying scans.
+Each claim compares an independently computed quantity (transform columns,
+direct spectra, rank computations, brute-force root or set counting,
+sequence enumeration) with its closed form, and reports a machine-readable
+block.  The claims that read the transform at lambda = 0 or 1 take slices of
+two tables, W_{b,c}(0) and W_{b,c}(1) for every b and every c in F, built
+once per run; walsh-full-distribution and rank-value-consistency, which need
+every lambda, read direct spectra one c at a time.  The applicable claim
+set depends on the parity of n/2; a few are additionally capped by the size
+guards of their underlying scans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,12 +24,7 @@ from . import families as fam
 from . import fieldeq, theory
 from .gf2n import FieldCtx, half_odd
 from .histogram import ValueHistogram
-from .quadform import (
-    spectra_block,
-    spectrum_distribution,
-    symplectic_ranks,
-    transform_column,
-)
+from .quadform import spectra_block, symplectic_ranks, transform_column
 
 VERIFY_NS = (4, 6, 8)
 BRUTE_CROSSCHECK_MAX_N = 6
@@ -58,29 +58,26 @@ class _Bundle:
     ctx: FieldCtx
     k: int
     jobs: int = 1
-    _family: fam.SequenceFamily | None = None
-    _spectral: corr.CorrelationReport | None = None
-    _code: theory.CodeSpec | None = None
 
-    @property
+    @cached_property
     def family(self) -> fam.SequenceFamily:
-        if self._family is None:
-            self._family = fam.build_family(
-                fam.family_params(self.ctx, fam.FamilyKind.GENERALIZED, self.k)
-            )
-        return self._family
+        return fam.build_family(
+            fam.family_params(self.ctx, fam.FamilyKind.GENERALIZED, self.k)
+        )
 
-    @property
+    @cached_property
     def spectral_report(self) -> corr.CorrelationReport:
-        if self._spectral is None:
-            self._spectral = corr.full_distribution_spectral(self.family)
-        return self._spectral
+        return corr.full_distribution_spectral(self.family)
 
-    @property
+    @cached_property
     def code(self) -> theory.CodeSpec:
-        if self._code is None:
-            self._code = theory.build_code(self.ctx, self.k)
-        return self._code
+        return theory.build_code(self.ctx, self.k)
+
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """W_{b,c}(0) and W_{b,c}(1), each at [subfield index of c, b]."""
+        return tuple(transform_column(self.ctx, self.k, self.ctx.subfield_elements, lam)
+                     for lam in (0, 1))
 
 
 def _entries(h: ValueHistogram) -> list:
@@ -115,19 +112,14 @@ def _claim_pure_quad_rank(b: _Bundle) -> ClaimResult:
 def _claim_pure_quad_transform(b: _Bundle) -> ClaimResult:
     ctx, k = b.ctx, b.k
     n = ctx.n
-    bs = range(1, ctx.order)
-    at1 = spectrum_distribution(ctx, k, bs, [0], [1])
+    at0, at1 = (ValueHistogram.from_array(col[0, 1:]) for col in b.columns)
     if half_odd(n):
-        at0 = spectrum_distribution(ctx, k, bs, [0], [0])
-        ok = at0 == ValueHistogram({0: ctx.order - 1})
         want = theory.predict("walsh-b-at1-odd", n, k).histogram
-        ok &= at1 == want
         return ClaimResult(
-            "pure-quad-transform", ok,
+            "pure-quad-transform", at0 == ValueHistogram({0: ctx.order - 1}) and at1 == want,
             {"at0": "all zero", "at1": _entries(want)},
             {"at0": _entries(at0), "at1": _entries(at1)},
         )
-    at0 = spectrum_distribution(ctx, k, bs, [0], [0])
     want0 = theory.predict("walsh-b-at0-even", n, k).histogram
     want1 = theory.predict("walsh-b-at1-even", n, k).histogram
     return ClaimResult(
@@ -140,10 +132,8 @@ def _claim_pure_quad_transform(b: _Bundle) -> ClaimResult:
 def _claim_norm_form(b: _Bundle) -> ClaimResult:
     ctx, k = b.ctx, b.k
     n = ctx.n
-    cs = [int(c) for c in ctx.subfield_elements[1:]]
-    ranks_ok = bool(np.all(symplectic_ranks(ctx, k, 0, cs) == n))
-    at0 = spectrum_distribution(ctx, k, [0], cs, [0])
-    at1 = spectrum_distribution(ctx, k, [0], cs, [1])
+    ranks_ok = bool(np.all(symplectic_ranks(ctx, k, 0, ctx.subfield_elements[1:]) == n))
+    at0, at1 = (ValueHistogram.from_array(col[1:, 0]) for col in b.columns)
     want0 = theory.predict("walsh-c-at0", n, k).histogram
     want1 = theory.predict("walsh-c-at1", n, k).histogram
     return ClaimResult(
@@ -155,9 +145,9 @@ def _claim_norm_form(b: _Bundle) -> ClaimResult:
 
 def _claim_walsh_full(b: _Bundle) -> ClaimResult:
     ctx, k = b.ctx, b.k
-    got = spectrum_distribution(
-        ctx, k, range(ctx.order), ctx.subfield_elements, range(ctx.order)
-    )
+    got = ValueHistogram({})
+    for c in ctx.subfield_elements.tolist():
+        got.merge(ValueHistogram.from_array(spectra_block(ctx, k, range(ctx.order), [c])))
     return _hist_claim("walsh-full-distribution", got,
                        theory.predict("walsh-full", ctx.n, k).histogram)
 
@@ -165,10 +155,7 @@ def _claim_walsh_full(b: _Bundle) -> ClaimResult:
 def _claim_walsh_mixed(b: _Bundle) -> ClaimResult:
     ctx, k = b.ctx, b.k
     n = ctx.n
-    bs = range(1, ctx.order)
-    cs = [int(c) for c in ctx.subfield_elements[1:]]
-    at0 = spectrum_distribution(ctx, k, bs, cs, [0])
-    at1 = spectrum_distribution(ctx, k, bs, cs, [1])
+    at0, at1 = (ValueHistogram.from_array(col[1:, 1:]) for col in b.columns)
     suffix = "odd" if half_odd(n) else "even"
     want0 = theory.predict(f"walsh-bc-at0-{suffix}", n, k).histogram
     want1 = theory.predict(f"walsh-bc-at1-{suffix}", n, k).histogram
@@ -180,22 +167,22 @@ def _claim_walsh_mixed(b: _Bundle) -> ClaimResult:
 
 
 def _claim_walsh_family_mix(b: _Bundle) -> ClaimResult:
+    """Part one reads every (b, c) at lambda = 1; part two reads lambda = 0
+    at b = 1 (odd n/2), or for each eta1 in Delta at b in Gamma with
+    c != eta1 and at every b with c = eta1, once per zeta1 in Gamma."""
     ctx, k = b.ctx, b.k
     n = ctx.n
-    cs_all = [int(c) for c in ctx.subfield_elements]
+    col0, col1 = b.columns
     if half_odd(n):
-        got = spectrum_distribution(ctx, k, range(ctx.order), cs_all, [1])
-        got.merge(spectrum_distribution(ctx, k, [1], cs_all, [0]))
+        got = ValueHistogram.from_array(col1)
+        got.merge(ValueHistogram.from_array(col0[:, 1]))
         want = theory.predict("walsh-family-mix-odd", n, k).histogram
         return _hist_claim("walsh-family-mix", got, want)
-    weight = ctx.order + (1 << ctx.half) - 1
-    got = spectrum_distribution(ctx, k, range(ctx.order), cs_all, [1], weight)
+    got = ValueHistogram.from_array(col1, ctx.order + (1 << ctx.half) - 1)
     gset, dset = fam.gamma_delta_sets(ctx)
-    for z1 in gset:
-        for e1 in dset:
-            rest = [c for c in cs_all if c != e1]
-            got.merge(spectrum_distribution(ctx, k, [z1], rest, [0]))
-            got.merge(spectrum_distribution(ctx, k, range(ctx.order), [e1], [0]))
+    for row in ctx.subfield_index[dset].tolist():
+        got.merge(ValueHistogram.from_array(np.delete(col0[:, gset], row, axis=0)))
+        got.merge(ValueHistogram.from_array(col0[row]), len(gset))
     want = theory.predict("walsh-family-mix-even", n, k).histogram
     return _hist_claim("walsh-family-mix", got, want)
 
@@ -203,14 +190,15 @@ def _claim_walsh_family_mix(b: _Bundle) -> ClaimResult:
 def _claim_subgrid_orbits(b: _Bundle) -> ClaimResult:
     """Even parity only: the completion-grid transform multisets tile the full
     grid's multiset with the expected multiplicities."""
-    ctx, k = b.ctx, b.k
-    cs = [int(c) for c in ctx.subfield_elements[1:]]
+    ctx = b.ctx
+    at0 = b.columns[0][1:]  # c != 0, rows at subfield index - 1
     gset, dset = fam.gamma_delta_sets(ctx)
-    full = spectrum_distribution(ctx, k, range(1, ctx.order), cs, [0])
-    over_gamma = spectrum_distribution(ctx, k, gset, cs, [0], (ctx.order - 1) // 3)
-    over_delta = spectrum_distribution(ctx, k, range(1, ctx.order), dset, [0], 3)
-    small = spectrum_distribution(ctx, k, gset, dset, [0], 3)
-    gamma_fstar = spectrum_distribution(ctx, k, gset, cs, [0])
+    drows = ctx.subfield_index[dset] - 1
+    full = ValueHistogram.from_array(at0[:, 1:])
+    over_gamma = ValueHistogram.from_array(at0[:, gset], (ctx.order - 1) // 3)
+    over_delta = ValueHistogram.from_array(at0[drows, 1:], 3)
+    small = ValueHistogram.from_array(at0[np.ix_(drows, gset)], 3)
+    gamma_fstar = ValueHistogram.from_array(at0[:, gset])
     ok = over_gamma == full and over_delta == full and small == gamma_fstar
     return ClaimResult(
         "subgrid-orbit-multisets", ok,
@@ -345,7 +333,7 @@ def _claim_imbalance(b: _Bundle) -> ClaimResult:
     # at 0 (part two), minus one
     cidx = ctx.subfield_index
     for lam, part in ((1, b.family.part1), (0, b.family.part2)):
-        column = transform_column(ctx, b.k, ctx.subfield_elements, lam)
+        column = b.columns[lam]
         for s in part:
             bb, c = s.tag.pair()
             ok &= fam.imbalance(s) == int(column[cidx[c], bb]) - 1

@@ -1,9 +1,12 @@
 import time
+from functools import partial
+
+import pytest
 
 from gkasami import correlation as corr
 from gkasami import families as fam
 from gkasami import fieldeq, quadform as qf, theory, verify
-from gkasami.gf2n import make_field
+from gkasami.gf2n import half_odd, make_field
 
 
 def test_all_claims_pass_n6(ctx6):
@@ -14,12 +17,27 @@ def test_all_claims_pass_n6(ctx6):
     assert "subgrid-orbit-multisets" not in names  # even-parity-only claim
 
 
-def test_all_claims_pass_n8(ctx8):
+def test_all_claims_pass_n8(ctx8, monkeypatch):
+    lams, block_widths = [], []
+
+    def column(ctx, k, c_list, lam):
+        lams.append(lam)
+        return qf.transform_column(ctx, k, c_list, lam)
+
+    def block(ctx, k, b_list, c_list):
+        block_widths.append(len(c_list))
+        return qf.spectra_block(ctx, k, b_list, c_list)
+
+    monkeypatch.setattr(verify, "transform_column", column)
+    monkeypatch.setattr(verify, "spectra_block", block)
     results = verify.run_claims(ctx8, 1)
     failures = [r.name for r in results if not r.ok]
     assert failures == []
     names = {r.name for r in results}
     assert "subgrid-orbit-multisets" in names
+    # the lambda in {0, 1} claims share two columns; spectra go one c at a time
+    assert sorted(lams) == [0, 1]
+    assert block_widths and set(block_widths) == {1}
 
 
 def test_claims_report_shape(ctx4):
@@ -28,6 +46,56 @@ def test_claims_report_shape(ctx4):
     for block in report["claims"]:
         assert set(block) >= {"name", "parameters", "predicted", "empirical", "match"}
         assert block["parameters"] == {"n": 4, "k": 1}
+
+
+def grid_reference(ctx, k):
+    """The empirical fields of the lambda in {0, 1} transform claims, each
+    histogram taken from a direct spectra grid over the claim's (b, c, lambda)
+    set rather than from the two transform columns."""
+    dist = partial(qf.spectrum_distribution, ctx, k)
+    entries = verify._entries
+    order = ctx.order
+    bs, all_b = range(1, order), range(order)
+    cs = ctx.subfield_elements[1:].tolist()
+    cs_all = ctx.subfield_elements.tolist()
+    ref = {
+        "pure-quad-transform": {"at0": entries(dist(bs, [0], [0])),
+                                "at1": entries(dist(bs, [0], [1]))},
+        "norm-form": {"ranks-all-n": True, "at0": entries(dist([0], cs, [0])),
+                      "at1": entries(dist([0], cs, [1]))},
+        "walsh-mixed-pairs": {"at0": entries(dist(bs, cs, [0])),
+                              "at1": entries(dist(bs, cs, [1]))},
+    }
+    gset, dset = fam.gamma_delta_sets(ctx)
+    if half_odd(ctx.n):
+        mix = dist(all_b, cs_all, [1]).merge(dist([1], cs_all, [0]))
+    else:
+        mix = dist(all_b, cs_all, [1], order + (1 << ctx.half) - 1)
+        for z1 in gset:
+            for e1 in dset:
+                mix.merge(dist([z1], [c for c in cs_all if c != e1], [0]))
+                mix.merge(dist(all_b, [e1], [0]))
+        full = dist(bs, cs, [0])
+        gamma_fstar = dist(gset, cs, [0])
+        ref["subgrid-orbit-multisets"] = {
+            "gamma-times-(2^n-1)/3": dist(gset, cs, [0], (order - 1) // 3) == full,
+            "delta-times-3": dist(bs, dset, [0], 3) == full,
+            "gamma-delta-times-3-vs-gamma-fstar": dist(gset, dset, [0], 3) == gamma_fstar,
+        }
+    ref["walsh-family-mix"] = entries(mix)
+    return ref
+
+
+@pytest.mark.parametrize("n,k", [(6, 2), (8, 1), (8, 3)])
+def test_column_claims_match_grid_reference(n, k):
+    ctx = make_field(n)
+    bundle = verify._Bundle(ctx, k)
+    claims = [verify._claim_pure_quad_transform, verify._claim_norm_form,
+              verify._claim_walsh_mixed, verify._claim_walsh_family_mix]
+    if not half_odd(n):
+        claims.append(verify._claim_subgrid_orbits)
+    got = {r.name: r.empirical for r in (claim(bundle) for claim in claims)}
+    assert got == grid_reference(ctx, k)
 
 
 def test_affine_root_bound_is_the_grid_maximum(ctx4):
