@@ -87,6 +87,7 @@ def cmd_family_gen(args) -> int:
     k = _resolve_k(ctx, args, kind)
     params = fam.family_params(ctx, kind, k)
     family = fam.build_family(params)
+    family.all_sequences()  # builds the members, or refuses, before --out is opened
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             count = fam.write_family(family, args.format, fh)
@@ -102,7 +103,6 @@ def cmd_corr(args) -> int:
     kind = fam.FamilyKind(args.kind)
     k = _resolve_k(ctx, args, kind)
     params = fam.family_params(ctx, kind, k)
-    # both guards run before the family is built
     if args.engine == "brute" and ctx.n > corr.BRUTE_DEFAULT_MAX_N and not args.force:
         print(
             f"refusing brute engine at n = {ctx.n} (cap {corr.BRUTE_DEFAULT_MAX_N}); "
@@ -110,10 +110,6 @@ def cmd_corr(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    if args.engine == "spectral" and ctx.n > corr.SPECTRAL_MAX_N:
-        raise TooLarge(
-            f"spectral engine limited to n <= {corr.SPECTRAL_MAX_N}, got n = {ctx.n}"
-        )
     family = fam.build_family(params)
     if args.engine == "brute":
         report = corr.full_distribution_brute(family, jobs=args.jobs)

@@ -9,23 +9,25 @@ C(i, j, tau) = C(j, i, p - tau) and p is odd, shift 0 is counted once and
 shifts 1 .. (p - 1)/2 twice.  Products are taken a block of rows at a
 time, so memory stays O(m p) plus one block buffer per thread.
 
-The spectral engine never touches sequence bits: the correlation of two
-members at a given shift equals a Walsh-transform value of one quadratic
-form (minus one), where the form's parameters are simple shift-twisted
-combinations of the two tags.  For the part-one grid, which
-covers all of E x F, a fixed shift makes the twisted parameters sweep the
-whole grid bijectively, so whole blocks reduce to per-lambda column
-histograms: the distribution of W_{b,c}(lam) over all (b, c).  Scaling
-x -> u x permutes E x F and moves lam to lam u, so every column with
-lam != 0 has the histogram of the lam = 1 column, and only the lam = 0 and
-lam = 1 columns are computed, a chunk of c at a time.  The completion part
-against itself is a whole-grid count too: a shift by tau moves the part-two
-tag (zeta, eta) to (zeta alpha^(tau (2^k+1)), eta beta^tau), and over all
-part-two tags and shifts these images meet every pair of E* x F* exactly
-once (E* x F for odd n/2).  So the triples of one tag (zeta1, eta1) meet the
-lam = 0 values of the whole E x F grid minus the row b = zeta1, and for even
-n/2 minus the column c = eta1 plus the cell (zeta1, eta1).  Memory stays
-O(2^n) per chunk.  Both engines produce identical exact histograms.
+The spectral engine never touches sequence bits and reads only the
+family's parameters: the correlation of two members at a given shift
+equals a Walsh-transform value of one quadratic form (minus one), where the
+form's parameters are simple shift-twisted combinations of the two tags.
+For the part-one grid, which covers all of E x F, a fixed shift makes the
+twisted parameters sweep the whole grid bijectively, so whole blocks reduce
+to per-lambda column histograms: the distribution of W_{b,c}(lam) over all
+(b, c).  Scaling x -> u x permutes E x F and moves lam to lam u, so every
+column with lam != 0 has the histogram of the lam = 1 column.  A form of
+rank 2j takes +-2^(n-j) at (2^(2j) +- 2^j)/2 of all lam and 0 elsewhere, so
+the grid's spectra less its lam = 0 column are 2^n - 1 lam = 1 columns, and
+by scaling the ranks of (b, 0) and (b, 1) for every b suffice.  The
+completion part against itself is a whole-grid count too: a shift by tau
+moves the part-two tag (zeta, eta) to (zeta alpha^(tau (2^k+1)), eta
+beta^tau), and over all part-two tags and shifts these images meet every
+pair of E* x F* exactly once (E* x F for odd n/2).  So the triples of one
+tag (zeta1, eta1) meet the lam = 0 values of the whole E x F grid minus the
+row b = zeta1, and for even n/2 minus the column c = eta1 plus the cell
+(zeta1, eta1).  Both engines produce identical exact histograms.
 
 Histograms count all ordered triples including the in-phase ones; the
 maximum-correlation statistic excludes i = j at shift 0 by removing one
@@ -46,11 +48,6 @@ from .gf2n import half_odd
 from .histogram import ValueHistogram
 
 BRUTE_DEFAULT_MAX_N = 6
-# the spectral engine itself is cheap; the family it reads is the limit
-# (about 4 GB at n = 14)
-SPECTRAL_MAX_N = 12
-# transform values per lam = 1 column chunk
-_CHUNK_VALUES = 1 << 20
 # correlation values per brute-engine product block
 _BLOCK_VALUES = 1 << 20
 
@@ -199,14 +196,26 @@ def full_distribution_brute(family: SequenceFamily, jobs: int = 1) -> Correlatio
 # -- spectral engine -------------------------------------------------------
 
 
-def _lambda1_column(ctx, k: int) -> ValueHistogram:
-    """Distribution of W_{b,c}(1) over all (b, c) in E x F."""
-    cs = ctx.subfield_elements
-    step = max(1, _CHUNK_VALUES // ctx.order)
-    col = ValueHistogram()
-    for lo in range(0, len(cs), step):
-        col.merge(ValueHistogram.from_array(qf.transform_column(ctx, k, cs[lo:lo + step], 1)))
-    return col
+def _lambda0_column(ctx, at0: np.ndarray) -> ValueHistogram:
+    """W_{b,c}(0) over all (b, c) from its c = 0 and c = 1 rows at0; c != 0 scales to 1."""
+    col = ValueHistogram.from_array(at0[0])
+    return col.merge(ValueHistogram.from_array(at0[1]), (1 << ctx.half) - 1)
+
+
+def _lambda1_column(ctx, k: int, at0: np.ndarray) -> ValueHistogram:
+    """Distribution of W_{b,c}(1) over all (b, c) in E x F, from the ranks of
+    the forms (b, 0) and (b, 1) and the lam = 0 column (module docstring)."""
+    n, order = ctx.n, ctx.order
+    every_lam = ValueHistogram()
+    for c, times in ((0, 1), (1, (1 << ctx.half) - 1)):
+        halves = np.bincount(qf.symplectic_ranks(ctx, k, np.arange(order), c) // 2)
+        for j, forms in enumerate(halves.tolist()):
+            spectrum = {1 << (n - j): (4**j + 2**j) // 2, -(1 << (n - j)): (4**j - 2**j) // 2}
+            every_lam.merge(ValueHistogram({**spectrum, 0: order - 4**j}), forms * times)
+    every_lam.merge(_lambda0_column(ctx, at0), -1)
+    if any(c % (order - 1) for c in every_lam.counts.values()):
+        raise AssertionError("summed rank spectra are not 2^n - 1 equal columns")
+    return ValueHistogram({v: c // (order - 1) for v, c in every_lam.counts.items()})
 
 
 def _completion_block(ctx, k: int, at0: np.ndarray) -> ValueHistogram:
@@ -214,21 +223,19 @@ def _completion_block(ctx, k: int, at0: np.ndarray) -> ValueHistogram:
     and c = 1 rows at0 of W_{b,c}(0): per t1 the whole E x F grid minus one
     row, and for even n/2 minus one column plus one cell (module docstring)."""
     zeta, eta = (a.ravel() for a in np.meshgrid(*gamma_delta_sets(ctx), indexing="ij"))
-    row1 = ValueHistogram.from_array(at0[1])
-    block = ValueHistogram.from_array(at0[0], zeta.size)
-    block.merge(row1, zeta.size * ((1 << ctx.half) - 1))
+    block = _lambda0_column(ctx, at0).scaled(zeta.size)
     if not half_odd(ctx.n):
         cell, _ = qf.scale_to_norm_one(ctx, k, zeta, eta, 0)
         block.merge(ValueHistogram.from_array(at0[1][cell]))
-        block.merge(row1, -zeta.size)
+        block.merge(ValueHistogram.from_array(at0[1]), -zeta.size)
     b1, _ = qf.scale_to_norm_one(ctx, k, zeta[:, None], ctx.subfield_elements[None, 1:], 0)
     block.merge(ValueHistogram.from_array(at0[0][zeta]), -1)
     return block.merge(ValueHistogram.from_array(at0[1][b1]), -1)
 
 
 def full_distribution_spectral(family: SequenceFamily) -> CorrelationReport:
-    """Histogram via the shift-to-transform parameter map and two transform
-    columns; reads the family's parameters and size, never a member."""
+    """Histogram via the shift-to-transform parameter map, the lam = 0
+    column and the ranks; reads the family's parameters, never a member."""
     params = family.params
     ctx, k = params.ctx, params.k
     order, group = ctx.order, ctx.group_order
@@ -238,14 +245,13 @@ def full_distribution_spectral(family: SequenceFamily) -> CorrelationReport:
         # delta2) meets the form (0, delta1 + delta2 beta^tau) at
         # lam = 1 + alpha^tau, and for each delta2 that sum sweeps F once.
         sweep = 1 << ctx.half
-        lam = 1 ^ ctx.antilog
         # the zero form c = 0: 2^n at lam = 0 (tau = 0), zero elsewhere
         walsh = ValueHistogram({order: sweep, 0: (group - 1) * sweep})
-        # c != 0: W_{0,c}(lam) = W_{0,1}(lam u) with N(u) = 1/c
+        # c != 0: W_{0,c}(lam) = W_{0,1}(lam u), N(u) = 1/c, over lam u in E minus {u}
         norm = qf.walsh_spectrum(qf.QuadFormParams(ctx, k, 0, 1))
-        cs = ctx.subfield_elements[1:]
-        _, lam_u = qf.scale_to_norm_one(ctx, k, 0, cs[None, :], lam[:, None])
-        walsh.merge(ValueHistogram.from_array(norm[lam_u], sweep))
+        _, u = qf.scale_to_norm_one(ctx, k, 0, ctx.subfield_elements[1:], 1)
+        walsh.merge(ValueHistogram.from_array(norm), sweep * ((1 << ctx.half) - 1))
+        walsh.merge(ValueHistogram.from_array(norm[u]), -sweep)
     else:
         # part one covers all of E x F: for a fixed shift the twisted tag
         # combinations sweep the grid bijectively, once per opposing tag, so
@@ -254,10 +260,9 @@ def full_distribution_spectral(family: SequenceFamily) -> CorrelationReport:
         # part one against part two, either way round, meets every lam != 0.
         grid = 1 << (3 * ctx.half)
         at0 = qf.transform_column(ctx, k, [0, 1], 0)  # rows: c = 0, c = 1
-        walsh = ValueHistogram.from_array(at0[0], grid)
-        # each c != 0 scales to c = 1
-        walsh.merge(ValueHistogram.from_array(at0[1], grid * ((1 << ctx.half) - 1)))
-        walsh.merge(_lambda1_column(ctx, k), grid * (order - 2) + 2 * (family.size - grid) * group)
+        walsh = _lambda0_column(ctx, at0).scaled(grid)
+        walsh.merge(_lambda1_column(ctx, k, at0),
+                    grid * (order - 2) + 2 * (family.size - grid) * group)
         walsh.merge(_completion_block(ctx, k, at0))
 
     return _report(family, "spectral", walsh.shifted(-1))

@@ -12,7 +12,7 @@ Three kinds share one container:
 
 Sequences are bit-packed into Python ints, LSB = t = 0.  Each member is a
 codeword of the [2^n - 1, 5n/2] generalized Kasami code, assembled by XOR
-from packed trace rows that packed_trace_rows builds once per family;
+from packed trace rows that packed_trace_rows builds on first use;
 theory.build_code packs the code's tables with the same function, and
 unpack_bits is its inverse.
 """
@@ -22,10 +22,11 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .gf2n import FieldCtx, half_odd
+from .gf2n import FieldCtx, TooLarge, half_odd
 from .quadform import InvalidK, exponents, require_valid_k, trace_rows
 
 
@@ -112,15 +113,31 @@ class BinarySequence:
         return self.bits.to_bytes(nbytes, "little").hex()
 
 
-@dataclass
+FAMILY_MAX_N = 12
+
+
+@dataclass(frozen=True)
 class SequenceFamily:
+    """The family of params; size and period are computed, members built on first use.
+
+    Each member is a codeword of the generalized Kasami code, the XOR of packed
+    trace rows: m = tr(alpha^t), quad[a] = tr(a alpha^(t(2^k+1))) and
+    norm[a] = tr_h(a alpha^(t(2^{n/2}+1))).  Part one, m ^ quad[gamma] ^
+    norm[delta], iterates gamma over E in integer order (only gamma = 0 for
+    the small Kasami set) and delta over F in increasing order; part two,
+    quad[zeta] ^ norm[eta], follows the (Gamma, Delta) listing (none for the
+    small Kasami set).
+    """
+
     params: FamilyParams
-    part1: list[BinarySequence]
-    part2: list[BinarySequence]
 
     @property
     def size(self) -> int:
-        return len(self.part1) + len(self.part2)
+        ctx = self.params.ctx
+        if self.params.kind == FamilyKind.SMALL_KASAMI:
+            return 1 << ctx.half
+        gset, dset = gamma_delta_sets(ctx)
+        return (ctx.order << ctx.half) + len(gset) * len(dset)
 
     @property
     def period(self) -> int:
@@ -128,6 +145,33 @@ class SequenceFamily:
 
     def all_sequences(self) -> list[BinarySequence]:
         return self.part1 + self.part2
+
+    def _rows(self, quad_coeffs, norm_coeffs) -> tuple[dict[int, int], dict[int, int]]:
+        """Packed quad and norm rows; refused above FAMILY_MAX_N (4 GB of members at n = 14)."""
+        ctx = self.params.ctx
+        if ctx.n > FAMILY_MAX_N:
+            raise TooLarge(f"family members limited to n <= {FAMILY_MAX_N}, got n = {ctx.n}")
+        e1, e2 = exponents(ctx, self.params.k)
+        return (packed_trace_rows(ctx, quad_coeffs, e1, ctx.tr1),
+                packed_trace_rows(ctx, norm_coeffs, e2, ctx.trh))
+
+    @cached_property
+    def part1(self) -> list[BinarySequence]:
+        ctx = self.params.ctx
+        gammas = [0] if self.params.kind == FamilyKind.SMALL_KASAMI else range(ctx.order)
+        quad, norm = self._rows(gammas, ctx.subfield_elements)
+        m = packed_trace_rows(ctx, [1], 1, ctx.tr1)[1]
+        return [BinarySequence(m ^ quad[g] ^ norm[d], self.period, SequenceTag.gamma_delta(g, d))
+                for g in gammas for d in norm]
+
+    @cached_property
+    def part2(self) -> list[BinarySequence]:
+        if self.params.kind == FamilyKind.SMALL_KASAMI:
+            return []
+        gset, dset = gamma_delta_sets(self.params.ctx)
+        quad, norm = self._rows(gset, dset)
+        return [BinarySequence(quad[zeta] ^ norm[eta], self.period, SequenceTag.zeta_eta(zeta, eta))
+                for zeta in gset for eta in dset]
 
 
 def gamma_delta_sets(ctx: FieldCtx) -> tuple[list[int], list[int]]:
@@ -184,43 +228,8 @@ def unpack_bits(bits: list[int], length: int) -> np.ndarray:
 
 
 def build_family(params: FamilyParams) -> SequenceFamily:
-    """Materialize every sequence of the family, bit-packed.
-
-    Every member is a codeword of the generalized Kasami code, the XOR of
-    packed trace rows: the m-sequence m = tr(alpha^t), a quadratic row
-    tr(a alpha^(t(2^k+1))) and a norm row tr_h(a alpha^(t(2^{n/2}+1))).
-    Part one, m ^ quad[gamma] ^ norm[delta], iterates gamma over E in
-    integer order and delta over F in increasing order; part two,
-    quad[zeta] ^ norm[eta], follows the (Gamma, Delta) listing.  For the
-    small Kasami set, part one holds the 2^{n/2} sequences tagged
-    (gamma = 0, delta = eta) and part two is empty.
-    """
-    ctx = params.ctx
-    group = ctx.group_order
-    e1, e2 = exponents(ctx, params.k)
-    subfield = [int(c) for c in ctx.subfield_elements]
-    m = packed_trace_rows(ctx, [1], 1, ctx.tr1)[1]
-    norm = packed_trace_rows(ctx, subfield, e2, ctx.trh)
-    if params.kind == FamilyKind.SMALL_KASAMI:
-        part1 = [
-            BinarySequence(m ^ norm[eta], group, SequenceTag.gamma_delta(0, eta))
-            for eta in subfield
-        ]
-        return SequenceFamily(params, part1, [])
-    quad = packed_trace_rows(ctx, range(ctx.order), e1, ctx.tr1)
-    part1 = [
-        BinarySequence(m ^ quad[gamma] ^ norm[delta], group,
-                       SequenceTag.gamma_delta(gamma, delta))
-        for gamma in range(ctx.order)
-        for delta in subfield
-    ]
-    gset, dset = gamma_delta_sets(ctx)
-    part2 = [
-        BinarySequence(quad[zeta] ^ norm[eta], group, SequenceTag.zeta_eta(zeta, eta))
-        for zeta in gset
-        for eta in dset
-    ]
-    return SequenceFamily(params, part1, part2)
+    """The family of params; cheap at every n, as members are built on first use."""
+    return SequenceFamily(params)
 
 
 def imbalance(seq: BinarySequence) -> int:

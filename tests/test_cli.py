@@ -103,9 +103,8 @@ def test_corr_brute_guard(capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["corr", "--n", "14"], "n <= 12"),
     (["corr", "--n", "8", "--k", "1", "--engine", "brute"], "--force"),
-], ids=["spectral-n14", "brute-n8"])
+], ids=["brute-n8"])
 def test_corr_guards_refuse_before_building_the_family(capsys, monkeypatch, argv, message):
     def build_family(params):
         raise AssertionError("the family was built before the guard ran")
@@ -115,6 +114,39 @@ def test_corr_guards_refuse_before_building_the_family(capsys, monkeypatch, argv
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.fixture
+def no_members(monkeypatch):
+    """Make building any family member fail the test."""
+    def packed_trace_rows(*args):
+        raise AssertionError("a family member was built")
+
+    monkeypatch.setattr(cli.fam, "packed_trace_rows", packed_trace_rows)
+
+
+def test_corr_spectral_n14_builds_no_member(capsys, no_members):
+    code, out, _ = run(capsys, ["corr", "--n", "14"])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["match"] is True and obj["r_max"] == 257
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "gen", "--n", "14"],
+    ["corr", "--engine", "brute", "--force", "--n", "14"],
+], ids=["family-gen-n14", "brute-force-n14"])
+def test_member_guard_refuses_before_any_trace_row(capsys, no_members, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "n <= 12" in err
+
+
+def test_family_gen_refusal_leaves_no_out_file(capsys, no_members, tmp_path):
+    path = tmp_path / "family.txt"
+    code, _, _ = run(capsys, ["family", "gen", "--n", "14", "--out", str(path)])
+    assert code == 2 and not path.exists()
 
 
 def test_corr_spectral_n10(capsys):

@@ -297,3 +297,44 @@ def test_completion_block_matches_twist_loop(n, k):
 def test_completion_block_matches_twist_loop_n14():
     ctx = make_field(14)
     assert engine_completion(ctx, 2) == twist_completion(ctx, 2)
+
+
+def fwht_lambda1_column(ctx, k):
+    """Reference: the lam = 1 column by one butterfly per c, a chunk of c at a
+    time, with no rank identity."""
+    cs = ctx.subfield_elements
+    step = max(1, (1 << 20) // ctx.order)
+    col = ValueHistogram()
+    for lo in range(0, len(cs), step):
+        col.merge(ValueHistogram.from_array(qf.transform_column(ctx, k, cs[lo:lo + step], 1)))
+    return col
+
+
+def rank_lambda1_column(ctx, k):
+    return corr._lambda1_column(ctx, k, qf.transform_column(ctx, k, [0, 1], 0))
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (8, 10, 12) for k in range(1, n) if qf.valid_k(n, k)]
+                         + [(14, 2), (16, 3), pytest.param(18, 2, marks=pytest.mark.slow)])
+def test_rank_lambda1_column_matches_fwht(n, k):
+    ctx = make_field(n)
+    assert rank_lambda1_column(ctx, k) == fwht_lambda1_column(ctx, k)
+
+
+def test_rank_lambda1_column_refuses_inexact_division(ctx8):
+    at0 = qf.transform_column(ctx8, 1, [0, 1], 0)
+    at0[0, 1] += 4  # one lam = 0 value off: the counts no longer split evenly
+    with pytest.raises(AssertionError):
+        corr._lambda1_column(ctx8, 1, at0)
+
+
+@pytest.mark.parametrize("kind", ["fk", "small-kasami"])
+@pytest.mark.parametrize("n", [14, 16, pytest.param(18, marks=pytest.mark.slow),
+                               pytest.param(20, marks=pytest.mark.slow)])
+def test_spectral_engine_matches_closed_form_without_members(n, kind):
+    ctx = make_field(n)
+    k = (2 if (n // 2) % 2 else 1) if kind == "fk" else None
+    family = fam.build_family(fam.family_params(ctx, kind, k))
+    report = corr.full_distribution_spectral(family)
+    assert report.histogram == corr.predicted_histogram(family)
+    assert "part1" not in family.__dict__ and "part2" not in family.__dict__

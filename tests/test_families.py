@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from gkasami import correlation as corr
 from gkasami import families as fam
 from gkasami import quadform as qf
 from gkasami import theory
+from gkasami.gf2n import make_field
 from gkasami.histogram import ValueHistogram
 from gkasami.quadform import InvalidK
 
@@ -32,6 +34,22 @@ def test_family_sizes_and_distinctness(family4, family6):
         bits = {s.bits for s in family.all_sequences()}
         assert len(bits) == family.size
         assert all(s.length == (1 << n) - 1 for s in family.all_sequences())
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("kind", list(fam.FamilyKind))
+def test_size_counts_the_members(n, kind):
+    k = (2 if (n // 2) % 2 else 1) if kind == fam.FamilyKind.GENERALIZED else None
+    family = fam.build_family(fam.family_params(make_field(n), kind, k))
+    assert family.size == len(family.all_sequences())
+
+
+@pytest.mark.parametrize("kind", list(fam.FamilyKind))
+def test_spectral_engine_builds_no_member(ctx6, kind):
+    k = 2 if kind == fam.FamilyKind.GENERALIZED else None
+    family = fam.build_family(fam.family_params(ctx6, kind, k))
+    corr.full_distribution_spectral(family)
+    assert "part1" not in family.__dict__ and "part2" not in family.__dict__
 
 
 def test_family_size_n8(ctx8):

@@ -36,6 +36,18 @@ GOLDEN = {
         "fdee5f1c85847758963b821fa32254d1395ef5230b9b3fff02af11926a7a1f30",
     "corr --engine spectral --kind large-kasami --n 8":
         "644f619fb0591c6bed42b5eece7f5a4a696f92121426839c96a6c9dfc2b2b39a",
+    "corr --engine spectral --kind fk --n 10":
+        "68a547f4d252a3ca4ffb6f06cd8cda27da05e99c68755f565ffd6534b94d32f4",
+    "corr --engine spectral --kind small-kasami --n 10":
+        "258a06768d9742be9b1e42ee0b472fbb6367146723abcc93c1c1a644c9ad8b53",
+    "corr --engine spectral --kind large-kasami --n 10":
+        "96b63004d3e89ddc6a707a368b0ce485c981178f78c8e995bfa1d976dc2d5457",
+    "corr --engine spectral --kind fk --n 12":
+        "36d2b68507d7ed1a1280fcf02831757ac13b043b340d4cfb847a37fa1c10d8e8",
+    "corr --engine spectral --kind small-kasami --n 12":
+        "7e36ca17d1d2d3253f87352fdc6d13c806fd25cb3828ff768a9c8e631f6c0e76",
+    "corr --engine spectral --kind large-kasami --n 12":
+        "9ea29dad97d16675c71fe78af9a16604f49aac9aa622b284832ef46b525f87a7",
 }
 
 
