@@ -1,4 +1,4 @@
-"""Pinned stdout of the `verify` and spectral `corr` reports.
+"""Pinned stdout of the `verify` and spectral `corr` reports and of `family gen`.
 
 Each case runs the CLI in-process and compares the sha256 of its stdout,
 and its exit code, with a digest recorded from an earlier release.  Any
@@ -48,6 +48,126 @@ GOLDEN = {
         "7e36ca17d1d2d3253f87352fdc6d13c806fd25cb3828ff768a9c8e631f6c0e76",
     "corr --engine spectral --kind large-kasami --n 12":
         "9ea29dad97d16675c71fe78af9a16604f49aac9aa622b284832ef46b525f87a7",
+    "family gen --n 4 --k 1 --kind fk --format bits":
+        "0a1945b7125405a34427dcc8dc041660f790a11c5f34102bce37a28092f6e736",
+    "family gen --n 4 --k 3 --kind fk --format bits":
+        "b99551aa0f8d0d979d6aef324d56f8b125088984ba8536166158bb0d8617b03a",
+    "family gen --n 4 --k 1 --kind small-kasami --format bits":
+        "337579f0addd4e0abe4957ee95fd7ef3df055dec5c69293331972c67aedfac70",
+    "family gen --n 4 --k 3 --kind small-kasami --format bits":
+        "337579f0addd4e0abe4957ee95fd7ef3df055dec5c69293331972c67aedfac70",
+    "family gen --n 4 --kind large-kasami --format bits":
+        "b99551aa0f8d0d979d6aef324d56f8b125088984ba8536166158bb0d8617b03a",
+    "family gen --n 4 --k 1 --kind fk --format hex":
+        "52c0aa78f8b02e20f4a99b462bd1607b25c163a9633ad0a4a8c51adb5dd7da5e",
+    "family gen --n 4 --k 3 --kind fk --format hex":
+        "964bbe7860bc41e0f8e9a31e7410c357e9be0f49ba184469ebb4da007a52054c",
+    "family gen --n 4 --k 1 --kind small-kasami --format hex":
+        "19e8a68a34a2a32f76ebc1d92f1d744c940cfbb9385efc1c13505f5a3587e7f3",
+    "family gen --n 4 --k 3 --kind small-kasami --format hex":
+        "19e8a68a34a2a32f76ebc1d92f1d744c940cfbb9385efc1c13505f5a3587e7f3",
+    "family gen --n 4 --kind large-kasami --format hex":
+        "964bbe7860bc41e0f8e9a31e7410c357e9be0f49ba184469ebb4da007a52054c",
+    "family gen --n 4 --k 1 --kind fk --format json":
+        "5b5cc4b63e51ef5196322e9eff6f2c5da9b46f37dea5e075b55563368867ad20",
+    "family gen --n 4 --k 3 --kind fk --format json":
+        "7fdd066c6c8fc332e4834ff91121b225d7e5faad0e431b04dcab73e9b014f1e3",
+    "family gen --n 4 --k 1 --kind small-kasami --format json":
+        "815614160a5b61d81ff3ba14a73d2c85ae667bc96fbed3e91eea742f2b69f248",
+    "family gen --n 4 --k 3 --kind small-kasami --format json":
+        "815614160a5b61d81ff3ba14a73d2c85ae667bc96fbed3e91eea742f2b69f248",
+    "family gen --n 4 --kind large-kasami --format json":
+        "7fdd066c6c8fc332e4834ff91121b225d7e5faad0e431b04dcab73e9b014f1e3",
+    "family gen --n 6 --k 2 --kind fk --format bits":
+        "8e96ccc10b4557a5cd6bb741323093242cede023a185b2d3ef6032a04af57c31",
+    "family gen --n 6 --k 4 --kind fk --format bits":
+        "09ae171e77c12c4a8ff56ffb51662d12933574c2c1f220d1fc52d5e34c96bb14",
+    "family gen --n 6 --k 2 --kind small-kasami --format bits":
+        "a5f61008dcbd32125cf48d2c724537d36c91750f13ad6b6389c29af37131dda2",
+    "family gen --n 6 --k 4 --kind small-kasami --format bits":
+        "a5f61008dcbd32125cf48d2c724537d36c91750f13ad6b6389c29af37131dda2",
+    "family gen --n 6 --kind large-kasami --format bits":
+        "09ae171e77c12c4a8ff56ffb51662d12933574c2c1f220d1fc52d5e34c96bb14",
+    "family gen --n 6 --k 2 --kind fk --format hex":
+        "acf0dfa84120d94fb0f3ea6905caebcd0e3864a93bd1f38ff1997f9d96e79c87",
+    "family gen --n 6 --k 4 --kind fk --format hex":
+        "ba2a7603a27893e5ead89e91e84bb4bd5bd4972cf31a8ae2ac03603f09c0bf32",
+    "family gen --n 6 --k 2 --kind small-kasami --format hex":
+        "a5ddb03ac4d17127a6c69aee53bd83035eec14236f4269792bdadf4ab91b570e",
+    "family gen --n 6 --k 4 --kind small-kasami --format hex":
+        "a5ddb03ac4d17127a6c69aee53bd83035eec14236f4269792bdadf4ab91b570e",
+    "family gen --n 6 --kind large-kasami --format hex":
+        "ba2a7603a27893e5ead89e91e84bb4bd5bd4972cf31a8ae2ac03603f09c0bf32",
+    "family gen --n 6 --k 2 --kind fk --format json":
+        "60969a3d87e3854c2918cb210d721883e2d24f84777b272c83f5ed49624411ab",
+    "family gen --n 6 --k 4 --kind fk --format json":
+        "1390210f15420247062130cf3c64180a162d09ae54d225f5a053b8b904abebbc",
+    "family gen --n 6 --k 2 --kind small-kasami --format json":
+        "e846c8c193aa434aa64218841291ed14869343350189a8b6c79b60cd0e76054d",
+    "family gen --n 6 --k 4 --kind small-kasami --format json":
+        "e846c8c193aa434aa64218841291ed14869343350189a8b6c79b60cd0e76054d",
+    "family gen --n 6 --kind large-kasami --format json":
+        "1390210f15420247062130cf3c64180a162d09ae54d225f5a053b8b904abebbc",
+    "family gen --n 8 --k 1 --kind fk --format bits":
+        "c84007062c7a000d47f8caac9e5eff2b75f8cf28a4d22a1d322047b5fecf30a5",
+    "family gen --n 8 --k 3 --kind fk --format bits":
+        "80e936423f826261335e89eba1213e1ce48df4f1ea8ce1316381d4824d29c351",
+    "family gen --n 8 --k 5 --kind fk --format bits":
+        "8fd85fe87bee4f0c559225715ce02b04133dbd43d62db315a08d6e1f7207e5e1",
+    "family gen --n 8 --k 7 --kind fk --format bits":
+        "6322a7fa115422ce10c0e7766df20f17a41894473d746338988b6c91acc7d720",
+    "family gen --n 8 --k 1 --kind small-kasami --format bits":
+        "d9a56c6c92ae7df021b7ea26f83addb13eac6b7370ed583c2659897dd4188dec",
+    "family gen --n 8 --k 3 --kind small-kasami --format bits":
+        "d9a56c6c92ae7df021b7ea26f83addb13eac6b7370ed583c2659897dd4188dec",
+    "family gen --n 8 --k 5 --kind small-kasami --format bits":
+        "d9a56c6c92ae7df021b7ea26f83addb13eac6b7370ed583c2659897dd4188dec",
+    "family gen --n 8 --k 7 --kind small-kasami --format bits":
+        "d9a56c6c92ae7df021b7ea26f83addb13eac6b7370ed583c2659897dd4188dec",
+    "family gen --n 8 --kind large-kasami --format bits":
+        "8fd85fe87bee4f0c559225715ce02b04133dbd43d62db315a08d6e1f7207e5e1",
+    "family gen --n 8 --k 1 --kind fk --format hex":
+        "a2c70db9ad5c19d3f58c255de479511ce6c1ba1780999f0f8688fe8d2f2bf430",
+    "family gen --n 8 --k 3 --kind fk --format hex":
+        "f51fd828c39630f65312a67af0217dc9c16fda8ffab16063d8cd843b982d2c92",
+    "family gen --n 8 --k 5 --kind fk --format hex":
+        "49bbc55505dc58caa8197d4685d9dd5e798c226d397d0f076c889434425d5d30",
+    "family gen --n 8 --k 7 --kind fk --format hex":
+        "2ac444a77c9c9f2980745c3d99b4c4efb1c106d4a2b4132c99d1a7966529fd14",
+    "family gen --n 8 --k 1 --kind small-kasami --format hex":
+        "39bcda53d49bd283b016903aadb4600c2ece29fa3e5db573b13ff0c06d92fb27",
+    "family gen --n 8 --k 3 --kind small-kasami --format hex":
+        "39bcda53d49bd283b016903aadb4600c2ece29fa3e5db573b13ff0c06d92fb27",
+    "family gen --n 8 --k 5 --kind small-kasami --format hex":
+        "39bcda53d49bd283b016903aadb4600c2ece29fa3e5db573b13ff0c06d92fb27",
+    "family gen --n 8 --k 7 --kind small-kasami --format hex":
+        "39bcda53d49bd283b016903aadb4600c2ece29fa3e5db573b13ff0c06d92fb27",
+    "family gen --n 8 --kind large-kasami --format hex":
+        "49bbc55505dc58caa8197d4685d9dd5e798c226d397d0f076c889434425d5d30",
+    "family gen --n 8 --k 1 --kind fk --format json":
+        "5fd20c264821f239f0dfa8be24433f050dc03eaad23f236b65054bd0958a035f",
+    "family gen --n 8 --k 3 --kind fk --format json":
+        "0a329c082cde9c2fa8580ec2999d9203af5317379b5c72ab6928c67efc9f0fd8",
+    "family gen --n 8 --k 5 --kind fk --format json":
+        "aa448b0abc80d9a62df093c4c2749121472d08cd252e9b983985be57aad79b17",
+    "family gen --n 8 --k 7 --kind fk --format json":
+        "1cb89b1763b0131a24102fab01b590a1a7a6b2c29d92174ec567fefaf9073299",
+    "family gen --n 8 --k 1 --kind small-kasami --format json":
+        "5a311eabdb1c6675be7e639a89b57b545a01d0ac4d991ffbd34174f9249f5cc1",
+    "family gen --n 8 --k 3 --kind small-kasami --format json":
+        "5a311eabdb1c6675be7e639a89b57b545a01d0ac4d991ffbd34174f9249f5cc1",
+    "family gen --n 8 --k 5 --kind small-kasami --format json":
+        "5a311eabdb1c6675be7e639a89b57b545a01d0ac4d991ffbd34174f9249f5cc1",
+    "family gen --n 8 --k 7 --kind small-kasami --format json":
+        "5a311eabdb1c6675be7e639a89b57b545a01d0ac4d991ffbd34174f9249f5cc1",
+    "family gen --n 8 --kind large-kasami --format json":
+        "aa448b0abc80d9a62df093c4c2749121472d08cd252e9b983985be57aad79b17",
+    "family gen --n 10 --k 2 --kind fk --format hex":
+        "81b83009ca9167e0256dc4383faafba32e24b05a948f3bc992d3b1c392e851cf",
+    "family gen --n 10 --k 2 --kind fk --format json":
+        "54bb7898956c99f72f87e10c9f278ee19b92345c93bd2969eb460fe8d16d954f",
+    "family gen --n 10 --k 2 --kind fk --format bits":
+        "595ce0b80f29527401b6b0de6f181c2666980e3da8d6e10d1bc6937b6b6f561d",
 }
 
 
