@@ -87,7 +87,7 @@ def cmd_family_gen(args) -> int:
     k = _resolve_k(ctx, args, kind)
     params = fam.family_params(ctx, kind, k)
     family = fam.build_family(params)
-    family.all_sequences()  # builds the members, or refuses, before --out is opened
+    fam.member_blocks(family)  # refuses above FAMILY_MAX_N before --out is opened
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             count = fam.write_family(family, args.format, fh)

@@ -1,10 +1,10 @@
 """Full periodic correlation distributions of a family, two ways.
 
 The brute engine computes every inner product directly and relies on no
-transform theory.  It unpacks the family's bits once into an m x p matrix
-S of +-1 float32 entries; for each shift tau, S rotated by tau times S
-transposed holds all m^2 correlations at that shift, exact because every
-partial sum is an integer of size at most p < 2^24.  Since
+transform theory.  It unpacks the family's member blocks once into an
+m x p matrix S of +-1 float32 entries; for each shift tau, S rotated by tau
+times S transposed holds all m^2 correlations at that shift, exact because
+every partial sum is an integer of size at most p < 2^24.  Since
 C(i, j, tau) = C(j, i, p - tau) and p is odd, shift 0 is counted once and
 shifts 1 .. (p - 1)/2 twice.  Products are taken a block of rows at a
 time, so memory stays O(m p) plus one block buffer per thread.
@@ -43,7 +43,7 @@ import numpy as np
 
 from . import quadform as qf
 from . import theory
-from .families import BinarySequence, FamilyKind, SequenceFamily, gamma_delta_sets, unpack_bits
+from .families import BinarySequence, FamilyKind, SequenceFamily, gamma_delta_sets, member_blocks
 from .gf2n import half_odd
 from .histogram import ValueHistogram
 
@@ -176,7 +176,8 @@ def full_distribution_brute(family: SequenceFamily, jobs: int = 1) -> Correlatio
     product and the bincount.  The result does not depend on jobs.
     """
     period = family.period
-    bits = unpack_bits([s.bits for s in family.all_sequences()], period)
+    rows = np.concatenate([rows for _, _, rows in member_blocks(family)])
+    bits = np.unpackbits(rows, axis=1, count=period, bitorder="little")
     doubled = np.tile(1 - 2 * bits.astype(np.float32), 2)
     m = len(doubled)
     rows = min(m, max(1, _BLOCK_VALUES // m))

@@ -10,17 +10,19 @@ Three kinds share one container:
   k = n/2 + 1;
 * the small Kasami set, which lives inside part one as the gamma = 0 slice.
 
-Sequences are bit-packed into Python ints, LSB = t = 0.  Each member is a
-codeword of the [2^n - 1, 5n/2] generalized Kasami code, assembled by XOR
-from packed trace rows that packed_trace_rows builds on first use;
-theory.build_code packs the code's tables with the same function, and
-unpack_bits is its inverse.
+Each member is a codeword of the [2^n - 1, 5n/2] generalized Kasami code,
+the XOR of bit-packed trace rows (LSB of byte 0 = t = 0).  member_blocks
+streams the members as packed uint8 blocks, one per gamma in part one and
+one for part two, and write_family formats each block with whole-array
+operations.  Python ints (BinarySequence) are built only for part1 and
+part2, from the same blocks; theory.build_code packs the code's tables with
+packed_trace_rows, over the same packer.
 """
 
 from __future__ import annotations
 
 import enum
-import json
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -105,13 +107,6 @@ class BinarySequence:
     def bit(self, t: int) -> int:
         return (self.bits >> (t % self.length)) & 1
 
-    def to01(self) -> str:
-        return "".join(str(self.bit(t)) for t in range(self.length))
-
-    def to_hex(self) -> str:
-        nbytes = (self.length + 7) // 8
-        return self.bits.to_bytes(nbytes, "little").hex()
-
 
 FAMILY_MAX_N = 12
 
@@ -146,32 +141,15 @@ class SequenceFamily:
     def all_sequences(self) -> list[BinarySequence]:
         return self.part1 + self.part2
 
-    def _rows(self, quad_coeffs, norm_coeffs) -> tuple[dict[int, int], dict[int, int]]:
-        """Packed quad and norm rows; refused above FAMILY_MAX_N (4 GB of members at n = 14)."""
-        ctx = self.params.ctx
-        if ctx.n > FAMILY_MAX_N:
-            raise TooLarge(f"family members limited to n <= {FAMILY_MAX_N}, got n = {ctx.n}")
-        e1, e2 = exponents(ctx, self.params.k)
-        return (packed_trace_rows(ctx, quad_coeffs, e1, ctx.tr1),
-                packed_trace_rows(ctx, norm_coeffs, e2, ctx.trh))
-
     @cached_property
     def part1(self) -> list[BinarySequence]:
-        ctx = self.params.ctx
-        gammas = [0] if self.params.kind == FamilyKind.SMALL_KASAMI else range(ctx.order)
-        quad, norm = self._rows(gammas, ctx.subfield_elements)
-        m = packed_trace_rows(ctx, [1], 1, ctx.tr1)[1]
-        return [BinarySequence(m ^ quad[g] ^ norm[d], self.period, SequenceTag.gamma_delta(g, d))
-                for g in gammas for d in norm]
+        _require_members(self.params.ctx)
+        return _sequences(self.period, _part_one_blocks(self.params))
 
     @cached_property
     def part2(self) -> list[BinarySequence]:
-        if self.params.kind == FamilyKind.SMALL_KASAMI:
-            return []
-        gset, dset = gamma_delta_sets(self.params.ctx)
-        quad, norm = self._rows(gset, dset)
-        return [BinarySequence(quad[zeta] ^ norm[eta], self.period, SequenceTag.zeta_eta(zeta, eta))
-                for zeta in gset for eta in dset]
+        _require_members(self.params.ctx)
+        return _sequences(self.period, _part_two_blocks(self.params))
 
 
 def gamma_delta_sets(ctx: FieldCtx) -> tuple[list[int], list[int]]:
@@ -205,26 +183,82 @@ def sequence_term(params: FamilyParams, tag: SequenceTag, t: int) -> int:
     return ctx.trace(ctx.mul(tag.zeta, xq)) ^ int(ctx.trh[ctx.mul(tag.eta, xn)])
 
 
-def packed_trace_rows(ctx: FieldCtx, coeffs, e: int, tr: np.ndarray) -> dict[int, int]:
-    """{a: tr(a alpha^(t e)) over t = 0 .. 2^n - 2, bit-packed}, one per a in coeffs.
+def _packed_rows(ctx: FieldCtx, coeffs, e: int, tr: np.ndarray) -> np.ndarray:
+    """uint8 rows tr(a alpha^(t e)) over t = 0 .. 2^n - 2, one per a in coeffs,
+    packed into ceil((2^n - 1)/8) bytes with bit t at bit t % 8 of byte t // 8.
 
     The rows of quadform.trace_rows read at x = alpha^t; a = 0 packs to 0.
+    take keeps them C-ordered: [:, antilog] gives Fortran order, on which
+    packbits, and unpackbits of every block cut from the result, run several
+    times slower.
     """
+    rows = trace_rows(ctx, coeffs, e, tr).take(ctx.antilog, axis=1)
+    return np.packbits(rows, axis=1, bitorder="little")
+
+
+def packed_trace_rows(ctx: FieldCtx, coeffs, e: int, tr: np.ndarray) -> dict[int, int]:
+    """{a: the packed row of a as an int (LSB = t = 0)}, one per a in coeffs."""
     coeffs = [int(a) for a in coeffs]
-    rows = trace_rows(ctx, coeffs, e, tr)[:, ctx.antilog]
-    packed = np.packbits(rows, axis=1, bitorder="little")
+    packed = _packed_rows(ctx, coeffs, e, tr)
     return {a: int.from_bytes(row.tobytes(), "little") for a, row in zip(coeffs, packed)}
 
 
-def unpack_bits(bits: list[int], length: int) -> np.ndarray:
-    """uint8 matrix with bit t of bits[i] at [i, t], for t < length.
+def _require_members(ctx: FieldCtx) -> None:
+    """Refuse members above FAMILY_MAX_N (4 GB of them at n = 14)."""
+    if ctx.n > FAMILY_MAX_N:
+        raise TooLarge(f"family members limited to n <= {FAMILY_MAX_N}, got n = {ctx.n}")
 
-    The inverse of the packing in packed_trace_rows (LSB = t = 0).
+
+def _part_one_blocks(params: FamilyParams):
+    """One block per gamma: m ^ quad[gamma] ^ norm[delta] for delta over F."""
+    ctx = params.ctx
+    e1, e2 = exponents(ctx, params.k)
+    gammas = [0] if params.kind == FamilyKind.SMALL_KASAMI else range(ctx.order)
+    deltas = ctx.subfield_elements.tolist()
+    norm_m = (_packed_rows(ctx, deltas, e2, ctx.trh)
+              ^ _packed_rows(ctx, [1], 1, ctx.tr1))
+    for gamma, quad in zip(gammas, _packed_rows(ctx, gammas, e1, ctx.tr1)):
+        yield "gamma-delta", [(gamma, delta) for delta in deltas], quad ^ norm_m
+
+
+def _part_two_blocks(params: FamilyParams):
+    """One block for part two: quad[zeta] ^ norm[eta] over the (Gamma, Delta) listing."""
+    if params.kind == FamilyKind.SMALL_KASAMI:
+        return
+    ctx = params.ctx
+    e1, e2 = exponents(ctx, params.k)
+    gset, dset = gamma_delta_sets(ctx)
+    quad = _packed_rows(ctx, gset, e1, ctx.tr1)
+    norm = _packed_rows(ctx, dset, e2, ctx.trh)
+    yield ("zeta-eta", [(zeta, eta) for zeta in gset for eta in dset],
+           (quad[:, None] ^ norm[None]).reshape(-1, quad.shape[1]))
+
+
+def member_blocks(family: SequenceFamily):
+    """Iterator of (variant, pairs, rows) blocks in the documented member order.
+
+    rows holds one packed member per row (see _packed_rows) and pairs its
+    (gamma, delta) or (zeta, eta) tags.  Part one gives one block of
+    2^{n/2} members per gamma, part two one block of |Gamma| |Delta|
+    members.  Refuses above FAMILY_MAX_N when called, before any row is
+    built.
     """
-    nbytes = (length + 7) // 8
-    buf = b"".join(b.to_bytes(nbytes, "little") for b in bits)
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(bits), nbytes)
-    return np.unpackbits(packed, axis=1, count=length, bitorder="little")
+    _require_members(family.params.ctx)
+    return itertools.chain(_part_one_blocks(family.params), _part_two_blocks(family.params))
+
+
+_TAGS = {"gamma-delta": SequenceTag.gamma_delta, "zeta-eta": SequenceTag.zeta_eta}
+
+
+def _sequences(period: int, blocks) -> list[BinarySequence]:
+    """The members of blocks as Python ints, one int.from_bytes per member."""
+    out = []
+    for variant, pairs, rows in blocks:
+        data, width, tag = rows.tobytes(), rows.shape[1], _TAGS[variant]
+        out += [BinarySequence(int.from_bytes(data[i * width:(i + 1) * width], "little"),
+                               period, tag(*pair))
+                for i, pair in enumerate(pairs)]
+    return out
 
 
 def build_family(params: FamilyParams) -> SequenceFamily:
@@ -242,25 +276,42 @@ def imbalance(seq: BinarySequence) -> int:
 FORMATS = ("bits", "hex", "json")
 
 
-def format_sequence(seq: BinarySequence, fmt: str, ctx: FieldCtx) -> str:
-    if fmt == "bits":
-        return seq.to01()
-    if fmt == "hex":
-        return seq.to_hex()
-    if fmt == "json":
-        return json.dumps(
-            {"tag": seq.tag.to_json_dict(ctx), "hex": seq.to_hex()},
-            separators=(",", ":"),
-        )
-    raise ValueError(f"unknown format {fmt!r}; know {FORMATS}")
-
-
 def write_family(family: SequenceFamily, fmt: str, stream) -> int:
-    """Write one sequence per line; returns the number of lines."""
-    ctx = family.params.ctx
+    """Write one member per line, one stream.write per member block; returns
+    the number of lines.
+
+    bits: the terms t = 0 .. 2^n - 2 as '0'/'1'; hex: the packed bytes in
+    lowercase hex; json: {"tag": {...}, "hex": ...} compactly, the tag as in
+    SequenceTag.to_json_dict.  bits and hex lines are laid out in one ASCII
+    buffer, reused by every block: a fresh one per block costs more in page
+    faults than the formatting.
+    """
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}; know {FORMATS}")
+    ctx, period = family.params.ctx, family.period
+    if fmt == "json":
+        labels = [ctx.element_label(a) for a in range(ctx.order)]
+    # no block holds more than 2^{n/2} members; the last column is the newline
+    width = period if fmt == "bits" else 2 * ((period + 7) // 8)
+    lines = np.empty((1 << ctx.half, width + 1), dtype=np.uint8)
+    lines[:, -1] = ord("\n")
     count = 0
-    for seq in family.all_sequences():
-        stream.write(format_sequence(seq, fmt, ctx))
-        stream.write("\n")
-        count += 1
+    for variant, pairs, rows in member_blocks(family):
+        if fmt == "json":
+            digits = rows.tobytes().hex()
+            a, b = ("gamma", "delta") if variant == "gamma-delta" else ("zeta", "eta")
+            stream.write("".join(
+                f'{{"tag":{{"variant":"{variant}","{a}":"{labels[x]}","{b}":"{labels[y]}"}},'
+                f'"hex":"{digits[i * width:(i + 1) * width]}"}}\n'
+                for i, (x, y) in enumerate(pairs)))
+        else:
+            block = lines[:len(rows)]
+            if fmt == "bits":
+                bits = np.unpackbits(rows, axis=1, count=period, bitorder="little")
+                np.add(bits, ord("0"), out=block[:, :-1])
+            else:
+                block[:, :-1] = np.frombuffer(rows.tobytes().hex().encode("ascii"), np.uint8
+                                              ).reshape(len(rows), width)
+            stream.write(str(block.data, "ascii"))
+        count += len(rows)
     return count

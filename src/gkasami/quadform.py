@@ -28,6 +28,8 @@ from .histogram import ValueHistogram
 
 # largest array spectra_block or transform_column may allocate
 _BLOCK_BYTES_CAP = 2 << 30
+# forms symplectic_ranks reduces at once; bounds its n x block int64 images
+_RANK_BLOCK = 1 << 16
 
 
 class InvalidK(ValueError):
@@ -183,17 +185,28 @@ def symplectic_ranks(ctx: FieldCtx, k: int, bs, c) -> np.ndarray:
     radical { z : f(x)+f(z)+f(x+z) = 0 for all x } is the kernel of
     L(z) = b^(2^{n-k}) z^(2^{n-k}) + b z^(2^k) + c z^(2^{n/2}), so the rank
     is the GF(2)-rank of the n images L(alpha^j), reduced one bit at a time
-    for every form at once.  The zero form has rank 0.
+    for _RANK_BLOCK forms at once.  The zero form has rank 0.
     """
     require_valid_k(ctx.n, k)
     bs = _field_elements(ctx, bs)
     c = np.asarray(c, dtype=np.int64)
     _subfield_list(ctx, c.ravel())
-    j = np.arange(ctx.n).reshape((ctx.n,) + (1,) * max(bs.ndim, c.ndim))
+    bs, c = np.broadcast_arrays(bs, c)
+    flat_b, flat_c = bs.ravel(), c.ravel()
+    rank = np.empty(flat_b.size, dtype=np.int64)
+    for lo in range(0, flat_b.size, _RANK_BLOCK):
+        hi = lo + _RANK_BLOCK
+        rank[lo:hi] = _block_ranks(ctx, k, flat_b[lo:hi], flat_c[lo:hi])
+    return rank.reshape(bs.shape)
+
+
+def _block_ranks(ctx: FieldCtx, k: int, bs: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """symplectic_ranks of the forms (bs[i], c[i]), from their n x len(bs) images."""
+    j = np.arange(ctx.n)[:, None]
     rows = (ctx.frob_vec(_times_alpha_pow(ctx, bs, j), ctx.n - k)
             ^ _times_alpha_pow(ctx, bs, j << k)
             ^ _times_alpha_pow(ctx, c, j << ctx.half))
-    rank = np.zeros(rows.shape[1:], dtype=np.int64)
+    rank = np.zeros(bs.size, dtype=np.int64)
     for p in range(ctx.n):
         # the first image with bit p set clears that bit from every other
         # image and from itself; no image keeps a bit already reduced

@@ -118,11 +118,12 @@ def test_corr_guards_refuse_before_building_the_family(capsys, monkeypatch, argv
 
 @pytest.fixture
 def no_members(monkeypatch):
-    """Make building any family member fail the test."""
-    def packed_trace_rows(*args):
+    """Make building any family member, packed or not, fail the test."""
+    def build_rows(*args):
         raise AssertionError("a family member was built")
 
-    monkeypatch.setattr(cli.fam, "packed_trace_rows", packed_trace_rows)
+    monkeypatch.setattr(cli.fam, "packed_trace_rows", build_rows)
+    monkeypatch.setattr(cli.fam, "trace_rows", build_rows)
 
 
 def test_corr_spectral_n14_builds_no_member(capsys, no_members):

@@ -89,7 +89,7 @@ def test_jobs_do_not_change_brute_result(family4):
 
 def test_brute_shift_block_cells_match_correlate(family6):
     seqs = family6.all_sequences()
-    bits = fam.unpack_bits([s.bits for s in seqs], family6.period)
+    bits = np.array([[s.bit(t) for t in range(family6.period)] for s in seqs], dtype=np.uint8)
     doubled = np.tile(1 - 2 * bits.astype(np.float32), 2)
     out = np.empty((7, len(seqs)), dtype=np.float32)
     rng = random.Random(6)

@@ -7,9 +7,60 @@ from gkasami import correlation as corr
 from gkasami import families as fam
 from gkasami import quadform as qf
 from gkasami import theory
-from gkasami.gf2n import make_field
+from gkasami.gf2n import TooLarge, make_field
 from gkasami.histogram import ValueHistogram
 from gkasami.quadform import InvalidK
+
+
+def unpack_bits(bits: list[int], length: int) -> np.ndarray:
+    """uint8 matrix with bit t of bits[i] at [i, t], for t < length.
+
+    The reference inverse of the packing in families (LSB = t = 0).
+    """
+    nbytes = (length + 7) // 8
+    buf = b"".join(b.to_bytes(nbytes, "little") for b in bits)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(bits), nbytes)
+    return np.unpackbits(packed, axis=1, count=length, bitorder="little")
+
+
+class LineSink:
+    """A text stream that counts the lines of each write and keeps sampled lines."""
+
+    def __init__(self, wanted=()):
+        self.wanted = set(wanted)
+        self.per_write: list[int] = []
+        self.samples: dict[int, str] = {}
+
+    @property
+    def lines(self) -> int:
+        return sum(self.per_write)
+
+    def write(self, text: str) -> int:
+        assert text.endswith("\n"), "a write ends inside a line"
+        first, lines = self.lines, text[:-1].split("\n")
+        for i in self.wanted & set(range(first, first + len(lines))):
+            self.samples[i] = lines[i - first]
+        self.per_write.append(len(lines))
+        return len(text)
+
+
+def expected_tag(ctx, i: int) -> fam.SequenceTag:
+    """The tag of family line i, from the documented member order."""
+    sub = ctx.subfield_elements.tolist()
+    if i < ctx.order * len(sub):
+        return fam.SequenceTag.gamma_delta(i // len(sub), sub[i % len(sub)])
+    gset, dset = fam.gamma_delta_sets(ctx)
+    j = i - ctx.order * len(sub)
+    return fam.SequenceTag.zeta_eta(gset[j // len(dset)], dset[j % len(dset)])
+
+
+def line_bits(fmt: str, line: str) -> int:
+    """The member in one exported line as an int, LSB = t = 0."""
+    if fmt == "bits":
+        return int(line[::-1], 2)
+    if fmt == "json":
+        line = json.loads(line)["hex"]
+    return int.from_bytes(bytes.fromhex(line), "little")
 
 
 def test_gamma_delta_sets(ctx4, ctx6, ctx8):
@@ -93,14 +144,51 @@ def test_sequence_term_matches_packed_bits(ctx4, family4):
 
 def test_unpack_bits_inverts_packing(ctx6, family4):
     seqs = family4.all_sequences()
-    rows = fam.unpack_bits([s.bits for s in seqs], family4.period)
+    rows = unpack_bits([s.bits for s in seqs], family4.period)
     assert rows.dtype == np.uint8
     assert [row.tolist() for row in rows] == [[s.bit(t) for t in range(15)] for s in seqs]
     e1, _ = qf.exponents(ctx6, 2)
     coeffs = list(range(ctx6.order))
     packed = fam.packed_trace_rows(ctx6, coeffs, e1, ctx6.tr1)
     want = qf.trace_rows(ctx6, coeffs, e1, ctx6.tr1)[:, ctx6.antilog]
-    assert np.array_equal(fam.unpack_bits([packed[a] for a in coeffs], ctx6.group_order), want)
+    assert np.array_equal(unpack_bits([packed[a] for a in coeffs], ctx6.group_order), want)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("kind", list(fam.FamilyKind))
+def test_member_blocks_hold_the_members_in_order(n, kind):
+    ctx = make_field(n)
+    k = (2 if (n // 2) % 2 else 1) if kind == fam.FamilyKind.GENERALIZED else None
+    family = fam.build_family(fam.family_params(ctx, kind, k))
+    blocks = list(fam.member_blocks(family))
+    assert all(rows.dtype == np.uint8 and rows.shape == (len(pairs), (ctx.group_order + 7) // 8)
+               for _, pairs, rows in blocks)
+    make = {"gamma-delta": fam.SequenceTag.gamma_delta, "zeta-eta": fam.SequenceTag.zeta_eta}
+    tags = [make[variant](*pair) for variant, pairs, _ in blocks for pair in pairs]
+    assert tags == [s.tag for s in family.all_sequences()]
+    assert tags == [expected_tag(ctx, i) for i in range(family.size)]
+    bits = np.concatenate([rows for _, _, rows in blocks])
+    assert np.array_equal(unpack_bits([int.from_bytes(r.tobytes(), "little") for r in bits],
+                                      family.period),
+                          unpack_bits([s.bits for s in family.all_sequences()], family.period))
+    part1 = [len(pairs) for variant, pairs, _ in blocks if variant == "gamma-delta"]
+    part2 = [len(pairs) for variant, pairs, _ in blocks if variant == "zeta-eta"]
+    assert part1 == [1 << ctx.half] * (1 if kind == fam.FamilyKind.SMALL_KASAMI else ctx.order)
+    if kind == fam.FamilyKind.SMALL_KASAMI:
+        assert part2 == []
+    else:
+        gset, dset = fam.gamma_delta_sets(ctx)
+        assert part2 == [len(gset) * len(dset)]
+
+
+def test_member_blocks_refuse_when_called(monkeypatch):
+    def trace_rows(*args):
+        raise AssertionError("a trace row was built")
+
+    monkeypatch.setattr(fam, "trace_rows", trace_rows)
+    family = fam.build_family(fam.family_params(make_field(14), "fk", 2))
+    with pytest.raises(TooLarge, match="n <= 12"):
+        fam.member_blocks(family)
 
 
 def test_base_m_sequence(ctx6, family6):
@@ -158,22 +246,34 @@ def test_imbalance_histogram_even_parity(family4, ctx8):
 
 def test_export_formats(ctx4, family4):
     seq = family4.part1[5]
-    bits_line = fam.format_sequence(seq, "bits", ctx4)
+    lines = {}
+    for fmt in fam.FORMATS:
+        sink = LineSink(wanted=[5])
+        fam.write_family(family4, fmt, sink)
+        lines[fmt] = sink.samples[5]
+
+    bits_line = lines["bits"]
     assert len(bits_line) == 15 and set(bits_line) <= {"0", "1"}
     assert bits_line[0] == str(seq.bit(0))
+    assert bits_line == "".join(str(seq.bit(t)) for t in range(15))
 
-    hex_line = fam.format_sequence(seq, "hex", ctx4)
+    hex_line = lines["hex"]
     assert len(hex_line) == 4  # ceil(15/8) = 2 bytes
     assert int.from_bytes(bytes.fromhex(hex_line), "little") == seq.bits
 
-    obj = json.loads(fam.format_sequence(seq, "json", ctx4))
+    obj = json.loads(lines["json"])
     assert set(obj) == {"tag", "hex"}
     assert obj["tag"]["variant"] == "gamma-delta"
     assert obj["tag"]["gamma"] == ctx4.element_label(seq.tag.gamma)
+    assert obj["tag"] == seq.tag.to_json_dict(ctx4)
+    assert lines["json"] == json.dumps({"tag": seq.tag.to_json_dict(ctx4), "hex": hex_line},
+                                       separators=(",", ":"))
     assert int.from_bytes(bytes.fromhex(obj["hex"]), "little") == seq.bits
 
+    sink = LineSink()
     with pytest.raises(ValueError):
-        fam.format_sequence(seq, "csv", ctx4)
+        fam.write_family(family4, "csv", sink)
+    assert sink.per_write == []
 
 
 def test_write_family_line_count(ctx4, family4, tmp_path):
@@ -182,3 +282,34 @@ def test_write_family_line_count(ctx4, family4, tmp_path):
         count = fam.write_family(family4, "hex", fh)
     assert count == 67
     assert len(out.read_text().splitlines()) == 67
+
+
+@pytest.mark.parametrize("fmt", fam.FORMATS)
+def test_write_family_streams_one_block_per_write(ctx6, ctx8, fmt):
+    for ctx, k in ((ctx6, 2), (ctx8, 1)):
+        family = fam.build_family(fam.family_params(ctx, "fk", k))
+        sink = LineSink()
+        assert fam.write_family(family, fmt, sink) == family.size == sink.lines
+        gset, dset = fam.gamma_delta_sets(ctx)
+        assert sink.per_write == [1 << ctx.half] * ctx.order + [len(gset) * len(dset)]
+        assert "part1" not in family.__dict__ and "part2" not in family.__dict__
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("fmt", fam.FORMATS)
+def test_write_family_n12(fmt):
+    ctx = make_field(12)
+    params = fam.family_params(ctx, "fk", 1)
+    size = theory.family_size(12)
+    part1 = ctx.order << ctx.half
+    wanted = [0, 1, 4095, part1 - 1, part1, size - 1, 123457, 200003]
+    sink = LineSink(wanted)
+    assert fam.write_family(fam.build_family(params), fmt, sink) == size == sink.lines
+    for i in wanted:
+        tag = expected_tag(ctx, i)
+        line = sink.samples[i]
+        if fmt == "json":
+            assert json.loads(line)["tag"] == tag.to_json_dict(ctx)
+        bits = line_bits(fmt, line)
+        for t in (0, 1, 7, 8, 1000, 2047, 4093, 4094):
+            assert (bits >> t) & 1 == fam.sequence_term(params, tag, t)
