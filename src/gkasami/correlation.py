@@ -176,8 +176,8 @@ def full_distribution_brute(family: SequenceFamily, jobs: int = 1) -> Correlatio
     product and the bincount.  The result does not depend on jobs.
     """
     period = family.period
-    rows = np.concatenate([rows for _, _, rows in member_blocks(family)])
-    bits = np.unpackbits(rows, axis=1, count=period, bitorder="little")
+    packed = np.concatenate([rows for _, _, rows in member_blocks(family)])
+    bits = np.unpackbits(packed, axis=1, count=period, bitorder="little")
     doubled = np.tile(1 - 2 * bits.astype(np.float32), 2)
     m = len(doubled)
     rows = min(m, max(1, _BLOCK_VALUES // m))

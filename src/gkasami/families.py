@@ -143,13 +143,11 @@ class SequenceFamily:
 
     @cached_property
     def part1(self) -> list[BinarySequence]:
-        _require_members(self.params.ctx)
-        return _sequences(self.period, _part_one_blocks(self.params))
+        return _sequences(self.params, _part_one_blocks)
 
     @cached_property
     def part2(self) -> list[BinarySequence]:
-        _require_members(self.params.ctx)
-        return _sequences(self.period, _part_two_blocks(self.params))
+        return _sequences(self.params, _part_two_blocks)
 
 
 def gamma_delta_sets(ctx: FieldCtx) -> tuple[list[int], list[int]]:
@@ -250,10 +248,12 @@ def member_blocks(family: SequenceFamily):
 _TAGS = {"gamma-delta": SequenceTag.gamma_delta, "zeta-eta": SequenceTag.zeta_eta}
 
 
-def _sequences(period: int, blocks) -> list[BinarySequence]:
-    """The members of blocks as Python ints, one int.from_bytes per member."""
+def _sequences(params: FamilyParams, part) -> list[BinarySequence]:
+    """The members of one part as Python ints, one int.from_bytes per member."""
+    _require_members(params.ctx)
+    period = params.ctx.group_order
     out = []
-    for variant, pairs, rows in blocks:
+    for variant, pairs, rows in part(params):
         data, width, tag = rows.tobytes(), rows.shape[1], _TAGS[variant]
         out += [BinarySequence(int.from_bytes(data[i * width:(i + 1) * width], "little"),
                                period, tag(*pair))

@@ -191,17 +191,20 @@ def symplectic_ranks(ctx: FieldCtx, k: int, bs, c) -> np.ndarray:
     bs = _field_elements(ctx, bs)
     c = np.asarray(c, dtype=np.int64)
     _subfield_list(ctx, c.ravel())
-    bs, c = np.broadcast_arrays(bs, c)
-    flat_b, flat_c = bs.ravel(), c.ravel()
+    shape = np.broadcast_shapes(bs.shape, c.shape)
+    flat_b = np.broadcast_to(bs, shape).ravel()
+    # a single c stays a scalar: n images shared by every form, not n per form
+    flat_c = np.broadcast_to(c, shape).ravel() if c.ndim else c
     rank = np.empty(flat_b.size, dtype=np.int64)
     for lo in range(0, flat_b.size, _RANK_BLOCK):
         hi = lo + _RANK_BLOCK
-        rank[lo:hi] = _block_ranks(ctx, k, flat_b[lo:hi], flat_c[lo:hi])
-    return rank.reshape(bs.shape)
+        rank[lo:hi] = _block_ranks(ctx, k, flat_b[lo:hi], flat_c[lo:hi] if c.ndim else c)
+    return rank.reshape(shape)
 
 
 def _block_ranks(ctx: FieldCtx, k: int, bs: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """symplectic_ranks of the forms (bs[i], c[i]), from their n x len(bs) images."""
+    """symplectic_ranks of the forms (bs[i], c[i]), or (bs[i], c) for a scalar c,
+    from their n x len(bs) images."""
     j = np.arange(ctx.n)[:, None]
     rows = (ctx.frob_vec(_times_alpha_pow(ctx, bs, j), ctx.n - k)
             ^ _times_alpha_pow(ctx, bs, j << k)

@@ -179,6 +179,17 @@ def test_symplectic_ranks_match_scalar_reference(n, k):
     assert grid.T.tolist() == [qf.symplectic_ranks(ctx, k, bs, c).tolist() for c in cs]
 
 
+def test_symplectic_ranks_blocking_keeps_ranks_and_shape(monkeypatch, ctx8):
+    # forms are reduced _RANK_BLOCK at a time; blocks that split the E x F
+    # grid raggedly, mid-row, give the ranks of one whole-grid reduction
+    bs = np.arange(ctx8.order)[:, None]
+    cs = ctx8.subfield_elements[None, :]
+    whole = qf.symplectic_ranks(ctx8, 3, bs, cs)
+    assert whole.shape == (ctx8.order, 16)
+    monkeypatch.setattr(qf, "_RANK_BLOCK", 1000)
+    assert np.array_equal(qf.symplectic_ranks(ctx8, 3, bs, cs), whole)
+
+
 def test_symplectic_ranks_reject_bad_input(ctx4):
     with pytest.raises(ValueError, match="must lie in"):
         qf.symplectic_ranks(ctx4, 1, [0, 16], 1)
