@@ -43,7 +43,8 @@ import numpy as np
 
 from . import quadform as qf
 from . import theory
-from .families import BinarySequence, FamilyKind, SequenceFamily, gamma_delta_sets, member_blocks
+from .families import (BinarySequence, FamilyKind, SequenceFamily, gamma_delta_sets,
+                       member_blocks, sign_rows)
 from .gf2n import half_odd
 from .histogram import ValueHistogram
 
@@ -177,8 +178,7 @@ def full_distribution_brute(family: SequenceFamily, jobs: int = 1) -> Correlatio
     """
     period = family.period
     packed = np.concatenate([rows for _, _, rows in member_blocks(family)])
-    bits = np.unpackbits(packed, axis=1, count=period, bitorder="little")
-    doubled = np.tile(1 - 2 * bits.astype(np.float32), 2)
+    doubled = np.tile(sign_rows(packed, period), 2)
     m = len(doubled)
     rows = min(m, max(1, _BLOCK_VALUES // m))
     taus = np.arange((period + 1) // 2)

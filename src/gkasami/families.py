@@ -16,7 +16,9 @@ streams the members as packed uint8 blocks, one per gamma in part one and
 one for part two, and write_family formats each block with whole-array
 operations.  Python ints (BinarySequence) are built only for part1 and
 part2, from the same blocks; theory.build_code packs the code's tables with
-packed_trace_rows, over the same packer.
+packed_trace_rows, over the same packer.  sign_rows turns packed rows into
+the +-1 float32 rows that the brute engine and the code-weight enumeration
+multiply.
 """
 
 from __future__ import annotations
@@ -199,6 +201,14 @@ def packed_trace_rows(ctx: FieldCtx, coeffs, e: int, tr: np.ndarray) -> dict[int
     coeffs = [int(a) for a in coeffs]
     packed = _packed_rows(ctx, coeffs, e, tr)
     return {a: int.from_bytes(row.tobytes(), "little") for a, row in zip(coeffs, packed)}
+
+
+def sign_rows(rows: np.ndarray, period: int) -> np.ndarray:
+    """(-1)^bit as float32, one row per packed uint8 row (see _packed_rows),
+    over bits t = 0 .. period - 1: the +-1 form both matrix-product oracles
+    (the brute correlation engine and the code-weight enumeration) multiply."""
+    bits = np.unpackbits(rows, axis=1, count=period, bitorder="little")
+    return 1 - 2 * bits.astype(np.float32)
 
 
 def _require_members(ctx: FieldCtx) -> None:

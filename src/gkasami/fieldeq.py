@@ -21,7 +21,7 @@ from .histogram import ValueHistogram
 from .quadform import exponents, require_valid_k, transform_column
 
 TRIPLE_SCAN_MAX_N = 6
-PAIR_SCAN_MAX_N = 8
+PAIR_SCAN_MAX_N = 10
 
 
 class BadParams(ValueError):
@@ -133,7 +133,7 @@ class EquationCensus:
     """All the brute-force counts for one (n, k).
 
     The triple-set sizes need a 2^{3n} scan and are None when n > 6; pair
-    sets and power sums are computed up to n = 8.
+    sets and power sums are computed up to n = 10.
     """
 
     n: int

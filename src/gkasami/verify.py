@@ -7,9 +7,11 @@ sequence enumeration) with its closed form, and reports a machine-readable
 block.  The claims that read the transform at lambda = 0 or 1 take slices of
 two tables, W_{b,c}(0) and W_{b,c}(1) for every b and every c in F, built
 once per run; walsh-full-distribution and rank-value-consistency, which need
-every lambda, read direct spectra one c at a time.  The applicable claim
-set depends on the parity of n/2; a few are additionally capped by the size
-guards of their underlying scans.
+every lambda, share one pass over direct spectra, one c at a time.  The
+affine-root bound is exhaustive over the cube-class representatives of eps,
+and the code weights come from one exact matrix product per eta.  The
+applicable claim set depends on the parity of n/2; a few are additionally
+capped by the size guards of their underlying scans.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .gf2n import FieldCtx, half_odd
 from .histogram import ValueHistogram
 from .quadform import spectra_block, symplectic_ranks, transform_column
 
-VERIFY_NS = (4, 6, 8)
+VERIFY_NS = (4, 6, 8, 10)
 BRUTE_CROSSCHECK_MAX_N = 6
 
 
@@ -72,6 +74,29 @@ class _Bundle:
     @cached_property
     def code(self) -> theory.CodeSpec:
         return theory.build_code(self.ctx, self.k)
+
+    @cached_property
+    def spectra(self) -> tuple[ValueHistogram, bool]:
+        """One pass over direct spectra, one c in F at a time: the histogram
+        of W_{b,c}(lam) over all (b, c, lam), and whether every nonzero
+        form's spectrum is the one its rank determines: a rank-2h form
+        takes +-2^{n-h} with the quadratic-form multiplicities and
+        vanishes elsewhere."""
+        ctx, k, n = self.ctx, self.k, self.ctx.n
+        hist, rank_ok = ValueHistogram({}), True
+        for c in ctx.subfield_elements.tolist():
+            block = spectra_block(ctx, k, range(ctx.order), [c])[:, 0]
+            hist.merge(ValueHistogram.from_array(block))
+            first = 0 if c else 1  # skip the zero form
+            spec = block[first:]
+            h2 = symplectic_ranks(ctx, k, np.arange(first, ctx.order), c)
+            top = (1 << (n - h2 // 2))[:, None]
+            got = np.stack([np.count_nonzero(spec == v, axis=1) for v in (top, -top, 0)])
+            full, half = 1 << h2, 1 << (h2 // 2)
+            want = np.stack([(full + half) // 2, (full - half) // 2, ctx.order - full])
+            rank_ok &= bool(np.all(h2 % 2 == 0) and np.array_equal(got, want)
+                            and np.all(got.sum(axis=0) == ctx.order))
+        return hist, rank_ok
 
     @cached_property
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
@@ -144,12 +169,8 @@ def _claim_norm_form(b: _Bundle) -> ClaimResult:
 
 
 def _claim_walsh_full(b: _Bundle) -> ClaimResult:
-    ctx, k = b.ctx, b.k
-    got = ValueHistogram({})
-    for c in ctx.subfield_elements.tolist():
-        got.merge(ValueHistogram.from_array(spectra_block(ctx, k, range(ctx.order), [c])))
-    return _hist_claim("walsh-full-distribution", got,
-                       theory.predict("walsh-full", ctx.n, k).histogram)
+    return _hist_claim("walsh-full-distribution", b.spectra[0],
+                       theory.predict("walsh-full", b.ctx.n, b.k).histogram)
 
 
 def _claim_walsh_mixed(b: _Bundle) -> ClaimResult:
@@ -210,10 +231,13 @@ def _claim_subgrid_orbits(b: _Bundle) -> ClaimResult:
 
 
 def _claim_affine_root_bound(b: _Bundle) -> ClaimResult:
-    """Exhaustive over all (eps, v, theta): each nonzero x is a root for the
-    one v = (eps x^3 + theta) / x, so the root count of (eps, v, theta) is
-    how many x share that v.  Vectorized over theta, one eps at a time, so
-    intermediates stay at 2^{2n} values."""
+    """Exhaustive over all (v, theta) for eps in {1, alpha, alpha^2}: x = s y
+    maps (eps, v, theta) to (eps s^3, v s, theta) with the same root count,
+    and these three represent the cube classes of E* (3 divides 2^n - 1 for
+    even n).  Each nonzero x is a root for the one v = (eps x^3 + theta) / x,
+    so the root count of (eps, v, theta) is how many x share that v.
+    Vectorized over theta, one eps at a time, so intermediates stay at 2^{2n}
+    values."""
     ctx = b.ctx
     order, group = ctx.order, ctx.group_order
     xs = np.arange(1, order, dtype=np.int64)
@@ -222,13 +246,14 @@ def _claim_affine_root_bound(b: _Bundle) -> ClaimResult:
     thetas = np.arange(1, order, dtype=np.int64)[:, None]
     row_base = np.arange(group, dtype=np.int64)[:, None] * order
     worst = 0
-    for eps in range(1, order):
+    for eps in ctx.antilog[:3].tolist():
         u = ctx.scale_vec(eps, px)[None, :] ^ thetas
         v = np.where(u != 0, ctx.antilog[(ctx.log[u] - log_x) % group], 0)
         counts = np.bincount((row_base + v).ravel(), minlength=group * order)
         worst = max(worst, int(counts.max()))
     return ClaimResult("affine-root-bound", worst <= 3, {"max": 3},
-                       {"max-roots": worst}, "exhaustive grid")
+                       {"max-roots": worst},
+                       "exhaustive over the cube-class representatives of eps")
 
 
 def _claim_three_root_thetas(b: _Bundle) -> ClaimResult:
@@ -276,21 +301,8 @@ def _claim_rank_split_per_c(b: _Bundle) -> ClaimResult:
 
 
 def _claim_rank_value_consistency(b: _Bundle) -> ClaimResult:
-    """Ranks against spectra: a rank-2h form takes values +-2^{n-h} with the
-    quadratic-form multiplicities and vanishes elsewhere."""
-    ctx, k = b.ctx, b.k
-    n = ctx.n
-    ok = True
-    for c in ctx.subfield_elements.tolist():
-        bs = np.arange(0 if c else 1, ctx.order)  # skip the zero form
-        h2 = symplectic_ranks(ctx, k, bs, c)
-        spec = spectra_block(ctx, k, bs, [c])[:, 0]
-        top = (1 << (n - h2 // 2))[:, None]
-        got = np.stack([np.count_nonzero(spec == v, axis=1) for v in (top, -top, 0)])
-        full, half = 1 << h2, 1 << (h2 // 2)
-        want = np.stack([(full + half) // 2, (full - half) // 2, ctx.order - full])
-        ok &= bool(np.all(h2 % 2 == 0) and np.array_equal(got, want)
-                   and np.all(got.sum(axis=0) == ctx.order))
+    """Ranks against spectra (see _Bundle.spectra)."""
+    ok = b.spectra[1]
     return ClaimResult("rank-value-consistency", ok,
                        {"spectra": "rank-determined"}, {"all-match": ok})
 

@@ -158,10 +158,10 @@ def test_corr_spectral_n10(capsys):
 
 
 def test_code_weights_guard_exit_code(capsys):
-    code, out, err = run(capsys, ["code", "weights", "--n", "10"])
+    code, out, err = run(capsys, ["code", "weights", "--n", "12"])
     assert code == 2
     assert out == ""
-    assert "n <= 8" in err
+    assert "n <= 10" in err
 
 
 def test_corr_small_kasami(capsys):
@@ -181,7 +181,7 @@ def test_verify_n4(capsys):
 
 
 def test_verify_rejects_unsupported_n(capsys):
-    code, _, err = run(capsys, ["verify", "--n", "10"])
+    code, _, err = run(capsys, ["verify", "--n", "12"])
     assert code == 2
     assert "supports" in err
 

@@ -144,7 +144,7 @@ def test_census_guards():
     assert c8.quad_pairs == theory.quad_pairs_size(8)
     assert c8.power_sums == theory.walsh0_power_sums(8)
     with pytest.raises(TooLarge):
-        fe.census(make_field(10), 2)
+        fe.census(make_field(12), 1)
 
 
 def test_census_report_matches(ctx4, ctx6):

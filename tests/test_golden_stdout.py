@@ -13,11 +13,11 @@ import pytest
 from gkasami import cli
 
 GOLDEN = {
-    "verify --n 4 --k 1": "16ccd3b651bb0826eef66fbb84b087035d1030f6398c6416a1bf1e3e0131c062",
-    "verify --n 4 --k 3": "94a2e0ae4b543ce8f247a7030ff7f7107823fb5950b3a7537c0a79b5840af98d",
-    "verify --n 6 --k 2": "bf0ccaee5913d54e73ef35e21f576be8aaa0837a820486c243b040c8c3acf286",
-    "verify --n 6 --k 4": "0b8186d00907d63a4ec02dcef50bb34fe7afeb66816eb3d96cd2c1f6603caee4",
-    "verify --n 8 --k 1": "0cd9ab921e5846aba87e0e43e28737cb16119d174f060ce2cc3d063302eb8e17",
+    "verify --n 4 --k 1": "28deef8dd1dc0363eeb2b295dd375a2f7f8097328eb7542fb2a8dface95d01fb",
+    "verify --n 4 --k 3": "13a6391532015d3e30b2a303608f3014e51cdc00ae0c65b6eecf55c51d7d0ca8",
+    "verify --n 6 --k 2": "711d9035fbaad4c65fb713d9466ed3a0e4bbec4bdced6e8801adf90135bfb52d",
+    "verify --n 6 --k 4": "ff1345ae128107cc4357e49335c8132ce4ea35069a7594a06caa6b8f28ea6767",
+    "verify --n 8 --k 1": "1e04bb34b58d47c001f8acecb5e648f3e3d7dcf30a47094b5435512e829655b5",
     "corr --engine spectral --kind fk --n 4":
         "b4659afcbcfd3c171f69ca4783133345caeff54371f4baee072d08b7e9687d37",
     "corr --engine spectral --kind small-kasami --n 4":

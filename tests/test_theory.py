@@ -110,7 +110,32 @@ def test_build_code_n6(ctx6):
 
 def test_code_guard():
     with pytest.raises(TooLarge):
-        theory.build_code(make_field(10), 2)
+        theory.build_code(make_field(12), 1)
+
+
+def popcount_weights(code):
+    """The weight histogram by popcounting every lin ^ quad ^ norm codeword."""
+    weights = {}
+    for lv in code.lin.values():
+        for qv in code.quad.values():
+            for nv in code.norm.values():
+                w = (lv ^ qv ^ nv).bit_count()
+                weights[w] = weights.get(w, 0) + 1
+    return ValueHistogram(weights)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_code_weights_match_popcount_reference(n):
+    ctx = make_field(n)
+    for k in (k for k in range(1, n) if qf.valid_k(n, k)):
+        code = theory.build_code(ctx, k)
+        assert code.weight_histogram == popcount_weights(code)
+
+
+def test_code_weights_n10():
+    code = theory.build_code(make_field(10), 2)
+    assert code.weight_histogram == theory.predict("code-weights", 10).histogram
+    assert code.weight_histogram.total() == 1 << 25
 
 
 def test_codeword_linearity(ctx4):

@@ -1,6 +1,7 @@
 import time
 from functools import partial
 
+import numpy as np
 import pytest
 
 from gkasami import correlation as corr
@@ -35,9 +36,10 @@ def test_all_claims_pass_n8(ctx8, monkeypatch):
     assert failures == []
     names = {r.name for r in results}
     assert "subgrid-orbit-multisets" in names
-    # the lambda in {0, 1} claims share two columns; spectra go one c at a time
+    # the lambda in {0, 1} claims share two columns; walsh-full and
+    # rank-value share one spectra pass, one block per c
     assert sorted(lams) == [0, 1]
-    assert block_widths and set(block_widths) == {1}
+    assert block_widths == [1] * (1 << ctx8.half)
 
 
 def test_claims_report_shape(ctx4):
@@ -108,7 +110,50 @@ def test_affine_root_bound_is_the_grid_maximum(ctx4):
         for theta in range(1, ctx.order)
     )
     assert result.empirical == {"max-roots": want}
-    assert result.note == "exhaustive grid"
+    assert result.note == "exhaustive over the cube-class representatives of eps"
+
+
+def affine_root_counts(ctx, eps):
+    """Root counts of eps x^3 + v x + theta at [v, theta], by evaluation at every x."""
+    xs = np.arange(ctx.order, dtype=np.int64)
+    cubes = ctx.scale_vec(eps, ctx.pow_vec(xs, 3))
+    return np.stack([np.bincount(cubes ^ ctx.scale_vec(v, xs), minlength=ctx.order)
+                     for v in range(ctx.order)])[:, 1:]
+
+
+def test_affine_root_counts_reference(ctx4):
+    for eps in range(1, ctx4.order):
+        want = [[fieldeq.count_affine_roots(ctx4, eps, v, theta, 1)
+                 for theta in range(1, ctx4.order)] for v in range(ctx4.order)]
+        assert affine_root_counts(ctx4, eps).tolist() == want
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_affine_root_counts_follow_the_cube_class(n):
+    """x = s y maps (eps, v, theta) to (eps s^3, v s, theta), so every eps has
+    the root-count multiset over (v, theta) of its representative in
+    {1, alpha, alpha^2}, the one with the same discrete log mod 3."""
+    ctx = make_field(n)
+    reps = ctx.antilog[:3].tolist()
+    want = [sorted(fieldeq.count_affine_roots(ctx, r, v, theta, 1)
+                   for v in range(ctx.order) for theta in range(1, ctx.order))
+            for r in reps]
+    for eps in range(1, ctx.order):
+        got = sorted(affine_root_counts(ctx, eps).ravel().tolist())
+        assert got == want[ctx.log[eps] % 3]
+
+
+def test_affine_root_bound_n10():
+    result = verify._claim_affine_root_bound(verify._Bundle(make_field(10), 2))
+    assert result.ok and result.empirical == {"max-roots": 3}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k", [2, 4, 6, 8])
+def test_all_claims_pass_n10(k):
+    report = verify.claims_report(make_field(10), k)
+    assert [c["name"] for c in report["claims"] if not c["match"]] == []
+    assert report["pass"] is True
 
 
 def test_large_set_note_when_k_matches(ctx6):
