@@ -103,9 +103,14 @@ class FieldCtx:
     subfield_mask     : bool array, True exactly on F
     subfield_elements : int64 array, the 2^{n/2} elements of F in increasing order
     subfield_index    : int64 array, position of y within subfield_elements (-1 off F)
-    walsh_perm        : int64 array, the dual-basis reindexing used by the fast
-                        Walsh transform: sum_x (-1)^{tr(lam*x) + ...} is the
-                        plain Hadamard transform evaluated at walsh_perm[lam]
+    walsh_perm        : int64 array, the trace pairing as bit masks:
+                        tr(lam*x) is the parity of walsh_perm[lam] & x, so
+                        sum_x (-1)^{f(x) + tr(lam*x)} is the plain Hadamard
+                        transform of f's table evaluated at walsh_perm[lam]
+    dual_basis        : int64 array of n elements d_i with tr(alpha^j d_i) = 1
+                        exactly when i = j (walsh_perm[d_i] = 1 << i); a table
+                        indexed by y, of f at sum_i y_i d_i, has its Hadamard
+                        transform indexed by lam directly
     """
 
     def __init__(self, n: int, poly: int | None = None):
@@ -137,6 +142,7 @@ class FieldCtx:
             self.subfield_elements,
             self.subfield_index,
             self.walsh_perm,
+            self.dual_basis,
         ):
             arr.setflags(write=False)
 
@@ -223,9 +229,11 @@ class FieldCtx:
                 if self.tr1[self.mul(1 << j, 1 << i)]:
                     m |= 1 << i
             masks.append(m)
-        if gf2_kernel_basis(masks, self.n):
+        dual = _unit_preimages(masks)
+        if dual is None:
             raise AssertionError("trace pairing must be nondegenerate")
         self.walsh_perm = _linear_table(masks)
+        self.dual_basis = np.array(dual, dtype=np.int64)
 
     # -- scalar operations --------------------------------------------
 
@@ -297,7 +305,7 @@ class FieldCtx:
     def scale_vec(self, c: int, xs: np.ndarray) -> np.ndarray:
         """Elementwise c * xs."""
         out = np.zeros_like(xs)
-        if c == 0:
+        if self._element(c) == 0:
             return out
         nz = xs != 0
         out[nz] = self.antilog[(self.log[c] + self.log[xs[nz]]) % self.group_order]
@@ -362,6 +370,25 @@ def gf2_kernel_basis(images: list[int], dim: int) -> list[int]:
         else:
             kernel.append(combo)
     return kernel
+
+
+def _unit_preimages(images: list[int]) -> list[int] | None:
+    """Preimage of each unit vector 1<<i under the GF(2)-linear map sending
+    1<<j to images[j], as a list indexed by i; None when the map is singular.
+
+    Gauss-Jordan elimination on (image, combination) pairs.
+    """
+    rows = [(img, 1 << j) for j, img in enumerate(images)]
+    for i in range(len(rows)):
+        pivot = next((r for r in range(i, len(rows)) if rows[r][0] >> i & 1), None)
+        if pivot is None:
+            return None
+        rows[i], rows[pivot] = rows[pivot], rows[i]
+        img, combo = rows[i]
+        for r, (r_img, r_combo) in enumerate(rows):
+            if r != i and r_img >> i & 1:
+                rows[r] = (r_img ^ img, r_combo ^ combo)
+    return [combo for _, combo in rows]
 
 
 def half_odd(n: int) -> bool:

@@ -2,10 +2,13 @@
 
 Evaluates the forms, computes their symplectic ranks (batched over b) and
 exact Walsh (trace-transform) spectra, and tabulates spectrum-value
-distributions over parameter sets.  The fast transform works on the plain
-+-1 truth table with a Hadamard butterfly and then reindexes through the
-dual-basis permutation stored on the field context, so spectra are always
-indexed directly by lambda as a field element.
+distributions over parameter sets.  fwht is the one Hadamard transform:
+exact float32 matrix products by small Sylvester factors.  A whole spectrum
+transforms the truth table in dual-basis coordinates, built by doubling
+from the form's values at the basis points and their pair sums, so its
+output is indexed directly by lambda as a field element; spectra_block and
+transform_column transform tables indexed by x and reindex the result
+through walsh_perm.
 
 Besides whole spectra (one form, every lambda) there are transform columns
 (one lambda and one c, every b), and a scaling that moves any form with
@@ -26,8 +29,15 @@ import numpy as np
 from .gf2n import FieldCtx, TooLarge, half_odd
 from .histogram import ValueHistogram
 
-# largest array spectra_block or transform_column may allocate
+# most memory spectra_block or transform_column may allocate, counted as
+# _TRANSFORM_BYTES per transformed value: fwht's two float32 buffers and
+# its int64 result
 _BLOCK_BYTES_CAP = 2 << 30
+_TRANSFORM_BYTES = 16
+# fwht's Kronecker factors are H_{2^s} for s up to this
+_FWHT_CHUNK_BITS = 5
+# float32 holds every integer below 2^24 exactly
+_FWHT_MAX_L1 = 1 << 24
 # forms symplectic_ranks reduces at once; bounds its n x block int64 images
 _RANK_BLOCK = 1 << 16
 
@@ -151,31 +161,98 @@ def walsh_point(params: QuadFormParams, lam: int) -> int:
     return int(ctx.order - 2 * int(tt.sum()))
 
 
-def fwht_inplace(a: np.ndarray) -> None:
-    """In-place Walsh-Hadamard butterfly along the last axis (a power of 2)."""
-    m = a.shape[-1]
-    flat = a.reshape(-1, m)
-    h = 1
-    while h < m:
-        blk = flat.reshape(-1, m // (2 * h), 2, h)
-        x = blk[:, :, 0, :].copy()
-        y = blk[:, :, 1, :]
-        blk[:, :, 0, :] = x + y
-        blk[:, :, 1, :] = x - y
-        h *= 2
+def _hadamard(s: int) -> np.ndarray:
+    """The Sylvester matrix H_{2^s} as read-only float32."""
+    h = np.ones((1, 1), dtype=np.float32)
+    for _ in range(s):
+        h = np.block([[h, h], [h, -h]])
+    h.setflags(write=False)
+    return h
+
+
+_HADAMARD = tuple(_hadamard(s) for s in range(_FWHT_CHUNK_BITS + 1))
+
+
+def fwht(a) -> np.ndarray:
+    """Hadamard transform of an integer array along its last axis, as int64.
+
+    H_{2^m} is the Kronecker product of factors H_{2^s} (s <= 5), one per
+    chunk of the m index bits, in near-equal chunks from high to low: each
+    chunk but the last is one batched matmul over the middle axis of a
+    (rows, 2^s, lower) view, the last is (rows * 2^(m-s), 2^s) @ H.  The
+    products run in float32, back and forth between two buffers, and are
+    exact: every partial sum is a signed sum of distinct entries of its
+    input row, so its magnitude is at most the row's L1 norm, which must be
+    below 2^24 (ValueError otherwise; TypeError for non-integer input).
+    """
+    a = np.asarray(a)
+    if not np.issubdtype(a.dtype, np.integer):
+        raise TypeError(f"fwht needs an integer array, got {a.dtype}")
+    m = a.shape[-1].bit_length() - 1
+    if a.shape[-1] != 1 << m:
+        raise ValueError(f"fwht needs a power-of-2 last axis, got {a.shape[-1]}")
+    x = np.array(a, dtype=np.float32)
+    y = np.abs(x)
+    # exact while the row sums stay below 2^24; entries or sums that reach
+    # 2^24 cannot round below it, so the check holds in float32
+    if y.size and y.sum(axis=-1).max() >= _FWHT_MAX_L1:
+        raise ValueError("fwht input rows must have an L1 norm below 2^24")
+    chunks = -(-m // _FWHT_CHUNK_BITS)
+    sizes = [m // chunks + (i < m % chunks) for i in range(chunks)]
+    low = m
+    for s in sizes[:-1]:
+        low -= s
+        shape = (-1, 1 << s, 1 << low)
+        np.matmul(_HADAMARD[s], x.reshape(shape), out=y.reshape(shape))
+        x, y = y, x
+    if sizes:
+        s = sizes[-1]
+        np.matmul(x.reshape(-1, 1 << s), _HADAMARD[s], out=y.reshape(-1, 1 << s))
+        x = y
+    return x.astype(np.int64)
+
+
+def _dual_truth_table(params: QuadFormParams) -> np.ndarray:
+    """uint8 table g(y) = f(sum_i y_i d_i) over the dual basis d of ctx.
+
+    f is quadratic, so g(y + e_i) = g(y) + g(e_i) + B(y, e_i) for y < 2^i,
+    with B(x, z) = f(x) + f(z) + f(x + z) bilinear: the table doubles from
+    f at the n basis points and at their n(n-1)/2 pair sums, evaluated at
+    once.  Alongside it, bit i of r[y] is g(e_i) + B(y, e_i).
+    """
+    ctx = params.ctx
+    e1, e2 = exponents(ctx, params.k)
+    d = ctx.dual_basis
+    pts = d[:, None] ^ d[None, :]
+    np.fill_diagonal(pts, d)  # d_i on the diagonal, d_i + d_j off it; none is 0
+    log_pts = ctx.log[pts]
+    vals = (ctx.tr1[_times_alpha_pow(ctx, params.b, e1 * log_pts)]
+            ^ ctx.trh[_times_alpha_pow(ctx, params.c, e2 * log_pts)])
+    at_basis = np.diagonal(vals)
+    # B(e_j, e_i) at [j, i], but g(e_i) on the diagonal: bit i of masks[i]
+    # reaches only the r[y] with bit i of y set, whose bit i is never read
+    pair = vals ^ at_basis[:, None] ^ at_basis[None, :]
+    bits = np.arange(ctx.n, dtype=np.uint32)
+    masks = (pair.astype(np.uint32) << bits).sum(axis=1, dtype=np.uint32).tolist()
+    g = np.zeros(ctx.order, dtype=np.uint8)
+    r = np.empty(ctx.order, dtype=np.uint32)
+    r[0] = (at_basis.astype(np.uint32) << bits).sum()
+    for i in range(ctx.n):
+        h = 1 << i
+        np.bitwise_and(r[:h] >> i, 1, out=g[h : 2 * h], casting="unsafe")
+        g[h : 2 * h] ^= g[:h]
+        np.bitwise_xor(r[:h], masks[i], out=r[h : 2 * h])
+    return g
 
 
 def walsh_spectrum(params: QuadFormParams) -> np.ndarray:
     """Full spectrum as an int64 array indexed by lambda.
 
-    Pointwise equal to walsh_point; computed in O(n * 2^n) by the fast
-    butterfly over the truth table plus the dual-basis reindexing.  The
-    butterfly runs in int32, which holds every |W| <= 2^n exactly.
+    Pointwise equal to walsh_point.  With x = sum_i y_i d_i over the dual
+    basis, tr(lam x) is the parity of lam & y, so the Hadamard transform of
+    the table y -> f(x) (see _dual_truth_table) is already indexed by lam.
     """
-    ctx = params.ctx
-    w = 1 - 2 * truth_table(params).astype(np.int32)
-    fwht_inplace(w)
-    return w[ctx.walsh_perm].astype(np.int64)
+    return fwht(1 - 2 * _dual_truth_table(params).view(np.int8))
 
 
 def symplectic_ranks(ctx: FieldCtx, k: int, bs, c) -> np.ndarray:
@@ -239,23 +316,23 @@ def spectra_block(
 ) -> np.ndarray:
     """Spectra of all forms with b in b_list, c in c_list.
 
-    Returns an int32 array of shape (len(b_list), len(c_list), 2^n) whose
-    last axis is indexed by lambda.
+    Returns an int64 array of shape (len(b_list), len(c_list), 2^n) whose
+    last axis is indexed by lambda: fwht of the +-1 tables indexed by x,
+    reindexed through walsh_perm.  Raises TooLarge when the block would
+    pass _BLOCK_BYTES_CAP at _TRANSFORM_BYTES per value.
     """
     require_valid_k(ctx.n, k)
     b_list = [int(b) for b in b_list]
     c_list = _subfield_list(ctx, c_list)
     order = ctx.order
-    if len(b_list) * len(c_list) * order * 4 > _BLOCK_BYTES_CAP:
+    if len(b_list) * len(c_list) * order * _TRANSFORM_BYTES > _BLOCK_BYTES_CAP:
         raise TooLarge(
             f"spectra block of {len(b_list)}x{len(c_list)}x{order} exceeds the memory cap"
         )
     e1, e2 = exponents(ctx, k)
     u = trace_rows(ctx, b_list, e1, ctx.tr1)
     v = trace_rows(ctx, c_list, e2, ctx.trh)
-    w = 1 - 2 * (u[:, None, :] ^ v[None, :, :]).astype(np.int32)
-    fwht_inplace(w)
-    return w[..., ctx.walsh_perm]
+    return fwht(1 - 2 * (u[:, None, :] ^ v[None, :, :]).view(np.int8))[..., ctx.walsh_perm]
 
 
 def transform_column(ctx: FieldCtx, k: int, c_list, lam: int) -> np.ndarray:
@@ -265,13 +342,13 @@ def transform_column(ctx: FieldCtx, k: int, c_list, lam: int) -> np.ndarray:
     indexed by b.  Grouping x by y = x^(2^k+1) makes each row one Walsh
     transform over y, evaluated at b, of
     G_c(y) = sum over x with x^(2^k+1) = y of (-1)^(tr_h(c x^(2^{n/2}+1)) + tr(lam x)),
-    so a row costs one butterfly of size 2^n.
+    so a row costs one fwht of size 2^n, reindexed through walsh_perm.
     """
     require_valid_k(ctx.n, k)
     c_list = _subfield_list(ctx, c_list)
     order = ctx.order
     rows = len(c_list)
-    if rows * order * 8 > _BLOCK_BYTES_CAP:
+    if rows * order * _TRANSFORM_BYTES > _BLOCK_BYTES_CAP:
         raise TooLarge(f"transform column of {rows}x{order} exceeds the memory cap")
     e1, e2 = exponents(ctx, k)
     y = ctx.pow_vec(np.arange(order, dtype=np.int64), e1)
@@ -282,8 +359,7 @@ def transform_column(ctx: FieldCtx, k: int, c_list, lam: int) -> np.ndarray:
     row_y = np.arange(rows, dtype=np.int64)[:, None] * order + y
     neg = np.bincount(row_y[odd == 1], minlength=rows * order).reshape(rows, order)
     g = np.bincount(y, minlength=order) - 2 * neg
-    fwht_inplace(g)
-    return g[:, ctx.walsh_perm]
+    return fwht(g)[:, ctx.walsh_perm]
 
 
 def spectrum_distribution(

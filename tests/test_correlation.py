@@ -300,7 +300,7 @@ def test_completion_block_matches_twist_loop_n14():
 
 
 def fwht_lambda1_column(ctx, k):
-    """Reference: the lam = 1 column by one butterfly per c, a chunk of c at a
+    """Reference: the lam = 1 column by one fwht per c, a chunk of c at a
     time, with no rank identity."""
     cs = ctx.subfield_elements
     step = max(1, (1 << 20) // ctx.order)

@@ -314,3 +314,26 @@ def test_vector_helpers_match_scalar(ctx6):
 def test_tables_are_read_only(ctx4):
     with pytest.raises(ValueError):
         ctx4.log[1] = 0
+    with pytest.raises(ValueError):
+        ctx4.dual_basis[0] = 1
+
+
+@pytest.mark.parametrize("n", range(4, 21, 2))
+def test_dual_basis_is_trace_dual(n):
+    # tr(alpha^j d_i) = 1 exactly when i = j, i.e. walsh_perm[d_i] = 1 << i
+    ctx = make_field(n)
+    assert ctx.dual_basis.dtype == np.int64 and ctx.dual_basis.shape == (n,)
+    assert [int(ctx.walsh_perm[d]) for d in ctx.dual_basis] == [1 << i for i in range(n)]
+    if n <= 8:
+        for i, d in enumerate(ctx.dual_basis.tolist()):
+            assert [ctx.trace(ctx.mul(1 << j, d)) for j in range(n)] == [int(i == j) for j in range(n)]
+
+
+@pytest.mark.parametrize("c", [-1, 16])
+def test_scaling_rejects_non_elements(ctx4, c):
+    # -1 must not wrap onto 15, and 16 must not reach past the tables
+    xs = np.arange(16, dtype=np.int64)
+    with pytest.raises(ValueError, match="not an element"):
+        ctx4.scale_vec(c, xs)
+    with pytest.raises(ValueError, match="not an element"):
+        ctx4.scale_all(c)

@@ -104,13 +104,99 @@ def test_spectrum_equals_point_sampled(n, k):
 
 
 def test_walsh_spectrum_exact_at_n20():
-    # the butterfly's widest values, +-2^20, must come out exact
+    # the transform's widest values, +-2^20, must come out exact
     ctx = make_field(20)
     zero = qf.walsh_spectrum(qf.QuadFormParams(ctx, 1, 0, 0))
     assert zero.dtype == np.int64
     assert int(zero[0]) == 1 << 20 and not zero[1:].any()
     spec = qf.walsh_spectrum(qf.QuadFormParams(ctx, 3, 123457, int(ctx.beta)))
     assert int((spec * spec).sum()) == 1 << 40
+
+
+def sylvester_product(a, m):
+    """a @ H_{2^m} with the dense Sylvester matrix H[i, j] = (-1)^popcount(i & j),
+    2^10 columns at a time, in float64 (exact for these small integers)."""
+    i = np.arange(1 << m)
+    out = np.empty(a.shape, dtype=np.int64)
+    for lo in range(0, 1 << m, 1 << 10):
+        j = i[lo : lo + (1 << 10)]
+        h = 1.0 - 2.0 * (np.bitwise_count(i[:, None] & j) & 1)
+        out[..., lo : lo + j.size] = a.astype(np.float64) @ h
+    return out
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_fwht_matches_dense_sylvester(m):
+    rng = np.random.default_rng(m)
+    inputs = [rng.integers(-40, 41, size=shape)
+              for shape in [(1 << m,), (3, 1 << m), (2, 3, 1 << m)]]
+    inputs.append(1 - 2 * rng.integers(0, 2, size=(4, 1 << m), dtype=np.int8))
+    want = sylvester_product(np.concatenate([a.reshape(-1, 1 << m) for a in inputs]), m)
+    row = 0
+    for a in inputs:
+        got = qf.fwht(a)
+        assert got.dtype == np.int64 and got.shape == a.shape
+        rows = a.size >> m
+        assert np.array_equal(got.reshape(rows, -1), want[row : row + rows])
+        row += rows
+
+
+def test_fwht_refuses_an_l1_norm_of_2_24():
+    # below the bound every partial sum is exact in float32
+    top = (1 << 24) - 1
+    assert qf.fwht(np.array([top - 3, 3])).tolist() == [top, top - 6]
+    with pytest.raises(ValueError, match="L1 norm"):
+        qf.fwht(np.array([1 << 23, -(1 << 23)]))
+    with pytest.raises(ValueError, match="L1 norm"):
+        qf.fwht(np.array([[1, 0], [1 << 24, 0]]))  # one row past the bound
+    with pytest.raises(ValueError, match="L1 norm"):
+        qf.fwht(np.full((1, 1 << 12), 1 << 12))
+    with pytest.raises(ValueError, match="power-of-2"):
+        qf.fwht(np.zeros(6, dtype=np.int64))
+    with pytest.raises(TypeError):
+        qf.fwht(np.zeros(4))
+
+
+def butterfly_route(params):
+    """Reference: the trace_rows truth table indexed by x, an int64 butterfly,
+    then the walsh_perm reindexing."""
+    w = 1 - 2 * qf.truth_table(params).astype(np.int64)
+    h = 1
+    while h < w.size:
+        blk = w.reshape(-1, 2, h)
+        x = blk[:, 0, :].copy()
+        blk[:, 0, :] += blk[:, 1, :]
+        blk[:, 1, :] = x - blk[:, 1, :]
+        h *= 2
+    return w[params.ctx.walsh_perm]
+
+
+def test_walsh_spectrum_matches_butterfly_route_n6(ctx6):
+    for k in (2, 4):
+        for p in all_params(ctx6, k):
+            assert np.array_equal(qf.walsh_spectrum(p), butterfly_route(p))
+
+
+@pytest.mark.parametrize("n", range(8, 17, 2))
+def test_walsh_spectrum_matches_butterfly_route(n):
+    ctx = make_field(n)
+    rng = np.random.default_rng(100 + n)
+    for k in (k for k in range(1, n) if qf.valid_k(n, k)):
+        b = int(rng.integers(1, ctx.order))
+        c = int(ctx.subfield_elements[rng.integers(1, 1 << ctx.half)])
+        for bc in [(b, 0), (0, c), (b, c)]:
+            p = qf.QuadFormParams(ctx, k, *bc)
+            assert np.array_equal(qf.walsh_spectrum(p), butterfly_route(p))
+
+
+@pytest.mark.parametrize("lam", [-1, 16])
+def test_lambda_must_be_a_field_element(ctx4, lam):
+    # -1 used to wrap onto 15 and return walsh_point(p, 15)
+    p = qf.QuadFormParams(ctx4, 1, 3, 1)
+    with pytest.raises(ValueError, match="not an element"):
+        qf.walsh_point(p, lam)
+    with pytest.raises(ValueError, match="not an element"):
+        qf.transform_column(ctx4, 1, [1], lam)
 
 
 def test_parseval(ctx6):
@@ -266,7 +352,7 @@ def test_spectrum_distribution_multiplicity(ctx4):
 
 def test_spectra_block_guard():
     # spectra_block is what still materializes whole spectra: the E x F x E
-    # grid at n = 12 would be about 4.3 GB of int32, past the 2 GB cap
+    # grid at n = 12 is 2^30 values, past the 2 GB cap at any width
     ctx = make_field(12)
     with pytest.raises(TooLarge):
         qf.spectra_block(ctx, 1, range(ctx.order), ctx.subfield_elements)
