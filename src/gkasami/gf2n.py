@@ -222,13 +222,9 @@ class FieldCtx:
             raise AssertionError("beta must have order 2^{n/2} - 1")
 
     def _build_walsh_perm(self) -> None:
-        masks = []
-        for j in range(self.n):
-            m = 0
-            for i in range(self.n):
-                if self.tr1[self.mul(1 << j, 1 << i)]:
-                    m |= 1 << i
-            masks.append(m)
+        # bit i of masks[j] is tr(alpha^j alpha^i) = tr(alpha^(i+j))
+        traces = self.tr1[self.antilog[: 2 * self.n - 1]].tolist()
+        masks = [sum(traces[i + j] << i for i in range(self.n)) for j in range(self.n)]
         dual = _unit_preimages(masks)
         if dual is None:
             raise AssertionError("trace pairing must be nondegenerate")
@@ -376,19 +372,22 @@ def _unit_preimages(images: list[int]) -> list[int] | None:
     """Preimage of each unit vector 1<<i under the GF(2)-linear map sending
     1<<j to images[j], as a list indexed by i; None when the map is singular.
 
-    Gauss-Jordan elimination on (image, combination) pairs.
+    Gauss-Jordan elimination on rows that hold an image in their low n bits
+    and the combination of basis vectors that gives it above them.
     """
-    rows = [(img, 1 << j) for j, img in enumerate(images)]
-    for i in range(len(rows)):
-        pivot = next((r for r in range(i, len(rows)) if rows[r][0] >> i & 1), None)
-        if pivot is None:
+    n = len(images)
+    rows = [img | 1 << (n + j) for j, img in enumerate(images)]
+    for i in range(n):
+        for p in range(i, n):
+            if rows[p] >> i & 1:
+                break
+        else:
             return None
-        rows[i], rows[pivot] = rows[pivot], rows[i]
-        img, combo = rows[i]
-        for r, (r_img, r_combo) in enumerate(rows):
-            if r != i and r_img >> i & 1:
-                rows[r] = (r_img ^ img, r_combo ^ combo)
-    return [combo for _, combo in rows]
+        rows[i], rows[p] = rows[p], rows[i]
+        for r in range(n):
+            if r != i and rows[r] >> i & 1:
+                rows[r] ^= rows[i]
+    return [row >> n for row in rows]
 
 
 def half_odd(n: int) -> bool:

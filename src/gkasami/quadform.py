@@ -215,34 +215,31 @@ def fwht(a) -> np.ndarray:
 def _dual_truth_table(params: QuadFormParams) -> np.ndarray:
     """uint8 table g(y) = f(sum_i y_i d_i) over the dual basis d of ctx.
 
-    f is quadratic, so g(y + e_i) = g(y) + g(e_i) + B(y, e_i) for y < 2^i,
-    with B(x, z) = f(x) + f(z) + f(x + z) bilinear: the table doubles from
-    f at the n basis points and at their n(n-1)/2 pair sums, evaluated at
-    once.  Alongside it, bit i of r[y] is g(e_i) + B(y, e_i).
+    f is quadratic with polar form B(x, z) = f(x) + f(z) + f(x + z), so
+    g(y) is the sum, over the set bits i of y, of g(e_i) + B(y_{<i}, e_i),
+    where y_{<i} keeps the bits of y below i.  Bit i of u[y] is that term,
+    so g(y) is the parity of y & u[y].  u is affine in y: a table filled by
+    doubling from f at the n basis points and their n(n-1)/2 pair sums,
+    all evaluated at once.
     """
     ctx = params.ctx
     e1, e2 = exponents(ctx, params.k)
     d = ctx.dual_basis
-    pts = d[:, None] ^ d[None, :]
+    pts = d[:, None] ^ d
     np.fill_diagonal(pts, d)  # d_i on the diagonal, d_i + d_j off it; none is 0
     log_pts = ctx.log[pts]
     vals = (ctx.tr1[_times_alpha_pow(ctx, params.b, e1 * log_pts)]
             ^ ctx.trh[_times_alpha_pow(ctx, params.c, e2 * log_pts)])
     at_basis = np.diagonal(vals)
-    # B(e_j, e_i) at [j, i], but g(e_i) on the diagonal: bit i of masks[i]
-    # reaches only the r[y] with bit i of y set, whose bit i is never read
-    pair = vals ^ at_basis[:, None] ^ at_basis[None, :]
-    bits = np.arange(ctx.n, dtype=np.uint32)
-    masks = (pair.astype(np.uint32) << bits).sum(axis=1, dtype=np.uint32).tolist()
-    g = np.zeros(ctx.order, dtype=np.uint8)
-    r = np.empty(ctx.order, dtype=np.uint32)
-    r[0] = (at_basis.astype(np.uint32) << bits).sum()
-    for i in range(ctx.n):
-        h = 1 << i
-        np.bitwise_and(r[:h] >> i, 1, out=g[h : 2 * h], casting="unsafe")
-        g[h : 2 * h] ^= g[:h]
-        np.bitwise_xor(r[:h], masks[i], out=r[h : 2 * h])
-    return g
+    # bit i of rows[j] is B(e_j, e_i) off the diagonal and g(e_j) on it
+    rows = ((vals ^ at_basis[:, None] ^ at_basis) @ (1 << np.arange(ctx.n))).tolist()
+    u = np.empty(ctx.order, dtype=np.uint32)
+    u[0] = sum(m & 1 << j for j, m in enumerate(rows))
+    for j, m in enumerate(rows):
+        # u[y + 2^j] = u[y] + (B(e_j, e_i) at every bit i above j), y < 2^j
+        np.bitwise_xor(u[: 1 << j], m & -(2 << j), out=u[1 << j : 2 << j])
+    u &= np.arange(ctx.order, dtype=np.uint32)
+    return np.bitwise_count(u) & np.uint8(1)
 
 
 def walsh_spectrum(params: QuadFormParams) -> np.ndarray:
