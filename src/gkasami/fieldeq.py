@@ -22,6 +22,8 @@ from .quadform import exponents, require_valid_k, transform_column
 
 TRIPLE_SCAN_MAX_N = 6
 PAIR_SCAN_MAX_N = 10
+# (theta, w) values theta_root_counts evaluates at once
+_THETA_BLOCK = 1 << 16
 
 
 class BadParams(ValueError):
@@ -87,45 +89,84 @@ def count_kernel_roots(ctx: FieldCtx, theta: int, k: int) -> int:
     return int(np.count_nonzero(vals[1:] == 0))
 
 
+def _reduced_exponent(ctx: FieldCtx, shift: int) -> int:
+    """2^(shift mod n) + 1, the exponent of w in a reduced equation."""
+    return (1 << shift % ctx.n) + 1
+
+
 def count_reduced_roots(ctx: FieldCtx, theta: int, k: int) -> tuple[int, int]:
     """Root counts of the two reduced auxiliary equations.
 
     First: theta^(2^{n-k}) w^(2^{n/2-k}+1) + w + theta = 0 (natural for
     k < n/2); second: theta w^(2^{k-n/2}+1) + w + theta^(2^{n-k}) = 0
-    (natural for k > n/2).  Exponents are taken mod 2^n - 1 so both are
+    (natural for k > n/2).  The shifts are taken mod n so both are
     defined for every admissible k; w = 0 is never a root.  The parity-
     appropriate count equals count_kernel_roots for the same theta.
     """
     if theta == 0:
         raise BadParams("theta must be nonzero")
     require_valid_k(ctx.n, k)
-    n, group = ctx.n, ctx.group_order
+    n = ctx.n
     ws = np.arange(ctx.order, dtype=np.int64)
     tq = ctx.frobenius(theta, n - k)
 
-    e_first = (pow(2, (n // 2 - k) % n, group) + 1) % group
-    lhs = ctx.scale_vec(tq, ctx.pow_vec(ws, e_first if e_first else group))
+    lhs = ctx.scale_vec(tq, ctx.pow_vec(ws, _reduced_exponent(ctx, n // 2 - k)))
     lhs ^= ws
     lhs ^= theta
     first_count = int(np.count_nonzero(lhs[1:] == 0))
 
-    e_second = (pow(2, (k - n // 2) % n, group) + 1) % group
-    lhs = ctx.scale_vec(theta, ctx.pow_vec(ws, e_second if e_second else group))
+    lhs = ctx.scale_vec(theta, ctx.pow_vec(ws, _reduced_exponent(ctx, k - n // 2)))
     lhs ^= ws
     lhs ^= tq
     second_count = int(np.count_nonzero(lhs[1:] == 0))
     return first_count, second_count
 
 
+def theta_root_counts(ctx: FieldCtx, k: int) -> np.ndarray:
+    """Nonzero-root counts of the kernel equation and of both reduced
+    equations for every theta in E*, as an int64 array at [equation, theta - 1].
+
+    Row 0 is count_kernel_roots, rows 1 and 2 are count_reduced_roots, each
+    for every theta at once: one evaluation over (theta, w) in E* x E*,
+    products taken as sums of reduced logs, in blocks of _THETA_BLOCK values.
+    """
+    require_valid_k(ctx.n, k)
+    n, group = ctx.n, ctx.group_order
+    log_w = ctx.log[1:]
+    ws = np.arange(1, ctx.order, dtype=np.int64)
+    # logs of z^(2^{n-k}), z^(2^k) and of w to both reduced exponents;
+    # theta's log is added per block
+    log_zq, log_zk, log_w1, log_w2 = (
+        (log_w * e) % group for e in (1 << (n - k), 1 << k, _reduced_exponent(ctx, n // 2 - k),
+                                      _reduced_exponent(ctx, k - n // 2)))
+    z_half = ctx.frob_vec(ws, ctx.half)
+    # a sum of two reduced logs is below 2 (2^n - 1): no reduction needed
+    antilog = np.tile(ctx.antilog, 2)
+    out = np.empty((3, group), dtype=np.int64)
+    rows = max(1, _THETA_BLOCK // group)
+    for lo in range(0, group, rows):
+        theta = ws[lo:lo + rows, None]
+        log_t = ctx.log[theta]
+        log_tq = (log_t << (n - k)) % group  # theta^(2^{n-k})
+        tq = antilog[log_tq]
+        kernel = antilog[log_tq + log_zq] ^ antilog[log_t + log_zk] ^ z_half
+        first = antilog[log_tq + log_w1] ^ ws ^ theta
+        second = antilog[log_t + log_w2] ^ ws ^ tq
+        for i, vals in enumerate((kernel, first, second)):
+            out[i, lo:lo + rows] = np.count_nonzero(vals == 0, axis=1)
+    return out
+
+
 def count_three_root_thetas(ctx: FieldCtx, k: int) -> tuple[int, int]:
     """How many theta in E* give three roots in each reduced equation."""
-    require_valid_k(ctx.n, k)
-    first_total = second_total = 0
-    for theta in range(1, ctx.order):
-        first, second = count_reduced_roots(ctx, theta, k)
-        first_total += first == 3
-        second_total += second == 3
-    return first_total, second_total
+    return three_root_totals(theta_root_counts(ctx, k))
+
+
+def three_root_totals(roots: np.ndarray) -> tuple[int, int]:
+    """How many theta give three roots in each reduced equation, from
+    theta_root_counts."""
+    first, second = np.count_nonzero(roots[1:] == 3, axis=1).tolist()
+    return first, second
 
 
 @dataclass
@@ -149,7 +190,9 @@ class EquationCensus:
     power_sums: tuple[int, int, int]
 
 
-def census(ctx: FieldCtx, k: int) -> EquationCensus:
+def census(ctx: FieldCtx, k: int, roots: np.ndarray | None = None) -> EquationCensus:
+    """Every brute-force count for (n, k); roots is theta_root_counts(ctx, k)
+    when the caller already holds it, else it is computed here."""
     require_valid_k(ctx.n, k)
     if ctx.n > PAIR_SCAN_MAX_N:
         raise TooLarge(f"census limited to n <= {PAIR_SCAN_MAX_N}")
@@ -177,7 +220,7 @@ def census(ctx: FieldCtx, k: int) -> EquationCensus:
     col = ValueHistogram.from_array(transform_column(ctx, k, ctx.subfield_elements[1:], 0)[:, 1:])
     s1, s2, s3 = (sum(v**d * c for v, c in col.counts.items()) for d in (1, 2, 3))
 
-    first, second = count_three_root_thetas(ctx, k)
+    first, second = three_root_totals(theta_root_counts(ctx, k) if roots is None else roots)
     return EquationCensus(
         n=n, k=k, three_root_first=first, three_root_second=second,
         quad_triples=quad_triples, norm_triples=norm_triples, joint_triples=joint_triples,
@@ -186,9 +229,10 @@ def census(ctx: FieldCtx, k: int) -> EquationCensus:
     )
 
 
-def census_report(ctx: FieldCtx, k: int) -> dict:
-    """JSON-ready report: every census count with its closed-form prediction."""
-    c = census(ctx, k)
+def census_report(ctx: FieldCtx, k: int, roots: np.ndarray | None = None) -> dict:
+    """JSON-ready report: every census count with its closed-form prediction
+    (roots as for census)."""
+    c = census(ctx, k, roots)
     n = c.n
     ps = theory.walsh0_power_sums(n)
     blocks = [

@@ -14,6 +14,9 @@ Besides whole spectra (one form, every lambda) there are transform columns
 (one lambda and one c, every b), and a scaling that moves any form with
 c != 0 to one with c = 1: substituting x -> u*x gives
 W_{b,c}(lam) = W_{b u^(2^k+1), c N(u)}(lam u) with N(u) = u^(2^{n/2}+1).
+orbit_classes names one form per orbit of that substitution, with the
+orbit sizes, so rank and spectrum-multiset questions over all forms reduce
+to about 2^{n/2} of them.
 
 Every term of a form, of a family member and of a codeword is a trace
 row tr(a x^e) over x in E; trace_rows is the one builder of such rows.
@@ -85,6 +88,28 @@ def scale_to_norm_one(ctx: FieldCtx, k: int, b, c, lam):
     e1, e2 = exponents(ctx, k)
     s = (-(ctx.log[c] // e2)) % ((1 << ctx.half) - 1)
     return _times_alpha_pow(ctx, b, s * e1), _times_alpha_pow(ctx, lam, s)
+
+
+def orbit_classes(ctx: FieldCtx, k: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """One form (b, c) per orbit of x -> u*x on all 2^{3n/2} forms, with orbit sizes.
+
+    The substitution maps (b, c) to (b u^(2^k+1), c N(u)), so rank and
+    spectrum multiset are orbit invariants.  Returns int64 arrays b and c and
+    the orbit sizes as ints, in this order: (0, 0) alone; (0, 1), whose orbit
+    is (0, c) for every c in F*; (alpha^r, 0) for r < g1 = gcd(2^k+1, 2^n-1),
+    the b in E* with log b = r mod g1; (alpha^r, 1) for
+    r < g2 = gcd((2^{n/2}-1)(2^k+1), 2^n-1), whose orbit meets c = 1 in the
+    b with log b = r mod g2 and holds (2^{n/2}-1) times as many forms.
+    """
+    require_valid_k(ctx.n, k)
+    group, units = ctx.group_order, (1 << ctx.half) - 1
+    e1, _ = exponents(ctx, k)
+    g1, g2 = math.gcd(e1, group), math.gcd(units * e1, group)
+    bs = np.concatenate([[0, 0], ctx.antilog[:g1], ctx.antilog[:g2]])
+    cs = np.array([0, 1] + [0] * g1 + [1] * g2, dtype=np.int64)
+    weights = [1, units] + [group // g1] * g1 + [group // g2 * units] * g2
+    assert sum(weights) == 1 << 3 * ctx.half
+    return bs, cs, weights
 
 
 def _times_alpha_pow(ctx: FieldCtx, x, t) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from .families import packed_trace_rows, sign_rows
 from .gf2n import FieldCtx, TooLarge, half_odd
 from .histogram import ValueHistogram
-from .quadform import exponents, require_valid_k
+from .quadform import exponents, orbit_classes, require_valid_k
 
 
 class ParityMismatch(ValueError):
@@ -454,42 +454,52 @@ class CodeSpec:
         return self.lin[gamma] ^ self.quad[delta] ^ self.norm[eta]
 
 
-def _code_weight_counts(lin: np.ndarray, quad: np.ndarray, norm: np.ndarray) -> list[int]:
-    """counts[w] = codewords of weight w, from the +-1 float32 rows of the three tables.
+def _code_weight_counts(lin: np.ndarray, rest: np.ndarray, weights: list[int]) -> list[int]:
+    """counts[w] = codewords of weight w, from +-1 float32 rows: lin for every
+    gamma, rest for one (delta, eta) per shift orbit, counted weights[i] times.
 
-    For each eta, lin @ (quad * norm[eta]).T holds sum_t (-1)^(codeword bit t)
-    = p - 2w for every (gamma, delta) at once, exact because every partial
-    sum is an integer of size at most p < 2^24.
+    lin @ rest.T holds sum_t (-1)^(codeword bit t) = p - 2w for every gamma
+    and representative at once, exact because every partial sum is an
+    integer of size at most p < 2^24.
     """
     period = lin.shape[1]
-    block = np.empty((len(lin), len(quad)), np.float32)
-    twice = np.empty(block.shape, np.intp)
-    counts = np.zeros(2 * period + 1, dtype=np.int64)
-    for eta_row in norm:
-        np.matmul(lin, (quad * eta_row).T, out=block)
-        np.subtract(period, block, out=twice, casting="unsafe")
-        counts += np.bincount(twice.ravel(), minlength=counts.size)
+    twice = (period - lin @ rest.T).astype(np.intp)  # 2w at [gamma, representative]
+    counts = sum(w * np.bincount(col, minlength=2 * period + 1)
+                 for w, col in zip(weights, twice.T))
     return counts[::2].tolist()
 
 
-def _sign_table(table: dict[int, int], period: int) -> np.ndarray:
-    """The +-1 float32 rows of a packed table's codewords, in table order."""
+def _sign_table(table: dict[int, int], keys, period: int) -> np.ndarray:
+    """The +-1 float32 rows of a packed table's codewords, one per key."""
     width = (period + 7) // 8
-    data = b"".join(word.to_bytes(width, "little") for word in table.values())
-    return sign_rows(np.frombuffer(data, np.uint8).reshape(len(table), width), period)
+    data = b"".join(table[a].to_bytes(width, "little") for a in keys)
+    return sign_rows(np.frombuffer(data, np.uint8).reshape(-1, width), period)
 
 
 def build_code(ctx: FieldCtx, k: int) -> CodeSpec:
-    """Enumerate all 2^{5n/2} codewords and histogram their weights (n <= 10),
-    by one exact float32 matrix product per eta (see _code_weight_counts)."""
+    """Histogram the weights of all 2^{5n/2} codewords (n <= 10) from one
+    (delta, eta) per orbit of the cyclic shift.
+
+    Shifting a codeword by one position maps (gamma, delta, eta) to
+    (gamma alpha, delta alpha^(2^k+1), eta beta) and keeps its weight, which
+    is x -> alpha x in the trace rows.  So the weights are, summed over the
+    representatives (delta, eta) of quadform.orbit_classes, orbit size times
+    the weights over every gamma: one exact float32 matrix product (see
+    _code_weight_counts).  The weights are direct sums over the codeword
+    bits, not transform values.
+    """
     require_valid_k(ctx.n, k)
     if ctx.n > CODE_ENUM_MAX_N:
         raise TooLarge(f"code enumeration limited to n <= {CODE_ENUM_MAX_N}")
     e1, e2 = exponents(ctx, k)
+    period = ctx.group_order
     lin = packed_trace_rows(ctx, range(ctx.order), 1, ctx.tr1)
     quad = packed_trace_rows(ctx, range(ctx.order), e1, ctx.tr1)
     norm = packed_trace_rows(ctx, ctx.subfield_elements, e2, ctx.trh)
-    counts = _code_weight_counts(*(_sign_table(t, ctx.group_order) for t in (lin, quad, norm)))
+    deltas, etas, weights = orbit_classes(ctx, k)
+    rest = (_sign_table(quad, deltas.tolist(), period)
+            * _sign_table(norm, etas.tolist(), period))
+    counts = _code_weight_counts(_sign_table(lin, lin, period), rest, weights)
     return CodeSpec(
         ctx=ctx,
         k=k,

@@ -6,12 +6,16 @@ direct spectra, rank computations, brute-force root or set counting,
 sequence enumeration) with its closed form, and reports a machine-readable
 block.  The claims that read the transform at lambda = 0 or 1 take slices of
 two tables, W_{b,c}(0) and W_{b,c}(1) for every b and every c in F, built
-once per run; walsh-full-distribution and rank-value-consistency, which need
-every lambda, share one pass over direct spectra, one c at a time.  The
-affine-root bound is exhaustive over the cube-class representatives of eps,
-and the code weights come from one exact matrix product per eta.  The
-applicable claim set depends on the parity of n/2; a few are additionally
-capped by the size guards of their underlying scans.
+once per run.  walsh-full-distribution and rank-value-consistency take one
+whole spectrum per orbit of x -> u*x on the forms (quadform.orbit_classes),
+and the code weights one matrix product over the same representatives, as
+a cyclic shift of the code is that substitution: all three are exhaustive
+over orbit representatives.  The kernel and reduced root counts for every
+theta come from one scan shared by three claims, the member claims read one
+packed table of every member, and the affine-root bound is exhaustive over
+the cube-class representatives of eps.  The applicable claim set depends on
+the parity of n/2; a few are additionally capped by the size guards of
+their underlying scans.
 """
 
 from __future__ import annotations
@@ -26,10 +30,14 @@ from . import families as fam
 from . import fieldeq, theory
 from .gf2n import FieldCtx, half_odd
 from .histogram import ValueHistogram
-from .quadform import spectra_block, symplectic_ranks, transform_column
+from .quadform import (QuadFormParams, orbit_classes, symplectic_ranks, transform_column,
+                       walsh_spectrum)
 
 VERIFY_NS = (4, 6, 8, 10)
 BRUTE_CROSSCHECK_MAX_N = 6
+_ORBIT_NOTE = "exhaustive over orbit representatives of x -> u*x"
+# (theta, x) values the affine-root scan holds at once
+_AFFINE_BLOCK = 1 << 16
 
 
 @dataclass
@@ -77,25 +85,26 @@ class _Bundle:
 
     @cached_property
     def spectra(self) -> tuple[ValueHistogram, bool]:
-        """One pass over direct spectra, one c in F at a time: the histogram
-        of W_{b,c}(lam) over all (b, c, lam), and whether every nonzero
-        form's spectrum is the one its rank determines: a rank-2h form
-        takes +-2^{n-h} with the quadratic-form multiplicities and
-        vanishes elsewhere."""
+        """One whole spectrum per orbit of x -> u*x (quadform.orbit_classes),
+        counted with its orbit size: the histogram of W_{b,c}(lam) over all
+        (b, c, lam), and whether every nonzero representative's spectrum is
+        the one its rank determines: a rank-2h form takes +-2^{n-h} with the
+        quadratic-form multiplicities and vanishes elsewhere."""
         ctx, k, n = self.ctx, self.k, self.ctx.n
-        hist, rank_ok = ValueHistogram({}), True
-        for c in ctx.subfield_elements.tolist():
-            block = spectra_block(ctx, k, range(ctx.order), [c])[:, 0]
-            hist.merge(ValueHistogram.from_array(block))
-            first = 0 if c else 1  # skip the zero form
-            spec = block[first:]
-            h2 = symplectic_ranks(ctx, k, np.arange(first, ctx.order), c)
-            top = (1 << (n - h2 // 2))[:, None]
-            got = np.stack([np.count_nonzero(spec == v, axis=1) for v in (top, -top, 0)])
-            full, half = 1 << h2, 1 << (h2 // 2)
-            want = np.stack([(full + half) // 2, (full - half) // 2, ctx.order - full])
-            rank_ok &= bool(np.all(h2 % 2 == 0) and np.array_equal(got, want)
-                            and np.all(got.sum(axis=0) == ctx.order))
+        bs, cs, weights = orbit_classes(ctx, k)
+        specs = np.stack([walsh_spectrum(QuadFormParams(ctx, k, b, c))
+                          for b, c in zip(bs.tolist(), cs.tolist())])
+        hist = ValueHistogram({})
+        for spec, w in zip(specs, weights):
+            hist.merge(ValueHistogram.from_array(spec), w)
+        spec = specs[1:]  # skip the zero form
+        h2 = symplectic_ranks(ctx, k, bs[1:], cs[1:])
+        top = (1 << (n - h2 // 2))[:, None]
+        got = np.stack([np.count_nonzero(spec == v, axis=1) for v in (top, -top, 0)])
+        full, half = 1 << h2, 1 << (h2 // 2)
+        want = np.stack([(full + half) // 2, (full - half) // 2, ctx.order - full])
+        rank_ok = bool(np.all(h2 % 2 == 0) and np.array_equal(got, want)
+                       and np.all(got.sum(axis=0) == ctx.order))
         return hist, rank_ok
 
     @cached_property
@@ -103,6 +112,34 @@ class _Bundle:
         """W_{b,c}(0) and W_{b,c}(1), each at [subfield index of c, b]."""
         return tuple(transform_column(self.ctx, self.k, self.ctx.subfield_elements, lam)
                      for lam in (0, 1))
+
+    @cached_property
+    def theta_roots(self) -> np.ndarray:
+        """Root counts of the kernel and both reduced equations per theta."""
+        return fieldeq.theta_root_counts(self.ctx, self.k)
+
+    @cached_property
+    def members(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Every family member as a packed row (families.member_blocks), its
+        pair (gamma, delta) or (zeta, eta) as a row of an int64 array, and
+        the number of part-one members, which come first."""
+        return _member_table(self.family)
+
+
+def _member_table(family: fam.SequenceFamily) -> tuple[np.ndarray, np.ndarray, int]:
+    rows = np.empty((family.size, (family.period + 7) // 8), dtype=np.uint8)
+    pairs = np.empty((family.size, 2), dtype=np.int64)
+    end = part_one = 0
+    for variant, block_pairs, block in fam.member_blocks(family):
+        start, end = end, end + len(block)
+        rows[start:end], pairs[start:end] = block, block_pairs
+        if variant == "gamma-delta":
+            part_one = end
+    return rows, pairs, part_one
+
+
+def _row_set(rows: np.ndarray) -> set[bytes]:
+    return set(map(bytes, rows))
 
 
 def _entries(h: ValueHistogram) -> list:
@@ -170,7 +207,7 @@ def _claim_norm_form(b: _Bundle) -> ClaimResult:
 
 def _claim_walsh_full(b: _Bundle) -> ClaimResult:
     return _hist_claim("walsh-full-distribution", b.spectra[0],
-                       theory.predict("walsh-full", b.ctx.n, b.k).histogram)
+                       theory.predict("walsh-full", b.ctx.n, b.k).histogram, _ORBIT_NOTE)
 
 
 def _claim_walsh_mixed(b: _Bundle) -> ClaimResult:
@@ -236,28 +273,34 @@ def _claim_affine_root_bound(b: _Bundle) -> ClaimResult:
     and these three represent the cube classes of E* (3 divides 2^n - 1 for
     even n).  Each nonzero x is a root for the one v = (eps x^3 + theta) / x,
     so the root count of (eps, v, theta) is how many x share that v.
-    Vectorized over theta, one eps at a time, so intermediates stay at 2^{2n}
-    values."""
+    Vectorized over theta in blocks of _AFFINE_BLOCK (theta, x) values, one
+    eps at a time.  v is read at log(eps x^3 + theta) - log x + (2^n - 1)
+    from two copies of the antilog table and, past them, zeros: the log of
+    0 is set to 2 (2^n - 1), so v = 0 there."""
     ctx = b.ctx
     order, group = ctx.order, ctx.group_order
     xs = np.arange(1, order, dtype=np.int64)
-    log_x = ctx.log[xs]
+    minus_log_x = group - ctx.log[xs]  # in [1, 2^n - 1]
     px = ctx.pow_vec(xs, 3)
-    thetas = np.arange(1, order, dtype=np.int64)[:, None]
-    row_base = np.arange(group, dtype=np.int64)[:, None] * order
+    log = ctx.log.copy()
+    log[0] = 2 * group
+    antilog = np.concatenate([ctx.antilog, ctx.antilog, np.zeros(group + 1, np.int64)])
+    rows = max(1, _AFFINE_BLOCK // group)
     worst = 0
     for eps in ctx.antilog[:3].tolist():
-        u = ctx.scale_vec(eps, px)[None, :] ^ thetas
-        v = np.where(u != 0, ctx.antilog[(ctx.log[u] - log_x) % group], 0)
-        counts = np.bincount((row_base + v).ravel(), minlength=group * order)
-        worst = max(worst, int(counts.max()))
+        eps_px = ctx.scale_vec(eps, px)
+        for lo in range(1, order, rows):
+            thetas = np.arange(lo, min(lo + rows, order), dtype=np.int64)[:, None]
+            v = antilog[log[eps_px ^ thetas] + minus_log_x]
+            v += np.arange(len(thetas), dtype=np.int64)[:, None] * order
+            worst = max(worst, int(np.bincount(v.ravel(), minlength=v.size).max()))
     return ClaimResult("affine-root-bound", worst <= 3, {"max": 3},
                        {"max-roots": worst},
                        "exhaustive over the cube-class representatives of eps")
 
 
 def _claim_three_root_thetas(b: _Bundle) -> ClaimResult:
-    first, second = fieldeq.count_three_root_thetas(b.ctx, b.k)
+    first, second = fieldeq.three_root_totals(b.theta_roots)
     want = theory.three_root_theta_count(b.ctx.n)
     return ClaimResult(
         "three-root-theta-count", first == want and second == want,
@@ -266,14 +309,9 @@ def _claim_three_root_thetas(b: _Bundle) -> ClaimResult:
 
 
 def _claim_reduced_vs_kernel(b: _Bundle) -> ClaimResult:
-    ctx, k = b.ctx, b.k
-    ok = True
-    seen = set()
-    for theta in range(1, ctx.order):
-        kernel_count = fieldeq.count_kernel_roots(ctx, theta, k)
-        first, second = fieldeq.count_reduced_roots(ctx, theta, k)
-        seen |= {kernel_count, first, second}
-        ok &= kernel_count == first == second
+    kernel, first, second = b.theta_roots
+    ok = bool(np.array_equal(kernel, first) and np.array_equal(kernel, second))
+    seen = set(np.unique(b.theta_roots).tolist())
     ok &= seen <= {0, 3}
     return ClaimResult(
         "reduced-vs-kernel-roots", ok,
@@ -283,7 +321,7 @@ def _claim_reduced_vs_kernel(b: _Bundle) -> ClaimResult:
 
 
 def _claim_census(b: _Bundle) -> ClaimResult:
-    report = fieldeq.census_report(b.ctx, b.k)
+    report = fieldeq.census_report(b.ctx, b.k, b.theta_roots)
     return ClaimResult("equation-census", report["match"],
                        None, report["counts"])
 
@@ -304,12 +342,12 @@ def _claim_rank_value_consistency(b: _Bundle) -> ClaimResult:
     """Ranks against spectra (see _Bundle.spectra)."""
     ok = b.spectra[1]
     return ClaimResult("rank-value-consistency", ok,
-                       {"spectra": "rank-determined"}, {"all-match": ok})
+                       {"spectra": "rank-determined"}, {"all-match": ok}, _ORBIT_NOTE)
 
 
 def _claim_code_weights(b: _Bundle) -> ClaimResult:
     want = theory.predict("code-weights", b.ctx.n, b.k).histogram
-    return _hist_claim("code-weights", b.code.weight_histogram, want)
+    return _hist_claim("code-weights", b.code.weight_histogram, want, _ORBIT_NOTE)
 
 
 def _claim_dual_low_weights(b: _Bundle) -> ClaimResult:
@@ -336,19 +374,17 @@ def _claim_family_correlation(b: _Bundle) -> ClaimResult:
 
 def _claim_imbalance(b: _Bundle) -> ClaimResult:
     ctx = b.ctx
-    got = ValueHistogram({})
-    for s in b.family.all_sequences():
-        got.add_value(fam.imbalance(s))
+    rows, pairs, part_one = b.members
+    imbalance = ctx.group_order - 2 * np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+    got = ValueHistogram.from_array(imbalance)
     want = theory.imbalance_histogram(ctx.n)
-    ok = got == want
     # per-sequence bridge: imbalance = transform value at 1 (part one) or
     # at 0 (part two), minus one
-    cidx = ctx.subfield_index
-    for lam, part in ((1, b.family.part1), (0, b.family.part2)):
-        column = b.columns[lam]
-        for s in part:
-            bb, c = s.tag.pair()
-            ok &= fam.imbalance(s) == int(column[cidx[c], bb]) - 1
+    col0, col1 = b.columns
+    cidx, bb = ctx.subfield_index[pairs[:, 1]], pairs[:, 0]
+    bridge = np.concatenate([col1[cidx[:part_one], bb[:part_one]],
+                             col0[cidx[part_one:], bb[part_one:]]]) - 1
+    ok = got == want and bool(np.array_equal(imbalance, bridge))
     return ClaimResult("imbalance", ok, _entries(want), _entries(got),
                        "per-sequence transform bridge included")
 
@@ -368,20 +404,21 @@ def _claim_r_max(b: _Bundle) -> ClaimResult:
 def _claim_family_structure(b: _Bundle) -> ClaimResult:
     ctx = b.ctx
     family = b.family
+    rows, _, part_one = b.members
     sizes_ok = (
         family.size == theory.family_size(ctx.n)
-        and len(family.part1) == 1 << (3 * ctx.half)
+        and part_one == 1 << (3 * ctx.half)
     )
-    bits = {s.bits for s in family.all_sequences()}
+    part_one_bits = _row_set(rows[:part_one])
+    bits = part_one_bits | _row_set(rows[part_one:])
     distinct_ok = len(bits) == family.size
     small = fam.build_family(fam.family_params(ctx, fam.FamilyKind.SMALL_KASAMI))
-    part1_bits = {s.bits for s in family.part1}
-    small_ok = all(s.bits in part1_bits for s in small.part1)
+    small_ok = _row_set(_member_table(small)[0]) <= part_one_bits
     note = None
     large_ok = True
     if b.k == ctx.half + 1:
         large = fam.build_family(fam.family_params(ctx, fam.FamilyKind.LARGE_KASAMI))
-        large_ok = {s.bits for s in large.all_sequences()} == bits
+        large_ok = _row_set(_member_table(large)[0]) == bits
         note = "k = n/2 + 1: family coincides with the large Kasami set"
     ok = sizes_ok and distinct_ok and small_ok and large_ok
     return ClaimResult(

@@ -83,6 +83,17 @@ def test_reduced_equations_agree_per_theta(ctx4, ctx6):
             assert kernel_count in (0, 3)
 
 
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_theta_scan_matches_per_theta_counts(n):
+    ctx = make_field(n)
+    for k in (k for k in range(1, n) if qf.valid_k(n, k)):
+        roots = fe.theta_root_counts(ctx, k)
+        assert roots.shape == (3, ctx.group_order)
+        for theta in range(1, ctx.order):
+            want = (fe.count_kernel_roots(ctx, theta, k), *fe.count_reduced_roots(ctx, theta, k))
+            assert tuple(roots[:, theta - 1].tolist()) == want
+
+
 def test_three_root_theta_counts(ctx4, ctx6):
     assert fe.count_three_root_thetas(ctx6, 2) == (36, 36)
     assert fe.count_three_root_thetas(ctx4, 1) == (10, 10)

@@ -13,11 +13,11 @@ import pytest
 from gkasami import cli
 
 GOLDEN = {
-    "verify --n 4 --k 1": "28deef8dd1dc0363eeb2b295dd375a2f7f8097328eb7542fb2a8dface95d01fb",
-    "verify --n 4 --k 3": "13a6391532015d3e30b2a303608f3014e51cdc00ae0c65b6eecf55c51d7d0ca8",
-    "verify --n 6 --k 2": "711d9035fbaad4c65fb713d9466ed3a0e4bbec4bdced6e8801adf90135bfb52d",
-    "verify --n 6 --k 4": "ff1345ae128107cc4357e49335c8132ce4ea35069a7594a06caa6b8f28ea6767",
-    "verify --n 8 --k 1": "1e04bb34b58d47c001f8acecb5e648f3e3d7dcf30a47094b5435512e829655b5",
+    "verify --n 4 --k 1": "07cea7169c95208607d6b50d3d3cbdc87eef291f75998d172989c228d5a76e38",
+    "verify --n 4 --k 3": "b6eea2072153a801ac331dbc2ad2e631fe53ff2773f2b229dc075dd5f672788a",
+    "verify --n 6 --k 2": "7b1d53b8ebb7900b6a5b320cac2a7d230d91f61961cbdec7e891d1ade49cfb7f",
+    "verify --n 6 --k 4": "f6ec3b79e896ccf2856039c12980d008d23a0e2eb81bb1a9cd297733e61f65ee",
+    "verify --n 8 --k 1": "c280463f10ad49f48e69ec7e01ce404ee61799fada2fc1f09b56551b894b9206",
     "corr --engine spectral --kind fk --n 4":
         "b4659afcbcfd3c171f69ca4783133345caeff54371f4baee072d08b7e9687d37",
     "corr --engine spectral --kind small-kasami --n 4":

@@ -396,3 +396,62 @@ def test_trace_row_coefficients_must_be_field_elements(ctx4, a):
         qf.spectra_block(ctx4, 1, [a], [0])
     with pytest.raises(ValueError):
         fam.packed_trace_rows(ctx4, [a], 1, ctx4.tr1)
+
+
+def orbit_index(ctx, k):
+    """The orbit of every form (b, c) under x -> u*x, as the position of its
+    representative in orbit_classes, at [subfield index of c, b].  Each
+    representative's orbit {(b u^(2^k+1), c N(u)) : u in E*} is listed
+    directly; the orbits must be disjoint, cover every form and have the
+    stated sizes."""
+    bs, cs, weights = qf.orbit_classes(ctx, k)
+    e1, e2 = qf.exponents(ctx, k)
+    us = np.arange(1, ctx.order)
+    index = np.full((1 << ctx.half, ctx.order), -1)
+    for i, (b, c) in enumerate(zip(bs.tolist(), cs.tolist())):
+        cell = (ctx.subfield_index[ctx.scale_vec(c, ctx.pow_vec(us, e2))],
+                ctx.scale_vec(b, ctx.pow_vec(us, e1)))
+        assert np.isin(index[cell], (-1, i)).all()
+        index[cell] = i
+    assert (index >= 0).all()
+    assert np.bincount(index.ravel()).tolist() == weights
+    return bs, cs, index
+
+
+def admissible_k(n):
+    return [k for k in range(1, n) if qf.valid_k(n, k)]
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (4, 6, 8) for k in admissible_k(n)]
+                         + [(10, 2)] + [pytest.param(10, k, marks=pytest.mark.slow)
+                                        for k in (4, 6, 8)])
+def test_rank_and_spectrum_are_orbit_invariants(n, k):
+    """Rank, W(0) and the spectrum multiset of every form equal those of its
+    orbit's representative.  W(1) is not an invariant: x -> u*x moves it to
+    W(1/u)."""
+    ctx = make_field(n)
+    bs, cs, index = orbit_index(ctx, k)
+    rep_specs = np.stack([qf.walsh_spectrum(qf.QuadFormParams(ctx, k, b, c))
+                          for b, c in zip(bs.tolist(), cs.tolist())])
+    rep_sorted = np.sort(rep_specs, axis=1)
+    rep_ranks = qf.symplectic_ranks(ctx, k, bs, cs)
+    for row, c in enumerate(ctx.subfield_elements.tolist()):
+        block = qf.spectra_block(ctx, k, range(ctx.order), [c])[:, 0]
+        reps = index[row]
+        assert np.array_equal(block[:, 0], rep_specs[reps, 0])
+        assert np.array_equal(np.sort(block, axis=1), rep_sorted[reps])
+        assert np.array_equal(qf.symplectic_ranks(ctx, k, range(ctx.order), c),
+                              rep_ranks[reps])
+
+
+@pytest.mark.parametrize("n,k", [(8, 1), (10, 2), (12, 1), (12, 5)])
+def test_orbit_class_counts(n, k):
+    """g1 and g2 as gcds, and the orbit sizes sum to every form."""
+    ctx = make_field(n)
+    bs, cs, weights = qf.orbit_classes(ctx, k)
+    group, units = ctx.group_order, (1 << ctx.half) - 1
+    g1, g2 = math.gcd((1 << k) + 1, group), math.gcd(units * ((1 << k) + 1), group)
+    assert len(bs) == len(cs) == len(weights) == 2 + g1 + g2
+    assert sum(weights) == 1 << (3 * n // 2)
+    assert cs.tolist() == [0, 1] + [0] * g1 + [1] * g2
+    assert ctx.log[bs[2:]].tolist() == list(range(g1)) + list(range(g2))

@@ -1,3 +1,4 @@
+import math
 import time
 from functools import partial
 
@@ -8,6 +9,7 @@ from gkasami import correlation as corr
 from gkasami import families as fam
 from gkasami import fieldeq, quadform as qf, theory, verify
 from gkasami.gf2n import half_odd, make_field
+from gkasami.histogram import ValueHistogram
 
 
 def test_all_claims_pass_n6(ctx6):
@@ -19,27 +21,35 @@ def test_all_claims_pass_n6(ctx6):
 
 
 def test_all_claims_pass_n8(ctx8, monkeypatch):
-    lams, block_widths = [], []
+    lams, spectra, blocks = [], [], []
+    qf_spectra_block = qf.spectra_block
 
     def column(ctx, k, c_list, lam):
         lams.append(lam)
         return qf.transform_column(ctx, k, c_list, lam)
 
-    def block(ctx, k, b_list, c_list):
-        block_widths.append(len(c_list))
-        return qf.spectra_block(ctx, k, b_list, c_list)
+    def spectrum(params):
+        spectra.append((params.b, params.c))
+        return qf.walsh_spectrum(params)
+
+    def block(*args):
+        blocks.append(args)
+        return qf_spectra_block(*args)
 
     monkeypatch.setattr(verify, "transform_column", column)
-    monkeypatch.setattr(verify, "spectra_block", block)
+    monkeypatch.setattr(verify, "walsh_spectrum", spectrum)
+    monkeypatch.setattr(qf, "spectra_block", block)
     results = verify.run_claims(ctx8, 1)
     failures = [r.name for r in results if not r.ok]
     assert failures == []
     names = {r.name for r in results}
     assert "subgrid-orbit-multisets" in names
     # the lambda in {0, 1} claims share two columns; walsh-full and
-    # rank-value share one spectra pass, one block per c
+    # rank-value share one spectrum per orbit representative
     assert sorted(lams) == [0, 1]
-    assert block_widths == [1] * (1 << ctx8.half)
+    g1, g2 = math.gcd(3, 255), math.gcd(15 * 3, 255)
+    assert len(spectra) == 2 + g1 + g2 == 20
+    assert blocks == []
 
 
 def test_claims_report_shape(ctx4):
@@ -100,6 +110,46 @@ def test_column_claims_match_grid_reference(n, k):
     assert got == grid_reference(ctx, k)
 
 
+def full_pass_spectra(ctx, k):
+    """The spectra histogram and rank consistency from every form's spectrum,
+    one spectra_block per c: the reference for the orbit-representative pass."""
+    n = ctx.n
+    hist, rank_ok = ValueHistogram({}), True
+    for c in ctx.subfield_elements.tolist():
+        block = qf.spectra_block(ctx, k, range(ctx.order), [c])[:, 0]
+        hist.merge(ValueHistogram.from_array(block))
+        first = 0 if c else 1  # skip the zero form
+        spec = block[first:]
+        h2 = qf.symplectic_ranks(ctx, k, np.arange(first, ctx.order), c)
+        top = (1 << (n - h2 // 2))[:, None]
+        got = np.stack([np.count_nonzero(spec == v, axis=1) for v in (top, -top, 0)])
+        full, half = 1 << h2, 1 << (h2 // 2)
+        want = np.stack([(full + half) // 2, (full - half) // 2, ctx.order - full])
+        rank_ok &= bool(np.all(h2 % 2 == 0) and np.array_equal(got, want)
+                        and np.all(got.sum(axis=0) == ctx.order))
+    return hist, rank_ok
+
+
+def all_eta_code_weights(code):
+    """The weight histogram from every codeword: one exact +-1 matrix product
+    of the lin rows against the quad rows times each eta's norm row."""
+    period = code.length
+    lin, quad, norm = (theory._sign_table(t, t, period) for t in (code.lin, code.quad, code.norm))
+    counts = np.zeros(2 * period + 1, dtype=np.int64)
+    for eta_row in norm:
+        twice = (period - lin @ (quad * eta_row).T).astype(np.intp)
+        counts += np.bincount(twice.ravel(), minlength=counts.size)
+    return ValueHistogram(dict(enumerate(counts[::2].tolist())))
+
+
+@pytest.mark.parametrize("n,k", [(6, 2), (6, 4), (8, 1), (8, 3), (8, 5), (8, 7)])
+def test_orbit_claims_match_full_pass(n, k):
+    bundle = verify._Bundle(make_field(n), k)
+    assert bundle.spectra == full_pass_spectra(bundle.ctx, k)
+    assert bundle.spectra[1] is True
+    assert bundle.code.weight_histogram == all_eta_code_weights(bundle.code)
+
+
 def test_affine_root_bound_is_the_grid_maximum(ctx4):
     ctx = ctx4
     result = verify._claim_affine_root_bound(verify._Bundle(ctx, 1))
@@ -148,7 +198,6 @@ def test_affine_root_bound_n10():
     assert result.ok and result.empirical == {"max-roots": 3}
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("k", [2, 4, 6, 8])
 def test_all_claims_pass_n10(k):
     report = verify.claims_report(make_field(10), k)
@@ -178,8 +227,6 @@ def test_optional_n10_checks():
     assert report.histogram == theory.predict("family-corr-odd", 10).histogram
     assert report.r_max == theory.r_max_expected(10) == 65
     # imbalance via the per-sequence popcounts
-    from gkasami.histogram import ValueHistogram
-
     got = ValueHistogram({})
     for s in family.all_sequences():
         got.add_value(fam.imbalance(s))
