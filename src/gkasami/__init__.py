@@ -39,7 +39,6 @@ from .histogram import ValueHistogram
 from .quadform import (
     QuadFormParams,
     eval_f,
-    spectrum_distribution,
     symplectic_rank,
     valid_k,
     walsh_point,
@@ -89,7 +88,6 @@ __all__ = [
     "predict",
     "r_max",
     "sequence_term",
-    "spectrum_distribution",
     "symplectic_rank",
     "valid_k",
     "walsh_point",

@@ -19,15 +19,18 @@ to per-lambda column histograms: the distribution of W_{b,c}(lam) over all
 (b, c).  Scaling x -> u x permutes E x F and moves lam to lam u, so every
 column with lam != 0 has the histogram of the lam = 1 column.  A form of
 rank 2j takes +-2^(n-j) at (2^(2j) +- 2^j)/2 of all lam and 0 elsewhere, so
-the grid's spectra less its lam = 0 column are 2^n - 1 lam = 1 columns, and
-by scaling the ranks of (b, 0) and (b, 1) for every b suffice.  The
-completion part against itself is a whole-grid count too: a shift by tau
-moves the part-two tag (zeta, eta) to (zeta alpha^(tau (2^k+1)), eta
-beta^tau), and over all part-two tags and shifts these images meet every
-pair of E* x F* exactly once (E* x F for odd n/2).  So the triples of one
-tag (zeta1, eta1) meet the lam = 0 values of the whole E x F grid minus the
-row b = zeta1, and for even n/2 minus the column c = eta1 plus the cell
-(zeta1, eta1).  Both engines produce identical exact histograms.
+the grid's spectra less its lam = 0 column are 2^n - 1 lam = 1 columns.
+The same substitution maps the form (b, c) to (b u^(2^k+1), c N(u)) and
+keeps its rank, so the ranks of one form per orbit (quadform.orbit_classes:
+2 + g1 + g2 forms, about 2^(n/2)), counted with the orbit sizes, give the
+ranks of all 2^(3n/2).  The completion part against itself is a
+whole-grid count too: a shift by tau moves the part-two tag (zeta, eta) to
+(zeta alpha^(tau (2^k+1)), eta beta^tau), and over all part-two tags and
+shifts these images meet every pair of E* x F* exactly once (E* x F for
+odd n/2).  So the triples of one tag (zeta1, eta1) meet the lam = 0 values
+of the whole E x F grid minus the row b = zeta1, and for even n/2 minus the
+column c = eta1 plus the cell (zeta1, eta1).  Both engines produce
+identical exact histograms.
 
 Histograms count all ordered triples including the in-phase ones; the
 maximum-correlation statistic excludes i = j at shift 0 by removing one
@@ -173,8 +176,10 @@ def full_distribution_brute(family: SequenceFamily, jobs: int = 1) -> Correlatio
     One float32 matrix product per shift and row block (see the module
     docstring).  Shift 0 is counted once and shifts 1 .. (p - 1)/2 twice,
     by C(i, j, tau) = C(j, i, p - tau).  jobs > 1 splits those shifts over
-    that many threads; numpy releases the interpreter lock in the matrix
-    product and the bincount.  The result does not depend on jobs.
+    that many threads.  Only the matrix product releases the interpreter
+    lock, and BLAS already spreads it over every core; np.bincount holds the
+    lock, so the threads take turns there, and on a 2-vCPU host two jobs run
+    no faster than one.  The result does not depend on jobs.
     """
     period = family.period
     packed = np.concatenate([rows for _, _, rows in member_blocks(family)])
@@ -203,28 +208,31 @@ def _lambda0_column(ctx, at0: np.ndarray) -> ValueHistogram:
     return col.merge(ValueHistogram.from_array(at0[1]), (1 << ctx.half) - 1)
 
 
-def _lambda1_column(ctx, k: int, at0: np.ndarray) -> ValueHistogram:
+def _lambda1_column(ctx, k: int, col0: ValueHistogram) -> ValueHistogram:
     """Distribution of W_{b,c}(1) over all (b, c) in E x F, from the ranks of
-    the forms (b, 0) and (b, 1) and the lam = 0 column (module docstring)."""
+    one form per orbit of x -> u x, counted with its orbit size, and the
+    lam = 0 column col0 (module docstring)."""
     n, order = ctx.n, ctx.order
+    bs, cs, sizes = qf.orbit_classes(ctx, k)
+    # float64 sums are exact: the sizes total 2^(3n/2) <= 2^30
+    halves = np.bincount(qf.symplectic_ranks(ctx, k, bs, cs) // 2, weights=sizes)
     every_lam = ValueHistogram()
-    for c, times in ((0, 1), (1, (1 << ctx.half) - 1)):
-        halves = np.bincount(qf.symplectic_ranks(ctx, k, np.arange(order), c) // 2)
-        for j, forms in enumerate(halves.tolist()):
-            spectrum = {1 << (n - j): (4**j + 2**j) // 2, -(1 << (n - j)): (4**j - 2**j) // 2}
-            every_lam.merge(ValueHistogram({**spectrum, 0: order - 4**j}), forms * times)
-    every_lam.merge(_lambda0_column(ctx, at0), -1)
+    for j, forms in enumerate(halves.astype(np.int64).tolist()):
+        spectrum = {1 << (n - j): (4**j + 2**j) // 2, -(1 << (n - j)): (4**j - 2**j) // 2}
+        every_lam.merge(ValueHistogram({**spectrum, 0: order - 4**j}), forms)
+    every_lam.merge(col0, -1)
     if any(c % (order - 1) for c in every_lam.counts.values()):
         raise AssertionError("summed rank spectra are not 2^n - 1 equal columns")
     return ValueHistogram({v: c // (order - 1) for v, c in every_lam.counts.items()})
 
 
-def _completion_block(ctx, k: int, at0: np.ndarray) -> ValueHistogram:
+def _completion_block(ctx, k: int, at0: np.ndarray, col0: ValueHistogram) -> ValueHistogram:
     """W(0) over every (t1, t2, tau) with t1, t2 in part two, given the c = 0
-    and c = 1 rows at0 of W_{b,c}(0): per t1 the whole E x F grid minus one
-    row, and for even n/2 minus one column plus one cell (module docstring)."""
+    and c = 1 rows at0 of W_{b,c}(0) and their whole-grid histogram col0:
+    per t1 the whole E x F grid minus one row, and for even n/2 minus one
+    column plus one cell (module docstring)."""
     zeta, eta = (a.ravel() for a in np.meshgrid(*gamma_delta_sets(ctx), indexing="ij"))
-    block = _lambda0_column(ctx, at0).scaled(zeta.size)
+    block = col0.scaled(zeta.size)
     if not half_odd(ctx.n):
         cell, _ = qf.scale_to_norm_one(ctx, k, zeta, eta, 0)
         block.merge(ValueHistogram.from_array(at0[1][cell]))
@@ -261,10 +269,11 @@ def full_distribution_spectral(family: SequenceFamily) -> CorrelationReport:
         # part one against part two, either way round, meets every lam != 0.
         grid = 1 << (3 * ctx.half)
         at0 = qf.transform_column(ctx, k, [0, 1], 0)  # rows: c = 0, c = 1
-        walsh = _lambda0_column(ctx, at0).scaled(grid)
-        walsh.merge(_lambda1_column(ctx, k, at0),
+        col0 = _lambda0_column(ctx, at0)
+        walsh = col0.scaled(grid)
+        walsh.merge(_lambda1_column(ctx, k, col0),
                     grid * (order - 2) + 2 * (family.size - grid) * group)
-        walsh.merge(_completion_block(ctx, k, at0))
+        walsh.merge(_completion_block(ctx, k, at0, col0))
 
     return _report(family, "spectral", walsh.shifted(-1))
 

@@ -1,13 +1,12 @@
 """Quadratic forms tr(b*x^(2^k+1)) + tr_half(c*x^(2^{n/2}+1)) on GF(2^n).
 
-Evaluates the forms, computes their symplectic ranks (batched over b) and
-exact Walsh (trace-transform) spectra, and tabulates spectrum-value
-distributions over parameter sets.  fwht is the one Hadamard transform:
-exact float32 matrix products by small Sylvester factors.  A whole spectrum
-transforms the truth table in dual-basis coordinates, built by doubling
-from the form's values at the basis points and their pair sums, so its
-output is indexed directly by lambda as a field element; spectra_block and
-transform_column transform tables indexed by x and reindex the result
+Evaluates the forms and computes their symplectic ranks (batched over b)
+and exact Walsh (trace-transform) spectra.  fwht is the one Hadamard
+transform: exact float32 matrix products by small Sylvester factors.  A
+whole spectrum transforms the truth table in dual-basis coordinates, built
+by doubling from the form's values at the basis points and their pair
+sums, so its output is indexed directly by lambda as a field element;
+transform_column transforms tables indexed by x and reindexes the result
 through walsh_perm.
 
 Besides whole spectra (one form, every lambda) there are transform columns
@@ -30,11 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2n import FieldCtx, TooLarge, half_odd
-from .histogram import ValueHistogram
 
-# most memory spectra_block or transform_column may allocate, counted as
-# _TRANSFORM_BYTES per transformed value: fwht's two float32 buffers and
-# its int64 result
+# most memory transform_column may allocate, counted as _TRANSFORM_BYTES
+# per transformed value: fwht's two float32 buffers and its int64 result
 _BLOCK_BYTES_CAP = 2 << 30
 _TRANSFORM_BYTES = 16
 # fwht's Kronecker factors are H_{2^s} for s up to this
@@ -333,30 +330,6 @@ def _subfield_list(ctx: FieldCtx, c_list) -> list[int]:
     return c_list
 
 
-def spectra_block(
-    ctx: FieldCtx, k: int, b_list, c_list
-) -> np.ndarray:
-    """Spectra of all forms with b in b_list, c in c_list.
-
-    Returns an int64 array of shape (len(b_list), len(c_list), 2^n) whose
-    last axis is indexed by lambda: fwht of the +-1 tables indexed by x,
-    reindexed through walsh_perm.  Raises TooLarge when the block would
-    pass _BLOCK_BYTES_CAP at _TRANSFORM_BYTES per value.
-    """
-    require_valid_k(ctx.n, k)
-    b_list = [int(b) for b in b_list]
-    c_list = _subfield_list(ctx, c_list)
-    order = ctx.order
-    if len(b_list) * len(c_list) * order * _TRANSFORM_BYTES > _BLOCK_BYTES_CAP:
-        raise TooLarge(
-            f"spectra block of {len(b_list)}x{len(c_list)}x{order} exceeds the memory cap"
-        )
-    e1, e2 = exponents(ctx, k)
-    u = trace_rows(ctx, b_list, e1, ctx.tr1)
-    v = trace_rows(ctx, c_list, e2, ctx.trh)
-    return fwht(1 - 2 * (u[:, None, :] ^ v[None, :, :]).view(np.int8))[..., ctx.walsh_perm]
-
-
 def transform_column(ctx: FieldCtx, k: int, c_list, lam: int) -> np.ndarray:
     """W_{b,c}(lam) for every b in E, one row per c in c_list.
 
@@ -382,22 +355,3 @@ def transform_column(ctx: FieldCtx, k: int, c_list, lam: int) -> np.ndarray:
     neg = np.bincount(row_y[odd == 1], minlength=rows * order).reshape(rows, order)
     g = np.bincount(y, minlength=order) - 2 * neg
     return fwht(g)[:, ctx.walsh_perm]
-
-
-def spectrum_distribution(
-    ctx: FieldCtx,
-    k: int,
-    b_set,
-    c_set,
-    lambda_set,
-    multiplicity: int = 1,
-) -> ValueHistogram:
-    """Histogram of transform values over b_set x c_set x lambda_set.
-
-    Every triple is counted `multiplicity` times; counts are exact ints.
-    """
-    if multiplicity < 1:
-        raise ValueError("multiplicity must be >= 1")
-    block = spectra_block(ctx, k, sorted(set(b_set)), sorted(set(c_set)))
-    lam = np.array(sorted(set(lambda_set)), dtype=np.int64)
-    return ValueHistogram.from_array(block[:, :, lam], multiplicity)

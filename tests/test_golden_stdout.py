@@ -48,6 +48,18 @@ GOLDEN = {
         "7e36ca17d1d2d3253f87352fdc6d13c806fd25cb3828ff768a9c8e631f6c0e76",
     "corr --engine spectral --kind large-kasami --n 12":
         "9ea29dad97d16675c71fe78af9a16604f49aac9aa622b284832ef46b525f87a7",
+    "corr --engine spectral --kind fk --n 14 --k 4":
+        "81b67fff260a1fe4c997b7eae94b014926d80db2a0197d317db763fbfdeb2d0c",
+    "corr --engine spectral --kind small-kasami --n 14":
+        "c9fb7357bd29257c4135f1faa9e758a2979a939a8884aed5558a6ba106ad2998",
+    "corr --engine spectral --kind large-kasami --n 14":
+        "d1295acc1147333fdc0ac3f699005b4743771c356cc336f7cfdee2ac98a3746b",
+    "corr --engine spectral --kind fk --n 16 --k 3":
+        "e6d3033e531b6a7cad3f2b2e7dad175a156caaef4b3f91d062d87db6951fb95a",
+    "corr --engine spectral --kind small-kasami --n 16":
+        "4d08cab7ab2c8c55fd8ecace2be7a08148f0cdeaff956dcd99b465181b05a3e8",
+    "corr --engine spectral --kind large-kasami --n 16":
+        "aa36d17f8b160b00a42ffa0a238db2a66120b41cd4e0ff39952053836a692dd7",
     "family gen --n 4 --k 1 --kind fk --format bits":
         "0a1945b7125405a34427dcc8dc041660f790a11c5f34102bce37a28092f6e736",
     "family gen --n 4 --k 3 --kind fk --format bits":

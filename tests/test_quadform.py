@@ -8,6 +8,8 @@ from gkasami import quadform as qf
 from gkasami import theory
 from gkasami.gf2n import TooLarge, gf2_kernel_basis, make_field
 
+from reference import spectra_block, spectrum_distribution
+
 
 def all_params(ctx, k):
     for b in range(ctx.order):
@@ -39,7 +41,7 @@ def test_c_outside_the_field_is_not_in_the_subfield(ctx4, c):
     with pytest.raises(ValueError, match="not in the subfield"):
         qf.QuadFormParams(ctx4, 1, 0, c)
     with pytest.raises(ValueError, match="not in the subfield"):
-        qf.spectra_block(ctx4, 1, [1], [c])
+        spectra_block(ctx4, 1, [1], [c])
     with pytest.raises(ValueError, match="not in the subfield"):
         qf.transform_column(ctx4, 1, [c], 0)
 
@@ -319,7 +321,7 @@ def test_rank_multiplicity_consistency(ctx6):
 
 
 def test_spectrum_distribution_full_grid(ctx6):
-    h = qf.spectrum_distribution(
+    h = spectrum_distribution(
         ctx6, 2, range(64), ctx6.subfield_elements, range(64)
     )
     assert h.total() == 1 << (5 * 6 // 2)
@@ -328,14 +330,14 @@ def test_spectrum_distribution_full_grid(ctx6):
 
 
 def test_spectrum_distribution_pure_quad_row(ctx6):
-    h = qf.spectrum_distribution(ctx6, 2, range(1, 64), [0], [1])
+    h = spectrum_distribution(ctx6, 2, range(1, 64), [0], [1])
     assert h.counts[16] == (1 << 3) + (1 << 1)
     assert h.counts[-16] == (1 << 3) - (1 << 1)
     assert h.counts[0] == 64 - 16 - 1
 
 
 def test_spectrum_distribution_mixed_at_zero(ctx6):
-    h = qf.spectrum_distribution(
+    h = spectrum_distribution(
         ctx6, 2, range(1, 64), [int(c) for c in ctx6.subfield_elements[1:]], [0]
     )
     assert h.counts[8] == 189
@@ -343,19 +345,19 @@ def test_spectrum_distribution_mixed_at_zero(ctx6):
 
 
 def test_spectrum_distribution_multiplicity(ctx4):
-    h1 = qf.spectrum_distribution(ctx4, 1, [1], [0], [0, 1])
-    h3 = qf.spectrum_distribution(ctx4, 1, [1], [0], [0, 1], multiplicity=3)
+    h1 = spectrum_distribution(ctx4, 1, [1], [0], [0, 1])
+    h3 = spectrum_distribution(ctx4, 1, [1], [0], [0, 1], multiplicity=3)
     assert h3 == h1.scaled(3)
     with pytest.raises(ValueError):
-        qf.spectrum_distribution(ctx4, 1, [1], [0], [0], multiplicity=0)
+        spectrum_distribution(ctx4, 1, [1], [0], [0], multiplicity=0)
 
 
 def test_spectra_block_guard():
-    # spectra_block is what still materializes whole spectra: the E x F x E
+    # the reference spectra_block materializes whole spectra: the E x F x E
     # grid at n = 12 is 2^30 values, past the 2 GB cap at any width
     ctx = make_field(12)
     with pytest.raises(TooLarge):
-        qf.spectra_block(ctx, 1, range(ctx.order), ctx.subfield_elements)
+        spectra_block(ctx, 1, range(ctx.order), ctx.subfield_elements)
     with pytest.raises(TooLarge):
         qf.transform_column(ctx, 1, [1] * (1 << 18), 1)
 
@@ -393,7 +395,7 @@ def test_scale_to_norm_one(n, k):
 @pytest.mark.parametrize("a", [-1, 16])
 def test_trace_row_coefficients_must_be_field_elements(ctx4, a):
     with pytest.raises(ValueError):
-        qf.spectra_block(ctx4, 1, [a], [0])
+        spectra_block(ctx4, 1, [a], [0])
     with pytest.raises(ValueError):
         fam.packed_trace_rows(ctx4, [a], 1, ctx4.tr1)
 
@@ -436,12 +438,28 @@ def test_rank_and_spectrum_are_orbit_invariants(n, k):
     rep_sorted = np.sort(rep_specs, axis=1)
     rep_ranks = qf.symplectic_ranks(ctx, k, bs, cs)
     for row, c in enumerate(ctx.subfield_elements.tolist()):
-        block = qf.spectra_block(ctx, k, range(ctx.order), [c])[:, 0]
+        block = spectra_block(ctx, k, range(ctx.order), [c])[:, 0]
         reps = index[row]
         assert np.array_equal(block[:, 0], rep_specs[reps, 0])
         assert np.array_equal(np.sort(block, axis=1), rep_sorted[reps])
         assert np.array_equal(qf.symplectic_ranks(ctx, k, range(ctx.order), c),
                               rep_ranks[reps])
+
+
+@pytest.mark.parametrize("n,k", [(12, 1), (12, 5)])
+def test_rank_and_w0_are_class_constant_n12(n, k):
+    """Rank and W(0) of every form (b, 0) and (b, 1) equal those of its
+    orbit's representative, the fact the spectral engine's lam = 1 column
+    rests on; checked from ranks and transform columns, no whole spectra."""
+    ctx = make_field(n)
+    bs, cs, index = orbit_index(ctx, k)
+    rep_ranks = qf.symplectic_ranks(ctx, k, bs, cs)
+    at0 = qf.transform_column(ctx, k, [0, 1], 0)  # rows: c = 0, c = 1
+    rep_at0 = at0[cs, bs]
+    for c in (0, 1):
+        reps = index[ctx.subfield_index[c]]
+        assert np.array_equal(qf.symplectic_ranks(ctx, k, range(ctx.order), c), rep_ranks[reps])
+        assert np.array_equal(at0[c], rep_at0[reps])
 
 
 @pytest.mark.parametrize("n,k", [(8, 1), (10, 2), (12, 1), (12, 5)])

@@ -9,6 +9,8 @@ from gkasami import theory
 from gkasami.gf2n import TooLarge, make_field
 from gkasami.histogram import ValueHistogram
 
+from reference import spectrum_distribution
+
 
 def test_predict_populations_symbolic():
     # every predictor must account for exactly its population, for both parities
@@ -190,7 +192,7 @@ def test_weight_transform_correspondence(ctx4, ctx6):
         remapped = ValueHistogram(
             {ctx.order - 2 * w: c for w, c in code.weight_histogram.counts.items()}
         )
-        full = qf.spectrum_distribution(
+        full = spectrum_distribution(
             ctx, k, range(ctx.order), ctx.subfield_elements, range(ctx.order)
         )
         assert remapped == full

@@ -11,6 +11,8 @@ from gkasami import fieldeq, quadform as qf, theory, verify
 from gkasami.gf2n import half_odd, make_field
 from gkasami.histogram import ValueHistogram
 
+from reference import spectra_block, spectrum_distribution
+
 
 def test_all_claims_pass_n6(ctx6):
     results = verify.run_claims(ctx6, 2)
@@ -21,8 +23,7 @@ def test_all_claims_pass_n6(ctx6):
 
 
 def test_all_claims_pass_n8(ctx8, monkeypatch):
-    lams, spectra, blocks = [], [], []
-    qf_spectra_block = qf.spectra_block
+    lams, spectra = [], []
 
     def column(ctx, k, c_list, lam):
         lams.append(lam)
@@ -32,13 +33,8 @@ def test_all_claims_pass_n8(ctx8, monkeypatch):
         spectra.append((params.b, params.c))
         return qf.walsh_spectrum(params)
 
-    def block(*args):
-        blocks.append(args)
-        return qf_spectra_block(*args)
-
     monkeypatch.setattr(verify, "transform_column", column)
     monkeypatch.setattr(verify, "walsh_spectrum", spectrum)
-    monkeypatch.setattr(qf, "spectra_block", block)
     results = verify.run_claims(ctx8, 1)
     failures = [r.name for r in results if not r.ok]
     assert failures == []
@@ -49,7 +45,8 @@ def test_all_claims_pass_n8(ctx8, monkeypatch):
     assert sorted(lams) == [0, 1]
     g1, g2 = math.gcd(3, 255), math.gcd(15 * 3, 255)
     assert len(spectra) == 2 + g1 + g2 == 20
-    assert blocks == []
+    # no whole spectra grid is left to call: spectra_block lives in the tests
+    assert not hasattr(qf, "spectra_block")
 
 
 def test_claims_report_shape(ctx4):
@@ -64,7 +61,7 @@ def grid_reference(ctx, k):
     """The empirical fields of the lambda in {0, 1} transform claims, each
     histogram taken from a direct spectra grid over the claim's (b, c, lambda)
     set rather than from the two transform columns."""
-    dist = partial(qf.spectrum_distribution, ctx, k)
+    dist = partial(spectrum_distribution, ctx, k)
     entries = verify._entries
     order = ctx.order
     bs, all_b = range(1, order), range(order)
@@ -116,7 +113,7 @@ def full_pass_spectra(ctx, k):
     n = ctx.n
     hist, rank_ok = ValueHistogram({}), True
     for c in ctx.subfield_elements.tolist():
-        block = qf.spectra_block(ctx, k, range(ctx.order), [c])[:, 0]
+        block = spectra_block(ctx, k, range(ctx.order), [c])[:, 0]
         hist.merge(ValueHistogram.from_array(block))
         first = 0 if c else 1  # skip the zero form
         spec = block[first:]
@@ -218,8 +215,8 @@ def test_optional_n10_checks():
     ctx = make_field(10)
     # family transform mix
     cs_all = [int(c) for c in ctx.subfield_elements]
-    mix = qf.spectrum_distribution(ctx, 2, range(ctx.order), cs_all, [1])
-    mix.merge(qf.spectrum_distribution(ctx, 2, [1], cs_all, [0]))
+    mix = spectrum_distribution(ctx, 2, range(ctx.order), cs_all, [1])
+    mix.merge(spectrum_distribution(ctx, 2, [1], cs_all, [0]))
     assert mix == theory.predict("walsh-family-mix-odd", 10).histogram
     # full correlation distribution through the spectral engine
     family = fam.build_family(fam.family_params(ctx, "fk", 2))
