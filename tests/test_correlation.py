@@ -354,11 +354,9 @@ def test_lambda1_column_ranks_only_orbit_representatives(monkeypatch, ctx8):
         return symplectic_ranks(ctx, k, bs, c)
 
     monkeypatch.setattr(qf, "symplectic_ranks", ranks)
-    want = orbit_lambda1_column(ctx8, 1)
+    orbit_lambda1_column(ctx8, 1)
     bs, cs, _ = qf.orbit_classes(ctx8, 1)
     assert calls == [(bs.tolist(), cs.tolist())] and len(bs) == 2 + 3 + 15
-    monkeypatch.undo()
-    assert want == full_rank_lambda1_column(ctx8, 1)
 
 
 def test_spectral_engine_builds_the_lambda0_column_once(monkeypatch, ctx8):
