@@ -32,10 +32,21 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
 
+class UnwritableOut(Exception):
+    """--out names a path that cannot be opened for writing (a usage error)."""
+
+
+def _open_out(path: str):
+    try:
+        return open(path, "w", encoding="ascii")
+    except OSError as exc:
+        raise UnwritableOut(f"cannot write --out {path}: {exc.strerror}") from exc
+
+
 def _emit(obj: dict, out_path: str | None) -> None:
     text = json.dumps(obj, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="ascii") as fh:
+        with _open_out(out_path) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -89,7 +100,7 @@ def cmd_family_gen(args) -> int:
     family = fam.build_family(params)
     fam.member_blocks(family)  # refuses above FAMILY_MAX_N before --out is opened
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
+        with _open_out(args.out) as fh:
             count = fam.write_family(family, args.format, fh)
     else:
         count = fam.write_family(family, args.format, sys.stdout)
@@ -241,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TooLarge as exc:
+    except (TooLarge, UnwritableOut) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (UnsupportedN, MalformedPolynomial, NonPrimitivePolynomial, InvalidK) as exc:

@@ -1,7 +1,7 @@
 """Full periodic correlation distributions of a family, two ways.
 
 The brute engine computes every inner product directly and relies on no
-transform theory.  It unpacks the family's member blocks once into an
+transform theory.  It unpacks the family's member table once into an
 m x p matrix S of +-1 float32 entries; for each shift tau, S rotated by tau
 times S transposed holds all m^2 correlations at that shift, exact because
 every partial sum is an integer of size at most p < 2^24.  Since
@@ -47,7 +47,7 @@ import numpy as np
 from . import quadform as qf
 from . import theory
 from .families import (BinarySequence, FamilyKind, SequenceFamily, gamma_delta_sets,
-                       member_blocks, sign_rows)
+                       member_table, sign_rows)
 from .gf2n import half_odd
 from .histogram import ValueHistogram
 
@@ -182,8 +182,7 @@ def full_distribution_brute(family: SequenceFamily, jobs: int = 1) -> Correlatio
     no faster than one.  The result does not depend on jobs.
     """
     period = family.period
-    packed = np.concatenate([rows for _, _, rows in member_blocks(family)])
-    doubled = np.tile(sign_rows(packed, period), 2)
+    doubled = np.tile(sign_rows(member_table(family)[0], period), 2)
     m = len(doubled)
     rows = min(m, max(1, _BLOCK_VALUES // m))
     taus = np.arange((period + 1) // 2)

@@ -11,14 +11,15 @@ Three kinds share one container:
 * the small Kasami set, which lives inside part one as the gamma = 0 slice.
 
 Each member is a codeword of the [2^n - 1, 5n/2] generalized Kasami code,
-the XOR of bit-packed trace rows (LSB of byte 0 = t = 0).  member_blocks
-streams the members as packed uint8 blocks, one per gamma in part one and
-one for part two, and write_family formats each block with whole-array
-operations.  Python ints (BinarySequence) are built only for part1 and
-part2, from the same blocks; theory.build_code packs the code's tables with
-packed_trace_rows, over the same packer.  sign_rows turns packed rows into
-the +-1 float32 rows that the brute engine and the code-weight enumeration
-multiply.
+the XOR of trace rows packed by packed_rows into uint8 rows (LSB of byte 0
+= t = 0), the one bit form of the engines.  member_blocks streams the
+members as packed blocks, one per gamma in part one and one for part two;
+write_family formats each block with whole-array operations, and
+member_table gathers them into one table.  Python ints (BinarySequence)
+are built only for part1 and part2, from the same blocks.  theory.build_code
+packs the code's rows with packed_rows too, and sign_rows turns packed rows
+into the +-1 float32 rows that the brute engine and the code-weight
+enumeration multiply.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ def sequence_term(params: FamilyParams, tag: SequenceTag, t: int) -> int:
     return ctx.trace(ctx.mul(tag.zeta, xq)) ^ int(ctx.trh[ctx.mul(tag.eta, xn)])
 
 
-def _packed_rows(ctx: FieldCtx, coeffs, e: int, tr: np.ndarray) -> np.ndarray:
+def packed_rows(ctx: FieldCtx, coeffs, e: int, tr: np.ndarray) -> np.ndarray:
     """uint8 rows tr(a alpha^(t e)) over t = 0 .. 2^n - 2, one per a in coeffs,
     packed into ceil((2^n - 1)/8) bytes with bit t at bit t % 8 of byte t // 8.
 
@@ -196,15 +197,8 @@ def _packed_rows(ctx: FieldCtx, coeffs, e: int, tr: np.ndarray) -> np.ndarray:
     return np.packbits(rows, axis=1, bitorder="little")
 
 
-def packed_trace_rows(ctx: FieldCtx, coeffs, e: int, tr: np.ndarray) -> dict[int, int]:
-    """{a: the packed row of a as an int (LSB = t = 0)}, one per a in coeffs."""
-    coeffs = [int(a) for a in coeffs]
-    packed = _packed_rows(ctx, coeffs, e, tr)
-    return {a: int.from_bytes(row.tobytes(), "little") for a, row in zip(coeffs, packed)}
-
-
 def sign_rows(rows: np.ndarray, period: int) -> np.ndarray:
-    """(-1)^bit as float32, one row per packed uint8 row (see _packed_rows),
+    """(-1)^bit as float32, one row per packed uint8 row (see packed_rows),
     over bits t = 0 .. period - 1: the +-1 form both matrix-product oracles
     (the brute correlation engine and the code-weight enumeration) multiply."""
     bits = np.unpackbits(rows, axis=1, count=period, bitorder="little")
@@ -223,9 +217,9 @@ def _part_one_blocks(params: FamilyParams):
     e1, e2 = exponents(ctx, params.k)
     gammas = [0] if params.kind == FamilyKind.SMALL_KASAMI else range(ctx.order)
     deltas = ctx.subfield_elements.tolist()
-    norm_m = (_packed_rows(ctx, deltas, e2, ctx.trh)
-              ^ _packed_rows(ctx, [1], 1, ctx.tr1))
-    for gamma, quad in zip(gammas, _packed_rows(ctx, gammas, e1, ctx.tr1)):
+    norm_m = (packed_rows(ctx, deltas, e2, ctx.trh)
+              ^ packed_rows(ctx, [1], 1, ctx.tr1))
+    for gamma, quad in zip(gammas, packed_rows(ctx, gammas, e1, ctx.tr1)):
         yield "gamma-delta", [(gamma, delta) for delta in deltas], quad ^ norm_m
 
 
@@ -236,8 +230,8 @@ def _part_two_blocks(params: FamilyParams):
     ctx = params.ctx
     e1, e2 = exponents(ctx, params.k)
     gset, dset = gamma_delta_sets(ctx)
-    quad = _packed_rows(ctx, gset, e1, ctx.tr1)
-    norm = _packed_rows(ctx, dset, e2, ctx.trh)
+    quad = packed_rows(ctx, gset, e1, ctx.tr1)
+    norm = packed_rows(ctx, dset, e2, ctx.trh)
     yield ("zeta-eta", [(zeta, eta) for zeta in gset for eta in dset],
            (quad[:, None] ^ norm[None]).reshape(-1, quad.shape[1]))
 
@@ -245,7 +239,7 @@ def _part_two_blocks(params: FamilyParams):
 def member_blocks(family: SequenceFamily):
     """Iterator of (variant, pairs, rows) blocks in the documented member order.
 
-    rows holds one packed member per row (see _packed_rows) and pairs its
+    rows holds one packed member per row (see packed_rows) and pairs its
     (gamma, delta) or (zeta, eta) tags.  Part one gives one block of
     2^{n/2} members per gamma, part two one block of |Gamma| |Delta|
     members.  Refuses above FAMILY_MAX_N when called, before any row is
@@ -253,6 +247,23 @@ def member_blocks(family: SequenceFamily):
     """
     _require_members(family.params.ctx)
     return itertools.chain(_part_one_blocks(family.params), _part_two_blocks(family.params))
+
+
+def member_table(family: SequenceFamily) -> tuple[np.ndarray, np.ndarray, int]:
+    """Every member as one packed row (member_blocks order), its pair (gamma,
+    delta) or (zeta, eta) as a row of an int64 array, and the number of
+    part-one members, which come first.  Refuses as member_blocks does,
+    before the table is allocated."""
+    blocks = member_blocks(family)
+    rows = np.empty((family.size, (family.period + 7) // 8), dtype=np.uint8)
+    pairs = np.empty((family.size, 2), dtype=np.int64)
+    end = part_one = 0
+    for variant, block_pairs, block in blocks:
+        start, end = end, end + len(block)
+        rows[start:end], pairs[start:end] = block, block_pairs
+        if variant == "gamma-delta":
+            part_one = end
+    return rows, pairs, part_one
 
 
 _TAGS = {"gamma-delta": SequenceTag.gamma_delta, "zeta-eta": SequenceTag.zeta_eta}

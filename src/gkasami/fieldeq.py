@@ -4,8 +4,9 @@ the kernel equation of the symplectic radical, and the triple/pair power-sum
 set censuses with their degree-1..3 transform power sums.
 
 These are the independent oracles: every count here is obtained by direct
-evaluation over the field (or over E^2 / E^3), never from the closed forms
-being checked.
+evaluation over the field (or over E^3 for the triple sets; the pair sets
+count the collisions of x -> x^e over E), never from the closed forms being
+checked.
 """
 
 from __future__ import annotations
@@ -57,11 +58,11 @@ def linearized_kernel(ctx: FieldCtx, poly: LinearizedPoly) -> list[int]:
 def count_affine_roots(ctx: FieldCtx, eps: int, v: int, theta: int, l: int) -> int:
     """Roots in E of eps*x^(2^l+1) + v*x + theta, by evaluation at every x.
 
-    Requires eps != 0, theta != 0 and gcd(l, n) = 1; the count never
-    exceeds 3 (verified exhaustively in the test suite).
+    Requires eps != 0, theta a nonzero field element and gcd(l, n) = 1; the
+    count never exceeds 3 (verified exhaustively in the test suite).
     """
-    if eps == 0 or theta == 0 or math.gcd(l, ctx.n) != 1:
-        raise BadParams("need eps != 0, theta != 0, gcd(l, n) = 1")
+    if eps == 0 or not 0 < theta < ctx.order or math.gcd(l, ctx.n) != 1:
+        raise BadParams("need eps != 0, 0 < theta < 2^n, gcd(l, n) = 1")
     xs = np.arange(ctx.order, dtype=np.int64)
     lhs = ctx.scale_vec(eps, ctx.pow_vec(xs, (1 << l) + 1))
     lhs ^= ctx.scale_vec(v, xs)
@@ -190,6 +191,13 @@ class EquationCensus:
     power_sums: tuple[int, int, int]
 
 
+def _equal_pairs(images: np.ndarray) -> int:
+    """Ordered pairs (x, y) with images[x] == images[y]: the sum of N(v)^2
+    over the images v, N(v) being how many x map to v."""
+    _, counts = np.unique(images, return_counts=True)
+    return int(np.dot(counts, counts))
+
+
 def census(ctx: FieldCtx, k: int, roots: np.ndarray | None = None) -> EquationCensus:
     """Every brute-force count for (n, k); roots is theta_root_counts(ctx, k)
     when the caller already holds it, else it is computed here."""
@@ -210,11 +218,9 @@ def census(ctx: FieldCtx, k: int, roots: np.ndarray | None = None) -> EquationCe
         norm_triples = int(np.count_nonzero(a2 == 0))
         joint_triples = int(np.count_nonzero((a1 == 0) & (a2 == 0)))
 
-    b1 = p1[:, None] ^ p1[None, :]
-    b2 = p2[:, None] ^ p2[None, :]
-    quad_pairs = int(np.count_nonzero(b1 == 0))
-    norm_pairs = int(np.count_nonzero(b2 == 0))
-    joint_pairs = int(np.count_nonzero((b1 == 0) & (b2 == 0)))
+    quad_pairs = _equal_pairs(p1)
+    norm_pairs = _equal_pairs(p2)
+    joint_pairs = _equal_pairs(p1 * ctx.order + p2)
 
     # W_{b,c}(0) over b in E*, c in F*, summed as exact ints
     col = ValueHistogram.from_array(transform_column(ctx, k, ctx.subfield_elements[1:], 0)[:, 1:])

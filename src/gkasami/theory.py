@@ -12,12 +12,12 @@ flavors; requesting the wrong flavor raises ParityMismatch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .families import packed_trace_rows, sign_rows
-from .gf2n import FieldCtx, TooLarge, half_odd
+from .families import packed_rows, sign_rows
+from .gf2n import FieldCtx, TooLarge, UnsupportedN, half_odd
 from .histogram import ValueHistogram
 from .quadform import exponents, orbit_classes, require_valid_k
 
@@ -402,9 +402,17 @@ class Prediction:
 
 
 def predict(name: str, n: int, k: int | None = None) -> Prediction:
-    """Evaluate a named closed form at (n, k) as an exact histogram."""
+    """Evaluate a named closed form at (n, k) as an exact histogram.
+
+    n must be even and at least 4, with no upper bound; a k that is given
+    must be admissible for n.  The closed forms do not depend on k.
+    """
     if name not in PREDICTORS:
         raise KeyError(f"unknown prediction {name!r}; know {sorted(PREDICTORS)}")
+    if n < 4 or n % 2:
+        raise UnsupportedN(f"closed forms need even n >= 4, got n = {n}")
+    if k is not None:
+        require_valid_k(n, k)
     parity, builder = PREDICTORS[name]
     if parity == _ODD and not half_odd(n):
         raise ParityMismatch(f"{name} requires n = 2 mod 4, got n = {n}")
@@ -434,10 +442,10 @@ class CodeSpec:
 
     Codeword positions are indexed by t with x = alpha^t, t = 0 .. 2^n - 2,
     matching the sequence-time convention used elsewhere.  The codeword of
-    (gamma, delta, eta) is lin[gamma] ^ quad[delta] ^ norm[eta], from the
-    packed trace rows tr(gamma x), tr(delta x^(2^k+1)) and
-    tr_h(eta x^(2^{n/2}+1)); a spec built from a weight histogram alone
-    has empty tables and serves only the weight-based functions.
+    (gamma, delta, eta) is the XOR of the trace rows tr(gamma x),
+    tr(delta x^(2^k+1)) and tr_h(eta x^(2^{n/2}+1)), as families.packed_rows
+    packs them; the spec keeps only the weight enumerator, which is all the
+    weight-based functions read.
     """
 
     ctx: FieldCtx
@@ -445,13 +453,6 @@ class CodeSpec:
     length: int
     dimension: int
     weight_histogram: ValueHistogram
-    lin: dict[int, int] = field(default_factory=dict, repr=False)
-    quad: dict[int, int] = field(default_factory=dict, repr=False)
-    norm: dict[int, int] = field(default_factory=dict, repr=False)
-
-    def codeword(self, gamma: int, delta: int, eta: int) -> int:
-        """Bit-packed codeword for one (gamma, delta, eta), LSB = t = 0."""
-        return self.lin[gamma] ^ self.quad[delta] ^ self.norm[eta]
 
 
 def _code_weight_counts(lin: np.ndarray, rest: np.ndarray, weights: list[int]) -> list[int]:
@@ -467,13 +468,6 @@ def _code_weight_counts(lin: np.ndarray, rest: np.ndarray, weights: list[int]) -
     counts = sum(w * np.bincount(col, minlength=2 * period + 1)
                  for w, col in zip(weights, twice.T))
     return counts[::2].tolist()
-
-
-def _sign_table(table: dict[int, int], keys, period: int) -> np.ndarray:
-    """The +-1 float32 rows of a packed table's codewords, one per key."""
-    width = (period + 7) // 8
-    data = b"".join(table[a].to_bytes(width, "little") for a in keys)
-    return sign_rows(np.frombuffer(data, np.uint8).reshape(-1, width), period)
 
 
 def build_code(ctx: FieldCtx, k: int) -> CodeSpec:
@@ -493,22 +487,17 @@ def build_code(ctx: FieldCtx, k: int) -> CodeSpec:
         raise TooLarge(f"code enumeration limited to n <= {CODE_ENUM_MAX_N}")
     e1, e2 = exponents(ctx, k)
     period = ctx.group_order
-    lin = packed_trace_rows(ctx, range(ctx.order), 1, ctx.tr1)
-    quad = packed_trace_rows(ctx, range(ctx.order), e1, ctx.tr1)
-    norm = packed_trace_rows(ctx, ctx.subfield_elements, e2, ctx.trh)
     deltas, etas, weights = orbit_classes(ctx, k)
-    rest = (_sign_table(quad, deltas.tolist(), period)
-            * _sign_table(norm, etas.tolist(), period))
-    counts = _code_weight_counts(_sign_table(lin, lin, period), rest, weights)
+    lin = sign_rows(packed_rows(ctx, range(ctx.order), 1, ctx.tr1), period)
+    rest = sign_rows(packed_rows(ctx, deltas, e1, ctx.tr1)
+                     ^ packed_rows(ctx, etas, e2, ctx.trh), period)
+    counts = _code_weight_counts(lin, rest, weights)
     return CodeSpec(
         ctx=ctx,
         k=k,
-        length=ctx.group_order,
+        length=period,
         dimension=5 * ctx.n // 2,
         weight_histogram=ValueHistogram(dict(enumerate(counts))),
-        lin=lin,
-        quad=quad,
-        norm=norm,
     )
 
 

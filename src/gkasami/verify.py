@@ -120,22 +120,8 @@ class _Bundle:
 
     @cached_property
     def members(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """Every family member as a packed row (families.member_blocks), its
-        pair (gamma, delta) or (zeta, eta) as a row of an int64 array, and
-        the number of part-one members, which come first."""
-        return _member_table(self.family)
-
-
-def _member_table(family: fam.SequenceFamily) -> tuple[np.ndarray, np.ndarray, int]:
-    rows = np.empty((family.size, (family.period + 7) // 8), dtype=np.uint8)
-    pairs = np.empty((family.size, 2), dtype=np.int64)
-    end = part_one = 0
-    for variant, block_pairs, block in fam.member_blocks(family):
-        start, end = end, end + len(block)
-        rows[start:end], pairs[start:end] = block, block_pairs
-        if variant == "gamma-delta":
-            part_one = end
-    return rows, pairs, part_one
+        """families.member_table of the family."""
+        return fam.member_table(self.family)
 
 
 def _row_set(rows: np.ndarray) -> set[bytes]:
@@ -413,12 +399,12 @@ def _claim_family_structure(b: _Bundle) -> ClaimResult:
     bits = part_one_bits | _row_set(rows[part_one:])
     distinct_ok = len(bits) == family.size
     small = fam.build_family(fam.family_params(ctx, fam.FamilyKind.SMALL_KASAMI))
-    small_ok = _row_set(_member_table(small)[0]) <= part_one_bits
+    small_ok = _row_set(fam.member_table(small)[0]) <= part_one_bits
     note = None
     large_ok = True
     if b.k == ctx.half + 1:
         large = fam.build_family(fam.family_params(ctx, fam.FamilyKind.LARGE_KASAMI))
-        large_ok = _row_set(_member_table(large)[0]) == bits
+        large_ok = _row_set(fam.member_table(large)[0]) == bits
         note = "k = n/2 + 1: family coincides with the large Kasami set"
     ok = sizes_ok and distinct_ok and small_ok and large_ok
     return ClaimResult(

@@ -1,9 +1,12 @@
-"""Direct-spectra references for the tests: whole spectra grids over parameter sets.
+"""References for the tests: whole spectra grids over parameter sets, and
+the full packed trace-row tables of the generalized Kasami code.
 
-No engine builds these grids; the tests compare the engines' orbit, column
-and rank routes against them.  spectra_block transforms one truth table
-per (b, c), indexed by x, and reindexes through walsh_perm, so it shares
-with walsh_spectrum only fwht and the trace rows.
+No engine builds these; the tests compare the engines' orbit, column and
+rank routes against them.  spectra_block transforms one truth table per
+(b, c), indexed by x, and reindexes through walsh_perm, so it shares with
+walsh_spectrum only fwht and the trace rows.  code_tables packs every
+trace row with np.packbits, so it shares with families.packed_rows only
+the trace rows.
 """
 
 from __future__ import annotations
@@ -48,3 +51,28 @@ def spectrum_distribution(ctx: FieldCtx, k: int, b_set, c_set, lambda_set,
     block = spectra_block(ctx, k, sorted(set(b_set)), sorted(set(c_set)))
     lam = np.array(sorted(set(lambda_set)), dtype=np.int64)
     return ValueHistogram.from_array(block[:, :, lam], multiplicity)
+
+
+def code_tables(ctx: FieldCtx, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every trace row of the generalized Kasami code, packed: lin[gamma] =
+    tr(gamma x), quad[delta] = tr(delta x^(2^k+1)) for every gamma, delta in
+    E, and norm[i] = tr_h(eta x^(2^{n/2}+1)) for eta the i-th subfield
+    element, each read at x = alpha^t and packed by np.packbits (bit t at
+    bit t % 8 of byte t // 8).  The codeword of (gamma, delta, eta) is
+    lin[gamma] ^ quad[delta] ^ norm[subfield index of eta].
+    """
+    e1, e2 = qf.exponents(ctx, k)
+
+    def pack(coeffs, e, tr):
+        rows = qf.trace_rows(ctx, coeffs, e, tr)[:, ctx.antilog]
+        return np.packbits(rows, axis=1, bitorder="little")
+
+    return (pack(range(ctx.order), 1, ctx.tr1), pack(range(ctx.order), e1, ctx.tr1),
+            pack(ctx.subfield_elements, e2, ctx.trh))
+
+
+def codeword(ctx: FieldCtx, tables, gamma: int, delta: int, eta: int) -> int:
+    """The codeword of (gamma, delta, eta) from code_tables, as an int (LSB = t = 0)."""
+    lin, quad, norm = tables
+    row = lin[gamma] ^ quad[delta] ^ norm[ctx.subfield_index[eta]]
+    return int.from_bytes(row.tobytes(), "little")

@@ -34,6 +34,19 @@ def test_field_info_poly_override(capsys):
     assert json.loads(out)["poly"] == "0x19"
 
 
+@pytest.mark.parametrize("argv", [
+    ["field", "info", "--n", "4"],
+    ["family", "gen", "--n", "4", "--k", "1"],
+], ids=["field-info", "family-gen"])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, argv + ["--out", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not path.exists()
+
+
 def test_field_info_bad_poly(capsys):
     code, _, err = run(capsys, ["field", "info", "--n", "4", "--poly", "0x15"])
     assert code == 1
@@ -122,7 +135,7 @@ def no_members(monkeypatch):
     def build_rows(*args):
         raise AssertionError("a family member was built")
 
-    monkeypatch.setattr(cli.fam, "packed_trace_rows", build_rows)
+    monkeypatch.setattr(cli.fam, "packed_rows", build_rows)
     monkeypatch.setattr(cli.fam, "trace_rows", build_rows)
 
 

@@ -58,6 +58,12 @@ def test_count_affine_roots_bad_params(ctx4):
         fe.count_affine_roots(ctx4, 1, 1, 1, 2)  # gcd(2, 4) != 1
 
 
+@pytest.mark.parametrize("theta", [16, -3])
+def test_count_affine_roots_rejects_theta_outside_the_field(ctx4, theta):
+    with pytest.raises(ValueError):
+        fe.count_affine_roots(ctx4, 1, 0, theta, 1)
+
+
 def test_count_kernel_roots_matches_kernel_equation(ctx4, ctx6):
     for ctx, k in ((ctx4, 1), (ctx6, 2)):
         for theta in range(1, ctx.order):
@@ -173,3 +179,21 @@ def test_census_power_sums_match_pointwise_sums(n, k):
     w = [qf.walsh_point(qf.QuadFormParams(ctx, k, b, int(c)), 0)
          for b in range(1, ctx.order) for c in ctx.subfield_elements[1:]]
     assert fe.census(ctx, k).power_sums == tuple(sum(x**d for x in w) for d in (1, 2, 3))
+
+
+def xor_grid_pairs(ctx, k):
+    """Pair counts (quad, norm, joint) from the 2^{2n} XOR grids of
+    x^(2^k+1) and x^(2^{n/2}+1) over (x, y) in E^2."""
+    xs = np.arange(ctx.order, dtype=np.int64)
+    e1, e2 = qf.exponents(ctx, k)
+    b1, b2 = ((p[:, None] ^ p[None, :]) == 0 for p in (ctx.pow_vec(xs, e1), ctx.pow_vec(xs, e2)))
+    return (int(np.count_nonzero(b1)), int(np.count_nonzero(b2)),
+            int(np.count_nonzero(b1 & b2)))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_census_pairs_match_xor_grid(n):
+    ctx = make_field(n)
+    for k in (k for k in range(1, n) if qf.valid_k(n, k)):
+        c = fe.census(ctx, k)
+        assert (c.quad_pairs, c.norm_pairs, c.joint_pairs) == xor_grid_pairs(ctx, k)

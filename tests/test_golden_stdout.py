@@ -1,4 +1,5 @@
-"""Pinned stdout of the `verify` and spectral `corr` reports and of `family gen`.
+"""Pinned stdout of the `verify`, `corr`, `code weights` and `census` reports
+and of `family gen`.
 
 Each case runs the CLI in-process and compares the sha256 of its stdout,
 and its exit code, with a digest recorded from an earlier release.  Any
@@ -180,6 +181,50 @@ GOLDEN = {
         "54bb7898956c99f72f87e10c9f278ee19b92345c93bd2969eb460fe8d16d954f",
     "family gen --n 10 --k 2 --kind fk --format bits":
         "595ce0b80f29527401b6b0de6f181c2666980e3da8d6e10d1bc6937b6b6f561d",
+    "code weights --n 4 --k 1":
+        "38d6f3ca7456402cdc08779c77d2733c28f6fe4068a9833d610720b77d62c4b1",
+    "code weights --n 4 --k 3":
+        "76a14a066d0561caef5cc8753d8163c674bc7474867c66449aed5647892201a6",
+    "code weights --n 6 --k 2":
+        "3e6083adea1c70cb16faa3acb247332837377282bfffb40e68574fc959292f44",
+    "code weights --n 6 --k 4":
+        "97a935be17f56a986b688818261eac7233ccd68565d0438d47250bbce13f3a76",
+    "code weights --n 8 --k 1":
+        "f5b405e3640e5c1d669bda188d2b932923b8fd937d1a4a97ba59ca7a26acf482",
+    "code weights --n 8 --k 3":
+        "fa8e9f4b96699efcaafb18dc9aef5197f350cd58ad87554f44428ad754e57ca5",
+    "code weights --n 10 --k 2":
+        "0350705d9665c8d0293375de9576c6afba355187dbc15db845d5bad4849a9102",
+    "code weights --n 10 --k 4":
+        "36709b8482604a90614770c309c319a1e47a0563ec005d3fbd72f7e815a11491",
+    "census --n 4 --k 1":
+        "bf6ff70544cf6f32f577f81b01ac7711df3a80fa554711dc529529e6e37a4d7f",
+    "census --n 4 --k 3":
+        "edcaec8f4d24be61cf7072dba604ea199023e8f62e9b665f4ddfc53fe0ea4a1b",
+    "census --n 6 --k 2":
+        "8343fec014778979956f8e4ca021b9bac69d8a963daf2a4f5e8c9efee6b0621d",
+    "census --n 6 --k 4":
+        "5362e16cb29885a7ccd82579cb5caf25e3c89afd3b6b94b5062cd7485c0a17f5",
+    "census --n 8 --k 1":
+        "4b33e6c29a4879b16907e1ffba4b9598b5244f439aae379e187de7c3ffcacef9",
+    "census --n 8 --k 3":
+        "1a8af6024f91e8c558a3f92dfe0447e7fab1a8a643d35853361af0374d133711",
+    "census --n 10 --k 2":
+        "b8e57cb2cef41b4d8c953844ef7657dd57687c203cbe13a438d4ab34d755548d",
+    "census --n 10 --k 4":
+        "0d26793b4f297f02bfcdb5802318deca8b384fb36089a33c974535e59f50680e",
+    "corr --engine brute --kind fk --n 4":
+        "c0db2a327c199ddfcef09fb44922d90ffc8ad7474ee9a4139998a590ffda7232",
+    "corr --engine brute --kind small-kasami --n 4":
+        "af422052c01bb6eab70a00e59f3ce2517a4f996c16b2c6f2cb607b655cb6aea3",
+    "corr --engine brute --kind large-kasami --n 4":
+        "3c0fd01d2a1f27bbcf3d6b900471becb43e26da209b2ddcdd56d4112ab72324f",
+    "corr --engine brute --kind fk --n 6":
+        "e1f32d117349bdfc03a9f7762901f158e913638ca239e47794cf744477e4c5e7",
+    "corr --engine brute --kind small-kasami --n 6":
+        "0fee9b27dd0b7ee3def431b1b6defb5abbb3b9e55cfaa19a85d87e765a47b308",
+    "corr --engine brute --kind large-kasami --n 6":
+        "9c73c9adb792906b16c3b0b7f5c23216887dd9b92240b10eee4f17c4c7877f09",
 }
 
 

@@ -397,7 +397,7 @@ def test_trace_row_coefficients_must_be_field_elements(ctx4, a):
     with pytest.raises(ValueError):
         spectra_block(ctx4, 1, [a], [0])
     with pytest.raises(ValueError):
-        fam.packed_trace_rows(ctx4, [a], 1, ctx4.tr1)
+        fam.packed_rows(ctx4, [a], 1, ctx4.tr1)
 
 
 def orbit_index(ctx, k):

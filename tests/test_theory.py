@@ -6,10 +6,11 @@ import pytest
 from gkasami import families as fam
 from gkasami import quadform as qf
 from gkasami import theory
-from gkasami.gf2n import TooLarge, make_field
+from gkasami.gf2n import TooLarge, UnsupportedN, make_field
 from gkasami.histogram import ValueHistogram
+from gkasami.quadform import InvalidK
 
-from reference import spectrum_distribution
+from reference import code_tables, codeword, spectrum_distribution
 
 
 def test_predict_populations_symbolic():
@@ -71,6 +72,21 @@ def test_predict_parity_and_name_errors():
         theory.predict("no-such-form", 6)
 
 
+@pytest.mark.parametrize("n", [5, 2, 0, -4])
+def test_predict_rejects_unsupported_n(n):
+    with pytest.raises(UnsupportedN):
+        theory.predict("code-weights", n)
+
+
+def test_predict_checks_a_given_k():
+    with pytest.raises(InvalidK):
+        theory.predict("walsh-full", 6, 3)
+    assert theory.predict("walsh-full", 6, 2).histogram == theory.predict("walsh-full", 6).histogram
+    # no upper bound on n: the closed forms evaluate past every table
+    assert theory.predict("family-corr-even", 32, 1).histogram.total() == (
+        theory.family_size(32) ** 2 * ((1 << 32) - 1))
+
+
 def test_family_dispatch_helpers():
     assert theory.family_correlation_histogram(6) == theory.predict("family-corr-odd", 6).histogram
     assert theory.family_correlation_histogram(8) == theory.predict("family-corr-even", 8).histogram
@@ -115,15 +131,15 @@ def test_code_guard():
         theory.build_code(make_field(12), 1)
 
 
-def popcount_weights(code):
-    """The weight histogram by popcounting every lin ^ quad ^ norm codeword."""
-    weights = {}
-    for lv in code.lin.values():
-        for qv in code.quad.values():
-            for nv in code.norm.values():
-                w = (lv ^ qv ^ nv).bit_count()
-                weights[w] = weights.get(w, 0) + 1
-    return ValueHistogram(weights)
+def popcount_weights(ctx, k):
+    """The weight histogram by popcounting every lin ^ quad ^ norm codeword
+    of the reference tables."""
+    lin, quad, norm = code_tables(ctx, k)
+    rest = (quad[:, None] ^ norm[None]).reshape(-1, quad.shape[1])
+    counts = np.zeros(ctx.order, dtype=np.int64)
+    for row in lin:
+        counts += np.bincount(np.bitwise_count(rest ^ row).sum(axis=1), minlength=ctx.order)
+    return ValueHistogram(dict(enumerate(counts.tolist())))
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -131,7 +147,7 @@ def test_code_weights_match_popcount_reference(n):
     ctx = make_field(n)
     for k in (k for k in range(1, n) if qf.valid_k(n, k)):
         code = theory.build_code(ctx, k)
-        assert code.weight_histogram == popcount_weights(code)
+        assert code.weight_histogram == popcount_weights(ctx, k)
 
 
 def test_code_weights_n10():
@@ -141,21 +157,21 @@ def test_code_weights_n10():
 
 
 def test_codeword_linearity(ctx4):
-    code = theory.build_code(ctx4, 1)
+    tables = code_tables(ctx4, 1)
     rng = np.random.RandomState(2)
     for _ in range(20):
         g1, d1 = int(rng.randint(0, 16)), int(rng.randint(0, 16))
         g2, d2 = int(rng.randint(0, 16)), int(rng.randint(0, 16))
         e1 = int(ctx4.subfield_elements[rng.randint(0, 4)])
         e2 = int(ctx4.subfield_elements[rng.randint(0, 4)])
-        lhs = code.codeword(g1, d1, e1) ^ code.codeword(g2, d2, e2)
-        assert lhs == code.codeword(g1 ^ g2, d1 ^ d2, e1 ^ e2)
+        lhs = codeword(ctx4, tables, g1, d1, e1) ^ codeword(ctx4, tables, g2, d2, e2)
+        assert lhs == codeword(ctx4, tables, g1 ^ g2, d1 ^ d2, e1 ^ e2)
 
 
 def test_codeword_distinctness(ctx4):
-    code = theory.build_code(ctx4, 1)
+    tables = code_tables(ctx4, 1)
     words = {
-        code.codeword(g, d, int(e))
+        codeword(ctx4, tables, g, d, int(e))
         for g in range(16)
         for d in range(16)
         for e in ctx4.subfield_elements
@@ -165,24 +181,31 @@ def test_codeword_distinctness(ctx4):
 
 def test_family_members_are_codewords(ctx4, ctx6, family4, family6):
     for ctx, family in ((ctx4, family4), (ctx6, family6)):
-        code = theory.build_code(ctx, family.params.k)
+        tables = code_tables(ctx, family.params.k)
         for s in family.part1:
-            assert s.bits == code.codeword(1, s.tag.gamma, s.tag.delta)
+            assert s.bits == codeword(ctx, tables, 1, s.tag.gamma, s.tag.delta)
         for s in family.part2:
-            assert s.bits == code.codeword(0, s.tag.zeta, s.tag.eta)
+            assert s.bits == codeword(ctx, tables, 0, s.tag.zeta, s.tag.eta)
 
 
-def test_codeword_does_not_rebuild_tables(ctx4, monkeypatch):
-    code = theory.build_code(ctx4, 1)
-    eta = int(ctx4.subfield_elements[1])
-    want = code.codeword(1, 2, eta)
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_build_code_packs_one_row_per_gamma_and_representative(n, monkeypatch):
+    """lin rows for every gamma, quad and norm rows only at the orbit
+    representatives: at most 2^n + 2 (2 + g1 + g2) packed rows."""
+    ctx = make_field(n)
+    k = next(k for k in range(1, n) if qf.valid_k(n, k))
+    packed = []
 
-    def boom(*args, **kwargs):
-        raise AssertionError("codeword rebuilt the packed tables")
+    def spy(ctx, coeffs, e, tr):
+        rows = fam.packed_rows(ctx, coeffs, e, tr)
+        packed.append(len(rows))
+        return rows
 
-    monkeypatch.setattr(theory, "packed_trace_rows", boom)
-    monkeypatch.setattr(fam, "packed_trace_rows", boom)
-    assert code.codeword(1, 2, eta) == want
+    monkeypatch.setattr(theory, "packed_rows", spy)
+    code = theory.build_code(ctx, k)
+    assert code.weight_histogram == theory.predict("code-weights", n, k).histogram
+    representatives = len(qf.orbit_classes(ctx, k)[0])
+    assert sum(packed) <= ctx.order + 2 * representatives
 
 
 def test_weight_transform_correspondence(ctx4, ctx6):

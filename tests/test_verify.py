@@ -11,7 +11,7 @@ from gkasami import fieldeq, quadform as qf, theory, verify
 from gkasami.gf2n import half_odd, make_field
 from gkasami.histogram import ValueHistogram
 
-from reference import spectra_block, spectrum_distribution
+from reference import code_tables, spectra_block, spectrum_distribution
 
 
 def test_all_claims_pass_n6(ctx6):
@@ -127,11 +127,12 @@ def full_pass_spectra(ctx, k):
     return hist, rank_ok
 
 
-def all_eta_code_weights(code):
+def all_eta_code_weights(ctx, k):
     """The weight histogram from every codeword: one exact +-1 matrix product
-    of the lin rows against the quad rows times each eta's norm row."""
-    period = code.length
-    lin, quad, norm = (theory._sign_table(t, t, period) for t in (code.lin, code.quad, code.norm))
+    of the lin rows against the quad rows times each eta's norm row, all
+    from the reference tables."""
+    period = ctx.group_order
+    lin, quad, norm = (fam.sign_rows(t, period) for t in code_tables(ctx, k))
     counts = np.zeros(2 * period + 1, dtype=np.int64)
     for eta_row in norm:
         twice = (period - lin @ (quad * eta_row).T).astype(np.intp)
@@ -144,7 +145,7 @@ def test_orbit_claims_match_full_pass(n, k):
     bundle = verify._Bundle(make_field(n), k)
     assert bundle.spectra == full_pass_spectra(bundle.ctx, k)
     assert bundle.spectra[1] is True
-    assert bundle.code.weight_histogram == all_eta_code_weights(bundle.code)
+    assert bundle.code.weight_histogram == all_eta_code_weights(bundle.ctx, k)
 
 
 def test_affine_root_bound_is_the_grid_maximum(ctx4):
