@@ -201,8 +201,10 @@ def sign_rows(rows: np.ndarray, period: int) -> np.ndarray:
     """(-1)^bit as float32, one row per packed uint8 row (see packed_rows),
     over bits t = 0 .. period - 1: the +-1 form both matrix-product oracles
     (the brute correlation engine and the code-weight enumeration) multiply."""
-    bits = np.unpackbits(rows, axis=1, count=period, bitorder="little")
-    return 1 - 2 * bits.astype(np.float32)
+    signs = np.unpackbits(rows, axis=1, count=period, bitorder="little").astype(np.float32)
+    signs *= -2
+    signs += 1
+    return signs
 
 
 def _require_members(ctx: FieldCtx) -> None:

@@ -29,6 +29,7 @@ unnoticed):
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -87,7 +88,9 @@ class FieldCtx:
     """Immutable GF(2^n) context.
 
     Public attributes (all read-only; the numpy tables have their write
-    flag cleared so a context can be shared freely across workers):
+    flag cleared so a context can be shared freely across workers).  Every
+    table is built in O(2^n) work; walsh_perm and subfield_index, which only
+    transform_column and verify read, are built on first read:
 
     n, half      : extension degree and n/2
     poly         : defining primitive polynomial bitmask
@@ -132,7 +135,7 @@ class FieldCtx:
         self.beta = int(self.antilog[((1 << self.half) + 1) % self.group_order])
         self._build_trace_tables()
         self._build_subfield_tables()
-        self._build_walsh_perm()
+        self._build_dual_basis()
         for arr in (
             self.log,
             self.antilog,
@@ -140,8 +143,6 @@ class FieldCtx:
             self.trh,
             self.subfield_mask,
             self.subfield_elements,
-            self.subfield_index,
-            self.walsh_perm,
             self.dual_basis,
         ):
             arr.setflags(write=False)
@@ -165,17 +166,24 @@ class FieldCtx:
         for i in range(filled):
             antilog[i] = x
             x = self._times_alpha(x)
-        # x = alpha^filled; antilog[m:m+t] = alpha^m * antilog[:t]
+        # x = alpha^filled; antilog[m:m+t] = alpha^m * antilog[:t], through
+        # tables of that product on the low and on the high n/2 bits, as a
+        # 2^n-entry table would cost more than the t entries each step maps
+        h, low_bits = self.half, (1 << self.half) - 1
         while filled < group:
             t = min(filled, group - filled)
             images = [x]
             for _ in range(self.n - 1):
                 images.append(self._times_alpha(images[-1]))
-            antilog[filled : filled + t] = _linear_table(images)[antilog[:t]]
+            lo, hi = _linear_table(images[:h]), _linear_table(images[h:])
+            src = antilog[:t]
+            np.bitwise_xor(lo.take(src & low_bits), hi.take(src >> h),
+                           out=antilog[filled : filled + t])
             filled += t
             x = self._times_alpha(int(antilog[filled - 1]))
-        log = np.full(order, -1, dtype=np.int64)
-        log[antilog] = np.arange(group, dtype=np.int64)
+        log = np.full(order, -1, dtype=np.int32)
+        log[antilog] = np.arange(group, dtype=np.int32)
+        log = log.astype(np.int64)
         # alpha is primitive iff its 2^n - 1 powers cover every nonzero
         # element (so they are distinct) and alpha^(2^n - 1) = 1
         if np.any(log[1:] < 0) or x != 1:
@@ -190,7 +198,7 @@ class FieldCtx:
         tr1 = np.bitwise_xor.reduce([self.frob_vec(basis, i) for i in range(self.n)])
         if not np.all((tr1 == 0) | (tr1 == 1)):
             raise AssertionError("absolute trace must land in GF(2)")
-        self.tr1 = _linear_table(tr1).astype(np.uint8)
+        self.tr1 = _linear_table(tr1, np.uint8)
 
     def _build_subfield_tables(self) -> None:
         # F is the kernel of x -> x^(2^{n/2}) + x
@@ -208,8 +216,6 @@ class FieldCtx:
             raise AssertionError("subfield trace must land in GF(2)")
         self.subfield_mask = np.zeros(self.order, dtype=bool)
         self.subfield_mask[self.subfield_elements] = True
-        self.subfield_index = np.full(self.order, -1, dtype=np.int64)
-        self.subfield_index[self.subfield_elements] = np.arange(1 << self.half)
         self.trh = np.zeros(self.order, dtype=np.uint8)
         self.trh[self.subfield_elements] = _linear_table(kernel_tr)
         # beta must generate F*: its order is (2^n-1)/gcd(2^n-1, 2^{n/2}+1) = 2^{n/2}-1
@@ -221,15 +227,27 @@ class FieldCtx:
         ):
             raise AssertionError("beta must have order 2^{n/2} - 1")
 
-    def _build_walsh_perm(self) -> None:
+    def _build_dual_basis(self) -> None:
         # bit i of masks[j] is tr(alpha^j alpha^i) = tr(alpha^(i+j))
         traces = self.tr1[self.antilog[: 2 * self.n - 1]].tolist()
-        masks = [sum(traces[i + j] << i for i in range(self.n)) for j in range(self.n)]
-        dual = _unit_preimages(masks)
+        self._trace_masks = [sum(traces[i + j] << i for i in range(self.n)) for j in range(self.n)]
+        dual = _unit_preimages(self._trace_masks)
         if dual is None:
             raise AssertionError("trace pairing must be nondegenerate")
-        self.walsh_perm = _linear_table(masks)
         self.dual_basis = np.array(dual, dtype=np.int64)
+
+    @cached_property
+    def walsh_perm(self) -> np.ndarray:
+        perm = _linear_table(self._trace_masks)
+        perm.setflags(write=False)
+        return perm
+
+    @cached_property
+    def subfield_index(self) -> np.ndarray:
+        index = np.full(self.order, -1, dtype=np.int64)
+        index[self.subfield_elements] = np.arange(1 << self.half)
+        index.setflags(write=False)
+        return index
 
     # -- scalar operations --------------------------------------------
 
@@ -329,13 +347,14 @@ def make_field(n: int, poly: int | None = None) -> FieldCtx:
     return FieldCtx(n, poly)
 
 
-def _linear_table(images) -> np.ndarray:
+def _linear_table(images, dtype=np.int64) -> np.ndarray:
     """Table of the GF(2)-linear map sending basis bit i to images[i].
 
     out[x] is the XOR of images[i] over the set bits i of x, for every x
-    below 2^len(images); filled by doubling, out[2^i:2^{i+1}] = out[:2^i] ^ images[i].
+    below 2^len(images), as dtype; filled by doubling,
+    out[2^i:2^{i+1}] = out[:2^i] ^ images[i].
     """
-    out = np.zeros(1 << len(images), dtype=np.int64)
+    out = np.zeros(1 << len(images), dtype=dtype)
     for i, img in enumerate(images):
         h = 1 << i
         np.bitwise_xor(out[:h], int(img), out=out[h : 2 * h])

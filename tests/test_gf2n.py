@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gkasami import quadform as qf
 from gkasami.gf2n import (
     DEFAULT_POLYS,
     SCALAR_POWERS,
@@ -145,6 +146,66 @@ def test_tables_match_scalar_reference(n):
             for x in range(order):
                 parity = bin(int(ctx.walsh_perm[lam]) & x).count("1") & 1
                 assert tr1[raw_mul(lam, x, poly, n)] == parity
+
+
+def raw_frobenius_images(x, poly, n, count):
+    """[x, x^2, x^4, ..., x^(2^count)] by raw squaring."""
+    images = [x]
+    for _ in range(count):
+        images.append(raw_mul(images[-1], images[-1], poly, n))
+    return images
+
+
+@pytest.mark.parametrize("n", [14, 16, 18, 20])
+def test_tables_match_reference_at_large_n(n):
+    # every table against whole-array shift-and-reduce and scalar raw
+    # multiplication, without reading one table under test to build another
+    ctx = make_field(n)
+    poly, order, group, half = ctx.poly, ctx.order, ctx.group_order, ctx.half
+    antilog = ctx.antilog
+    assert antilog.shape == (group,) and int(antilog[0]) == 1
+    times_alpha = antilog << 1
+    times_alpha ^= np.where(times_alpha & order, poly, 0)
+    assert np.array_equal(antilog[1:], times_alpha[:-1]) and int(times_alpha[-1]) == 1
+    assert int(ctx.log[0]) == -1
+    assert np.array_equal(ctx.log[antilog], np.arange(group))
+    # the absolute trace is linear: tr(x) is the parity of x & mask
+    mask = sum(np.bitwise_xor.reduce(raw_frobenius_images(1 << j, poly, n, n - 1)) << j
+               for j in range(n))
+    x = np.arange(order, dtype=np.int64)
+    assert np.array_equal(ctx.tr1, np.bitwise_count(x & mask) & 1)
+    # F is the 2^{n/2} fixed points of x -> x^(2^{n/2}); trh sums the
+    # first n/2 Frobenius images
+    elements = ctx.subfield_elements.tolist()
+    assert len(elements) == 1 << half and elements == sorted(set(elements))
+    images = [raw_frobenius_images(y, poly, n, half) for y in elements]
+    assert all(im[half] == y for y, im in zip(elements, images))
+    traces = [np.bitwise_xor.reduce(im[:half]) for im in images]
+    assert np.array_equal(np.flatnonzero(ctx.subfield_mask), elements)
+    trh = np.zeros(order, dtype=np.uint8)
+    trh[elements] = traces
+    assert np.array_equal(ctx.trh, trh)
+    for name in ("log", "antilog", "subfield_elements"):
+        assert getattr(ctx, name).dtype == np.int64
+    assert ctx.tr1.dtype == ctx.trh.dtype == np.uint8 and ctx.subfield_mask.dtype == bool
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_rarely_read_tables_are_built_on_first_read(n):
+    ctx = make_field(n)
+    params = qf.QuadFormParams(ctx, 1, 3, int(ctx.beta))
+    qf.walsh_spectrum(params)
+    qf.symplectic_rank(params)
+    assert "walsh_perm" not in vars(ctx) and "subfield_index" not in vars(ctx)
+    # walsh_perm[lam] has bit i = tr(lam alpha^i); alpha^i is 1 << i
+    lams = np.arange(ctx.order, dtype=np.int64)
+    perm = sum(ctx.tr1[ctx.scale_vec(1 << i, lams)].astype(np.int64) << i for i in range(n))
+    index = np.full(ctx.order, -1, dtype=np.int64)
+    index[ctx.subfield_elements] = np.arange(1 << ctx.half)
+    for name, want in (("walsh_perm", perm), ("subfield_index", index)):
+        got = getattr(ctx, name)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert not got.flags.writeable and getattr(ctx, name) is got
 
 
 def test_mul_against_raw(ctx4, ctx6):
