@@ -38,11 +38,6 @@ _TRANSFORM_BYTES = 16
 _FWHT_CHUNK_BITS = 5
 # float32 holds every integer below 2^24 exactly
 _FWHT_MAX_L1 = 1 << 24
-# most multiply-adds in one of fwht's matmul calls: a multithreaded
-# OpenBLAS sgemm of about 2^20 to 2^23 of them often waits a flat 8 ms or
-# more on its second thread, where one thread does the work in well under
-# a millisecond; calls of at most 2^18 run alike on one thread or two
-_FWHT_CALL_CAP = 1 << 18
 # forms symplectic_ranks reduces at once; bounds its n x block int64 images
 _RANK_BLOCK = 1 << 16
 
@@ -205,15 +200,12 @@ def fwht(a) -> np.ndarray:
 
     H_{2^m} is the Kronecker product of factors H_{2^s} (s <= 5), one per
     chunk of the m index bits, in near-equal chunks from high to low: each
-    chunk but the last is a batched matmul over the middle axis of a
-    (rows, 2^s, lower) view, the last is (rows * 2^(m-s), 2^s) @ H.  A stage
-    that would pass _FWHT_CALL_CAP multiply-adds in one call is split: a
-    middle chunk into column blocks of the lower axis, the last into row
-    batches.  The products run in float32, back and forth between two
-    buffers, and are exact: every partial sum is a signed sum of distinct
-    entries of its input row, so its magnitude is at most the row's L1
-    norm, which must be below 2^24 (ValueError otherwise; TypeError for
-    non-integer input).
+    chunk but the last is one batched matmul over the middle axis of a
+    (rows, 2^s, lower) view, the last is (rows * 2^(m-s), 2^s) @ H.  The
+    products run in float32, back and forth between two buffers, and are
+    exact: every partial sum is a signed sum of distinct entries of its
+    input row, so its magnitude is at most the row's L1 norm, which must be
+    below 2^24 (ValueError otherwise; TypeError for non-integer input).
     """
     a = np.asarray(a)
     if not np.issubdtype(a.dtype, np.integer):
@@ -232,19 +224,12 @@ def fwht(a) -> np.ndarray:
     low = m
     for s in sizes[:-1]:
         low -= s
-        # (rows, 2^s, lower) as (rows, lower / q, 2^s, q): one call per q columns
-        q = min(1 << low, _FWHT_CALL_CAP >> 2 * s)
-        shape = (-1, 1 << s, (1 << low) // q, q)
-        np.matmul(_HADAMARD[s], x.reshape(shape).transpose(0, 2, 1, 3),
-                  out=y.reshape(shape).transpose(0, 2, 1, 3))
+        shape = (-1, 1 << s, 1 << low)
+        np.matmul(_HADAMARD[s], x.reshape(shape), out=y.reshape(shape))
         x, y = y, x
     if sizes:
         s = sizes[-1]
-        shape = (-1, 1 << s)
-        rows = x.size >> s
-        if rows << 2 * s > _FWHT_CALL_CAP:
-            shape = (-1, math.gcd(rows, _FWHT_CALL_CAP >> 2 * s), 1 << s)
-        np.matmul(x.reshape(shape), _HADAMARD[s], out=y.reshape(shape))
+        np.matmul(x.reshape(-1, 1 << s), _HADAMARD[s], out=y.reshape(-1, 1 << s))
         x = y
     return x.astype(np.int64)
 

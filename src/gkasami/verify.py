@@ -38,8 +38,6 @@ BRUTE_CROSSCHECK_MAX_N = 6
 _ORBIT_NOTE = "exhaustive over orbit representatives of x -> u*x"
 # (theta, x) values the affine-root scan holds at once
 _AFFINE_BLOCK = 1 << 16
-# member rows the imbalance claim popcounts at once
-_POPCOUNT_ROWS = 1 << 12
 
 
 @dataclass
@@ -363,11 +361,7 @@ def _claim_family_correlation(b: _Bundle) -> ClaimResult:
 def _claim_imbalance(b: _Bundle) -> ClaimResult:
     ctx = b.ctx
     rows, pairs, part_one = b.members
-    ones = np.empty(len(rows), dtype=np.int64)
-    for lo in range(0, len(rows), _POPCOUNT_ROWS):
-        block = slice(lo, lo + _POPCOUNT_ROWS)
-        np.bitwise_count(rows[block]).sum(axis=1, out=ones[block])
-    imbalance = ctx.group_order - 2 * ones
+    imbalance = ctx.group_order - 2 * np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
     got = ValueHistogram.from_array(imbalance)
     want = theory.imbalance_histogram(ctx.n)
     # per-sequence bridge: imbalance = transform value at 1 (part one) or

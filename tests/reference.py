@@ -1,6 +1,5 @@
-"""References for the tests: an int64 butterfly Hadamard transform, whole
-spectra grids over parameter sets, and the full packed trace-row tables of
-the generalized Kasami code.
+"""References for the tests: whole spectra grids over parameter sets, and
+the full packed trace-row tables of the generalized Kasami code.
 
 No engine builds these; the tests compare the engines' orbit, column and
 rank routes against them.  spectra_block transforms one truth table per
@@ -17,20 +16,6 @@ import numpy as np
 from gkasami import quadform as qf
 from gkasami.gf2n import FieldCtx, TooLarge
 from gkasami.histogram import ValueHistogram
-
-
-def butterfly(a) -> np.ndarray:
-    """Hadamard transform along the last axis by the radix-2 butterfly in
-    int64: no matmul and no float, so it shares nothing with fwht."""
-    w = np.array(a, dtype=np.int64)
-    h = 1
-    while h < w.shape[-1]:
-        blk = w.reshape(-1, 2, h)
-        x = blk[:, 0, :].copy()
-        blk[:, 0, :] += blk[:, 1, :]
-        blk[:, 1, :] = x - blk[:, 1, :]
-        h *= 2
-    return w
 
 
 def spectra_block(ctx: FieldCtx, k: int, b_list, c_list) -> np.ndarray:
