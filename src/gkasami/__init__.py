@@ -7,7 +7,6 @@ behind them by exhaustive desk-scale computation.
 
 from .correlation import (
     CorrelationReport,
-    correlate,
     full_distribution_brute,
     full_distribution_spectral,
     r_max,
@@ -72,7 +71,6 @@ __all__ = [
     "build_family",
     "census",
     "census_report",
-    "correlate",
     "count_affine_roots",
     "count_kernel_roots",
     "count_reduced_roots",

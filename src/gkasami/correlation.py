@@ -2,12 +2,22 @@
 
 The brute engine computes every inner product directly and relies on no
 transform theory.  It unpacks the family's member table once into an
-m x p matrix S of +-1 float32 entries; for each shift tau, S rotated by tau
-times S transposed holds all m^2 correlations at that shift, exact because
-every partial sum is an integer of size at most p < 2^24.  Since
-C(i, j, tau) = C(j, i, p - tau) and p is odd, shift 0 is counted once and
-shifts 1 .. (p - 1)/2 twice.  Products are taken a block of rows at a
-time, so memory stays O(m p) plus one block buffer per thread.
+m x p matrix S of +-1 float32 entries.  p is odd, so every correlation
+C = sum of p terms +-1 is odd, and d = (p - C)/2 is an integer in
+[0, 2^n).  Two members share one left row: for +-1 rows a1 and a2 the
+row -(a1 + 2^n a2)/2 times a column of S transposed, plus p (1 + 2^n)/2,
+is exactly d1 + 2^n d2.  The terms are half-integers and every partial sum
+stays below p (1 + 2^n)/2 < 2^23 up to n = 12, so float32 holds them
+exactly.  So for each shift tau, the m/2 folded rows rotated by tau times
+S transposed hold all m^2 correlations at that shift, and one bincount
+over the 4^n cells (d1, d2) tallies them: the cells' row sums plus column
+sums are the histogram of d.  For odd m the last member is folded with
+itself and counted at half weight.  Since C(i, j, tau) = C(j, i, p - tau)
+and p is odd, shift 0 is counted once and shifts 1 .. (p - 1)/2 twice.
+Products are taken a block of row pairs at a time, or for a small family
+several whole shifts at a time, so memory stays O(m p) plus, per thread,
+one block of at most 2^20 float32 products and their intp casts, and the
+4^n cell counts of one tally (32 KB at n = 6, 8 MB at n = 10).
 
 The spectral engine never touches sequence bits and reads only the
 family's parameters: the correlation of two members at a given shift
@@ -46,34 +56,15 @@ import numpy as np
 
 from . import quadform as qf
 from . import theory
-from .families import (BinarySequence, FamilyKind, SequenceFamily, gamma_delta_sets,
-                       member_table, sign_rows)
+from .families import FamilyKind, SequenceFamily, gamma_delta_sets, member_table, sign_rows
 from .gf2n import half_odd
 from .histogram import ValueHistogram
 
 BRUTE_DEFAULT_MAX_N = 6
-# correlation values per brute-engine product block
+# folded products per brute-engine tally block
 _BLOCK_VALUES = 1 << 20
-
-
-class LengthMismatch(ValueError):
-    """Raised when correlating sequences of different periods."""
-
-
-def rotate(bits: int, tau: int, length: int) -> int:
-    """Cyclic left rotation: bit t of the result is bit (t + tau) of the input."""
-    tau %= length
-    mask = (1 << length) - 1
-    return ((bits >> tau) | (bits << (length - tau))) & mask
-
-
-def correlate(s1: BinarySequence, s2: BinarySequence, tau: int) -> int:
-    """sum_t (-1)^(s1(t) + s2(t + tau)), exact."""
-    if s1.length != s2.length:
-        raise LengthMismatch(f"{s1.length} != {s2.length}")
-    if not 0 <= tau < s1.length:
-        raise ValueError(f"tau = {tau} out of range")
-    return s1.length - 2 * (s1.bits ^ rotate(s2.bits, tau, s2.length)).bit_count()
+# float32 holds every half-integer of smaller size exactly
+_HALF_INTEGERS_EXACT = 1 << 23
 
 
 @dataclass
@@ -141,60 +132,117 @@ def _report(family: SequenceFamily, engine: str, hist: ValueHistogram) -> Correl
 # -- brute engine --------------------------------------------------------
 
 
-def _shift_block(doubled: np.ndarray, tau: int, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-    """correlate(s_i, s_j, tau) at [i - lo, j] for lo <= i < hi and every j, into out.
+def _fold_offset(period: int) -> float:
+    """p (1 + 2^n) / 2, which turns a folded product into d1 + 2^n d2.
 
-    doubled holds the members' +-1 float32 rows twice side by side, so its
-    columns p - tau .. 2p - 1 - tau are each row rotated right by tau, which
-    pairs s_i(t) with s_j(t + tau).  The values are exact.
+    It also bounds every partial sum of a folded product.  Those sums are
+    half-integers, exact in float32 below 2^23, which holds up to n = 12;
+    a longer period raises ValueError.
     """
-    period = doubled.shape[1] // 2
-    return np.matmul(doubled[lo:hi, period - tau:2 * period - tau], doubled[:, :period].T, out=out)
+    offset = period * (period + 2) / 2
+    if offset >= _HALF_INTEGERS_EXACT:
+        raise ValueError(f"folded products of period {period} are not exact in float32")
+    return offset
 
 
-def _shift_counts(doubled: np.ndarray, taus: np.ndarray, times: np.ndarray,
+def _fold(signs: np.ndarray) -> np.ndarray:
+    """Left rows of the brute products, twice side by side: -(a1 + 2^n a2) / 2
+    for the +-1 rows a1 = signs[2q], a2 = signs[2q + 1], and for an odd row
+    count the last row folded with itself."""
+    m, period = signs.shape
+    folded = np.empty(((m + 1) // 2, 2 * period), dtype=np.float32)
+    left = folded[:, :period]
+    np.multiply(signs[1::2], period + 1, out=left[:m // 2])
+    if m % 2:
+        np.multiply(signs[-1], period + 1, out=left[-1])
+    left += signs[0::2]
+    left *= -0.5
+    folded[:, period:] = left
+    return folded
+
+
+def _shift_block(folded: np.ndarray, right: np.ndarray, tau: int, lo: int, hi: int,
+                 out: np.ndarray) -> np.ndarray:
+    """Folded products of left rows lo .. hi - 1 at shift tau with every member, into out.
+
+    Columns p - tau .. 2p - 1 - tau of folded are each row rotated right by
+    tau, which pairs s_i(t) with s_j(t + tau); right is the members' +-1 rows
+    transposed.  Plus _fold_offset, the value at [q - lo, j] is
+    d(2q, j) + 2^n d(2q + 1, j), where d = (p - C(i, j, tau)) / 2.
+    """
+    period = right.shape[0]
+    return np.matmul(folded[lo:hi, period - tau:2 * period - tau], right, out=out)
+
+
+def _tally(values: np.ndarray, index: np.ndarray, times: int, counts: np.ndarray) -> None:
+    """Add the d1 and d2 of every folded product in values, times over, to
+    counts: one bincount over the 4^n cells (d1, d2).  index is intp scratch."""
+    order = len(counts)
+    np.add(values, _fold_offset(order - 1), out=index, casting="unsafe")
+    cells = np.bincount(index, minlength=order * order).reshape(order, order)
+    counts += times * (cells.sum(axis=0) + cells.sum(axis=1))
+
+
+def _shift_counts(folded: np.ndarray, right: np.ndarray, taus: np.ndarray, times: np.ndarray,
                   block: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """bincount of (value + p) over every (i, j) at each shift, times[s] times over.
+    """d counts of every left row of folded against every member at each shift,
+    times[s] times over at taus[s].
 
-    block (float32) and index (intp) are (rows, m) buffers for one row block.
+    block (float32) and index (intp) are flat buffers of one size.  Products
+    of successive shifts and row blocks fill block until the next would not
+    fit or the weight changes, and then one _tally covers them all.
     """
-    m, period = doubled.shape[0], doubled.shape[1] // 2
-    rows = len(block)
-    counts = np.zeros(2 * period + 1, dtype=np.int64)
+    period, m = right.shape
+    rows = min(len(folded), len(block) // m)
+    counts = np.zeros(period + 1, dtype=np.int64)
+    filled = weight = 0
     for tau, t in zip(taus.tolist(), times.tolist()):
-        for lo in range(0, m, rows):
-            hi = min(lo + rows, m)
-            values = _shift_block(doubled, tau, lo, hi, block[:hi - lo])
-            np.add(values, period, out=index[:hi - lo], casting="unsafe")
-            counts += t * np.bincount(index[:hi - lo].ravel(), minlength=counts.size)
+        for lo in range(0, len(folded), rows):
+            hi = min(lo + rows, len(folded))
+            size = (hi - lo) * m
+            if filled and (filled + size > len(block) or t != weight):
+                _tally(block[:filled], index[:filled], weight, counts)
+                filled = 0
+            weight = t
+            _shift_block(folded, right, tau, lo, hi, block[filled:filled + size].reshape(hi - lo, m))
+            filled += size
+    _tally(block[:filled], index[:filled], weight, counts)
     return counts
 
 
 def full_distribution_brute(family: SequenceFamily, jobs: int = 1) -> CorrelationReport:
     """Histogram over all ordered triples by direct +-1 inner products.
 
-    One float32 matrix product per shift and row block (see the module
-    docstring).  Shift 0 is counted once and shifts 1 .. (p - 1)/2 twice,
-    by C(i, j, tau) = C(j, i, p - tau).  jobs > 1 splits those shifts over
-    that many threads.  Only the matrix product releases the interpreter
-    lock, and BLAS already spreads it over every core; np.bincount holds the
-    lock, so the threads take turns there, and on a 2-vCPU host two jobs run
-    no faster than one.  The result does not depend on jobs.
+    One float32 matrix product per shift and block of folded row pairs (see
+    the module docstring).  Shift 0 is counted once and shifts
+    1 .. (p - 1)/2 twice, by C(i, j, tau) = C(j, i, p - tau).  jobs > 1
+    splits those shifts over that many threads.  Only the matrix product
+    releases the interpreter lock, and BLAS already spreads it over every
+    core; np.bincount holds the lock, so the threads take turns there, and
+    on a 2-vCPU host two jobs run no faster than one.  The result does
+    not depend on jobs.
     """
     period = family.period
-    doubled = np.tile(sign_rows(member_table(family)[0], period), 2)
-    m = len(doubled)
-    rows = min(m, max(1, _BLOCK_VALUES // m))
+    signs = sign_rows(member_table(family)[0], period)
+    _fold_offset(period)  # refuse an inexact period before any product
+    pairs, m = len(signs) // 2, len(signs)
+    folded, right = _fold(signs), signs.T
     taus = np.arange((period + 1) // 2)
     times = np.where(taus == 0, 1, 2)
     parts = [idx for idx in np.array_split(np.arange(taus.size), jobs) if idx.size]
+    # a tally covers a row block at one shift, or whole shifts up to about
+    # one product per cell (d1, d2), within _BLOCK_VALUES
+    size = min(max(pairs * m, (period + 1) ** 2), _BLOCK_VALUES, len(parts[0]) * pairs * m)
     # buffers come from this thread: ones made in a worker thread would stay
     # resident in that thread's malloc arena after the worker exits
-    buffers = [(np.empty((rows, m), np.float32), np.empty((rows, m), np.intp)) for _ in parts]
+    buffers = [(np.empty(size, np.float32), np.empty(size, np.intp)) for _ in parts]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         counts = sum(pool.map(
-            lambda idx, buf: _shift_counts(doubled, taus[idx], times[idx], *buf), parts, buffers))
-    hist = ValueHistogram({v - period: int(c) for v, c in enumerate(counts.tolist()) if c})
+            lambda idx, buf: _shift_counts(folded[:pairs], right, taus[idx], times[idx], *buf),
+            parts, buffers))
+    if m % 2:  # the last member, folded with itself: each of its values counts twice
+        counts += _shift_counts(folded[pairs:], right, taus, times, *buffers[0]) // 2
+    hist = ValueHistogram({period - 2 * d: int(c) for d, c in enumerate(counts.tolist()) if c})
     return _report(family, "brute", hist)
 
 

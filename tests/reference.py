@@ -1,5 +1,6 @@
-"""References for the tests: whole spectra grids over parameter sets, and
-the full packed trace-row tables of the generalized Kasami code.
+"""References for the tests: whole spectra grids over parameter sets, the
+full packed trace-row tables of the generalized Kasami code, and the
+correlation of two sequences by Python-int bit operations.
 
 No engine builds these; the tests compare the engines' orbit, column and
 rank routes against them.  spectra_block transforms one truth table per
@@ -14,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from gkasami import quadform as qf
+from gkasami.families import BinarySequence
 from gkasami.gf2n import FieldCtx, TooLarge
 from gkasami.histogram import ValueHistogram
 
@@ -76,3 +78,23 @@ def codeword(ctx: FieldCtx, tables, gamma: int, delta: int, eta: int) -> int:
     lin, quad, norm = tables
     row = lin[gamma] ^ quad[delta] ^ norm[ctx.subfield_index[eta]]
     return int.from_bytes(row.tobytes(), "little")
+
+
+class LengthMismatch(ValueError):
+    """Raised when correlating sequences of different periods."""
+
+
+def rotate(bits: int, tau: int, length: int) -> int:
+    """Cyclic left rotation: bit t of the result is bit (t + tau) of the input."""
+    tau %= length
+    mask = (1 << length) - 1
+    return ((bits >> tau) | (bits << (length - tau))) & mask
+
+
+def correlate(s1: BinarySequence, s2: BinarySequence, tau: int) -> int:
+    """sum_t (-1)^(s1(t) + s2(t + tau)), exact."""
+    if s1.length != s2.length:
+        raise LengthMismatch(f"{s1.length} != {s2.length}")
+    if not 0 <= tau < s1.length:
+        raise ValueError(f"tau = {tau} out of range")
+    return s1.length - 2 * (s1.bits ^ rotate(s2.bits, tau, s2.length)).bit_count()

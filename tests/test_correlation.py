@@ -12,7 +12,7 @@ from gkasami import theory
 from gkasami.gf2n import make_field
 from gkasami.histogram import ValueHistogram
 
-from reference import spectra_block
+from reference import LengthMismatch, correlate, rotate, spectra_block
 
 EXAMPLE_N4 = {15: 67, -1: 28598, 3: 18418, -5: 11044, 7: 6902, -9: 2306}
 
@@ -29,18 +29,18 @@ def test_correlate_matches_termwise_sum(family4):
     seqs = family4.all_sequences()
     for s1, s2 in [(seqs[0], seqs[0]), (seqs[1], seqs[40]), (seqs[66], seqs[3])]:
         for tau in range(s1.length):
-            assert corr.correlate(s1, s2, tau) == brute_correlate(s1, s2, tau)
+            assert correlate(s1, s2, tau) == brute_correlate(s1, s2, tau)
 
 
 def test_correlate_in_phase(family6):
     for s in family6.all_sequences()[::50]:
-        assert corr.correlate(s, s, 0) == 63
+        assert correlate(s, s, 0) == 63
 
 
 def test_m_sequence_autocorrelation(family6):
     base = family6.part1[0]  # the (0, 0) tag
     for tau in range(1, 63):
-        assert corr.correlate(base, base, tau) == -1
+        assert correlate(base, base, tau) == -1
 
 
 def test_correlate_symmetry(family4):
@@ -48,16 +48,16 @@ def test_correlate_symmetry(family4):
     n = seqs[0].length
     for i, j in [(0, 5), (12, 33), (7, 64)]:
         for tau in range(n):
-            assert corr.correlate(seqs[i], seqs[j], tau) == corr.correlate(
+            assert correlate(seqs[i], seqs[j], tau) == correlate(
                 seqs[j], seqs[i], (n - tau) % n
             )
 
 
 def test_correlate_errors(family4, family6):
-    with pytest.raises(corr.LengthMismatch):
-        corr.correlate(family4.part1[0], family6.part1[0], 0)
+    with pytest.raises(LengthMismatch):
+        correlate(family4.part1[0], family6.part1[0], 0)
     with pytest.raises(ValueError):
-        corr.correlate(family4.part1[0], family4.part1[1], 15)
+        correlate(family4.part1[0], family4.part1[1], 15)
 
 
 def test_brute_histogram_n4(family4):
@@ -83,25 +83,60 @@ def test_engines_identical_all_kinds_n4(ctx4):
         assert json.dumps(a) == json.dumps(b)
 
 
-def test_jobs_do_not_change_brute_result(family4):
+def test_engines_identical_all_kinds_n6(ctx6):
+    for kind, k in [("fk", 2), ("fk", 4), ("small-kasami", None), ("large-kasami", None)]:
+        family = fam.build_family(fam.family_params(ctx6, kind, k))
+        assert (corr.full_distribution_brute(family).histogram
+                == corr.full_distribution_spectral(family).histogram)
+
+
+def test_jobs_do_not_change_brute_result(family4, family6):
     one = corr.full_distribution_brute(family4, jobs=1)
-    two = corr.full_distribution_brute(family4, jobs=2)
-    assert one.histogram == two.histogram
+    assert corr.full_distribution_brute(family4, jobs=2).histogram == one.histogram
+    # 32 counted shifts at n = 6: three jobs split them 11/11/10
+    one = corr.full_distribution_brute(family6, jobs=1)
+    assert corr.full_distribution_brute(family6, jobs=3).histogram == one.histogram
+
+
+def assert_folded_cells_match_correlate(family):
+    """Decode sampled cells of folded product blocks back to (d_lo, d_hi)
+    and compare both with correlate of their pair of members."""
+    seqs = family.all_sequences()
+    period, m = family.period, len(seqs)
+    bits = np.array([[s.bit(t) for t in range(period)] for s in seqs], dtype=np.uint8)
+    signs = 1 - 2 * bits.astype(np.float32)
+    folded = corr._fold(signs)
+    assert len(folded) == (m + 1) // 2
+    out = np.empty((7, m), dtype=np.float32)
+    rng = random.Random(period)
+    for trial in range(20):
+        tau = rng.randrange(period)
+        # every other block is the last one, which holds any unpaired row
+        lo = len(folded) - 7 if trial % 2 else rng.randrange(len(folded) - 7)
+        cells = corr._shift_block(folded, signs.T, tau, lo, lo + 7, out) + corr._fold_offset(period)
+        for q in range(lo, lo + 7):
+            for j in rng.sample(range(m), 3):
+                d_hi, d_lo = divmod(int(cells[q - lo, j]), period + 1)
+                assert cells[q - lo, j] == d_lo + (period + 1) * d_hi
+                assert period - 2 * d_lo == correlate(seqs[2 * q], seqs[j], tau)
+                assert period - 2 * d_hi == correlate(seqs[min(2 * q + 1, m - 1)], seqs[j], tau)
 
 
 def test_brute_shift_block_cells_match_correlate(family6):
-    seqs = family6.all_sequences()
-    bits = np.array([[s.bit(t) for t in range(family6.period)] for s in seqs], dtype=np.uint8)
-    doubled = np.tile(1 - 2 * bits.astype(np.float32), 2)
-    out = np.empty((7, len(seqs)), dtype=np.float32)
-    rng = random.Random(6)
-    for _ in range(20):
-        tau = rng.randrange(family6.period)
-        lo = rng.randrange(len(seqs) - 7)
-        block = corr._shift_block(doubled, tau, lo, lo + 7, out)
-        for _ in range(5):
-            i, j = rng.randrange(lo, lo + 7), rng.randrange(len(seqs))
-            assert block[i - lo, j] == corr.correlate(seqs[i], seqs[j], tau)
+    assert family6.size == 520  # even: every row is a pair of members
+    assert_folded_cells_match_correlate(family6)
+
+
+def test_brute_shift_block_unpaired_row_matches_correlate(family4):
+    assert family4.size == 67  # odd: the last member is folded with itself
+    assert_folded_cells_match_correlate(family4)
+
+
+def test_fold_offset_refuses_inexact_periods():
+    # p (1 + 2^n) / 2 is 2^23 - 1/2 at n = 12, and past 2^23 from n = 14 on
+    assert corr._fold_offset((1 << 12) - 1) == (1 << 23) - 0.5
+    with pytest.raises(ValueError):
+        corr._fold_offset((1 << 14) - 1)
 
 
 @pytest.mark.parametrize("n", [8, 10])
@@ -167,7 +202,7 @@ def test_report_without_prediction(family4):
 def test_rotate():
     # bit t of the rotation is bit t+tau of the original
     bits = 0b000000000000101
-    rot = corr.rotate(bits, 2, 15)
+    rot = rotate(bits, 2, 15)
     seq = fam.BinarySequence(bits, 15, fam.SequenceTag.gamma_delta(0, 0))
     rotseq = fam.BinarySequence(rot, 15, seq.tag)
     for t in range(15):
