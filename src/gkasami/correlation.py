@@ -176,9 +176,16 @@ def _shift_block(folded: np.ndarray, right: np.ndarray, tau: int, lo: int, hi: i
 
 def _tally(values: np.ndarray, index: np.ndarray, times: int, counts: np.ndarray) -> None:
     """Add the d1 and d2 of every folded product in values, times over, to
-    counts: one bincount over the 4^n cells (d1, d2).  index is intp scratch."""
+    counts: one bincount over the 4^n cells (d1, d2), or, for fewer products
+    than cells (small families), one 2^n-bin bincount each for d1 and d2.
+    index is intp scratch."""
     order = len(counts)
     np.add(values, _fold_offset(order - 1), out=index, casting="unsafe")
+    if len(index) < order * order:
+        low = np.bincount(index & (order - 1), minlength=order)
+        index >>= order.bit_length() - 1
+        counts += times * (low + np.bincount(index, minlength=order))
+        return
     cells = np.bincount(index, minlength=order * order).reshape(order, order)
     counts += times * (cells.sum(axis=0) + cells.sum(axis=1))
 
@@ -231,8 +238,12 @@ def full_distribution_brute(family: SequenceFamily, jobs: int = 1) -> Correlatio
     times = np.where(taus == 0, 1, 2)
     parts = [idx for idx in np.array_split(np.arange(taus.size), jobs) if idx.size]
     # a tally covers a row block at one shift, or whole shifts up to about
-    # one product per cell (d1, d2), within _BLOCK_VALUES
-    size = min(max(pairs * m, (period + 1) ** 2), _BLOCK_VALUES, len(parts[0]) * pairs * m)
+    # one product per cell (d1, d2), within _BLOCK_VALUES; with fewer
+    # products than cells it bins d1 and d2 apart, and 2^16 of them will do
+    cells = (period + 1) ** 2
+    size = min(max(pairs * m, cells), _BLOCK_VALUES, len(parts[0]) * pairs * m)
+    if size < cells:
+        size = min(size, max(pairs * m, 1 << 16))
     # buffers come from this thread: ones made in a worker thread would stay
     # resident in that thread's malloc arena after the worker exits
     buffers = [(np.empty(size, np.float32), np.empty(size, np.intp)) for _ in parts]

@@ -162,10 +162,10 @@ def gamma_delta_sets(ctx: FieldCtx) -> tuple[list[int], list[int]]:
     """
     if half_odd(ctx.n):
         gamma = [1]
-        delta = [0] + [ctx.pow(ctx.beta, j) for j in range((1 << ctx.half) - 1)]
+        delta = [0] + ctx.beta_powers.tolist()
     else:
         gamma = [1, ctx.alpha, ctx.mul(ctx.alpha, ctx.alpha)]
-        delta = [ctx.pow(ctx.beta, j) for j in range(((1 << ctx.half) - 1) // 3)]
+        delta = ctx.beta_powers[: len(ctx.beta_powers) // 3].tolist()
     return gamma, delta
 
 
@@ -313,7 +313,7 @@ def write_family(family: SequenceFamily, fmt: str, stream) -> int:
         raise ValueError(f"unknown format {fmt!r}; know {FORMATS}")
     ctx, period = family.params.ctx, family.period
     if fmt == "json":
-        labels = [ctx.element_label(a) for a in range(ctx.order)]
+        labels = ["0"] + [f"a^{j}" for j in ctx.log[1:].tolist()]  # as element_label
     # no block holds more than 2^{n/2} members; the last column is the newline
     width = period if fmt == "bits" else 2 * ((period + 7) // 8)
     lines = np.empty((1 << ctx.half, width + 1), dtype=np.uint8)

@@ -2,10 +2,17 @@
 
 Elements are plain Python ints whose binary digits are the coefficients in
 the polynomial basis, so addition is XOR.  A :class:`FieldCtx` fixes one
-primitive defining polynomial, takes alpha = the residue class of x as the
-primitive element, and precomputes log/antilog and trace tables; everything
-downstream (quadratic forms, sequence families, correlation engines) is a
-pure function of the context.
+primitive defining polynomial and takes alpha = the residue class of x as
+the primitive element; everything downstream (quadratic forms, sequence
+families, correlation engines) is a pure function of the context.
+
+Every GF(2)-linear map the context uses (the reduction of a product,
+multiplication by a constant, the Frobenius x -> x^(2^i), the alpha-ladder
+x -> (x alpha^j)_j) is a :class:`LinearMap`: a few inputs are mapped
+straight from the images of the basis, more through two 2^{n/2}-entry
+tables.  A context is built in O(2^{n/2}) and does its scalar arithmetic
+through these maps; the 2^n-entry log/antilog, trace and subfield tables
+are built on first read.
 
 The subfield F is never given its own bit width: it is the set of elements
 of E fixed by the (n/2)-fold Frobenius, and beta = alpha^(2^{n/2}+1)
@@ -47,8 +54,13 @@ DEFAULT_POLYS: dict[int, int] = {
 
 N_MIN = 4
 N_MAX = 20
-# powers of alpha computed one step at a time before the blocked build takes over
+# powers FieldCtx.powers takes one step at a time before it starts doubling
 SCALAR_POWERS = 1 << 10
+# widest LinearMap whose scalar tables are built as lists, with no numpy call
+_LIST_BITS = 5
+# LinearMap.vec maps an array straight from the images up to this many
+# (entry, basis bit) pairs, where building the tables would cost more
+_DIRECT_BITS = 1 << 14
 
 
 class UnsupportedN(ValueError):
@@ -84,13 +96,70 @@ def poly_from_hex(text: str) -> int:
         raise MalformedPolynomial(f"{text!r} is not a hex polynomial bitmask") from None
 
 
+class LinearMap:
+    """A GF(2)-linear map on bit vectors, from the images of the basis bits.
+
+    images[i] is the image of bit i: an int, or a vector (then images has
+    shape (bits, m) and results gain an axis of length m).  Calling the map
+    maps one int; vec maps an integer array elementwise.  vec maps an array
+    of up to _DIRECT_BITS (entry, bit) pairs straight from the images, the
+    XOR of images[i] over the set bits i of each entry.  Larger arrays and
+    calls read two tables built on first use, of the map on the low `split`
+    bits and on the rest, so a map on n bits costs 2^{n/2} entries instead
+    of 2^n: m(x) = lo[x & low] ^ hi[x >> split].
+    """
+
+    def __init__(self, images, split: int):
+        self.images = np.asarray(images, dtype=np.int64)
+        self.split = split
+        self.low = (1 << split) - 1
+
+    @cached_property
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        return _linear_table(self.images[: self.split]), _linear_table(self.images[self.split :])
+
+    @cached_property
+    def _lists(self) -> tuple[list[int], list[int]]:  # scalar lookups are faster in lists
+        if self.split <= _LIST_BITS:  # no numpy call for a few entries
+            images = self.images.tolist()
+            return _linear_list(images[: self.split]), _linear_list(images[self.split :])
+        lo, hi = self.tables
+        return lo.tolist(), hi.tolist()
+
+    def __call__(self, x: int) -> int:
+        lo, hi = self._lists
+        return lo[x & self.low] ^ hi[x >> self.split]
+
+    def vec(self, xs, out: np.ndarray | None = None) -> np.ndarray:
+        xs = np.asarray(xs)
+        bits = len(self.images)
+        if xs.size * bits <= _DIRECT_BITS:
+            picked = (xs[..., None] >> np.arange(bits)) & 1
+            if self.images.ndim > 1:
+                picked = picked[..., None]
+            return np.bitwise_xor.reduce(picked * self.images, axis=xs.ndim, out=out)
+        lo, hi = self.tables
+        return np.bitwise_xor(lo.take(xs & self.low, axis=0),
+                              hi.take(xs >> self.split, axis=0), out=out)
+
+
 class FieldCtx:
     """Immutable GF(2^n) context.
 
+    Building one takes O(2^{n/2}) work: it builds LinearMaps (two
+    2^{n/2}-entry tables each) for the reduction of a product and for
+    squaring, and checks that alpha has order 2^n - 1 (by the orders of
+    beta and gamma, see _check_primitive), that the traces land in GF(2),
+    that F has 2^{n/2} elements and that the trace pairing is
+    nondegenerate.  Scalar arithmetic needs no 2^n-entry table: mul is a
+    carry-less product reduced through a map, pow and inv square through
+    the Frobenius map, trace is the parity of x & a mask, in_subfield tests
+    x^(2^{n/2}) = x, and element_label takes the discrete log through
+    F* x U (see _dlog).  The 2^n-entry tables are built on first read, in
+    O(2^n), for the engines that gather through them at small n.
+
     Public attributes (all read-only; the numpy tables have their write
-    flag cleared so a context can be shared freely across workers).  Every
-    table is built in O(2^n) work; walsh_perm and subfield_index, which only
-    transform_column and verify read, are built on first read:
+    flag cleared so a context can be shared freely across workers):
 
     n, half      : extension degree and n/2
     poly         : defining primitive polynomial bitmask
@@ -98,22 +167,32 @@ class FieldCtx:
     group_order  : 2^n - 1
     alpha        : the residue class of x (always the int 2)
     beta         : alpha^(2^{n/2}+1), a generator of F*
+    trh_lift     : an element delta with delta + delta^(2^{n/2}) = 1, so
+                   the trace of y from F onto GF(2) is tr(delta * y)
+    alpha_ladder      : LinearMap sending x to the n-vector (x alpha^j)_j
+                        (built on first read)
+    subfield_elements : int64 array, the 2^{n/2} elements of F in increasing order
+    dual_basis        : int64 array of n elements d_i with tr(alpha^j d_i) = 1
+                        exactly when i = j (walsh_perm[d_i] = 1 << i); a table
+                        indexed by y, of f at sum_i y_i d_i, has its Hadamard
+                        transform indexed by lam directly
+
+    Tables built on first read, of 2^{n/2} - 1 entries (beta_powers) and of
+    2^n entries (the rest):
+
+    beta_powers  : int64 array, beta_powers[j] = beta^j for 0 <= j < 2^{n/2} - 1
+
     log          : int64 array, log[x] = discrete log of x base alpha (log[0] = -1)
     antilog      : int64 array, antilog[i] = alpha^i for 0 <= i < 2^n - 1
     tr1          : uint8 array, tr1[x] = absolute trace of x
     trh          : uint8 array, trh[y] = trace of y from F onto GF(2)
                    (meaningful only for y in F; 0 elsewhere)
     subfield_mask     : bool array, True exactly on F
-    subfield_elements : int64 array, the 2^{n/2} elements of F in increasing order
     subfield_index    : int64 array, position of y within subfield_elements (-1 off F)
     walsh_perm        : int64 array, the trace pairing as bit masks:
                         tr(lam*x) is the parity of walsh_perm[lam] & x, so
                         sum_x (-1)^{f(x) + tr(lam*x)} is the plain Hadamard
                         transform of f's table evaluated at walsh_perm[lam]
-    dual_basis        : int64 array of n elements d_i with tr(alpha^j d_i) = 1
-                        exactly when i = j (walsh_perm[d_i] = 1 << i); a table
-                        indexed by y, of f at sum_i y_i d_i, has its Hadamard
-                        transform indexed by lam directly
     """
 
     def __init__(self, n: int, poly: int | None = None):
@@ -131,123 +210,190 @@ class FieldCtx:
         self.order = 1 << n
         self.group_order = self.order - 1
         self.alpha = 2
-        self._build_log_tables()
-        self.beta = int(self.antilog[((1 << self.half) + 1) % self.group_order])
-        self._build_trace_tables()
-        self._build_subfield_tables()
-        self._build_dual_basis()
-        for arr in (
-            self.log,
-            self.antilog,
-            self.tr1,
-            self.trh,
-            self.subfield_mask,
-            self.subfield_elements,
-            self.dual_basis,
-        ):
-            arr.setflags(write=False)
+        # alpha^m for m < 2n - 1: the basis, then x^n .. x^(2n-2) reduced
+        powers = [1 << m for m in range(n)]
+        x = poly ^ self.order
+        for _ in range(n - 1):
+            powers.append(x)
+            x = self._times_alpha(x)
+        self._alpha_powers = np.array(powers, dtype=np.int64)
+        self._reduce = LinearMap(powers[n:], self.half)  # bits n .. 2n-2 of a product
+        self._square = LinearMap(powers[::2], self.half)
+        # images of the basis under x -> x^(2^i), for every i < n
+        images = [np.array(powers[:n], dtype=np.int64)]
+        for _ in range(n - 1):
+            images.append(self._square.vec(images[-1]))
+        self._frobenius_images = images
+        self._frobenius_maps: dict[int, LinearMap] = {}
+        self._half_frobenius = self.frobenius_map(self.half)
+        self._check_primitive()
+        self._build_subfield()
+        self._build_dual_basis(powers)
+        self.subfield_elements.setflags(write=False)
+        self.dual_basis.setflags(write=False)
 
     # -- construction -------------------------------------------------
     #
-    # Every table is the table of a GF(2)-linear map (multiplication by
-    # alpha^m, the absolute trace, the trace pairing, x -> x^(2^{n/2}) + x),
-    # so each is filled by _linear_table from the images of the n basis
-    # elements; only the first SCALAR_POWERS powers of alpha are scalar steps.
+    # Every map is GF(2)-linear (a product with a constant, the Frobenius,
+    # the absolute trace, the trace pairing, x -> x^(2^{n/2}) + x), so each
+    # is fixed by the images of the n basis elements alpha^j = 1 << j.
 
     def _times_alpha(self, x: int) -> int:
         x <<= 1
         return x ^ self.poly if x & self.order else x
 
-    def _build_log_tables(self) -> None:
-        order, group, poly = self.order, self.group_order, self.poly
-        antilog = np.empty(group, dtype=np.int64)
-        filled = min(group, SCALAR_POWERS)
-        x = 1
-        for i in range(filled):
-            antilog[i] = x
-            x = self._times_alpha(x)
-        # x = alpha^filled; antilog[m:m+t] = alpha^m * antilog[:t], through
-        # tables of that product on the low and on the high n/2 bits, as a
-        # 2^n-entry table would cost more than the t entries each step maps
-        h, low_bits = self.half, (1 << self.half) - 1
-        while filled < group:
-            t = min(filled, group - filled)
-            images = [x]
-            for _ in range(self.n - 1):
-                images.append(self._times_alpha(images[-1]))
-            lo, hi = _linear_table(images[:h]), _linear_table(images[h:])
-            src = antilog[:t]
-            np.bitwise_xor(lo.take(src & low_bits), hi.take(src >> h),
-                           out=antilog[filled : filled + t])
-            filled += t
-            x = self._times_alpha(int(antilog[filled - 1]))
-        log = np.full(order, -1, dtype=np.int32)
-        log[antilog] = np.arange(group, dtype=np.int32)
-        log = log.astype(np.int64)
-        # alpha is primitive iff its 2^n - 1 powers cover every nonzero
-        # element (so they are distinct) and alpha^(2^n - 1) = 1
-        if np.any(log[1:] < 0) or x != 1:
-            early = np.flatnonzero(antilog[1:] == 1)
-            detail = f" (alpha has order {early[0] + 1})" if len(early) else ""
-            raise NonPrimitivePolynomial(f"{hex(poly)} is not primitive{detail}")
-        self.log = log
-        self.antilog = antilog
+    def _check_primitive(self) -> None:
+        # the order test: alpha is primitive iff alpha^N = 1 and
+        # alpha^(N/p) != 1 for each prime p dividing N = 2^n - 1 =
+        # (q - 1)(q + 1), q = 2^{n/2}.  With beta = alpha^(q+1) and
+        # gamma = alpha^(q-1), alpha^(N/p) is beta^((q-1)/p) for p | q - 1
+        # and gamma^((q+1)/p) for p | q + 1, and as q - 1 and q + 1 are
+        # coprime, alpha has order ord(beta) ord(gamma): N exactly when beta
+        # has order q - 1 (so generates F*) and gamma has order q + 1
+        group, units = self.group_order, (1 << self.half) - 1
+        self.beta = self._times_alpha(int(self._frobenius_images[self.half][1]))
+        if self._raw_pow(self.beta, units) != 1:
+            raise NonPrimitivePolynomial(f"{hex(self.poly)} is not primitive "
+                                         f"(alpha^{group} != 1)")
+        beta_order = self._order(self.beta, units)
+        gamma_order = self._order(self._raw_pow(self.alpha, units), units + 2)
+        if (beta_order, gamma_order) != (units, units + 2):
+            raise NonPrimitivePolynomial(f"{hex(self.poly)} is not primitive "
+                                         f"(alpha has order {beta_order * gamma_order})")
 
-    def _build_trace_tables(self) -> None:
-        basis = self.antilog[: self.n]  # alpha^j is the basis element 1 << j
-        tr1 = np.bitwise_xor.reduce([self.frob_vec(basis, i) for i in range(self.n)])
-        if not np.all((tr1 == 0) | (tr1 == 1)):
+    def _order(self, x: int, group: int) -> int:
+        """The multiplicative order of x, given x^group = 1."""
+        order = group
+        for p in _prime_factors(group):
+            while order % p == 0 and self._raw_pow(x, order // p) == 1:
+                order //= p
+        return order
+
+    def _build_subfield(self) -> None:
+        images, half = self._frobenius_images, self.half
+        # bit j of the absolute trace mask is tr(alpha^j); half_trace[j] is
+        # the sum of alpha^(j 2^i) over i < n/2, so the trace from F onto
+        # GF(2) of y in F is the XOR of half_trace[j] over the set bits j of y
+        half_trace = np.bitwise_xor.reduce(images[:half])
+        tr = (half_trace ^ np.bitwise_xor.reduce(images[half:])).tolist()
+        if set(tr) - {0, 1}:
             raise AssertionError("absolute trace must land in GF(2)")
-        self.tr1 = _linear_table(tr1, np.uint8)
-
-    def _build_subfield_tables(self) -> None:
+        self._trace_mask = sum(t << j for j, t in enumerate(tr))
         # F is the kernel of x -> x^(2^{n/2}) + x
-        basis = self.antilog[: self.n]
-        kernel = gf2_kernel_basis((self.frob_vec(basis, self.half) ^ basis).tolist(), self.n)
-        if len(kernel) != self.half:
+        half_images = (images[half] ^ images[0]).tolist()
+        kernel = gf2_kernel_basis(half_images, self.n)
+        if len(kernel) != half:
             raise AssertionError("subfield must have 2^{n/2} elements")
         # kernel vector i has leading bit j_i with j_0 < j_1 < ..., so the
         # table of their combinations is already in increasing order
         self.subfield_elements = _linear_table(kernel)
-        # trace from F onto GF(2), at the same combinations of the kernel basis
-        kernel = np.array(kernel, dtype=np.int64)
-        kernel_tr = np.bitwise_xor.reduce([self.frob_vec(kernel, i) for i in range(self.half)])
-        if not np.all((kernel_tr == 0) | (kernel_tr == 1)):
+        half_trace = half_trace.tolist()
+        self._kernel_traces = [0] * half
+        for i, y in enumerate(kernel):
+            for j, t in enumerate(half_trace):
+                if y >> j & 1:
+                    self._kernel_traces[i] ^= t
+        if set(self._kernel_traces) - {0, 1}:
             raise AssertionError("subfield trace must land in GF(2)")
-        self.subfield_mask = np.zeros(self.order, dtype=bool)
-        self.subfield_mask[self.subfield_elements] = True
-        self.trh = np.zeros(self.order, dtype=np.uint8)
-        self.trh[self.subfield_elements] = _linear_table(kernel_tr)
-        # beta must generate F*: its order is (2^n-1)/gcd(2^n-1, 2^{n/2}+1) = 2^{n/2}-1
-        half_group = (1 << self.half) - 1
-        if self.pow(self.beta, half_group) != 1 or any(
-            self.pow(self.beta, d) == 1
-            for d in range(1, half_group)
-            if half_group % d == 0
-        ):
-            raise AssertionError("beta must have order 2^{n/2} - 1")
+        # a basis element off F has t = alpha^j + alpha^(j 2^{n/2}) in F*, so
+        # 1/t = t^(2^{n/2} - 2), and delta = alpha^j / t has delta + delta^(2^{n/2}) = 1
+        j = next(j for j, t in enumerate(half_images) if t)
+        t = half_images[j]
+        self.trh_lift = self._mul(1 << j, self._raw_pow(t, (1 << half) - 2))
 
-    def _build_dual_basis(self) -> None:
-        # bit i of masks[j] is tr(alpha^j alpha^i) = tr(alpha^(i+j))
-        traces = self.tr1[self.antilog[: 2 * self.n - 1]].tolist()
-        self._trace_masks = [sum(traces[i + j] << i for i in range(self.n)) for j in range(self.n)]
+    def _build_dual_basis(self, powers: list[int]) -> None:
+        # bit m of packed is tr(alpha^m), and bit i of masks[j] is
+        # tr(alpha^j alpha^i) = tr(alpha^(i+j))
+        packed = sum(((x & self._trace_mask).bit_count() & 1) << m for m, x in enumerate(powers))
+        self._trace_masks = [packed >> j & self.group_order for j in range(self.n)]
         dual = _unit_preimages(self._trace_masks)
         if dual is None:
             raise AssertionError("trace pairing must be nondegenerate")
         self.dual_basis = np.array(dual, dtype=np.int64)
 
+    def frobenius_map(self, i: int) -> LinearMap:
+        """x -> x^(2^i) as a LinearMap, built once per i (i may be any integer; period n)."""
+        i %= self.n
+        if i not in self._frobenius_maps:
+            self._frobenius_maps[i] = LinearMap(self._frobenius_images[i], self.half)
+        return self._frobenius_maps[i]
+
+    def times_map(self, c: int) -> LinearMap:
+        """x -> c * x as a LinearMap; its images are the alpha-ladder of c."""
+        images = [self._element(c)]
+        for _ in range(self.n - 1):
+            images.append(self._times_alpha(images[-1]))
+        return LinearMap(images, self.half)
+
+    def powers(self, g: int, count: int) -> np.ndarray:
+        """int64 array [g^0, g^1, ..., g^(count - 1)].
+
+        The first SCALAR_POWERS are single steps through the map x -> g x;
+        then each step doubles the array, out[m:m+t] = g^m * out[:t],
+        through the two half-width tables of x -> g^m x.
+        """
+        out = np.empty(count, dtype=np.int64)
+        filled = min(count, SCALAR_POWERS)
+        step = self.times_map(g)
+        (lo, hi), low, split = step._lists, step.low, step.split
+        head, x = [], 1
+        for _ in range(filled):
+            head.append(x)
+            x = lo[x & low] ^ hi[x >> split]  # step(x), inlined
+        out[:filled] = head
+        while filled < count:
+            t = min(filled, count - filled)
+            self.times_map(x).vec(out[:t], out=out[filled : filled + t])
+            filled += t
+            x = step(int(out[filled - 1]))
+        return out
+
+    @cached_property
+    def alpha_ladder(self) -> LinearMap:
+        """x -> (x alpha^j for j < n) as a LinearMap with n-vector images, so
+        alpha_ladder.vec(xs) has a last axis of length n."""
+        # the image of alpha^i is (alpha^(i+j))_j
+        return LinearMap(self._alpha_powers[np.add.outer(np.arange(self.n), np.arange(self.n))],
+                         self.half)
+
+    # -- tables built on first read -------------------------------------
+
+    @cached_property
+    def antilog(self) -> np.ndarray:
+        return _read_only(self.powers(self.alpha, self.group_order))
+
+    @cached_property
+    def log(self) -> np.ndarray:
+        log = np.full(self.order, -1, dtype=np.int32)
+        log[self.antilog] = np.arange(self.group_order, dtype=np.int32)
+        return _read_only(log.astype(np.int64))
+
+    @cached_property
+    def tr1(self) -> np.ndarray:
+        return _read_only(_linear_table([self._trace_mask >> j & 1 for j in range(self.n)],
+                                        np.uint8))
+
+    @cached_property
+    def trh(self) -> np.ndarray:
+        trh = np.zeros(self.order, dtype=np.uint8)
+        trh[self.subfield_elements] = _linear_table(self._kernel_traces)
+        return _read_only(trh)
+
+    @cached_property
+    def subfield_mask(self) -> np.ndarray:
+        mask = np.zeros(self.order, dtype=bool)
+        mask[self.subfield_elements] = True
+        return _read_only(mask)
+
     @cached_property
     def walsh_perm(self) -> np.ndarray:
-        perm = _linear_table(self._trace_masks)
-        perm.setflags(write=False)
-        return perm
+        return _read_only(_linear_table(self._trace_masks))
 
     @cached_property
     def subfield_index(self) -> np.ndarray:
         index = np.full(self.order, -1, dtype=np.int64)
         index[self.subfield_elements] = np.arange(1 << self.half)
-        index.setflags(write=False)
-        return index
+        return _read_only(index)
 
     # -- scalar operations --------------------------------------------
 
@@ -256,15 +402,35 @@ class FieldCtx:
             raise ValueError(f"{x} is not an element of GF(2^{self.n})")
         return x
 
+    def _mul(self, a: int, b: int) -> int:
+        """a * b for elements a, b: a carry-less product, one shift per set bit
+        of b, with its bits n .. 2n-2 reduced through a map."""
+        acc = 0
+        while b:
+            low = b & -b
+            acc ^= a * low
+            b ^= low
+        return (acc & self.group_order) ^ self._reduce(acc >> self.n)
+
+    def _raw_pow(self, a: int, e: int) -> int:
+        """a^e for e >= 0 by square-and-multiply, squaring through the Frobenius map."""
+        acc = 1
+        while e:
+            if e & 1:
+                acc = self._mul(a, acc)
+            e >>= 1
+            if e:
+                a = self._square(a)
+        return acc
+
     def mul(self, a: int, b: int) -> int:
-        if self._element(a) == 0 or self._element(b) == 0:
-            return 0
-        return int(self.antilog[(self.log[a] + self.log[b]) % self.group_order])
+        self._element(a)
+        return self._mul(a, self._element(b))
 
     def inv(self, a: int) -> int:
         if self._element(a) == 0:
             raise ZeroDivisionError("0 has no inverse")
-        return int(self.antilog[(-self.log[a]) % self.group_order])
+        return self._raw_pow(a, self.group_order - 1)
 
     def pow(self, a: int, e: int) -> int:
         """a^e with the exponent reduced mod 2^n - 1; 0^0 = 1, 0^e = 0 for e > 0."""
@@ -274,15 +440,15 @@ class FieldCtx:
             if e < 0:
                 raise ZeroDivisionError("0 to a negative power")
             return 0
-        return int(self.antilog[(self.log[a] * e) % self.group_order])
+        return self._raw_pow(a, e % self.group_order)
 
     def frobenius(self, x: int, i: int) -> int:
         """x^(2^i), the i-fold Frobenius (i may be any integer; period n)."""
-        return self.pow(x, 1 << (i % self.n))
+        return self.frobenius_map(i)(self._element(x))
 
     def trace(self, x: int) -> int:
         """Absolute trace onto GF(2), as an int 0 or 1."""
-        return int(self.tr1[self._element(x)])
+        return (self._element(x) & self._trace_mask).bit_count() & 1
 
     def trace_to_subfield(self, x: int, m: int) -> int:
         """Trace of x onto GF(2^m) embedded in E; m must divide n."""
@@ -295,7 +461,7 @@ class FieldCtx:
 
     def in_subfield(self, x: int) -> bool:
         """True exactly for the elements of F; False for any x outside [0, 2^n)."""
-        return 0 <= x < self.order and bool(self.subfield_mask[x])
+        return 0 <= x < self.order and self._half_frobenius(x) == x
 
     @property
     def poly_hex(self) -> str:
@@ -305,14 +471,43 @@ class FieldCtx:
         """'0' for zero, 'a^j' for alpha^j otherwise."""
         if self._element(x) == 0:
             return "0"
-        return f"a^{int(self.log[x])}"
+        return f"a^{self._dlog(x)}"
 
     def element_from_label(self, text: str) -> int:
         if text == "0":
             return 0
         if not text.startswith("a^"):
             raise ValueError(f"bad element label {text!r}")
-        return int(self.antilog[int(text[2:]) % self.group_order])
+        return self.pow(self.alpha, int(text[2:]))
+
+    @cached_property
+    def beta_powers(self) -> np.ndarray:
+        """int64 array [beta^0, ..., beta^(2^{n/2} - 2)]: every element of F*."""
+        return _read_only(self.powers(self.beta, (1 << self.half) - 1))
+
+    @cached_property
+    def _half_logs(self) -> tuple[dict[int, int], dict[int, int], list[int], int, int]:
+        """Logs on F* (base beta) and on U = {u : u^(2^{n/2}+1) = 1} (base
+        gamma = alpha^(2^{n/2}-1)), the powers of beta, and the CRT weights
+        that join a residue mod 2^{n/2} - 1 and one mod 2^{n/2} + 1."""
+        units = (1 << self.half) - 1
+        beta_powers = self.beta_powers.tolist()
+        gamma_powers = self.powers(self.pow(self.alpha, units), units + 2).tolist()
+        return ({y: j for j, y in enumerate(beta_powers)},
+                {u: j for j, u in enumerate(gamma_powers)},
+                beta_powers,
+                (units + 2) * pow(units + 2, -1, units),
+                units * pow(units, -1, units + 2))
+
+    def _dlog(self, x: int) -> int:
+        """log_alpha x for x != 0: with L = log x and q = 2^{n/2}, the norm
+        x^(q+1) = beta^L fixes L mod q - 1, and x^(q-1) = gamma^L fixes L mod q + 1."""
+        log_beta, log_gamma, beta_powers, w1, w2 = self._half_logs
+        xq = self._half_frobenius(x)
+        l1 = log_beta[self._mul(xq, x)]
+        # x^(q-1) = x^(2q) / x^(q+1), and 1 / x^(q+1) = beta^(-l1)
+        l2 = log_gamma[self._mul(self._square(xq), beta_powers[-l1 % len(beta_powers)])]
+        return (l1 * w1 + l2 * w2) % self.group_order
 
     # -- vector operations (numpy arrays of elements) ------------------
 
@@ -335,7 +530,8 @@ class FieldCtx:
         return out
 
     def frob_vec(self, xs: np.ndarray, i: int) -> np.ndarray:
-        return self.pow_vec(xs, 1 << (i % self.n))
+        """Elementwise xs^(2^i), through frobenius_map."""
+        return self.frobenius_map(i).vec(xs)
 
     def scale_all(self, c: int) -> np.ndarray:
         """The array [c*x for x in E] indexed by x."""
@@ -347,17 +543,45 @@ def make_field(n: int, poly: int | None = None) -> FieldCtx:
     return FieldCtx(n, poly)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _prime_factors(m: int) -> set[int]:
+    """The primes dividing m >= 1, by trial division."""
+    primes, p = set(), 2
+    while p * p <= m:
+        while m % p == 0:
+            primes.add(p)
+            m //= p
+        p += 1
+    if m > 1:
+        primes.add(m)
+    return primes
+
+
+def _linear_list(images: list[int]) -> list[int]:
+    """_linear_table of int images as a list, filled by doubling in Python."""
+    out = [0]
+    for img in images:
+        out += [v ^ img for v in out]
+    return out
+
+
 def _linear_table(images, dtype=np.int64) -> np.ndarray:
     """Table of the GF(2)-linear map sending basis bit i to images[i].
 
     out[x] is the XOR of images[i] over the set bits i of x, for every x
     below 2^len(images), as dtype; filled by doubling,
-    out[2^i:2^{i+1}] = out[:2^i] ^ images[i].
+    out[2^i:2^{i+1}] = out[:2^i] ^ images[i].  Images may be vectors (an
+    array of shape (bits, m)), and then out has shape (2^bits, m).
     """
-    out = np.zeros(1 << len(images), dtype=dtype)
+    images = np.asarray(images, dtype=dtype)
+    out = np.zeros((1 << len(images),) + images.shape[1:], dtype=dtype)
     for i, img in enumerate(images):
         h = 1 << i
-        np.bitwise_xor(out[:h], int(img), out=out[h : 2 * h])
+        np.bitwise_xor(out[:h], img, out=out[h : 2 * h])
     return out
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2n import FieldCtx, TooLarge, half_odd
+from .gf2n import FieldCtx, LinearMap, TooLarge, half_odd
 
 # most memory transform_column may allocate, counted as _TRANSFORM_BYTES
 # per transformed value: fwht's two float32 buffers and its int64 result
@@ -214,11 +214,16 @@ def fwht(a) -> np.ndarray:
     if a.shape[-1] != 1 << m:
         raise ValueError(f"fwht needs a power-of-2 last axis, got {a.shape[-1]}")
     x = np.array(a, dtype=np.float32)
-    y = np.abs(x)
-    # exact while the row sums stay below 2^24; entries or sums that reach
-    # 2^24 cannot round below it, so the check holds in float32
-    if y.size and y.sum(axis=-1).max() >= _FWHT_MAX_L1:
-        raise ValueError("fwht input rows must have an L1 norm below 2^24")
+    # exact while the row sums stay below 2^24.  The largest magnitude
+    # times the row length bounds them (Python ints, so int8 -128 cannot
+    # wrap); past that bound the sums are taken in float32, where entries
+    # or sums that reach 2^24 cannot round below it
+    if a.size and max(-int(a.min()), int(a.max())) << m >= _FWHT_MAX_L1:
+        y = np.abs(x)
+        if y.sum(axis=-1).max() >= _FWHT_MAX_L1:
+            raise ValueError("fwht input rows must have an L1 norm below 2^24")
+    else:
+        y = np.empty_like(x)
     chunks = -(-m // _FWHT_CHUNK_BITS)
     sizes = [m // chunks + (i < m % chunks) for i in range(chunks)]
     low = m
@@ -241,20 +246,27 @@ def _dual_truth_table(params: QuadFormParams) -> np.ndarray:
     g(y) is the sum, over the set bits i of y, of g(e_i) + B(y_{<i}, e_i),
     where y_{<i} keeps the bits of y below i.  Bit i of u[y] is that term,
     so g(y) is the parity of y & u[y].  u is affine in y: a table filled by
-    doubling from f at the n basis points and their n(n-1)/2 pair sums,
-    all evaluated at once.
+    doubling from f at the n basis points and B at their pairs.  With
+    delta = ctx.trh_lift, f(x) = tr(x w(x)) for the GF(2)-linear
+    w(x) = b x^(2^k) + delta c x^(2^{n/2}), so both come from the n by n
+    matrix m[i, j] = tr(d_i w(d_j)): f(d_j) = m[j, j] and
+    B(d_i, d_j) = m[i, j] + m[j, i].  As tr(d_i alpha^l) = 1 exactly when
+    l = i, tr(d_i y) is bit i of y, so no 2^n-entry table is read.
     """
     ctx = params.ctx
-    e1, e2 = exponents(ctx, params.k)
-    d = ctx.dual_basis
-    pts = d[:, None] ^ d
-    np.fill_diagonal(pts, d)  # d_i on the diagonal, d_i + d_j off it; none is 0
-    log_pts = ctx.log[pts]
-    vals = (ctx.tr1[_times_alpha_pow(ctx, params.b, e1 * log_pts)]
-            ^ ctx.trh[_times_alpha_pow(ctx, params.c, e2 * log_pts)])
-    at_basis = np.diagonal(vals)
+    n, d = ctx.n, ctx.dual_basis
+    # a x is the XOR of a alpha^l over the set bits l of x: rows of the
+    # ladders of a = b and a = delta c, picked by the bits of d_j^(2^k) and
+    # of d_j^(2^{n/2})
+    ladders = ctx.alpha_ladder.vec([params.b, ctx.mul(ctx.trh_lift, params.c)])
+    xs = np.stack([ctx.frob_vec(d, params.k), ctx.frob_vec(d, ctx.half)])
+    picked = ((xs[:, :, None] >> np.arange(n)) & 1) * ladders[:, None, :]
+    w = np.bitwise_xor.reduce(picked, axis=(0, 2))
+    m = (w >> np.arange(n)[:, None]) & 1
     # bit i of rows[j] is B(e_j, e_i) off the diagonal and g(e_j) on it
-    rows = ((vals ^ at_basis[:, None] ^ at_basis) @ (1 << np.arange(ctx.n))).tolist()
+    polar = m ^ m.T
+    np.fill_diagonal(polar, np.diagonal(m))
+    rows = (polar @ (1 << np.arange(ctx.n))).tolist()
     u = np.empty(ctx.order, dtype=np.uint32)
     u[0] = sum(m & 1 << j for j, m in enumerate(rows))
     for j, m in enumerate(rows):
@@ -280,8 +292,9 @@ def symplectic_ranks(ctx: FieldCtx, k: int, bs, c) -> np.ndarray:
     c is one subfield element or an array of them broadcast against bs.  The
     radical { z : f(x)+f(z)+f(x+z) = 0 for all x } is the kernel of
     L(z) = b^(2^{n-k}) z^(2^{n-k}) + b z^(2^k) + c z^(2^{n/2}), so the rank
-    is the GF(2)-rank of the n images L(alpha^j), reduced one bit at a time
-    for _RANK_BLOCK forms at once.  The zero form has rank 0.
+    is the GF(2)-rank of the n images L(alpha^j) (see _rank_maps), reduced
+    one bit at a time for _RANK_BLOCK forms at once.  The zero form has
+    rank 0.
     """
     require_valid_k(ctx.n, k)
     bs = _field_elements(ctx, bs)
@@ -289,29 +302,47 @@ def symplectic_ranks(ctx: FieldCtx, k: int, bs, c) -> np.ndarray:
     _subfield_list(ctx, c.ravel())
     shape = np.broadcast_shapes(bs.shape, c.shape)
     flat_b = np.broadcast_to(bs, shape).ravel()
+    b_map, c_map = _rank_maps(ctx, k)
     # a single c stays a scalar: n images shared by every form, not n per form
     flat_c = np.broadcast_to(c, shape).ravel() if c.ndim else c
     rank = np.empty(flat_b.size, dtype=np.int64)
     for lo in range(0, flat_b.size, _RANK_BLOCK):
         hi = lo + _RANK_BLOCK
-        rank[lo:hi] = _block_ranks(ctx, k, flat_b[lo:hi], flat_c[lo:hi] if c.ndim else c)
+        rows = b_map.vec(flat_b[lo:hi])
+        rows ^= c_map.vec(flat_c[lo:hi] if c.ndim else c)
+        rank[lo:hi] = _row_ranks(rows)
     return rank.reshape(shape)
 
 
-def _block_ranks(ctx: FieldCtx, k: int, bs: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """symplectic_ranks of the forms (bs[i], c[i]), or (bs[i], c) for a scalar c,
-    from their n x len(bs) images."""
-    j = np.arange(ctx.n)[:, None]
-    rows = (ctx.frob_vec(_times_alpha_pow(ctx, bs, j), ctx.n - k)
-            ^ _times_alpha_pow(ctx, bs, j << k)
-            ^ _times_alpha_pow(ctx, c, j << ctx.half))
-    rank = np.zeros(bs.size, dtype=np.int64)
-    for p in range(ctx.n):
+def _rank_maps(ctx: FieldCtx, k: int) -> tuple[LinearMap, LinearMap]:
+    """LinearMaps sending b, and c, to their shares of a form's n rank images.
+
+    With F_i(x) = x^(2^i), L(alpha^j) = F_{n-k}(b alpha^j)
+    + F_k(F_{n-k}(b) alpha^j) + F_{n/2}(c alpha^j).  F_k is a bijective
+    GF(2)-linear map, so the n images F_k(L(alpha^j)) = b alpha^j
+    + F_{2k}(F_{n-k}(b) alpha^j) + F_{k+n/2}(c alpha^j) have the same rank.
+    Each is GF(2)-linear in b and in c: the images of b = alpha^l are
+    alpha^(l+j) + F_{2k}(F_{n-k}(alpha^l) alpha^j) and those of c = alpha^l
+    are F_{k+n/2}(alpha^(l+j)), from the alpha-ladder and three Frobenius maps.
+    """
+    n, ladder = ctx.n, ctx.alpha_ladder
+    basis = ladder.images[:, 0]
+    b_images = ladder.images ^ ctx.frob_vec(ladder.vec(ctx.frob_vec(basis, n - k)), 2 * k)
+    c_images = ctx.frob_vec(ladder.images, k + ctx.half)
+    return LinearMap(b_images, ctx.half), LinearMap(c_images, ctx.half)
+
+
+def _row_ranks(rows: np.ndarray) -> np.ndarray:
+    """The GF(2)-rank of each row's n images (rows has shape (forms, n))."""
+    rank = np.zeros(len(rows), dtype=np.int64)
+    forms = np.arange(len(rows))
+    for p in range(rows.shape[1]):
         # the first image with bit p set clears that bit from every other
         # image and from itself; no image keeps a bit already reduced
         has = (rows >> p) & 1
-        rows ^= has * np.take_along_axis(rows, has.argmax(axis=0)[None], axis=0)
-        rank += has.max(axis=0)
+        pivot = rows[forms, has.argmax(axis=1)]
+        rows ^= has * pivot[:, None]
+        rank += (pivot >> p) & 1
     return rank
 
 

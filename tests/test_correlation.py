@@ -139,7 +139,19 @@ def test_fold_offset_refuses_inexact_periods():
         corr._fold_offset((1 << 14) - 1)
 
 
-@pytest.mark.parametrize("n", [8, 10])
+@pytest.mark.parametrize("size", [100, 256, 300])
+def test_tally_counts_d1_and_d2_whichever_way_it_bins(size):
+    # below 4^n = 256 products a tally bins d1 and d2 apart, from 256 on
+    # over the (d1, d2) cells; both must count the same
+    rng = np.random.default_rng(size)
+    d = rng.integers(0, 16, size=(2, size))
+    values = (d[0] + 16 * d[1] - corr._fold_offset(15)).astype(np.float32)
+    counts = np.zeros(16, dtype=np.int64)
+    corr._tally(values, np.empty(size, dtype=np.intp), 2, counts)
+    assert counts.tolist() == (2 * np.bincount(d.ravel(), minlength=16)).tolist()
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
 def test_brute_matches_spectral_small_kasami(n):
     family = fam.build_family(fam.family_params(make_field(n), "small-kasami"))
     rb = corr.full_distribution_brute(family)

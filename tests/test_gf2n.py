@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from gkasami import quadform as qf
 from gkasami.gf2n import (
     DEFAULT_POLYS,
     SCALAR_POWERS,
+    LinearMap,
     NonDivisor,
     NonPrimitivePolynomial,
     UnsupportedN,
@@ -86,8 +88,8 @@ def has_factor(poly):
 
 @pytest.mark.parametrize("n,poly,order", [(4, 0x1F, 5), (12, 0x103F, 1365)])
 def test_irreducible_non_primitive_poly_rejected(n, poly, order):
-    # 0x103f: alpha returns to 1 only past the scalar first block, so the
-    # check that the blocked powers are distinct is what must reject it
+    # 0x103f: alpha returns to 1 only past the powers the table build takes
+    # one step at a time; the order test names it from alpha^(4095/3) = 1
     assert not has_factor(poly) and alpha_order(poly, n) == order
     assert ((1 << n) - 1) % order == 0
     if n == 12:
@@ -190,13 +192,25 @@ def test_tables_match_reference_at_large_n(n):
     assert ctx.tr1.dtype == ctx.trh.dtype == np.uint8 and ctx.subfield_mask.dtype == bool
 
 
-@pytest.mark.parametrize("n", [8, 16])
+LAZY_TABLES = ("log", "antilog", "tr1", "trh", "subfield_mask", "walsh_perm", "subfield_index")
+
+
+@pytest.mark.parametrize("n", [8, 16, 20])
 def test_rarely_read_tables_are_built_on_first_read(n):
+    # field info, a c from a power of beta, one spectrum and one rank read
+    # no 2^n-entry table
     ctx = make_field(n)
-    params = qf.QuadFormParams(ctx, 1, 3, int(ctx.beta))
+    assert (ctx.element_label(ctx.alpha), ctx.element_label(ctx.beta)) == (
+        "a^1", f"a^{(1 << ctx.half) + 1}")
+    params = qf.QuadFormParams(ctx, 1, 3, ctx.pow(ctx.beta, 3))
     qf.walsh_spectrum(params)
     qf.symplectic_rank(params)
-    assert "walsh_perm" not in vars(ctx) and "subfield_index" not in vars(ctx)
+    assert not set(LAZY_TABLES) & set(vars(ctx))
+    for name in LAZY_TABLES:
+        got = getattr(ctx, name)
+        assert not got.flags.writeable and getattr(ctx, name) is got
+    if n > 16:
+        return
     # walsh_perm[lam] has bit i = tr(lam alpha^i); alpha^i is 1 << i
     lams = np.arange(ctx.order, dtype=np.int64)
     perm = sum(ctx.tr1[ctx.scale_vec(1 << i, lams)].astype(np.int64) << i for i in range(n))
@@ -205,7 +219,60 @@ def test_rarely_read_tables_are_built_on_first_read(n):
     for name, want in (("walsh_perm", perm), ("subfield_index", index)):
         got = getattr(ctx, name)
         assert got.dtype == np.int64 and np.array_equal(got, want)
-        assert not got.flags.writeable and getattr(ctx, name) is got
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 14, 16, 18, 20])
+def test_scalar_ops_match_the_tables(n):
+    # every element up to n = 10, seeded samples with some of F above;
+    # the scalar ops run before any table exists, then meet the tables
+    ctx = make_field(n)
+    rng = random.Random(n)
+    if n <= 10:
+        xs = list(range(ctx.order))
+    else:
+        xs = ([0, 1, ctx.group_order] + rng.sample(range(ctx.order), 200)
+              + rng.sample(ctx.subfield_elements.tolist(), 40))
+    consts = [rng.randrange(1, ctx.order) for _ in range(2)]
+    exps = [0, 1, -1, rng.randrange(ctx.group_order), -rng.randrange(ctx.group_order)]
+    got = [(x, [ctx.mul(a, x) for a in consts], [ctx.pow(x, e) for e in exps if x or e >= 0],
+            ctx.inv(x) if x else None, ctx.trace(x), ctx.in_subfield(x), ctx.element_label(x),
+            ctx.frobenius(x, 3))
+           for x in xs]
+    assert not set(LAZY_TABLES) & set(vars(ctx))
+    log, antilog, group = ctx.log, ctx.antilog, ctx.group_order
+
+    def power(x, e):  # x^e from the tables
+        return 1 if e == 0 else 0 if x == 0 else int(antilog[int(log[x]) * e % group])
+
+    for x, muls, pows, inv, tr, in_f, label, frob in got:
+        assert muls == [0 if x == 0 else int(antilog[(int(log[a]) + int(log[x])) % group])
+                        for a in consts]
+        assert pows == [power(x, e) for e in exps if x or e >= 0]
+        assert inv == (power(x, -1) if x else None)
+        assert tr == int(ctx.tr1[x]) and in_f == bool(ctx.subfield_mask[x])
+        assert label == ("0" if x == 0 else f"a^{int(log[x])}")
+        assert frob == power(x, 8)
+    assert np.array_equal(ctx.beta_powers, antilog[: group : (1 << ctx.half) + 1])
+
+
+@pytest.mark.parametrize("n", [8, 20])
+def test_linear_map_paths_agree(n):
+    # a few entries map straight from the images and build no table, many
+    # go through the half-width tables; both, and the scalar call, give the
+    # XOR of the images of the set bits
+    rng = np.random.default_rng(n)
+    xs = rng.integers(0, 1 << n, size=1 << 12)
+    for shape in ((n,), (n, 3)):
+        images = rng.integers(0, 1 << n, size=shape)
+        want = np.array([np.bitwise_xor.reduce(images[[j for j in range(n) if x >> j & 1]], axis=0)
+                         for x in xs.tolist()])
+        lmap = LinearMap(images, n // 2)
+        assert np.array_equal(lmap.vec(xs[:6].reshape(2, 3)), want[:6].reshape((2, 3) + shape[1:]))
+        assert "tables" not in vars(lmap)
+        assert np.array_equal(lmap.vec(xs), want)
+        assert "tables" in vars(lmap)
+        if len(shape) == 1:
+            assert [lmap(x) for x in xs[:64].tolist()] == want[:64].tolist()
 
 
 def test_mul_against_raw(ctx4, ctx6):

@@ -159,6 +159,18 @@ def test_fwht_refuses_an_l1_norm_of_2_24():
         qf.fwht(np.zeros(4))
 
 
+def test_fwht_checks_the_l1_norm_when_the_magnitude_bound_fails():
+    # max |a| * 2^m = 2^30 fails the cheap bound, yet L1 = 2^20 + 3069 is
+    # below 2^24, so the row sums admit the row and it transforms exactly
+    a = np.full(1 << 10, -3, dtype=np.int64)
+    a[5] = 1 << 20
+    assert qf.fwht(a).tolist() == sylvester_product(a[None], 10)[0].tolist()
+    # int8 -128 must not wrap to a negative bound: L1 = 2^24 is refused
+    with pytest.raises(ValueError, match="L1 norm"):
+        qf.fwht(np.full(1 << 17, -128, dtype=np.int8))
+    assert qf.fwht(np.full(1 << 16, -128, dtype=np.int8))[0] == -(1 << 23)
+
+
 def butterfly_route(params):
     """Reference: the trace_rows truth table indexed by x, an int64 butterfly,
     then the walsh_perm reindexing."""
@@ -240,6 +252,49 @@ def scalar_rank(ctx, k, b, c):
                 ^ ctx.mul(c, ctx.frobenius(z, ctx.half)))
 
     return n - len(gf2_kernel_basis([lin_map(1 << j) for j in range(n)], n))
+
+
+def table_rank(ctx, k, b, c):
+    """Reference from the log/antilog tables: the images
+    L(alpha^j) = b^(2^{n-k}) alpha^(j 2^{n-k}) + b alpha^(j 2^k) + c alpha^(j 2^{n/2}),
+    each product a sum of logs."""
+    n, group = ctx.n, ctx.group_order
+
+    def times(x, e):  # x * alpha^e
+        return 0 if x == 0 else int(ctx.antilog[(int(ctx.log[x]) + e) % group])
+
+    bq = 0 if b == 0 else int(ctx.antilog[(int(ctx.log[b]) << (n - k)) % group])
+    images = [times(bq, j << (n - k)) ^ times(b, j << k) ^ times(c, j << ctx.half)
+              for j in range(n)]
+    return n - len(gf2_kernel_basis(images, n))
+
+
+@pytest.mark.parametrize("n", [16, 18, 20])
+def test_spectra_and_ranks_match_the_tables_at_large_n(n):
+    # for every admissible k: the dual-basis truth table (and, for the first
+    # k, the spectrum) against the table route truth_table, read at the
+    # points sum_i y_i d_i; ranks of seeded forms against table_rank
+    ctx = make_field(n)
+    rng = np.random.default_rng(n)
+    y = np.arange(ctx.order, dtype=np.int64)
+    points = np.zeros_like(y)
+    for i, d in enumerate(ctx.dual_basis.tolist()):
+        points ^= ((y >> i) & 1) * d
+    sub = ctx.subfield_elements
+    ks = [k for k in range(1, n) if qf.valid_k(n, k)]
+    for i, k in enumerate(ks):
+        b, c = int(rng.integers(1, ctx.order)), 0 if i % 3 == 0 else int(rng.choice(sub))
+        params = qf.QuadFormParams(ctx, k, b, c)
+        want = qf.truth_table(params)[points]
+        assert np.array_equal(qf._dual_truth_table(params), want)
+        if i == 0:
+            assert np.array_equal(qf.walsh_spectrum(params),
+                                  qf.fwht(1 - 2 * want.view(np.int8)))
+        bs, cs = rng.integers(0, ctx.order, 24), sub[rng.integers(0, sub.size, 24)]
+        assert qf.symplectic_ranks(ctx, k, bs, cs).tolist() == [
+            table_rank(ctx, k, int(bb), int(cc)) for bb, cc in zip(bs, cs)]
+        assert qf.symplectic_ranks(ctx, k, bs, c).tolist() == [
+            table_rank(ctx, k, int(bb), c) for bb in bs]
 
 
 def test_symplectic_rank_matches_definition_exhaustive_n4(ctx4):
