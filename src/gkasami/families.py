@@ -313,7 +313,7 @@ def write_family(family: SequenceFamily, fmt: str, stream) -> int:
         raise ValueError(f"unknown format {fmt!r}; know {FORMATS}")
     ctx, period = family.params.ctx, family.period
     if fmt == "json":
-        labels = ["0"] + [f"a^{j}" for j in ctx.log[1:].tolist()]  # as element_label
+        labels = ctx.element_labels()
     # no block holds more than 2^{n/2} members; the last column is the newline
     width = period if fmt == "bits" else 2 * ((period + 7) // 8)
     lines = np.empty((1 << ctx.half, width + 1), dtype=np.uint8)

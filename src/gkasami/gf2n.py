@@ -56,11 +56,11 @@ N_MIN = 4
 N_MAX = 20
 # powers FieldCtx.powers takes one step at a time before it starts doubling
 SCALAR_POWERS = 1 << 10
-# widest LinearMap whose scalar tables are built as lists, with no numpy call
-_LIST_BITS = 5
-# LinearMap.vec maps an array straight from the images up to this many
-# (entry, basis bit) pairs, where building the tables would cost more
-_DIRECT_BITS = 1 << 14
+# LinearMap.vec maps an array straight from the images while it picks at
+# most this many image entries (array entries times image entries); building
+# the two tables gets cheaper from about 2^12 picks (n = 8) to about 2^14.5
+# (n = 20, n-vector images) on
+_DIRECT_PICKS = 1 << 13
 
 
 class UnsupportedN(ValueError):
@@ -101,12 +101,13 @@ class LinearMap:
 
     images[i] is the image of bit i: an int, or a vector (then images has
     shape (bits, m) and results gain an axis of length m).  Calling the map
-    maps one int; vec maps an integer array elementwise.  vec maps an array
-    of up to _DIRECT_BITS (entry, bit) pairs straight from the images, the
-    XOR of images[i] over the set bits i of each entry.  Larger arrays and
-    calls read two tables built on first use, of the map on the low `split`
-    bits and on the rest, so a map on n bits costs 2^{n/2} entries instead
-    of 2^n: m(x) = lo[x & low] ^ hi[x >> split].
+    maps one int; vec maps an integer array elementwise.  vec maps a small
+    array (up to _DIRECT_PICKS) straight from the images, the XOR of
+    images[i] over the set bits i of each entry, so a map read only at a
+    few points builds no table.  Larger arrays and calls read two tables
+    built on first use, of the map on the low `split` bits and on the rest,
+    so a map on n bits costs 2^{n/2} entries instead of 2^n:
+    m(x) = lo[x & low] ^ hi[x >> split].
     """
 
     def __init__(self, images, split: int):
@@ -120,9 +121,6 @@ class LinearMap:
 
     @cached_property
     def _lists(self) -> tuple[list[int], list[int]]:  # scalar lookups are faster in lists
-        if self.split <= _LIST_BITS:  # no numpy call for a few entries
-            images = self.images.tolist()
-            return _linear_list(images[: self.split]), _linear_list(images[self.split :])
         lo, hi = self.tables
         return lo.tolist(), hi.tolist()
 
@@ -132,8 +130,8 @@ class LinearMap:
 
     def vec(self, xs, out: np.ndarray | None = None) -> np.ndarray:
         xs = np.asarray(xs)
-        bits = len(self.images)
-        if xs.size * bits <= _DIRECT_BITS:
+        if xs.size * self.images.size <= _DIRECT_PICKS:
+            bits = len(self.images)
             picked = (xs[..., None] >> np.arange(bits)) & 1
             if self.images.ndim > 1:
                 picked = picked[..., None]
@@ -473,6 +471,10 @@ class FieldCtx:
             return "0"
         return f"a^{self._dlog(x)}"
 
+    def element_labels(self) -> list[str]:
+        """[element_label(x) for x in E], indexed by x, from one read of log."""
+        return ["0"] + [f"a^{j}" for j in self.log[1:].tolist()]
+
     def element_from_label(self, text: str) -> int:
         if text == "0":
             return 0
@@ -559,14 +561,6 @@ def _prime_factors(m: int) -> set[int]:
     if m > 1:
         primes.add(m)
     return primes
-
-
-def _linear_list(images: list[int]) -> list[int]:
-    """_linear_table of int images as a list, filled by doubling in Python."""
-    out = [0]
-    for img in images:
-        out += [v ^ img for v in out]
-    return out
 
 
 def _linear_table(images, dtype=np.int64) -> np.ndarray:

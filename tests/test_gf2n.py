@@ -420,6 +420,7 @@ def test_element_labels(ctx4):
     assert ctx4.element_label(1) == "a^0"
     assert ctx4.element_from_label("a^4") == ctx4.pow(2, 4)
     assert ctx4.element_from_label("0") == 0
+    assert ctx4.element_labels() == [ctx4.element_label(x) for x in range(ctx4.order)]
 
 
 def test_kernel_basis_helper():
