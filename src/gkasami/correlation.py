@@ -11,13 +11,29 @@ stays below p (1 + 2^n)/2 < 2^23 up to n = 12, so float32 holds them
 exactly.  So for each shift tau, the m/2 folded rows rotated by tau times
 S transposed hold all m^2 correlations at that shift, and one bincount
 over the 4^n cells (d1, d2) tallies them: the cells' row sums plus column
-sums are the histogram of d.  For odd m the last member is folded with
-itself and counted at half weight.  Since C(i, j, tau) = C(j, i, p - tau)
-and p is odd, shift 0 is counted once and shifts 1 .. (p - 1)/2 twice.
-Products are taken a block of row pairs at a time, or for a small family
-several whole shifts at a time, so memory stays O(m p) plus, per thread,
-one block of at most 2^20 float32 products and their intp casts, and the
-4^n cell counts of one tally (32 KB at n = 6, 8 MB at n = 10).
+sums are the histogram of d.  For an odd row count the last row is folded
+with itself and counted at half weight.
+
+Most shifts need no product of their own.  With D s(t) = s(2t), the change
+of summation index u = 2t mod p gives C(Ds_i, Ds_j, tau) = C(s_i, s_j,
+2 tau), and C(s_i, s_j, -tau) = C(s_j, s_i, tau).  So over any member set
+P that D maps onto itself, the histogram of P x P at shift tau is the one
+at 2 tau and at -tau, and one shift per orbit of tau -> 2 tau, tau -> -tau
+on Z_p (4, 8 and 20 orbits at n = 4, 6 and 8), counted with the orbit
+size, stands for them all.  P is found from the bits alone: each member
+is decimated (columns 2t mod p gathered and repacked) and looked up among
+the members' bytes, and members whose image is missing leave the candidate
+set until D maps what stays into it; D is injective, so it then permutes
+P, and if members repeat, P is empty.  That is every member for odd n/2,
+and for even n/2 all of part one and the part-two members whose whole
+decimation orbit is in the family (4097 of 4111 at n = 8).  The pairs
+with a member in the rest R, R x all and P x R, take every shift.  This is a
+reindexing of the same inner products, not a sample, and no transform
+theory enters it.  Products are taken a block of row pairs at a time, or
+for a small family several whole shifts at a time, so memory stays
+O(m p) plus, per thread, one block of at most 2^20 float32 products and
+their intp casts, and the 4^n cell counts of one tally (32 KB at n = 6,
+8 MB at n = 10).
 
 The spectral engine never touches sequence bits and reads only the
 family's parameters: the correlation of two members at a given shift
@@ -163,10 +179,10 @@ def _fold(signs: np.ndarray) -> np.ndarray:
 
 def _shift_block(folded: np.ndarray, right: np.ndarray, tau: int, lo: int, hi: int,
                  out: np.ndarray) -> np.ndarray:
-    """Folded products of left rows lo .. hi - 1 at shift tau with every member, into out.
+    """Folded products of left rows lo .. hi - 1 at shift tau with every right row, into out.
 
     Columns p - tau .. 2p - 1 - tau of folded are each row rotated right by
-    tau, which pairs s_i(t) with s_j(t + tau); right is the members' +-1 rows
+    tau, which pairs s_i(t) with s_j(t + tau); right is the right +-1 rows
     transposed.  Plus _fold_offset, the value at [q - lo, j] is
     d(2q, j) + 2^n d(2q + 1, j), where d = (p - C(i, j, tau)) / 2.
     """
@@ -192,7 +208,7 @@ def _tally(values: np.ndarray, index: np.ndarray, times: int, counts: np.ndarray
 
 def _shift_counts(folded: np.ndarray, right: np.ndarray, taus: np.ndarray, times: np.ndarray,
                   block: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """d counts of every left row of folded against every member at each shift,
+    """d counts of every left row of folded against every right row at each shift,
     times[s] times over at taus[s].
 
     block (float32) and index (intp) are flat buffers of one size.  Products
@@ -217,44 +233,110 @@ def _shift_counts(folded: np.ndarray, right: np.ndarray, taus: np.ndarray, times
     return counts
 
 
-def full_distribution_brute(family: SequenceFamily, jobs: int = 1) -> CorrelationReport:
-    """Histogram over all ordered triples by direct +-1 inner products.
+def _decimation_closed(rows: np.ndarray, period: int) -> list[int]:
+    """Indices, in order, of the largest set P of rows that decimation by 2,
+    s(t) -> s(2t), maps into itself, found from the packed rows alone.
 
-    One float32 matrix product per shift and block of folded row pairs (see
-    the module docstring).  Shift 0 is counted once and shifts
-    1 .. (p - 1)/2 twice, by C(i, j, tau) = C(j, i, p - tau).  jobs > 1
-    splits those shifts over that many threads.  Only the matrix product
-    releases the interpreter lock, and BLAS already spreads it over every
-    core; np.bincount holds the lock, so the threads take turns there, and
-    on a 2-vCPU host two jobs run no faster than one.  The result does
-    not depend on jobs.
+    Each row is unpacked, its columns 2t mod p are gathered and repacked, and
+    the result is looked up among the rows' bytes.  Rows whose image is
+    missing leave the candidate set until what stays maps into itself.  D is
+    injective, so on distinct rows it then permutes P; if rows repeat, P is
+    empty.
     """
-    period = family.period
-    signs = sign_rows(member_table(family)[0], period)
-    _fold_offset(period)  # refuse an inexact period before any product
-    pairs, m = len(signs) // 2, len(signs)
-    folded, right = _fold(signs), signs.T
-    taus = np.arange((period + 1) // 2)
-    times = np.where(taus == 0, 1, 2)
+    bits = np.unpackbits(rows, axis=1, count=period, bitorder="little")
+    decimated = np.packbits(bits[:, 2 * np.arange(period) % period], axis=1, bitorder="little")
+    index = {row.tobytes(): i for i, row in enumerate(rows)}
+    if len(index) < len(rows):
+        return []
+    image = [index.get(row.tobytes()) for row in decimated]
+    closed = set(range(len(rows)))
+    while True:
+        kept = {i for i in closed if image[i] in closed}
+        if len(kept) == len(closed):
+            return sorted(closed)
+        closed = kept
+
+
+def _shift_orbits(period: int) -> tuple[np.ndarray, np.ndarray]:
+    """The least shift of each orbit of tau -> 2 tau, tau -> -tau on Z_p,
+    p = 2^n - 1, and the orbit sizes, in order of size."""
+    orbits, seen = [], set()
+    for tau in range(period):
+        if tau not in seen:
+            # 2^n tau = tau, so n doublings close the orbit
+            orbit = {sign * (tau << i) % period
+                     for i in range(period.bit_length()) for sign in (1, -1)}
+            seen |= orbit
+            orbits.append((len(orbit), tau))
+    sizes, reps = zip(*sorted(orbits))
+    return np.array(reps), np.array(sizes)
+
+
+def _block_counts(left: np.ndarray, right: np.ndarray, taus: np.ndarray, times: np.ndarray,
+                  pool: ThreadPoolExecutor, jobs: int) -> np.ndarray | int:
+    """d counts of every +-1 row of left against every row of right, times[s]
+    times over at shift taus[s]; jobs threads of pool split the shifts."""
+    columns, m = right.T, len(right)
+    if not len(left) or not m:
+        return 0
+    period, pairs, folded = len(columns), len(left) // 2, _fold(left)
     parts = [idx for idx in np.array_split(np.arange(taus.size), jobs) if idx.size]
     # a tally covers a row block at one shift, or whole shifts up to about
     # one product per cell (d1, d2), within _BLOCK_VALUES; with fewer
     # products than cells it bins d1 and d2 apart, and 2^16 of them will do
-    cells = (period + 1) ** 2
-    size = min(max(pairs * m, cells), _BLOCK_VALUES, len(parts[0]) * pairs * m)
+    cells, row = (period + 1) ** 2, max(pairs, 1) * m
+    size = min(max(row, cells), _BLOCK_VALUES, len(parts[0]) * row)
     if size < cells:
-        size = min(size, max(pairs * m, 1 << 16))
+        size = min(size, max(row, 1 << 16))
     # buffers come from this thread: ones made in a worker thread would stay
     # resident in that thread's malloc arena after the worker exits
     buffers = [(np.empty(size, np.float32), np.empty(size, np.intp)) for _ in parts]
+    counts = 0
+    if pairs:
+        counts = sum(pool.map(lambda idx, buf: _shift_counts(
+            folded[:pairs], columns, taus[idx], times[idx], *buf), parts, buffers))
+    if len(left) % 2:  # the last row, folded with itself: each of its values counts twice
+        counts = counts + _shift_counts(folded[pairs:], columns, taus, times, *buffers[0]) // 2
+    return counts
+
+
+def _brute_histogram(rows: np.ndarray, period: int, jobs: int = 1) -> ValueHistogram:
+    """C(i, j, tau) over every ordered pair of packed rows (see packed_rows)
+    and every shift, by direct +-1 inner products.
+
+    Pairs within the decimation-closed set P are counted at one shift per
+    orbit of tau -> 2 tau, tau -> -tau, times the orbit size; pairs with a
+    row outside P at every shift (module docstring).
+    """
+    _fold_offset(period)  # refuse an inexact period before any product
+    closed = _decimation_closed(rows, period)
+    rest = sorted(set(range(len(rows))).difference(closed))
+    signs = sign_rows(rows[closed + rest], period)
+    inside, outside = signs[:len(closed)], signs[len(closed):]
+    every = np.arange(period)
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        counts = sum(pool.map(
-            lambda idx, buf: _shift_counts(folded[:pairs], right, taus[idx], times[idx], *buf),
-            parts, buffers))
-    if m % 2:  # the last member, folded with itself: each of its values counts twice
-        counts += _shift_counts(folded[pairs:], right, taus, times, *buffers[0]) // 2
-    hist = ValueHistogram({period - 2 * d: int(c) for d, c in enumerate(counts.tolist()) if c})
-    return _report(family, "brute", hist)
+        counts = (_block_counts(inside, inside, *_shift_orbits(period), pool, jobs)
+                  + _block_counts(outside, signs, every, np.ones_like(every), pool, jobs)
+                  + _block_counts(inside, outside, every, np.ones_like(every), pool, jobs))
+    return ValueHistogram({period - 2 * d: c for d, c in enumerate(counts.tolist()) if c})
+
+
+def full_distribution_brute(family: SequenceFamily, jobs: int = 1) -> CorrelationReport:
+    """Histogram over all ordered triples by direct +-1 inner products.
+
+    One float32 matrix product per shift and block of folded row pairs (see
+    the module docstring).  For the members that decimation by 2 permutes,
+    checked from their bits, one shift per orbit of tau -> 2 tau,
+    tau -> -tau stands for the whole orbit: C(Ds_i, Ds_j, tau) =
+    C(s_i, s_j, 2 tau) is a change of summation index, not transform
+    theory.  jobs > 1 splits the shifts of each block (the orbit
+    representatives for those members) over that many threads.  Only the
+    matrix product releases the interpreter lock, and BLAS already spreads
+    it over every core; np.bincount holds the lock, so the threads take
+    turns there, and on a 2-vCPU host two jobs run no faster than one.  The
+    result does not depend on jobs.
+    """
+    return _report(family, "brute", _brute_histogram(member_table(family)[0], family.period, jobs))
 
 
 # -- spectral engine -------------------------------------------------------

@@ -7,7 +7,8 @@ rank routes against them.  spectra_block transforms one truth table per
 (b, c), indexed by x, and reindexes through walsh_perm, so it shares with
 walsh_spectrum only fwht and the trace rows.  code_tables packs every
 trace row with np.packbits, so it shares with families.packed_rows only
-the trace rows.
+the trace rows.  brute_histogram takes one plain +-1 product per shift, with
+no folding of row pairs and no orbits of shifts.
 """
 
 from __future__ import annotations
@@ -78,6 +79,19 @@ def codeword(ctx: FieldCtx, tables, gamma: int, delta: int, eta: int) -> int:
     lin, quad, norm = tables
     row = lin[gamma] ^ quad[delta] ^ norm[ctx.subfield_index[eta]]
     return int.from_bytes(row.tobytes(), "little")
+
+
+def brute_histogram(rows: np.ndarray, period: int) -> ValueHistogram:
+    """C(i, j, tau) over every ordered pair of packed rows (bit t at bit t % 8
+    of byte t // 8) and every shift: one float64 product of the +-1 rows
+    with the rows rotated by tau, per tau."""
+    bits = np.unpackbits(rows, axis=1, count=period, bitorder="little")
+    signs = 1.0 - 2.0 * bits
+    hist = ValueHistogram()
+    for tau in range(period):
+        hist.merge(ValueHistogram.from_array(
+            (signs @ np.roll(signs, -tau, axis=1).T).astype(np.int64)))
+    return hist
 
 
 class LengthMismatch(ValueError):

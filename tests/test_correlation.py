@@ -12,7 +12,7 @@ from gkasami import theory
 from gkasami.gf2n import make_field
 from gkasami.histogram import ValueHistogram
 
-from reference import LengthMismatch, correlate, rotate, spectra_block
+from reference import LengthMismatch, brute_histogram, correlate, rotate, spectra_block
 
 EXAMPLE_N4 = {15: 67, -1: 28598, 3: 18418, -5: 11044, 7: 6902, -9: 2306}
 
@@ -93,7 +93,7 @@ def test_engines_identical_all_kinds_n6(ctx6):
 def test_jobs_do_not_change_brute_result(family4, family6):
     one = corr.full_distribution_brute(family4, jobs=1)
     assert corr.full_distribution_brute(family4, jobs=2).histogram == one.histogram
-    # 32 counted shifts at n = 6: three jobs split them 11/11/10
+    # 8 shift orbits at n = 6, one representative each: three jobs split them 3/3/2
     one = corr.full_distribution_brute(family6, jobs=1)
     assert corr.full_distribution_brute(family6, jobs=3).histogram == one.histogram
 
@@ -159,11 +159,80 @@ def test_brute_matches_spectral_small_kasami(n):
     assert rb.histogram == theory.small_kasami_correlation(n)
 
 
-@pytest.mark.slow
 def test_brute_matches_spectral_fk_n8(ctx8):
     family = fam.build_family(fam.family_params(ctx8, "fk", 1))
     rb = corr.full_distribution_brute(family, jobs=2)
     assert rb.histogram == corr.full_distribution_spectral(family).histogram
+
+
+def decimated(rows, period):
+    """Packed rows with bit t taken from bit 2t mod p, by Python ints."""
+    out = []
+    for row in rows:
+        bits = int.from_bytes(row.tobytes(), "little")
+        dec = sum(((bits >> (2 * t % period)) & 1) << t for t in range(period))
+        out.append(dec.to_bytes(len(row), "little"))
+    return out
+
+
+@pytest.mark.parametrize("n, count", [(4, 4), (6, 8), (8, 20)])
+def test_shift_orbits_partition_the_shifts(n, count):
+    period = (1 << n) - 1
+    reps, sizes = corr._shift_orbits(period)
+    assert len(reps) == count and sizes.sum() == period
+    assert sizes.tolist() == sorted(sizes.tolist())
+    covered = set()
+    for rep, size in zip(reps.tolist(), sizes.tolist()):
+        orbit = {sign * (rep << i) % period for i in range(n) for sign in (1, -1)}
+        assert {2 * t % period for t in orbit} == orbit == {-t % period for t in orbit}
+        assert len(orbit) == size and not orbit & covered
+        covered |= orbit
+    assert covered == set(range(period))
+
+
+def test_decimation_closed_set_n6_is_every_member(family6):
+    rows = fam.member_table(family6)[0]
+    assert corr._decimation_closed(rows, family6.period) == list(range(family6.size))
+    assert set(decimated(rows, family6.period)) == {row.tobytes() for row in rows}
+
+
+def test_decimation_closed_set_n8(ctx8):
+    family = fam.build_family(fam.family_params(ctx8, "fk", 1))
+    rows, _, part_one = fam.member_table(family)
+    period = family.period
+    closed = corr._decimation_closed(rows, period)
+    # D(P) = P
+    assert set(decimated(rows[closed], period)) == {row.tobytes() for row in rows[closed]}
+    # all of part one, and the part-two rows whose whole decimation orbit is in the table
+    table = {row.tobytes() for row in rows}
+    orbit = rows[part_one:]
+    stays = np.ones(len(orbit), dtype=bool)
+    for _ in range(8):
+        orbit = np.frombuffer(b"".join(decimated(orbit, period)), np.uint8).reshape(orbit.shape)
+        stays &= [row.tobytes() in table for row in orbit]
+    assert closed == list(range(part_one)) + [part_one + i for i in np.flatnonzero(stays)]
+    assert len(closed) == 4097  # 4096 part-one members and 1 of the 15 part-two rows
+
+
+@pytest.mark.parametrize("name", ["family4", "family6"])
+def test_brute_histogram_matches_plain_products(name, request):
+    family = request.getfixturevalue(name)
+    rows = fam.member_table(family)[0]
+    assert corr._brute_histogram(rows, family.period) == brute_histogram(rows, family.period)
+
+
+@pytest.mark.parametrize("name", ["family4", "family6"])
+def test_brute_histogram_on_tables_decimation_does_not_close(name, request):
+    family = request.getfixturevalue(name)
+    rows, period = fam.member_table(family)[0], family.period
+    flipped = rows.copy()
+    flipped[5, 0] ^= 1 << 3  # bit 3 of part-one member 5
+    closed = corr._decimation_closed(flipped, period)
+    assert 5 not in closed and len(closed) < len(rows) - 1
+    assert corr._brute_histogram(flipped, period) == brute_histogram(flipped, period)
+    repeated = np.concatenate([rows, rows[7:8]])
+    assert corr._decimation_closed(repeated, period) == []
+    assert corr._brute_histogram(repeated, period, jobs=2) == brute_histogram(repeated, period)
 
 
 def test_small_set_engines_and_prediction(ctx6):
