@@ -72,7 +72,15 @@ import numpy as np
 
 from . import quadform as qf
 from . import theory
-from .families import FamilyKind, SequenceFamily, gamma_delta_sets, member_table, sign_rows
+from .families import (
+    FamilyKind,
+    SequenceFamily,
+    find_rows,
+    gamma_delta_sets,
+    member_table,
+    row_keys,
+    sign_rows,
+)
 from .gf2n import half_odd
 from .histogram import ValueHistogram
 
@@ -238,22 +246,25 @@ def _decimation_closed(rows: np.ndarray, period: int) -> list[int]:
     s(t) -> s(2t), maps into itself, found from the packed rows alone.
 
     Each row is unpacked, its columns 2t mod p are gathered and repacked, and
-    the result is looked up among the rows' bytes.  Rows whose image is
-    missing leave the candidate set until what stays maps into itself.  D is
-    injective, so on distinct rows it then permutes P; if rows repeat, P is
-    empty.
+    the result is looked up among the rows' sorted keys (families.row_keys).
+    Rows whose image is missing leave the candidate set until what stays
+    maps into itself.  D is injective, so on distinct rows it then permutes
+    P; if rows repeat, P is empty.
     """
     bits = np.unpackbits(rows, axis=1, count=period, bitorder="little")
     decimated = np.packbits(bits[:, 2 * np.arange(period) % period], axis=1, bitorder="little")
-    index = {row.tobytes(): i for i, row in enumerate(rows)}
-    if len(index) < len(rows):
+    keys = row_keys(rows)
+    order = np.argsort(keys)
+    keys = keys[order]
+    if np.any(keys[1:] == keys[:-1]):
         return []
-    image = [index.get(row.tobytes()) for row in decimated]
-    closed = set(range(len(rows)))
+    found = find_rows(keys, row_keys(decimated))
+    image = np.where(found >= 0, order[found], -1)
+    closed = found >= 0
     while True:
-        kept = {i for i in closed if image[i] in closed}
-        if len(kept) == len(closed):
-            return sorted(closed)
+        kept = closed & closed[image]  # image -1 only where closed is already False
+        if np.array_equal(kept, closed):
+            return np.flatnonzero(closed).tolist()
         closed = kept
 
 

@@ -12,14 +12,17 @@ Three kinds share one container:
 
 Each member is a codeword of the [2^n - 1, 5n/2] generalized Kasami code,
 the XOR of trace rows packed by packed_rows into uint8 rows (LSB of byte 0
-= t = 0), the one bit form of the engines.  member_blocks streams the
-members as packed blocks, one per gamma in part one and one for part two;
-write_family formats each block with whole-array operations, and
-member_table gathers them into one table.  Python ints (BinarySequence)
-are built only for part1 and part2, from the same blocks.  theory.build_code
-packs the code's rows with packed_rows too, and sign_rows turns packed rows
-into the +-1 float32 rows that the brute engine and the code-weight
-enumeration multiply.
+= t = 0), the one bit form of the engines.  tr(a x^e) is GF(2)-linear in a,
+so _span_rows builds the 2^n rows of every a from n basis rows.
+member_blocks streams the members as packed blocks, whole gammas of part
+one per block and one block for part two, each with its tags as an int64
+array; write_family formats each block with whole-array operations, and
+member_table gathers them into one table.  row_keys views packed rows as
+fixed-width byte strings, to sort and look them up.  Python ints
+(BinarySequence) are built only for part1 and part2, from the same blocks.
+theory.build_code packs the code's rows with packed_rows and _span_rows
+too, and sign_rows turns packed rows into the +-1 float32 rows that the
+brute engine and the code-weight enumeration multiply.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf2n import FieldCtx, TooLarge, half_odd
+from .gf2n import FieldCtx, TooLarge, _linear_table, half_odd
 from .quadform import InvalidK, exponents, require_valid_k, trace_rows
 
 
@@ -124,7 +127,8 @@ class SequenceFamily:
     norm[delta], iterates gamma over E in integer order (only gamma = 0 for
     the small Kasami set) and delta over F in increasing order; part two,
     quad[zeta] ^ norm[eta], follows the (Gamma, Delta) listing (none for the
-    small Kasami set).
+    small Kasami set).  quad is linear in its coefficient, so part one's
+    quad rows are the span of the n rows quad[2^i].
     """
 
     params: FamilyParams
@@ -213,16 +217,36 @@ def _require_members(ctx: FieldCtx) -> None:
         raise TooLarge(f"family members limited to n <= {FAMILY_MAX_N}, got n = {ctx.n}")
 
 
+def _span_rows(ctx: FieldCtx, e: int) -> np.ndarray:
+    """packed_rows(ctx, range(2^n), e, ctx.tr1): tr(a x^e) is GF(2)-linear in
+    a, so the rows of every a in E, in integer order, are the XOR span of the
+    n basis rows a = 2^i, built by doubling."""
+    return _linear_table(packed_rows(ctx, 1 << np.arange(ctx.n), e, ctx.tr1), np.uint8)
+
+
+# packed rows per part-one member block: whole gammas (at least one) within
+# 8 KB, so a block's bits text stays near 64 KB; 32 KB blocks were not
+# measurably faster at n = 8 and tripled the formatters' peak memory
+_BLOCK_BYTES = 1 << 13
+
+
 def _part_one_blocks(params: FamilyParams):
-    """One block per gamma: m ^ quad[gamma] ^ norm[delta] for delta over F."""
+    """m ^ quad[gamma] ^ norm[delta] for delta over F, whole gammas per block."""
     ctx = params.ctx
     e1, e2 = exponents(ctx, params.k)
-    gammas = [0] if params.kind == FamilyKind.SMALL_KASAMI else range(ctx.order)
-    deltas = ctx.subfield_elements.tolist()
+    deltas = ctx.subfield_elements
     norm_m = (packed_rows(ctx, deltas, e2, ctx.trh)
               ^ packed_rows(ctx, [1], 1, ctx.tr1))
-    for gamma, quad in zip(gammas, packed_rows(ctx, gammas, e1, ctx.tr1)):
-        yield "gamma-delta", [(gamma, delta) for delta in deltas], quad ^ norm_m
+    if params.kind == FamilyKind.SMALL_KASAMI:
+        quad = np.zeros((1, norm_m.shape[1]), dtype=np.uint8)  # gamma = 0 only
+    else:
+        quad = _span_rows(ctx, e1)
+    step = max(1, _BLOCK_BYTES // norm_m.nbytes)
+    # the pairs of gammas 0 .. step - 1; a block's gammas are offset by its first
+    pairs = np.stack([np.arange(step).repeat(len(deltas)), np.tile(deltas, step)], axis=1)
+    for g0 in range(0, len(quad), step):
+        rows = (quad[g0:g0 + step, None] ^ norm_m[None]).reshape(-1, norm_m.shape[1])
+        yield "gamma-delta", pairs[:len(rows)] + [g0, 0], rows
 
 
 def _part_two_blocks(params: FamilyParams):
@@ -234,18 +258,18 @@ def _part_two_blocks(params: FamilyParams):
     gset, dset = gamma_delta_sets(ctx)
     quad = packed_rows(ctx, gset, e1, ctx.tr1)
     norm = packed_rows(ctx, dset, e2, ctx.trh)
-    yield ("zeta-eta", [(zeta, eta) for zeta in gset for eta in dset],
-           (quad[:, None] ^ norm[None]).reshape(-1, quad.shape[1]))
+    pairs = np.stack([np.repeat(gset, len(dset)), np.tile(dset, len(gset))], axis=1)
+    yield "zeta-eta", pairs, (quad[:, None] ^ norm[None]).reshape(-1, quad.shape[1])
 
 
 def member_blocks(family: SequenceFamily):
     """Iterator of (variant, pairs, rows) blocks in the documented member order.
 
     rows holds one packed member per row (see packed_rows) and pairs its
-    (gamma, delta) or (zeta, eta) tags.  Part one gives one block of
-    2^{n/2} members per gamma, part two one block of |Gamma| |Delta|
-    members.  Refuses above FAMILY_MAX_N when called, before any row is
-    built.
+    (gamma, delta) or (zeta, eta) tags as the rows of an int64 array.  Part
+    one comes in blocks of whole gammas, 2^{n/2} members each, as many as
+    fit _BLOCK_BYTES; part two is one block of |Gamma| |Delta| members.
+    Refuses above FAMILY_MAX_N when called, before any row is built.
     """
     _require_members(family.params.ctx)
     return itertools.chain(_part_one_blocks(family.params), _part_two_blocks(family.params))
@@ -268,6 +292,19 @@ def member_table(family: SequenceFamily) -> tuple[np.ndarray, np.ndarray, int]:
     return rows, pairs, part_one
 
 
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each packed row as one fixed-width byte string (a numpy void view of
+    the rows), which sorts, searches and compares as the row's bytes do."""
+    return np.ascontiguousarray(rows).view(f"V{rows.shape[1]}").ravel()
+
+
+def find_rows(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The index of each of keys in sorted_keys (see row_keys, not empty), -1
+    where absent."""
+    at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return np.where(sorted_keys[at] == keys, at, -1)
+
+
 _TAGS = {"gamma-delta": SequenceTag.gamma_delta, "zeta-eta": SequenceTag.zeta_eta}
 
 
@@ -280,7 +317,7 @@ def _sequences(params: FamilyParams, part) -> list[BinarySequence]:
         data, width, tag = rows.tobytes(), rows.shape[1], _TAGS[variant]
         out += [BinarySequence(int.from_bytes(data[i * width:(i + 1) * width], "little"),
                                period, tag(*pair))
-                for i, pair in enumerate(pairs)]
+                for i, pair in enumerate(pairs.tolist())]
     return out
 
 
@@ -297,44 +334,59 @@ def imbalance(seq: BinarySequence) -> int:
 # -- export formats -----------------------------------------------------
 
 FORMATS = ("bits", "hex", "json")
+# the '0'/'1' characters of the bits of each byte value, bit 0 first, as
+# one little-endian uint64; built from Python bytes, as numpy arithmetic at
+# import raises every command's peak RSS by about 0.15 MB
+_BIT_CHARS = np.frombuffer(bytes(ord("0") + (b >> i & 1) for b in range(256) for i in range(8)),
+                           "<u8")
 
 
 def write_family(family: SequenceFamily, fmt: str, stream) -> int:
-    """Write one member per line, one stream.write per member block; returns
-    the number of lines.
+    """Write one member per line; returns the number of lines.
 
     bits: the terms t = 0 .. 2^n - 2 as '0'/'1'; hex: the packed bytes in
     lowercase hex; json: {"tag": {...}, "hex": ...} compactly, the tag as in
-    SequenceTag.to_json_dict.  bits and hex lines are laid out in one ASCII
-    buffer, reused by every block: a fresh one per block costs more in page
-    faults than the formatting.
+    SequenceTag.to_json_dict.  Each member block is formatted whole, by one
+    numpy pass (bits, hex) or one comprehension (json), and written with one
+    stream.write per gamma of part one (2^{n/2} lines) and one for part two.
+    bits and hex lines are laid out in one ASCII buffer, reused by every
+    block: a fresh one per block costs more in page faults than the
+    formatting.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; know {FORMATS}")
     ctx, period = family.params.ctx, family.period
     if fmt == "json":
         labels = ctx.element_labels()
-    # no block holds more than 2^{n/2} members; the last column is the newline
+    # the last column of a line is the newline
     width = period if fmt == "bits" else 2 * ((period + 7) // 8)
-    lines = np.empty((1 << ctx.half, width + 1), dtype=np.uint8)
-    lines[:, -1] = ord("\n")
+    lines = np.empty((0, width + 1), dtype=np.uint8)
     count = 0
     for variant, pairs, rows in member_blocks(family):
+        per_write = 1 << ctx.half if variant == "gamma-delta" else len(rows)
         if fmt == "json":
             digits = rows.tobytes().hex()
             a, b = ("gamma", "delta") if variant == "gamma-delta" else ("zeta", "eta")
-            stream.write("".join(
-                f'{{"tag":{{"variant":"{variant}","{a}":"{labels[x]}","{b}":"{labels[y]}"}},'
-                f'"hex":"{digits[i * width:(i + 1) * width]}"}}\n'
-                for i, (x, y) in enumerate(pairs)))
+            text = [f'{{"tag":{{"variant":"{variant}","{a}":"{labels[x]}","{b}":"{labels[y]}"}},'
+                    f'"hex":"{digits[i * width:(i + 1) * width]}"}}\n'
+                    for i, (x, y) in enumerate(pairs.tolist())]
+            chunks = ("".join(text[i:i + per_write]) for i in range(0, len(rows), per_write))
         else:
+            if len(lines) < len(rows):  # the first block is the largest
+                lines = np.empty((len(rows), width + 1), dtype=np.uint8)
+                lines[:, -1] = ord("\n")
             block = lines[:len(rows)]
             if fmt == "bits":
-                bits = np.unpackbits(rows, axis=1, count=period, bitorder="little")
-                np.add(bits, ord("0"), out=block[:, :-1])
+                # 8 characters per packed byte; the last, for the padding bit
+                # t = 2^n - 1, is the newline
+                np.take(_BIT_CHARS, rows, out=block.view("<u8"), mode="clip")
+                block[:, -1] = ord("\n")
             else:
                 block[:, :-1] = np.frombuffer(rows.tobytes().hex().encode("ascii"), np.uint8
                                               ).reshape(len(rows), width)
-            stream.write(str(block.data, "ascii"))
+            chunks = (str(block[i:i + per_write].data, "ascii")
+                      for i in range(0, len(rows), per_write))
+        for chunk in chunks:
+            stream.write(chunk)
         count += len(rows)
     return count

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import packed_rows, sign_rows
+from .families import _span_rows, packed_rows, sign_rows
 from .gf2n import FieldCtx, TooLarge, UnsupportedN, half_odd
 from .histogram import ValueHistogram
 from .quadform import exponents, orbit_classes, require_valid_k
@@ -479,8 +479,9 @@ def build_code(ctx: FieldCtx, k: int) -> CodeSpec:
     is x -> alpha x in the trace rows.  So the weights are, summed over the
     representatives (delta, eta) of quadform.orbit_classes, orbit size times
     the weights over every gamma: one exact float32 matrix product (see
-    _code_weight_counts).  The weights are direct sums over the codeword
-    bits, not transform values.
+    _code_weight_counts).  The rows tr(gamma x) of every gamma are the span
+    of n basis rows (families._span_rows).  The weights are direct sums over
+    the codeword bits, not transform values.
     """
     require_valid_k(ctx.n, k)
     if ctx.n > CODE_ENUM_MAX_N:
@@ -488,7 +489,7 @@ def build_code(ctx: FieldCtx, k: int) -> CodeSpec:
     e1, e2 = exponents(ctx, k)
     period = ctx.group_order
     deltas, etas, weights = orbit_classes(ctx, k)
-    lin = sign_rows(packed_rows(ctx, range(ctx.order), 1, ctx.tr1), period)
+    lin = sign_rows(_span_rows(ctx, 1), period)
     rest = sign_rows(packed_rows(ctx, deltas, e1, ctx.tr1)
                      ^ packed_rows(ctx, etas, e2, ctx.trh), period)
     counts = _code_weight_counts(lin, rest, weights)

@@ -124,8 +124,14 @@ class _Bundle:
         return fam.member_table(self.family)
 
 
-def _row_set(rows: np.ndarray) -> set[bytes]:
-    return set(map(bytes, rows))
+def _sorted_keys(rows: np.ndarray) -> np.ndarray:
+    return np.sort(fam.row_keys(rows))
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The sorted keys with repeats dropped (keys itself if none repeat)."""
+    repeats = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+    return np.delete(keys, repeats) if len(repeats) else keys
 
 
 def _entries(h: ValueHistogram) -> list:
@@ -395,16 +401,18 @@ def _claim_family_structure(b: _Bundle) -> ClaimResult:
         family.size == theory.family_size(ctx.n)
         and part_one == 1 << (3 * ctx.half)
     )
-    part_one_bits = _row_set(rows[:part_one])
-    bits = part_one_bits | _row_set(rows[part_one:])
-    distinct_ok = len(bits) == family.size
+    # rows as sorted fixed-width byte strings, one sorted copy at a time
     small = fam.build_family(fam.family_params(ctx, fam.FamilyKind.SMALL_KASAMI))
-    small_ok = _row_set(fam.member_table(small)[0]) <= part_one_bits
+    found = fam.find_rows(_sorted_keys(rows[:part_one]), fam.row_keys(fam.member_table(small)[0]))
+    small_ok = bool(np.all(found >= 0))
+    every = _sorted_keys(rows)
+    distinct_ok = len(every) == family.size and not np.any(every[1:] == every[:-1])
     note = None
     large_ok = True
     if b.k == ctx.half + 1:
         large = fam.build_family(fam.family_params(ctx, fam.FamilyKind.LARGE_KASAMI))
-        large_ok = _row_set(fam.member_table(large)[0]) == bits
+        large_keys = _distinct(_sorted_keys(fam.member_table(large)[0]))
+        large_ok = np.array_equal(large_keys, _distinct(every))
         note = "k = n/2 + 1: family coincides with the large Kasami set"
     ok = sizes_ok and distinct_ok and small_ok and large_ok
     return ClaimResult(

@@ -155,6 +155,25 @@ def test_unpack_bits_inverts_packing(ctx6, family4):
     assert np.array_equal(unpack_bits(ints, ctx6.group_order), want)
 
 
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_span_rows_are_the_packed_rows_of_every_element(n):
+    ctx = make_field(n)
+    k = next(k for k in range(1, n) if qf.valid_k(n, k))
+    for e in (1, qf.exponents(ctx, k)[0]):
+        span = fam._span_rows(ctx, e)
+        assert span.dtype == np.uint8
+        assert np.array_equal(span, fam.packed_rows(ctx, range(ctx.order), e, ctx.tr1))
+
+
+def test_find_rows():
+    rows = np.array([[1, 2], [0, 7], [1, 0], [0, 7]], dtype=np.uint8)
+    keys = np.sort(fam.row_keys(rows))
+    probe = fam.row_keys(np.array([[1, 0], [1, 1], [0, 7], [9, 9]], dtype=np.uint8))
+    at = fam.find_rows(keys, probe)
+    assert at[[1, 3]].tolist() == [-1, -1]
+    assert all(keys[at[i]] == probe[i] for i in (0, 2))
+
+
 @pytest.mark.parametrize("n", [4, 6, 8])
 @pytest.mark.parametrize("kind", list(fam.FamilyKind))
 def test_member_blocks_hold_the_members_in_order(n, kind):
@@ -170,9 +189,15 @@ def test_member_blocks_hold_the_members_in_order(n, kind):
     assert tags == [expected_tag(ctx, i) for i in range(family.size)]
     members = [int.from_bytes(r.tobytes(), "little") for _, _, rows in blocks for r in rows]
     assert members == [s.bits for s in family.all_sequences()]
+    assert all(pairs.dtype == np.int64 and pairs.shape == (len(pairs), 2)
+               for _, pairs, _ in blocks)
     part1 = [len(pairs) for variant, pairs, _ in blocks if variant == "gamma-delta"]
     part2 = [len(pairs) for variant, pairs, _ in blocks if variant == "zeta-eta"]
-    assert part1 == [1 << ctx.half] * (1 if kind == fam.FamilyKind.SMALL_KASAMI else ctx.order)
+    # whole gammas per part-one block, as many as fit the budget, at least one
+    gammas = 1 if kind == fam.FamilyKind.SMALL_KASAMI else ctx.order
+    per_gamma = (1 << ctx.half) * ((ctx.group_order + 7) // 8)
+    step = max(1, fam._BLOCK_BYTES // per_gamma)
+    assert part1 == [min(step, gammas - g) << ctx.half for g in range(0, gammas, step)]
     if kind == fam.FamilyKind.SMALL_KASAMI:
         assert part2 == []
     else:

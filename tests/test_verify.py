@@ -210,6 +210,63 @@ def test_large_set_note_when_k_matches(ctx6):
     assert structure.note and "large" in structure.note
 
 
+def structure_with(ctx, k, change, monkeypatch):
+    """The family-structure claim's set fields, with every member table it
+    reads, the family's own and the reference sets', replaced by
+    change(kind, rows)."""
+    member_table = fam.member_table
+
+    def changed(family):
+        rows, pairs, part_one = member_table(family)
+        return change(family.params.kind, rows), pairs, part_one
+
+    monkeypatch.setattr(fam, "member_table", changed)
+    result = verify._claim_family_structure(verify._Bundle(ctx, k))
+    return {key: result.empirical[key]
+            for key in ("distinct", "small-set-included", "large-set-equal")}
+
+
+def test_family_structure_fails_on_a_duplicated_row(ctx6, monkeypatch):
+    def duplicate(kind, rows):
+        if kind == fam.FamilyKind.GENERALIZED:
+            rows[-1] = rows[100]  # a part-two row repeats a part-one row past gamma = 0
+        return rows
+
+    assert structure_with(ctx6, 2, duplicate, monkeypatch) == {
+        "distinct": False, "small-set-included": True, "large-set-equal": True}
+
+
+def test_family_structure_fails_on_a_flipped_small_set_bit(ctx6, monkeypatch):
+    def flip(kind, rows):
+        if kind == fam.FamilyKind.SMALL_KASAMI:
+            rows[3, 2] ^= 0x10
+        return rows
+
+    assert structure_with(ctx6, 2, flip, monkeypatch) == {
+        "distinct": True, "small-set-included": False, "large-set-equal": True}
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_family_structure_fails_on_a_changed_large_set_row(n, monkeypatch):
+    ctx = make_field(n)
+
+    def change(kind, rows):
+        if kind == fam.FamilyKind.LARGE_KASAMI:
+            rows[7, 0] ^= 1
+        return rows
+
+    assert structure_with(ctx, ctx.half + 1, change, monkeypatch) == {
+        "distinct": True, "small-set-included": True, "large-set-equal": False}
+
+
+def test_family_structure_compares_the_large_set_as_a_set(ctx6, monkeypatch):
+    def repeat(kind, rows):  # the large set lists two of its rows twice
+        return np.concatenate([rows, rows[[5, 0]]]) if kind == fam.FamilyKind.LARGE_KASAMI else rows
+
+    assert structure_with(ctx6, 4, repeat, monkeypatch) == {
+        "distinct": True, "small-set-included": True, "large-set-equal": True}
+
+
 def test_optional_n10_checks():
     """The odd-parity closed forms at the next desk-scale size."""
     t0 = time.time()
