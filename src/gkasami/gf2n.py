@@ -223,6 +223,7 @@ class FieldCtx:
             images.append(self._square.vec(images[-1]))
         self._frobenius_images = images
         self._frobenius_maps: dict[int, LinearMap] = {}
+        self._dual_frobenius: dict[int, tuple[int, ...]] = {}
         self._half_frobenius = self.frobenius_map(self.half)
         self._check_primitive()
         self._build_subfield()
@@ -315,6 +316,24 @@ class FieldCtx:
         if i not in self._frobenius_maps:
             self._frobenius_maps[i] = LinearMap(self._frobenius_images[i], self.half)
         return self._frobenius_maps[i]
+
+    def dual_frobenius(self, i: int) -> tuple[int, ...]:
+        """The dual basis raised to 2^i, elementwise, built once per i (period n)."""
+        i %= self.n
+        if i not in self._dual_frobenius:
+            # the XOR of the images of alpha^l over the set bits l of each d,
+            # in Python: n^2 steps cost less than a vec call at small n
+            images = self._frobenius_images[i].tolist()
+            out = []
+            for d in self.dual_basis.tolist():
+                acc = 0
+                for im in images:
+                    if d & 1:
+                        acc ^= im
+                    d >>= 1
+                out.append(acc)
+            self._dual_frobenius[i] = tuple(out)
+        return self._dual_frobenius[i]
 
     def times_map(self, c: int) -> LinearMap:
         """x -> c * x as a LinearMap; its images are the alpha-ladder of c."""

@@ -1,11 +1,18 @@
 """Quadratic forms tr(b*x^(2^k+1)) + tr_half(c*x^(2^{n/2}+1)) on GF(2^n).
 
 Evaluates the forms and computes their symplectic ranks (batched over b)
-and exact Walsh (trace-transform) spectra.  fwht is the one Hadamard
-transform: exact float32 matrix products by small Sylvester factors.  A
-whole spectrum transforms the truth table in dual-basis coordinates, built
-by doubling from the form's values at the basis points and their pair
-sums, so its output is indexed directly by lambda as a field element;
+and exact Walsh (trace-transform) spectra.  Every transform goes through
+one Hadamard core, _hadamard_stages: exact float32 matrix products by
+small Sylvester factors over a middle axis.  fwht runs it on the last axis
+of an integer array.  A whole spectrum works in dual-basis coordinates y,
+where tr(lam x) is the parity of lam & y, so its output is indexed
+directly by lam as a field element.  Split as y = y_lo + 2^{n/2} y_hi, the
+form is g_lo(y_lo) + g_hi(y_hi) + t(y_hi).y_lo with t the cross block of
+its polar form, so W(lam_lo + 2^{n/2} lam_hi) =
+sum_{y_hi} (-1)^(g_hi(y_hi) + lam_hi.y_hi) G_lo(lam_lo + t(y_hi)), with G_lo
+the 2^{n/2}-point transform of (-1)^g_lo: two 2^{n/2}-entry tables, rows of
+G_lo with permuted columns, and a transform over the n/2 bits of y_hi.
+Its partial sums reach 2^n, so it is exact up to n = 23.
 transform_column transforms tables indexed by x and reindexes the result
 through walsh_perm.
 
@@ -34,10 +41,14 @@ from .gf2n import FieldCtx, LinearMap, TooLarge, half_odd
 # per transformed value: fwht's two float32 buffers and its int64 result
 _BLOCK_BYTES_CAP = 2 << 30
 _TRANSFORM_BYTES = 16
-# fwht's Kronecker factors are H_{2^s} for s up to this
+# the Hadamard core's Kronecker factors are H_{2^s} for s up to this
 _FWHT_CHUNK_BITS = 5
 # float32 holds every integer below 2^24 exactly
 _FWHT_MAX_L1 = 1 << 24
+# values a spectrum's last Hadamard stage writes at a time (see _hadamard_stages)
+_WIDEN_VALUES = 1 << 16
+# +-1 as float32, indexed by a bit
+_SIGNS = np.array([1, -1], dtype=np.float32)
 # forms symplectic_ranks reduces at once; bounds its n x block int64 images
 _RANK_BLOCK = 1 << 16
 
@@ -195,17 +206,65 @@ def _hadamard(s: int) -> np.ndarray:
 _HADAMARD = tuple(_hadamard(s) for s in range(_FWHT_CHUNK_BITS + 1))
 
 
+def _chunk_sizes(m: int) -> list[int]:
+    """Bits per Kronecker factor of H_{2^m}: near-equal chunks of at most
+    _FWHT_CHUNK_BITS, from the high index bits to the low."""
+    chunks = -(-m // _FWHT_CHUNK_BITS)
+    return [m // chunks + (i < m % chunks) for i in range(chunks)]
+
+
+def _stage(x: np.ndarray, y: np.ndarray, s: int, lower: int) -> None:
+    """y = H_{2^s} over the middle axis of the (rows, 2^s, lower) view of x."""
+    if lower == 1:
+        np.matmul(x.reshape(-1, 1 << s), _HADAMARD[s], out=y.reshape(-1, 1 << s))
+    else:
+        shape = (-1, 1 << s, lower)
+        np.matmul(_HADAMARD[s], x.reshape(shape), out=y.reshape(shape))
+
+
+def _hadamard_stages(x: np.ndarray, y: np.ndarray, m: int, inner: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """H_{2^m} along the middle axis of the (rows, 2^m, inner) view of x.
+
+    x and y are same-sized float32 buffers; the products run back and forth
+    between them, and the one holding the result is returned.  H_{2^m} is
+    the Kronecker product of factors H_{2^s}, one per chunk of the m index
+    bits (_chunk_sizes): a chunk with `lower` entries below it (the lower
+    index bits times inner) is one batched matmul over the middle axis of a
+    (rows, 2^s, lower) view, or (rows * 2^(m-s), 2^s) @ H when lower is 1.
+
+    Given out (int64, x.size entries, m >= 1), the last chunk writes into
+    out instead, in increasing blocks of _WIDEN_VALUES entries (or one
+    batch) through a float32 buffer, and out is returned.  The last chunk's
+    input may then be the upper half of out's bytes as float32, the other
+    buffer the lower half: the values written below entry i fill the first
+    2i float32 slots, below the N + i of the block read next (N = x.size).
+    """
+    low = m
+    for s in _chunk_sizes(m):
+        low -= s
+        if out is not None and low == 0:
+            step = max(_WIDEN_VALUES, inner << s)
+            buf = np.empty(min(step, out.size), dtype=np.float32)
+            flat = x.reshape(-1)
+            for lo in range(0, out.size, step):
+                part = buf[: out.size - lo]
+                _stage(flat[lo : lo + part.size], part, s, inner)
+                out[lo : lo + part.size] = part
+            return out
+        _stage(x, y, s, inner << low)
+        x, y = y, x
+    return x
+
+
 def fwht(a) -> np.ndarray:
     """Hadamard transform of an integer array along its last axis, as int64.
 
-    H_{2^m} is the Kronecker product of factors H_{2^s} (s <= 5), one per
-    chunk of the m index bits, in near-equal chunks from high to low: each
-    chunk but the last is one batched matmul over the middle axis of a
-    (rows, 2^s, lower) view, the last is (rows * 2^(m-s), 2^s) @ H.  The
-    products run in float32, back and forth between two buffers, and are
-    exact: every partial sum is a signed sum of distinct entries of its
-    input row, so its magnitude is at most the row's L1 norm, which must be
-    below 2^24 (ValueError otherwise; TypeError for non-integer input).
+    The stages are _hadamard_stages with inner = 1.  They run in float32
+    and are exact: every partial sum is a signed sum of distinct entries of
+    its input row, so its magnitude is at most the row's L1 norm, which
+    must be below 2^24 (ValueError otherwise; TypeError for non-integer
+    input).
     """
     a = np.asarray(a)
     if not np.issubdtype(a.dtype, np.integer):
@@ -224,66 +283,113 @@ def fwht(a) -> np.ndarray:
             raise ValueError("fwht input rows must have an L1 norm below 2^24")
     else:
         y = np.empty_like(x)
-    chunks = -(-m // _FWHT_CHUNK_BITS)
-    sizes = [m // chunks + (i < m % chunks) for i in range(chunks)]
-    low = m
-    for s in sizes[:-1]:
-        low -= s
-        shape = (-1, 1 << s, 1 << low)
-        np.matmul(_HADAMARD[s], x.reshape(shape), out=y.reshape(shape))
-        x, y = y, x
-    if sizes:
-        s = sizes[-1]
-        np.matmul(x.reshape(-1, 1 << s), _HADAMARD[s], out=y.reshape(-1, 1 << s))
-        x = y
+    x = _hadamard_stages(x, y, m, 1)
+    del y  # the spare buffer goes back before the int64 result is allocated
     return x.astype(np.int64)
 
 
-def _dual_truth_table(params: QuadFormParams) -> np.ndarray:
-    """uint8 table g(y) = f(sum_i y_i d_i) over the dual basis d of ctx.
+def _polar_split(params: QuadFormParams) -> tuple[np.ndarray, list[int]]:
+    """The form in dual-basis coordinates, split at bit h = n/2: (tables, t).
 
-    f is quadratic with polar form B(x, z) = f(x) + f(z) + f(x + z), so
-    g(y) is the sum, over the set bits i of y, of g(e_i) + B(y_{<i}, e_i),
-    where y_{<i} keeps the bits of y below i.  Bit i of u[y] is that term,
-    so g(y) is the parity of y & u[y].  u is affine in y: a table filled by
-    doubling from f at the n basis points and B at their pairs.  With
-    delta = ctx.trh_lift, f(x) = tr(x w(x)) for the GF(2)-linear
-    w(x) = b x^(2^k) + delta c x^(2^{n/2}), so both come from the n by n
-    matrix m[i, j] = tr(d_i w(d_j)): f(d_j) = m[j, j] and
+    g(y) = f(sum_i y_i d_i) over the dual basis d of ctx.  f is quadratic
+    with polar form B(x, z) = f(x) + f(z) + f(x + z), so with
+    y = y_lo + 2^h y_hi, g(y) = g_lo(y_lo) + g_hi(y_hi) + t(y_hi).y_lo,
+    where g_lo and g_hi are g on the two halves (tables, a (2, 2^h) uint8
+    array, see _quad_tables) and t, linear in y_hi, is the cross block of
+    B: one h-bit mask per bit j of y_hi, bit i of t[j] being
+    B(d_{h+j}, d_i).  With delta = ctx.trh_lift, f(x) = tr(x w(x)) for the
+    GF(2)-linear w(x) = b x^(2^k) + delta c x^(2^{n/2}), so all of it comes
+    from the n by n matrix m[i, j] = tr(d_i w(d_j)): f(d_j) = m[j, j] and
     B(d_i, d_j) = m[i, j] + m[j, i].  As tr(d_i alpha^l) = 1 exactly when
-    l = i, tr(d_i y) is bit i of y, so no 2^n-entry table is read.
+    l = i, tr(d_i y) is bit i of y, so m[i, j] is bit i of w(d_j) and no
+    2^n-entry table is read.
     """
     ctx = params.ctx
-    n, d = ctx.n, ctx.dual_basis
-    # a x is the XOR of a alpha^l over the set bits l of x: rows of the
-    # ladders of a = b and a = delta c, picked by the bits of d_j^(2^k) and
-    # of d_j^(2^{n/2})
-    ladders = ctx.alpha_ladder.vec([params.b, ctx.mul(ctx.trh_lift, params.c)])
-    xs = np.stack([ctx.frob_vec(d, params.k), ctx.frob_vec(d, ctx.half)])
-    picked = ((xs[:, :, None] >> np.arange(n)) & 1) * ladders[:, None, :]
-    w = np.bitwise_xor.reduce(picked, axis=(0, 2))
-    m = (w >> np.arange(n)[:, None]) & 1
-    # bit i of rows[j] is B(e_j, e_i) off the diagonal and g(e_j) on it
-    polar = m ^ m.T
-    np.fill_diagonal(polar, np.diagonal(m))
-    rows = (polar @ (1 << np.arange(ctx.n))).tolist()
-    u = np.empty(ctx.order, dtype=np.uint32)
-    u[0] = sum(m & 1 << j for j, m in enumerate(rows))
-    for j, m in enumerate(rows):
-        # u[y + 2^j] = u[y] + (B(e_j, e_i) at every bit i above j), y < 2^j
-        np.bitwise_xor(u[: 1 << j], m & -(2 << j), out=u[1 << j : 2 << j])
-    u &= np.arange(ctx.order, dtype=np.uint32)
+    n, h = ctx.n, ctx.half
+    b, dc = params.b, ctx.mul(ctx.trh_lift, params.c)
+    w = [ctx.mul(b, x) ^ ctx.mul(dc, y)
+         for x, y in zip(ctx.dual_frobenius(params.k), ctx.dual_frobenius(h))]
+    # bit i of mt[j] is m[j, i]: one pass over the set bits of each w[i]
+    mt = [0] * n
+    for i, wi in enumerate(w):
+        while wi:
+            bit = wi & -wi
+            mt[bit.bit_length() - 1] |= 1 << i
+            wi ^= bit
+    # bit i of rows[j] is B(d_j, d_i) off the diagonal and g(d_j) on it
+    rows = [(wj ^ mj) | (wj & 1 << j) for j, (wj, mj) in enumerate(zip(w, mt))]
+    low = (1 << h) - 1
+    tables = _quad_tables([r & low for r in rows[:h]], [r >> h for r in rows[h:]])
+    return tables, [r & low for r in rows[h:]]
+
+
+def _quad_tables(*forms: list[int]) -> np.ndarray:
+    """uint8 tables g(y) of quadratic forms on m bits, one row per form.
+
+    Each form is m masks; bit i of mask j is B(e_j, e_i) off the diagonal
+    and g(e_j) on it.  g(y) is the sum, over the set bits i of y, of
+    g(e_i) + B(y_{<i}, e_i), where y_{<i} keeps the bits of y below i.
+    Bit i of u[y] is that term, so g(y) is the parity of y & u[y].  u is
+    affine in y, u[y] = u[0] + sum_j y_j above_j with above_j the bits of
+    mask j above j: filled by doubling over the low and the high m/2 bits
+    of y apart, then one XOR of every low entry with every high one.
+    """
+    m = len(forms[0])
+    split = m // 2
+    lows, highs = [], []
+    for masks in forms:
+        lows.append(_span([r & -(2 << j) for j, r in enumerate(masks[:split])], 0))
+        highs.append(_span([r & -(2 << j) for j, r in enumerate(masks[split:], split)],
+                           sum(r & 1 << j for j, r in enumerate(masks))))
+    u = (np.array(highs)[:, :, None] ^ np.array(lows)[:, None, :]).reshape(len(forms), -1)
+    u &= np.arange(1 << m)
     return np.bitwise_count(u) & np.uint8(1)
+
+
+def _span(images: list[int], start: int) -> list[int]:
+    """start + every XOR of images, indexed by the subset's bit mask, by doubling."""
+    out = [start]
+    for im in images:
+        out += [x ^ im for x in out]
+    return out
 
 
 def walsh_spectrum(params: QuadFormParams) -> np.ndarray:
     """Full spectrum as an int64 array indexed by lambda.
 
     Pointwise equal to walsh_point.  With x = sum_i y_i d_i over the dual
-    basis, tr(lam x) is the parity of lam & y, so the Hadamard transform of
-    the table y -> f(x) (see _dual_truth_table) is already indexed by lam.
+    basis, tr(lam x) is the parity of lam & y, so the spectrum is the
+    Hadamard transform of g(y) = f(x), already indexed by lam.  Split as in
+    _polar_split, with lam = lam_lo + 2^h lam_hi, that transform is
+    W(lam) = sum_{y_hi} (-1)^(g_hi(y_hi) + lam_hi.y_hi) G_lo(lam_lo + t(y_hi)),
+    where G_lo is the 2^h-point transform of (-1)^g_lo.  So the (2^h, 2^h)
+    array A[y_hi, lam_lo] = G_lo(lam_lo + t(y_hi)) is filled by doubling
+    over the bits j of y_hi, each new block of rows the earlier block with
+    its columns permuted by lam -> lam + t(e_j); its rows are multiplied by
+    (-1)^g_hi and transformed by H_{2^h} over axis 0, and the C-order
+    flatten is indexed by lam.  Every step is exact in float32: |G_lo| is at
+    most 2^h, so every partial sum is at most 2^n, below 2^24 for n <= 23
+    (ValueError past that).
     """
-    return fwht(1 - 2 * _dual_truth_table(params).view(np.int8))
+    ctx = params.ctx
+    if ctx.order >= _FWHT_MAX_L1:
+        raise ValueError(f"walsh_spectrum is exact in float32 up to n = 23, not {ctx.n}")
+    tables, t = _polar_split(params)
+    h = ctx.half
+    size = 1 << h
+    signs = _SIGNS[tables]
+    out = np.empty(ctx.order, dtype=np.int64)
+    # the two float32 work buffers are the halves of out's bytes, ordered so
+    # that the last Hadamard stage reads the upper half
+    halves = out.view(np.float32).reshape(2, size, size)
+    a, b = halves[::-1] if len(_chunk_sizes(h)) % 2 else halves
+    a[0] = _hadamard_stages(signs[0], b[0], h, 1)  # G_lo; signs[0] is spent
+    perms = np.bitwise_xor.outer(t, np.arange(size))
+    for j, perm in enumerate(perms):
+        # perm is in range; "wrap" spares take a buffered copy of out
+        np.take(a[: 1 << j], perm, axis=1, out=a[1 << j : 2 << j], mode="wrap")
+    a *= signs[1, :, None]
+    return _hadamard_stages(a, b, h, size, out)
 
 
 def symplectic_ranks(ctx: FieldCtx, k: int, bs, c) -> np.ndarray:

@@ -38,6 +38,8 @@ BRUTE_CROSSCHECK_MAX_N = 6
 _ORBIT_NOTE = "exhaustive over orbit representatives of x -> u*x"
 # (theta, x) values the affine-root scan holds at once
 _AFFINE_BLOCK = 1 << 16
+# member rows the imbalance claim popcounts at once (all of them at n <= 8)
+_IMBALANCE_ROWS = 1 << 13
 
 
 @dataclass
@@ -367,7 +369,11 @@ def _claim_family_correlation(b: _Bundle) -> ClaimResult:
 def _claim_imbalance(b: _Bundle) -> ClaimResult:
     ctx = b.ctx
     rows, pairs, part_one = b.members
-    imbalance = ctx.group_order - 2 * np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+    weights = np.empty(len(rows), dtype=np.int64)
+    for lo in range(0, len(rows), _IMBALANCE_ROWS):
+        block = rows[lo : lo + _IMBALANCE_ROWS]
+        weights[lo : lo + len(block)] = np.bitwise_count(block).sum(axis=1, dtype=np.int64)
+    imbalance = ctx.group_order - 2 * weights
     got = ValueHistogram.from_array(imbalance)
     want = theory.imbalance_histogram(ctx.n)
     # per-sequence bridge: imbalance = transform value at 1 (part one) or

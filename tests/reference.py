@@ -1,11 +1,15 @@
-"""References for the tests: whole spectra grids over parameter sets, the
-full packed trace-row tables of the generalized Kasami code, and the
-correlation of two sequences by Python-int bit operations.
+"""References for the tests: whole spectra grids over parameter sets, a
+form's whole dual-basis truth table, the full packed trace-row tables of
+the generalized Kasami code, and the correlation of two sequences by
+Python-int bit operations.
 
 No engine builds these; the tests compare the engines' orbit, column and
 rank routes against them.  spectra_block transforms one truth table per
 (b, c), indexed by x, and reindexes through walsh_perm, so it shares with
-walsh_spectrum only fwht and the trace rows.  code_tables packs every
+walsh_spectrum only the Hadamard stages and the trace rows.
+dual_truth_table fills all 2^n entries of the dual-basis table by
+doubling over every bit of y, with no split into halves; fwht of it is a
+whole spectrum.  code_tables packs every
 trace row with np.packbits, so it shares with families.packed_rows only
 the trace rows.  brute_histogram takes one plain +-1 product per shift, with
 no folding of row pairs and no orbits of shifts.
@@ -41,6 +45,37 @@ def spectra_block(ctx: FieldCtx, k: int, b_list, c_list) -> np.ndarray:
     u = qf.trace_rows(ctx, b_list, e1, ctx.tr1)
     v = qf.trace_rows(ctx, c_list, e2, ctx.trh)
     return qf.fwht(1 - 2 * (u[:, None, :] ^ v[None, :, :]).view(np.int8))[..., ctx.walsh_perm]
+
+
+def dual_truth_table(params: qf.QuadFormParams) -> np.ndarray:
+    """uint8 table g(y) = f(sum_i y_i d_i) over the dual basis d of ctx.
+
+    g(y) is the sum, over the set bits i of y, of g(e_i) + B(y_{<i}, e_i)
+    with B the polar form and y_{<i} the bits of y below i; bit i of u[y]
+    is that term, so g(y) is the parity of y & u[y], and u is affine in y,
+    filled by doubling from the n by n matrix m[i, j] = tr(d_i w(d_j)) of
+    w(x) = b x^(2^k) + delta c x^(2^{n/2}): f(d_j) = m[j, j] and
+    B(d_i, d_j) = m[i, j] + m[j, i].  The products come from the
+    alpha-ladders of b and delta c; tr(d_i y) is bit i of y.
+    """
+    ctx = params.ctx
+    n, d = ctx.n, ctx.dual_basis
+    ladders = ctx.alpha_ladder.vec([params.b, ctx.mul(ctx.trh_lift, params.c)])
+    xs = np.stack([ctx.frob_vec(d, params.k), ctx.frob_vec(d, ctx.half)])
+    picked = ((xs[:, :, None] >> np.arange(n)) & 1) * ladders[:, None, :]
+    w = np.bitwise_xor.reduce(picked, axis=(0, 2))
+    m = (w >> np.arange(n)[:, None]) & 1
+    # bit i of rows[j] is B(e_j, e_i) off the diagonal and g(e_j) on it
+    polar = m ^ m.T
+    np.fill_diagonal(polar, np.diagonal(m))
+    rows = (polar @ (1 << np.arange(n))).tolist()
+    u = np.empty(ctx.order, dtype=np.uint32)
+    u[0] = sum(r & 1 << j for j, r in enumerate(rows))
+    for j, r in enumerate(rows):
+        # u[y + 2^j] = u[y] + (B(e_j, e_i) at every bit i above j), y < 2^j
+        np.bitwise_xor(u[: 1 << j], r & -(2 << j), out=u[1 << j : 2 << j])
+    u &= np.arange(ctx.order, dtype=np.uint32)
+    return np.bitwise_count(u) & np.uint8(1)
 
 
 def spectrum_distribution(ctx: FieldCtx, k: int, b_set, c_set, lambda_set,

@@ -192,6 +192,15 @@ def test_tables_match_reference_at_large_n(n):
     assert ctx.tr1.dtype == ctx.trh.dtype == np.uint8 and ctx.subfield_mask.dtype == bool
 
 
+@pytest.mark.parametrize("n", [4, 6, 8, 12])
+def test_dual_frobenius_is_the_dual_basis_raised(n):
+    ctx = make_field(n)
+    for i in range(-1, n + 1):
+        got = ctx.dual_frobenius(i)
+        assert got == tuple(ctx.frobenius(int(d), i) for d in ctx.dual_basis)
+        assert ctx.dual_frobenius(i + n) is got
+
+
 LAZY_TABLES = ("log", "antilog", "tr1", "trh", "subfield_mask", "walsh_perm", "subfield_index")
 
 

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from gkasami import quadform as qf
 from gkasami import theory
 from gkasami.gf2n import TooLarge, gf2_kernel_basis, make_field
 
-from reference import spectra_block, spectrum_distribution
+from reference import dual_truth_table, spectra_block, spectrum_distribution
 
 
 def all_params(ctx, k):
@@ -171,6 +172,50 @@ def test_fwht_checks_the_l1_norm_when_the_magnitude_bound_fails():
     assert qf.fwht(np.full(1 << 16, -128, dtype=np.int8))[0] == -(1 << 23)
 
 
+@pytest.mark.parametrize("m,inner", [(1, 2), (3, 4), (6, 8), (7, 32), (11, 2)])
+def test_hadamard_stages_over_a_middle_axis(m, inner):
+    # H_{2^m} over the middle axis of (rows, 2^m, inner): the axis moved
+    # last, transformed densely, and moved back
+    rng = np.random.default_rng(10 * m + inner)
+    a = rng.integers(-40, 41, size=(3, 1 << m, inner))
+    x = a.astype(np.float32)
+    got = qf._hadamard_stages(x, np.empty_like(x), m, inner)
+    want = sylvester_product(a.transpose(0, 2, 1), m).transpose(0, 2, 1)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("widen", [1, 1 << 6, 1 << 16])
+@pytest.mark.parametrize("m,inner", [(4, 16), (6, 64), (11, 2)])
+def test_hadamard_stages_into_out_from_either_buffer(monkeypatch, m, inner, widen):
+    # the last stage written into int64 out, block by block, from separate
+    # buffers or from the halves of out's own bytes, the last stage's input
+    # in the upper half
+    monkeypatch.setattr(qf, "_WIDEN_VALUES", widen)
+    rng = np.random.default_rng(m)
+    a = rng.integers(-40, 41, size=(1 << m, inner))
+    want = sylvester_product(a.T, m).T.ravel()
+    x = a.astype(np.float32)
+    out = np.empty(a.size, dtype=np.int64)
+    assert qf._hadamard_stages(x, np.empty_like(x), m, inner, out) is out
+    assert np.array_equal(out, want)
+    out = np.empty(a.size, dtype=np.int64)
+    halves = out.view(np.float32).reshape(2, 1 << m, inner)
+    x, y = halves[::-1] if len(qf._chunk_sizes(m)) % 2 else halves
+    x[...] = a
+    qf._hadamard_stages(x, y, m, inner, out)
+    assert np.array_equal(out, want)
+
+
+def test_walsh_spectrum_in_small_blocks(monkeypatch):
+    # the last stage written into the result one batch (8 x 64 values) at a time
+    ctx = make_field(12)
+    params = qf.QuadFormParams(ctx, 1, 77, int(ctx.beta))
+    want = qf.walsh_spectrum(params)
+    monkeypatch.setattr(qf, "_WIDEN_VALUES", 16)
+    assert np.array_equal(qf.walsh_spectrum(params), want)
+    assert np.array_equal(want, butterfly_route(params))
+
+
 def butterfly_route(params):
     """Reference: the trace_rows truth table indexed by x, an int64 butterfly,
     then the walsh_perm reindexing."""
@@ -269,32 +314,78 @@ def table_rank(ctx, k, b, c):
     return n - len(gf2_kernel_basis(images, n))
 
 
-@pytest.mark.parametrize("n", [16, 18, 20])
-def test_spectra_and_ranks_match_the_tables_at_large_n(n):
-    # for every admissible k: the dual-basis truth table (and, for the first
-    # k, the spectrum) against the table route truth_table, read at the
-    # points sum_i y_i d_i; ranks of seeded forms against table_rank
-    ctx = make_field(n)
-    rng = np.random.default_rng(n)
+def dual_points(ctx):
+    """The points sum_i y_i d_i over the dual basis, for every y in integer order."""
     y = np.arange(ctx.order, dtype=np.int64)
     points = np.zeros_like(y)
     for i, d in enumerate(ctx.dual_basis.tolist()):
         points ^= ((y >> i) & 1) * d
+    return points
+
+
+@pytest.mark.parametrize("n", [16, 18, 20])
+def test_spectra_and_ranks_match_the_tables_at_large_n(n):
+    # the whole spectrum against fwht of the table route truth_table, read
+    # at the points sum_i y_i d_i: every admissible k at n = 16, the first
+    # two at n = 18 and 20; ranks of seeded forms against table_rank
+    ctx = make_field(n)
+    rng = np.random.default_rng(n)
+    points = dual_points(ctx)
     sub = ctx.subfield_elements
     ks = [k for k in range(1, n) if qf.valid_k(n, k)]
     for i, k in enumerate(ks):
         b, c = int(rng.integers(1, ctx.order)), 0 if i % 3 == 0 else int(rng.choice(sub))
         params = qf.QuadFormParams(ctx, k, b, c)
-        want = qf.truth_table(params)[points]
-        assert np.array_equal(qf._dual_truth_table(params), want)
-        if i == 0:
-            assert np.array_equal(qf.walsh_spectrum(params),
-                                  qf.fwht(1 - 2 * want.view(np.int8)))
+        if n == 16 or i < 2:
+            want = qf.fwht(1 - 2 * qf.truth_table(params)[points].view(np.int8))
+            assert np.array_equal(qf.walsh_spectrum(params), want)
         bs, cs = rng.integers(0, ctx.order, 24), sub[rng.integers(0, sub.size, 24)]
         assert qf.symplectic_ranks(ctx, k, bs, cs).tolist() == [
             table_rank(ctx, k, int(bb), int(cc)) for bb, cc in zip(bs, cs)]
         assert qf.symplectic_ranks(ctx, k, bs, c).tolist() == [
             table_rank(ctx, k, int(bb), c) for bb in bs]
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_half_tables_match_the_truth_table(n):
+    # g_lo and g_hi are the form at the points of y_lo and of 2^h y_hi, and
+    # t(e_j).y_lo the cross term at the sum of one of each
+    ctx = make_field(n)
+    size = 1 << ctx.half
+    points = dual_points(ctx)
+    rng = np.random.default_rng(n)
+    for k in (k for k in range(1, n) if qf.valid_k(n, k)):
+        c = int(rng.choice(ctx.subfield_elements))
+        for b in (0, int(rng.integers(1, ctx.order))):
+            params = qf.QuadFormParams(ctx, k, b, c)
+            tt = qf.truth_table(params)[points]
+            tables, t = qf._polar_split(params)
+            assert tables.shape == (2, size) and tables.dtype == np.uint8
+            assert np.array_equal(tables[0], tt[:size])
+            assert np.array_equal(tables[1], tt[::size])
+            lo = np.arange(size)
+            for j, mask in enumerate(t):
+                cross = tt[lo + (size << j)] ^ tt[lo] ^ tt[size << j]
+                assert np.array_equal(cross, np.bitwise_count(lo & mask) & 1)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [18, 20])
+def test_walsh_spectrum_matches_the_whole_dual_table(n):
+    ctx = make_field(n)
+    rng = np.random.default_rng(200 + n)
+    for k in (k for k in range(1, n) if qf.valid_k(n, k)):
+        c = int(rng.choice(ctx.subfield_elements))
+        params = qf.QuadFormParams(ctx, k, int(rng.integers(1, ctx.order)), c)
+        want = qf.fwht(1 - 2 * dual_truth_table(params).view(np.int8))
+        assert np.array_equal(qf.walsh_spectrum(params), want)
+
+
+def test_walsh_spectrum_refuses_fields_past_2_23():
+    # its partial sums reach 2^n, so float32 is exact only below n = 24
+    params = SimpleNamespace(ctx=SimpleNamespace(n=24, order=1 << 24))
+    with pytest.raises(ValueError, match="n = 23"):
+        qf.walsh_spectrum(params)
 
 
 def test_symplectic_rank_matches_definition_exhaustive_n4(ctx4):

@@ -49,6 +49,18 @@ def test_all_claims_pass_n8(ctx8, monkeypatch):
     assert not hasattr(qf, "spectra_block")
 
 
+@pytest.mark.parametrize("n,k", [(6, 2), (8, 1)])
+def test_imbalance_in_small_row_blocks(monkeypatch, n, k):
+    # popcounting the member table 7 rows at a time gives the same
+    # histogram, and every sequence still meets its transform bridge
+    bundle = verify._Bundle(make_field(n), k)
+    whole = verify._claim_imbalance(bundle)
+    monkeypatch.setattr(verify, "_IMBALANCE_ROWS", 7)
+    blocks = verify._claim_imbalance(bundle)
+    assert whole.ok and blocks.ok
+    assert blocks.empirical == whole.empirical == whole.predicted
+
+
 def test_claims_report_shape(ctx4):
     report = verify.claims_report(ctx4, 1)
     assert report["pass"] is True
