@@ -1,20 +1,20 @@
 """Quadratic forms tr(b*x^(2^k+1)) + tr_half(c*x^(2^{n/2}+1)) on GF(2^n).
 
 Evaluates the forms and computes their symplectic ranks (batched over b)
-and exact Walsh (trace-transform) spectra.  Every transform goes through
-one Hadamard core, _hadamard_stages: exact float32 matrix products by
-small Sylvester factors over a middle axis.  fwht runs it on the last axis
-of an integer array.  A whole spectrum works in dual-basis coordinates y,
-where tr(lam x) is the parity of lam & y, so its output is indexed
-directly by lam as a field element.  Split as y = y_lo + 2^{n/2} y_hi, the
-form is g_lo(y_lo) + g_hi(y_hi) + t(y_hi).y_lo with t the cross block of
-its polar form, so W(lam_lo + 2^{n/2} lam_hi) =
-sum_{y_hi} (-1)^(g_hi(y_hi) + lam_hi.y_hi) G_lo(lam_lo + t(y_hi)), with G_lo
-the 2^{n/2}-point transform of (-1)^g_lo: two 2^{n/2}-entry tables, rows of
-G_lo with permuted columns, and a transform over the n/2 bits of y_hi.
-Its partial sums reach 2^n, so it is exact up to n = 23.
-transform_column transforms tables indexed by x and reindexes the result
-through walsh_perm.
+and exact Walsh (trace-transform) spectra.  fwht is the Hadamard transform
+of an integer array along its last axis: exact float32 matrix products by
+small Sylvester factors.  transform_column runs it on tables indexed by x
+and reindexes the result through walsh_perm.
+
+A whole spectrum (walsh_spectrum) uses neither.  It works in dual-basis
+coordinates y, where tr(lam x) is the parity of lam & y, so its output is
+indexed directly by lam as a field element.  The form is g(y), and for
+y < 2^j, g(y + 2^j) = g(y) + g(e_j) + s_j.y, with s_j the low j bits of
+row j of its polar form.  So the sums W_j over the first j bits of y
+double one bit at a time,
+W_{j+1}[mu + 2^j mu_j] = W_j[mu] + (-1)^(g(e_j) + mu_j) W_j[mu ^ s_j]:
+n steps of int32 additions, exact because |W_j| <= 2^j, worked inside the
+bytes of the int64 result.
 
 Besides whole spectra (one form, every lambda) there are transform columns
 (one lambda and one c, every b), and a scaling that moves any form with
@@ -41,14 +41,17 @@ from .gf2n import FieldCtx, LinearMap, TooLarge, half_odd
 # per transformed value: fwht's two float32 buffers and its int64 result
 _BLOCK_BYTES_CAP = 2 << 30
 _TRANSFORM_BYTES = 16
-# the Hadamard core's Kronecker factors are H_{2^s} for s up to this
+# fwht's Kronecker factors are H_{2^s} for s up to this
 _FWHT_CHUNK_BITS = 5
 # float32 holds every integer below 2^24 exactly
 _FWHT_MAX_L1 = 1 << 24
-# values a spectrum's last Hadamard stage writes at a time (see _hadamard_stages)
-_WIDEN_VALUES = 1 << 16
-# +-1 as float32, indexed by a bit
-_SIGNS = np.array([1, -1], dtype=np.float32)
+# walsh_spectrum's int32 work holds values up to 2^n, below this
+_INT32_LIMIT = 1 << 31
+# _widen copies at most this many values at the bottom of its result
+_WIDEN_COPY = 1 << 10
+# _step permutes W_j's values in rows of this many columns (a read-only arange)
+_COLUMNS = np.arange(1 << 10)
+_COLUMNS.setflags(write=False)
 # forms symplectic_ranks reduces at once; bounds its n x block int64 images
 _RANK_BLOCK = 1 << 16
 
@@ -206,53 +209,28 @@ def _hadamard(s: int) -> np.ndarray:
 _HADAMARD = tuple(_hadamard(s) for s in range(_FWHT_CHUNK_BITS + 1))
 
 
-def _chunk_sizes(m: int) -> list[int]:
-    """Bits per Kronecker factor of H_{2^m}: near-equal chunks of at most
-    _FWHT_CHUNK_BITS, from the high index bits to the low."""
-    chunks = -(-m // _FWHT_CHUNK_BITS)
-    return [m // chunks + (i < m % chunks) for i in range(chunks)]
-
-
-def _stage(x: np.ndarray, y: np.ndarray, s: int, lower: int) -> None:
-    """y = H_{2^s} over the middle axis of the (rows, 2^s, lower) view of x."""
-    if lower == 1:
-        np.matmul(x.reshape(-1, 1 << s), _HADAMARD[s], out=y.reshape(-1, 1 << s))
-    else:
-        shape = (-1, 1 << s, lower)
-        np.matmul(_HADAMARD[s], x.reshape(shape), out=y.reshape(shape))
-
-
-def _hadamard_stages(x: np.ndarray, y: np.ndarray, m: int, inner: int,
-                     out: np.ndarray | None = None) -> np.ndarray:
+def _hadamard_stages(x: np.ndarray, y: np.ndarray, m: int, inner: int) -> np.ndarray:
     """H_{2^m} along the middle axis of the (rows, 2^m, inner) view of x.
 
     x and y are same-sized float32 buffers; the products run back and forth
     between them, and the one holding the result is returned.  H_{2^m} is
-    the Kronecker product of factors H_{2^s}, one per chunk of the m index
-    bits (_chunk_sizes): a chunk with `lower` entries below it (the lower
-    index bits times inner) is one batched matmul over the middle axis of a
-    (rows, 2^s, lower) view, or (rows * 2^(m-s), 2^s) @ H when lower is 1.
-
-    Given out (int64, x.size entries, m >= 1), the last chunk writes into
-    out instead, in increasing blocks of _WIDEN_VALUES entries (or one
-    batch) through a float32 buffer, and out is returned.  The last chunk's
-    input may then be the upper half of out's bytes as float32, the other
-    buffer the lower half: the values written below entry i fill the first
-    2i float32 slots, below the N + i of the block read next (N = x.size).
+    the Kronecker product of factors H_{2^s} (s <= 5), one per chunk of the
+    m index bits, in near-equal chunks from high to low: a chunk with
+    `lower` entries below it (the lower index bits times inner) is one
+    batched matmul over the middle axis of a (rows, 2^s, lower) view, or
+    (rows * 2^(m-s), 2^s) @ H when lower is 1.
     """
+    chunks = -(-m // _FWHT_CHUNK_BITS)
     low = m
-    for s in _chunk_sizes(m):
+    for i in range(chunks):
+        s = m // chunks + (i < m % chunks)
         low -= s
-        if out is not None and low == 0:
-            step = max(_WIDEN_VALUES, inner << s)
-            buf = np.empty(min(step, out.size), dtype=np.float32)
-            flat = x.reshape(-1)
-            for lo in range(0, out.size, step):
-                part = buf[: out.size - lo]
-                _stage(flat[lo : lo + part.size], part, s, inner)
-                out[lo : lo + part.size] = part
-            return out
-        _stage(x, y, s, inner << low)
+        lower = inner << low
+        if lower > 1:
+            shape = (-1, 1 << s, lower)
+            np.matmul(_HADAMARD[s], x.reshape(shape), out=y.reshape(shape))
+        else:
+            np.matmul(x.reshape(-1, 1 << s), _HADAMARD[s], out=y.reshape(-1, 1 << s))
         x, y = y, x
     return x
 
@@ -288,18 +266,14 @@ def fwht(a) -> np.ndarray:
     return x.astype(np.int64)
 
 
-def _polar_split(params: QuadFormParams) -> tuple[np.ndarray, list[int]]:
-    """The form in dual-basis coordinates, split at bit h = n/2: (tables, t).
+def _polar_rows(params: QuadFormParams) -> list[int]:
+    """The form's polar rows over the dual basis d of ctx, as n-bit ints.
 
-    g(y) = f(sum_i y_i d_i) over the dual basis d of ctx.  f is quadratic
-    with polar form B(x, z) = f(x) + f(z) + f(x + z), so with
-    y = y_lo + 2^h y_hi, g(y) = g_lo(y_lo) + g_hi(y_hi) + t(y_hi).y_lo,
-    where g_lo and g_hi are g on the two halves (tables, a (2, 2^h) uint8
-    array, see _quad_tables) and t, linear in y_hi, is the cross block of
-    B: one h-bit mask per bit j of y_hi, bit i of t[j] being
-    B(d_{h+j}, d_i).  With delta = ctx.trh_lift, f(x) = tr(x w(x)) for the
-    GF(2)-linear w(x) = b x^(2^k) + delta c x^(2^{n/2}), so all of it comes
-    from the n by n matrix m[i, j] = tr(d_i w(d_j)): f(d_j) = m[j, j] and
+    Bit i of row j is B(d_j, d_i) for i != j and f(d_j) for i = j, where
+    B(x, z) = f(x) + f(z) + f(x + z) is the polar form of the quadratic f.
+    With delta = ctx.trh_lift, f(x) = tr(x w(x)) for the GF(2)-linear
+    w(x) = b x^(2^k) + delta c x^(2^{n/2}), so all of it comes from the
+    n by n matrix m[i, j] = tr(d_i w(d_j)): f(d_j) = m[j, j] and
     B(d_i, d_j) = m[i, j] + m[j, i].  As tr(d_i alpha^l) = 1 exactly when
     l = i, tr(d_i y) is bit i of y, so m[i, j] is bit i of w(d_j) and no
     2^n-entry table is read.
@@ -316,41 +290,54 @@ def _polar_split(params: QuadFormParams) -> tuple[np.ndarray, list[int]]:
             bit = wi & -wi
             mt[bit.bit_length() - 1] |= 1 << i
             wi ^= bit
-    # bit i of rows[j] is B(d_j, d_i) off the diagonal and g(d_j) on it
-    rows = [(wj ^ mj) | (wj & 1 << j) for j, (wj, mj) in enumerate(zip(w, mt))]
-    low = (1 << h) - 1
-    tables = _quad_tables([r & low for r in rows[:h]], [r >> h for r in rows[h:]])
-    return tables, [r & low for r in rows[h:]]
+    return [(wj ^ mj) | (wj & 1 << j) for j, (wj, mj) in enumerate(zip(w, mt))]
 
 
-def _quad_tables(*forms: list[int]) -> np.ndarray:
-    """uint8 tables g(y) of quadratic forms on m bits, one row per form.
+def _step(cur: np.ndarray, tmp: np.ndarray, dst: np.ndarray, j: int, r: int) -> None:
+    """W_{j+1} into dst[:2^(j+1)] from W_j in cur[:2^j]; dst may be cur.
 
-    Each form is m masks; bit i of mask j is B(e_j, e_i) off the diagonal
-    and g(e_j) on it.  g(y) is the sum, over the set bits i of y, of
-    g(e_i) + B(y_{<i}, e_i), where y_{<i} keeps the bits of y below i.
-    Bit i of u[y] is that term, so g(y) is the parity of y & u[y].  u is
-    affine in y, u[y] = u[0] + sum_j y_j above_j with above_j the bits of
-    mask j above j: filled by doubling over the low and the high m/2 bits
-    of y apart, then one XOR of every low entry with every high one.
+    r is row j of the polar form (see walsh_spectrum).  tmp[:2^j] receives
+    T[mu] = W_j[mu ^ s], s = r mod 2^j.  Up to c = _COLUMNS.size values
+    that is one np.take.  Past that, the low bits of s permute the columns
+    of the (2^j / c, c) view of W_j (one np.take), and each higher bit
+    reverses one axis of the (2, ..., 2, c) view of T, which copies nothing
+    and keeps every inner loop a contiguous row.  The two halves of W_{j+1}
+    are then W_j + T and W_j - T, swapped where bit j of r, g(e_j), is 1.
     """
-    m = len(forms[0])
-    split = m // 2
-    lows, highs = [], []
-    for masks in forms:
-        lows.append(_span([r & -(2 << j) for j, r in enumerate(masks[:split])], 0))
-        highs.append(_span([r & -(2 << j) for j, r in enumerate(masks[split:], split)],
-                           sum(r & 1 << j for j, r in enumerate(masks))))
-    u = (np.array(highs)[:, :, None] ^ np.array(lows)[:, None, :]).reshape(len(forms), -1)
-    u &= np.arange(1 << m)
-    return np.bitwise_count(u) & np.uint8(1)
+    size, c = 1 << j, _COLUMNS.size
+    s = r & size - 1
+    w, t = cur[:size], tmp[:size]
+    # the index is in range; "wrap" spares take a buffered copy of out
+    if size <= c:
+        np.take(w, _COLUMNS[:size] ^ s, out=t, mode="wrap")
+    else:
+        w, t = w.reshape(-1, c), t.reshape(-1, c)
+        np.take(w, _COLUMNS ^ (s & c - 1), axis=1, out=t, mode="wrap")
+        if s >= c:
+            axes, high = len(w).bit_length() - 1, s // c
+            shape = (2,) * axes + (c,)
+            flips = tuple(slice(None, None, -1 if high >> i & 1 else 1)
+                          for i in reversed(range(axes)))
+            w, t = w.reshape(shape), t.reshape(shape)[flips]
+    plus, minus = (np.subtract, np.add) if r >> j & 1 else (np.add, np.subtract)
+    minus(w, t, out=dst[size : 2 * size].reshape(w.shape))
+    plus(w, t, out=dst[:size].reshape(w.shape))
 
 
-def _span(images: list[int], start: int) -> list[int]:
-    """start + every XOR of images, indexed by the subset's bit mask, by doubling."""
-    out = [start]
-    for im in images:
-        out += [x ^ im for x in out]
+def _widen(out: np.ndarray) -> np.ndarray:
+    """out[i] = out.view(np.int32)[i] for every i, in place.
+
+    Blocks [a, 2a) go from the top down: block a writes int32 slots
+    [2a, 4a) and reads slots [a, 2a), so no block reads what an earlier one
+    wrote.  The values below the last block, at most _WIDEN_COPY, go
+    through a copy.
+    """
+    v = out.view(np.int32)
+    a = out.size
+    while a > _WIDEN_COPY:
+        a >>= 1
+        out[a : 2 * a] = v[a : 2 * a]
+    out[:a] = v[:a].copy()
     return out
 
 
@@ -359,37 +346,32 @@ def walsh_spectrum(params: QuadFormParams) -> np.ndarray:
 
     Pointwise equal to walsh_point.  With x = sum_i y_i d_i over the dual
     basis, tr(lam x) is the parity of lam & y, so the spectrum is the
-    Hadamard transform of g(y) = f(x), already indexed by lam.  Split as in
-    _polar_split, with lam = lam_lo + 2^h lam_hi, that transform is
-    W(lam) = sum_{y_hi} (-1)^(g_hi(y_hi) + lam_hi.y_hi) G_lo(lam_lo + t(y_hi)),
-    where G_lo is the 2^h-point transform of (-1)^g_lo.  So the (2^h, 2^h)
-    array A[y_hi, lam_lo] = G_lo(lam_lo + t(y_hi)) is filled by doubling
-    over the bits j of y_hi, each new block of rows the earlier block with
-    its columns permuted by lam -> lam + t(e_j); its rows are multiplied by
-    (-1)^g_hi and transformed by H_{2^h} over axis 0, and the C-order
-    flatten is indexed by lam.  Every step is exact in float32: |G_lo| is at
-    most 2^h, so every partial sum is at most 2^n, below 2^24 for n <= 23
-    (ValueError past that).
+    Hadamard transform of g(y) = f(x), already indexed by lam.  It is built
+    one bit of y at a time from the sums over the first j bits,
+    W_j[mu] = sum_{y < 2^j} (-1)^(g(y) + mu.y), starting at W_0 = [1].  For
+    y < 2^j the polar form gives g(y + 2^j) = g(y) + g(e_j) + B(y, e_j), and
+    B(y, e_j) = s_j.y with s_j = r_j mod 2^j, r_j the polar rows
+    (_polar_rows).  Splitting the sum for W_{j+1} by bit j of y,
+    W_{j+1}[mu + 2^j mu_j] = W_j[mu] + (-1)^(g(e_j) + mu_j) W_j[mu ^ s_j]
+    (_step), and W_n is the spectrum: the same sum regrouped, with no rank
+    and no closed form.  |W_j| <= 2^j, so every step is exact in int32
+    while 2^n < 2^31 (ValueError otherwise).
+
+    The work lives in the result's bytes.  Their upper half holds two int32
+    buffers of 2^(n-1) values, W_j and W_j[mu ^ s_j]; the last step writes
+    W_n as int32 into the lower half, and _widen turns that into int64 in
+    place, so a call allocates 8 bytes per value and buffers of fixed size.
     """
     ctx = params.ctx
-    if ctx.order >= _FWHT_MAX_L1:
-        raise ValueError(f"walsh_spectrum is exact in float32 up to n = 23, not {ctx.n}")
-    tables, t = _polar_split(params)
-    h = ctx.half
-    size = 1 << h
-    signs = _SIGNS[tables]
+    if ctx.order >= _INT32_LIMIT:
+        raise ValueError(f"walsh_spectrum is exact in int32 while 2^n < 2^31, not at n = {ctx.n}")
     out = np.empty(ctx.order, dtype=np.int64)
-    # the two float32 work buffers are the halves of out's bytes, ordered so
-    # that the last Hadamard stage reads the upper half
-    halves = out.view(np.float32).reshape(2, size, size)
-    a, b = halves[::-1] if len(_chunk_sizes(h)) % 2 else halves
-    a[0] = _hadamard_stages(signs[0], b[0], h, 1)  # G_lo; signs[0] is spent
-    perms = np.bitwise_xor.outer(t, np.arange(size))
-    for j, perm in enumerate(perms):
-        # perm is in range; "wrap" spares take a buffered copy of out
-        np.take(a[: 1 << j], perm, axis=1, out=a[1 << j : 2 << j], mode="wrap")
-    a *= signs[1, :, None]
-    return _hadamard_stages(a, b, h, size, out)
+    work = out.view(np.int32)
+    cur, tmp = work[ctx.order : 3 * ctx.order // 2], work[3 * ctx.order // 2 :]
+    cur[0] = 1
+    for j, r in enumerate(_polar_rows(params)):
+        _step(cur, tmp, cur if j < ctx.n - 1 else work, j, r)
+    return _widen(out)
 
 
 def symplectic_ranks(ctx: FieldCtx, k: int, bs, c) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -184,38 +185,6 @@ def test_hadamard_stages_over_a_middle_axis(m, inner):
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("widen", [1, 1 << 6, 1 << 16])
-@pytest.mark.parametrize("m,inner", [(4, 16), (6, 64), (11, 2)])
-def test_hadamard_stages_into_out_from_either_buffer(monkeypatch, m, inner, widen):
-    # the last stage written into int64 out, block by block, from separate
-    # buffers or from the halves of out's own bytes, the last stage's input
-    # in the upper half
-    monkeypatch.setattr(qf, "_WIDEN_VALUES", widen)
-    rng = np.random.default_rng(m)
-    a = rng.integers(-40, 41, size=(1 << m, inner))
-    want = sylvester_product(a.T, m).T.ravel()
-    x = a.astype(np.float32)
-    out = np.empty(a.size, dtype=np.int64)
-    assert qf._hadamard_stages(x, np.empty_like(x), m, inner, out) is out
-    assert np.array_equal(out, want)
-    out = np.empty(a.size, dtype=np.int64)
-    halves = out.view(np.float32).reshape(2, 1 << m, inner)
-    x, y = halves[::-1] if len(qf._chunk_sizes(m)) % 2 else halves
-    x[...] = a
-    qf._hadamard_stages(x, y, m, inner, out)
-    assert np.array_equal(out, want)
-
-
-def test_walsh_spectrum_in_small_blocks(monkeypatch):
-    # the last stage written into the result one batch (8 x 64 values) at a time
-    ctx = make_field(12)
-    params = qf.QuadFormParams(ctx, 1, 77, int(ctx.beta))
-    want = qf.walsh_spectrum(params)
-    monkeypatch.setattr(qf, "_WIDEN_VALUES", 16)
-    assert np.array_equal(qf.walsh_spectrum(params), want)
-    assert np.array_equal(want, butterfly_route(params))
-
-
 def butterfly_route(params):
     """Reference: the trace_rows truth table indexed by x, an int64 butterfly,
     then the walsh_perm reindexing."""
@@ -246,6 +215,95 @@ def test_walsh_spectrum_matches_butterfly_route(n):
         for bc in [(b, 0), (0, c), (b, c)]:
             p = qf.QuadFormParams(ctx, k, *bc)
             assert np.array_equal(qf.walsh_spectrum(p), butterfly_route(p))
+
+
+@pytest.mark.parametrize("copy", [1, 1 << 3, 1 << 16])
+@pytest.mark.parametrize("n", [4, 6, 12])
+def test_widen_runs_top_down_blocks_in_place(monkeypatch, n, copy):
+    # the spectrum as int32 in the lower half of out's bytes, anything above
+    # it: _widen's blocks [a, 2a), from the top down to `copy` values (one
+    # value, eight, or all of them in one copy), leave every value as int64
+    monkeypatch.setattr(qf, "_WIDEN_COPY", copy)
+    ctx = make_field(n)
+    params = qf.QuadFormParams(ctx, 1 if n % 4 == 0 else 2, 5 % ctx.order, int(ctx.beta))
+    want = butterfly_route(params)
+    out = np.full(ctx.order, -7, dtype=np.int64)
+    out.view(np.int32)[: ctx.order] = want
+    assert qf._widen(out) is out
+    assert np.array_equal(out, want)
+
+
+def test_walsh_spectrum_in_small_blocks(monkeypatch):
+    # the last step's int32 values widened one block at a time, down to a
+    # single value or to eight, inside the result's own bytes
+    for copy in (1, 1 << 3):
+        monkeypatch.setattr(qf, "_WIDEN_COPY", copy)
+        for n in (4, 6, 12):
+            ctx = make_field(n)
+            params = qf.QuadFormParams(ctx, 1 if n % 4 == 0 else 2, 77 % ctx.order,
+                                       int(ctx.beta))
+            assert np.array_equal(qf.walsh_spectrum(params), butterfly_route(params))
+
+
+def direct_sums(params, j):
+    """W_j[mu] = sum over y < 2^j of (-1)^(g(y) + mu.y), from the truth table
+    at the dual points, one mu at a time."""
+    g = qf.truth_table(params)[dual_points(params.ctx)[: 1 << j]].astype(np.int64)
+    y = np.arange(1 << j)
+    return np.array([(1 - 2 * ((g + np.bitwise_count(y & mu)) & 1)).sum()
+                     for mu in range(1 << j)])
+
+
+@pytest.mark.parametrize("columns", [1, 4, 1 << 10])
+@pytest.mark.parametrize("n", [6, 8])
+def test_step_doubles_the_sums_over_the_dual_bits(monkeypatch, n, columns):
+    # W_{j+1} from the direct W_j, against the direct sums over j + 1 bits,
+    # into cur itself and into a separate dst; a narrow _COLUMNS puts every
+    # bit of s past the first few on a reversed axis
+    monkeypatch.setattr(qf, "_COLUMNS", np.arange(columns))
+    ctx = make_field(n)
+    rng = np.random.default_rng(n)
+    for k in (k for k in range(1, n) if qf.valid_k(n, k)):
+        params = qf.QuadFormParams(ctx, k, int(rng.integers(1, ctx.order)),
+                                   int(rng.choice(ctx.subfield_elements)))
+        rows = qf._polar_rows(params)
+        for j in range(n):
+            cur, tmp = np.zeros(1 << n, dtype=np.int32), np.zeros(1 << n, dtype=np.int32)
+            cur[: 1 << j] = direct_sums(params, j)
+            want = direct_sums(params, j + 1)
+            dst = np.zeros(1 << n, dtype=np.int32)
+            qf._step(cur, tmp, dst, j, rows[j])
+            assert np.array_equal(dst[: 2 << j], want)
+            qf._step(cur, tmp, cur, j, rows[j])
+            assert np.array_equal(cur[: 2 << j], want)
+        assert np.array_equal(qf.walsh_spectrum(params), butterfly_route(params))
+
+
+def test_walsh_spectrum_calls_no_matmul(monkeypatch):
+    ctx = make_field(16)
+    params = qf.QuadFormParams(ctx, 1, 12345, int(ctx.beta))
+    want = butterfly_route(params)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("walsh_spectrum called np.matmul")
+
+    monkeypatch.setattr(np, "matmul", refuse)
+    assert np.array_equal(qf.walsh_spectrum(params), want)
+
+
+def test_walsh_spectrum_allocates_only_its_result():
+    # the work lives in the result's bytes: 8 bytes per value, plus index
+    # and iterator buffers of fixed size
+    ctx = make_field(16)
+    params = qf.QuadFormParams(ctx, 1, 4321, int(ctx.beta))
+    qf.walsh_spectrum(params)  # the context's scalar tables, built once
+    tracemalloc.start()
+    try:
+        qf.walsh_spectrum(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 << 16 <= peak <= (8 << 16) + (1 << 16)
 
 
 @pytest.mark.parametrize("lam", [-1, 16])
@@ -347,11 +405,10 @@ def test_spectra_and_ranks_match_the_tables_at_large_n(n):
 
 
 @pytest.mark.parametrize("n", [8, 10])
-def test_half_tables_match_the_truth_table(n):
-    # g_lo and g_hi are the form at the points of y_lo and of 2^h y_hi, and
-    # t(e_j).y_lo the cross term at the sum of one of each
+def test_polar_rows_match_the_truth_table(n):
+    # bit j of row j is g(e_j), and bit i != j is the pair sum
+    # B(d_i, d_j) = g(e_i + e_j) + g(e_i) + g(e_j), at the dual points
     ctx = make_field(n)
-    size = 1 << ctx.half
     points = dual_points(ctx)
     rng = np.random.default_rng(n)
     for k in (k for k in range(1, n) if qf.valid_k(n, k)):
@@ -359,14 +416,14 @@ def test_half_tables_match_the_truth_table(n):
         for b in (0, int(rng.integers(1, ctx.order))):
             params = qf.QuadFormParams(ctx, k, b, c)
             tt = qf.truth_table(params)[points]
-            tables, t = qf._polar_split(params)
-            assert tables.shape == (2, size) and tables.dtype == np.uint8
-            assert np.array_equal(tables[0], tt[:size])
-            assert np.array_equal(tables[1], tt[::size])
-            lo = np.arange(size)
-            for j, mask in enumerate(t):
-                cross = tt[lo + (size << j)] ^ tt[lo] ^ tt[size << j]
-                assert np.array_equal(cross, np.bitwise_count(lo & mask) & 1)
+            rows = qf._polar_rows(params)
+            assert len(rows) == n
+            for j, row in enumerate(rows):
+                assert 0 <= row < ctx.order
+                assert row >> j & 1 == tt[1 << j]
+                for i in (i for i in range(n) if i != j):
+                    pair = tt[1 << i | 1 << j] ^ tt[1 << i] ^ tt[1 << j]
+                    assert row >> i & 1 == pair
 
 
 @pytest.mark.slow
@@ -381,10 +438,10 @@ def test_walsh_spectrum_matches_the_whole_dual_table(n):
         assert np.array_equal(qf.walsh_spectrum(params), want)
 
 
-def test_walsh_spectrum_refuses_fields_past_2_23():
-    # its partial sums reach 2^n, so float32 is exact only below n = 24
-    params = SimpleNamespace(ctx=SimpleNamespace(n=24, order=1 << 24))
-    with pytest.raises(ValueError, match="n = 23"):
+def test_walsh_spectrum_refuses_fields_past_int32():
+    # its values reach 2^n, so int32 work is exact only below 2^31
+    params = SimpleNamespace(ctx=SimpleNamespace(n=32, order=1 << 32))
+    with pytest.raises(ValueError, match="int32"):
         qf.walsh_spectrum(params)
 
 
