@@ -6,7 +6,9 @@ set censuses with their degree-1..3 transform power sums.
 These are the independent oracles: every count here is obtained by direct
 evaluation over the field (or over E^3 for the triple sets; the pair sets
 count the collisions of x -> x^e over E), never from the closed forms being
-checked.
+checked.  theta_root_counts evaluates its equations at one theta per
+Frobenius class (squaring maps each equation at theta to the one at
+theta^2) and gives every member of a class its leader's counts.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theory
-from .gf2n import FieldCtx, TooLarge, gf2_kernel_basis
+from .gf2n import FieldCtx, TooLarge, cyclotomic_classes, gf2_kernel_basis
 from .histogram import ValueHistogram
 from .quadform import exponents, require_valid_k, transform_column
 
@@ -127,12 +129,18 @@ def theta_root_counts(ctx: FieldCtx, k: int) -> np.ndarray:
     """Nonzero-root counts of the kernel equation and of both reduced
     equations for every theta in E*, as an int64 array at [equation, theta - 1].
 
-    Row 0 is count_kernel_roots, rows 1 and 2 are count_reduced_roots, each
-    for every theta at once: one evaluation over (theta, w) in E* x E*,
-    products taken as sums of reduced logs, in blocks of _THETA_BLOCK values.
+    Row 0 is count_kernel_roots, rows 1 and 2 are count_reduced_roots.
+    Squaring any of the three equations gives the same equation at theta^2
+    with roots z -> z^2, so each count is constant on the Frobenius classes
+    of theta: the equations are evaluated at theta = alpha^l for the least
+    l of each class of l -> 2l mod 2^n - 1 (gf2n.cyclotomic_classes), one
+    evaluation over (theta, w) with products taken as sums of reduced logs,
+    in blocks of _THETA_BLOCK values, and each class's counts are then
+    spread to its members.
     """
     require_valid_k(ctx.n, k)
     n, group = ctx.n, ctx.group_order
+    leaders, index = cyclotomic_classes(group, 2)
     log_w = ctx.log[1:]
     ws = np.arange(1, ctx.order, dtype=np.int64)
     # logs of z^(2^{n-k}), z^(2^k) and of w to both reduced exponents;
@@ -143,19 +151,19 @@ def theta_root_counts(ctx: FieldCtx, k: int) -> np.ndarray:
     z_half = ctx.frob_vec(ws, ctx.half)
     # a sum of two reduced logs is below 2 (2^n - 1): no reduction needed
     antilog = np.tile(ctx.antilog, 2)
-    out = np.empty((3, group), dtype=np.int64)
+    counts = np.empty((3, len(leaders)), dtype=np.int64)
     rows = max(1, _THETA_BLOCK // group)
-    for lo in range(0, group, rows):
-        theta = ws[lo:lo + rows, None]
-        log_t = ctx.log[theta]
+    for lo in range(0, len(leaders), rows):
+        log_t = leaders[lo:lo + rows, None]
+        theta = ctx.antilog[log_t]
         log_tq = (log_t << (n - k)) % group  # theta^(2^{n-k})
         tq = antilog[log_tq]
         kernel = antilog[log_tq + log_zq] ^ antilog[log_t + log_zk] ^ z_half
         first = antilog[log_tq + log_w1] ^ ws ^ theta
         second = antilog[log_t + log_w2] ^ ws ^ tq
         for i, vals in enumerate((kernel, first, second)):
-            out[i, lo:lo + rows] = np.count_nonzero(vals == 0, axis=1)
-    return out
+            counts[i, lo:lo + rows] = np.count_nonzero(vals == 0, axis=1)
+    return counts[:, index[log_w]]
 
 
 def count_three_root_thetas(ctx: FieldCtx, k: int) -> tuple[int, int]:

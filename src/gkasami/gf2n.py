@@ -655,3 +655,29 @@ def gcd_pow2_plus_one(n: int, k: int) -> int:
     """gcd(2^k + 1, 2^n - 1): 1 when n/gcd(n,k) is odd, else 2^gcd(n,k) + 1."""
     d = math.gcd(n, k)
     return 1 if (n // d) % 2 == 1 else (1 << d) + 1
+
+
+def cyclotomic_classes(modulus: int, mult: int) -> tuple[np.ndarray, np.ndarray]:
+    """The classes of l -> mult * l mod modulus on the residues 0..modulus-1.
+
+    Returns (leaders, index): the least residue of each class as an int64
+    array in increasing order, and index[l], the position in leaders of the
+    class of l, so np.bincount(index) is the class sizes.  mult must be a
+    unit mod modulus.  With modulus = 2^n - 1 and mult = 2 the class of l
+    holds the logs of the Frobenius class {theta^(2^i)} of theta = alpha^l;
+    mult = 4 gives the classes of theta -> theta^4.  Integer arithmetic
+    only: the class minimum of every residue over its images mult^i l for
+    i below the order of mult.
+    """
+    if modulus < 1 or math.gcd(mult, modulus) != 1:
+        raise ValueError(f"{mult} is not a unit mod {modulus}")
+    steps, unit = 1, mult % modulus
+    while unit != 1 % modulus:
+        steps, unit = steps + 1, unit * mult % modulus
+    residues = np.arange(modulus, dtype=np.int64)
+    low, image = residues.copy(), residues
+    for _ in range(steps - 1):
+        image = image * mult % modulus
+        np.minimum(low, image, out=low)
+    is_leader = low == residues
+    return np.flatnonzero(is_leader), (np.cumsum(is_leader) - 1)[low]

@@ -10,12 +10,16 @@ once per run.  walsh-full-distribution and rank-value-consistency take one
 whole spectrum per orbit of x -> u*x on the forms (quadform.orbit_classes),
 and the code weights one matrix product over the same representatives, as
 a cyclic shift of the code is that substitution: all three are exhaustive
-over orbit representatives.  The kernel and reduced root counts for every
-theta come from one scan shared by three claims, the member claims read one
-packed table of every member, and the affine-root bound is exhaustive over
-the cube-class representatives of eps.  The applicable claim set depends on
-the parity of n/2; a few are additionally capped by the size guards of
-their underlying scans.
+over orbit representatives.  Squaring maps every field equation and form
+the remaining scans read to one with the same count: the root counts of
+the kernel and reduced equations (one scan, fieldeq.theta_root_counts,
+shared by three claims) are evaluated at one theta per class of
+theta -> theta^2, the affine-root bound at one theta per class of
+theta -> theta^2 or theta^4, and the rank claims at one b or c per class of
+b -> b^2 or c -> c^2 (gf2n.cyclotomic_classes), each note naming its
+classes.  The member claims read one packed table of every member.  The
+applicable claim set depends on the parity of n/2; a few are additionally
+capped by the size guards of their underlying scans.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 from . import correlation as corr
 from . import families as fam
 from . import fieldeq, theory
-from .gf2n import FieldCtx, half_odd
+from .gf2n import FieldCtx, cyclotomic_classes, half_odd
 from .histogram import ValueHistogram
 from .quadform import (QuadFormParams, orbit_classes, symplectic_ranks, transform_column,
                        walsh_spectrum)
@@ -36,10 +40,13 @@ from .quadform import (QuadFormParams, orbit_classes, symplectic_ranks, transfor
 VERIFY_NS = (4, 6, 8, 10)
 BRUTE_CROSSCHECK_MAX_N = 6
 _ORBIT_NOTE = "exhaustive over orbit representatives of x -> u*x"
+_THETA_NOTE = "exhaustive over Frobenius classes of theta"
 # (theta, x) values the affine-root scan holds at once
 _AFFINE_BLOCK = 1 << 16
 # member rows the imbalance claim popcounts at once (all of them at n <= 8)
 _IMBALANCE_ROWS = 1 << 13
+# query rows _find_rows compares in full at once
+_FIND_ROWS = 1 << 13
 
 
 @dataclass
@@ -126,14 +133,63 @@ class _Bundle:
         return fam.member_table(self.family)
 
 
-def _sorted_keys(rows: np.ndarray) -> np.ndarray:
-    return np.sort(fam.row_keys(rows))
+def _prefixes(rows: np.ndarray) -> np.ndarray:
+    """The first 8 bytes of each packed row, zero-padded, as a big-endian
+    uint64: prefixes order as the rows' leading bytes do."""
+    head = np.zeros((len(rows), 8), dtype=np.uint8)
+    width = min(8, rows.shape[1])
+    head[:, :width] = rows[:, :width]
+    return head.view(">u8").ravel().astype(np.uint64)
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The sorted keys with repeats dropped (keys itself if none repeat)."""
-    repeats = np.flatnonzero(keys[1:] == keys[:-1]) + 1
-    return np.delete(keys, repeats) if len(repeats) else keys
+def _row_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stable argsort of the packed rows by their bytes, and their
+    prefixes in that order.  The prefixes are argsorted, and only rows whose
+    prefix a neighbour shares are then sorted by their full bytes
+    (families.row_keys), so equal rows are neighbours, least index first."""
+    prefix = _prefixes(rows)
+    order = np.argsort(prefix, kind="stable")
+    prefix = prefix[order]
+    same = prefix[1:] == prefix[:-1]
+    if rows.shape[1] > 8 and same.any():
+        tied = np.zeros(len(rows), dtype=bool)
+        tied[1:] |= same
+        tied[:-1] |= same
+        at = np.flatnonzero(tied)
+        # the tied rows stay in prefix order, so each run keeps its positions
+        order[at] = order[at][np.argsort(fam.row_keys(rows[order[at]]), kind="stable")]
+    return order, prefix
+
+
+def _repeats(rows: np.ndarray, order: np.ndarray, prefix: np.ndarray) -> np.ndarray:
+    """The positions i in the order where row order[i + 1] equals row
+    order[i]; rows are compared in full only where their prefixes are equal."""
+    at = np.flatnonzero(prefix[1:] == prefix[:-1])
+    keys = fam.row_keys(rows)
+    return at[keys[order[at]] == keys[order[at + 1]]]
+
+
+def _find_rows(rows: np.ndarray, order: np.ndarray, prefix: np.ndarray,
+               queries: np.ndarray) -> np.ndarray:
+    """For each query row, the first position in the order (_row_order) of
+    a row equal to it, -1 where none is."""
+    q = _prefixes(queries)
+    lo = np.searchsorted(prefix, q, "left")
+    hi = np.searchsorted(prefix, q, "right")
+    keys, qkeys = fam.row_keys(rows), fam.row_keys(queries)
+    found = np.full(len(queries), -1, dtype=np.int64)
+    single = np.flatnonzero(hi - lo == 1)
+    for start in range(0, len(single), _FIND_ROWS):
+        i = single[start:start + _FIND_ROWS]
+        i = i[keys[order[lo[i]]] == qkeys[i]]
+        found[i] = lo[i]
+    # a prefix that several rows share: search their full bytes
+    for i in np.flatnonzero(hi - lo > 1).tolist():
+        run = keys[order[lo[i]:hi[i]]]
+        at = int(np.searchsorted(run, qkeys[i]))
+        if at < len(run) and run[at] == qkeys[i]:
+            found[i] = lo[i] + at
+    return found
 
 
 def _entries(h: ValueHistogram) -> list:
@@ -152,16 +208,19 @@ def _hist_claim(name: str, empirical: ValueHistogram, predicted: ValueHistogram,
 def _claim_pure_quad_rank(b: _Bundle) -> ClaimResult:
     ctx, k = b.ctx, b.k
     n = ctx.n
-    ranks = symplectic_ranks(ctx, k, range(1, ctx.order), 0)
+    # (b, 0) -> (b^2, 0) keeps the rank and the cube class: one b = alpha^l
+    # per class of l -> 2l, cubic when l is 0 mod 3
+    logs, _ = cyclotomic_classes(ctx.group_order, 2)
+    ranks = symplectic_ranks(ctx, k, ctx.antilog[logs], 0)
+    note = "exhaustive over Frobenius classes of b"
     if half_odd(n):
         ranks = set(ranks.tolist())
         return ClaimResult(
-            "pure-quad-rank", ranks == {n - 2}, {"all": n - 2}, {"ranks": sorted(ranks)}
+            "pure-quad-rank", ranks == {n - 2}, {"all": n - 2}, {"ranks": sorted(ranks)}, note
         )
-    cubic = ctx.log[1:] % 3 == 0
-    ok = bool(np.all(ranks == np.where(cubic, n - 2, n)))
+    ok = bool(np.all(ranks == np.where(logs % 3 == 0, n - 2, n)))
     return ClaimResult(
-        "pure-quad-rank", ok, {"cubic": n - 2, "non-cubic": n}, {"all-match": ok}
+        "pure-quad-rank", ok, {"cubic": n - 2, "non-cubic": n}, {"all-match": ok}, note
     )
 
 
@@ -262,15 +321,22 @@ def _claim_subgrid_orbits(b: _Bundle) -> ClaimResult:
 
 
 def _claim_affine_root_bound(b: _Bundle) -> ClaimResult:
-    """Exhaustive over all (v, theta) for eps in {1, alpha, alpha^2}: x = s y
-    maps (eps, v, theta) to (eps s^3, v s, theta) with the same root count,
-    and these three represent the cube classes of E* (3 divides 2^n - 1 for
-    even n).  Each nonzero x is a root for the one v = (eps x^3 + theta) / x,
-    so the root count of (eps, v, theta) is how many x share that v.
-    Vectorized over theta in blocks of _AFFINE_BLOCK (theta, x) values, one
-    eps at a time.  v is read at log(eps x^3 + theta) - log x + (2^n - 1)
-    from two copies of the antilog table and, past them, zeros: the log of
-    0 is set to 2 (2^n - 1), so v = 0 there."""
+    """Exhaustive over Frobenius classes of theta for eps in {1, alpha}.
+    x = s y maps (eps, v, theta) to (eps s^3, v s, theta) with the same root
+    count, so {1, alpha, alpha^2} represent the cube classes of E* (3
+    divides 2^n - 1 for even n).  Squaring maps (alpha, v, theta) onto
+    (alpha^2, v^2, theta^2), a bijection with the same root counts, so
+    alpha^2 needs no scan of its own.  It maps (1, v, theta) onto
+    (1, v^2, theta^2), so eps = 1 takes one theta per class of
+    theta -> theta^2; squaring twice and then x = y / alpha maps
+    (alpha, v, theta) onto (alpha, v^4 / alpha, theta^4), so eps = alpha
+    takes one theta per class of theta -> theta^4.  Each nonzero x is a root
+    for the one v = (eps x^3 + theta) / x, so the root count of
+    (eps, v, theta) is how many x share that v.  Vectorized over theta in
+    blocks of _AFFINE_BLOCK (theta, x) values.  v is read at
+    log(eps x^3 + theta) - log x + (2^n - 1) from two copies of the
+    antilog table and, past them, zeros: the log of 0 is set to
+    2 (2^n - 1), so v = 0 there."""
     ctx = b.ctx
     order, group = ctx.order, ctx.group_order
     xs = np.arange(1, order, dtype=np.int64)
@@ -281,16 +347,18 @@ def _claim_affine_root_bound(b: _Bundle) -> ClaimResult:
     antilog = np.concatenate([ctx.antilog, ctx.antilog, np.zeros(group + 1, np.int64)])
     rows = max(1, _AFFINE_BLOCK // group)
     worst = 0
-    for eps in ctx.antilog[:3].tolist():
+    for eps, mult in zip(ctx.antilog[:2].tolist(), (2, 4)):
         eps_px = ctx.scale_vec(eps, px)
-        for lo in range(1, order, rows):
-            thetas = np.arange(lo, min(lo + rows, order), dtype=np.int64)[:, None]
-            v = antilog[log[eps_px ^ thetas] + minus_log_x]
-            v += np.arange(len(thetas), dtype=np.int64)[:, None] * order
+        thetas = ctx.antilog[cyclotomic_classes(group, mult)[0]]
+        for lo in range(0, len(thetas), rows):
+            block = thetas[lo:lo + rows, None]
+            v = antilog[log[eps_px ^ block] + minus_log_x]
+            v += np.arange(len(block), dtype=np.int64)[:, None] * order
             worst = max(worst, int(np.bincount(v.ravel(), minlength=v.size).max()))
     return ClaimResult("affine-root-bound", worst <= 3, {"max": 3},
                        {"max-roots": worst},
-                       "exhaustive over the cube-class representatives of eps")
+                       "exhaustive over Frobenius classes of theta: theta -> theta^2 at "
+                       "eps = 1, theta -> theta^4 at eps = alpha")
 
 
 def _claim_three_root_thetas(b: _Bundle) -> ClaimResult:
@@ -298,7 +366,7 @@ def _claim_three_root_thetas(b: _Bundle) -> ClaimResult:
     want = theory.three_root_theta_count(b.ctx.n)
     return ClaimResult(
         "three-root-theta-count", first == want and second == want,
-        {"first": want, "second": want}, {"first": first, "second": second},
+        {"first": want, "second": want}, {"first": first, "second": second}, _THETA_NOTE,
     )
 
 
@@ -310,26 +378,30 @@ def _claim_reduced_vs_kernel(b: _Bundle) -> ClaimResult:
     return ClaimResult(
         "reduced-vs-kernel-roots", ok,
         {"per-theta": "equal counts in {0, 3}"},
-        {"all-equal": ok, "counts-seen": sorted(seen)},
+        {"all-equal": ok, "counts-seen": sorted(seen)}, _THETA_NOTE,
     )
 
 
 def _claim_census(b: _Bundle) -> ClaimResult:
     report = fieldeq.census_report(b.ctx, b.k, b.theta_roots)
-    return ClaimResult("equation-census", report["match"],
-                       None, report["counts"])
+    return ClaimResult("equation-census", report["match"], None, report["counts"],
+                       "three-root counts " + _THETA_NOTE)
 
 
 def _claim_rank_split_per_c(b: _Bundle) -> ClaimResult:
     ctx, k = b.ctx, b.k
     want = theory.rank_deficient_b_count(ctx.n)
+    # (b, c) -> (b^2, c^2) keeps the rank and permutes E*, so c^2 has the
+    # count of c: one c = beta^j per class of j -> 2j, the first c = 1
+    cs = ctx.beta_powers[cyclotomic_classes((1 << ctx.half) - 1, 2)[0]]
     bs = np.arange(1, ctx.order)[:, None]
-    ranks = symplectic_ranks(ctx, k, bs, ctx.subfield_elements[None, 1:])
+    ranks = symplectic_ranks(ctx, k, bs, cs[None, :])
     counts = np.count_nonzero(ranks == ctx.n - 2, axis=0)
     ok = bool(np.all(counts == want))
     got = int(counts[0])
     return ClaimResult("rank-split-per-c", ok, {"rank-deficient-b": want},
-                       {"count": got, "same-for-every-c": ok})
+                       {"count": got, "same-for-every-c": ok},
+                       "exhaustive over Frobenius classes of c")
 
 
 def _claim_rank_value_consistency(b: _Bundle) -> ClaimResult:
@@ -407,18 +479,24 @@ def _claim_family_structure(b: _Bundle) -> ClaimResult:
         family.size == theory.family_size(ctx.n)
         and part_one == 1 << (3 * ctx.half)
     )
-    # rows as sorted fixed-width byte strings, one sorted copy at a time
+    # one order of every row, by argsorted uint64 prefixes; the reference
+    # sets' rows are looked up through it
+    order, prefix = _row_order(rows)
+    repeats = _repeats(rows, order, prefix)
+    distinct_ok = len(rows) == family.size and len(repeats) == 0
     small = fam.build_family(fam.family_params(ctx, fam.FamilyKind.SMALL_KASAMI))
-    found = fam.find_rows(_sorted_keys(rows[:part_one]), fam.row_keys(fam.member_table(small)[0]))
-    small_ok = bool(np.all(found >= 0))
-    every = _sorted_keys(rows)
-    distinct_ok = len(every) == family.size and not np.any(every[1:] == every[:-1])
+    found = _find_rows(rows, order, prefix, fam.member_table(small)[0])
+    # the first of equal rows has the least index: found in part one
+    small_ok = bool(np.all(found >= 0) and np.all(order[found] < part_one))
     note = None
     large_ok = True
     if b.k == ctx.half + 1:
         large = fam.build_family(fam.family_params(ctx, fam.FamilyKind.LARGE_KASAMI))
-        large_keys = _distinct(_sorted_keys(fam.member_table(large)[0]))
-        large_ok = np.array_equal(large_keys, _distinct(every))
+        found = _find_rows(rows, order, prefix, fam.member_table(large)[0])
+        # as sets: every large row is found, and they hit every distinct row
+        hit = np.zeros(len(rows), dtype=bool)
+        hit[found] = True
+        large_ok = bool(np.all(found >= 0) and np.count_nonzero(hit) == len(rows) - len(repeats))
         note = "k = n/2 + 1: family coincides with the large Kasami set"
     ok = sizes_ok and distinct_ok and small_ok and large_ok
     return ClaimResult(

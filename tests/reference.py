@@ -12,13 +12,17 @@ doubling over every bit of y, with no split into halves; fwht of it is a
 whole spectrum.  code_tables packs every
 trace row with np.packbits, so it shares with families.packed_rows only
 the trace rows.  brute_histogram takes one plain +-1 product per shift, with
-no folding of row pairs and no orbits of shifts.
+no folding of row pairs and no orbits of shifts.  theta_root_counts_full
+evaluates the kernel and reduced equations at every theta, and
+affine_root_max_full and rank_deficient_b_counts_full scan every theta and
+every c, with no Frobenius classes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from gkasami import fieldeq
 from gkasami import quadform as qf
 from gkasami.families import BinarySequence
 from gkasami.gf2n import FieldCtx, TooLarge
@@ -127,6 +131,63 @@ def brute_histogram(rows: np.ndarray, period: int) -> ValueHistogram:
         hist.merge(ValueHistogram.from_array(
             (signs @ np.roll(signs, -tau, axis=1).T).astype(np.int64)))
     return hist
+
+
+def theta_root_counts_full(ctx: FieldCtx, k: int) -> np.ndarray:
+    """fieldeq.theta_root_counts evaluated at every theta in E*, in blocks
+    of 2^16 (theta, w) values: root counts at [equation, theta - 1]."""
+    qf.require_valid_k(ctx.n, k)
+    n, group = ctx.n, ctx.group_order
+    log_w = ctx.log[1:]
+    ws = np.arange(1, ctx.order, dtype=np.int64)
+    log_zq, log_zk, log_w1, log_w2 = (
+        (log_w * e) % group for e in (1 << (n - k), 1 << k,
+                                      fieldeq._reduced_exponent(ctx, n // 2 - k),
+                                      fieldeq._reduced_exponent(ctx, k - n // 2)))
+    z_half = ctx.frob_vec(ws, ctx.half)
+    antilog = np.tile(ctx.antilog, 2)
+    out = np.empty((3, group), dtype=np.int64)
+    rows = max(1, (1 << 16) // group)
+    for lo in range(0, group, rows):
+        theta = ws[lo:lo + rows, None]
+        log_t = ctx.log[theta]
+        log_tq = (log_t << (n - k)) % group
+        tq = antilog[log_tq]
+        kernel = antilog[log_tq + log_zq] ^ antilog[log_t + log_zk] ^ z_half
+        first = antilog[log_tq + log_w1] ^ ws ^ theta
+        second = antilog[log_t + log_w2] ^ ws ^ tq
+        for i, vals in enumerate((kernel, first, second)):
+            out[i, lo:lo + rows] = np.count_nonzero(vals == 0, axis=1)
+    return out
+
+
+def affine_root_max_full(ctx: FieldCtx) -> int:
+    """The most roots in E* of eps x^3 + v x + theta over every (v, theta)
+    with theta != 0, for eps = 1, alpha and alpha^2 (one per cube class of
+    E*): each nonzero x is a root for the one v = (eps x^3 + theta) / x, so
+    the count at (eps, v, theta) is how many x share that v."""
+    group = ctx.group_order
+    xs = np.arange(1, ctx.order, dtype=np.int64)
+    log_inv_x = -ctx.log[xs] % group
+    rows = max(1, (1 << 16) // group)
+    worst = 0
+    for eps in ctx.antilog[:3].tolist():
+        eps_x3 = ctx.scale_vec(eps, ctx.pow_vec(xs, 3))
+        for lo in range(1, ctx.order, rows):
+            thetas = np.arange(lo, min(lo + rows, ctx.order), dtype=np.int64)[:, None]
+            vals = eps_x3 ^ thetas
+            v = np.where(vals == 0, 0, ctx.antilog[(ctx.log[vals] + log_inv_x) % group])
+            v += np.arange(len(thetas))[:, None] * ctx.order
+            worst = max(worst, int(np.bincount(v.ravel()).max()))
+    return worst
+
+
+def rank_deficient_b_counts_full(ctx: FieldCtx, k: int) -> np.ndarray:
+    """How many b in E* give the form (b, c) rank n - 2, for every c in F*
+    in increasing order."""
+    ranks = qf.symplectic_ranks(ctx, k, np.arange(1, ctx.order)[:, None],
+                                ctx.subfield_elements[None, 1:])
+    return np.count_nonzero(ranks == ctx.n - 2, axis=0)
 
 
 class LengthMismatch(ValueError):

@@ -6,6 +6,8 @@ from gkasami import quadform as qf
 from gkasami import theory
 from gkasami.gf2n import TooLarge, make_field
 
+from reference import theta_root_counts_full
+
 
 def test_linearized_kernel_basics(ctx6):
     ident = fe.LinearizedPoly.from_coeffs([1])
@@ -98,6 +100,12 @@ def test_theta_scan_matches_per_theta_counts(n):
         for theta in range(1, ctx.order):
             want = (fe.count_kernel_roots(ctx, theta, k), *fe.count_reduced_roots(ctx, theta, k))
             assert tuple(roots[:, theta - 1].tolist()) == want
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 8])
+def test_theta_class_scan_matches_the_full_scan_n10(k):
+    ctx = make_field(10)
+    assert np.array_equal(fe.theta_root_counts(ctx, k), theta_root_counts_full(ctx, k))
 
 
 def test_three_root_theta_counts(ctx4, ctx6):

@@ -12,6 +12,7 @@ from gkasami.gf2n import (
     NonDivisor,
     NonPrimitivePolynomial,
     UnsupportedN,
+    cyclotomic_classes,
     gcd_pow2_plus_one,
     gf2_kernel_basis,
     make_field,
@@ -475,3 +476,30 @@ def test_scaling_rejects_non_elements(ctx4, c):
         ctx4.scale_vec(c, xs)
     with pytest.raises(ValueError, match="not an element"):
         ctx4.scale_all(c)
+
+
+@pytest.mark.parametrize("n", range(4, 13, 2))
+def test_cyclotomic_classes_partition_the_residues(n):
+    for modulus, mult in (((1 << n) - 1, 2), ((1 << n) - 1, 4), ((1 << n // 2) - 1, 2)):
+        leaders, index = cyclotomic_classes(modulus, mult)
+        assert index.shape == (modulus,) and np.all(np.diff(leaders) > 0)
+        classes = {}
+        for l in range(modulus):
+            classes.setdefault(int(index[l]), set()).add(l)
+        assert sorted(classes) == list(range(len(leaders)))
+        for i, members in classes.items():
+            # a class is closed under l -> mult l and led by its least residue
+            assert {mult * l % modulus for l in members} == members
+            assert min(members) == leaders[i]
+            assert members == {pow(mult, j, modulus) * int(leaders[i]) % modulus
+                               for j in range(n)}
+        assert np.bincount(index).sum() == modulus
+
+
+def test_cyclotomic_classes_of_2_mod_15():
+    leaders, index = cyclotomic_classes(15, 2)
+    assert leaders.tolist() == [0, 1, 3, 5, 7]
+    assert np.bincount(index).tolist() == [1, 4, 4, 2, 4]
+    assert cyclotomic_classes(1, 2)[0].tolist() == [0]
+    with pytest.raises(ValueError, match="not a unit"):
+        cyclotomic_classes(15, 3)

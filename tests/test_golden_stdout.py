@@ -14,11 +14,12 @@ import pytest
 from gkasami import cli
 
 GOLDEN = {
-    "verify --n 4 --k 1": "07cea7169c95208607d6b50d3d3cbdc87eef291f75998d172989c228d5a76e38",
-    "verify --n 4 --k 3": "b6eea2072153a801ac331dbc2ad2e631fe53ff2773f2b229dc075dd5f672788a",
-    "verify --n 6 --k 2": "7b1d53b8ebb7900b6a5b320cac2a7d230d91f61961cbdec7e891d1ade49cfb7f",
-    "verify --n 6 --k 4": "f6ec3b79e896ccf2856039c12980d008d23a0e2eb81bb1a9cd297733e61f65ee",
-    "verify --n 8 --k 1": "c280463f10ad49f48e69ec7e01ce404ee61799fada2fc1f09b56551b894b9206",
+    "verify --n 4 --k 1": "5060ac0ee6def331007801469952a6670d86c642d35d4ac9c99f97aaa6c0e146",
+    "verify --n 4 --k 3": "a4aaeec0769096d078f405e862ebcb10063416e11d752df3657d9aa8bb667e46",
+    "verify --n 6 --k 2": "7bac8acf5bd29253436813c44264e5051228b758cda3328aafe900763bf5f492",
+    "verify --n 6 --k 4": "45a88d60fa43bddc61f781ec7015698f5abf57a4175722566ffa9cb1fa2298c7",
+    "verify --n 8 --k 1": "3436a965e6a75784a54a571fd1f3b718b1e11295a1e65d5008c97898fd9014c7",
+    "verify --n 10 --k 2": "de562c1f36fb03918879f2187c7a0bb38fb4ebc3e3c0a8177b0c5c65ed74019c",
     "corr --engine spectral --kind fk --n 4":
         "b4659afcbcfd3c171f69ca4783133345caeff54371f4baee072d08b7e9687d37",
     "corr --engine spectral --kind small-kasami --n 4":

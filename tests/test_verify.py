@@ -11,7 +11,8 @@ from gkasami import fieldeq, quadform as qf, theory, verify
 from gkasami.gf2n import half_odd, make_field
 from gkasami.histogram import ValueHistogram
 
-from reference import code_tables, spectra_block, spectrum_distribution
+from reference import (affine_root_max_full, code_tables, rank_deficient_b_counts_full,
+                       spectra_block, spectrum_distribution, theta_root_counts_full)
 
 
 def test_all_claims_pass_n6(ctx6):
@@ -170,7 +171,8 @@ def test_affine_root_bound_is_the_grid_maximum(ctx4):
         for theta in range(1, ctx.order)
     )
     assert result.empirical == {"max-roots": want}
-    assert result.note == "exhaustive over the cube-class representatives of eps"
+    assert result.note == ("exhaustive over Frobenius classes of theta: theta -> theta^2 at "
+                           "eps = 1, theta -> theta^4 at eps = alpha")
 
 
 def affine_root_counts(ctx, eps):
@@ -201,6 +203,68 @@ def test_affine_root_counts_follow_the_cube_class(n):
     for eps in range(1, ctx.order):
         got = sorted(affine_root_counts(ctx, eps).ravel().tolist())
         assert got == want[ctx.log[eps] % 3]
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_affine_root_counts_follow_the_frobenius_maps(n):
+    """Cell by cell over every (v, theta): squaring maps (1, v, theta) to
+    (1, v^2, theta^2) and (alpha, v, theta) to (alpha^2, v^2, theta^2), and
+    squaring twice and then x = y / alpha maps (alpha, v, theta) to
+    (alpha, v^4 / alpha, theta^4), each with the same root count."""
+    ctx = make_field(n)
+    one, alpha, alpha2 = (affine_root_counts(ctx, eps) for eps in ctx.antilog[:3].tolist())
+    vs, thetas = np.arange(ctx.order, dtype=np.int64), np.arange(1, ctx.order, dtype=np.int64)
+    v2, t2 = ctx.pow_vec(vs, 2), ctx.pow_vec(thetas, 2) - 1
+    v4 = ctx.scale_vec(ctx.antilog[-1], ctx.pow_vec(vs, 4))
+    t4 = ctx.pow_vec(thetas, 4) - 1
+    assert np.array_equal(one, one[np.ix_(v2, t2)])
+    assert np.array_equal(alpha, alpha[np.ix_(v4, t4)])
+    assert np.array_equal(alpha, alpha2[np.ix_(v2, t2)])
+
+
+def test_affine_class_scan_is_the_grid_maximum_n6():
+    ctx = make_field(6)
+    want = max(int(affine_root_counts(ctx, eps).max()) for eps in range(1, ctx.order))
+    result = verify._claim_affine_root_bound(verify._Bundle(ctx, 2))
+    assert result.empirical == {"max-roots": want} == {"max-roots": affine_root_max_full(ctx)}
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_rank_deficient_counts_are_equal_at_c_and_its_square(n):
+    ctx = make_field(n)
+    cs = ctx.subfield_elements[1:]
+    squares = ctx.subfield_index[ctx.pow_vec(cs, 2)] - 1
+    for k in (k for k in range(1, n) if qf.valid_k(n, k)):
+        counts = rank_deficient_b_counts_full(ctx, k)
+        assert np.array_equal(counts, counts[squares])
+
+
+_CLASS_CLAIMS = [verify._claim_affine_root_bound, verify._claim_three_root_thetas,
+                 verify._claim_reduced_vs_kernel, verify._claim_rank_split_per_c,
+                 verify._claim_pure_quad_rank]
+
+
+@pytest.mark.parametrize("k", [1, 5, 7, 11])
+def test_class_scan_claims_pass_n12(k):
+    bundle = verify._Bundle(make_field(12), k)
+    results = [claim(bundle) for claim in _CLASS_CLAIMS]
+    assert [r.name for r in results if not r.ok] == []
+
+
+@pytest.mark.slow
+def test_class_scans_match_the_full_scans_n14():
+    ctx, k = make_field(14), 4
+    bundle = verify._Bundle(ctx, k)
+    assert np.array_equal(bundle.theta_roots, theta_root_counts_full(ctx, k))
+    affine, split, pure = (claim(bundle) for claim in (
+        verify._claim_affine_root_bound, verify._claim_rank_split_per_c,
+        verify._claim_pure_quad_rank))
+    assert affine.ok and affine.empirical == {"max-roots": affine_root_max_full(ctx)}
+    counts = rank_deficient_b_counts_full(ctx, k)
+    assert split.ok and split.empirical == {
+        "count": int(counts[0]), "same-for-every-c": bool(np.all(counts == counts[0]))}
+    ranks = qf.symplectic_ranks(ctx, k, range(1, ctx.order), 0)
+    assert pure.ok and pure.empirical == {"ranks": sorted(set(ranks.tolist()))}
 
 
 def test_affine_root_bound_n10():
@@ -258,6 +322,18 @@ def test_family_structure_fails_on_a_flipped_small_set_bit(ctx6, monkeypatch):
         "distinct": True, "small-set-included": False, "large-set-equal": True}
 
 
+def test_family_structure_fails_on_a_small_set_row_from_part_two(ctx6, monkeypatch):
+    family_rows, _, part_one = fam.member_table(verify._Bundle(ctx6, 2).family)
+
+    def move(kind, rows):
+        if kind == fam.FamilyKind.SMALL_KASAMI:
+            rows[3] = family_rows[part_one + 5]
+        return rows
+
+    assert structure_with(ctx6, 2, move, monkeypatch) == {
+        "distinct": True, "small-set-included": False, "large-set-equal": True}
+
+
 @pytest.mark.parametrize("n", [6, 8])
 def test_family_structure_fails_on_a_changed_large_set_row(n, monkeypatch):
     ctx = make_field(n)
@@ -271,12 +347,74 @@ def test_family_structure_fails_on_a_changed_large_set_row(n, monkeypatch):
         "distinct": True, "small-set-included": True, "large-set-equal": False}
 
 
+def test_family_structure_fails_on_a_missing_large_set_row(ctx6, monkeypatch):
+    def drop(kind, rows):  # every large row is a family row, one is left out
+        return rows[:-1] if kind == fam.FamilyKind.LARGE_KASAMI else rows
+
+    assert structure_with(ctx6, 4, drop, monkeypatch) == {
+        "distinct": True, "small-set-included": True, "large-set-equal": False}
+
+
 def test_family_structure_compares_the_large_set_as_a_set(ctx6, monkeypatch):
     def repeat(kind, rows):  # the large set lists two of its rows twice
         return np.concatenate([rows, rows[[5, 0]]]) if kind == fam.FamilyKind.LARGE_KASAMI else rows
 
     assert structure_with(ctx6, 4, repeat, monkeypatch) == {
         "distinct": True, "small-set-included": True, "large-set-equal": True}
+
+
+def test_row_order_sorts_rows_that_share_a_prefix():
+    rng = np.random.default_rng(3)
+    rows = rng.integers(0, 256, (300, 12), dtype=np.uint8)
+    rows[:, :8] = rng.integers(0, 2, (300, 1)) * 0xF0  # two prefixes, past 0x7f too
+    rows[[10, 200]] = rows[50]  # three equal rows inside one run
+    order, prefix = verify._row_order(rows)
+    assert order.tolist() == sorted(range(300), key=lambda i: (rows[i].tobytes(), i))
+    assert np.array_equal(prefix, verify._prefixes(rows)[order])
+    assert len(verify._repeats(rows, order, prefix)) == 2
+    other = rows[7].copy()
+    other[-1] ^= 1
+    assert not np.any(np.all(rows == other, axis=1))
+    found = verify._find_rows(rows, order, prefix, np.stack([rows[200], rows[7], other]))
+    assert order[found[0]] == 10 and order[found[1]] == 7 and found[2] == -1
+
+
+def test_find_rows_of_unshared_prefixes_in_small_blocks(monkeypatch):
+    rng = np.random.default_rng(4)
+    rows = rng.integers(0, 256, (500, 20), dtype=np.uint8)
+    order, prefix = verify._row_order(rows)
+    assert order.tolist() == sorted(range(500), key=lambda i: rows[i].tobytes())
+    queries = rows[::-3].copy()
+    queries[::2, 15] ^= 0x40  # every other query differs past its prefix
+    monkeypatch.setattr(verify, "_FIND_ROWS", 16)
+    found = verify._find_rows(rows, order, prefix, queries)
+    want = np.arange(499, -1, -3)
+    assert np.array_equal(found[1::2], np.argsort(order)[want[1::2]])
+    assert np.all(found[::2] == -1)
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_family_structure_with_every_prefix_equal(monkeypatch, k):
+    """Zeroing the first 8 bytes of every row in every table leaves the n = 8
+    rows distinct, all in one run of equal prefixes; a repeat is still seen,
+    and at k = n/2 + 1 the row it displaced leaves the large set unmatched."""
+    ctx = make_field(8)
+
+    def zero_prefix(kind, rows):
+        rows[:, :8] = 0
+        return rows
+
+    def repeat_too(kind, rows):
+        zero_prefix(kind, rows)
+        if kind == fam.FamilyKind.GENERALIZED:
+            rows[-1] = rows[100]
+        return rows
+
+    want = {"distinct": True, "small-set-included": True, "large-set-equal": True}
+    assert structure_with(ctx, k, zero_prefix, monkeypatch) == want
+    monkeypatch.undo()
+    assert structure_with(ctx, k, repeat_too, monkeypatch) == {
+        **want, "distinct": False, "large-set-equal": k != ctx.half + 1}
 
 
 def test_optional_n10_checks():
