@@ -12,7 +12,6 @@ from .correlation import (
     r_max,
 )
 from .families import (
-    BinarySequence,
     FamilyKind,
     FamilyParams,
     SequenceFamily,
@@ -20,7 +19,6 @@ from .families import (
     build_family,
     family_params,
     gamma_delta_sets,
-    imbalance,
     sequence_term,
 )
 from .fieldeq import (
@@ -54,7 +52,6 @@ from .theory import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinarySequence",
     "CodeSpec",
     "CorrelationReport",
     "EquationCensus",
@@ -80,7 +77,6 @@ __all__ = [
     "full_distribution_brute",
     "full_distribution_spectral",
     "gamma_delta_sets",
-    "imbalance",
     "linearized_kernel",
     "make_field",
     "predict",

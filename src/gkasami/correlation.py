@@ -22,18 +22,18 @@ at 2 tau and at -tau, and one shift per orbit of tau -> 2 tau, tau -> -tau
 on Z_p (4, 8 and 20 orbits at n = 4, 6 and 8), counted with the orbit
 size, stands for them all.  P is found from the bits alone: each member
 is decimated (columns 2t mod p gathered and repacked) and looked up among
-the members' bytes, and members whose image is missing leave the candidate
-set until D maps what stays into it; D is injective, so it then permutes
-P, and if members repeat, P is empty.  That is every member for odd n/2,
-and for even n/2 all of part one and the part-two members whose whole
-decimation orbit is in the family (4097 of 4111 at n = 8).  The pairs
-with a member in the rest R, R x all and P x R, take every shift.  This is a
-reindexing of the same inner products, not a sample, and no transform
-theory enters it.  Products are taken a block of row pairs at a time, or
-for a small family several whole shifts at a time, so memory stays
-O(m p) plus, per thread, one block of at most 2^20 float32 products and
-their intp casts, and the 4^n cell counts of one tally (32 KB at n = 6,
-8 MB at n = 10).
+the members' packed rows (families.RowIndex), and members whose image is
+missing leave the candidate set until D maps what stays into it; D is
+injective, so it then permutes P, and if members repeat, P is empty.
+That is every member for odd n/2, and for even n/2 all of part one and
+the part-two members whose whole decimation orbit is in the family (4097
+of 4111 at n = 8).  The pairs with a member in the rest R, R x all and
+P x R, take every shift.  This is a reindexing of the same inner
+products, not a sample, and no transform theory enters it.  Products are
+taken a block of row pairs at a time, or for a small family several
+whole shifts at a time, so memory stays O(m p) plus, per thread, one
+block of at most 2^20 float32 products and their intp casts, and the 4^n
+cell counts of one tally (32 KB at n = 6, 8 MB at n = 10).
 
 The spectral engine never touches sequence bits and reads only the
 family's parameters: the correlation of two members at a given shift
@@ -74,11 +74,10 @@ from . import quadform as qf
 from . import theory
 from .families import (
     FamilyKind,
+    RowIndex,
     SequenceFamily,
-    find_rows,
     gamma_delta_sets,
     member_table,
-    row_keys,
     sign_rows,
 )
 from .gf2n import half_odd
@@ -246,21 +245,18 @@ def _decimation_closed(rows: np.ndarray, period: int) -> list[int]:
     s(t) -> s(2t), maps into itself, found from the packed rows alone.
 
     Each row is unpacked, its columns 2t mod p are gathered and repacked, and
-    the result is looked up among the rows' sorted keys (families.row_keys).
-    Rows whose image is missing leave the candidate set until what stays
-    maps into itself.  D is injective, so on distinct rows it then permutes
-    P; if rows repeat, P is empty.
+    the result is looked up among the rows (families.RowIndex).  Rows whose
+    image is missing leave the candidate set until what stays maps into
+    itself.  D is injective, so on distinct rows it then permutes P; if
+    rows repeat, P is empty.
     """
     bits = np.unpackbits(rows, axis=1, count=period, bitorder="little")
     decimated = np.packbits(bits[:, 2 * np.arange(period) % period], axis=1, bitorder="little")
-    keys = row_keys(rows)
-    order = np.argsort(keys)
-    keys = keys[order]
-    if np.any(keys[1:] == keys[:-1]):
+    index = RowIndex(rows)
+    if len(index.repeats()):
         return []
-    found = find_rows(keys, row_keys(decimated))
-    image = np.where(found >= 0, order[found], -1)
-    closed = found >= 0
+    image = index.find(decimated)
+    closed = image >= 0
     while True:
         kept = closed & closed[image]  # image -1 only where closed is already False
         if np.array_equal(kept, closed):

@@ -1,4 +1,4 @@
-"""Construction of the sequence families and per-sequence imbalance.
+"""Construction of the sequence families as packed rows.
 
 Three kinds share one container:
 
@@ -17,9 +17,9 @@ so _span_rows builds the 2^n rows of every a from n basis rows.
 member_blocks streams the members as packed blocks, whole gammas of part
 one per block and one block for part two, each with its tags as an int64
 array; write_family formats each block with whole-array operations, and
-member_table gathers them into one table.  row_keys views packed rows as
-fixed-width byte strings, to sort and look them up.  Python ints
-(BinarySequence) are built only for part1 and part2, from the same blocks.
+member_table gathers them into one table.  Packed rows are the only
+member form.  RowIndex sorts packed rows by their bytes and finds rows
+among them; the brute engine and verify look members up through it.
 theory.build_code packs the code's rows with packed_rows and _span_rows
 too, and sign_rows turns packed rows into the +-1 float32 rows that the
 brute engine and the code-weight enumeration multiply.
@@ -30,7 +30,6 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -102,24 +101,13 @@ class SequenceTag:
         }
 
 
-@dataclass(frozen=True)
-class BinarySequence:
-    """Bit-packed sequence of period 2^n - 1 (LSB of bits = t = 0)."""
-
-    bits: int
-    length: int
-    tag: SequenceTag
-
-    def bit(self, t: int) -> int:
-        return (self.bits >> (t % self.length)) & 1
-
-
 FAMILY_MAX_N = 12
 
 
 @dataclass(frozen=True)
 class SequenceFamily:
-    """The family of params; size and period are computed, members built on first use.
+    """The family of params; size and period are computed, and members are
+    built only by member_blocks.
 
     Each member is a codeword of the generalized Kasami code, the XOR of packed
     trace rows: m = tr(alpha^t), quad[a] = tr(a alpha^(t(2^k+1))) and
@@ -144,17 +132,6 @@ class SequenceFamily:
     @property
     def period(self) -> int:
         return self.params.ctx.group_order
-
-    def all_sequences(self) -> list[BinarySequence]:
-        return self.part1 + self.part2
-
-    @cached_property
-    def part1(self) -> list[BinarySequence]:
-        return _sequences(self.params, _part_one_blocks)
-
-    @cached_property
-    def part2(self) -> list[BinarySequence]:
-        return _sequences(self.params, _part_two_blocks)
 
 
 def gamma_delta_sets(ctx: FieldCtx) -> tuple[list[int], list[int]]:
@@ -292,43 +269,82 @@ def member_table(family: SequenceFamily) -> tuple[np.ndarray, np.ndarray, int]:
     return rows, pairs, part_one
 
 
-def row_keys(rows: np.ndarray) -> np.ndarray:
+def _prefixes(rows: np.ndarray) -> np.ndarray:
+    """The first 8 bytes of each packed row, zero-padded, as a big-endian
+    uint64: prefixes order as the rows' leading bytes do."""
+    head = np.zeros((len(rows), 8), dtype=np.uint8)
+    width = min(8, rows.shape[1])
+    head[:, :width] = rows[:, :width]
+    return head.view(">u8").ravel().astype(np.uint64)
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
     """Each packed row as one fixed-width byte string (a numpy void view of
     the rows), which sorts, searches and compares as the row's bytes do."""
     return np.ascontiguousarray(rows).view(f"V{rows.shape[1]}").ravel()
 
 
-def find_rows(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The index of each of keys in sorted_keys (see row_keys, not empty), -1
-    where absent."""
-    at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-    return np.where(sorted_keys[at] == keys, at, -1)
+# query rows RowIndex.find compares in full at once
+_FIND_ROWS = 1 << 13
 
 
-_TAGS = {"gamma-delta": SequenceTag.gamma_delta, "zeta-eta": SequenceTag.zeta_eta}
+class RowIndex:
+    """Packed rows (see packed_rows) sorted by their bytes, to find rows in.
 
+    order is a stable argsort of the rows by their bytes, so equal rows are
+    neighbours, least index first.  It argsorts a big-endian uint64 of each
+    row's first 8 bytes and sorts by the full bytes only the rows whose
+    prefix a neighbour shares; rows are compared in full only where their
+    prefixes are equal.  The rows are read, not copied.
+    """
 
-def _sequences(params: FamilyParams, part) -> list[BinarySequence]:
-    """The members of one part as Python ints, one int.from_bytes per member."""
-    _require_members(params.ctx)
-    period = params.ctx.group_order
-    out = []
-    for variant, pairs, rows in part(params):
-        data, width, tag = rows.tobytes(), rows.shape[1], _TAGS[variant]
-        out += [BinarySequence(int.from_bytes(data[i * width:(i + 1) * width], "little"),
-                               period, tag(*pair))
-                for i, pair in enumerate(pairs.tolist())]
-    return out
+    def __init__(self, rows: np.ndarray):
+        prefix = _prefixes(rows)
+        order = np.argsort(prefix, kind="stable")
+        prefix = prefix[order]
+        same = prefix[1:] == prefix[:-1]
+        if rows.shape[1] > 8 and same.any():
+            tied = np.zeros(len(rows), dtype=bool)
+            tied[1:] |= same
+            tied[:-1] |= same
+            at = np.flatnonzero(tied)
+            # the tied rows stay in prefix order, so each run keeps its positions
+            order[at] = order[at][np.argsort(_row_keys(rows[order[at]]), kind="stable")]
+        self._rows, self.order, self._prefix = rows, order, prefix
+
+    def repeats(self) -> np.ndarray:
+        """The index of every row equal to a row of lower index, in order."""
+        at = np.flatnonzero(self._prefix[1:] == self._prefix[:-1])
+        keys, order = _row_keys(self._rows), self.order
+        return order[at + 1][keys[order[at]] == keys[order[at + 1]]]
+
+    def find(self, queries: np.ndarray) -> np.ndarray:
+        """For each query row, the least index of a row equal to it, -1
+        where none is."""
+        q = _prefixes(queries)
+        lo = np.searchsorted(self._prefix, q, "left")
+        hi = np.searchsorted(self._prefix, q, "right")
+        order = self.order
+        found = np.full(len(queries), -1, dtype=np.int64)
+        single = np.flatnonzero(hi - lo == 1)
+        for start in range(0, len(single), _FIND_ROWS):
+            i = single[start:start + _FIND_ROWS]
+            # compared as uint8 rows: their void keys compare several times slower
+            i = i[np.all(self._rows[order[lo[i]]] == queries[i], axis=1)]
+            found[i] = order[lo[i]]
+        # a prefix that several rows share: search their full bytes
+        keys, qkeys = _row_keys(self._rows), _row_keys(queries)
+        for i in np.flatnonzero(hi - lo > 1).tolist():
+            run = keys[order[lo[i]:hi[i]]]
+            at = int(np.searchsorted(run, qkeys[i]))
+            if at < len(run) and run[at] == qkeys[i]:
+                found[i] = order[lo[i] + at]
+        return found
 
 
 def build_family(params: FamilyParams) -> SequenceFamily:
-    """The family of params; cheap at every n, as members are built on first use."""
+    """The family of params; cheap at every n, as only member_blocks builds members."""
     return SequenceFamily(params)
-
-
-def imbalance(seq: BinarySequence) -> int:
-    """(#zeros - #ones) over one period; always odd because the period is."""
-    return seq.length - 2 * seq.bits.bit_count()
 
 
 # -- export formats -----------------------------------------------------

@@ -209,15 +209,15 @@ def _hadamard(s: int) -> np.ndarray:
 _HADAMARD = tuple(_hadamard(s) for s in range(_FWHT_CHUNK_BITS + 1))
 
 
-def _hadamard_stages(x: np.ndarray, y: np.ndarray, m: int, inner: int) -> np.ndarray:
-    """H_{2^m} along the middle axis of the (rows, 2^m, inner) view of x.
+def _hadamard_stages(x: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
+    """H_{2^m} along the last axis of x, whose length is 2^m.
 
     x and y are same-sized float32 buffers; the products run back and forth
     between them, and the one holding the result is returned.  H_{2^m} is
     the Kronecker product of factors H_{2^s} (s <= 5), one per chunk of the
     m index bits, in near-equal chunks from high to low: a chunk with
-    `lower` entries below it (the lower index bits times inner) is one
-    batched matmul over the middle axis of a (rows, 2^s, lower) view, or
+    `lower` entries below it (its lower index bits) is one batched matmul
+    over the middle axis of a (rows, 2^s, lower) view, or
     (rows * 2^(m-s), 2^s) @ H when lower is 1.
     """
     chunks = -(-m // _FWHT_CHUNK_BITS)
@@ -225,7 +225,7 @@ def _hadamard_stages(x: np.ndarray, y: np.ndarray, m: int, inner: int) -> np.nda
     for i in range(chunks):
         s = m // chunks + (i < m % chunks)
         low -= s
-        lower = inner << low
+        lower = 1 << low
         if lower > 1:
             shape = (-1, 1 << s, lower)
             np.matmul(_HADAMARD[s], x.reshape(shape), out=y.reshape(shape))
@@ -238,11 +238,10 @@ def _hadamard_stages(x: np.ndarray, y: np.ndarray, m: int, inner: int) -> np.nda
 def fwht(a) -> np.ndarray:
     """Hadamard transform of an integer array along its last axis, as int64.
 
-    The stages are _hadamard_stages with inner = 1.  They run in float32
-    and are exact: every partial sum is a signed sum of distinct entries of
-    its input row, so its magnitude is at most the row's L1 norm, which
-    must be below 2^24 (ValueError otherwise; TypeError for non-integer
-    input).
+    The stages (_hadamard_stages) run in float32 and are exact: every
+    partial sum is a signed sum of distinct entries of its input row, so
+    its magnitude is at most the row's L1 norm, which must be below 2^24
+    (ValueError otherwise; TypeError for non-integer input).
     """
     a = np.asarray(a)
     if not np.issubdtype(a.dtype, np.integer):
@@ -261,7 +260,7 @@ def fwht(a) -> np.ndarray:
             raise ValueError("fwht input rows must have an L1 norm below 2^24")
     else:
         y = np.empty_like(x)
-    x = _hadamard_stages(x, y, m, 1)
+    x = _hadamard_stages(x, y, m)
     del y  # the spare buffer goes back before the int64 result is allocated
     return x.astype(np.int64)
 

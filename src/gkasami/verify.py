@@ -17,7 +17,9 @@ shared by three claims) are evaluated at one theta per class of
 theta -> theta^2, the affine-root bound at one theta per class of
 theta -> theta^2 or theta^4, and the rank claims at one b or c per class of
 b -> b^2 or c -> c^2 (gf2n.cyclotomic_classes), each note naming its
-classes.  The member claims read one packed table of every member.  The
+classes.  The member claims read one packed table of every member;
+family-structure looks the small and large Kasami sets up in it through
+families.RowIndex, the large set one member block at a time.  The
 applicable claim set depends on the parity of n/2; a few are additionally
 capped by the size guards of their underlying scans.
 """
@@ -45,8 +47,6 @@ _THETA_NOTE = "exhaustive over Frobenius classes of theta"
 _AFFINE_BLOCK = 1 << 16
 # member rows the imbalance claim popcounts at once (all of them at n <= 8)
 _IMBALANCE_ROWS = 1 << 13
-# query rows _find_rows compares in full at once
-_FIND_ROWS = 1 << 13
 
 
 @dataclass
@@ -131,65 +131,6 @@ class _Bundle:
     def members(self) -> tuple[np.ndarray, np.ndarray, int]:
         """families.member_table of the family."""
         return fam.member_table(self.family)
-
-
-def _prefixes(rows: np.ndarray) -> np.ndarray:
-    """The first 8 bytes of each packed row, zero-padded, as a big-endian
-    uint64: prefixes order as the rows' leading bytes do."""
-    head = np.zeros((len(rows), 8), dtype=np.uint8)
-    width = min(8, rows.shape[1])
-    head[:, :width] = rows[:, :width]
-    return head.view(">u8").ravel().astype(np.uint64)
-
-
-def _row_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A stable argsort of the packed rows by their bytes, and their
-    prefixes in that order.  The prefixes are argsorted, and only rows whose
-    prefix a neighbour shares are then sorted by their full bytes
-    (families.row_keys), so equal rows are neighbours, least index first."""
-    prefix = _prefixes(rows)
-    order = np.argsort(prefix, kind="stable")
-    prefix = prefix[order]
-    same = prefix[1:] == prefix[:-1]
-    if rows.shape[1] > 8 and same.any():
-        tied = np.zeros(len(rows), dtype=bool)
-        tied[1:] |= same
-        tied[:-1] |= same
-        at = np.flatnonzero(tied)
-        # the tied rows stay in prefix order, so each run keeps its positions
-        order[at] = order[at][np.argsort(fam.row_keys(rows[order[at]]), kind="stable")]
-    return order, prefix
-
-
-def _repeats(rows: np.ndarray, order: np.ndarray, prefix: np.ndarray) -> np.ndarray:
-    """The positions i in the order where row order[i + 1] equals row
-    order[i]; rows are compared in full only where their prefixes are equal."""
-    at = np.flatnonzero(prefix[1:] == prefix[:-1])
-    keys = fam.row_keys(rows)
-    return at[keys[order[at]] == keys[order[at + 1]]]
-
-
-def _find_rows(rows: np.ndarray, order: np.ndarray, prefix: np.ndarray,
-               queries: np.ndarray) -> np.ndarray:
-    """For each query row, the first position in the order (_row_order) of
-    a row equal to it, -1 where none is."""
-    q = _prefixes(queries)
-    lo = np.searchsorted(prefix, q, "left")
-    hi = np.searchsorted(prefix, q, "right")
-    keys, qkeys = fam.row_keys(rows), fam.row_keys(queries)
-    found = np.full(len(queries), -1, dtype=np.int64)
-    single = np.flatnonzero(hi - lo == 1)
-    for start in range(0, len(single), _FIND_ROWS):
-        i = single[start:start + _FIND_ROWS]
-        i = i[keys[order[lo[i]]] == qkeys[i]]
-        found[i] = lo[i]
-    # a prefix that several rows share: search their full bytes
-    for i in np.flatnonzero(hi - lo > 1).tolist():
-        run = keys[order[lo[i]:hi[i]]]
-        at = int(np.searchsorted(run, qkeys[i]))
-        if at < len(run) and run[at] == qkeys[i]:
-            found[i] = lo[i] + at
-    return found
 
 
 def _entries(h: ValueHistogram) -> list:
@@ -479,24 +420,25 @@ def _claim_family_structure(b: _Bundle) -> ClaimResult:
         family.size == theory.family_size(ctx.n)
         and part_one == 1 << (3 * ctx.half)
     )
-    # one order of every row, by argsorted uint64 prefixes; the reference
-    # sets' rows are looked up through it
-    order, prefix = _row_order(rows)
-    repeats = _repeats(rows, order, prefix)
-    distinct_ok = len(rows) == family.size and len(repeats) == 0
+    index = fam.RowIndex(rows)
+    repeats = len(index.repeats())
+    distinct_ok = len(rows) == family.size and repeats == 0
     small = fam.build_family(fam.family_params(ctx, fam.FamilyKind.SMALL_KASAMI))
-    found = _find_rows(rows, order, prefix, fam.member_table(small)[0])
-    # the first of equal rows has the least index: found in part one
-    small_ok = bool(np.all(found >= 0) and np.all(order[found] < part_one))
+    found = index.find(fam.member_table(small)[0])
+    # the least index of equal rows: found in part one
+    small_ok = bool(np.all(found >= 0) and np.all(found < part_one))
     note = None
     large_ok = True
     if b.k == ctx.half + 1:
         large = fam.build_family(fam.family_params(ctx, fam.FamilyKind.LARGE_KASAMI))
-        found = _find_rows(rows, order, prefix, fam.member_table(large)[0])
-        # as sets: every large row is found, and they hit every distinct row
+        # as sets: every large row is found, one member block at a time,
+        # and they hit every distinct row
         hit = np.zeros(len(rows), dtype=bool)
-        hit[found] = True
-        large_ok = bool(np.all(found >= 0) and np.count_nonzero(hit) == len(rows) - len(repeats))
+        for _, _, block in fam.member_blocks(large):
+            found = index.find(block)
+            large_ok &= bool(np.all(found >= 0))
+            hit[found] = True
+        large_ok &= bool(np.count_nonzero(hit) == len(rows) - repeats)
         note = "k = n/2 + 1: family coincides with the large Kasami set"
     ok = sizes_ok and distinct_ok and small_ok and large_ok
     return ClaimResult(

@@ -1,15 +1,17 @@
 """References for the tests: whole spectra grids over parameter sets, a
 form's whole dual-basis truth table, the full packed trace-row tables of
-the generalized Kasami code, and the correlation of two sequences by
-Python-int bit operations.
+the generalized Kasami code, and the correlation of two sequences given
+as Python ints.
 
 No engine builds these; the tests compare the engines' orbit, column and
 rank routes against them.  spectra_block transforms one truth table per
-(b, c), indexed by x, and reindexes through walsh_perm, so it shares with
-walsh_spectrum only the Hadamard stages and the trace rows.
-dual_truth_table fills all 2^n entries of the dual-basis table by
-doubling over every bit of y, with no split into halves; fwht of it is a
-whole spectrum.  code_tables packs every
+(b, c), indexed by x, by fwht and reindexes through walsh_perm;
+walsh_spectrum reads no truth table and runs no Hadamard stage, as it
+doubles the sum over the dual-basis bits from the form's polar rows.
+dual_truth_table fills all 2^n entries of the dual-basis table from the
+form's own n by n matrix, built from alpha-ladders rather than from
+walsh_spectrum's polar rows; fwht of it is a whole spectrum indexed by
+lambda.  code_tables packs every
 trace row with np.packbits, so it shares with families.packed_rows only
 the trace rows.  brute_histogram takes one plain +-1 product per shift, with
 no folding of row pairs and no orbits of shifts.  theta_root_counts_full
@@ -24,7 +26,6 @@ import numpy as np
 
 from gkasami import fieldeq
 from gkasami import quadform as qf
-from gkasami.families import BinarySequence
 from gkasami.gf2n import FieldCtx, TooLarge
 from gkasami.histogram import ValueHistogram
 
@@ -191,7 +192,7 @@ def rank_deficient_b_counts_full(ctx: FieldCtx, k: int) -> np.ndarray:
 
 
 class LengthMismatch(ValueError):
-    """Raised when correlating sequences of different periods."""
+    """Raised when a sequence has a bit at or past the period."""
 
 
 def rotate(bits: int, tau: int, length: int) -> int:
@@ -201,10 +202,11 @@ def rotate(bits: int, tau: int, length: int) -> int:
     return ((bits >> tau) | (bits << (length - tau))) & mask
 
 
-def correlate(s1: BinarySequence, s2: BinarySequence, tau: int) -> int:
-    """sum_t (-1)^(s1(t) + s2(t + tau)), exact."""
-    if s1.length != s2.length:
-        raise LengthMismatch(f"{s1.length} != {s2.length}")
-    if not 0 <= tau < s1.length:
+def correlate(s1: int, s2: int, tau: int, period: int) -> int:
+    """sum_t (-1)^(s1(t) + s2(t + tau)) over one period, exact, for two
+    sequences given as ints with bit t = s(t) (LSB = t = 0)."""
+    if s1 >> period or s2 >> period:
+        raise LengthMismatch(f"a sequence has bits past the period {period}")
+    if not 0 <= tau < period:
         raise ValueError(f"tau = {tau} out of range")
-    return s1.length - 2 * (s1.bits ^ rotate(s2.bits, tau, s2.length)).bit_count()
+    return period - 2 * (s1 ^ rotate(s2, tau, period)).bit_count()

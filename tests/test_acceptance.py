@@ -209,9 +209,9 @@ def test_criterion_11_imbalance(family4, family6, ctx8):
     cases = [(family4, 4), (family6, 6)]
     cases.append((fam.build_family(fam.family_params(ctx8, "fk", 1)), 8))
     for family, n in cases:
-        got = ValueHistogram({})
-        for s in family.all_sequences():
-            got.add_value(fam.imbalance(s))
+        rows = fam.member_table(family)[0]
+        got = ValueHistogram.from_array(
+            family.period - 2 * np.bitwise_count(rows).sum(axis=1, dtype=np.int64))
         assert got == theory.imbalance_histogram(n), n
     _report(11, "imbalance distributions at n=4, 6, 8", time.time() - t0)
 
@@ -220,11 +220,13 @@ def test_criterion_12_structure(ctx4, ctx6, ctx8, family4, family6):
     t0 = time.time()
     fk = fam.build_family(fam.family_params(ctx6, "fk", 4))  # k = n/2 + 1
     large = fam.build_family(fam.family_params(ctx6, "large-kasami"))
-    assert {s.bits for s in fk.all_sequences()} == {s.bits for s in large.all_sequences()}
+    assert ({row.tobytes() for row in fam.member_table(fk)[0]}
+            == {row.tobytes() for row in fam.member_table(large)[0]})
     for ctx, family in ((ctx4, family4), (ctx6, family6)):
         small = fam.build_family(fam.family_params(ctx, "small-kasami"))
-        part1 = {s.bits for s in family.part1}
-        assert all(s.bits in part1 for s in small.part1)
+        rows, _, part_one = fam.member_table(family)
+        part1 = {row.tobytes() for row in rows[:part_one]}
+        assert all(row.tobytes() in part1 for row in fam.member_table(small)[0])
     family8 = fam.build_family(fam.family_params(ctx8, "fk", 1))
     for family, n in ((family4, 4), (family6, 6), (family8, 8)):
         assert family.size == theory.family_size(n)

@@ -17,47 +17,53 @@ from reference import LengthMismatch, brute_histogram, correlate, rotate, spectr
 EXAMPLE_N4 = {15: 67, -1: 28598, 3: 18418, -5: 11044, 7: 6902, -9: 2306}
 
 
-def brute_correlate(s1, s2, tau):
+def member_ints(family):
+    """The members as ints (LSB = t = 0), in member order."""
+    return [int.from_bytes(row.tobytes(), "little") for row in fam.member_table(family)[0]]
+
+
+def brute_correlate(s1, s2, tau, period):
     """Independent oracle: sum the +-1 products term by term."""
     total = 0
-    for t in range(s1.length):
-        total += (-1) ** (s1.bit(t) ^ s2.bit((t + tau) % s2.length))
+    for t in range(period):
+        total += (-1) ** ((s1 >> t & 1) ^ (s2 >> (t + tau) % period & 1))
     return total
 
 
 def test_correlate_matches_termwise_sum(family4):
-    seqs = family4.all_sequences()
+    seqs = member_ints(family4)
     for s1, s2 in [(seqs[0], seqs[0]), (seqs[1], seqs[40]), (seqs[66], seqs[3])]:
-        for tau in range(s1.length):
-            assert correlate(s1, s2, tau) == brute_correlate(s1, s2, tau)
+        for tau in range(15):
+            assert correlate(s1, s2, tau, 15) == brute_correlate(s1, s2, tau, 15)
 
 
 def test_correlate_in_phase(family6):
-    for s in family6.all_sequences()[::50]:
-        assert correlate(s, s, 0) == 63
+    for s in member_ints(family6)[::50]:
+        assert correlate(s, s, 0, 63) == 63
 
 
 def test_m_sequence_autocorrelation(family6):
-    base = family6.part1[0]  # the (0, 0) tag
+    base = member_ints(family6)[0]  # the (0, 0) tag
     for tau in range(1, 63):
-        assert correlate(base, base, tau) == -1
+        assert correlate(base, base, tau, 63) == -1
 
 
 def test_correlate_symmetry(family4):
-    seqs = family4.all_sequences()
-    n = seqs[0].length
+    seqs = member_ints(family4)
+    n = family4.period
     for i, j in [(0, 5), (12, 33), (7, 64)]:
         for tau in range(n):
-            assert correlate(seqs[i], seqs[j], tau) == correlate(
-                seqs[j], seqs[i], (n - tau) % n
+            assert correlate(seqs[i], seqs[j], tau, n) == correlate(
+                seqs[j], seqs[i], (n - tau) % n, n
             )
 
 
 def test_correlate_errors(family4, family6):
+    seqs4 = member_ints(family4)
     with pytest.raises(LengthMismatch):
-        correlate(family4.part1[0], family6.part1[0], 0)
+        correlate(seqs4[0], member_ints(family6)[0], 0, 15)
     with pytest.raises(ValueError):
-        correlate(family4.part1[0], family4.part1[1], 15)
+        correlate(seqs4[0], seqs4[1], 15, 15)
 
 
 def test_brute_histogram_n4(family4):
@@ -101,9 +107,9 @@ def test_jobs_do_not_change_brute_result(family4, family6):
 def assert_folded_cells_match_correlate(family):
     """Decode sampled cells of folded product blocks back to (d_lo, d_hi)
     and compare both with correlate of their pair of members."""
-    seqs = family.all_sequences()
+    seqs = member_ints(family)
     period, m = family.period, len(seqs)
-    bits = np.array([[s.bit(t) for t in range(period)] for s in seqs], dtype=np.uint8)
+    bits = np.array([[s >> t & 1 for t in range(period)] for s in seqs], dtype=np.uint8)
     signs = 1 - 2 * bits.astype(np.float32)
     folded = corr._fold(signs)
     assert len(folded) == (m + 1) // 2
@@ -118,8 +124,9 @@ def assert_folded_cells_match_correlate(family):
             for j in rng.sample(range(m), 3):
                 d_hi, d_lo = divmod(int(cells[q - lo, j]), period + 1)
                 assert cells[q - lo, j] == d_lo + (period + 1) * d_hi
-                assert period - 2 * d_lo == correlate(seqs[2 * q], seqs[j], tau)
-                assert period - 2 * d_hi == correlate(seqs[min(2 * q + 1, m - 1)], seqs[j], tau)
+                assert period - 2 * d_lo == correlate(seqs[2 * q], seqs[j], tau, period)
+                assert period - 2 * d_hi == correlate(seqs[min(2 * q + 1, m - 1)], seqs[j], tau,
+                                                      period)
 
 
 def test_brute_shift_block_cells_match_correlate(family6):
@@ -284,10 +291,8 @@ def test_rotate():
     # bit t of the rotation is bit t+tau of the original
     bits = 0b000000000000101
     rot = rotate(bits, 2, 15)
-    seq = fam.BinarySequence(bits, 15, fam.SequenceTag.gamma_delta(0, 0))
-    rotseq = fam.BinarySequence(rot, 15, seq.tag)
     for t in range(15):
-        assert rotseq.bit(t) == seq.bit((t + 2) % 15)
+        assert rot >> t & 1 == bits >> (t + 2) % 15 & 1
 
 
 def grid_engine_histogram(family):
@@ -320,23 +325,24 @@ def grid_engine_histogram(family):
     twist_n = ctx.antilog[(e2 * taus) % group]
     walsh = Counter()
     if params.kind == fam.FamilyKind.SMALL_KASAMI:
-        deltas = np.array([s.tag.delta for s in family.part1], dtype=np.int64)
+        deltas = ctx.subfield_elements.astype(np.int64)
         for tau in range(group):
             lam = 1 ^ int(ctx.antilog[tau])
             c1 = deltas[:, None] ^ ctx.scale_vec(int(twist_n[tau]), deltas)[None, :]
             walsh.update(zero_plane[cidx[c1], lam].ravel().tolist())
     else:
         grid = 1 << (3 * ctx.half)
-        m2 = len(family.part2)
+        gset, dset = fam.gamma_delta_sets(ctx)
+        tags2 = [(zeta, eta) for zeta in gset for eta in dset]
+        m2 = len(tags2)
         counts = (grid * cols[1 ^ ctx.antilog[taus]].sum(axis=0)
                   + m2 * group * cols[1]
                   + m2 * cols[ctx.antilog[taus]].sum(axis=0))
         walsh.update({v - order: int(c) for v, c in enumerate(counts) if c})
-        tags2 = [s.tag for s in family.part2]
-        for t1 in tags2:
-            for t2 in tags2:
-                b4 = t1.zeta ^ ctx.scale_vec(t2.zeta, twist_q)
-                c4 = t1.eta ^ ctx.scale_vec(t2.eta, twist_n)
+        for zeta1, eta1 in tags2:
+            for zeta2, eta2 in tags2:
+                b4 = zeta1 ^ ctx.scale_vec(zeta2, twist_q)
+                c4 = eta1 ^ ctx.scale_vec(eta2, twist_n)
                 walsh.update(at0[b4, cidx[c4]].tolist())
     return ValueHistogram({v - 1: c for v, c in walsh.items()})
 
@@ -500,10 +506,13 @@ def test_rank_lambda1_column_refuses_inexact_division(ctx8):
 @pytest.mark.parametrize("kind", ["fk", "small-kasami"])
 @pytest.mark.parametrize("n", [14, 16, pytest.param(18, marks=pytest.mark.slow),
                                pytest.param(20, marks=pytest.mark.slow)])
-def test_spectral_engine_matches_closed_form_without_members(n, kind):
+def test_spectral_engine_matches_closed_form_without_members(n, kind, monkeypatch):
+    def member_blocks(family):
+        raise AssertionError("a member was built")
+
+    monkeypatch.setattr(fam, "member_blocks", member_blocks)
     ctx = make_field(n)
     k = (2 if (n // 2) % 2 else 1) if kind == "fk" else None
     family = fam.build_family(fam.family_params(ctx, kind, k))
     report = corr.full_distribution_spectral(family)
     assert report.histogram == corr.predicted_histogram(family)
-    assert "part1" not in family.__dict__ and "part2" not in family.__dict__

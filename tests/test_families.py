@@ -11,6 +11,8 @@ from gkasami.gf2n import TooLarge, make_field
 from gkasami.histogram import ValueHistogram
 from gkasami.quadform import InvalidK
 
+from reference import code_tables, codeword
+
 
 def unpack_bits(bits: list[int], length: int) -> np.ndarray:
     """uint8 matrix with bit t of bits[i] at [i, t], for t < length.
@@ -21,6 +23,12 @@ def unpack_bits(bits: list[int], length: int) -> np.ndarray:
     buf = b"".join(b.to_bytes(nbytes, "little") for b in bits)
     packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(bits), nbytes)
     return np.unpackbits(packed, axis=1, count=length, bitorder="little")
+
+
+def imbalances(rows: np.ndarray, period: int) -> np.ndarray:
+    """(#zeros - #ones) of each packed member row over one period, by
+    popcount: members pack no bit past the period."""
+    return period - 2 * np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
 
 
 class LineSink:
@@ -63,6 +71,18 @@ def line_bits(fmt: str, line: str) -> int:
     return int.from_bytes(bytes.fromhex(line), "little")
 
 
+def test_public_names_resolve_and_no_int_member_path_remains():
+    import gkasami
+
+    assert [name for name in gkasami.__all__ if not hasattr(gkasami, name)] == []
+    # members are packed rows only
+    assert not {"BinarySequence", "imbalance"} & set(gkasami.__all__)
+    assert [name for name in ("BinarySequence", "imbalance", "_sequences", "_TAGS",
+                              "row_keys", "find_rows") if hasattr(fam, name)] == []
+    assert [name for name in ("part1", "part2", "all_sequences")
+            if hasattr(fam.SequenceFamily, name)] == []
+
+
 def test_gamma_delta_sets(ctx4, ctx6, ctx8):
     g6, d6 = fam.gamma_delta_sets(ctx6)
     assert g6 == [1]
@@ -80,11 +100,14 @@ def test_gamma_delta_sets(ctx4, ctx6, ctx8):
 
 def test_family_sizes_and_distinctness(family4, family6):
     for family, n in ((family4, 4), (family6, 6)):
+        rows, _, part_one = fam.member_table(family)
         assert family.size == theory.family_size(n)
-        assert len(family.part1) == 1 << (3 * n // 2)
-        bits = {s.bits for s in family.all_sequences()}
-        assert len(bits) == family.size
-        assert all(s.length == (1 << n) - 1 for s in family.all_sequences())
+        assert part_one == 1 << (3 * n // 2)
+        assert len({row.tobytes() for row in rows}) == family.size
+        assert family.period == (1 << n) - 1
+        assert rows.shape == (family.size, (family.period + 7) // 8)
+        # no bit past the period is set
+        assert not np.any(np.unpackbits(rows, axis=1, bitorder="little")[:, family.period:])
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -92,38 +115,43 @@ def test_family_sizes_and_distinctness(family4, family6):
 def test_size_counts_the_members(n, kind):
     k = (2 if (n // 2) % 2 else 1) if kind == fam.FamilyKind.GENERALIZED else None
     family = fam.build_family(fam.family_params(make_field(n), kind, k))
-    assert family.size == len(family.all_sequences())
+    assert family.size == sum(len(rows) for _, _, rows in fam.member_blocks(family))
 
 
 @pytest.mark.parametrize("kind", list(fam.FamilyKind))
-def test_spectral_engine_builds_no_member(ctx6, kind):
+def test_spectral_engine_builds_no_member(ctx6, kind, monkeypatch):
+    def member_blocks(family):
+        raise AssertionError("a member was built")
+
+    monkeypatch.setattr(fam, "member_blocks", member_blocks)
     k = 2 if kind == fam.FamilyKind.GENERALIZED else None
     family = fam.build_family(fam.family_params(ctx6, kind, k))
     corr.full_distribution_spectral(family)
-    assert "part1" not in family.__dict__ and "part2" not in family.__dict__
 
 
 def test_family_size_n8(ctx8):
     family = fam.build_family(fam.family_params(ctx8, "fk", 1))
     assert family.size == theory.family_size(8) == 4111
-    assert len({s.bits for s in family.all_sequences()}) == family.size
+    assert len({row.tobytes() for row in fam.member_table(family)[0]}) == family.size
 
 
 def test_small_set_inside_part1(ctx4, ctx6, family4, family6):
     for ctx, family in ((ctx4, family4), (ctx6, family6)):
         small = fam.build_family(fam.family_params(ctx, "small-kasami"))
+        rows, _, part_one = fam.member_table(family)
+        small_rows, _, small_part_one = fam.member_table(small)
         assert small.size == 1 << ctx.half
-        assert small.part2 == []
-        part1 = {s.bits for s in family.part1}
-        assert all(s.bits in part1 for s in small.part1)
+        assert small_part_one == len(small_rows)  # no part two
+        part1 = {row.tobytes() for row in rows[:part_one]}
+        assert all(row.tobytes() in part1 for row in small_rows)
 
 
 def test_large_set_equals_generalized_at_forced_k(ctx4, ctx6):
     for ctx in (ctx4, ctx6):
         fk = fam.build_family(fam.family_params(ctx, "fk", ctx.half + 1))
         large = fam.build_family(fam.family_params(ctx, "large-kasami"))
-        assert {s.bits for s in fk.all_sequences()} == {
-            s.bits for s in large.all_sequences()
+        assert {row.tobytes() for row in fam.member_table(fk)[0]} == {
+            row.tobytes() for row in fam.member_table(large)[0]
         }
 
 
@@ -137,16 +165,20 @@ def test_invalid_k(ctx6):
 
 
 def test_sequence_term_matches_packed_bits(ctx4, family4):
-    for seq in family4.all_sequences()[::7]:
-        for t in range(seq.length):
-            assert seq.bit(t) == fam.sequence_term(family4.params, seq.tag, t)
+    rows, pairs, part_one = fam.member_table(family4)
+    for i in range(0, family4.size, 7):
+        bits = int.from_bytes(rows[i].tobytes(), "little")
+        make = fam.SequenceTag.gamma_delta if i < part_one else fam.SequenceTag.zeta_eta
+        tag = make(*pairs[i].tolist())
+        for t in range(family4.period):
+            assert bits >> t & 1 == fam.sequence_term(family4.params, tag, t)
 
 
 def test_unpack_bits_inverts_packing(ctx6, family4):
-    seqs = family4.all_sequences()
-    rows = unpack_bits([s.bits for s in seqs], family4.period)
+    seqs = [int.from_bytes(row.tobytes(), "little") for row in fam.member_table(family4)[0]]
+    rows = unpack_bits(seqs, family4.period)
     assert rows.dtype == np.uint8
-    assert [row.tolist() for row in rows] == [[s.bit(t) for t in range(15)] for s in seqs]
+    assert [row.tolist() for row in rows] == [[s >> t & 1 for t in range(15)] for s in seqs]
     e1, _ = qf.exponents(ctx6, 2)
     coeffs = list(range(ctx6.order))
     packed = fam.packed_rows(ctx6, coeffs, e1, ctx6.tr1)
@@ -167,11 +199,61 @@ def test_span_rows_are_the_packed_rows_of_every_element(n):
 
 def test_find_rows():
     rows = np.array([[1, 2], [0, 7], [1, 0], [0, 7]], dtype=np.uint8)
-    keys = np.sort(fam.row_keys(rows))
-    probe = fam.row_keys(np.array([[1, 0], [1, 1], [0, 7], [9, 9]], dtype=np.uint8))
-    at = fam.find_rows(keys, probe)
+    index = fam.RowIndex(rows)
+    probe = np.array([[1, 0], [1, 1], [0, 7], [9, 9]], dtype=np.uint8)
+    at = index.find(probe)
     assert at[[1, 3]].tolist() == [-1, -1]
-    assert all(keys[at[i]] == probe[i] for i in (0, 2))
+    assert all(np.array_equal(rows[at[i]], probe[i]) for i in (0, 2))
+    assert at[2] == 1  # the least index of the equal rows 1 and 3
+    assert index.repeats().tolist() == [3]
+
+
+def test_row_order_sorts_rows_that_share_a_prefix():
+    rng = np.random.default_rng(3)
+    rows = rng.integers(0, 256, (300, 12), dtype=np.uint8)
+    rows[:, :8] = rng.integers(0, 2, (300, 1)) * 0xF0  # two prefixes, past 0x7f too
+    rows[[10, 200]] = rows[50]  # three equal rows inside one run
+    index = fam.RowIndex(rows)
+    assert index.order.tolist() == sorted(range(300), key=lambda i: (rows[i].tobytes(), i))
+    assert np.array_equal(index._prefix, fam._prefixes(rows)[index.order])
+    assert index.repeats().tolist() == [50, 200]
+    other = rows[7].copy()
+    other[-1] ^= 1
+    assert not np.any(np.all(rows == other, axis=1))
+    found = index.find(np.stack([rows[200], rows[7], other]))
+    assert found.tolist() == [10, 7, -1]
+
+
+def test_find_rows_of_unshared_prefixes_in_small_blocks(monkeypatch):
+    rng = np.random.default_rng(4)
+    rows = rng.integers(0, 256, (500, 20), dtype=np.uint8)
+    index = fam.RowIndex(rows)
+    assert index.order.tolist() == sorted(range(500), key=lambda i: rows[i].tobytes())
+    queries = rows[::-3].copy()
+    queries[::2, 15] ^= 0x40  # every other query differs past its prefix
+    monkeypatch.setattr(fam, "_FIND_ROWS", 16)
+    found = index.find(queries)
+    want = np.arange(499, -1, -3)
+    assert np.array_equal(found[1::2], want[1::2])
+    assert np.all(found[::2] == -1)
+
+
+@pytest.mark.parametrize("n,width", [(4, 2), (6, 8)])
+def test_row_index_at_the_member_widths(n, width):
+    """Member rows 2 bytes wide (n = 4, a zero-padded prefix) and exactly
+    8 bytes wide (n = 6, the prefix is the whole row), with three repeats."""
+    ctx = make_field(n)
+    members = fam.member_table(fam.build_family(fam.family_params(ctx, "fk", n // 2 - 1)))[0]
+    assert members.shape[1] == width
+    m = len(members)
+    rows = np.concatenate([members, members[[5, 0, 5]]])
+    index = fam.RowIndex(rows)
+    assert index.order.tolist() == sorted(range(m + 3), key=lambda i: (rows[i].tobytes(), i))
+    assert sorted(index.repeats().tolist()) == [m, m + 1, m + 2]
+    queries = rows[::-1].copy()
+    assert index.find(queries).tolist() == [5, 0, 5] + list(range(m - 1, -1, -1))
+    queries[:, -1] ^= 0x80  # the padding bit, 0 in every member
+    assert np.all(index.find(queries) == -1)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -184,11 +266,17 @@ def test_member_blocks_hold_the_members_in_order(n, kind):
     assert all(rows.dtype == np.uint8 and rows.shape == (len(pairs), (ctx.group_order + 7) // 8)
                for _, pairs, rows in blocks)
     make = {"gamma-delta": fam.SequenceTag.gamma_delta, "zeta-eta": fam.SequenceTag.zeta_eta}
-    tags = [make[variant](*pair) for variant, pairs, _ in blocks for pair in pairs]
-    assert tags == [s.tag for s in family.all_sequences()]
+    tags = [make[variant](*pair) for variant, pairs, _ in blocks for pair in pairs.tolist()]
     assert tags == [expected_tag(ctx, i) for i in range(family.size)]
+    # each member is the codeword of its tag: part one carries tr(x), part two not
+    tables = code_tables(ctx, family.params.k)
     members = [int.from_bytes(r.tobytes(), "little") for _, _, rows in blocks for r in rows]
-    assert members == [s.bits for s in family.all_sequences()]
+    assert members == [codeword(ctx, tables, int(variant == "gamma-delta"), *pair)
+                       for variant, pairs, _ in blocks for pair in pairs.tolist()]
+    table, table_pairs, part_one = fam.member_table(family)
+    assert np.array_equal(table, np.concatenate([rows for _, _, rows in blocks]))
+    assert np.array_equal(table_pairs, np.concatenate([pairs for _, pairs, _ in blocks]))
+    assert part_one == sum(len(pairs) for variant, pairs, _ in blocks if variant == "gamma-delta")
     assert all(pairs.dtype == np.int64 and pairs.shape == (len(pairs), 2)
                for _, pairs, _ in blocks)
     part1 = [len(pairs) for variant, pairs, _ in blocks if variant == "gamma-delta"]
@@ -216,11 +304,12 @@ def test_member_blocks_refuse_when_called(monkeypatch):
 
 
 def test_base_m_sequence(ctx6, family6):
-    base = family6.part1[0]
-    assert base.tag.pair() == (0, 0)
-    for t in range(base.length):
-        assert base.bit(t) == ctx6.trace(ctx6.pow(ctx6.alpha, t))
-    assert fam.imbalance(base) == -1
+    rows, pairs, _ = fam.member_table(family6)
+    assert pairs[0].tolist() == [0, 0]
+    base = int.from_bytes(rows[0].tobytes(), "little")
+    for t in range(family6.period):
+        assert base >> t & 1 == ctx6.trace(ctx6.pow(ctx6.alpha, t))
+    assert imbalances(rows[:1], family6.period).tolist() == [-1]
 
 
 def test_zeta_term_at_zero(ctx6, family6):
@@ -240,36 +329,35 @@ def test_small_kasami_term_identity(ctx6):
             assert fam.sequence_term(params, tag, t) == want
 
 
-def test_imbalance_conventions(ctx4):
-    allzero = fam.BinarySequence(0, 15, fam.SequenceTag.gamma_delta(0, 0))
-    assert fam.imbalance(allzero) == 15
-    allone = fam.BinarySequence((1 << 15) - 1, 15, fam.SequenceTag.gamma_delta(0, 0))
-    assert fam.imbalance(allone) == -15
+def test_imbalance_conventions(family4):
+    # all zeros and all ones over the 15 terms, the padding bit t = 15 clear
+    rows = np.array([[0, 0], [0xFF, 0x7F]], dtype=np.uint8)
+    assert imbalances(rows, 15).tolist() == [15, -15]
+    # so a member's popcount is its weight: no member sets the padding bit
+    assert not np.any(fam.member_table(family4)[0][:, -1] & 0x80)
 
 
 def test_imbalance_histogram(family6):
-    got = ValueHistogram({})
-    for s in family6.all_sequences():
-        assert fam.imbalance(s) % 2 != 0
-        got.add_value(fam.imbalance(s))
+    imbalance = imbalances(fam.member_table(family6)[0], family6.period)
+    assert np.all(imbalance % 2 != 0)
+    got = ValueHistogram.from_array(imbalance)
     assert got.counts[-1] == 241
     assert got == theory.imbalance_histogram(6)
 
 
 def test_imbalance_histogram_even_parity(family4, ctx8):
-    got = ValueHistogram({})
-    for s in family4.all_sequences():
-        got.add_value(fam.imbalance(s))
+    got = ValueHistogram.from_array(imbalances(fam.member_table(family4)[0], family4.period))
     assert got == theory.imbalance_histogram(4)
     family8 = fam.build_family(fam.family_params(ctx8, "fk", 1))
-    got8 = ValueHistogram({})
-    for s in family8.all_sequences():
-        got8.add_value(fam.imbalance(s))
+    got8 = ValueHistogram.from_array(imbalances(fam.member_table(family8)[0], family8.period))
     assert got8 == theory.imbalance_histogram(8)
 
 
 def test_export_formats(ctx4, family4):
-    seq = family4.part1[5]
+    rows, pairs, _ = fam.member_table(family4)
+    bits = int.from_bytes(rows[5].tobytes(), "little")
+    tag = fam.SequenceTag.gamma_delta(*pairs[5].tolist())
+    assert tag == expected_tag(ctx4, 5)
     lines = {}
     for fmt in fam.FORMATS:
         sink = LineSink(wanted=[5])
@@ -278,21 +366,21 @@ def test_export_formats(ctx4, family4):
 
     bits_line = lines["bits"]
     assert len(bits_line) == 15 and set(bits_line) <= {"0", "1"}
-    assert bits_line[0] == str(seq.bit(0))
-    assert bits_line == "".join(str(seq.bit(t)) for t in range(15))
+    assert bits_line[0] == str(bits & 1)
+    assert bits_line == "".join(str(bits >> t & 1) for t in range(15))
 
     hex_line = lines["hex"]
     assert len(hex_line) == 4  # ceil(15/8) = 2 bytes
-    assert int.from_bytes(bytes.fromhex(hex_line), "little") == seq.bits
+    assert int.from_bytes(bytes.fromhex(hex_line), "little") == bits
 
     obj = json.loads(lines["json"])
     assert set(obj) == {"tag", "hex"}
     assert obj["tag"]["variant"] == "gamma-delta"
-    assert obj["tag"]["gamma"] == ctx4.element_label(seq.tag.gamma)
-    assert obj["tag"] == seq.tag.to_json_dict(ctx4)
-    assert lines["json"] == json.dumps({"tag": seq.tag.to_json_dict(ctx4), "hex": hex_line},
+    assert obj["tag"]["gamma"] == ctx4.element_label(tag.gamma)
+    assert obj["tag"] == tag.to_json_dict(ctx4)
+    assert lines["json"] == json.dumps({"tag": tag.to_json_dict(ctx4), "hex": hex_line},
                                        separators=(",", ":"))
-    assert int.from_bytes(bytes.fromhex(obj["hex"]), "little") == seq.bits
+    assert int.from_bytes(bytes.fromhex(obj["hex"]), "little") == bits
 
     sink = LineSink()
     with pytest.raises(ValueError):
@@ -316,7 +404,6 @@ def test_write_family_streams_one_block_per_write(ctx6, ctx8, fmt):
         assert fam.write_family(family, fmt, sink) == family.size == sink.lines
         gset, dset = fam.gamma_delta_sets(ctx)
         assert sink.per_write == [1 << ctx.half] * ctx.order + [len(gset) * len(dset)]
-        assert "part1" not in family.__dict__ and "part2" not in family.__dict__
 
 
 @pytest.mark.slow

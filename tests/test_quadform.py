@@ -173,18 +173,6 @@ def test_fwht_checks_the_l1_norm_when_the_magnitude_bound_fails():
     assert qf.fwht(np.full(1 << 16, -128, dtype=np.int8))[0] == -(1 << 23)
 
 
-@pytest.mark.parametrize("m,inner", [(1, 2), (3, 4), (6, 8), (7, 32), (11, 2)])
-def test_hadamard_stages_over_a_middle_axis(m, inner):
-    # H_{2^m} over the middle axis of (rows, 2^m, inner): the axis moved
-    # last, transformed densely, and moved back
-    rng = np.random.default_rng(10 * m + inner)
-    a = rng.integers(-40, 41, size=(3, 1 << m, inner))
-    x = a.astype(np.float32)
-    got = qf._hadamard_stages(x, np.empty_like(x), m, inner)
-    want = sylvester_product(a.transpose(0, 2, 1), m).transpose(0, 2, 1)
-    assert np.array_equal(got, want)
-
-
 def butterfly_route(params):
     """Reference: the trace_rows truth table indexed by x, an int64 butterfly,
     then the walsh_perm reindexing."""

@@ -182,10 +182,10 @@ def test_codeword_distinctness(ctx4):
 def test_family_members_are_codewords(ctx4, ctx6, family4, family6):
     for ctx, family in ((ctx4, family4), (ctx6, family6)):
         tables = code_tables(ctx, family.params.k)
-        for s in family.part1:
-            assert s.bits == codeword(ctx, tables, 1, s.tag.gamma, s.tag.delta)
-        for s in family.part2:
-            assert s.bits == codeword(ctx, tables, 0, s.tag.zeta, s.tag.eta)
+        for variant, pairs, rows in fam.member_blocks(family):
+            lin = int(variant == "gamma-delta")  # part one carries tr(x), part two not
+            for (a, b), row in zip(pairs.tolist(), rows):
+                assert int.from_bytes(row.tobytes(), "little") == codeword(ctx, tables, lin, a, b)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10])

@@ -288,15 +288,27 @@ def test_large_set_note_when_k_matches(ctx6):
 
 def structure_with(ctx, k, change, monkeypatch):
     """The family-structure claim's set fields, with every member table it
-    reads, the family's own and the reference sets', replaced by
-    change(kind, rows)."""
-    member_table = fam.member_table
+    reads, the family's own and the small set's, replaced by
+    change(kind, rows), and the large set's member blocks by the blocks of
+    change(kind, rows) of their rows, cut where they were (rows added or
+    removed change the last block)."""
+    member_table, member_blocks = fam.member_table, fam.member_blocks
 
     def changed(family):
         rows, pairs, part_one = member_table(family)
         return change(family.params.kind, rows), pairs, part_one
 
+    def changed_blocks(family):
+        blocks = list(member_blocks(family))
+        if family.params.kind != fam.FamilyKind.LARGE_KASAMI:
+            return iter(blocks)
+        rows = change(family.params.kind, np.concatenate([block for _, _, block in blocks]))
+        cuts = np.cumsum([len(block) for _, _, block in blocks[:-1]])
+        return ((variant, pairs, part)
+                for (variant, pairs, _), part in zip(blocks, np.split(rows, cuts)))
+
     monkeypatch.setattr(fam, "member_table", changed)
+    monkeypatch.setattr(fam, "member_blocks", changed_blocks)
     result = verify._claim_family_structure(verify._Bundle(ctx, k))
     return {key: result.empirical[key]
             for key in ("distinct", "small-set-included", "large-set-equal")}
@@ -347,6 +359,18 @@ def test_family_structure_fails_on_a_changed_large_set_row(n, monkeypatch):
         "distinct": True, "small-set-included": True, "large-set-equal": False}
 
 
+def test_family_structure_fails_on_an_extra_large_set_row(ctx6, monkeypatch):
+    def extra(kind, rows):  # every family row is a large row, and one more is not
+        if kind != fam.FamilyKind.LARGE_KASAMI:
+            return rows
+        other = rows[-1:].copy()
+        other[:, 0] ^= 1
+        return np.concatenate([rows, other])
+
+    assert structure_with(ctx6, 4, extra, monkeypatch) == {
+        "distinct": True, "small-set-included": True, "large-set-equal": False}
+
+
 def test_family_structure_fails_on_a_missing_large_set_row(ctx6, monkeypatch):
     def drop(kind, rows):  # every large row is a family row, one is left out
         return rows[:-1] if kind == fam.FamilyKind.LARGE_KASAMI else rows
@@ -361,36 +385,6 @@ def test_family_structure_compares_the_large_set_as_a_set(ctx6, monkeypatch):
 
     assert structure_with(ctx6, 4, repeat, monkeypatch) == {
         "distinct": True, "small-set-included": True, "large-set-equal": True}
-
-
-def test_row_order_sorts_rows_that_share_a_prefix():
-    rng = np.random.default_rng(3)
-    rows = rng.integers(0, 256, (300, 12), dtype=np.uint8)
-    rows[:, :8] = rng.integers(0, 2, (300, 1)) * 0xF0  # two prefixes, past 0x7f too
-    rows[[10, 200]] = rows[50]  # three equal rows inside one run
-    order, prefix = verify._row_order(rows)
-    assert order.tolist() == sorted(range(300), key=lambda i: (rows[i].tobytes(), i))
-    assert np.array_equal(prefix, verify._prefixes(rows)[order])
-    assert len(verify._repeats(rows, order, prefix)) == 2
-    other = rows[7].copy()
-    other[-1] ^= 1
-    assert not np.any(np.all(rows == other, axis=1))
-    found = verify._find_rows(rows, order, prefix, np.stack([rows[200], rows[7], other]))
-    assert order[found[0]] == 10 and order[found[1]] == 7 and found[2] == -1
-
-
-def test_find_rows_of_unshared_prefixes_in_small_blocks(monkeypatch):
-    rng = np.random.default_rng(4)
-    rows = rng.integers(0, 256, (500, 20), dtype=np.uint8)
-    order, prefix = verify._row_order(rows)
-    assert order.tolist() == sorted(range(500), key=lambda i: rows[i].tobytes())
-    queries = rows[::-3].copy()
-    queries[::2, 15] ^= 0x40  # every other query differs past its prefix
-    monkeypatch.setattr(verify, "_FIND_ROWS", 16)
-    found = verify._find_rows(rows, order, prefix, queries)
-    want = np.arange(499, -1, -3)
-    assert np.array_equal(found[1::2], np.argsort(order)[want[1::2]])
-    assert np.all(found[::2] == -1)
 
 
 @pytest.mark.parametrize("k", [1, 5])
@@ -432,9 +426,9 @@ def test_optional_n10_checks():
     assert report.histogram == theory.predict("family-corr-odd", 10).histogram
     assert report.r_max == theory.r_max_expected(10) == 65
     # imbalance via the per-sequence popcounts
-    got = ValueHistogram({})
-    for s in family.all_sequences():
-        got.add_value(fam.imbalance(s))
+    rows = fam.member_table(family)[0]
+    got = ValueHistogram.from_array(
+        family.period - 2 * np.bitwise_count(rows).sum(axis=1, dtype=np.int64))
     assert got == theory.imbalance_histogram(10)
     print(f"optional n=10 checks in {time.time() - t0:.1f}s")
 
