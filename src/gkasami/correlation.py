@@ -47,16 +47,17 @@ column with lam != 0 has the histogram of the lam = 1 column.  A form of
 rank 2j takes +-2^(n-j) at (2^(2j) +- 2^j)/2 of all lam and 0 elsewhere, so
 the grid's spectra less its lam = 0 column are 2^n - 1 lam = 1 columns.
 The same substitution maps the form (b, c) to (b u^(2^k+1), c N(u)) and
-keeps its rank, so the ranks of one form per orbit (quadform.orbit_classes:
-2 + g1 + g2 forms, about 2^(n/2)), counted with the orbit sizes, give the
-ranks of all 2^(3n/2).  The completion part against itself is a
-whole-grid count too: a shift by tau moves the part-two tag (zeta, eta) to
-(zeta alpha^(tau (2^k+1)), eta beta^tau), and over all part-two tags and
-shifts these images meet every pair of E* x F* exactly once (E* x F for
-odd n/2).  So the triples of one tag (zeta1, eta1) meet the lam = 0 values
-of the whole E x F grid minus the row b = zeta1, and for even n/2 minus the
-column c = eta1 plus the cell (zeta1, eta1).  Both engines produce
-identical exact histograms.
+keeps its rank and W(0), so the ranks and W(0) of one form per orbit
+(quadform.orbit_classes: 2 + g1 + g2 forms, about 2^(n/2)), counted with
+the orbit sizes, give those of all 2^(3n/2).  The completion part against
+itself is a whole-grid count too: a shift by tau moves the part-two tag
+(zeta, eta) to (zeta alpha^(tau (2^k+1)), eta beta^tau), and over all
+part-two tags and shifts these images meet every pair of E* x F* exactly
+once (E* x F for odd n/2).  So the triples of one tag (zeta1, eta1) meet
+the lam = 0 values of the whole E x F grid minus the row b = zeta1, and for
+even n/2 minus the column c = eta1 plus the cell (zeta1, eta1), each
+counted over the representatives by residues of logs mod g1 and g2.  Both
+engines produce identical exact histograms.
 
 Histograms count all ordered triples including the in-phase ones; the
 maximum-correlation statistic excludes i = j at shift 0 by removing one
@@ -76,11 +77,10 @@ from .families import (
     FamilyKind,
     RowIndex,
     SequenceFamily,
-    gamma_delta_sets,
+    completion_logs,
     member_table,
     sign_rows,
 )
-from .gf2n import half_odd
 from .histogram import ValueHistogram
 
 BRUTE_DEFAULT_MAX_N = 6
@@ -349,18 +349,20 @@ def full_distribution_brute(family: SequenceFamily, jobs: int = 1) -> Correlatio
 # -- spectral engine -------------------------------------------------------
 
 
-def _lambda0_column(ctx, at0: np.ndarray) -> ValueHistogram:
-    """W_{b,c}(0) over all (b, c) from its c = 0 and c = 1 rows at0; c != 0 scales to 1."""
-    col = ValueHistogram.from_array(at0[0])
-    return col.merge(ValueHistogram.from_array(at0[1]), (1 << ctx.half) - 1)
+def _weighted(values: np.ndarray, counts) -> ValueHistogram:
+    """Each values[i] counted counts[i] times over."""
+    hist = {}
+    for v, c in zip(values.tolist(), np.asarray(counts).tolist()):
+        hist[v] = hist.get(v, 0) + c
+    return ValueHistogram(hist)
 
 
-def _lambda1_column(ctx, k: int, col0: ValueHistogram) -> ValueHistogram:
+def _lambda1_column(ctx, k: int, orbits, col0: ValueHistogram) -> ValueHistogram:
     """Distribution of W_{b,c}(1) over all (b, c) in E x F, from the ranks of
-    one form per orbit of x -> u x, counted with its orbit size, and the
-    lam = 0 column col0 (module docstring)."""
+    the forms of orbits (quadform.orbit_classes), counted with their orbit
+    sizes, and the lam = 0 column col0 (module docstring)."""
     n, order = ctx.n, ctx.order
-    bs, cs, sizes = qf.orbit_classes(ctx, k)
+    bs, cs, sizes = orbits
     # float64 sums are exact: the sizes total 2^(3n/2) <= 2^30
     halves = np.bincount(qf.symplectic_ranks(ctx, k, bs, cs) // 2, weights=sizes)
     every_lam = ValueHistogram()
@@ -373,25 +375,42 @@ def _lambda1_column(ctx, k: int, col0: ValueHistogram) -> ValueHistogram:
     return ValueHistogram({v: c // (order - 1) for v, c in every_lam.counts.items()})
 
 
-def _completion_block(ctx, k: int, at0: np.ndarray, col0: ValueHistogram) -> ValueHistogram:
-    """W(0) over every (t1, t2, tau) with t1, t2 in part two, given the c = 0
-    and c = 1 rows at0 of W_{b,c}(0) and their whole-grid histogram col0:
-    per t1 the whole E x F grid minus one row, and for even n/2 minus one
-    column plus one cell (module docstring)."""
-    zeta, eta = (a.ravel() for a in np.meshgrid(*gamma_delta_sets(ctx), indexing="ij"))
-    block = col0.scaled(zeta.size)
-    if not half_odd(ctx.n):
-        cell, _ = qf.scale_to_norm_one(ctx, k, zeta, eta, 0)
-        block.merge(ValueHistogram.from_array(at0[1][cell]))
-        block.merge(ValueHistogram.from_array(at0[1]), -zeta.size)
-    b1, _ = qf.scale_to_norm_one(ctx, k, zeta[:, None], ctx.subfield_elements[None, 1:], 0)
-    block.merge(ValueHistogram.from_array(at0[0][zeta]), -1)
-    return block.merge(ValueHistogram.from_array(at0[1][b1]), -1)
+def _completion_block(ctx, k: int, orbits, w0: np.ndarray) -> ValueHistogram:
+    """W(0) over every (t1, t2, tau) with t1, t2 in part two, from W(0) at
+    the forms of orbits (quadform.orbit_classes), w0: per t1 = (zeta, eta)
+    the whole E x F grid less the row b = zeta, and for even n/2 less the
+    column c = eta plus the cell (zeta, eta) (module docstring).  For
+    zeta = alpha^l, W_{zeta,0}(0) is the representative's at l mod g1; for
+    c = beta^j, u = alpha^(-j) has N(u) = 1/c, so W_{zeta,c}(0) =
+    W_{zeta u^(2^k+1),1}(0) is the one at (l - j (2^k+1)) mod g2, as g2
+    divides (2^{n/2} - 1)(2^k + 1)."""
+    _, cs, sizes = orbits
+    sizes, units = np.array(sizes, dtype=np.int64), (1 << ctx.half) - 1
+    e1, _ = qf.exponents(ctx, k)
+    g1 = np.count_nonzero(cs == 0) - 1  # cs is 0, 1, then g1 zeros and g2 ones
+    gamma_logs, delta_logs = completion_logs(ctx)
+    tags = len(gamma_logs) * len(delta_logs)
+    counts = tags * sizes
+    on_c0, on_c1 = counts[2:2 + g1], counts[2 + g1:]  # views
+    g2 = len(on_c1)
+    # the row b = zeta of each tag: c = 0, then c = beta^j for every j
+    on_c0 -= len(delta_logs) * np.bincount(gamma_logs % g1, minlength=g1)
+    row = (gamma_logs[:, None] - np.arange(units) * e1) % g2
+    on_c1 -= len(delta_logs) * np.bincount(row.ravel(), minlength=g2)
+    if delta_logs.min() >= 0:
+        # Delta lies in F* (even n/2), so the images miss the column c = eta
+        # of each tag; an orbit that meets F* meets each c in it in
+        # 1/(2^{n/2} - 1) of its forms
+        counts[cs == 1] -= tags * sizes[cs == 1] // units
+        cell = (gamma_logs[:, None] - delta_logs * e1) % g2
+        on_c1 += np.bincount(cell.ravel(), minlength=g2)
+    return _weighted(w0, counts)
 
 
 def full_distribution_spectral(family: SequenceFamily) -> CorrelationReport:
-    """Histogram via the shift-to-transform parameter map, the lam = 0
-    column and the ranks; reads the family's parameters, never a member."""
+    """Histogram via the shift-to-transform parameter map, W(0) and the
+    ranks at the orbit representatives; reads the family's parameters,
+    never a member."""
     params = family.params
     ctx, k = params.ctx, params.k
     order, group = ctx.order, ctx.group_order
@@ -403,11 +422,11 @@ def full_distribution_spectral(family: SequenceFamily) -> CorrelationReport:
         sweep = 1 << ctx.half
         # the zero form c = 0: 2^n at lam = 0 (tau = 0), zero elsewhere
         walsh = ValueHistogram({order: sweep, 0: (group - 1) * sweep})
-        # c != 0: W_{0,c}(lam) = W_{0,1}(lam u), N(u) = 1/c, over lam u in E minus {u}
+        # c != 0: W_{0,c}(lam) = W_{0,1}(lam u), N(u) = 1/c, over lam u in E
+        # minus {u}; over all c in F*, the u are alpha^s for s < 2^{n/2} - 1
         norm = qf.walsh_spectrum(qf.QuadFormParams(ctx, k, 0, 1))
-        _, u = qf.scale_to_norm_one(ctx, k, 0, ctx.subfield_elements[1:], 1)
-        walsh.merge(ValueHistogram.from_array(norm), sweep * ((1 << ctx.half) - 1))
-        walsh.merge(ValueHistogram.from_array(norm[u]), -sweep)
+        walsh.merge(ValueHistogram.from_array(norm), sweep * (sweep - 1))
+        walsh.merge(ValueHistogram.from_array(norm[ctx.powers(ctx.alpha, sweep - 1)]), -sweep)
     else:
         # part one covers all of E x F: for a fixed shift the twisted tag
         # combinations sweep the grid bijectively, once per opposing tag, so
@@ -415,12 +434,13 @@ def full_distribution_spectral(family: SequenceFamily) -> CorrelationReport:
         # itself meets lam = 1 + alpha^tau (0 at tau = 0, else never 0 or 1);
         # part one against part two, either way round, meets every lam != 0.
         grid = 1 << (3 * ctx.half)
-        at0 = qf.transform_column(ctx, k, [0, 1], 0)  # rows: c = 0, c = 1
-        col0 = _lambda0_column(ctx, at0)
+        bs, cs, sizes = orbits = qf.orbit_classes(ctx, k)
+        w0 = qf.transform_column(ctx, k, [0, 1], 0)[cs, bs]  # W(0) at each representative
+        col0 = _weighted(w0, sizes)
         walsh = col0.scaled(grid)
-        walsh.merge(_lambda1_column(ctx, k, col0),
+        walsh.merge(_lambda1_column(ctx, k, orbits, col0),
                     grid * (order - 2) + 2 * (family.size - grid) * group)
-        walsh.merge(_completion_block(ctx, k, at0, col0))
+        walsh.merge(_completion_block(ctx, k, orbits, w0))
 
     return _report(family, "spectral", walsh.shifted(-1))
 

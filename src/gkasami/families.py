@@ -126,28 +126,31 @@ class SequenceFamily:
         ctx = self.params.ctx
         if self.params.kind == FamilyKind.SMALL_KASAMI:
             return 1 << ctx.half
-        gset, dset = gamma_delta_sets(ctx)
-        return (ctx.order << ctx.half) + len(gset) * len(dset)
+        gamma_logs, delta_logs = completion_logs(ctx)
+        return (ctx.order << ctx.half) + len(gamma_logs) * len(delta_logs)
 
     @property
     def period(self) -> int:
         return self.params.ctx.group_order
 
 
-def gamma_delta_sets(ctx: FieldCtx) -> tuple[list[int], list[int]]:
-    """The completion index sets (Gamma, Delta) for part two.
-
-    n/2 odd:  Gamma = {1}, Delta = all of F (zero first, then increasing
-    powers of beta).  n/2 even: Gamma = {1, alpha, alpha^2}, Delta = the
-    first (2^{n/2} - 1)/3 powers of beta starting at beta^0 = 1.
+def completion_logs(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
+    """The completion index sets (Gamma, Delta) for part two, as the
+    alpha-logs of Gamma and the beta-logs of Delta (-1 for 0, as in
+    FieldCtx.log).  n/2 odd: Gamma = {1}, Delta = all of F, zero first.
+    n/2 even: Gamma = {1, alpha, alpha^2}, Delta = beta^j for j < (2^{n/2} - 1)/3.
     """
+    units = (1 << ctx.half) - 1
     if half_odd(ctx.n):
-        gamma = [1]
-        delta = [0] + ctx.beta_powers.tolist()
-    else:
-        gamma = [1, ctx.alpha, ctx.mul(ctx.alpha, ctx.alpha)]
-        delta = ctx.beta_powers[: len(ctx.beta_powers) // 3].tolist()
-    return gamma, delta
+        return np.arange(1), np.arange(-1, units)
+    return np.arange(3), np.arange(units // 3)
+
+
+def gamma_delta_sets(ctx: FieldCtx) -> tuple[list[int], list[int]]:
+    """The elements of (Gamma, Delta), listed as completion_logs lists them."""
+    gamma_logs, delta_logs = completion_logs(ctx)
+    delta = np.append(ctx.beta_powers, 0)[delta_logs]  # log -1 reads the 0 at the end
+    return [ctx.pow(ctx.alpha, int(l)) for l in gamma_logs], delta.tolist()
 
 
 def sequence_term(params: FamilyParams, tag: SequenceTag, t: int) -> int:
@@ -327,10 +330,14 @@ class RowIndex:
         order = self.order
         found = np.full(len(queries), -1, dtype=np.int64)
         single = np.flatnonzero(hi - lo == 1)
+        # rows compare as uint64 words where their width allows (member rows
+        # from n = 6 on), several times faster than as bytes or void keys
+        words, qwords = (r if r.shape[1] % 8 else np.ascontiguousarray(r).view(np.uint64)
+                         for r in (self._rows, queries))
         for start in range(0, len(single), _FIND_ROWS):
             i = single[start:start + _FIND_ROWS]
-            # compared as uint8 rows: their void keys compare several times slower
-            i = i[np.all(self._rows[order[lo[i]]] == queries[i], axis=1)]
+            if self._rows.shape[1] > 8:  # up to 8 bytes the prefix is the whole row
+                i = i[np.all(words[order[lo[i]]] == qwords[i], axis=1)]
             found[i] = order[lo[i]]
         # a prefix that several rows share: search their full bytes
         keys, qkeys = _row_keys(self._rows), _row_keys(queries)

@@ -532,36 +532,33 @@ class FieldCtx:
 
     # -- vector operations (numpy arrays of elements) ------------------
 
-    def scale_vec(self, c: int, xs: np.ndarray) -> np.ndarray:
-        """Elementwise c * xs."""
-        out = np.zeros_like(xs)
-        if self._element(c) == 0:
-            return out
-        nz = xs != 0
-        out[nz] = self.antilog[(self.log[c] + self.log[xs[nz]]) % self.group_order]
-        return out
+    def scale_vec(self, c: int, xs) -> np.ndarray:
+        """Elementwise c * xs, through times_map(c)."""
+        return self.times_map(c).vec(_field_elements(self, xs))
 
-    def pow_vec(self, xs: np.ndarray, e: int) -> np.ndarray:
+    def pow_vec(self, xs, e: int) -> np.ndarray:
         """Elementwise xs^e (e >= 1)."""
         if e < 1:
             raise ValueError("pow_vec requires e >= 1")
-        out = np.zeros_like(xs)
-        nz = xs != 0
-        out[nz] = self.antilog[(self.log[xs[nz]] * e) % self.group_order]
-        return out
+        xs = _field_elements(self, xs)
+        return np.where(xs != 0, self.antilog[self.log[xs] * e % self.group_order], 0)
 
-    def frob_vec(self, xs: np.ndarray, i: int) -> np.ndarray:
+    def frob_vec(self, xs, i: int) -> np.ndarray:
         """Elementwise xs^(2^i), through frobenius_map."""
-        return self.frobenius_map(i).vec(xs)
-
-    def scale_all(self, c: int) -> np.ndarray:
-        """The array [c*x for x in E] indexed by x."""
-        return self.scale_vec(c, np.arange(self.order, dtype=np.int64))
+        return self.frobenius_map(i).vec(_field_elements(self, xs))
 
 
 def make_field(n: int, poly: int | None = None) -> FieldCtx:
     """Build a GF(2^n) context, verifying the polynomial is primitive."""
     return FieldCtx(n, poly)
+
+
+def _field_elements(ctx: FieldCtx, xs) -> np.ndarray:
+    """xs as an int64 array; ValueError unless every entry lies in [0, 2^n)."""
+    xs = np.asarray(xs, dtype=np.int64)
+    if xs.size and (xs.min() < 0 or xs.max() >= ctx.order):
+        raise ValueError(f"field elements must lie in [0, {ctx.order})")
+    return xs
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -17,12 +17,12 @@ n steps of int32 additions, exact because |W_j| <= 2^j, worked inside the
 bytes of the int64 result.
 
 Besides whole spectra (one form, every lambda) there are transform columns
-(one lambda and one c, every b), and a scaling that moves any form with
-c != 0 to one with c = 1: substituting x -> u*x gives
-W_{b,c}(lam) = W_{b u^(2^k+1), c N(u)}(lam u) with N(u) = u^(2^{n/2}+1).
-orbit_classes names one form per orbit of that substitution, with the
-orbit sizes, so rank and spectrum-multiset questions over all forms reduce
-to about 2^{n/2} of them.
+(one lambda and one c, every b).  Substituting x -> u*x gives
+W_{b,c}(lam) = W_{b u^(2^k+1), c N(u)}(lam u) with N(u) = u^(2^{n/2}+1),
+which moves any form with c != 0 to one with c = 1.  orbit_classes names
+one form per orbit of that substitution, with the orbit sizes, so rank,
+W(0) and spectrum-multiset questions over all forms reduce to about
+2^{n/2} of them.
 
 Every term of a form, of a family member and of a codeword is a trace
 row tr(a x^e) over x in E; trace_rows is the one builder of such rows.
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2n import FieldCtx, LinearMap, TooLarge, half_odd
+from .gf2n import FieldCtx, LinearMap, TooLarge, _field_elements, half_odd
 
 # most memory transform_column may allocate, counted as _TRANSFORM_BYTES
 # per transformed value: fwht's two float32 buffers and its int64 result
@@ -89,18 +89,6 @@ def exponents(ctx: FieldCtx, k: int) -> tuple[int, int]:
     return (1 << k) + 1, (1 << ctx.half) + 1
 
 
-def scale_to_norm_one(ctx: FieldCtx, k: int, b, c, lam):
-    """Elementwise (b', lam') with W_{b,c}(lam) = W_{b',1}(lam'), for c in F*.
-
-    Takes the u with N(u) = u^(2^{n/2}+1) = 1/c and returns
-    (b u^(2^k+1), lam u).  Every c in F* is beta^j = alpha^(j (2^{n/2}+1)),
-    so u = alpha^s with s = -j mod (2^{n/2} - 1).
-    """
-    e1, e2 = exponents(ctx, k)
-    s = (-(ctx.log[c] // e2)) % ((1 << ctx.half) - 1)
-    return _times_alpha_pow(ctx, b, s * e1), _times_alpha_pow(ctx, lam, s)
-
-
 def orbit_classes(ctx: FieldCtx, k: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """One form (b, c) per orbit of x -> u*x on all 2^{3n/2} forms, with orbit sizes.
 
@@ -116,17 +104,12 @@ def orbit_classes(ctx: FieldCtx, k: int) -> tuple[np.ndarray, np.ndarray, list[i
     group, units = ctx.group_order, (1 << ctx.half) - 1
     e1, _ = exponents(ctx, k)
     g1, g2 = math.gcd(e1, group), math.gcd(units * e1, group)
-    bs = np.concatenate([[0, 0], ctx.antilog[:g1], ctx.antilog[:g2]])
+    powers = ctx.powers(ctx.alpha, max(g1, g2))
+    bs = np.concatenate([[0, 0], powers[:g1], powers[:g2]])
     cs = np.array([0, 1] + [0] * g1 + [1] * g2, dtype=np.int64)
     weights = [1, units] + [group // g1] * g1 + [group // g2 * units] * g2
     assert sum(weights) == 1 << 3 * ctx.half
     return bs, cs, weights
-
-
-def _times_alpha_pow(ctx: FieldCtx, x, t) -> np.ndarray:
-    """Elementwise x * alpha^t."""
-    x = np.asarray(x, dtype=np.int64)
-    return np.where(x != 0, ctx.antilog[(ctx.log[x] + t) % ctx.group_order], 0)
 
 
 @dataclass(frozen=True)
@@ -153,14 +136,6 @@ def eval_f(params: QuadFormParams, x: int) -> int:
     t1 = ctx.trace(ctx.mul(params.b, ctx.pow(x, e1)))
     t2 = int(ctx.trh[ctx.mul(params.c, ctx.pow(x, e2))])
     return t1 ^ t2
-
-
-def _field_elements(ctx: FieldCtx, xs) -> np.ndarray:
-    """xs as an int64 array; ValueError unless every entry lies in [0, 2^n)."""
-    xs = np.asarray(xs, dtype=np.int64)
-    if xs.size and (xs.min() < 0 or xs.max() >= ctx.order):
-        raise ValueError(f"field elements must lie in [0, {ctx.order})")
-    return xs
 
 
 def trace_rows(ctx: FieldCtx, coeffs, e: int, tr: np.ndarray) -> np.ndarray:
@@ -191,9 +166,7 @@ def truth_table(params: QuadFormParams) -> np.ndarray:
 def walsh_point(params: QuadFormParams, lam: int) -> int:
     """Exact transform value sum_x (-1)^(f(x) + tr(lam*x)) by direct summation."""
     ctx = params.ctx
-    tt = truth_table(params)
-    if lam:
-        tt = tt ^ ctx.tr1[ctx.scale_all(lam)]
+    tt = truth_table(params) ^ ctx.tr1[ctx.scale_vec(lam, np.arange(ctx.order))]
     return int(ctx.order - 2 * int(tt.sum()))
 
 
@@ -467,7 +440,7 @@ def transform_column(ctx: FieldCtx, k: int, c_list, lam: int) -> np.ndarray:
     y = ctx.pow_vec(np.arange(order, dtype=np.int64), e1)
     odd = trace_rows(ctx, c_list, e2, ctx.trh)
     if lam:
-        odd ^= ctx.tr1[ctx.scale_all(lam)]
+        odd ^= ctx.tr1[ctx.scale_vec(lam, np.arange(order))]
     # G = (preimage count) - 2 * (preimages with an odd exponent)
     row_y = np.arange(rows, dtype=np.int64)[:, None] * order + y
     neg = np.bincount(row_y[odd == 1], minlength=rows * order).reshape(rows, order)

@@ -13,6 +13,7 @@ from gkasami.gf2n import make_field
 from gkasami.histogram import ValueHistogram
 
 from reference import LengthMismatch, brute_histogram, correlate, rotate, spectra_block
+from test_gf2n import LAZY_TABLES
 
 EXAMPLE_N4 = {15: 67, -1: 28598, 3: 18418, -5: 11044, 7: 6902, -9: 2306}
 
@@ -407,12 +408,30 @@ def twist_completion(ctx, k):
     return ValueHistogram({v - order: int(c) for v, c in enumerate(counts.tolist()) if c})
 
 
-def engine_completion(ctx, k):
+def transformed_lambda0_column(ctx, k):
+    """Reference: W(0) over all (b, c) from the c = 0 and c = 1 transform
+    rows, every c != 0 scaled to c = 1, with no orbit classes."""
     at0 = qf.transform_column(ctx, k, [0, 1], 0)
-    return corr._completion_block(ctx, k, at0, corr._lambda0_column(ctx, at0))
+    col0 = ValueHistogram.from_array(at0[0])
+    return col0.merge(ValueHistogram.from_array(at0[1]), (1 << ctx.half) - 1)
 
 
-@pytest.mark.parametrize("n,k", [(8, 1), (8, 3), (8, 5), (8, 7), (10, 2), (10, 4), (12, 1), (12, 5)])
+def engine_lambda0(ctx, k):
+    """The engine's orbit listing, W(0) at each representative and the
+    lam = 0 column, as full_distribution_spectral builds them."""
+    orbits = qf.orbit_classes(ctx, k)
+    bs, cs, sizes = orbits
+    w0 = qf.transform_column(ctx, k, [0, 1], 0)[cs, bs]
+    return orbits, w0, corr._weighted(w0, sizes)
+
+
+def engine_completion(ctx, k):
+    orbits, w0, _ = engine_lambda0(ctx, k)
+    return corr._completion_block(ctx, k, orbits, w0)
+
+
+@pytest.mark.parametrize("n,k", [(4, 1), (4, 3), (6, 2), (6, 4), (8, 1), (8, 3), (8, 5), (8, 7),
+                                 (10, 2), (10, 4), (12, 1), (12, 5)])
 def test_completion_block_matches_twist_loop(n, k):
     ctx = make_field(n)
     assert engine_completion(ctx, k) == twist_completion(ctx, k)
@@ -439,21 +458,20 @@ def full_rank_lambda1_column(ctx, k):
     """Reference: the lam = 1 column from the ranks of (b, 0) and (b, 1) for
     every b, (b, c) with c != 0 scaled to c = 1, with no orbit classes."""
     n, order = ctx.n, ctx.order
-    at0 = qf.transform_column(ctx, k, [0, 1], 0)
     every_lam = ValueHistogram()
     for c, times in ((0, 1), (1, (1 << ctx.half) - 1)):
         halves = np.bincount(qf.symplectic_ranks(ctx, k, np.arange(order), c) // 2)
         for j, forms in enumerate(halves.tolist()):
             spectrum = {1 << (n - j): (4**j + 2**j) // 2, -(1 << (n - j)): (4**j - 2**j) // 2}
             every_lam.merge(ValueHistogram({**spectrum, 0: order - 4**j}), forms * times)
-    every_lam.merge(corr._lambda0_column(ctx, at0), -1)
+    every_lam.merge(transformed_lambda0_column(ctx, k), -1)
     assert all(c % (order - 1) == 0 for c in every_lam.counts.values())
     return ValueHistogram({v: c // (order - 1) for v, c in every_lam.counts.items()})
 
 
 def orbit_lambda1_column(ctx, k):
-    at0 = qf.transform_column(ctx, k, [0, 1], 0)
-    return corr._lambda1_column(ctx, k, corr._lambda0_column(ctx, at0))
+    orbits, _, col0 = engine_lambda0(ctx, k)
+    return corr._lambda1_column(ctx, k, orbits, col0)
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in (8, 10, 12) for k in range(1, n) if qf.valid_k(n, k)]
@@ -482,25 +500,60 @@ def test_lambda1_column_ranks_only_orbit_representatives(monkeypatch, ctx8):
 
 
 def test_spectral_engine_builds_the_lambda0_column_once(monkeypatch, ctx8):
+    """One transform column pair, read at the orbit representatives only."""
     calls = []
-    lambda0_column = corr._lambda0_column
+    transform_column = qf.transform_column
 
-    def column(ctx, at0):
-        calls.append(at0.shape)
-        return lambda0_column(ctx, at0)
+    def column(ctx, k, c_list, lam):
+        out = transform_column(ctx, k, c_list, lam)
+        calls.append((list(c_list), lam, out.shape))
+        return out
 
-    monkeypatch.setattr(corr, "_lambda0_column", column)
+    monkeypatch.setattr(qf, "transform_column", column)
     family = fam.build_family(fam.family_params(ctx8, "fk", 1))
     report = corr.full_distribution_spectral(family)
-    assert calls == [(2, ctx8.order)]
+    assert calls == [([0, 1], 0, (2, ctx8.order))]
     assert report.histogram == corr.predicted_histogram(family)
 
 
+@pytest.mark.parametrize("n,k", [(8, 1), (10, 2), (12, 5)])
+def test_lambda0_column_from_the_representatives(n, k):
+    """W(0) at the representatives, counted with the orbit sizes, is the
+    histogram of the c = 0 and c = 1 transform rows, c != 0 scaled to 1."""
+    ctx = make_field(n)
+    assert engine_lambda0(ctx, k)[2] == transformed_lambda0_column(ctx, k)
+
+
 def test_rank_lambda1_column_refuses_inexact_division(ctx8):
-    at0 = qf.transform_column(ctx8, 1, [0, 1], 0)
-    at0[0, 1] += 4  # one lam = 0 value off: the counts no longer split evenly
+    orbits, _, col0 = engine_lambda0(ctx8, 1)
+    v = next(iter(col0.counts))  # one lam = 0 value moved: the counts no longer split evenly
+    col0.add_value(v, -1)
+    col0.add_value(v + 4)
     with pytest.raises(AssertionError):
-        corr._lambda1_column(ctx8, 1, corr._lambda0_column(ctx8, at0))
+        corr._lambda1_column(ctx8, 1, orbits, col0)
+
+
+def test_retired_scaling_helpers_are_gone():
+    assert [name for name in ("_lambda0_column",) if hasattr(corr, name)] == []
+    assert [name for name in ("scale_to_norm_one", "_times_alpha_pow") if hasattr(qf, name)] == []
+
+
+@pytest.mark.parametrize("kind", ["fk", "small-kasami"])
+@pytest.mark.parametrize("n", [16, 20])
+def test_spectral_engine_builds_no_field_table(n, kind, monkeypatch):
+    """Outside transform_column, corr builds none of the 2^n-entry tables
+    (gf2n builds them on first read).  For fk the stub takes its transform
+    column from a second context, so that its tables are not the ones
+    watched."""
+    ctx, other = make_field(n), make_field(n)
+    transform_column = qf.transform_column
+    monkeypatch.setattr(qf, "transform_column",
+                        lambda _, k, c_list, lam: transform_column(other, k, c_list, lam))
+    k = (2 if (n // 2) % 2 else 1) if kind == "fk" else None
+    family = fam.build_family(fam.family_params(ctx, kind, k))
+    report = corr.full_distribution_spectral(family)
+    assert report.histogram == corr.predicted_histogram(family)
+    assert not set(LAZY_TABLES) & set(vars(ctx))
 
 
 @pytest.mark.parametrize("kind", ["fk", "small-kasami"])

@@ -474,8 +474,19 @@ def test_scaling_rejects_non_elements(ctx4, c):
     xs = np.arange(16, dtype=np.int64)
     with pytest.raises(ValueError, match="not an element"):
         ctx4.scale_vec(c, xs)
-    with pytest.raises(ValueError, match="not an element"):
-        ctx4.scale_all(c)
+    assert not hasattr(ctx4, "scale_all")
+
+
+@pytest.mark.parametrize("xs", [[-1], [16], [3, -1, 5], [[0, 16]]])
+def test_vector_ops_reject_non_elements(ctx4, xs):
+    # at n = 4, -1 used to wrap: scale_vec(3, [-1]) gave [2], pow_vec([-1], 3)
+    # gave [12] and frob_vec([-1, 16], 1) gave [10, 0]
+    with pytest.raises(ValueError, match="must lie in"):
+        ctx4.scale_vec(3, xs)
+    with pytest.raises(ValueError, match="must lie in"):
+        ctx4.pow_vec(xs, 3)
+    with pytest.raises(ValueError, match="must lie in"):
+        ctx4.frob_vec(xs, 1)
 
 
 @pytest.mark.parametrize("n", range(4, 13, 2))

@@ -229,9 +229,31 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("command", list(GOLDEN))
+# the spectral engine at the largest fields, about 0.3 s a case
+GOLDEN_SLOW = {
+    "corr --engine spectral --kind fk --n 18":
+        "9dff664026df7b2ee6e9aa37f67b34ebd6113bc841454bb7b2e8102b31760163",
+    "corr --engine spectral --kind fk --n 18 --k 4":
+        "212c61f188ce476e75634e574a6f379287de49fcbf95e382c038664d0c5c34c9",
+    "corr --engine spectral --kind small-kasami --n 18":
+        "4b38382d451f7cc79aa84d454793456d1da77c1048061b1d042110f84043e613",
+    "corr --engine spectral --kind large-kasami --n 18":
+        "03a785bfa5fa826793e12d59d418c6ac1e401c8b917a8d976106d529a265f5a4",
+    "corr --engine spectral --kind fk --n 20":
+        "8deba80233d16a9d2bb4d5e687962aa2f291573d9f398da53072fe555ba23c5e",
+    "corr --engine spectral --kind fk --n 20 --k 3":
+        "74e6516603571f2f62b278aad8b0f93aa38144c5d9e39a098df48032714f0a3d",
+    "corr --engine spectral --kind small-kasami --n 20":
+        "1ab8cf45e3fa3a4bb4d6120a28bf130ad701572799b3be083ee37925cc66532c",
+    "corr --engine spectral --kind large-kasami --n 20":
+        "65c9c5a246ee290b5253da05f0607650c5e50bc85770772e1c57173c811ba4f6",
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN)
+                         + [pytest.param(c, marks=pytest.mark.slow) for c in GOLDEN_SLOW])
 def test_stdout_digest(capsys, command):
     code = cli.main(command.split())
     out = capsys.readouterr().out
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
+    assert hashlib.sha256(out.encode()).hexdigest() == {**GOLDEN, **GOLDEN_SLOW}[command]

@@ -570,16 +570,19 @@ def test_transform_column_matches_walsh_spectrum(n):
 
 @pytest.mark.parametrize("n,k", [(4, 1), (6, 2)])
 def test_scale_to_norm_one(n, k):
-    # W_{b,c}(lam) = W_{b',1}(lam') for every b, c in F* and lam
+    # W_{b,c}(lam) = W_{b',1}(lam') for every b, c in F* and lam, with
+    # b' = b u^(2^k+1), lam' = lam u and N(u) = 1/c: for c = beta^j, u = alpha^(-j)
     ctx = make_field(n)
-    bs = np.arange(ctx.order)
+    e1, _ = qf.exponents(ctx, k)
     lams = np.arange(ctx.order)
-    for c in ctx.subfield_elements[1:]:
-        b1, _ = qf.scale_to_norm_one(ctx, k, bs, c, 0)
-        _, lam1 = qf.scale_to_norm_one(ctx, k, 0, c, lams)
+    for j, c in enumerate(ctx.beta_powers.tolist()):
+        u = ctx.pow(ctx.alpha, -j)
+        assert ctx.mul(c, ctx.pow(u, (1 << ctx.half) + 1)) == 1
+        lam1 = ctx.scale_vec(u, lams)
         for b in range(ctx.order):
-            spec = qf.walsh_spectrum(qf.QuadFormParams(ctx, k, b, int(c)))
-            at_one = qf.walsh_spectrum(qf.QuadFormParams(ctx, k, int(b1[b]), 1))
+            b1 = ctx.mul(b, ctx.pow(u, e1))
+            spec = qf.walsh_spectrum(qf.QuadFormParams(ctx, k, b, c))
+            at_one = qf.walsh_spectrum(qf.QuadFormParams(ctx, k, b1, 1))
             assert np.array_equal(spec[lams], at_one[lam1])
 
 
