@@ -224,14 +224,16 @@ def build_parser() -> argparse.ArgumentParser:
     pcorr.add_argument("--kind", choices=[k.value for k in fam.FamilyKind],
                        default="fk")
     pcorr.add_argument("--engine", choices=["brute", "spectral"], default="spectral")
-    pcorr.add_argument("--jobs", type=positive_int, default=1, help="brute-engine workers")
+    pcorr.add_argument("--jobs", type=positive_int, default=1,
+                       help="accepted and ignored: the brute engine runs on one thread")
     pcorr.add_argument("--force", action="store_true",
                        help="override the brute-engine size guard")
     pcorr.set_defaults(func=cmd_corr)
 
     pverify = sub.add_parser("verify", help="verify every applicable closed form")
     _add_common(pverify)
-    pverify.add_argument("--jobs", type=positive_int, default=1)
+    pverify.add_argument("--jobs", type=positive_int, default=1,
+                         help="accepted and ignored: the brute engine runs on one thread")
     pverify.set_defaults(func=cmd_verify)
 
     code = sub.add_parser("code", help="linear-code utilities")

@@ -31,9 +31,9 @@ of 4111 at n = 8).  The pairs with a member in the rest R, R x all and
 P x R, take every shift.  This is a reindexing of the same inner
 products, not a sample, and no transform theory enters it.  Products are
 taken a block of row pairs at a time, or for a small family several
-whole shifts at a time, so memory stays O(m p) plus, per thread, one
-block of at most 2^20 float32 products and their intp casts, and the 4^n
-cell counts of one tally (32 KB at n = 6, 8 MB at n = 10).
+whole shifts at a time, so memory stays O(m p) plus one block of at most
+2^20 float32 products and their intp casts, and the 4^n cell counts of
+one tally (32 KB at n = 6, 8 MB at n = 10).
 
 The spectral engine never touches sequence bits and reads only the
 family's parameters: the correlation of two members at a given shift
@@ -66,7 +66,6 @@ period-value count per family member.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,35 +278,31 @@ def _shift_orbits(period: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(reps), np.array(sizes)
 
 
-def _block_counts(left: np.ndarray, right: np.ndarray, taus: np.ndarray, times: np.ndarray,
-                  pool: ThreadPoolExecutor, jobs: int) -> np.ndarray | int:
+def _block_counts(left: np.ndarray, right: np.ndarray, taus: np.ndarray,
+                  times: np.ndarray) -> np.ndarray | int:
     """d counts of every +-1 row of left against every row of right, times[s]
-    times over at shift taus[s]; jobs threads of pool split the shifts."""
+    times over at shift taus[s]."""
     columns, m = right.T, len(right)
     if not len(left) or not m:
         return 0
     period, pairs, folded = len(columns), len(left) // 2, _fold(left)
-    parts = [idx for idx in np.array_split(np.arange(taus.size), jobs) if idx.size]
     # a tally covers a row block at one shift, or whole shifts up to about
     # one product per cell (d1, d2), within _BLOCK_VALUES; with fewer
     # products than cells it bins d1 and d2 apart, and 2^16 of them will do
     cells, row = (period + 1) ** 2, max(pairs, 1) * m
-    size = min(max(row, cells), _BLOCK_VALUES, len(parts[0]) * row)
+    size = min(max(row, cells), _BLOCK_VALUES, taus.size * row)
     if size < cells:
         size = min(size, max(row, 1 << 16))
-    # buffers come from this thread: ones made in a worker thread would stay
-    # resident in that thread's malloc arena after the worker exits
-    buffers = [(np.empty(size, np.float32), np.empty(size, np.intp)) for _ in parts]
+    buffers = np.empty(size, np.float32), np.empty(size, np.intp)
     counts = 0
     if pairs:
-        counts = sum(pool.map(lambda idx, buf: _shift_counts(
-            folded[:pairs], columns, taus[idx], times[idx], *buf), parts, buffers))
+        counts = _shift_counts(folded[:pairs], columns, taus, times, *buffers)
     if len(left) % 2:  # the last row, folded with itself: each of its values counts twice
-        counts = counts + _shift_counts(folded[pairs:], columns, taus, times, *buffers[0]) // 2
+        counts = counts + _shift_counts(folded[pairs:], columns, taus, times, *buffers) // 2
     return counts
 
 
-def _brute_histogram(rows: np.ndarray, period: int, jobs: int = 1) -> ValueHistogram:
+def _brute_histogram(rows: np.ndarray, period: int) -> ValueHistogram:
     """C(i, j, tau) over every ordered pair of packed rows (see packed_rows)
     and every shift, by direct +-1 inner products.
 
@@ -321,10 +316,9 @@ def _brute_histogram(rows: np.ndarray, period: int, jobs: int = 1) -> ValueHisto
     signs = sign_rows(rows[closed + rest], period)
     inside, outside = signs[:len(closed)], signs[len(closed):]
     every = np.arange(period)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        counts = (_block_counts(inside, inside, *_shift_orbits(period), pool, jobs)
-                  + _block_counts(outside, signs, every, np.ones_like(every), pool, jobs)
-                  + _block_counts(inside, outside, every, np.ones_like(every), pool, jobs))
+    counts = (_block_counts(inside, inside, *_shift_orbits(period))
+              + _block_counts(outside, signs, every, np.ones_like(every))
+              + _block_counts(inside, outside, every, np.ones_like(every)))
     return ValueHistogram({period - 2 * d: c for d, c in enumerate(counts.tolist()) if c})
 
 
@@ -336,14 +330,9 @@ def full_distribution_brute(family: SequenceFamily, jobs: int = 1) -> Correlatio
     checked from their bits, one shift per orbit of tau -> 2 tau,
     tau -> -tau stands for the whole orbit: C(Ds_i, Ds_j, tau) =
     C(s_i, s_j, 2 tau) is a change of summation index, not transform
-    theory.  jobs > 1 splits the shifts of each block (the orbit
-    representatives for those members) over that many threads.  Only the
-    matrix product releases the interpreter lock, and BLAS already spreads
-    it over every core; np.bincount holds the lock, so the threads take
-    turns there, and on a 2-vCPU host two jobs run no faster than one.  The
-    result does not depend on jobs.
+    theory.  jobs is accepted and ignored: the engine runs on one thread.
     """
-    return _report(family, "brute", _brute_histogram(member_table(family)[0], family.period, jobs))
+    return _report(family, "brute", _brute_histogram(member_table(family)[0], family.period))
 
 
 # -- spectral engine -------------------------------------------------------

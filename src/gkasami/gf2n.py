@@ -185,7 +185,6 @@ class FieldCtx:
     tr1          : uint8 array, tr1[x] = absolute trace of x
     trh          : uint8 array, trh[y] = trace of y from F onto GF(2)
                    (meaningful only for y in F; 0 elsewhere)
-    subfield_mask     : bool array, True exactly on F
     subfield_index    : int64 array, position of y within subfield_elements (-1 off F)
     walsh_perm        : int64 array, the trace pairing as bit masks:
                         tr(lam*x) is the parity of walsh_perm[lam] & x, so
@@ -395,12 +394,6 @@ class FieldCtx:
         trh = np.zeros(self.order, dtype=np.uint8)
         trh[self.subfield_elements] = _linear_table(self._kernel_traces)
         return _read_only(trh)
-
-    @cached_property
-    def subfield_mask(self) -> np.ndarray:
-        mask = np.zeros(self.order, dtype=bool)
-        mask[self.subfield_elements] = True
-        return _read_only(mask)
 
     @cached_property
     def walsh_perm(self) -> np.ndarray:
@@ -646,12 +639,6 @@ def _unit_preimages(images: list[int]) -> list[int] | None:
 def half_odd(n: int) -> bool:
     """True when n/2 is odd, the parity of n/2 that splits every closed form."""
     return (n // 2) % 2 == 1
-
-
-def gcd_pow2_plus_one(n: int, k: int) -> int:
-    """gcd(2^k + 1, 2^n - 1): 1 when n/gcd(n,k) is odd, else 2^gcd(n,k) + 1."""
-    d = math.gcd(n, k)
-    return 1 if (n // d) % 2 == 1 else (1 << d) + 1
 
 
 def cyclotomic_classes(modulus: int, mult: int) -> tuple[np.ndarray, np.ndarray]:

@@ -358,8 +358,7 @@ def symplectic_ranks(ctx: FieldCtx, k: int, bs, c) -> np.ndarray:
     """
     require_valid_k(ctx.n, k)
     bs = _field_elements(ctx, bs)
-    c = np.asarray(c, dtype=np.int64)
-    _subfield_list(ctx, c.ravel())
+    c = _subfield_elements(ctx, c)
     shape = np.broadcast_shapes(bs.shape, c.shape)
     flat_b = np.broadcast_to(bs, shape).ravel()
     b_map, c_map = _rank_maps(ctx, k)
@@ -413,12 +412,15 @@ def symplectic_rank(params: QuadFormParams) -> int:
     return int(symplectic_ranks(params.ctx, params.k, params.b, params.c))
 
 
-def _subfield_list(ctx: FieldCtx, c_list) -> list[int]:
-    c_list = [int(c) for c in c_list]
-    for c in c_list:
-        if not ctx.in_subfield(c):
-            raise ValueError(f"c = {c} is not in the subfield")
-    return c_list
+def _subfield_elements(ctx: FieldCtx, cs) -> np.ndarray:
+    """cs as an int64 array; ValueError unless every entry c lies in F,
+    that is 0 <= c < 2^n and c^(2^{n/2}) = c."""
+    cs = np.asarray(cs, dtype=np.int64)
+    inside = (cs >= 0) & (cs < ctx.order)
+    off = cs[~inside | (ctx.frob_vec(np.where(inside, cs, 0), ctx.half) != cs)]
+    if off.size:
+        raise ValueError(f"c = {off[0]} is not in the subfield")
+    return cs
 
 
 def transform_column(ctx: FieldCtx, k: int, c_list, lam: int) -> np.ndarray:
@@ -431,7 +433,7 @@ def transform_column(ctx: FieldCtx, k: int, c_list, lam: int) -> np.ndarray:
     so a row costs one fwht of size 2^n, reindexed through walsh_perm.
     """
     require_valid_k(ctx.n, k)
-    c_list = _subfield_list(ctx, c_list)
+    c_list = _subfield_elements(ctx, c_list)
     order = ctx.order
     rows = len(c_list)
     if rows * order * _TRANSFORM_BYTES > _BLOCK_BYTES_CAP:

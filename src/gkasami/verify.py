@@ -76,7 +76,6 @@ class _Bundle:
 
     ctx: FieldCtx
     k: int
-    jobs: int = 1
 
     @cached_property
     def family(self) -> fam.SequenceFamily:
@@ -369,7 +368,7 @@ def _claim_family_correlation(b: _Bundle) -> ClaimResult:
     ok = spectral.histogram == want
     note = None
     if ctx.n <= BRUTE_CROSSCHECK_MAX_N:
-        brute = corr.full_distribution_brute(b.family, jobs=b.jobs)
+        brute = corr.full_distribution_brute(b.family)
         ok &= brute.histogram == spectral.histogram
         note = "brute engine cross-checked"
     # every member contributes its in-phase value exactly once
@@ -473,8 +472,8 @@ _CLAIMS = [
 ]
 
 
-def run_claims(ctx: FieldCtx, k: int, jobs: int = 1) -> list[ClaimResult]:
-    bundle = _Bundle(ctx, k, jobs)
+def run_claims(ctx: FieldCtx, k: int) -> list[ClaimResult]:
+    bundle = _Bundle(ctx, k)
     results = []
     for claim in _CLAIMS:
         if claim is _claim_subgrid_orbits and half_odd(ctx.n):
@@ -484,7 +483,8 @@ def run_claims(ctx: FieldCtx, k: int, jobs: int = 1) -> list[ClaimResult]:
 
 
 def claims_report(ctx: FieldCtx, k: int, jobs: int = 1) -> dict:
-    results = run_claims(ctx, k, jobs)
+    """The claims as JSON; jobs is accepted and ignored (one thread)."""
+    results = run_claims(ctx, k)
     blocks = []
     for r in results:
         block = r.to_json_dict()

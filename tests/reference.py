@@ -40,7 +40,7 @@ def spectra_block(ctx: FieldCtx, k: int, b_list, c_list) -> np.ndarray:
     """
     qf.require_valid_k(ctx.n, k)
     b_list = [int(b) for b in b_list]
-    c_list = qf._subfield_list(ctx, c_list)
+    c_list = qf._subfield_elements(ctx, c_list)
     order = ctx.order
     if len(b_list) * len(c_list) * order * qf._TRANSFORM_BYTES > qf._BLOCK_BYTES_CAP:
         raise TooLarge(

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -245,3 +249,12 @@ def test_determinism_across_runs_and_jobs(capsys):
     _, v1, _ = run(capsys, ["verify", "--n", "4", "--k", "1"])
     _, v2, _ = run(capsys, ["verify", "--n", "4", "--k", "1"])
     assert v1 == v2
+
+
+def test_cli_import_loads_no_thread_pool():
+    # every CLI run pays for what importing the CLI loads
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    code = "import sys, gkasami.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"

@@ -1,5 +1,6 @@
 import json
 import random
+import threading
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from gkasami import correlation as corr
 from gkasami import families as fam
 from gkasami import quadform as qf
-from gkasami import theory
+from gkasami import theory, verify
 from gkasami.gf2n import make_field
 from gkasami.histogram import ValueHistogram
 
@@ -100,9 +101,19 @@ def test_engines_identical_all_kinds_n6(ctx6):
 def test_jobs_do_not_change_brute_result(family4, family6):
     one = corr.full_distribution_brute(family4, jobs=1)
     assert corr.full_distribution_brute(family4, jobs=2).histogram == one.histogram
-    # 8 shift orbits at n = 6, one representative each: three jobs split them 3/3/2
     one = corr.full_distribution_brute(family6, jobs=1)
     assert corr.full_distribution_brute(family6, jobs=3).histogram == one.histogram
+
+
+def test_brute_and_verify_start_no_thread(monkeypatch, family4):
+    # jobs is accepted and ignored: neither engine run nor verify starts a thread
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    brute = corr.full_distribution_brute(family4, jobs=2)
+    assert brute.histogram == corr.full_distribution_spectral(family4).histogram
+    assert verify.claims_report(make_field(4), 1, jobs=2)["pass"]
 
 
 def assert_folded_cells_match_correlate(family):
@@ -240,7 +251,7 @@ def test_brute_histogram_on_tables_decimation_does_not_close(name, request):
     assert corr._brute_histogram(flipped, period) == brute_histogram(flipped, period)
     repeated = np.concatenate([rows, rows[7:8]])
     assert corr._decimation_closed(repeated, period) == []
-    assert corr._brute_histogram(repeated, period, jobs=2) == brute_histogram(repeated, period)
+    assert corr._brute_histogram(repeated, period) == brute_histogram(repeated, period)
 
 
 def test_small_set_engines_and_prediction(ctx6):
