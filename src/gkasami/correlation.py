@@ -30,10 +30,10 @@ the part-two members whose whole decimation orbit is in the family (4097
 of 4111 at n = 8).  The pairs with a member in the rest R, R x all and
 P x R, take every shift.  This is a reindexing of the same inner
 products, not a sample, and no transform theory enters it.  Products are
-taken a block of row pairs at a time, or for a small family several
-whole shifts at a time, so memory stays O(m p) plus one block of at most
-2^20 float32 products and their intp casts, and the 4^n cell counts of
-one tally (32 KB at n = 6, 8 MB at n = 10).
+taken a block of row pairs, or for a small family of whole shifts, at a
+time, up to about one per cell (d1, d2), and one bincount over the 4^n
+cells tallies each block.  Memory stays O(m p) plus 2^20 float32 products,
+their intp casts and the cell counts (32 KB at n = 6, 128 MB at n = 12).
 
 The spectral engine never touches sequence bits and reads only the
 family's parameters: the correlation of two members at a given shift
@@ -43,9 +43,9 @@ For the part-one grid, which covers all of E x F, a fixed shift makes the
 twisted parameters sweep the whole grid bijectively, so whole blocks reduce
 to per-lambda column histograms: the distribution of W_{b,c}(lam) over all
 (b, c).  Scaling x -> u x permutes E x F and moves lam to lam u, so every
-column with lam != 0 has the histogram of the lam = 1 column.  A form of
-rank 2j takes +-2^(n-j) at (2^(2j) +- 2^j)/2 of all lam and 0 elsewhere, so
-the grid's spectra less its lam = 0 column are 2^n - 1 lam = 1 columns.
+column with lam != 0 has the histogram of the lam = 1 column.  A form's
+rank fixes its spectrum over all lam (quadform.rank_spectrum), so the
+grid's spectra less its lam = 0 column are 2^n - 1 lam = 1 columns.
 The same substitution maps the form (b, c) to (b u^(2^k+1), c N(u)) and
 keeps its rank and W(0), so the ranks and W(0) of one form per orbit
 (quadform.orbit_classes: 2 + g1 + g2 forms, about 2^(n/2)), counted with
@@ -80,6 +80,7 @@ from .families import (
     member_table,
     sign_rows,
 )
+from .gf2n import cyclotomic_classes
 from .histogram import ValueHistogram
 
 BRUTE_DEFAULT_MAX_N = 6
@@ -198,16 +199,10 @@ def _shift_block(folded: np.ndarray, right: np.ndarray, tau: int, lo: int, hi: i
 
 def _tally(values: np.ndarray, index: np.ndarray, times: int, counts: np.ndarray) -> None:
     """Add the d1 and d2 of every folded product in values, times over, to
-    counts: one bincount over the 4^n cells (d1, d2), or, for fewer products
-    than cells (small families), one 2^n-bin bincount each for d1 and d2.
-    index is intp scratch."""
+    counts: one bincount over the 4^n cells (d1, d2), whose column sums are
+    the d1 counts and row sums the d2 counts.  index is intp scratch."""
     order = len(counts)
     np.add(values, _fold_offset(order - 1), out=index, casting="unsafe")
-    if len(index) < order * order:
-        low = np.bincount(index & (order - 1), minlength=order)
-        index >>= order.bit_length() - 1
-        counts += times * (low + np.bincount(index, minlength=order))
-        return
     cells = np.bincount(index, minlength=order * order).reshape(order, order)
     counts += times * (cells.sum(axis=0) + cells.sum(axis=1))
 
@@ -265,17 +260,15 @@ def _decimation_closed(rows: np.ndarray, period: int) -> list[int]:
 
 def _shift_orbits(period: int) -> tuple[np.ndarray, np.ndarray]:
     """The least shift of each orbit of tau -> 2 tau, tau -> -tau on Z_p,
-    p = 2^n - 1, and the orbit sizes, in order of size."""
-    orbits, seen = [], set()
-    for tau in range(period):
-        if tau not in seen:
-            # 2^n tau = tau, so n doublings close the orbit
-            orbit = {sign * (tau << i) % period
-                     for i in range(period.bit_length()) for sign in (1, -1)}
-            seen |= orbit
-            orbits.append((len(orbit), tau))
-    sizes, reps = zip(*sorted(orbits))
-    return np.array(reps), np.array(sizes)
+    p = 2^n - 1, and the orbit sizes, in order of size, then of shift.  The
+    orbit of tau joins its class under doubling (gf2n.cyclotomic_classes)
+    and that of -tau."""
+    leaders, index = cyclotomic_classes(period, 2)
+    # leaders increase, so the lesser class index holds the orbit's least shift
+    least = leaders[np.minimum(index, index[-np.arange(period) % period])]
+    reps, sizes = np.unique(least, return_counts=True)
+    order = np.argsort(sizes, kind="stable")
+    return reps[order], sizes[order]
 
 
 def _block_counts(left: np.ndarray, right: np.ndarray, taus: np.ndarray,
@@ -286,13 +279,11 @@ def _block_counts(left: np.ndarray, right: np.ndarray, taus: np.ndarray,
     if not len(left) or not m:
         return 0
     period, pairs, folded = len(columns), len(left) // 2, _fold(left)
-    # a tally covers a row block at one shift, or whole shifts up to about
-    # one product per cell (d1, d2), within _BLOCK_VALUES; with fewer
-    # products than cells it bins d1 and d2 apart, and 2^16 of them will do
+    # a tally bins its products over the 4^n cells (d1, d2), so it covers a
+    # row block at one shift, or whole shifts up to about one product per
+    # cell, within _BLOCK_VALUES
     cells, row = (period + 1) ** 2, max(pairs, 1) * m
     size = min(max(row, cells), _BLOCK_VALUES, taus.size * row)
-    if size < cells:
-        size = min(size, max(row, 1 << 16))
     buffers = np.empty(size, np.float32), np.empty(size, np.intp)
     counts = 0
     if pairs:
@@ -350,14 +341,13 @@ def _lambda1_column(ctx, k: int, orbits, col0: ValueHistogram) -> ValueHistogram
     """Distribution of W_{b,c}(1) over all (b, c) in E x F, from the ranks of
     the forms of orbits (quadform.orbit_classes), counted with their orbit
     sizes, and the lam = 0 column col0 (module docstring)."""
-    n, order = ctx.n, ctx.order
+    order = ctx.order
     bs, cs, sizes = orbits
     # float64 sums are exact: the sizes total 2^(3n/2) <= 2^30
     halves = np.bincount(qf.symplectic_ranks(ctx, k, bs, cs) // 2, weights=sizes)
     every_lam = ValueHistogram()
     for j, forms in enumerate(halves.astype(np.int64).tolist()):
-        spectrum = {1 << (n - j): (4**j + 2**j) // 2, -(1 << (n - j)): (4**j - 2**j) // 2}
-        every_lam.merge(ValueHistogram({**spectrum, 0: order - 4**j}), forms)
+        every_lam.merge(qf.rank_spectrum(ctx.n, 2 * j), forms)
     every_lam.merge(col0, -1)
     if any(c % (order - 1) for c in every_lam.counts.values()):
         raise AssertionError("summed rank spectra are not 2^n - 1 equal columns")

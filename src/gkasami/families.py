@@ -162,10 +162,9 @@ def sequence_term(params: FamilyParams, tag: SequenceTag, t: int) -> int:
     x = ctx.pow(ctx.alpha, t)
     xq = ctx.pow(x, e1)
     xn = ctx.pow(x, e2)
-    if tag.variant == "gamma-delta":
-        inner = x ^ ctx.mul(tag.gamma, xq)
-        return ctx.trace(inner) ^ int(ctx.trh[ctx.mul(tag.delta, xn)])
-    return ctx.trace(ctx.mul(tag.zeta, xq)) ^ int(ctx.trh[ctx.mul(tag.eta, xn)])
+    a, c = tag.pair()
+    lin = ctx.mul(a, xq) ^ (x if tag.variant == "gamma-delta" else 0)
+    return ctx.trace(lin) ^ ctx.trace(ctx.mul(ctx.trh_lift, ctx.mul(c, xn)))
 
 
 def packed_rows(ctx: FieldCtx, coeffs, e: int, tr: np.ndarray) -> np.ndarray:

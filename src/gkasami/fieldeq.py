@@ -54,7 +54,7 @@ class LinearizedPoly:
 def linearized_kernel(ctx: FieldCtx, poly: LinearizedPoly) -> list[int]:
     """GF(2)-basis of the root space {x : L(x) = 0}; its size is a power of 2."""
     images = [poly.evaluate(ctx, 1 << j) for j in range(ctx.n)]
-    return gf2_kernel_basis(images, ctx.n)
+    return gf2_kernel_basis(images)
 
 
 def count_affine_roots(ctx: FieldCtx, eps: int, v: int, theta: int, l: int) -> int:

@@ -222,7 +222,6 @@ class FieldCtx:
             images.append(self._square.vec(images[-1]))
         self._frobenius_images = images
         self._frobenius_maps: dict[int, LinearMap] = {}
-        self._dual_frobenius: dict[int, tuple[int, ...]] = {}
         self._half_frobenius = self.frobenius_map(self.half)
         self._check_primitive()
         self._build_subfield()
@@ -279,7 +278,7 @@ class FieldCtx:
         self._trace_mask = sum(t << j for j, t in enumerate(tr))
         # F is the kernel of x -> x^(2^{n/2}) + x
         half_images = (images[half] ^ images[0]).tolist()
-        kernel = gf2_kernel_basis(half_images, self.n)
+        kernel = gf2_kernel_basis(half_images)
         if len(kernel) != half:
             raise AssertionError("subfield must have 2^{n/2} elements")
         # kernel vector i has leading bit j_i with j_0 < j_1 < ..., so the
@@ -315,24 +314,6 @@ class FieldCtx:
         if i not in self._frobenius_maps:
             self._frobenius_maps[i] = LinearMap(self._frobenius_images[i], self.half)
         return self._frobenius_maps[i]
-
-    def dual_frobenius(self, i: int) -> tuple[int, ...]:
-        """The dual basis raised to 2^i, elementwise, built once per i (period n)."""
-        i %= self.n
-        if i not in self._dual_frobenius:
-            # the XOR of the images of alpha^l over the set bits l of each d,
-            # in Python: n^2 steps cost less than a vec call at small n
-            images = self._frobenius_images[i].tolist()
-            out = []
-            for d in self.dual_basis.tolist():
-                acc = 0
-                for im in images:
-                    if d & 1:
-                        acc ^= im
-                    d >>= 1
-                out.append(acc)
-            self._dual_frobenius[i] = tuple(out)
-        return self._dual_frobenius[i]
 
     def times_map(self, c: int) -> LinearMap:
         """x -> c * x as a LinearMap; its images are the alpha-ladder of c."""
@@ -588,14 +569,11 @@ def _linear_table(images, dtype=np.int64) -> np.ndarray:
     return out
 
 
-def gf2_kernel_basis(images: list[int], dim: int) -> list[int]:
-    """Kernel basis of the GF(2)-linear map sending basis vector 1<<j to images[j].
-
-    Vectors are int bitmasks of length dim.  The returned basis vectors are
-    the coefficient masks of kernel elements, i.e. the kernel elements
-    themselves when the basis is the polynomial basis of a field.  The
-    vector found at column j has leading bit j, so the leading bits of the
-    returned basis strictly increase.
+def _echelon(images: list[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """Column reduction of the GF(2)-linear map sending 1<<j to images[j]:
+    pivots[b] = (image, combo), one reduced image per leading bit b and the
+    mask of the basis vectors whose images sum to it, and the kernel, the
+    combos whose image reduced to 0.  The combo of column j has leading bit j.
     """
     pivots: dict[int, tuple[int, int]] = {}
     kernel: list[int] = []
@@ -611,29 +589,32 @@ def gf2_kernel_basis(images: list[int], dim: int) -> list[int]:
             combo ^= pcombo
         else:
             kernel.append(combo)
-    return kernel
+    return pivots, kernel
+
+
+def gf2_kernel_basis(images: list[int]) -> list[int]:
+    """Kernel basis of the GF(2)-linear map sending basis vector 1<<j to
+    images[j], as coefficient masks (the kernel elements themselves in a
+    field's polynomial basis), with strictly increasing leading bits."""
+    return _echelon(images)[1]
 
 
 def _unit_preimages(images: list[int]) -> list[int] | None:
     """Preimage of each unit vector 1<<i under the GF(2)-linear map sending
-    1<<j to images[j], as a list indexed by i; None when the map is singular.
-
-    Gauss-Jordan elimination on rows that hold an image in their low n bits
-    and the combination of basis vectors that gives it above them.
-    """
-    n = len(images)
-    rows = [img | 1 << (n + j) for j, img in enumerate(images)]
-    for i in range(n):
-        for p in range(i, n):
-            if rows[p] >> i & 1:
-                break
-        else:
-            return None
-        rows[i], rows[p] = rows[p], rows[i]
-        for r in range(n):
-            if r != i and rows[r] >> i & 1:
-                rows[r] ^= rows[i]
-    return [row >> n for row in rows]
+    1<<j to the n-bit images[j], as a list indexed by i; None when the map is
+    singular.  Otherwise there is a pivot at every bit i, and the preimage of
+    1<<i is its combo plus the preimages of its image's bits below i."""
+    pivots, kernel = _echelon(images)
+    if kernel:
+        return None
+    preimages: list[int] = []
+    for i in range(len(images)):
+        col, combo = pivots[i]
+        for b in range(i):
+            if col >> b & 1:
+                combo ^= preimages[b]
+        preimages.append(combo)
+    return preimages
 
 
 def half_odd(n: int) -> bool:

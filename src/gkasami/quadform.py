@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2n import FieldCtx, LinearMap, TooLarge, _field_elements, half_odd
+from .histogram import ValueHistogram
 
 # most memory transform_column may allocate, counted as _TRANSFORM_BYTES
 # per transformed value: fwht's two float32 buffers and its int64 result
@@ -134,7 +135,7 @@ def eval_f(params: QuadFormParams, x: int) -> int:
     ctx = params.ctx
     e1, e2 = exponents(ctx, params.k)
     t1 = ctx.trace(ctx.mul(params.b, ctx.pow(x, e1)))
-    t2 = int(ctx.trh[ctx.mul(params.c, ctx.pow(x, e2))])
+    t2 = ctx.trace(ctx.mul(ctx.trh_lift, ctx.mul(params.c, ctx.pow(x, e2))))
     return t1 ^ t2
 
 
@@ -251,10 +252,10 @@ def _polar_rows(params: QuadFormParams) -> list[int]:
     2^n-entry table is read.
     """
     ctx = params.ctx
-    n, h = ctx.n, ctx.half
+    n = ctx.n
     b, dc = params.b, ctx.mul(ctx.trh_lift, params.c)
-    w = [ctx.mul(b, x) ^ ctx.mul(dc, y)
-         for x, y in zip(ctx.dual_frobenius(params.k), ctx.dual_frobenius(h))]
+    fk, fh = ctx.frobenius_map(params.k), ctx.frobenius_map(ctx.half)
+    w = [ctx.mul(b, fk(d)) ^ ctx.mul(dc, fh(d)) for d in ctx.dual_basis.tolist()]
     # bit i of mt[j] is m[j, i]: one pass over the set bits of each w[i]
     mt = [0] * n
     for i, wi in enumerate(w):
@@ -410,6 +411,17 @@ def symplectic_rank(params: QuadFormParams) -> int:
     if params.b == 0 and params.c == 0:
         raise ZeroForm("rank is undefined for the zero form")
     return int(symplectic_ranks(params.ctx, params.k, params.b, params.c))
+
+
+def rank_spectrum(n: int, rank: int) -> ValueHistogram | None:
+    """The Walsh spectrum over every lam of a form of symplectic rank 2j on
+    GF(2^n): +-2^(n-j) at (2^(2j) +- 2^j)/2 of the lam and 0 at the rest.
+    None for a rank no form has: odd, or above n."""
+    if rank % 2 or not 0 <= rank <= n:
+        return None
+    j = rank // 2
+    return ValueHistogram({1 << (n - j): (4**j + 2**j) // 2, -(1 << (n - j)): (4**j - 2**j) // 2,
+                           0: (1 << n) - 4**j})
 
 
 def _subfield_elements(ctx: FieldCtx, cs) -> np.ndarray:

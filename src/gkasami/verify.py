@@ -36,8 +36,8 @@ from . import families as fam
 from . import fieldeq, theory
 from .gf2n import FieldCtx, cyclotomic_classes, half_odd
 from .histogram import ValueHistogram
-from .quadform import (QuadFormParams, orbit_classes, symplectic_ranks, transform_column,
-                       walsh_spectrum)
+from .quadform import (QuadFormParams, orbit_classes, rank_spectrum, symplectic_ranks,
+                       transform_column, walsh_spectrum)
 
 VERIFY_NS = (4, 6, 8, 10)
 BRUTE_CROSSCHECK_MAX_N = 6
@@ -95,24 +95,16 @@ class _Bundle:
     def spectra(self) -> tuple[ValueHistogram, bool]:
         """One whole spectrum per orbit of x -> u*x (quadform.orbit_classes),
         counted with its orbit size: the histogram of W_{b,c}(lam) over all
-        (b, c, lam), and whether every nonzero representative's spectrum is
-        the one its rank determines: a rank-2h form takes +-2^{n-h} with the
-        quadratic-form multiplicities and vanishes elsewhere."""
-        ctx, k, n = self.ctx, self.k, self.ctx.n
+        (b, c, lam), and whether every representative's spectrum is the one
+        its rank determines (quadform.rank_spectrum)."""
+        ctx, k = self.ctx, self.k
         bs, cs, weights = orbit_classes(ctx, k)
-        specs = np.stack([walsh_spectrum(QuadFormParams(ctx, k, b, c))
-                          for b, c in zip(bs.tolist(), cs.tolist())])
-        hist = ValueHistogram({})
-        for spec, w in zip(specs, weights):
-            hist.merge(ValueHistogram.from_array(spec), w)
-        spec = specs[1:]  # skip the zero form
-        h2 = symplectic_ranks(ctx, k, bs[1:], cs[1:])
-        top = (1 << (n - h2 // 2))[:, None]
-        got = np.stack([np.count_nonzero(spec == v, axis=1) for v in (top, -top, 0)])
-        full, half = 1 << h2, 1 << (h2 // 2)
-        want = np.stack([(full + half) // 2, (full - half) // 2, ctx.order - full])
-        rank_ok = bool(np.all(h2 % 2 == 0) and np.array_equal(got, want)
-                       and np.all(got.sum(axis=0) == ctx.order))
+        ranks = symplectic_ranks(ctx, k, bs, cs).tolist()
+        hist, rank_ok = ValueHistogram({}), True
+        for b, c, w, r in zip(bs.tolist(), cs.tolist(), weights, ranks):
+            spec = ValueHistogram.from_array(walsh_spectrum(QuadFormParams(ctx, k, b, c)))
+            hist.merge(spec, w)
+            rank_ok &= spec == rank_spectrum(ctx.n, r)
         return hist, rank_ok
 
     @cached_property

@@ -160,8 +160,7 @@ def test_fold_offset_refuses_inexact_periods():
 
 @pytest.mark.parametrize("size", [100, 256, 300])
 def test_tally_counts_d1_and_d2_whichever_way_it_bins(size):
-    # below 4^n = 256 products a tally bins d1 and d2 apart, from 256 on
-    # over the (d1, d2) cells; both must count the same
+    # fewer, as many and more products than the 4^n = 256 cells (d1, d2)
     rng = np.random.default_rng(size)
     d = rng.integers(0, 16, size=(2, size))
     values = (d[0] + 16 * d[1] - corr._fold_offset(15)).astype(np.float32)
@@ -194,10 +193,26 @@ def decimated(rows, period):
     return out
 
 
-@pytest.mark.parametrize("n, count", [(4, 4), (6, 8), (8, 20)])
+def set_loop_shift_orbits(period):
+    """The least shift and the size of each orbit of tau -> 2 tau,
+    tau -> -tau on Z_p, sorted by size, then shift, by a Python set loop."""
+    orbits, seen = [], set()
+    for tau in range(period):
+        if tau not in seen:
+            # 2^n tau = tau, so n doublings close the orbit
+            orbit = {sign * (tau << i) % period
+                     for i in range(period.bit_length()) for sign in (1, -1)}
+            seen |= orbit
+            orbits.append((len(orbit), tau))
+    sizes, reps = zip(*sorted(orbits))
+    return list(reps), list(sizes)
+
+
+@pytest.mark.parametrize("n, count", [(4, 4), (6, 8), (8, 20), (10, 56), (12, 180)])
 def test_shift_orbits_partition_the_shifts(n, count):
     period = (1 << n) - 1
     reps, sizes = corr._shift_orbits(period)
+    assert (reps.tolist(), sizes.tolist()) == set_loop_shift_orbits(period)
     assert len(reps) == count and sizes.sum() == period
     assert sizes.tolist() == sorted(sizes.tolist())
     covered = set()

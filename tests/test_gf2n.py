@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from gkasami import families as fam
 from gkasami import quadform as qf
 from gkasami.gf2n import (
     DEFAULT_POLYS,
@@ -13,6 +14,7 @@ from gkasami.gf2n import (
     NonPrimitivePolynomial,
     UnsupportedN,
     cyclotomic_classes,
+    _unit_preimages,
     gf2_kernel_basis,
     make_field,
 )
@@ -187,18 +189,11 @@ def test_tables_match_reference_at_large_n(n):
     trh = np.zeros(order, dtype=np.uint8)
     trh[elements] = traces
     assert np.array_equal(ctx.trh, trh)
+    # the scalar subfield trace that eval_f and sequence_term read
+    assert np.array_equal([ctx.trace(ctx.mul(ctx.trh_lift, y)) for y in elements], traces)
     for name in ("log", "antilog", "subfield_elements"):
         assert getattr(ctx, name).dtype == np.int64
     assert ctx.tr1.dtype == ctx.trh.dtype == np.uint8
-
-
-@pytest.mark.parametrize("n", [4, 6, 8, 12])
-def test_dual_frobenius_is_the_dual_basis_raised(n):
-    ctx = make_field(n)
-    for i in range(-1, n + 1):
-        got = ctx.dual_frobenius(i)
-        assert got == tuple(ctx.frobenius(int(d), i) for d in ctx.dual_basis)
-        assert ctx.dual_frobenius(i + n) is got
 
 
 LAZY_TABLES = ("log", "antilog", "tr1", "trh", "walsh_perm", "subfield_index")
@@ -206,14 +201,18 @@ LAZY_TABLES = ("log", "antilog", "tr1", "trh", "walsh_perm", "subfield_index")
 
 @pytest.mark.parametrize("n", [8, 16, 20])
 def test_rarely_read_tables_are_built_on_first_read(n):
-    # field info, a c from a power of beta, one spectrum and one rank read
-    # no 2^n-entry table
+    # field info, a c from a power of beta, one spectrum, one rank and the
+    # single-point form and sequence values read no 2^n-entry table
     ctx = make_field(n)
     assert (ctx.element_label(ctx.alpha), ctx.element_label(ctx.beta)) == (
         "a^1", f"a^{(1 << ctx.half) + 1}")
     params = qf.QuadFormParams(ctx, 1, 3, ctx.pow(ctx.beta, 3))
     qf.walsh_spectrum(params)
     qf.symplectic_rank(params)
+    qf.eval_f(params, 123)
+    family = fam.family_params(ctx, "fk", 1)
+    for tag in (fam.SequenceTag.gamma_delta(3, ctx.beta), fam.SequenceTag.zeta_eta(5, ctx.beta)):
+        fam.sequence_term(family, tag, 99)
     assert not set(LAZY_TABLES) & set(vars(ctx))
     for name in LAZY_TABLES:
         got = getattr(ctx, name)
@@ -429,8 +428,41 @@ def test_element_labels(ctx4):
 
 def test_kernel_basis_helper():
     # identity map has trivial kernel; zero map has full kernel
-    assert gf2_kernel_basis([1 << j for j in range(4)], 4) == []
-    assert len(gf2_kernel_basis([0] * 4, 4)) == 4
+    assert gf2_kernel_basis([1 << j for j in range(4)]) == []
+    assert len(gf2_kernel_basis([0] * 4)) == 4
+
+
+def apply_map(images, x):
+    """The image of x under the GF(2)-linear map sending 1<<j to images[j]."""
+    out = 0
+    for j, img in enumerate(images):
+        if x >> j & 1:
+            out ^= img
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_unit_preimages_and_kernel_share_one_reduction(n):
+    # seeded random n-bit maps: invertible ones by column operations on a
+    # unit triangular map, then made singular by replacing images with
+    # sums of the others
+    rng = random.Random(n)
+    for _ in range(4):
+        images = [1 << j | rng.randrange(1 << j) for j in range(n)]
+        for _ in range(2 * n if n > 1 else 0):
+            a, b = rng.sample(range(n), 2)
+            images[a] ^= images[b]
+        assert gf2_kernel_basis(images) == []
+        preimages = _unit_preimages(images)
+        assert [apply_map(images, p) for p in preimages] == [1 << i for i in range(n)]
+        for i in rng.sample(range(n), rng.randint(1, n)):
+            images[i] = apply_map(images, rng.randrange(1 << n) & ~(1 << i))
+        kernel = gf2_kernel_basis(images)
+        assert _unit_preimages(images) is None
+        assert kernel and all(apply_map(images, v) == 0 for v in kernel)
+        # the leading bits strictly increase, which keeps subfield_elements sorted
+        leads = [v.bit_length() for v in kernel]
+        assert leads == sorted(set(leads))
 
 
 def test_vector_helpers_match_scalar(ctx6):

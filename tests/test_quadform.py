@@ -342,7 +342,7 @@ def scalar_rank(ctx, k, b, c):
                 ^ ctx.mul(b, ctx.frobenius(z, k))
                 ^ ctx.mul(c, ctx.frobenius(z, ctx.half)))
 
-    return n - len(gf2_kernel_basis([lin_map(1 << j) for j in range(n)], n))
+    return n - len(gf2_kernel_basis([lin_map(1 << j) for j in range(n)]))
 
 
 def table_rank(ctx, k, b, c):
@@ -357,7 +357,7 @@ def table_rank(ctx, k, b, c):
     bq = 0 if b == 0 else int(ctx.antilog[(int(ctx.log[b]) << (n - k)) % group])
     images = [times(bq, j << (n - k)) ^ times(b, j << k) ^ times(c, j << ctx.half)
               for j in range(n)]
-    return n - len(gf2_kernel_basis(images, n))
+    return n - len(gf2_kernel_basis(images))
 
 
 def dual_points(ctx):

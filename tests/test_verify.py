@@ -161,6 +161,34 @@ def test_orbit_claims_match_full_pass(n, k):
     assert bundle.code.weight_histogram == all_eta_code_weights(bundle.ctx, k)
 
 
+@pytest.mark.parametrize("n,k", [(6, 2), (8, 1)])
+def test_rank_value_consistency_fails_on_one_moved_value_or_rank(monkeypatch, n, k):
+    ctx = make_field(n)
+    assert verify._claim_rank_value_consistency(verify._Bundle(ctx, k)).ok
+    bs, cs, _ = qf.orbit_classes(ctx, k)
+    last = (int(bs[-1]), int(cs[-1]))
+
+    def moved(params):  # one value of the last representative's spectrum changes sign
+        spec = qf.walsh_spectrum(params)
+        if (params.b, params.c) == last:
+            lam = np.flatnonzero(spec)[0]
+            spec[lam] = -spec[lam]
+        return spec
+
+    def shifted(by):  # the last representative's rank moves by `by`
+        def ranks(*args):
+            got = qf.symplectic_ranks(*args)
+            got[-1] += by
+            return got
+        return ranks
+
+    for name, fake in (("walsh_spectrum", moved), ("symplectic_ranks", shifted(2)),
+                       ("symplectic_ranks", shifted(-2))):
+        with monkeypatch.context() as m:
+            m.setattr(verify, name, fake)
+            assert not verify._claim_rank_value_consistency(verify._Bundle(ctx, k)).ok
+
+
 def test_affine_root_bound_is_the_grid_maximum(ctx4):
     ctx = ctx4
     result = verify._claim_affine_root_bound(verify._Bundle(ctx, 1))
