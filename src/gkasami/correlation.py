@@ -30,10 +30,10 @@ the part-two members whose whole decimation orbit is in the family (4097
 of 4111 at n = 8).  The pairs with a member in the rest R, R x all and
 P x R, take every shift.  This is a reindexing of the same inner
 products, not a sample, and no transform theory enters it.  Products are
-taken a block of row pairs, or for a small family of whole shifts, at a
-time, up to about one per cell (d1, d2), and one bincount over the 4^n
-cells tallies each block.  Memory stays O(m p) plus 2^20 float32 products,
-their intp casts and the cell counts (32 KB at n = 6, 128 MB at n = 12).
+taken a block of row pairs at a time, or for a small family several
+whole shifts at a time, so memory stays O(m p) plus one block of at most
+2^20 float32 products and their intp casts, and the 4^n cell counts of
+one tally (32 KB at n = 6, 8 MB at n = 10).
 
 The spectral engine never touches sequence bits and reads only the
 family's parameters: the correlation of two members at a given shift
@@ -199,10 +199,16 @@ def _shift_block(folded: np.ndarray, right: np.ndarray, tau: int, lo: int, hi: i
 
 def _tally(values: np.ndarray, index: np.ndarray, times: int, counts: np.ndarray) -> None:
     """Add the d1 and d2 of every folded product in values, times over, to
-    counts: one bincount over the 4^n cells (d1, d2), whose column sums are
-    the d1 counts and row sums the d2 counts.  index is intp scratch."""
+    counts: one bincount over the 4^n cells (d1, d2), or, for fewer products
+    than cells (small families), one 2^n-bin bincount each for d1 and d2.
+    index is intp scratch."""
     order = len(counts)
     np.add(values, _fold_offset(order - 1), out=index, casting="unsafe")
+    if len(index) < order * order:
+        low = np.bincount(index & (order - 1), minlength=order)
+        index >>= order.bit_length() - 1
+        counts += times * (low + np.bincount(index, minlength=order))
+        return
     cells = np.bincount(index, minlength=order * order).reshape(order, order)
     counts += times * (cells.sum(axis=0) + cells.sum(axis=1))
 
@@ -279,11 +285,13 @@ def _block_counts(left: np.ndarray, right: np.ndarray, taus: np.ndarray,
     if not len(left) or not m:
         return 0
     period, pairs, folded = len(columns), len(left) // 2, _fold(left)
-    # a tally bins its products over the 4^n cells (d1, d2), so it covers a
-    # row block at one shift, or whole shifts up to about one product per
-    # cell, within _BLOCK_VALUES
+    # a tally covers a row block at one shift, or whole shifts up to about
+    # one product per cell (d1, d2), within _BLOCK_VALUES; with fewer
+    # products than cells it bins d1 and d2 apart, and 2^16 of them will do
     cells, row = (period + 1) ** 2, max(pairs, 1) * m
     size = min(max(row, cells), _BLOCK_VALUES, taus.size * row)
+    if size < cells:
+        size = min(size, max(row, 1 << 16))
     buffers = np.empty(size, np.float32), np.empty(size, np.intp)
     counts = 0
     if pairs:

@@ -160,7 +160,8 @@ def test_fold_offset_refuses_inexact_periods():
 
 @pytest.mark.parametrize("size", [100, 256, 300])
 def test_tally_counts_d1_and_d2_whichever_way_it_bins(size):
-    # fewer, as many and more products than the 4^n = 256 cells (d1, d2)
+    # below 4^n = 256 products a tally bins d1 and d2 apart, from 256 on
+    # over the (d1, d2) cells; both must count the same
     rng = np.random.default_rng(size)
     d = rng.integers(0, 16, size=(2, size))
     values = (d[0] + 16 * d[1] - corr._fold_offset(15)).astype(np.float32)
