@@ -16,6 +16,8 @@ from . import correlation as corr
 from . import families as fam
 from . import fieldeq, theory, verify
 from .gf2n import (
+    N_MAX,
+    TABLE_MAX_N,
     FieldCtx,
     MalformedPolynomial,
     NonPrimitivePolynomial,
@@ -52,7 +54,20 @@ def _emit(obj: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _field(args) -> FieldCtx:
+def _refuse_past_tables(args) -> None:
+    """Every command but spectral corr reads 2^n-entry field tables, which a
+    context builds only up to TABLE_MAX_N; refuse a larger n before any work."""
+    if args.n > TABLE_MAX_N:
+        command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None),
+                                         getattr(args, "engine", None))))
+        raise TooLarge(f"{command} reads 2^n-entry field tables, built only for "
+                       f"n <= {TABLE_MAX_N} (TABLE_MAX_N), not n = {args.n}; "
+                       "past it only spectral corr runs")
+
+
+def _field(args, tables: bool = True) -> FieldCtx:
+    if tables:
+        _refuse_past_tables(args)
     poly = poly_from_hex(args.poly) if args.poly else None
     return make_field(args.n, poly)
 
@@ -110,7 +125,7 @@ def cmd_family_gen(args) -> int:
 
 
 def cmd_corr(args) -> int:
-    ctx = _field(args)
+    ctx = _field(args, tables=args.engine == "brute")
     kind = fam.FamilyKind(args.kind)
     k = _resolve_k(ctx, args, kind)
     params = fam.family_params(ctx, kind, k)
@@ -133,6 +148,7 @@ def cmd_corr(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _refuse_past_tables(args)
     if args.n not in verify.VERIFY_NS:
         print(f"verify supports n in {verify.VERIFY_NS}", file=sys.stderr)
         return EXIT_USAGE
@@ -188,7 +204,8 @@ def positive_int(text: str) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, with_k: bool = True) -> None:
-    p.add_argument("--n", type=int, required=True, help="field degree (even, 4..20)")
+    p.add_argument("--n", type=int, required=True,
+                   help=f"field degree (even, 4..{N_MAX}; above {TABLE_MAX_N} spectral corr only)")
     if with_k:
         p.add_argument("--k", type=int, default=None, help="exponent parameter")
     p.add_argument("--poly", type=str, default=None,

@@ -49,15 +49,22 @@ grid's spectra less its lam = 0 column are 2^n - 1 lam = 1 columns.
 The same substitution maps the form (b, c) to (b u^(2^k+1), c N(u)) and
 keeps its rank and W(0), so the ranks and W(0) of one form per orbit
 (quadform.orbit_classes: 2 + g1 + g2 forms, about 2^(n/2)), counted with
-the orbit sizes, give those of all 2^(3n/2).  The completion part against
+the orbit sizes, give those of all 2^(3n/2).  Both come from one pass,
+quadform.form_values: each representative's polar rows, eliminated one
+hyperbolic pair at a time, give its W(0) and its rank, with no transform
+column and no 2^n-entry table.  The completion part against
 itself is a whole-grid count too: a shift by tau moves the part-two tag
 (zeta, eta) to (zeta alpha^(tau (2^k+1)), eta beta^tau), and over all
 part-two tags and shifts these images meet every pair of E* x F* exactly
 once (E* x F for odd n/2).  So the triples of one tag (zeta1, eta1) meet
 the lam = 0 values of the whole E x F grid minus the row b = zeta1, and for
 even n/2 minus the column c = eta1 plus the cell (zeta1, eta1), each
-counted over the representatives by residues of logs mod g1 and g2.  Both
-engines produce identical exact histograms.
+counted over the representatives by residues of logs mod g1 and g2.  The
+small Kasami set needs one form, (0, 1): its rank fixes its spectrum, and
+quadform.walsh_at eliminates its polar rows once for its values at the
+2^(n/2) - 1 points alpha^s, as a vector of diagonals.  So the engine runs
+wherever a field context does, to n = 32.  Both engines produce identical
+exact histograms.
 
 Histograms count all ordered triples including the in-phase ones; the
 maximum-correlation statistic excludes i = j at shift 0 by removing one
@@ -345,17 +352,14 @@ def _weighted(values: np.ndarray, counts) -> ValueHistogram:
     return ValueHistogram(hist)
 
 
-def _lambda1_column(ctx, k: int, orbits, col0: ValueHistogram) -> ValueHistogram:
-    """Distribution of W_{b,c}(1) over all (b, c) in E x F, from the ranks of
-    the forms of orbits (quadform.orbit_classes), counted with their orbit
-    sizes, and the lam = 0 column col0 (module docstring)."""
+def _lambda1_column(ctx, ranks: np.ndarray, sizes, col0: ValueHistogram) -> ValueHistogram:
+    """Distribution of W_{b,c}(1) over all (b, c) in E x F, from the ranks
+    of the orbit representatives (quadform.orbit_classes), counted with
+    their orbit sizes, and the lam = 0 column col0 (module docstring)."""
     order = ctx.order
-    bs, cs, sizes = orbits
-    # float64 sums are exact: the sizes total 2^(3n/2) <= 2^30
-    halves = np.bincount(qf.symplectic_ranks(ctx, k, bs, cs) // 2, weights=sizes)
     every_lam = ValueHistogram()
-    for j, forms in enumerate(halves.astype(np.int64).tolist()):
-        every_lam.merge(qf.rank_spectrum(ctx.n, 2 * j), forms)
+    for rank, forms in _weighted(ranks, sizes).counts.items():
+        every_lam.merge(qf.rank_spectrum(ctx.n, rank), forms)
     every_lam.merge(col0, -1)
     if any(c % (order - 1) for c in every_lam.counts.values()):
         raise AssertionError("summed rank spectra are not 2^n - 1 equal columns")
@@ -410,10 +414,12 @@ def full_distribution_spectral(family: SequenceFamily) -> CorrelationReport:
         # the zero form c = 0: 2^n at lam = 0 (tau = 0), zero elsewhere
         walsh = ValueHistogram({order: sweep, 0: (group - 1) * sweep})
         # c != 0: W_{0,c}(lam) = W_{0,1}(lam u), N(u) = 1/c, over lam u in E
-        # minus {u}; over all c in F*, the u are alpha^s for s < 2^{n/2} - 1
-        norm = qf.walsh_spectrum(qf.QuadFormParams(ctx, k, 0, 1))
-        walsh.merge(ValueHistogram.from_array(norm), sweep * (sweep - 1))
-        walsh.merge(ValueHistogram.from_array(norm[ctx.powers(ctx.alpha, sweep - 1)]), -sweep)
+        # minus {u}; over all c in F*, the u are alpha^s for s < 2^{n/2} - 1.
+        # The form's rank fixes its spectrum over all of E
+        at_u, rank = qf.walsh_at(qf.QuadFormParams(ctx, k, 0, 1),
+                                 ctx.powers(ctx.alpha, sweep - 1))
+        walsh.merge(qf.rank_spectrum(ctx.n, rank), sweep * (sweep - 1))
+        walsh.merge(ValueHistogram.from_array(at_u), -sweep)
     else:
         # part one covers all of E x F: for a fixed shift the twisted tag
         # combinations sweep the grid bijectively, once per opposing tag, so
@@ -422,10 +428,10 @@ def full_distribution_spectral(family: SequenceFamily) -> CorrelationReport:
         # part one against part two, either way round, meets every lam != 0.
         grid = 1 << (3 * ctx.half)
         bs, cs, sizes = orbits = qf.orbit_classes(ctx, k)
-        w0 = qf.transform_column(ctx, k, [0, 1], 0)[cs, bs]  # W(0) at each representative
+        w0, ranks = qf.form_values(ctx, k, bs, cs)  # W(0) and rank at each representative
         col0 = _weighted(w0, sizes)
         walsh = col0.scaled(grid)
-        walsh.merge(_lambda1_column(ctx, k, orbits, col0),
+        walsh.merge(_lambda1_column(ctx, ranks, sizes, col0),
                     grid * (order - 2) + 2 * (family.size - grid) * group)
         walsh.merge(_completion_block(ctx, k, orbits, w0))
 

@@ -31,6 +31,17 @@ unnoticed):
     n=16 : x^16 + x^12 + x^3 + x + 1        -> 0x1100b
     n=18 : x^18 + x^7 + 1                   -> 0x40081
     n=20 : x^20 + x^3 + 1                   -> 0x100009
+    n=22 : x^22 + x + 1                     -> 0x400003
+    n=24 : x^24 + x^7 + x^2 + x + 1         -> 0x1000087
+    n=26 : x^26 + x^6 + x^2 + x + 1         -> 0x4000047
+    n=28 : x^28 + x^3 + 1                   -> 0x10000009
+    n=30 : x^30 + x^23 + x^2 + x + 1        -> 0x40800007
+    n=32 : x^32 + x^22 + x^2 + x + 1        -> 0x100400007
+
+Past n = TABLE_MAX_N (20) a context builds no 2^n-entry table: reading one
+raises TooLarge, naming it, and so do pow_vec and element_labels, which
+read them.  Scalar arithmetic, the LinearMaps and the 2^{n/2}-entry tables
+work up to N_MAX (32).
 """
 
 from __future__ import annotations
@@ -50,10 +61,19 @@ DEFAULT_POLYS: dict[int, int] = {
     16: 0x1100B,
     18: 0x40081,
     20: 0x100009,
+    22: 0x400003,
+    24: 0x1000087,
+    26: 0x4000047,
+    28: 0x10000009,
+    30: 0x40800007,
+    32: 0x100400007,
 }
 
 N_MIN = 4
-N_MAX = 20
+N_MAX = 32
+# the 2^n-entry tables (log, antilog, tr1, trh, walsh_perm, subfield_index)
+# are built only up to this n; past it reading one raises TooLarge
+TABLE_MAX_N = 20
 # powers FieldCtx.powers takes one step at a time before it starts doubling
 SCALAR_POWERS = 1 << 10
 # LinearMap.vec maps an array straight from the images while it picks at
@@ -154,7 +174,8 @@ class FieldCtx:
     the Frobenius map, trace is the parity of x & a mask, in_subfield tests
     x^(2^{n/2}) = x, and element_label takes the discrete log through
     F* x U (see _dlog).  The 2^n-entry tables are built on first read, in
-    O(2^n), for the engines that gather through them at small n.
+    O(2^n), for the engines that gather through them at small n, and only
+    up to n = TABLE_MAX_N: past it reading one raises TooLarge.
 
     Public attributes (all read-only; the numpy tables have their write
     flag cleared so a context can be shared freely across workers):
@@ -355,33 +376,44 @@ class FieldCtx:
 
     # -- tables built on first read -------------------------------------
 
+    def _require_table(self, name: str) -> None:
+        if self.n > TABLE_MAX_N:
+            raise TooLarge(f"the 2^n-entry table {name} is built only for n <= {TABLE_MAX_N} "
+                           f"(TABLE_MAX_N), not n = {self.n}")
+
     @cached_property
     def antilog(self) -> np.ndarray:
+        self._require_table("antilog")
         return _read_only(self.powers(self.alpha, self.group_order))
 
     @cached_property
     def log(self) -> np.ndarray:
+        self._require_table("log")
         log = np.full(self.order, -1, dtype=np.int32)
         log[self.antilog] = np.arange(self.group_order, dtype=np.int32)
         return _read_only(log.astype(np.int64))
 
     @cached_property
     def tr1(self) -> np.ndarray:
+        self._require_table("tr1")
         return _read_only(_linear_table([self._trace_mask >> j & 1 for j in range(self.n)],
                                         np.uint8))
 
     @cached_property
     def trh(self) -> np.ndarray:
+        self._require_table("trh")
         trh = np.zeros(self.order, dtype=np.uint8)
         trh[self.subfield_elements] = _linear_table(self._kernel_traces)
         return _read_only(trh)
 
     @cached_property
     def walsh_perm(self) -> np.ndarray:
+        self._require_table("walsh_perm")
         return _read_only(_linear_table(self._trace_masks))
 
     @cached_property
     def subfield_index(self) -> np.ndarray:
+        self._require_table("subfield_index")
         index = np.full(self.order, -1, dtype=np.int64)
         index[self.subfield_elements] = np.arange(1 << self.half)
         return _read_only(index)

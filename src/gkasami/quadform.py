@@ -1,28 +1,45 @@
 """Quadratic forms tr(b*x^(2^k+1)) + tr_half(c*x^(2^{n/2}+1)) on GF(2^n).
 
-Evaluates the forms and computes their symplectic ranks (batched over b)
-and exact Walsh (trace-transform) spectra.  fwht is the Hadamard transform
-of an integer array along its last axis: exact float32 matrix products by
-small Sylvester factors.  transform_column runs it on tables indexed by x
-and reindexes the result through walsh_perm.
+A form is read through its polar rows: the n x n polar form over the
+trace-dual basis d, with the values f(d_j) on the diagonal.  They are
+GF(2)-linear in b and in c, so two LinearMaps (_polar_map: the b part
+for each k, the c part once per context) give them for any batch of forms,
+from the alpha-ladders of d_j^(2^k) and delta d_j^(2^{n/2}); no 2^n-entry
+table is read.  In
+dual-basis coordinates y, tr(lam x) is the parity of lam & y, so lam's
+bits join the diagonal.
 
-A whole spectrum (walsh_spectrum) uses neither.  It works in dual-basis
-coordinates y, where tr(lam x) is the parity of lam & y, so its output is
-indexed directly by lam as a field element.  The form is g(y), and for
-y < 2^j, g(y + 2^j) = g(y) + g(e_j) + s_j.y, with s_j the low j bits of
-row j of its polar form.  So the sums W_j over the first j bits of y
-double one bit at a time,
+W and rank by elimination (form_values, walsh_at).  A form's transform
+value is fixed by its rank and Arf invariant: take out one hyperbolic pair
+(i, j) with B(d_i, d_j) = 1 at a time, which doubles W and adds a product
+of two linear terms to the rest; once no cross term is left, W is 0 if a
+free variable keeps a linear term and (-1)^sign 2^(n - pairs) otherwise,
+and the symplectic rank is twice the pairs.  form_values batches this over
+R forms in blocks of _FORM_BLOCK with numpy; walsh_at finds the pairs of
+one form once, in Python ints, and takes each out of a whole vector of
+diagonals, one per lam.  Both reach n = 32, where W = +-2^(n-j) still fits
+int64.
+
+Whole spectra (walsh_spectrum) double the sums over the dual-basis bits of
+y one bit at a time: for y < 2^j, g(y + 2^j) = g(y) + g(e_j) + s_j.y, with
+s_j the low j bits of polar row j, so
 W_{j+1}[mu + 2^j mu_j] = W_j[mu] + (-1)^(g(e_j) + mu_j) W_j[mu ^ s_j]:
 n steps of int32 additions, exact because |W_j| <= 2^j, worked inside the
-bytes of the int64 result.
+bytes of the int64 result, with no rank and no closed form.  fwht is the
+Hadamard transform of an integer array along its last axis, exact float32
+matrix products by small Sylvester factors, and transform_column (one
+lambda and one c, every b) runs it on tables indexed by x, reindexed
+through walsh_perm.  transform_column and symplectic_ranks (the rank as
+the GF(2)-rank of the n images of the radical's linearized map) share
+nothing with the elimination but the field, and walsh_spectrum shares only
+the polar rows: they are the independent side that verify and the tests
+check it against.
 
-Besides whole spectra (one form, every lambda) there are transform columns
-(one lambda and one c, every b).  Substituting x -> u*x gives
-W_{b,c}(lam) = W_{b u^(2^k+1), c N(u)}(lam u) with N(u) = u^(2^{n/2}+1),
-which moves any form with c != 0 to one with c = 1.  orbit_classes names
-one form per orbit of that substitution, with the orbit sizes, so rank,
-W(0) and spectrum-multiset questions over all forms reduce to about
-2^{n/2} of them.
+Substituting x -> u*x gives W_{b,c}(lam) = W_{b u^(2^k+1), c N(u)}(lam u)
+with N(u) = u^(2^{n/2}+1), which moves any form with c != 0 to one with
+c = 1.  orbit_classes names one form per orbit of that substitution, with
+the orbit sizes, so rank, W(0) and spectrum-multiset questions over all
+forms reduce to about 2^{n/2} of them.
 
 Every term of a form, of a family member and of a codeword is a trace
 row tr(a x^e) over x in E; trace_rows is the one builder of such rows.
@@ -31,6 +48,7 @@ row tr(a x^e) over x in E; trace_rows is the one builder of such rows.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +73,10 @@ _COLUMNS = np.arange(1 << 10)
 _COLUMNS.setflags(write=False)
 # forms symplectic_ranks reduces at once; bounds its n x block int64 images
 _RANK_BLOCK = 1 << 16
+# forms form_values eliminates at once; bounds its block x n int64 work arrays
+_FORM_BLOCK = 1 << 12
+# _polar_map per context and t, dropped with their context
+_POLAR_MAPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class InvalidK(ValueError):
@@ -239,31 +261,155 @@ def fwht(a) -> np.ndarray:
     return x.astype(np.int64)
 
 
-def _polar_rows(params: QuadFormParams) -> list[int]:
-    """The form's polar rows over the dual basis d of ctx, as n-bit ints.
+def _polar_map(ctx: FieldCtx, t: int) -> LinearMap:
+    """The LinearMap sending a to the polar rows of the form tr(x a' x^(2^t)),
+    with a' = a, or delta a for t = n/2: the b part (t = k) and the c part
+    (t = n/2) of every form.
 
-    Bit i of row j is B(d_j, d_i) for i != j and f(d_j) for i = j, where
+    Row j of a form's polar rows over the dual basis d of ctx is an n-bit
+    int: bit i is B(d_j, d_i) for i != j and bit j is f(d_j), where
     B(x, z) = f(x) + f(z) + f(x + z) is the polar form of the quadratic f.
     With delta = ctx.trh_lift, f(x) = tr(x w(x)) for the GF(2)-linear
     w(x) = b x^(2^k) + delta c x^(2^{n/2}), so all of it comes from the
     n by n matrix m[i, j] = tr(d_i w(d_j)): f(d_j) = m[j, j] and
     B(d_i, d_j) = m[i, j] + m[j, i].  As tr(d_i alpha^l) = 1 exactly when
     l = i, tr(d_i y) is bit i of y, so m[i, j] is bit i of w(d_j) and no
-    2^n-entry table is read.
+    2^n-entry table is read.  The rows are GF(2)-linear in b and in c, so
+    the map's images are the rows of the forms a = alpha^l, whose w(d_j)
+    are the alpha-ladders of a' d_j^(2^t).  Built once per context and t.
     """
+    maps = _POLAR_MAPS.setdefault(ctx, {})
+    if t not in maps:
+        twisted = ctx.frobenius_map(t).vec(ctx.dual_basis)
+        if t == ctx.half:
+            twisted = ctx.times_map(ctx.trh_lift).vec(twisted)
+        w = ctx.alpha_ladder.vec(twisted).T  # w[l, j] = w(d_j) of the form a = alpha^l
+        cols = np.arange(ctx.n)
+        # bit i of mt[l, j] is m[j, i], bit j of w[l, i]
+        mt = (((w[..., None] >> cols) & 1) << cols[:, None]).sum(axis=1)
+        maps[t] = LinearMap((w ^ mt) | (w & 1 << cols), ctx.half)
+    return maps[t]
+
+
+def _polar_rows(ctx: FieldCtx, k: int, bs, cs) -> np.ndarray:
+    """The polar rows (see _polar_map) of the forms (bs[r], cs[r]), as an
+    (R, n) int64 array; bs and cs are R field and subfield elements, not
+    checked here."""
+    bs, rows = np.asarray(bs), _polar_map(ctx, ctx.half).vec(cs)
+    if bs.any():  # forms (0, c), such as the small Kasami set's, need no b part
+        rows ^= _polar_map(ctx, k).vec(bs)
+    return rows
+
+
+def _drop_pair(q, sign, i, j, ri, rj) -> None:
+    """Take the hyperbolic pair (i, j) out of the diagonals q, in place.
+
+    With B_ij = 1, L1 and L2 the rest of rows i and j (ri, rj) and q_i, q_j
+    the diagonal bits, the form is y_i y_j + Q' + y_i (L1 + q_i)
+    + y_j (L2 + q_j) = y_i' y_j' + Q' + (L1 + q_i)(L2 + q_j), with
+    y_i' = y_i + L2 + q_j and y_j' = y_j + L1 + q_i.  Summing over y_i' and
+    y_j' doubles W and leaves Q' + L1 L2 + q_j L1 + q_i L2 + q_i q_j: the
+    diagonal gains ri & rj, q_i rj and q_j ri, and the constant q_i q_j
+    joins sign.  ri holds bit j and not bit i, and rj bit i and not bit j,
+    so the same update clears q_i and q_j.  Works on ints and on numpy
+    arrays that broadcast.
+    """
+    qi, qj = (q >> i) & 1, (q >> j) & 1
+    sign ^= qi & qj
+    q ^= (ri & rj) ^ qi * rj ^ qj * ri
+
+
+def _values(q, sign, n: int, pairs):
+    """W once every pair is out: 0 if a free variable keeps a linear term
+    (a set bit of q), else (-1)^sign 2^(pairs + free) = (-1)^sign 2^(n - pairs)."""
+    return np.where(q != 0, 0, (1 - 2 * sign) << (n - pairs))
+
+
+def _eliminate(rows: np.ndarray, lams) -> tuple[np.ndarray, np.ndarray]:
+    """W(lam) and the symplectic rank of R forms, by hyperbolic-pair elimination.
+
+    rows is the forms' (R, n) polar rows (_polar_rows), lams an int64 array
+    of field elements broadcast against (R, 1).  tr(lam x) is the parity of
+    lam & y in dual-basis coordinates, so lam's bits join the diagonal.
+    Each step takes one pair out of every form that still has a cross term
+    (_drop_pair): row i, its first nonzero row (argmax, as _row_ranks
+    picks pivots), and row j, j the lowest set bit of row i.  Every row l
+    gains row j where its bit i is set and row i where its bit j is, which
+    clears both columns.  At most n/2 steps; the rank is twice the pairs.
+    """
+    forms, n = rows.shape
+    unit = 1 << np.arange(n, dtype=np.int64)
+    q = np.bitwise_xor.reduce(rows & unit, axis=1)[:, None] ^ lams
+    rows = rows & ~unit
+    sign = np.zeros(q.shape, dtype=np.int64)
+    pairs = np.zeros(forms, dtype=np.int64)
+    at, cols = np.arange(forms), np.arange(n)
+    for _ in range(n // 2):
+        i = (rows != 0).argmax(axis=1)
+        ri = rows[at, i]
+        live = ri != 0
+        if not live.any():
+            break
+        bi = (ri[:, None] >> cols) & 1  # bit i of every row
+        j = bi.argmax(axis=1)
+        rj = rows[at, j]
+        rows ^= bi * rj[:, None] ^ ((rj[:, None] >> cols) & 1) * ri[:, None]
+        # a form with no cross term left has ri = rj = 0 and i = j = 0, so
+        # its q stays, and sign flips only if q has bit 0, when W is 0 anyway
+        _drop_pair(q, sign, i[:, None], j[:, None], ri[:, None], rj[:, None])
+        pairs += live
+    return _values(q, sign, n, pairs[:, None]), 2 * pairs
+
+
+def _eliminate_one(rows: list[int], lams: np.ndarray) -> tuple[np.ndarray, int]:
+    """_eliminate for one form, its polar rows as ints: W at every lam in
+    lams (an int64 array) and the rank.  The pairs depend on the rows alone,
+    so they are found once, in Python ints, and each one is taken out of
+    every diagonal at once."""
+    n = len(rows)
+    q = np.array(lams ^ sum(r & 1 << j for j, r in enumerate(rows)))  # an array even for one lam
+    rows = [r & ~(1 << j) for j, r in enumerate(rows)]
+    sign = np.zeros(q.shape, dtype=np.int64)
+    pairs = 0
+    for i in range(n):
+        ri = rows[i]
+        if ri:
+            j = (ri & -ri).bit_length() - 1
+            rj = rows[j]
+            rows = [r ^ (rj if r >> i & 1 else 0) ^ (ri if r >> j & 1 else 0) for r in rows]
+            _drop_pair(q, sign, i, j, ri, rj)
+            pairs += 1
+    return _values(q, sign, n, pairs), 2 * pairs
+
+
+def form_values(ctx: FieldCtx, k: int, bs: np.ndarray, cs: np.ndarray,
+                lams=0) -> tuple[np.ndarray, np.ndarray]:
+    """W_{b,c}(lam) and the symplectic rank of the forms (bs[r], cs[r]) at
+    lams[r], as int64 arrays of bs's length.
+
+    bs and cs are int64 arrays of R field and subfield elements, and lams
+    one field element or R of them; none is checked here (the spectral
+    engine passes orbit representatives).  The forms go through _polar_rows
+    and _eliminate _FORM_BLOCK at a time, so no array larger than a block
+    of n-bit rows is built and no 2^n-entry table is read.
+    """
+    lams = np.broadcast_to(lams, bs.shape)
+    w, rank = np.empty(bs.size, dtype=np.int64), np.empty(bs.size, dtype=np.int64)
+    for lo in range(0, bs.size, _FORM_BLOCK):
+        block = slice(lo, lo + _FORM_BLOCK)
+        at, rank[block] = _eliminate(_polar_rows(ctx, k, bs[block], cs[block]), lams[block, None])
+        w[block] = at[:, 0]
+    return w, rank
+
+
+def walsh_at(params: QuadFormParams, lams) -> tuple[np.ndarray, int]:
+    """W(lam) of one form at every lam in lams (field elements), as an int64
+    array of lams' shape, and its symplectic rank: one elimination of its
+    polar rows, with the lams as a vector of diagonals (_eliminate_one)."""
     ctx = params.ctx
-    n = ctx.n
-    b, dc = params.b, ctx.mul(ctx.trh_lift, params.c)
-    fk, fh = ctx.frobenius_map(params.k), ctx.frobenius_map(ctx.half)
-    w = [ctx.mul(b, fk(d)) ^ ctx.mul(dc, fh(d)) for d in ctx.dual_basis.tolist()]
-    # bit i of mt[j] is m[j, i]: one pass over the set bits of each w[i]
-    mt = [0] * n
-    for i, wi in enumerate(w):
-        while wi:
-            bit = wi & -wi
-            mt[bit.bit_length() - 1] |= 1 << i
-            wi ^= bit
-    return [(wj ^ mj) | (wj & 1 << j) for j, (wj, mj) in enumerate(zip(w, mt))]
+    lams = _field_elements(ctx, lams)
+    rows = _polar_rows(ctx, params.k, [params.b], [params.c])[0].tolist()
+    return _eliminate_one(rows, lams)
 
 
 def _step(cur: np.ndarray, tmp: np.ndarray, dst: np.ndarray, j: int, r: int) -> None:
@@ -342,7 +488,8 @@ def walsh_spectrum(params: QuadFormParams) -> np.ndarray:
     work = out.view(np.int32)
     cur, tmp = work[ctx.order : 3 * ctx.order // 2], work[3 * ctx.order // 2 :]
     cur[0] = 1
-    for j, r in enumerate(_polar_rows(params)):
+    rows = _polar_rows(ctx, params.k, [params.b], [params.c])[0].tolist()
+    for j, r in enumerate(rows):
         _step(cur, tmp, cur if j < ctx.n - 1 else work, j, r)
     return _widen(out)
 

@@ -167,6 +167,38 @@ def test_family_gen_refusal_leaves_no_out_file(capsys, no_members, tmp_path):
     assert code == 2 and not path.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["field", "info", "--n", "22"],
+    ["family", "gen", "--n", "24"],
+    ["corr", "--engine", "brute", "--force", "--n", "22"],
+    ["verify", "--n", "32"],
+    ["code", "weights", "--n", "22"],
+    ["census", "--n", "26"],
+], ids=["field-info", "family-gen", "brute-corr", "verify", "code-weights", "census"])
+def test_commands_past_the_table_cap_refuse_before_any_work(capsys, monkeypatch, argv):
+    def make_field(*args):
+        raise AssertionError("a field was built before the guard ran")
+
+    monkeypatch.setattr(cli, "make_field", make_field)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "n <= 20 (TABLE_MAX_N)" in err
+
+
+def test_corr_spectral_runs_past_the_table_cap(capsys):
+    code, out, _ = run(capsys, ["corr", "--n", "24", "--kind", "large-kasami"])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["match"] is True and obj["r_max"] == 8193
+
+
+def test_n_help_names_both_caps(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["corr", "--help"])
+    assert "4..32; above 20 spectral corr only" in " ".join(capsys.readouterr().out.split())
+
+
 def test_corr_spectral_n10(capsys):
     code, out, _ = run(capsys, ["corr", "--n", "10"])
     assert code == 0

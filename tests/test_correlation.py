@@ -444,16 +444,16 @@ def transformed_lambda0_column(ctx, k):
 
 
 def engine_lambda0(ctx, k):
-    """The engine's orbit listing, W(0) at each representative and the
-    lam = 0 column, as full_distribution_spectral builds them."""
+    """The engine's orbit listing, W(0) and the rank at each representative,
+    and the lam = 0 column, as full_distribution_spectral builds them."""
     orbits = qf.orbit_classes(ctx, k)
     bs, cs, sizes = orbits
-    w0 = qf.transform_column(ctx, k, [0, 1], 0)[cs, bs]
-    return orbits, w0, corr._weighted(w0, sizes)
+    w0, ranks = qf.form_values(ctx, k, bs, cs)
+    return orbits, w0, ranks, corr._weighted(w0, sizes)
 
 
 def engine_completion(ctx, k):
-    orbits, w0, _ = engine_lambda0(ctx, k)
+    orbits, w0, _, _ = engine_lambda0(ctx, k)
     return corr._completion_block(ctx, k, orbits, w0)
 
 
@@ -497,8 +497,8 @@ def full_rank_lambda1_column(ctx, k):
 
 
 def orbit_lambda1_column(ctx, k):
-    orbits, _, col0 = engine_lambda0(ctx, k)
-    return corr._lambda1_column(ctx, k, orbits, col0)
+    orbits, _, ranks, col0 = engine_lambda0(ctx, k)
+    return corr._lambda1_column(ctx, ranks, orbits[2], col0)
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in (8, 10, 12) for k in range(1, n) if qf.valid_k(n, k)]
@@ -512,35 +512,24 @@ def test_rank_lambda1_column_matches_fwht(n, k):
     assert got == fwht_lambda1_column(ctx, k)
 
 
-def test_lambda1_column_ranks_only_orbit_representatives(monkeypatch, ctx8):
+def test_spectral_engine_eliminates_the_representatives_once(monkeypatch, ctx8):
+    """W(0) and the ranks come from one elimination of the polar rows of
+    exactly the orbit representatives, at lam = 0."""
     calls = []
-    symplectic_ranks = qf.symplectic_ranks
+    eliminate = qf._eliminate
 
-    def ranks(ctx, k, bs, c):
-        calls.append((np.asarray(bs).tolist(), np.asarray(c).tolist()))
-        return symplectic_ranks(ctx, k, bs, c)
+    def spy(rows, lams):
+        calls.append((rows.copy(), np.array(lams)))
+        return eliminate(rows, lams)
 
-    monkeypatch.setattr(qf, "symplectic_ranks", ranks)
-    orbit_lambda1_column(ctx8, 1)
-    bs, cs, _ = qf.orbit_classes(ctx8, 1)
-    assert calls == [(bs.tolist(), cs.tolist())] and len(bs) == 2 + 3 + 15
-
-
-def test_spectral_engine_builds_the_lambda0_column_once(monkeypatch, ctx8):
-    """One transform column pair, read at the orbit representatives only."""
-    calls = []
-    transform_column = qf.transform_column
-
-    def column(ctx, k, c_list, lam):
-        out = transform_column(ctx, k, c_list, lam)
-        calls.append((list(c_list), lam, out.shape))
-        return out
-
-    monkeypatch.setattr(qf, "transform_column", column)
+    monkeypatch.setattr(qf, "_eliminate", spy)
     family = fam.build_family(fam.family_params(ctx8, "fk", 1))
     report = corr.full_distribution_spectral(family)
-    assert calls == [([0, 1], 0, (2, ctx8.order))]
     assert report.histogram == corr.predicted_histogram(family)
+    bs, cs, _ = qf.orbit_classes(ctx8, 1)
+    assert len(bs) == 2 + 3 + 15 and len(calls) == 1
+    rows, lams = calls[0]
+    assert np.array_equal(rows, qf._polar_rows(ctx8, 1, bs, cs)) and not lams.any()
 
 
 @pytest.mark.parametrize("n,k", [(8, 1), (10, 2), (12, 5)])
@@ -548,16 +537,30 @@ def test_lambda0_column_from_the_representatives(n, k):
     """W(0) at the representatives, counted with the orbit sizes, is the
     histogram of the c = 0 and c = 1 transform rows, c != 0 scaled to 1."""
     ctx = make_field(n)
-    assert engine_lambda0(ctx, k)[2] == transformed_lambda0_column(ctx, k)
+    assert engine_lambda0(ctx, k)[3] == transformed_lambda0_column(ctx, k)
 
 
 def test_rank_lambda1_column_refuses_inexact_division(ctx8):
-    orbits, _, col0 = engine_lambda0(ctx8, 1)
+    orbits, _, ranks, col0 = engine_lambda0(ctx8, 1)
     v = next(iter(col0.counts))  # one lam = 0 value moved: the counts no longer split evenly
     col0.add_value(v, -1)
     col0.add_value(v + 4)
     with pytest.raises(AssertionError):
-        corr._lambda1_column(ctx8, 1, orbits, col0)
+        corr._lambda1_column(ctx8, ranks, orbits[2], col0)
+
+
+def test_spectral_engine_uses_no_transform_or_rank_route(monkeypatch, ctx8):
+    """W(0), ranks and the small Kasami values come from the elimination
+    alone; transform columns, whole spectra and L-image ranks stay for
+    verify and the tests, as the independent side."""
+    def refuse(*args):
+        raise AssertionError("the spectral engine called an independent route")
+
+    for name in ("transform_column", "walsh_spectrum", "symplectic_ranks", "fwht"):
+        monkeypatch.setattr(qf, name, refuse)
+    for kind in ("fk", "small-kasami", "large-kasami"):
+        family = fam.build_family(fam.family_params(ctx8, kind, 1 if kind == "fk" else None))
+        assert corr.full_distribution_spectral(family).histogram == corr.predicted_histogram(family)
 
 
 def test_retired_scaling_helpers_are_gone():
@@ -565,17 +568,12 @@ def test_retired_scaling_helpers_are_gone():
     assert [name for name in ("scale_to_norm_one", "_times_alpha_pow") if hasattr(qf, name)] == []
 
 
-@pytest.mark.parametrize("kind", ["fk", "small-kasami"])
-@pytest.mark.parametrize("n", [16, 20])
-def test_spectral_engine_builds_no_field_table(n, kind, monkeypatch):
-    """Outside transform_column, corr builds none of the 2^n-entry tables
-    (gf2n builds them on first read).  For fk the stub takes its transform
-    column from a second context, so that its tables are not the ones
-    watched."""
-    ctx, other = make_field(n), make_field(n)
-    transform_column = qf.transform_column
-    monkeypatch.setattr(qf, "transform_column",
-                        lambda _, k, c_list, lam: transform_column(other, k, c_list, lam))
+@pytest.mark.parametrize("kind", ["fk", "small-kasami", "large-kasami"])
+@pytest.mark.parametrize("n", [8, 16, 20, 24])
+def test_spectral_engine_builds_no_field_table(n, kind):
+    """corr builds none of the 2^n-entry tables, which gf2n builds on first
+    read up to n = 20 and refuses past it."""
+    ctx = make_field(n)
     k = (2 if (n // 2) % 2 else 1) if kind == "fk" else None
     family = fam.build_family(fam.family_params(ctx, kind, k))
     report = corr.full_distribution_spectral(family)

@@ -8,10 +8,13 @@ from gkasami import families as fam
 from gkasami import quadform as qf
 from gkasami.gf2n import (
     DEFAULT_POLYS,
+    N_MAX,
     SCALAR_POWERS,
+    TABLE_MAX_N,
     LinearMap,
     NonDivisor,
     NonPrimitivePolynomial,
+    TooLarge,
     UnsupportedN,
     cyclotomic_classes,
     _unit_preimages,
@@ -55,7 +58,7 @@ def test_odd_n_rejected():
     with pytest.raises(UnsupportedN):
         make_field(2)
     with pytest.raises(UnsupportedN):
-        make_field(22)
+        make_field(N_MAX + 2)
 
 
 def test_reducible_poly_rejected():
@@ -104,7 +107,25 @@ def test_default_polys_all_primitive():
     for n, poly in DEFAULT_POLYS.items():
         ctx = make_field(n)
         assert ctx.n == n and ctx.poly == poly
-        assert len(ctx.antilog) == ctx.group_order and int(ctx.log[1]) == 0
+        if n <= TABLE_MAX_N:
+            assert len(ctx.antilog) == ctx.group_order and int(ctx.log[1]) == 0
+
+
+@pytest.mark.parametrize("n", range(TABLE_MAX_N + 2, N_MAX + 1, 2))
+def test_large_fields_pass_the_order_test_and_build_no_table(n):
+    # make_field runs FieldCtx's order test on the default polynomial; past
+    # TABLE_MAX_N every 2^n-entry table refuses, naming itself, while scalar
+    # arithmetic still agrees with repeated multiplication by alpha
+    ctx = make_field(n)
+    assert ctx.poly == DEFAULT_POLYS[n] and ctx.pow(ctx.alpha, ctx.group_order) == 1
+    assert ctx.pow(ctx.alpha, 37) == ctx.powers(ctx.alpha, 38)[-1]
+    assert ctx.element_label(ctx.beta) == f"a^{(1 << ctx.half) + 1}"
+    for name in LAZY_TABLES:
+        with pytest.raises(TooLarge, match=rf"table {name} is built only for n <= {TABLE_MAX_N}"):
+            getattr(ctx, name)
+    assert not set(LAZY_TABLES) & set(vars(ctx))
+    with pytest.raises(NonPrimitivePolynomial):
+        make_field(n, (1 << n) | 1)  # x^n + 1 = (x^(n/2) + 1)^2
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])

@@ -229,7 +229,9 @@ GOLDEN = {
 }
 
 
-# the spectral engine at the largest fields, about 0.3 s a case
+# the spectral engine at the largest fields, up to about 1 s a case.  Past
+# n = 20 no other engine runs: those digests were recorded by the elimination
+# engine, and exit 0 shows that each report equals its closed form
 GOLDEN_SLOW = {
     "corr --engine spectral --kind fk --n 18":
         "9dff664026df7b2ee6e9aa37f67b34ebd6113bc841454bb7b2e8102b31760163",
@@ -247,6 +249,42 @@ GOLDEN_SLOW = {
         "1ab8cf45e3fa3a4bb4d6120a28bf130ad701572799b3be083ee37925cc66532c",
     "corr --engine spectral --kind large-kasami --n 20":
         "65c9c5a246ee290b5253da05f0607650c5e50bc85770772e1c57173c811ba4f6",
+    "corr --engine spectral --kind fk --n 22":
+        "cb784979b2d4e84b13a7b13e5f628eb5e50c3e5733edead213967aba7ae19194",
+    "corr --engine spectral --kind small-kasami --n 22":
+        "9fc876c18fd5649018e25cc37dd94f3b5ac912e15782bd7b14d46c3c9de1c9d1",
+    "corr --engine spectral --kind large-kasami --n 22":
+        "6c613e096896d54991a1be8705d068744e8f5f8d99636a2826220d0231821447",
+    "corr --engine spectral --kind fk --n 24":
+        "e7eaa0762b641ccad4aca027f0812eda5d4826091c07e8cb1e8ab4f8f58b67d9",
+    "corr --engine spectral --kind small-kasami --n 24":
+        "aaf48b87c977973d34ab05acaacc27361def85f60113e30ae7d9f171e20c3e77",
+    "corr --engine spectral --kind large-kasami --n 24":
+        "7f4dc2dd4600090fa2cac95fa3a42d3d36496efa03dd7670429677000f363b98",
+    "corr --engine spectral --kind fk --n 26":
+        "fc5b0824325ea9e7a44bd7169e1af9d741e2415b0a59be029721c4afc89bcf20",
+    "corr --engine spectral --kind small-kasami --n 26":
+        "00b403b10ce79bd186959f73cdf97502865803d9d0d4d50e8057683a21389aeb",
+    "corr --engine spectral --kind large-kasami --n 26":
+        "5c2f8d9a3e80474f35ad9df6cbacaec977758c7c460de4de9ba0f21dcc671fcf",
+    "corr --engine spectral --kind fk --n 28":
+        "d3c56e85fdd0859d04f71e771c65ed531606e7dba854be9e09298b82677bb893",
+    "corr --engine spectral --kind small-kasami --n 28":
+        "1335319ae231f74ad32c3831ba0c0338bea633ceaf696061ef604603139dd7bd",
+    "corr --engine spectral --kind large-kasami --n 28":
+        "5f6414d1474ab5cdc78e59176dbd23d94d1c562b9c710bef9554a6e920c641a2",
+    "corr --engine spectral --kind fk --n 30":
+        "a35854f465626fa5b2f91eed467341d40e32634f27a20cab99500746bd120e52",
+    "corr --engine spectral --kind small-kasami --n 30":
+        "5be705517c3d6874d04fb57c6d713e5dd44178894d80401a1f886086dd6b3a1f",
+    "corr --engine spectral --kind large-kasami --n 30":
+        "7953b34a49e1170bae7e2654b6d29b0ece50199493d2e1f811086c4c58ba12f1",
+    "corr --engine spectral --kind fk --n 32":
+        "95b2f31faf73a67b0508fa08d3e18785a685b743f7146e1110dbfe18f49d783d",
+    "corr --engine spectral --kind small-kasami --n 32":
+        "80f00a00b58c32696d8a7cd876c9792068947995d413cf29d99dbbc20d8cb5ec",
+    "corr --engine spectral --kind large-kasami --n 32":
+        "38f64083fd74a2a3fb4f852f86c8a2a1984a006aa35105f30f697912b9e9422a",
 }
 
 

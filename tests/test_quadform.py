@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -254,7 +256,7 @@ def test_step_doubles_the_sums_over_the_dual_bits(monkeypatch, n, columns):
     for k in (k for k in range(1, n) if qf.valid_k(n, k)):
         params = qf.QuadFormParams(ctx, k, int(rng.integers(1, ctx.order)),
                                    int(rng.choice(ctx.subfield_elements)))
-        rows = qf._polar_rows(params)
+        rows = qf._polar_rows(ctx, k, [params.b], [params.c])[0].tolist()
         for j in range(n):
             cur, tmp = np.zeros(1 << n, dtype=np.int32), np.zeros(1 << n, dtype=np.int32)
             cur[: 1 << j] = direct_sums(params, j)
@@ -404,7 +406,7 @@ def test_polar_rows_match_the_truth_table(n):
         for b in (0, int(rng.integers(1, ctx.order))):
             params = qf.QuadFormParams(ctx, k, b, c)
             tt = qf.truth_table(params)[points]
-            rows = qf._polar_rows(params)
+            rows = qf._polar_rows(ctx, k, [b], [c])[0].tolist()
             assert len(rows) == n
             for j, row in enumerate(rows):
                 assert 0 <= row < ctx.order
@@ -667,3 +669,99 @@ def test_orbit_class_counts(n, k):
     assert sum(weights) == 1 << (3 * n // 2)
     assert cs.tolist() == [0, 1] + [0] * g1 + [1] * g2
     assert ctx.log[bs[2:]].tolist() == list(range(g1)) + list(range(g2))
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (4, 6, 8, 10, 12) for k in admissible_k(n)]
+                         + [pytest.param(n, k, marks=pytest.mark.slow)
+                            for n in (14, 16) for k in admissible_k(n)])
+def test_elimination_matches_transform_column_and_ranks(n, k):
+    """W(0) and the rank of every orbit representative by hyperbolic-pair
+    elimination equal W(0) read from the transform column (a Hadamard
+    transform over x) and symplectic_ranks (the L-image route)."""
+    ctx = make_field(n)
+    bs, cs, _ = qf.orbit_classes(ctx, k)
+    w0, ranks = qf.form_values(ctx, k, bs, cs)
+    assert np.array_equal(w0, qf.transform_column(ctx, k, [0, 1], 0)[cs, bs])
+    assert np.array_equal(ranks, qf.symplectic_ranks(ctx, k, bs, cs))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12, pytest.param(14, marks=pytest.mark.slow),
+                               pytest.param(16, marks=pytest.mark.slow)])
+def test_elimination_matches_walsh_spectrum_at_seeded_lams(n):
+    # seeded forms (the zero form and a c = 0 form among them) at seeded
+    # lam, batched over forms and one form over many lam
+    ctx = make_field(n)
+    rng = np.random.default_rng(300 + n)
+    sub = ctx.subfield_elements
+    for k in admissible_k(n):
+        bs, cs = rng.integers(0, ctx.order, 6), sub[rng.integers(0, sub.size, 6)]
+        bs[0] = cs[:2] = 0
+        lams = rng.integers(0, ctx.order, (6, 16))
+        w, ranks = (a.reshape(lams.shape)
+                    for a in qf.form_values(ctx, k, bs.repeat(16), cs.repeat(16), lams.ravel()))
+        for b, c, lam, got, rank in zip(bs.tolist(), cs.tolist(), lams, w, ranks):
+            params = qf.QuadFormParams(ctx, k, b, c)
+            want = qf.walsh_spectrum(params)[lam]
+            assert np.array_equal(got, want)
+            at, one_rank = qf.walsh_at(params, lam)
+            assert np.array_equal(at, want)
+            assert set(rank.tolist()) == {one_rank} == {int(qf.symplectic_ranks(ctx, k, b, c))}
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_elimination_matches_walsh_spectrum_everywhere(n):
+    # every form, rank-deficient and zero forms included, at every lam
+    ctx = make_field(n)
+    lams = np.arange(ctx.order)
+    for k in admissible_k(n):
+        for params in all_params(ctx, k):
+            want = qf.walsh_spectrum(params)
+            bs, cs = np.full(lams.size, params.b), np.full(lams.size, params.c)
+            got, ranks = qf.form_values(ctx, k, bs, cs, lams)
+            at, rank = qf.walsh_at(params, lams)
+            assert np.array_equal(got, want) and np.array_equal(at, want)
+            assert set(ranks.tolist()) == {rank} == {int(qf.symplectic_ranks(ctx, k, params.b, params.c))}
+
+
+@pytest.mark.parametrize("flip", ["pair", "diagonal"])
+def test_elimination_detects_one_flipped_polar_bit(ctx8, flip):
+    """One polar-form bit B(d_i, d_j) (bit j of row i and bit i of row j) or
+    one diagonal bit g(e_i) flipped is another form, so the elimination's
+    values over every lam then differ from walsh_spectrum's."""
+    rng = np.random.default_rng(8)
+    lams = np.arange(ctx8.order)
+    for k in admissible_k(8):
+        b, c = int(rng.integers(1, ctx8.order)), int(rng.choice(ctx8.subfield_elements))
+        want = qf.walsh_spectrum(qf.QuadFormParams(ctx8, k, b, c))
+        rows = qf._polar_rows(ctx8, k, [b], [c])
+        assert np.array_equal(qf._eliminate(rows, lams[None])[0][0], want)
+        assert np.array_equal(qf._eliminate_one(rows[0].tolist(), lams)[0], want)
+        i, j = rng.choice(8, 2, replace=False).tolist()
+        if flip == "pair":
+            rows[0, i] ^= 1 << j
+            rows[0, j] ^= 1 << i
+        else:
+            rows[0, i] ^= 1 << i
+        assert not np.array_equal(qf._eliminate(rows, lams[None])[0][0], want)
+        assert not np.array_equal(qf._eliminate_one(rows[0].tolist(), lams)[0], want)
+
+
+def test_form_values_blocking_keeps_values(monkeypatch, ctx8):
+    rng = np.random.default_rng(5)
+    bs = rng.integers(0, ctx8.order, 35)
+    cs = ctx8.subfield_elements[rng.integers(0, 16, 35)]
+    lams = rng.integers(0, ctx8.order, 35)
+    whole = qf.form_values(ctx8, 3, bs, cs, lams)
+    monkeypatch.setattr(qf, "_FORM_BLOCK", 4)
+    blocked = qf.form_values(ctx8, 3, bs, cs, lams)
+    assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
+
+
+def test_polar_maps_are_dropped_with_their_context():
+    ctx = make_field(6)
+    first = qf._polar_map(ctx, 2)
+    assert qf._polar_map(ctx, 2) is first
+    gone = weakref.ref(ctx)
+    del ctx, first
+    gc.collect()
+    assert gone() is None
