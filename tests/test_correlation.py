@@ -512,9 +512,8 @@ def test_rank_lambda1_column_matches_fwht(n, k):
     assert got == fwht_lambda1_column(ctx, k)
 
 
-def test_spectral_engine_eliminates_the_representatives_once(monkeypatch, ctx8):
-    """W(0) and the ranks come from one elimination of the polar rows of
-    exactly the orbit representatives, at lam = 0."""
+def spy_eliminate(monkeypatch):
+    """Record the (rows, lams) of every qf._eliminate call."""
     calls = []
     eliminate = qf._eliminate
 
@@ -523,11 +522,28 @@ def test_spectral_engine_eliminates_the_representatives_once(monkeypatch, ctx8):
         return eliminate(rows, lams)
 
     monkeypatch.setattr(qf, "_eliminate", spy)
+    return calls
+
+
+def test_lambda1_column_ranks_only_orbit_representatives(monkeypatch, ctx8):
+    """The ranks behind the lam = 1 column come from one elimination of the
+    polar rows of exactly the orbit representatives."""
+    calls = spy_eliminate(monkeypatch)
+    orbit_lambda1_column(ctx8, 1)
+    bs, cs, _ = qf.orbit_classes(ctx8, 1)
+    assert len(bs) == 2 + 3 + 15 and len(calls) == 1
+    assert np.array_equal(calls[0][0], qf._polar_rows(ctx8, 1, bs, cs))
+
+
+def test_spectral_engine_builds_the_lambda0_column_once(monkeypatch, ctx8):
+    """W(0) comes from one elimination at lam = 0, read at the orbit
+    representatives only."""
+    calls = spy_eliminate(monkeypatch)
     family = fam.build_family(fam.family_params(ctx8, "fk", 1))
     report = corr.full_distribution_spectral(family)
     assert report.histogram == corr.predicted_histogram(family)
     bs, cs, _ = qf.orbit_classes(ctx8, 1)
-    assert len(bs) == 2 + 3 + 15 and len(calls) == 1
+    assert len(calls) == 1
     rows, lams = calls[0]
     assert np.array_equal(rows, qf._polar_rows(ctx8, 1, bs, cs)) and not lams.any()
 
