@@ -55,14 +55,15 @@ def _emit(obj: dict, out_path: str | None) -> None:
 
 
 def _refuse_past_tables(args) -> None:
-    """Every command but spectral corr reads 2^n-entry field tables, which a
-    context builds only up to TABLE_MAX_N; refuse a larger n before any work."""
+    """Every command but field info and spectral corr reads 2^n-entry field
+    tables, which a context builds only up to TABLE_MAX_N; refuse a larger n
+    before any work."""
     if args.n > TABLE_MAX_N:
         command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None),
                                          getattr(args, "engine", None))))
         raise TooLarge(f"{command} reads 2^n-entry field tables, built only for "
                        f"n <= {TABLE_MAX_N} (TABLE_MAX_N), not n = {args.n}; "
-                       "past it only spectral corr runs")
+                       "past it only field info and spectral corr run")
 
 
 def _field(args, tables: bool = True) -> FieldCtx:
@@ -90,7 +91,7 @@ def _resolve_k(ctx: FieldCtx, args, kind: fam.FamilyKind) -> int:
 
 
 def cmd_field_info(args) -> int:
-    ctx = _field(args)
+    ctx = _field(args, tables=False)
     _emit(
         {
             "n": ctx.n,
@@ -205,7 +206,8 @@ def positive_int(text: str) -> int:
 
 def _add_common(p: argparse.ArgumentParser, with_k: bool = True) -> None:
     p.add_argument("--n", type=int, required=True,
-                   help=f"field degree (even, 4..{N_MAX}; above {TABLE_MAX_N} spectral corr only)")
+                   help=f"field degree (even, 4..{N_MAX}; above {TABLE_MAX_N} "
+                        "field info and spectral corr only)")
     if with_k:
         p.add_argument("--k", type=int, default=None, help="exponent parameter")
     p.add_argument("--poly", type=str, default=None,

@@ -12,8 +12,10 @@ Three kinds share one container:
 
 Each member is a codeword of the [2^n - 1, 5n/2] generalized Kasami code,
 the XOR of trace rows packed by packed_rows into uint8 rows (LSB of byte 0
-= t = 0), the one bit form of the engines.  tr(a x^e) is GF(2)-linear in a,
-so _span_rows builds the 2^n rows of every a from n basis rows.
+= t = 0), the one bit form of the engines.  Every row is an absolute trace
+tr(a x^e): the subfield part tr_h(c x^(2^{n/2}+1)) is the row of
+a = delta c, delta = ctx.trh_lift.  tr(a x^e) is GF(2)-linear in a, so
+_span_rows builds the 2^n rows of every a from n basis rows.
 member_blocks streams the members as packed blocks, whole gammas of part
 one per block and one block for part two, each with its tags as an int64
 array; write_family formats each block with whole-array operations, and
@@ -167,16 +169,17 @@ def sequence_term(params: FamilyParams, tag: SequenceTag, t: int) -> int:
     return ctx.trace(lin) ^ ctx.trace(ctx.mul(ctx.trh_lift, ctx.mul(c, xn)))
 
 
-def packed_rows(ctx: FieldCtx, coeffs, e: int, tr: np.ndarray) -> np.ndarray:
+def packed_rows(ctx: FieldCtx, coeffs, e: int) -> np.ndarray:
     """uint8 rows tr(a alpha^(t e)) over t = 0 .. 2^n - 2, one per a in coeffs,
     packed into ceil((2^n - 1)/8) bytes with bit t at bit t % 8 of byte t // 8.
 
-    The rows of quadform.trace_rows read at x = alpha^t; a = 0 packs to 0.
+    The rows of quadform.trace_rows read at x = alpha^t; a = 0 packs to 0,
+    and a = delta c packs the subfield trace tr_h(c alpha^(t e)).
     take keeps them C-ordered: [:, antilog] gives Fortran order, on which
     packbits, and unpackbits of every block cut from the result, run several
     times slower.
     """
-    rows = trace_rows(ctx, coeffs, e, tr).take(ctx.antilog, axis=1)
+    rows = trace_rows(ctx, coeffs, e).take(ctx.antilog, axis=1)
     return np.packbits(rows, axis=1, bitorder="little")
 
 
@@ -197,10 +200,10 @@ def _require_members(ctx: FieldCtx) -> None:
 
 
 def _span_rows(ctx: FieldCtx, e: int) -> np.ndarray:
-    """packed_rows(ctx, range(2^n), e, ctx.tr1): tr(a x^e) is GF(2)-linear in
+    """packed_rows(ctx, range(2^n), e): tr(a x^e) is GF(2)-linear in
     a, so the rows of every a in E, in integer order, are the XOR span of the
     n basis rows a = 2^i, built by doubling."""
-    return _linear_table(packed_rows(ctx, 1 << np.arange(ctx.n), e, ctx.tr1), np.uint8)
+    return _linear_table(packed_rows(ctx, 1 << np.arange(ctx.n), e), np.uint8)
 
 
 # packed rows per part-one member block: whole gammas (at least one) within
@@ -214,8 +217,8 @@ def _part_one_blocks(params: FamilyParams):
     ctx = params.ctx
     e1, e2 = exponents(ctx, params.k)
     deltas = ctx.subfield_elements
-    norm_m = (packed_rows(ctx, deltas, e2, ctx.trh)
-              ^ packed_rows(ctx, [1], 1, ctx.tr1))
+    norm_m = (packed_rows(ctx, ctx.scale_vec(ctx.trh_lift, deltas), e2)
+              ^ packed_rows(ctx, [1], 1))
     if params.kind == FamilyKind.SMALL_KASAMI:
         quad = np.zeros((1, norm_m.shape[1]), dtype=np.uint8)  # gamma = 0 only
     else:
@@ -235,8 +238,8 @@ def _part_two_blocks(params: FamilyParams):
     ctx = params.ctx
     e1, e2 = exponents(ctx, params.k)
     gset, dset = gamma_delta_sets(ctx)
-    quad = packed_rows(ctx, gset, e1, ctx.tr1)
-    norm = packed_rows(ctx, dset, e2, ctx.trh)
+    quad = packed_rows(ctx, gset, e1)
+    norm = packed_rows(ctx, ctx.scale_vec(ctx.trh_lift, dset), e2)
     pairs = np.stack([np.repeat(gset, len(dset)), np.tile(dset, len(gset))], axis=1)
     yield "zeta-eta", pairs, (quad[:, None] ^ norm[None]).reshape(-1, quad.shape[1])
 

@@ -11,8 +11,10 @@ multiplication by a constant, the Frobenius x -> x^(2^i), the alpha-ladder
 x -> (x alpha^j)_j) is a :class:`LinearMap`: a few inputs are mapped
 straight from the images of the basis, more through two 2^{n/2}-entry
 tables.  A context is built in O(2^{n/2}) and does its scalar arithmetic
-through these maps; the 2^n-entry log/antilog, trace and subfield tables
-are built on first read.
+through these maps; the 2^n-entry log/antilog, trace-pairing and
+subfield-index tables are built on first read.  Each trace has one route:
+tr(x) is the parity of x & a mask, over arrays tr(a y) is the parity of
+walsh_perm[a] & y, and the trace of y from F onto GF(2) is tr(delta y).
 
 The subfield F is never given its own bit width: it is the set of elements
 of E fixed by the (n/2)-fold Frobenius, and beta = alpha^(2^{n/2}+1)
@@ -71,8 +73,8 @@ DEFAULT_POLYS: dict[int, int] = {
 
 N_MIN = 4
 N_MAX = 32
-# the 2^n-entry tables (log, antilog, tr1, trh, walsh_perm, subfield_index)
-# are built only up to this n; past it reading one raises TooLarge
+# the 2^n-entry tables (log, antilog, walsh_perm, subfield_index) are
+# built only up to this n; past it reading one raises TooLarge
 TABLE_MAX_N = 20
 # powers FieldCtx.powers takes one step at a time before it starts doubling
 SCALAR_POWERS = 1 << 10
@@ -125,15 +127,15 @@ class LinearMap:
     array (up to _DIRECT_PICKS) straight from the images, the XOR of
     images[i] over the set bits i of each entry, so a map read only at a
     few points builds no table.  Larger arrays and calls read two tables
-    built on first use, of the map on the low `split` bits and on the rest,
-    so a map on n bits costs 2^{n/2} entries instead of 2^n:
-    m(x) = lo[x & low] ^ hi[x >> split].
+    built on first use, of the map on the low split = ceil(bits/2) bits
+    and on the rest, so a map on n bits costs 2^{n/2} entries instead of
+    2^n: m(x) = lo[x & low] ^ hi[x >> split].
     """
 
-    def __init__(self, images, split: int):
+    def __init__(self, images):
         self.images = np.asarray(images, dtype=np.int64)
-        self.split = split
-        self.low = (1 << split) - 1
+        self.split = (len(self.images) + 1) // 2
+        self.low = (1 << self.split) - 1
 
     @cached_property
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -167,8 +169,9 @@ class FieldCtx:
     Building one takes O(2^{n/2}) work: it builds LinearMaps (two
     2^{n/2}-entry tables each) for the reduction of a product and for
     squaring, and checks that alpha has order 2^n - 1 (by the orders of
-    beta and gamma, see _check_primitive), that the traces land in GF(2),
-    that F has 2^{n/2} elements and that the trace pairing is
+    beta and gamma, see _check_primitive), that the absolute trace lands
+    in GF(2), that F has 2^{n/2} elements, that delta + delta^(2^{n/2}) = 1
+    for the subfield trace's lift delta, and that the trace pairing is
     nondegenerate.  Scalar arithmetic needs no 2^n-entry table: mul is a
     carry-less product reduced through a map, pow and inv square through
     the Frobenius map, trace is the parity of x & a mask, in_subfield tests
@@ -203,9 +206,6 @@ class FieldCtx:
 
     log          : int64 array, log[x] = discrete log of x base alpha (log[0] = -1)
     antilog      : int64 array, antilog[i] = alpha^i for 0 <= i < 2^n - 1
-    tr1          : uint8 array, tr1[x] = absolute trace of x
-    trh          : uint8 array, trh[y] = trace of y from F onto GF(2)
-                   (meaningful only for y in F; 0 elsewhere)
     subfield_index    : int64 array, position of y within subfield_elements (-1 off F)
     walsh_perm        : int64 array, the trace pairing as bit masks:
                         tr(lam*x) is the parity of walsh_perm[lam] & x, so
@@ -235,8 +235,8 @@ class FieldCtx:
             powers.append(x)
             x = self._times_alpha(x)
         self._alpha_powers = np.array(powers, dtype=np.int64)
-        self._reduce = LinearMap(powers[n:], self.half)  # bits n .. 2n-2 of a product
-        self._square = LinearMap(powers[::2], self.half)
+        self._reduce = LinearMap(powers[n:])  # bits n .. 2n-2 of a product
+        self._square = LinearMap(powers[::2])
         # images of the basis under x -> x^(2^i), for every i < n
         images = [np.array(powers[:n], dtype=np.int64)]
         for _ in range(n - 1):
@@ -289,11 +289,9 @@ class FieldCtx:
 
     def _build_subfield(self) -> None:
         images, half = self._frobenius_images, self.half
-        # bit j of the absolute trace mask is tr(alpha^j); half_trace[j] is
-        # the sum of alpha^(j 2^i) over i < n/2, so the trace from F onto
-        # GF(2) of y in F is the XOR of half_trace[j] over the set bits j of y
-        half_trace = np.bitwise_xor.reduce(images[:half])
-        tr = (half_trace ^ np.bitwise_xor.reduce(images[half:])).tolist()
+        # bit j of the absolute trace mask is tr(alpha^j), the sum of the n
+        # Frobenius images of alpha^j
+        tr = np.bitwise_xor.reduce(images).tolist()
         if set(tr) - {0, 1}:
             raise AssertionError("absolute trace must land in GF(2)")
         self._trace_mask = sum(t << j for j, t in enumerate(tr))
@@ -305,19 +303,16 @@ class FieldCtx:
         # kernel vector i has leading bit j_i with j_0 < j_1 < ..., so the
         # table of their combinations is already in increasing order
         self.subfield_elements = _linear_table(kernel)
-        half_trace = half_trace.tolist()
-        self._kernel_traces = [0] * half
-        for i, y in enumerate(kernel):
-            for j, t in enumerate(half_trace):
-                if y >> j & 1:
-                    self._kernel_traces[i] ^= t
-        if set(self._kernel_traces) - {0, 1}:
-            raise AssertionError("subfield trace must land in GF(2)")
         # a basis element off F has t = alpha^j + alpha^(j 2^{n/2}) in F*, so
         # 1/t = t^(2^{n/2} - 2), and delta = alpha^j / t has delta + delta^(2^{n/2}) = 1
         j = next(j for j, t in enumerate(half_images) if t)
         t = half_images[j]
         self.trh_lift = self._mul(1 << j, self._raw_pow(t, (1 << half) - 2))
+        lifted = 0  # delta + delta^(2^{n/2}), the XOR of the images of delta's bits
+        for i, image in enumerate(half_images):
+            lifted ^= image if self.trh_lift >> i & 1 else 0
+        if lifted != 1:
+            raise AssertionError("subfield trace lift must have delta + delta^(2^{n/2}) = 1")
 
     def _build_dual_basis(self, powers: list[int]) -> None:
         # bit m of packed is tr(alpha^m), and bit i of masks[j] is
@@ -333,7 +328,7 @@ class FieldCtx:
         """x -> x^(2^i) as a LinearMap, built once per i (i may be any integer; period n)."""
         i %= self.n
         if i not in self._frobenius_maps:
-            self._frobenius_maps[i] = LinearMap(self._frobenius_images[i], self.half)
+            self._frobenius_maps[i] = LinearMap(self._frobenius_images[i])
         return self._frobenius_maps[i]
 
     def times_map(self, c: int) -> LinearMap:
@@ -341,7 +336,7 @@ class FieldCtx:
         images = [self._element(c)]
         for _ in range(self.n - 1):
             images.append(self._times_alpha(images[-1]))
-        return LinearMap(images, self.half)
+        return LinearMap(images)
 
     def powers(self, g: int, count: int) -> np.ndarray:
         """int64 array [g^0, g^1, ..., g^(count - 1)].
@@ -371,8 +366,7 @@ class FieldCtx:
         """x -> (x alpha^j for j < n) as a LinearMap with n-vector images, so
         alpha_ladder.vec(xs) has a last axis of length n."""
         # the image of alpha^i is (alpha^(i+j))_j
-        return LinearMap(self._alpha_powers[np.add.outer(np.arange(self.n), np.arange(self.n))],
-                         self.half)
+        return LinearMap(self._alpha_powers[np.add.outer(np.arange(self.n), np.arange(self.n))])
 
     # -- tables built on first read -------------------------------------
 
@@ -392,19 +386,6 @@ class FieldCtx:
         log = np.full(self.order, -1, dtype=np.int32)
         log[self.antilog] = np.arange(self.group_order, dtype=np.int32)
         return _read_only(log.astype(np.int64))
-
-    @cached_property
-    def tr1(self) -> np.ndarray:
-        self._require_table("tr1")
-        return _read_only(_linear_table([self._trace_mask >> j & 1 for j in range(self.n)],
-                                        np.uint8))
-
-    @cached_property
-    def trh(self) -> np.ndarray:
-        self._require_table("trh")
-        trh = np.zeros(self.order, dtype=np.uint8)
-        trh[self.subfield_elements] = _linear_table(self._kernel_traces)
-        return _read_only(trh)
 
     @cached_property
     def walsh_perm(self) -> np.ndarray:
@@ -563,7 +544,9 @@ def _field_elements(ctx: FieldCtx, xs) -> np.ndarray:
     """xs as an int64 array; ValueError unless every entry lies in [0, 2^n)."""
     xs = np.asarray(xs, dtype=np.int64)
     if xs.size and (xs.min() < 0 or xs.max() >= ctx.order):
-        raise ValueError(f"field elements must lie in [0, {ctx.order})")
+        bad = xs[(xs < 0) | (xs >= ctx.order)][0]
+        raise ValueError(f"{bad} is not an element of GF(2^{ctx.n}): "
+                         f"field elements must lie in [0, {ctx.order})")
     return xs
 
 

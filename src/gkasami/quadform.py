@@ -161,20 +161,21 @@ def eval_f(params: QuadFormParams, x: int) -> int:
     return t1 ^ t2
 
 
-def trace_rows(ctx: FieldCtx, coeffs, e: int, tr: np.ndarray) -> np.ndarray:
+def trace_rows(ctx: FieldCtx, coeffs, e: int) -> np.ndarray:
     """uint8 rows tr(a x^e) over x in E, one per a in coeffs; 0 at x = 0.
 
-    tr is the trace table to apply: ctx.tr1, or ctx.trh when a and x^e lie
-    in the subfield F.  Rows are indexed by x in integer order.  Raises
-    ValueError unless every a is a field element, 0 <= a < 2^n.
+    x^e is computed once, and row a is the parity of walsh_perm[a] & x^e.
+    The trace of c x^e from F onto GF(2), for c in F and x^e in F, is the
+    row of a = delta c, delta = ctx.trh_lift.  Rows are indexed by x in
+    integer order.  Raises ValueError unless every a is a field element,
+    0 <= a < 2^n.
     """
     coeffs = _field_elements(ctx, coeffs)
-    group = ctx.group_order
-    log_xe = e * ctx.log[1:]  # reduced mod group once per row, below
-    rows = np.zeros((coeffs.size, ctx.order), dtype=np.uint8)
-    for i, log_a in enumerate(ctx.log[coeffs].tolist()):
-        if log_a >= 0:
-            rows[i, 1:] = tr[ctx.antilog[(log_a + log_xe) % group]]
+    xe = ctx.pow_vec(np.arange(ctx.order, dtype=np.int64), e)
+    rows = np.empty((coeffs.size, ctx.order), dtype=np.uint8)
+    for row, mask in zip(rows, ctx.walsh_perm[coeffs].tolist()):
+        np.bitwise_count(xe & mask, out=row)
+    rows &= 1
     return rows
 
 
@@ -182,14 +183,14 @@ def truth_table(params: QuadFormParams) -> np.ndarray:
     """uint8 array of the form's values over all of E, indexed by x."""
     ctx = params.ctx
     e1, e2 = exponents(ctx, params.k)
-    return (trace_rows(ctx, [params.b], e1, ctx.tr1)
-            ^ trace_rows(ctx, [params.c], e2, ctx.trh))[0]
+    return (trace_rows(ctx, [params.b], e1)
+            ^ trace_rows(ctx, [ctx.mul(ctx.trh_lift, params.c)], e2))[0]
 
 
 def walsh_point(params: QuadFormParams, lam: int) -> int:
     """Exact transform value sum_x (-1)^(f(x) + tr(lam*x)) by direct summation."""
     ctx = params.ctx
-    tt = truth_table(params) ^ ctx.tr1[ctx.scale_vec(lam, np.arange(ctx.order))]
+    tt = trace_rows(ctx, [lam], 1)[0] ^ truth_table(params)
     return int(ctx.order - 2 * int(tt.sum()))
 
 
@@ -287,7 +288,7 @@ def _polar_map(ctx: FieldCtx, t: int) -> LinearMap:
         cols = np.arange(ctx.n)
         # bit i of mt[l, j] is m[j, i], bit j of w[l, i]
         mt = (((w[..., None] >> cols) & 1) << cols[:, None]).sum(axis=1)
-        maps[t] = LinearMap((w ^ mt) | (w & 1 << cols), ctx.half)
+        maps[t] = LinearMap((w ^ mt) | (w & 1 << cols))
     return maps[t]
 
 
@@ -536,7 +537,7 @@ def _rank_maps(ctx: FieldCtx, k: int) -> tuple[LinearMap, LinearMap]:
     basis = ladder.images[:, 0]
     b_images = ladder.images ^ ctx.frob_vec(ladder.vec(ctx.frob_vec(basis, n - k)), 2 * k)
     c_images = ctx.frob_vec(ladder.images, k + ctx.half)
-    return LinearMap(b_images, ctx.half), LinearMap(c_images, ctx.half)
+    return LinearMap(b_images), LinearMap(c_images)
 
 
 def _row_ranks(rows: np.ndarray) -> np.ndarray:
@@ -599,9 +600,9 @@ def transform_column(ctx: FieldCtx, k: int, c_list, lam: int) -> np.ndarray:
         raise TooLarge(f"transform column of {rows}x{order} exceeds the memory cap")
     e1, e2 = exponents(ctx, k)
     y = ctx.pow_vec(np.arange(order, dtype=np.int64), e1)
-    odd = trace_rows(ctx, c_list, e2, ctx.trh)
+    odd = trace_rows(ctx, ctx.scale_vec(ctx.trh_lift, c_list), e2)
     if lam:
-        odd ^= ctx.tr1[ctx.scale_vec(lam, np.arange(order))]
+        odd ^= trace_rows(ctx, [lam], 1)[0]
     # G = (preimage count) - 2 * (preimages with an odd exponent)
     row_y = np.arange(rows, dtype=np.int64)[:, None] * order + y
     neg = np.bincount(row_y[odd == 1], minlength=rows * order).reshape(rows, order)

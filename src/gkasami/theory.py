@@ -443,8 +443,9 @@ class CodeSpec:
     Codeword positions are indexed by t with x = alpha^t, t = 0 .. 2^n - 2,
     matching the sequence-time convention used elsewhere.  The codeword of
     (gamma, delta, eta) is the XOR of the trace rows tr(gamma x),
-    tr(delta x^(2^k+1)) and tr_h(eta x^(2^{n/2}+1)), as families.packed_rows
-    packs them; the spec keeps only the weight enumerator, which is all the
+    tr(delta x^(2^k+1)) and tr_h(eta x^(2^{n/2}+1)) = tr(delta' eta
+    x^(2^{n/2}+1)), delta' = ctx.trh_lift, as families.packed_rows packs
+    them; the spec keeps only the weight enumerator, which is all the
     weight-based functions read.
     """
 
@@ -490,8 +491,8 @@ def build_code(ctx: FieldCtx, k: int) -> CodeSpec:
     period = ctx.group_order
     deltas, etas, weights = orbit_classes(ctx, k)
     lin = sign_rows(_span_rows(ctx, 1), period)
-    rest = sign_rows(packed_rows(ctx, deltas, e1, ctx.tr1)
-                     ^ packed_rows(ctx, etas, e2, ctx.trh), period)
+    rest = sign_rows(packed_rows(ctx, deltas, e1)
+                     ^ packed_rows(ctx, ctx.scale_vec(ctx.trh_lift, etas), e2), period)
     counts = _code_weight_counts(lin, rest, weights)
     return CodeSpec(
         ctx=ctx,

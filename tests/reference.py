@@ -11,9 +11,11 @@ doubles the sum over the dual-basis bits from the form's polar rows.
 dual_truth_table fills all 2^n entries of the dual-basis table from the
 form's own n by n matrix, built from alpha-ladders rather than from
 walsh_spectrum's polar rows; fwht of it is a whole spectrum indexed by
-lambda.  code_tables packs every
-trace row with np.packbits, so it shares with families.packed_rows only
-the trace rows.  brute_histogram takes one plain +-1 product per shift, with
+lambda.  spectra_block and code_tables build their rows with
+quadform.trace_rows, the subfield trace tr_h(c y) as the row of
+tr(delta c y), delta = ctx.trh_lift; code_tables packs every trace row
+with np.packbits, so it shares with families.packed_rows only the trace
+rows.  brute_histogram takes one plain +-1 product per shift, with
 no folding of row pairs and no orbits of shifts.  theta_root_counts_full
 evaluates the kernel and reduced equations at every theta, and
 affine_root_max_full and rank_deficient_b_counts_full scan every theta and
@@ -47,8 +49,8 @@ def spectra_block(ctx: FieldCtx, k: int, b_list, c_list) -> np.ndarray:
             f"spectra block of {len(b_list)}x{len(c_list)}x{order} exceeds the memory cap"
         )
     e1, e2 = qf.exponents(ctx, k)
-    u = qf.trace_rows(ctx, b_list, e1, ctx.tr1)
-    v = qf.trace_rows(ctx, c_list, e2, ctx.trh)
+    u = qf.trace_rows(ctx, b_list, e1)
+    v = qf.trace_rows(ctx, ctx.scale_vec(ctx.trh_lift, c_list), e2)
     return qf.fwht(1 - 2 * (u[:, None, :] ^ v[None, :, :]).view(np.int8))[..., ctx.walsh_perm]
 
 
@@ -106,12 +108,12 @@ def code_tables(ctx: FieldCtx, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """
     e1, e2 = qf.exponents(ctx, k)
 
-    def pack(coeffs, e, tr):
-        rows = qf.trace_rows(ctx, coeffs, e, tr)[:, ctx.antilog]
+    def pack(coeffs, e):
+        rows = qf.trace_rows(ctx, coeffs, e)[:, ctx.antilog]
         return np.packbits(rows, axis=1, bitorder="little")
 
-    return (pack(range(ctx.order), 1, ctx.tr1), pack(range(ctx.order), e1, ctx.tr1),
-            pack(ctx.subfield_elements, e2, ctx.trh))
+    return (pack(range(ctx.order), 1), pack(range(ctx.order), e1),
+            pack(ctx.scale_vec(ctx.trh_lift, ctx.subfield_elements), e2))
 
 
 def codeword(ctx: FieldCtx, tables, gamma: int, delta: int, eta: int) -> int:

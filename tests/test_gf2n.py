@@ -1,5 +1,7 @@
 import math
 import random
+from functools import cached_property, reduce
+from operator import xor
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from gkasami.gf2n import (
     N_MAX,
     SCALAR_POWERS,
     TABLE_MAX_N,
+    FieldCtx,
     LinearMap,
     NonDivisor,
     NonPrimitivePolynomial,
@@ -153,8 +156,11 @@ def test_tables_match_scalar_reference(n):
             acc ^= y
             y = raw_mul(y, y, poly, n)
         tr1.append(acc)
-    assert ctx.tr1.tolist() == tr1
-    assert ctx.trh.tolist() == trh
+    # the array trace (through walsh_perm), the scalar one, and the subfield
+    # trace of y in F as tr(delta y)
+    assert qf.trace_rows(ctx, [1], 1)[0].tolist() == tr1
+    assert [ctx.trace(x) for x in range(order)] == tr1
+    assert [ctx.trace(ctx.mul(ctx.trh_lift, y)) if in_f[y] else 0 for y in range(order)] == trh
     assert (ctx.subfield_index >= 0).tolist() == in_f
     elements = [x for x in range(order) if in_f[x]]
     assert ctx.subfield_elements.tolist() == elements
@@ -164,7 +170,6 @@ def test_tables_match_scalar_reference(n):
     assert ctx.subfield_index.tolist() == index
     for name in ("log", "antilog", "subfield_elements", "subfield_index", "walsh_perm"):
         assert getattr(ctx, name).dtype == np.int64
-    assert ctx.tr1.dtype == ctx.trh.dtype == np.uint8
     if n <= 6:
         # walsh_perm: tr(lam * x) = <walsh_perm[lam], x> for every lam and x
         for lam in range(order):
@@ -181,6 +186,32 @@ def raw_frobenius_images(x, poly, n, count):
     return images
 
 
+def raw_trace_mask(poly, n):
+    """The mask whose parity with x is tr(x): bit j is the sum of the n
+    Frobenius images of alpha^j, by raw squaring."""
+    return sum(int(np.bitwise_xor.reduce(raw_frobenius_images(1 << j, poly, n, n - 1))) << j
+               for j in range(n))
+
+
+def raw_mul_vec(a, b, poly, n):
+    """raw_mul elementwise over broadcast int64 arrays (no tables)."""
+    a, b = (np.array(v, dtype=np.int64) for v in np.broadcast_arrays(a, b))
+    acc = np.zeros_like(a)
+    for _ in range(n):
+        acc ^= np.where(b & 1, a, 0)
+        a <<= 1
+        a ^= np.where(a >> n, poly, 0)
+        b >>= 1
+    return acc
+
+
+def raw_pow2_vec(x, poly, n, i):
+    """x^(2^i) elementwise, by i raw squarings."""
+    for _ in range(i):
+        x = raw_mul_vec(x, x, poly, n)
+    return x
+
+
 @pytest.mark.parametrize("n", [14, 16, 18, 20])
 def test_tables_match_reference_at_large_n(n):
     # every table against whole-array shift-and-reduce and scalar raw
@@ -195,29 +226,40 @@ def test_tables_match_reference_at_large_n(n):
     assert int(ctx.log[0]) == -1
     assert np.array_equal(ctx.log[antilog], np.arange(group))
     # the absolute trace is linear: tr(x) is the parity of x & mask
-    mask = sum(np.bitwise_xor.reduce(raw_frobenius_images(1 << j, poly, n, n - 1)) << j
-               for j in range(n))
+    mask = raw_trace_mask(poly, n)
     x = np.arange(order, dtype=np.int64)
-    assert np.array_equal(ctx.tr1, np.bitwise_count(x & mask) & 1)
-    # F is the 2^{n/2} fixed points of x -> x^(2^{n/2}); trh sums the
-    # first n/2 Frobenius images
+    assert np.array_equal(qf.trace_rows(ctx, [1], 1)[0], np.bitwise_count(x & mask) & 1)
+    # F is the 2^{n/2} fixed points of x -> x^(2^{n/2}); the trace from F
+    # onto GF(2) sums the first n/2 Frobenius images
     elements = ctx.subfield_elements.tolist()
     assert len(elements) == 1 << half and elements == sorted(set(elements))
     images = [raw_frobenius_images(y, poly, n, half) for y in elements]
     assert all(im[half] == y for y, im in zip(elements, images))
     traces = [np.bitwise_xor.reduce(im[:half]) for im in images]
     assert np.array_equal(np.flatnonzero(ctx.subfield_index >= 0), elements)
-    trh = np.zeros(order, dtype=np.uint8)
-    trh[elements] = traces
-    assert np.array_equal(ctx.trh, trh)
-    # the scalar subfield trace that eval_f and sequence_term read
+    # the subfield trace as tr(delta y), through the rows and the scalar trace
+    assert np.array_equal(qf.trace_rows(ctx, [ctx.trh_lift], 1)[0][elements], traces)
     assert np.array_equal([ctx.trace(ctx.mul(ctx.trh_lift, y)) for y in elements], traces)
     for name in ("log", "antilog", "subfield_elements"):
         assert getattr(ctx, name).dtype == np.int64
-    assert ctx.tr1.dtype == ctx.trh.dtype == np.uint8
 
 
-LAZY_TABLES = ("log", "antilog", "tr1", "trh", "walsh_perm", "subfield_index")
+LAZY_TABLES = ("log", "antilog", "walsh_perm", "subfield_index")
+
+
+def test_lazy_tables_are_the_four_2n_entry_tables():
+    # every cached property of a context that refuses past TABLE_MAX_N is
+    # one of LAZY_TABLES, and each of them refuses
+    ctx = make_field(TABLE_MAX_N + 2)
+    refusing = []
+    for name, attr in vars(FieldCtx).items():
+        if isinstance(attr, cached_property):
+            try:
+                getattr(ctx, name)
+            except TooLarge:
+                refusing.append(name)
+    assert LAZY_TABLES == ("log", "antilog", "walsh_perm", "subfield_index")
+    assert sorted(refusing) == sorted(LAZY_TABLES)
 
 
 @pytest.mark.parametrize("n", [8, 16, 20])
@@ -240,9 +282,12 @@ def test_rarely_read_tables_are_built_on_first_read(n):
         assert not got.flags.writeable and getattr(ctx, name) is got
     if n > 16:
         return
-    # walsh_perm[lam] has bit i = tr(lam alpha^i); alpha^i is 1 << i
+    # walsh_perm[lam] has bit i = tr(lam alpha^i); alpha^i is 1 << i, and
+    # tr(x) is the parity of x & mask, bit j of mask = tr(alpha^j)
     lams = np.arange(ctx.order, dtype=np.int64)
-    perm = sum(ctx.tr1[ctx.scale_vec(1 << i, lams)].astype(np.int64) << i for i in range(n))
+    mask = sum(ctx.trace(1 << j) << j for j in range(n))
+    perm = sum((np.bitwise_count(ctx.scale_vec(1 << i, lams) & mask).astype(np.int64) & 1) << i
+               for i in range(n))
     index = np.full(ctx.order, -1, dtype=np.int64)
     index[ctx.subfield_elements] = np.arange(1 << ctx.half)
     for name, want in (("walsh_perm", perm), ("subfield_index", index)):
@@ -278,7 +323,8 @@ def test_scalar_ops_match_the_tables(n):
                         for a in consts]
         assert pows == [power(x, e) for e in exps if x or e >= 0]
         assert inv == (power(x, -1) if x else None)
-        assert tr == int(ctx.tr1[x]) and in_f == (ctx.subfield_index[x] >= 0)
+        assert tr == reduce(xor, (power(x, 1 << i) for i in range(n)))
+        assert in_f == (ctx.subfield_index[x] >= 0)
         assert label == ("0" if x == 0 else f"a^{int(log[x])}")
         assert frob == power(x, 8)
     assert np.array_equal(ctx.beta_powers, antilog[: group : (1 << ctx.half) + 1])
@@ -288,14 +334,18 @@ def test_scalar_ops_match_the_tables(n):
 def test_linear_map_paths_agree(n):
     # a few entries map straight from the images and build no table, many
     # go through the half-width tables; both, and the scalar call, give the
-    # XOR of the images of the set bits
+    # XOR of the images of the set bits.  A map on n - 1 bits, as the
+    # reduction's, splits as one on n bits does
     rng = np.random.default_rng(n)
-    xs = rng.integers(0, 1 << n, size=1 << 12)
-    for shape in ((n,), (n, 3)):
+    for shape in ((n,), (n - 1,), (n, 3)):
+        bits = shape[0]
+        xs = rng.integers(0, 1 << bits, size=1 << 12)
         images = rng.integers(0, 1 << n, size=shape)
-        want = np.array([np.bitwise_xor.reduce(images[[j for j in range(n) if x >> j & 1]], axis=0)
+        want = np.array([np.bitwise_xor.reduce(images[[j for j in range(bits) if x >> j & 1]],
+                                               axis=0)
                          for x in xs.tolist()])
-        lmap = LinearMap(images, n // 2)
+        lmap = LinearMap(images)
+        assert lmap.split == n // 2
         assert np.array_equal(lmap.vec(xs[:6].reshape(2, 3)), want[:6].reshape((2, 3) + shape[1:]))
         assert "tables" not in vars(lmap)
         assert np.array_equal(lmap.vec(xs), want)
@@ -369,7 +419,10 @@ def test_trace_transitivity(ctx4, ctx6):
         for x in range(ctx.order):
             inner = ctx.trace_to_subfield(x, ctx.half)
             assert ctx.in_subfield(inner)
-            assert ctx.trace(x) == int(ctx.trh[inner])
+            # the trace of inner from F onto GF(2): raw, and as tr(delta inner)
+            half_trace = np.bitwise_xor.reduce(
+                raw_frobenius_images(inner, ctx.poly, ctx.n, ctx.half - 1))
+            assert ctx.trace(x) == half_trace == ctx.trace(ctx.mul(ctx.trh_lift, inner))
 
 
 def test_trace_errors(ctx6):

@@ -13,6 +13,7 @@ from gkasami import theory
 from gkasami.gf2n import TooLarge, gf2_kernel_basis, make_field
 
 from reference import dual_truth_table, spectra_block, spectrum_distribution
+from test_gf2n import raw_mul_vec, raw_pow2_vec, raw_trace_mask
 
 
 def all_params(ctx, k):
@@ -588,12 +589,46 @@ def test_scale_to_norm_one(n, k):
             assert np.array_equal(spec[lams], at_one[lam1])
 
 
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_trace_rows_of_delta_c_are_the_subfield_trace_rows(n):
+    # tr_h(eta x^(2^{n/2}+1)), the sum of the first n/2 Frobenius images of
+    # eta N(x), by raw arithmetic, for every eta in F, against the rows of
+    # the coefficients delta eta
+    ctx = make_field(n)
+    poly, half = ctx.poly, ctx.half
+    x = np.arange(ctx.order, dtype=np.int64)
+    norm = raw_mul_vec(raw_pow2_vec(x, poly, n, half), x, poly, n)
+    y = raw_mul_vec(ctx.subfield_elements[:, None], norm, poly, n)
+    want = np.zeros_like(y)
+    for i in range(half):
+        want ^= raw_pow2_vec(y, poly, n, i)
+    assert set(np.unique(want)) <= {0, 1}
+    got = qf.trace_rows(ctx, ctx.scale_vec(ctx.trh_lift, ctx.subfield_elements), (1 << half) + 1)
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_trace_rows_are_the_trace_parities(n):
+    # tr(a x^e) as the parity of (a x^e) & mask, by raw arithmetic, at
+    # seeded coefficients and e = 1 and 2^k + 1
+    ctx = make_field(n)
+    poly, mask = ctx.poly, raw_trace_mask(ctx.poly, n)
+    rng = np.random.default_rng(n)
+    coeffs = np.concatenate([[0, 1], rng.integers(2, ctx.order, size=6)])
+    x = np.arange(ctx.order, dtype=np.int64)
+    ks = [k for k in range(1, n) if qf.valid_k(n, k)][:2]
+    for e, xe in [(1, x)] + [(2**k + 1, raw_mul_vec(raw_pow2_vec(x, poly, n, k), x, poly, n))
+                             for k in ks]:
+        want = np.bitwise_count(raw_mul_vec(coeffs[:, None], xe, poly, n) & mask) & 1
+        assert np.array_equal(qf.trace_rows(ctx, coeffs, e), want)
+
+
 @pytest.mark.parametrize("a", [-1, 16])
 def test_trace_row_coefficients_must_be_field_elements(ctx4, a):
     with pytest.raises(ValueError):
         spectra_block(ctx4, 1, [a], [0])
     with pytest.raises(ValueError):
-        fam.packed_rows(ctx4, [a], 1, ctx4.tr1)
+        fam.packed_rows(ctx4, [a], 1)
 
 
 def orbit_index(ctx, k):

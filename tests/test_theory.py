@@ -198,8 +198,8 @@ def test_build_code_packs_one_row_per_gamma_and_representative(n, monkeypatch):
     packed = []
     packed_rows = fam.packed_rows
 
-    def spy(ctx, coeffs, e, tr):
-        rows = packed_rows(ctx, coeffs, e, tr)
+    def spy(ctx, coeffs, e):
+        rows = packed_rows(ctx, coeffs, e)
         packed.append(len(rows))
         return rows
 
