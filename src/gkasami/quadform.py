@@ -20,12 +20,14 @@ one form once, in Python ints, and takes each out of a whole vector of
 diagonals, one per lam.  Both reach n = 32, where W = +-2^(n-j) still fits
 int64.
 
-Whole spectra (walsh_spectrum) double the sums over the dual-basis bits of
-y one bit at a time: for y < 2^j, g(y + 2^j) = g(y) + g(e_j) + s_j.y, with
-s_j the low j bits of polar row j, so
+Whole spectra (walsh_spectra, for a batch of forms; walsh_spectrum, its
+one-form call) double the sums over the dual-basis bits of y one bit at a
+time: for y < 2^j, g(y + 2^j) = g(y) + g(e_j) + s_j.y, with s_j the low j
+bits of polar row j, so
 W_{j+1}[mu + 2^j mu_j] = W_j[mu] + (-1)^(g(e_j) + mu_j) W_j[mu ^ s_j]:
-n steps of int32 additions, exact because |W_j| <= 2^j, worked inside the
-bytes of the int64 result, with no rank and no closed form.  fwht is the
+n steps of int32 additions inside the int32 result, exact because
+|W_j| <= 2^j, with no rank and no closed form.  The values reach 2^n, so a
+caller casts them to int64 before squaring.  fwht is the
 Hadamard transform of an integer array along its last axis, exact float32
 matrix products by small Sylvester factors, and transform_column (one
 lambda and one c, every b) runs it on tables indexed by x, reindexed
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2n import FieldCtx, LinearMap, TooLarge, _field_elements, half_odd
+from .gf2n import TABLE_MAX_N, FieldCtx, LinearMap, TooLarge, _field_elements, half_odd
 from .histogram import ValueHistogram
 
 # most memory transform_column may allocate, counted as _TRANSFORM_BYTES
@@ -64,10 +66,7 @@ _TRANSFORM_BYTES = 16
 _FWHT_CHUNK_BITS = 5
 # float32 holds every integer below 2^24 exactly
 _FWHT_MAX_L1 = 1 << 24
-# walsh_spectrum's int32 work holds values up to 2^n, below this
-_INT32_LIMIT = 1 << 31
-# _widen copies at most this many values at the bottom of its result
-_WIDEN_COPY = 1 << 10
+# _low_steps doubles up to this many values a form for a whole batch, and
 # _step permutes W_j's values in rows of this many columns (a read-only arange)
 _COLUMNS = np.arange(1 << 10)
 _COLUMNS.setflags(write=False)
@@ -413,86 +412,101 @@ def walsh_at(params: QuadFormParams, lams) -> tuple[np.ndarray, int]:
     return _eliminate_one(rows, lams)
 
 
-def _step(cur: np.ndarray, tmp: np.ndarray, dst: np.ndarray, j: int, r: int) -> None:
-    """W_{j+1} into dst[:2^(j+1)] from W_j in cur[:2^j]; dst may be cur.
+def _low_steps(w: np.ndarray, tmp: np.ndarray, rows: np.ndarray, steps: int) -> None:
+    """The first `steps` doublings (see walsh_spectra) of every row of w at
+    once, in place: W_steps into w[:, :2^steps], 2^steps <= _COLUMNS.size.
 
-    r is row j of the polar form (see walsh_spectrum).  tmp[:2^j] receives
-    T[mu] = W_j[mu ^ s], s = r mod 2^j.  Up to c = _COLUMNS.size values
-    that is one np.take.  Past that, the low bits of s permute the columns
-    of the (2^j / c, c) view of W_j (one np.take), and each higher bit
-    reverses one axis of the (2, ..., 2, c) view of T, which copies nothing
-    and keeps every inner loop a contiguous row.  The two halves of W_{j+1}
-    are then W_j + T and W_j - T, swapped where bit j of r, g(e_j), is 1.
+    Step j takes T[mu] = W_j[mu ^ s_j] of every row with one np.take into
+    tmp, by an index built once for all the steps, negates T in the rows
+    where g(e_j) is 1, and writes W_j - T above W_j + T.
+    """
+    forms = len(w)
+    step = np.repeat(np.arange(steps), 1 << np.arange(steps))  # of each index column
+    at = (np.arange(step.size) + 1 - (1 << step)) ^ (rows[:, step] & (1 << step) - 1)
+    at += np.arange(0, w.size, w.shape[1])[:, None]  # flat offsets of the rows
+    swap = (rows[:, :steps] >> np.arange(steps) & 1).astype(bool)
+    for j in range(steps):
+        size = 1 << j
+        t = tmp[: forms * size].reshape(forms, size)
+        # the index is in range; "wrap" spares take a buffered copy of out
+        np.take(w, at[:, size - 1 : 2 * size - 1], out=t, mode="wrap")
+        np.negative(t, out=t, where=swap[:, j, None])
+        np.subtract(w[:, :size], t, out=w[:, size : 2 * size])
+        np.add(w[:, :size], t, out=w[:, :size])
+
+
+def _step(w: np.ndarray, tmp: np.ndarray, j: int, r: int) -> None:
+    """W_{j+1} into w[:2^(j+1)] from W_j in w[:2^j], in place, for one form
+    whose W_j holds at least c = _COLUMNS.size values.
+
+    r is row j of its polar rows (see walsh_spectra), s = r mod 2^j.  The
+    low bits of s permute the columns of the (2^j / c, c) view of W_j (one
+    np.take into tmp), and each higher bit reverses one axis of the
+    (2, ..., 2, c) view of T = W_j[mu ^ s], which copies nothing and keeps
+    every inner loop a contiguous row.  The two halves of W_{j+1} are then
+    W_j + T and W_j - T, swapped where bit j of r, g(e_j), is 1.
     """
     size, c = 1 << j, _COLUMNS.size
     s = r & size - 1
-    w, t = cur[:size], tmp[:size]
-    # the index is in range; "wrap" spares take a buffered copy of out
-    if size <= c:
-        np.take(w, _COLUMNS[:size] ^ s, out=t, mode="wrap")
-    else:
-        w, t = w.reshape(-1, c), t.reshape(-1, c)
-        np.take(w, _COLUMNS ^ (s & c - 1), axis=1, out=t, mode="wrap")
-        if s >= c:
-            axes, high = len(w).bit_length() - 1, s // c
-            shape = (2,) * axes + (c,)
-            flips = tuple(slice(None, None, -1 if high >> i & 1 else 1)
-                          for i in reversed(range(axes)))
-            w, t = w.reshape(shape), t.reshape(shape)[flips]
+    low, t = w[:size].reshape(-1, c), tmp[:size].reshape(-1, c)
+    np.take(low, _COLUMNS ^ (s & c - 1), axis=1, out=t, mode="wrap")
+    if s >= c:
+        axes, high = len(low).bit_length() - 1, s // c
+        shape = (2,) * axes + (c,)
+        flips = tuple(slice(None, None, -1 if high >> i & 1 else 1)
+                      for i in reversed(range(axes)))
+        low, t = low.reshape(shape), t.reshape(shape)[flips]
     plus, minus = (np.subtract, np.add) if r >> j & 1 else (np.add, np.subtract)
-    minus(w, t, out=dst[size : 2 * size].reshape(w.shape))
-    plus(w, t, out=dst[:size].reshape(w.shape))
+    minus(low, t, out=w[size : 2 * size].reshape(low.shape))
+    plus(low, t, out=low)
 
 
-def _widen(out: np.ndarray) -> np.ndarray:
-    """out[i] = out.view(np.int32)[i] for every i, in place.
+def walsh_spectra(ctx: FieldCtx, k: int, bs: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """Whole spectra of the forms (bs[r], cs[r]), as an (R, 2^n) int32 array
+    whose row r is indexed by lambda.
 
-    Blocks [a, 2a) go from the top down: block a writes int32 slots
-    [2a, 4a) and reads slots [a, 2a), so no block reads what an earlier one
-    wrote.  The values below the last block, at most _WIDEN_COPY, go
-    through a copy.
+    bs and cs are int64 arrays of R field and subfield elements, not checked
+    here, as in form_values.  Each row is pointwise equal to walsh_point.
+    With x = sum_i y_i d_i over the dual basis, tr(lam x) is the parity of
+    lam & y, so a spectrum is the Hadamard transform of g(y) = f(x),
+    already indexed by lam.  It is built one bit of y at a time from the
+    sums over the first j bits, W_j[mu] = sum_{y < 2^j} (-1)^(g(y) + mu.y),
+    starting at W_0 = [1].  For y < 2^j the polar form gives
+    g(y + 2^j) = g(y) + g(e_j) + B(y, e_j), and B(y, e_j) = s_j.y with
+    s_j = r_j mod 2^j, r_j the polar rows (_polar_rows).  Splitting the sum
+    for W_{j+1} by bit j of y,
+    W_{j+1}[mu + 2^j mu_j] = W_j[mu] + (-1)^(g(e_j) + mu_j) W_j[mu ^ s_j],
+    and W_n is the spectrum: the same sum regrouped, with no rank and no
+    closed form.  |W_j| <= 2^j, so every step is exact in int32; the values
+    reach 2^n, so cast them to int64 before squaring.
+
+    The steps up to _COLUMNS.size values a form run on the whole batch
+    (_low_steps), the later ones one form at a time (_step).  All of them
+    work inside the result, and T = W_j[mu ^ s_j] goes to one int32 scratch
+    buffer of at most half the result's values.  With the batched steps'
+    index of fewer than _COLUMNS.size entries a form, a call allocates
+    about 6 bytes per value from n = 11 on.  Raises TooLarge past
+    TABLE_MAX_N, before any allocation.
     """
-    v = out.view(np.int32)
-    a = out.size
-    while a > _WIDEN_COPY:
-        a >>= 1
-        out[a : 2 * a] = v[a : 2 * a]
-    out[:a] = v[:a].copy()
+    if ctx.n > TABLE_MAX_N:
+        raise TooLarge(f"whole spectra of 2^n int32 values are built only for "
+                       f"n <= {TABLE_MAX_N} (TABLE_MAX_N), not n = {ctx.n}")
+    rows = _polar_rows(ctx, k, bs, cs)
+    batched = min(ctx.n, _COLUMNS.size.bit_length() - 1)
+    out = np.empty((len(rows), ctx.order), dtype=np.int32)
+    tmp = np.empty(max(len(rows) << batched >> 1, ctx.order // 2), dtype=np.int32)
+    out[:, 0] = 1
+    _low_steps(out, tmp, rows, batched)
+    for w, r in zip(out, rows.tolist()):
+        for j in range(batched, ctx.n):
+            _step(w, tmp, j, r[j])
     return out
 
 
 def walsh_spectrum(params: QuadFormParams) -> np.ndarray:
-    """Full spectrum as an int64 array indexed by lambda.
-
-    Pointwise equal to walsh_point.  With x = sum_i y_i d_i over the dual
-    basis, tr(lam x) is the parity of lam & y, so the spectrum is the
-    Hadamard transform of g(y) = f(x), already indexed by lam.  It is built
-    one bit of y at a time from the sums over the first j bits,
-    W_j[mu] = sum_{y < 2^j} (-1)^(g(y) + mu.y), starting at W_0 = [1].  For
-    y < 2^j the polar form gives g(y + 2^j) = g(y) + g(e_j) + B(y, e_j), and
-    B(y, e_j) = s_j.y with s_j = r_j mod 2^j, r_j the polar rows
-    (_polar_rows).  Splitting the sum for W_{j+1} by bit j of y,
-    W_{j+1}[mu + 2^j mu_j] = W_j[mu] + (-1)^(g(e_j) + mu_j) W_j[mu ^ s_j]
-    (_step), and W_n is the spectrum: the same sum regrouped, with no rank
-    and no closed form.  |W_j| <= 2^j, so every step is exact in int32
-    while 2^n < 2^31 (ValueError otherwise).
-
-    The work lives in the result's bytes.  Their upper half holds two int32
-    buffers of 2^(n-1) values, W_j and W_j[mu ^ s_j]; the last step writes
-    W_n as int32 into the lower half, and _widen turns that into int64 in
-    place, so a call allocates 8 bytes per value and buffers of fixed size.
-    """
-    ctx = params.ctx
-    if ctx.order >= _INT32_LIMIT:
-        raise ValueError(f"walsh_spectrum is exact in int32 while 2^n < 2^31, not at n = {ctx.n}")
-    out = np.empty(ctx.order, dtype=np.int64)
-    work = out.view(np.int32)
-    cur, tmp = work[ctx.order : 3 * ctx.order // 2], work[3 * ctx.order // 2 :]
-    cur[0] = 1
-    rows = _polar_rows(ctx, params.k, [params.b], [params.c])[0].tolist()
-    for j, r in enumerate(rows):
-        _step(cur, tmp, cur if j < ctx.n - 1 else work, j, r)
-    return _widen(out)
+    """One form's whole spectrum as an int32 array indexed by lambda:
+    walsh_spectra of the one form (params.b, params.c)."""
+    return walsh_spectra(params.ctx, params.k, np.array([params.b]), np.array([params.c]))[0]
 
 
 def symplectic_ranks(ctx: FieldCtx, k: int, bs, c) -> np.ndarray:

@@ -19,7 +19,7 @@ theta -> theta^2 or theta^4, and the rank claims at one b or c per class of
 b -> b^2 or c -> c^2 (gf2n.cyclotomic_classes), each note naming its
 classes.  The member claims read one packed table of every member;
 family-structure looks the small and large Kasami sets up in it through
-families.RowIndex, the large set one member block at a time.  The
+families.RowIndex, the large set in groups of whole member blocks.  The
 applicable claim set depends on the parity of n/2; a few are additionally
 capped by the size guards of their underlying scans.
 """
@@ -36,8 +36,8 @@ from . import families as fam
 from . import fieldeq, theory
 from .gf2n import FieldCtx, cyclotomic_classes, half_odd
 from .histogram import ValueHistogram
-from .quadform import (QuadFormParams, orbit_classes, rank_spectrum, symplectic_ranks,
-                       transform_column, walsh_spectrum)
+from .quadform import (orbit_classes, rank_spectrum, symplectic_ranks, transform_column,
+                       walsh_spectra)
 
 VERIFY_NS = (4, 6, 8, 10)
 BRUTE_CROSSCHECK_MAX_N = 6
@@ -47,6 +47,9 @@ _THETA_NOTE = "exhaustive over Frobenius classes of theta"
 _AFFINE_BLOCK = 1 << 16
 # member rows the imbalance claim popcounts at once (all of them at n <= 8)
 _IMBALANCE_ROWS = 1 << 13
+# spectrum values _Bundle.spectra holds at once: 2^18 / 2^n rows of
+# walsh_spectra (64 at n = 12), one row from n = 18 on
+_SPECTRA_VALUES = 1 << 18
 
 
 @dataclass
@@ -96,15 +99,26 @@ class _Bundle:
         """One whole spectrum per orbit of x -> u*x (quadform.orbit_classes),
         counted with its orbit size: the histogram of W_{b,c}(lam) over all
         (b, c, lam), and whether every representative's spectrum is the one
-        its rank determines (quadform.rank_spectrum)."""
+        its rank determines (quadform.rank_spectrum).  The spectra come from
+        walsh_spectra in blocks of rows of at most _SPECTRA_VALUES values,
+        and each block is counted by one np.unique over (row, value) keys."""
         ctx, k = self.ctx, self.k
+        n = ctx.n
         bs, cs, weights = orbit_classes(ctx, k)
         ranks = symplectic_ranks(ctx, k, bs, cs).tolist()
+        specs = [ValueHistogram({}) for _ in weights]
+        step = max(1, _SPECTRA_VALUES >> n)
+        for lo in range(0, len(bs), step):
+            block = walsh_spectra(ctx, k, bs[lo : lo + step], cs[lo : lo + step])
+            # |W| <= 2^n: row r's value v is the key r 2^(n+2) + v + 2^n
+            base = (np.arange(lo, lo + len(block), dtype=np.int64) << n + 2) + (1 << n)
+            keys, counts = np.unique(base[:, None] + block, return_counts=True)
+            for key, count in zip(keys.tolist(), counts.tolist()):
+                specs[key >> n + 2].add_value((key & (4 << n) - 1) - (1 << n), count)
         hist, rank_ok = ValueHistogram({}), True
-        for b, c, w, r in zip(bs.tolist(), cs.tolist(), weights, ranks):
-            spec = ValueHistogram.from_array(walsh_spectrum(QuadFormParams(ctx, k, b, c)))
+        for spec, w, r in zip(specs, weights, ranks):
             hist.merge(spec, w)
-            rank_ok &= spec == rank_spectrum(ctx.n, r)
+            rank_ok &= spec == rank_spectrum(n, r)
         return hist, rank_ok
 
     @cached_property
@@ -403,6 +417,20 @@ def _claim_r_max(b: _Bundle) -> ClaimResult:
                        {"family": got, "small-set": small_got})
 
 
+def _row_groups(blocks):
+    """The rows of member_blocks' blocks, whole blocks joined into groups of
+    at most fam._FIND_ROWS rows (a larger block alone)."""
+    group, held = [], 0
+    for _, _, block in blocks:
+        if group and held + len(block) > fam._FIND_ROWS:
+            yield np.concatenate(group)
+            group, held = [], 0
+        group.append(block)
+        held += len(block)
+    if group:
+        yield np.concatenate(group)
+
+
 def _claim_family_structure(b: _Bundle) -> ClaimResult:
     ctx = b.ctx
     family = b.family
@@ -422,11 +450,11 @@ def _claim_family_structure(b: _Bundle) -> ClaimResult:
     large_ok = True
     if b.k == ctx.half + 1:
         large = fam.build_family(fam.family_params(ctx, fam.FamilyKind.LARGE_KASAMI))
-        # as sets: every large row is found, one member block at a time,
-        # and they hit every distinct row
+        # as sets: every large row is found, up to fam._FIND_ROWS rows at a
+        # time, and they hit every distinct row
         hit = np.zeros(len(rows), dtype=bool)
-        for _, _, block in fam.member_blocks(large):
-            found = index.find(block)
+        for group in _row_groups(fam.member_blocks(large)):
+            found = index.find(group)
             large_ok &= bool(np.all(found >= 0))
             hit[found] = True
         large_ok &= bool(np.count_nonzero(hit) == len(rows) - repeats)

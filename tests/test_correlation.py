@@ -572,7 +572,7 @@ def test_spectral_engine_uses_no_transform_or_rank_route(monkeypatch, ctx8):
     def refuse(*args):
         raise AssertionError("the spectral engine called an independent route")
 
-    for name in ("transform_column", "walsh_spectrum", "symplectic_ranks", "fwht"):
+    for name in ("transform_column", "walsh_spectra", "walsh_spectrum", "symplectic_ranks", "fwht"):
         monkeypatch.setattr(qf, name, refuse)
     for kind in ("fk", "small-kasami", "large-kasami"):
         family = fam.build_family(fam.family_params(ctx8, kind, 1 if kind == "fk" else None))

@@ -2,7 +2,6 @@ import gc
 import math
 import tracemalloc
 import weakref
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ import pytest
 from gkasami import families as fam
 from gkasami import quadform as qf
 from gkasami import theory
-from gkasami.gf2n import TooLarge, gf2_kernel_basis, make_field
+from gkasami.gf2n import N_MAX, TABLE_MAX_N, TooLarge, gf2_kernel_basis, make_field
 
 from reference import dual_truth_table, spectra_block, spectrum_distribution
 from test_gf2n import raw_mul_vec, raw_pow2_vec, raw_trace_mask
@@ -105,18 +104,44 @@ def test_spectrum_equals_point_sampled(n, k):
         c = int(ctx.subfield_elements[rng.randint(0, 1 << ctx.half)])
         p = qf.QuadFormParams(ctx, k, b, c)
         spec = qf.walsh_spectrum(p)
-        assert spec.dtype == np.int64
+        assert spec.dtype == np.int32
         for lam in rng.randint(0, ctx.order, size=12):
             assert int(spec[int(lam)]) == qf.walsh_point(p, int(lam))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12]
+                         + [pytest.param(n, marks=pytest.mark.slow) for n in (14, 16)])
+def test_walsh_spectra_rows_are_the_one_form_spectra(n):
+    # every orbit representative of every admissible k (the zero form and
+    # the c = 0 ones among them) and seeded (b, 0) and (b, c) forms, in
+    # batches of up to 64: each row is walsh_spectrum of its form and
+    # walsh_point at seeded lambdas
+    ctx = make_field(n)
+    rng = np.random.default_rng(300 + n)
+    sub = ctx.subfield_elements
+    for k in (k for k in range(1, n) if qf.valid_k(n, k)):
+        reps_b, reps_c, _ = qf.orbit_classes(ctx, k)
+        bs = np.concatenate([reps_b, rng.integers(1, ctx.order, 8)])
+        cs = np.concatenate([reps_c, np.zeros(4, np.int64), rng.choice(sub[1:], 4)])
+        assert (bs[0], cs[0]) == (0, 0) and np.count_nonzero(cs == 0) > 4
+        for lo in range(0, len(bs), 64):
+            block_b, block_c = bs[lo : lo + 64], cs[lo : lo + 64]
+            spectra = qf.walsh_spectra(ctx, k, block_b, block_c)
+            assert spectra.dtype == np.int32 and spectra.shape == (len(block_b), ctx.order)
+            for b, c, spec in zip(block_b.tolist(), block_c.tolist(), spectra):
+                params = qf.QuadFormParams(ctx, k, b, c)
+                assert np.array_equal(spec, qf.walsh_spectrum(params))
+                for lam in rng.integers(0, ctx.order, 2).tolist():
+                    assert int(spec[lam]) == qf.walsh_point(params, lam)
 
 
 def test_walsh_spectrum_exact_at_n20():
     # the transform's widest values, +-2^20, must come out exact
     ctx = make_field(20)
     zero = qf.walsh_spectrum(qf.QuadFormParams(ctx, 1, 0, 0))
-    assert zero.dtype == np.int64
+    assert zero.dtype == np.int32
     assert int(zero[0]) == 1 << 20 and not zero[1:].any()
-    spec = qf.walsh_spectrum(qf.QuadFormParams(ctx, 3, 123457, int(ctx.beta)))
+    spec = qf.walsh_spectrum(qf.QuadFormParams(ctx, 3, 123457, int(ctx.beta))).astype(np.int64)
     assert int((spec * spec).sum()) == 1 << 40
 
 
@@ -208,32 +233,18 @@ def test_walsh_spectrum_matches_butterfly_route(n):
             assert np.array_equal(qf.walsh_spectrum(p), butterfly_route(p))
 
 
-@pytest.mark.parametrize("copy", [1, 1 << 3, 1 << 16])
-@pytest.mark.parametrize("n", [4, 6, 12])
-def test_widen_runs_top_down_blocks_in_place(monkeypatch, n, copy):
-    # the spectrum as int32 in the lower half of out's bytes, anything above
-    # it: _widen's blocks [a, 2a), from the top down to `copy` values (one
-    # value, eight, or all of them in one copy), leave every value as int64
-    monkeypatch.setattr(qf, "_WIDEN_COPY", copy)
-    ctx = make_field(n)
-    params = qf.QuadFormParams(ctx, 1 if n % 4 == 0 else 2, 5 % ctx.order, int(ctx.beta))
-    want = butterfly_route(params)
-    out = np.full(ctx.order, -7, dtype=np.int64)
-    out.view(np.int32)[: ctx.order] = want
-    assert qf._widen(out) is out
-    assert np.array_equal(out, want)
-
-
 def test_walsh_spectrum_in_small_blocks(monkeypatch):
-    # the last step's int32 values widened one block at a time, down to a
-    # single value or to eight, inside the result's own bytes
-    for copy in (1, 1 << 3):
-        monkeypatch.setattr(qf, "_WIDEN_COPY", copy)
+    # a narrow _COLUMNS sends most steps one row at a time through the
+    # column take and the reversed axes, and the first steps through the
+    # batch's one take; every row of a batch is the butterfly route's
+    for columns in (1, 1 << 3):
+        monkeypatch.setattr(qf, "_COLUMNS", np.arange(columns))
         for n in (4, 6, 12):
             ctx = make_field(n)
-            params = qf.QuadFormParams(ctx, 1 if n % 4 == 0 else 2, 77 % ctx.order,
-                                       int(ctx.beta))
-            assert np.array_equal(qf.walsh_spectrum(params), butterfly_route(params))
+            k = 1 if n % 4 == 0 else 2
+            bs, cs = np.array([77 % ctx.order, 0, 5]), np.array([int(ctx.beta), 1, 0])
+            for b, c, spec in zip(bs.tolist(), cs.tolist(), qf.walsh_spectra(ctx, k, bs, cs)):
+                assert np.array_equal(spec, butterfly_route(qf.QuadFormParams(ctx, k, b, c)))
 
 
 def direct_sums(params, j):
@@ -248,26 +259,32 @@ def direct_sums(params, j):
 @pytest.mark.parametrize("columns", [1, 4, 1 << 10])
 @pytest.mark.parametrize("n", [6, 8])
 def test_step_doubles_the_sums_over_the_dual_bits(monkeypatch, n, columns):
-    # W_{j+1} from the direct W_j, against the direct sums over j + 1 bits,
-    # into cur itself and into a separate dst; a narrow _COLUMNS puts every
-    # bit of s past the first few on a reversed axis
+    # the batch's first j + 1 steps, and one form's step j from the direct
+    # W_j in place once W_j fills _COLUMNS, against the direct sums over
+    # j + 1 bits; a narrow _COLUMNS puts every bit of s past the first few
+    # on a reversed axis
     monkeypatch.setattr(qf, "_COLUMNS", np.arange(columns))
     ctx = make_field(n)
     rng = np.random.default_rng(n)
     for k in (k for k in range(1, n) if qf.valid_k(n, k)):
-        params = qf.QuadFormParams(ctx, k, int(rng.integers(1, ctx.order)),
-                                   int(rng.choice(ctx.subfield_elements)))
-        rows = qf._polar_rows(ctx, k, [params.b], [params.c])[0].tolist()
+        b, c = int(rng.integers(1, ctx.order)), int(rng.choice(ctx.subfield_elements[1:]))
+        batch = [qf.QuadFormParams(ctx, k, *bc) for bc in [(b, c), (b, 0), (0, c)]]
+        rows = qf._polar_rows(ctx, k, np.array([b, b, 0]), np.array([c, 0, c]))
         for j in range(n):
-            cur, tmp = np.zeros(1 << n, dtype=np.int32), np.zeros(1 << n, dtype=np.int32)
-            cur[: 1 << j] = direct_sums(params, j)
-            want = direct_sums(params, j + 1)
-            dst = np.zeros(1 << n, dtype=np.int32)
-            qf._step(cur, tmp, dst, j, rows[j])
-            assert np.array_equal(dst[: 2 << j], want)
-            qf._step(cur, tmp, cur, j, rows[j])
-            assert np.array_equal(cur[: 2 << j], want)
-        assert np.array_equal(qf.walsh_spectrum(params), butterfly_route(params))
+            want = np.stack([direct_sums(p, j + 1) for p in batch])
+            if 2 << j <= columns:
+                w = np.zeros((len(batch), 1 << n), dtype=np.int32)
+                w[:, 0] = 1
+                qf._low_steps(w, np.zeros(len(batch) << n, dtype=np.int32), rows, j + 1)
+                assert np.array_equal(w[:, : 2 << j], want)
+            if 1 << j >= columns:
+                for p, row, one in zip(batch, rows.tolist(), want):
+                    w = np.zeros(1 << n, dtype=np.int32)
+                    w[: 1 << j] = direct_sums(p, j)
+                    qf._step(w, np.zeros(1 << n, dtype=np.int32), j, row[j])
+                    assert np.array_equal(w[: 2 << j], one)
+        for p in batch:
+            assert np.array_equal(qf.walsh_spectrum(p), butterfly_route(p))
 
 
 def test_walsh_spectrum_calls_no_matmul(monkeypatch):
@@ -283,8 +300,8 @@ def test_walsh_spectrum_calls_no_matmul(monkeypatch):
 
 
 def test_walsh_spectrum_allocates_only_its_result():
-    # the work lives in the result's bytes: 8 bytes per value, plus index
-    # and iterator buffers of fixed size
+    # at most 6 bytes per value: the int32 result and 2^(n-1) int32 of
+    # scratch, plus index and iterator buffers of fixed size
     ctx = make_field(16)
     params = qf.QuadFormParams(ctx, 1, 4321, int(ctx.beta))
     qf.walsh_spectrum(params)  # the context's scalar tables, built once
@@ -294,7 +311,7 @@ def test_walsh_spectrum_allocates_only_its_result():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 8 << 16 <= peak <= (8 << 16) + (1 << 16)
+    assert 6 << 16 <= peak <= (6 << 16) + (1 << 16)
 
 
 @pytest.mark.parametrize("lam", [-1, 16])
@@ -430,10 +447,29 @@ def test_walsh_spectrum_matches_the_whole_dual_table(n):
 
 
 def test_walsh_spectrum_refuses_fields_past_int32():
-    # its values reach 2^n, so int32 work is exact only below 2^31
-    params = SimpleNamespace(ctx=SimpleNamespace(n=32, order=1 << 32))
+    # its values reach 2^n, so int32 would not hold them at n = 32
+    params = qf.QuadFormParams(make_field(N_MAX), 1, 3, 1)
     with pytest.raises(ValueError, match="int32"):
         qf.walsh_spectrum(params)
+
+
+@pytest.mark.parametrize("n", range(TABLE_MAX_N + 2, N_MAX + 1, 2))
+def test_whole_spectra_refuse_past_the_table_cap(n):
+    # 2^n values per form: refused, naming the cap, before any array of
+    # them is allocated (16 MB at n = 22, 16 GB at n = 32)
+    ctx = make_field(n)
+    k = next(k for k in range(1, n) if qf.valid_k(n, k))
+    params = qf.QuadFormParams(ctx, k, 3, 1)
+    tracemalloc.start()
+    try:
+        for call in (lambda: qf.walsh_spectrum(params),
+                     lambda: qf.walsh_spectra(ctx, k, np.array([0, 3]), np.array([1, 1]))):
+            with pytest.raises(TooLarge, match=rf"n <= {TABLE_MAX_N} \(TABLE_MAX_N\), not n = {n}"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_symplectic_rank_matches_definition_exhaustive_n4(ctx4):

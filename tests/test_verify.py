@@ -30,12 +30,12 @@ def test_all_claims_pass_n8(ctx8, monkeypatch):
         lams.append(lam)
         return qf.transform_column(ctx, k, c_list, lam)
 
-    def spectrum(params):
-        spectra.append((params.b, params.c))
-        return qf.walsh_spectrum(params)
+    def batch(ctx, k, bs, cs):
+        spectra.extend(zip(bs.tolist(), cs.tolist()))
+        return qf.walsh_spectra(ctx, k, bs, cs)
 
     monkeypatch.setattr(verify, "transform_column", column)
-    monkeypatch.setattr(verify, "walsh_spectrum", spectrum)
+    monkeypatch.setattr(verify, "walsh_spectra", batch)
     results = verify.run_claims(ctx8, 1)
     failures = [r.name for r in results if not r.ok]
     assert failures == []
@@ -46,6 +46,8 @@ def test_all_claims_pass_n8(ctx8, monkeypatch):
     assert sorted(lams) == [0, 1]
     g1, g2 = math.gcd(3, 255), math.gcd(15 * 3, 255)
     assert len(spectra) == 2 + g1 + g2 == 20
+    bs, cs, _ = qf.orbit_classes(ctx8, 1)
+    assert spectra == list(zip(bs.tolist(), cs.tolist()))
     # no whole spectra grid is left to call: spectra_block lives in the tests
     assert not hasattr(qf, "spectra_block")
 
@@ -162,18 +164,28 @@ def test_orbit_claims_match_full_pass(n, k):
 
 
 @pytest.mark.parametrize("n,k", [(6, 2), (8, 1)])
+def test_spectra_in_small_row_blocks(monkeypatch, n, k):
+    # one representative per block, or three, counts the same as one block
+    whole = verify._Bundle(make_field(n), k).spectra
+    for values in (1, 3 << n):
+        monkeypatch.setattr(verify, "_SPECTRA_VALUES", values)
+        assert verify._Bundle(make_field(n), k).spectra == whole
+
+
+@pytest.mark.parametrize("n,k", [(6, 2), (8, 1)])
 def test_rank_value_consistency_fails_on_one_moved_value_or_rank(monkeypatch, n, k):
     ctx = make_field(n)
     assert verify._claim_rank_value_consistency(verify._Bundle(ctx, k)).ok
     bs, cs, _ = qf.orbit_classes(ctx, k)
     last = (int(bs[-1]), int(cs[-1]))
 
-    def moved(params):  # one value of the last representative's spectrum changes sign
-        spec = qf.walsh_spectrum(params)
-        if (params.b, params.c) == last:
-            lam = np.flatnonzero(spec)[0]
-            spec[lam] = -spec[lam]
-        return spec
+    def moved(ctx, k, bs, cs):  # one value of the last representative's spectrum changes sign
+        spectra = qf.walsh_spectra(ctx, k, bs, cs)
+        for b, c, spec in zip(bs.tolist(), cs.tolist(), spectra):
+            if (b, c) == last:
+                lam = np.flatnonzero(spec)[0]
+                spec[lam] = -spec[lam]
+        return spectra
 
     def shifted(by):  # the last representative's rank moves by `by`
         def ranks(*args):
@@ -182,11 +194,47 @@ def test_rank_value_consistency_fails_on_one_moved_value_or_rank(monkeypatch, n,
             return got
         return ranks
 
-    for name, fake in (("walsh_spectrum", moved), ("symplectic_ranks", shifted(2)),
+    for name, fake in (("walsh_spectra", moved), ("symplectic_ranks", shifted(2)),
                        ("symplectic_ranks", shifted(-2))):
         with monkeypatch.context() as m:
             m.setattr(verify, name, fake)
             assert not verify._claim_rank_value_consistency(verify._Bundle(ctx, k)).ok
+
+
+@pytest.mark.parametrize("n,k", [(6, 2), (8, 1), (10, 2)])
+def test_one_flipped_polar_bit_fails_both_spectra_claims(monkeypatch, n, k):
+    # bit i of polar row j > i adds y_i y_j to the last representative's
+    # form as the doubling reads it; the first such bit that moves its rank
+    # moves its spectrum, so the spectra histogram and the rank check fail
+    ctx = make_field(n)
+    bundle = verify._Bundle(ctx, k)
+    assert verify._claim_walsh_full(bundle).ok and verify._claim_rank_value_consistency(bundle).ok
+    bs, cs, _ = qf.orbit_classes(ctx, k)
+    rows = qf._polar_rows(ctx, k, bs[-1:], cs[-1:])
+
+    def rank_with(i, j):  # the rank of the form plus y_i y_j
+        pair = rows.copy()
+        pair[0, j] ^= 1 << i
+        pair[0, i] ^= 1 << j
+        return qf._eliminate(pair, 0)[1][0]
+
+    rank = qf._eliminate(rows, 0)[1][0]
+    i, j = next((i, j) for j in range(n) for i in range(j) if rank_with(i, j) != rank)
+    polar_rows, last, seen = qf._polar_rows, (int(bs[-1]), int(cs[-1])), []
+
+    def flipped(ctx, k, bs, cs):
+        got = polar_rows(ctx, k, bs, cs)
+        at = [r for r, bc in enumerate(zip(np.asarray(bs).tolist(), np.asarray(cs).tolist()))
+              if bc == last]
+        got[at, j] ^= 1 << i
+        seen.extend(at)
+        return got
+
+    monkeypatch.setattr(qf, "_polar_rows", flipped)
+    bundle = verify._Bundle(ctx, k)
+    assert not verify._claim_walsh_full(bundle).ok
+    assert not verify._claim_rank_value_consistency(bundle).ok
+    assert len(seen) == 1
 
 
 def test_affine_root_bound_is_the_grid_maximum(ctx4):
@@ -384,6 +432,29 @@ def test_family_structure_fails_on_a_changed_large_set_row(n, monkeypatch):
         return rows
 
     assert structure_with(ctx, ctx.half + 1, change, monkeypatch) == {
+        "distinct": True, "small-set-included": True, "large-set-equal": False}
+
+
+@pytest.mark.parametrize("cap,groups", [(1, 17), (300, 16), (1 << 13, 1)])
+def test_family_structure_finds_whole_blocks_up_to_the_find_rows(monkeypatch, cap, groups):
+    # the n = 8 large set's 16 blocks of 256 rows and one of 15, in order,
+    # joined while a group stays within cap rows (a larger block alone); a
+    # changed row is still missed
+    ctx = make_field(8)
+    large = fam.build_family(fam.family_params(ctx, fam.FamilyKind.LARGE_KASAMI))
+    assert [len(block) for _, _, block in fam.member_blocks(large)] == [256] * 16 + [15]
+    monkeypatch.setattr(fam, "_FIND_ROWS", cap)
+    got = list(verify._row_groups(fam.member_blocks(large)))
+    assert len(got) == groups
+    assert np.array_equal(np.concatenate(got), fam.member_table(large)[0])
+    assert verify._claim_family_structure(verify._Bundle(ctx, 5)).ok
+
+    def change(kind, rows):
+        if kind == fam.FamilyKind.LARGE_KASAMI:
+            rows[-1, 0] ^= 1
+        return rows
+
+    assert structure_with(ctx, 5, change, monkeypatch) == {
         "distinct": True, "small-set-included": True, "large-set-equal": False}
 
 
