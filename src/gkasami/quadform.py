@@ -31,11 +31,12 @@ caller casts them to int64 before squaring.  fwht is the
 Hadamard transform of an integer array along its last axis, exact float32
 matrix products by small Sylvester factors, and transform_column (one
 lambda and one c, every b) runs it on tables indexed by x, reindexed
-through walsh_perm.  transform_column and symplectic_ranks (the rank as
-the GF(2)-rank of the n images of the radical's linearized map) share
-nothing with the elimination but the field, and walsh_spectrum shares only
-the polar rows: they are the independent side that verify and the tests
-check it against.
+through walsh_perm.  transform_column and the L-image ranks (the
+GF(2)-rank of the n images of the radical's linearized map, _rank_images:
+symplectic_ranks for a batch, symplectic_rank for one form) share nothing
+with the elimination but the field, and walsh_spectrum shares only the
+polar rows: they are the independent side that verify and the tests check
+it against.
 
 Substituting x -> u*x gives W_{b,c}(lam) = W_{b u^(2^k+1), c N(u)}(lam u)
 with N(u) = u^(2^{n/2}+1), which moves any form with c != 0 to one with
@@ -55,7 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2n import TABLE_MAX_N, FieldCtx, LinearMap, TooLarge, _field_elements, half_odd
+from .gf2n import (TABLE_MAX_N, FieldCtx, LinearMap, TooLarge, _echelon, _field_elements,
+                   half_odd)
 from .histogram import ValueHistogram
 
 # most memory transform_column may allocate, counted as _TRANSFORM_BYTES
@@ -70,12 +72,20 @@ _FWHT_MAX_L1 = 1 << 24
 # _step permutes W_j's values in rows of this many columns (a read-only arange)
 _COLUMNS = np.arange(1 << 10)
 _COLUMNS.setflags(write=False)
-# forms symplectic_ranks reduces at once; bounds its n x block int64 images
-_RANK_BLOCK = 1 << 16
+# the form-independent part of _low_steps' flat index, one entry per index
+# column of its up to 10 steps (2^10 = _COLUMNS.size values): the column's
+# step j, its offset 1 - 2^j and the mask 2^j - 1 of s_j's bits
+_LOW_STEP = np.repeat(np.arange(10), 1 << np.arange(10))
+_LOW_BASE = np.arange(_LOW_STEP.size) + 1 - (1 << _LOW_STEP)
+_LOW_MASK = (1 << _LOW_STEP) - 1
+# forms symplectic_ranks reduces at once: a block's n images stay in L2
+_RANK_BLOCK = 1 << 12
 # forms form_values eliminates at once; bounds its block x n int64 work arrays
 _FORM_BLOCK = 1 << 12
 # _polar_map per context and t, dropped with their context
 _POLAR_MAPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# _rank_maps per context and k, dropped with their context
+_RANK_MAPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class InvalidK(ValueError):
@@ -417,12 +427,12 @@ def _low_steps(w: np.ndarray, tmp: np.ndarray, rows: np.ndarray, steps: int) -> 
     once, in place: W_steps into w[:, :2^steps], 2^steps <= _COLUMNS.size.
 
     Step j takes T[mu] = W_j[mu ^ s_j] of every row with one np.take into
-    tmp, by an index built once for all the steps, negates T in the rows
-    where g(e_j) is 1, and writes W_j - T above W_j + T.
+    tmp, by an index built once for all the steps from the first
+    2^steps - 1 columns of _LOW_STEP, _LOW_BASE and _LOW_MASK, negates T in
+    the rows where g(e_j) is 1, and writes W_j - T above W_j + T.
     """
-    forms = len(w)
-    step = np.repeat(np.arange(steps), 1 << np.arange(steps))  # of each index column
-    at = (np.arange(step.size) + 1 - (1 << step)) ^ (rows[:, step] & (1 << step) - 1)
+    forms, cols = len(w), (1 << steps) - 1
+    at = _LOW_BASE[:cols] ^ (rows[:, _LOW_STEP[:cols]] & _LOW_MASK[:cols])
     at += np.arange(0, w.size, w.shape[1])[:, None]  # flat offsets of the rows
     swap = (rows[:, :steps] >> np.arange(steps) & 1).astype(bool)
     for j in range(steps):
@@ -509,15 +519,45 @@ def walsh_spectrum(params: QuadFormParams) -> np.ndarray:
     return walsh_spectra(params.ctx, params.k, np.array([params.b]), np.array([params.c]))[0]
 
 
+def _rank_images(ctx: FieldCtx, k: int, bs, cs) -> np.ndarray:
+    """The n rank images of the forms (bs, cs), broadcast together, along a
+    new last axis of length n.
+
+    The radical { z : f(x)+f(z)+f(x+z) = 0 for all x } is the kernel of
+    L(z) = b^(2^{n-k}) z^(2^{n-k}) + b z^(2^k) + c z^(2^{n/2}).  With
+    F_i(x) = x^(2^i), L(alpha^j) = F_{n-k}(b alpha^j)
+    + F_k(F_{n-k}(b) alpha^j) + F_{n/2}(c alpha^j).  F_k is a bijective
+    GF(2)-linear map, so the n images F_k(L(alpha^j)) = b alpha^j
+    + F_{2k}(F_{n-k}(b) alpha^j) + F_{k+n/2}(c alpha^j) have the same rank,
+    from the alpha-ladder and three Frobenius maps.  A few forms map
+    straight from the images of the basis (LinearMap.vec), so one form
+    builds no table.
+    """
+    ladder, frob = ctx.alpha_ladder, ctx.frobenius_map
+    return (ladder.vec(bs) ^ frob(2 * k).vec(ladder.vec(frob(ctx.n - k).vec(bs)))
+            ^ frob(k + ctx.half).vec(ladder.vec(cs)))
+
+
+def _rank_maps(ctx: FieldCtx, k: int) -> tuple[LinearMap, LinearMap]:
+    """LinearMaps sending b, and c, to their shares of a form's n rank
+    images (_rank_images, which is GF(2)-linear in b and in c), from the
+    images of the basis alpha^l.  Built once per context and k."""
+    maps = _RANK_MAPS.setdefault(ctx, {})
+    if k not in maps:
+        basis = ctx.alpha_ladder.images[:, 0]
+        maps[k] = (LinearMap(_rank_images(ctx, k, basis, 0)),
+                   LinearMap(_rank_images(ctx, k, 0, basis)))
+    return maps[k]
+
+
 def symplectic_ranks(ctx: FieldCtx, k: int, bs, c) -> np.ndarray:
     """Symplectic ranks of the forms (b, c) for b in bs, as an int array.
 
     c is one subfield element or an array of them broadcast against bs.  The
-    radical { z : f(x)+f(z)+f(x+z) = 0 for all x } is the kernel of
-    L(z) = b^(2^{n-k}) z^(2^{n-k}) + b z^(2^k) + c z^(2^{n/2}), so the rank
-    is the GF(2)-rank of the n images L(alpha^j) (see _rank_maps), reduced
-    one bit at a time for _RANK_BLOCK forms at once.  The zero form has
-    rank 0.
+    rank is the GF(2)-rank of the form's n images (_rank_images), read
+    through the two maps of _rank_maps and reduced one leading bit at a
+    time (_row_ranks), _RANK_BLOCK forms at once, image-major in the
+    narrowest unsigned dtype that holds n bits.  The zero form has rank 0.
     """
     require_valid_k(ctx.n, k)
     bs = _field_elements(ctx, bs)
@@ -527,52 +567,44 @@ def symplectic_ranks(ctx: FieldCtx, k: int, bs, c) -> np.ndarray:
     b_map, c_map = _rank_maps(ctx, k)
     # a single c stays a scalar: n images shared by every form, not n per form
     flat_c = np.broadcast_to(c, shape).ravel() if c.ndim else c
+    narrow = np.min_scalar_type(ctx.group_order)
     rank = np.empty(flat_b.size, dtype=np.int64)
     for lo in range(0, flat_b.size, _RANK_BLOCK):
         hi = lo + _RANK_BLOCK
-        rows = b_map.vec(flat_b[lo:hi])
-        rows ^= c_map.vec(flat_c[lo:hi] if c.ndim else c)
-        rank[lo:hi] = _row_ranks(rows)
+        images = b_map.vec(flat_b[lo:hi])
+        images ^= c_map.vec(flat_c[lo:hi] if c.ndim else c)
+        rank[lo:hi] = _row_ranks(images.T.astype(narrow, order="C"))
     return rank.reshape(shape)
 
 
-def _rank_maps(ctx: FieldCtx, k: int) -> tuple[LinearMap, LinearMap]:
-    """LinearMaps sending b, and c, to their shares of a form's n rank images.
+def _row_ranks(images: np.ndarray) -> np.ndarray:
+    """The GF(2)-rank of each form's n images, as int64.  images has shape
+    (n, forms), row j holding image j of every form, and an unsigned dtype,
+    so that images compare as bit strings; it is reduced in place.
 
-    With F_i(x) = x^(2^i), L(alpha^j) = F_{n-k}(b alpha^j)
-    + F_k(F_{n-k}(b) alpha^j) + F_{n/2}(c alpha^j).  F_k is a bijective
-    GF(2)-linear map, so the n images F_k(L(alpha^j)) = b alpha^j
-    + F_{2k}(F_{n-k}(b) alpha^j) + F_{k+n/2}(c alpha^j) have the same rank.
-    Each is GF(2)-linear in b and in c: the images of b = alpha^l are
-    alpha^(l+j) + F_{2k}(F_{n-k}(alpha^l) alpha^j) and those of c = alpha^l
-    are F_{k+n/2}(alpha^(l+j)), from the alpha-ladder and three Frobenius maps.
+    Each step takes every form's largest image as its pivot, with leading
+    bit h.  No image has a bit above h, so the images with bit h set, the
+    pivot among them, are exactly those that XOR with the pivot makes
+    smaller: min(image, image ^ pivot) clears bit h from them and leaves the
+    rest.  The largest image then has a lower leading bit, so after n steps
+    every image is 0, and the rank is the number of nonzero pivots.
     """
-    n, ladder = ctx.n, ctx.alpha_ladder
-    basis = ladder.images[:, 0]
-    b_images = ladder.images ^ ctx.frob_vec(ladder.vec(ctx.frob_vec(basis, n - k)), 2 * k)
-    c_images = ctx.frob_vec(ladder.images, k + ctx.half)
-    return LinearMap(b_images), LinearMap(c_images)
-
-
-def _row_ranks(rows: np.ndarray) -> np.ndarray:
-    """The GF(2)-rank of each row's n images (rows has shape (forms, n))."""
-    rank = np.zeros(len(rows), dtype=np.int64)
-    forms = np.arange(len(rows))
-    for p in range(rows.shape[1]):
-        # the first image with bit p set clears that bit from every other
-        # image and from itself; no image keeps a bit already reduced
-        has = (rows >> p) & 1
-        pivot = rows[forms, has.argmax(axis=1)]
-        rows ^= has * pivot[:, None]
-        rank += (pivot >> p) & 1
+    rank = np.zeros(images.shape[1], dtype=np.int64)
+    for _ in range(len(images)):
+        pivot = images.max(axis=0)
+        np.minimum(images, images ^ pivot, out=images)
+        rank += pivot != 0
     return rank
 
 
 def symplectic_rank(params: QuadFormParams) -> int:
-    """Rank of one form's symplectic pairing; see symplectic_ranks."""
+    """Rank of one form's symplectic pairing: the pivots of its n rank images
+    (_rank_images) under the field's scalar GF(2) reduction (gf2n._echelon);
+    see symplectic_ranks."""
     if params.b == 0 and params.c == 0:
         raise ZeroForm("rank is undefined for the zero form")
-    return int(symplectic_ranks(params.ctx, params.k, params.b, params.c))
+    images = _rank_images(params.ctx, params.k, params.b, params.c)
+    return len(_echelon(images.tolist())[0])
 
 
 def rank_spectrum(n: int, rank: int) -> ValueHistogram | None:

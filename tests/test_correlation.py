@@ -8,6 +8,7 @@ import pytest
 
 from gkasami import correlation as corr
 from gkasami import families as fam
+from gkasami import gf2n
 from gkasami import quadform as qf
 from gkasami import theory, verify
 from gkasami.gf2n import make_field
@@ -577,6 +578,25 @@ def test_spectral_engine_uses_no_transform_or_rank_route(monkeypatch, ctx8):
     for kind in ("fk", "small-kasami", "large-kasami"):
         family = fam.build_family(fam.family_params(ctx8, kind, 1 if kind == "fk" else None))
         assert corr.full_distribution_spectral(family).histogram == corr.predicted_histogram(family)
+
+
+@pytest.mark.parametrize("n", [20, 32])
+def test_symplectic_rank_builds_no_table_and_reduces_no_batch(monkeypatch, n):
+    """One form's rank on a fresh context maps its n images straight from
+    the basis images and reduces them in Python ints: no LinearMap table
+    (gf2n._linear_table) and no batched row reduction (_row_ranks)."""
+    ctx = make_field(n)
+    b, c = 0x9E3779B9 % ctx.order, int(ctx.beta)
+    params = qf.QuadFormParams(ctx, 1, b, c)  # its subfield check builds a table
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("symplectic_rank built a table or reduced a batch")
+
+    monkeypatch.setattr(gf2n, "_linear_table", refuse)
+    monkeypatch.setattr(qf, "_row_ranks", refuse)
+    rank = qf.symplectic_rank(params)
+    monkeypatch.undo()
+    assert rank == qf.form_values(ctx, 1, np.array([b]), np.array([c]))[1][0]
 
 
 def test_retired_scaling_helpers_are_gone():

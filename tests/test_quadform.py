@@ -756,6 +756,66 @@ def test_elimination_matches_transform_column_and_ranks(n, k):
     assert np.array_equal(ranks, qf.symplectic_ranks(ctx, k, bs, cs))
 
 
+def one_form_ranks(ctx, k, bs, cs):
+    return [qf.symplectic_rank(qf.QuadFormParams(ctx, k, b, c))
+            for b, c in zip(bs.tolist(), np.broadcast_to(cs, bs.shape).tolist())]
+
+
+@pytest.mark.parametrize("n", [22, 24, 28, 32])
+def test_rank_routes_agree_past_n16(n):
+    """At 64 seeded orbit representatives, (0, 1) and a c = 0 form among
+    them, twice the elimination's pairs (form_values), the batched L-image
+    route (symplectic_ranks) and the one-form route (symplectic_rank) agree;
+    the batch also with one c broadcast against the b != 0, c = 0 included."""
+    ctx = make_field(n)
+    rng = np.random.default_rng(n)
+    k = int(rng.choice(admissible_k(n)))
+    bs, cs, _ = qf.orbit_classes(ctx, k)
+    pick = np.concatenate([[1, 2], rng.choice(np.arange(3, bs.size), 62, replace=False)])
+    bs, cs = bs[pick], cs[pick]
+    ranks = qf.symplectic_ranks(ctx, k, bs, cs)
+    assert np.array_equal(qf.form_values(ctx, k, bs, cs)[1], ranks)
+    assert ranks.tolist() == one_form_ranks(ctx, k, bs, cs)
+    for c in (0, int(ctx.beta)):
+        assert qf.symplectic_ranks(ctx, k, bs[1:], c).tolist() == one_form_ranks(ctx, k, bs[1:], c)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_symplectic_ranks_split_blocks_in_the_narrow_dtype(monkeypatch, n):
+    """Blocks of 7 forms reduced in uint16 at n = 16 and uint32 at n = 32,
+    with images that set the dtype's top bit, give the one-form ranks."""
+    ctx = make_field(n)
+    rng = np.random.default_rng(7 * n)
+    k = admissible_k(n)[-1]
+    sub = ctx.subfield_elements
+    bs, cs = rng.integers(0, ctx.order, 40), sub[rng.integers(1, sub.size, 40)]
+    blocks = []
+    row_ranks = qf._row_ranks
+
+    def spy(rows):
+        blocks.append((rows.dtype, bool((rows >> n - 1).any())))
+        return row_ranks(rows)
+
+    monkeypatch.setattr(qf, "_row_ranks", spy)
+    monkeypatch.setattr(qf, "_RANK_BLOCK", 7)
+    ranks = qf.symplectic_ranks(ctx, k, bs, cs)
+    assert len(blocks) == 6 and {dtype for dtype, _ in blocks} == {np.dtype(f"uint{n}")}
+    assert any(top for _, top in blocks)
+    assert ranks.tolist() == one_form_ranks(ctx, k, bs, cs)
+
+
+@pytest.mark.slow
+def test_rank_routes_agree_at_every_representative_n32():
+    """The elimination, the batched and the one-form rank of all 65,540
+    orbit representatives at n = 32, the zero form (rank 0) batched only."""
+    ctx = make_field(32)
+    bs, cs, _ = qf.orbit_classes(ctx, 1)
+    assert bs.size == 65540
+    ranks = qf.symplectic_ranks(ctx, 1, bs, cs)
+    assert np.array_equal(qf.form_values(ctx, 1, bs, cs)[1], ranks)
+    assert ranks[0] == 0 and ranks[1:].tolist() == one_form_ranks(ctx, 1, bs[1:], cs[1:])
+
+
 @pytest.mark.parametrize("n", [4, 6, 8, 10, 12, pytest.param(14, marks=pytest.mark.slow),
                                pytest.param(16, marks=pytest.mark.slow)])
 def test_elimination_matches_walsh_spectrum_at_seeded_lams(n):
@@ -832,6 +892,16 @@ def test_polar_maps_are_dropped_with_their_context():
     ctx = make_field(6)
     first = qf._polar_map(ctx, 2)
     assert qf._polar_map(ctx, 2) is first
+    gone = weakref.ref(ctx)
+    del ctx, first
+    gc.collect()
+    assert gone() is None
+
+
+def test_rank_maps_are_cached_and_dropped_with_their_context():
+    ctx = make_field(6)
+    first = qf._rank_maps(ctx, 2)
+    assert qf._rank_maps(ctx, 2) is first and qf._rank_maps(ctx, 4) is not first
     gone = weakref.ref(ctx)
     del ctx, first
     gc.collect()
