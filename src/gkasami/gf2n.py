@@ -78,6 +78,9 @@ N_MAX = 32
 TABLE_MAX_N = 20
 # powers FieldCtx.powers takes one step at a time before it starts doubling
 SCALAR_POWERS = 1 << 10
+# powers FieldCtx.powers takes straight from the images of x -> g x: up to
+# about 32 steps cost less than building its two tables at n = 6 to 20
+_IMAGE_STEPS = 1 << 5
 # LinearMap.vec maps an array straight from the images while it picks at
 # most this many image entries (array entries times image entries); building
 # the two tables gets cheaper from about 2^12 picks (n = 8) to about 2^14.5
@@ -146,9 +149,23 @@ class LinearMap:
         lo, hi = self.tables
         return lo.tolist(), hi.tolist()
 
+    @cached_property
+    def _image_list(self) -> list[int]:
+        return self.images.tolist()
+
     def __call__(self, x: int) -> int:
         lo, hi = self._lists
         return lo[x & self.low] ^ hi[x >> self.split]
+
+    def direct(self, x: int) -> int:
+        """The map at one int straight from the (int) images, the XOR of
+        images[i] over the set bits i of x: builds no table."""
+        acc, images = 0, self._image_list
+        while x:
+            low = x & -x
+            acc ^= images[low.bit_length() - 1]
+            x ^= low
+        return acc
 
     def vec(self, xs, out: np.ndarray | None = None) -> np.ndarray:
         xs = np.asarray(xs)
@@ -308,10 +325,8 @@ class FieldCtx:
         j = next(j for j, t in enumerate(half_images) if t)
         t = half_images[j]
         self.trh_lift = self._mul(1 << j, self._raw_pow(t, (1 << half) - 2))
-        lifted = 0  # delta + delta^(2^{n/2}), the XOR of the images of delta's bits
-        for i, image in enumerate(half_images):
-            lifted ^= image if self.trh_lift >> i & 1 else 0
-        if lifted != 1:
+        # delta + delta^(2^{n/2}), the XOR of the images of delta's bits
+        if LinearMap(half_images).direct(self.trh_lift) != 1:
             raise AssertionError("subfield trace lift must have delta + delta^(2^{n/2}) = 1")
 
     def _build_dual_basis(self, powers: list[int]) -> None:
@@ -341,18 +356,25 @@ class FieldCtx:
     def powers(self, g: int, count: int) -> np.ndarray:
         """int64 array [g^0, g^1, ..., g^(count - 1)].
 
-        The first SCALAR_POWERS are single steps through the map x -> g x;
-        then each step doubles the array, out[m:m+t] = g^m * out[:t],
-        through the two half-width tables of x -> g^m x.
+        The first SCALAR_POWERS are single steps through the map x -> g x:
+        straight from its images (LinearMap.direct) up to _IMAGE_STEPS of
+        them, through its two half-width tables past that.  Then each step
+        doubles the array, out[m:m+t] = g^m * out[:t], through the two
+        half-width tables of x -> g^m x.
         """
         out = np.empty(count, dtype=np.int64)
         filled = min(count, SCALAR_POWERS)
         step = self.times_map(g)
-        (lo, hi), low, split = step._lists, step.low, step.split
         head, x = [], 1
-        for _ in range(filled):
-            head.append(x)
-            x = lo[x & low] ^ hi[x >> split]  # step(x), inlined
+        if count <= _IMAGE_STEPS:
+            for _ in range(filled):
+                head.append(x)
+                x = step.direct(x)
+        else:
+            (lo, hi), low, split = step._lists, step.low, step.split
+            for _ in range(filled):
+                head.append(x)
+                x = lo[x & low] ^ hi[x >> split]  # step(x), inlined
         out[:filled] = head
         while filled < count:
             t = min(filled, count - filled)
@@ -464,8 +486,9 @@ class FieldCtx:
         return acc
 
     def in_subfield(self, x: int) -> bool:
-        """True exactly for the elements of F; False for any x outside [0, 2^n)."""
-        return 0 <= x < self.order and self._half_frobenius(x) == x
+        """True exactly for the elements of F; False for any x outside [0, 2^n).
+        One test maps x straight from the half Frobenius map's images."""
+        return 0 <= x < self.order and self._half_frobenius.direct(x) == x
 
     @property
     def poly_hex(self) -> str:

@@ -1,13 +1,14 @@
 """Quadratic forms tr(b*x^(2^k+1)) + tr_half(c*x^(2^{n/2}+1)) on GF(2^n).
 
 A form is read through its polar rows: the n x n polar form over the
-trace-dual basis d, with the values f(d_j) on the diagonal.  They are
-GF(2)-linear in b and in c, so two LinearMaps (_polar_map: the b part
-for each k, the c part once per context) give them for any batch of forms,
-from the alpha-ladders of d_j^(2^k) and delta d_j^(2^{n/2}); no 2^n-entry
-table is read.  In
-dual-basis coordinates y, tr(lam x) is the parity of lam & y, so lam's
-bits join the diagonal.
+trace-dual basis d, with the values f(d_j) on the diagonal, from the n
+products b d_j^(2^k) + delta c d_j^(2^{n/2}) (_polar_part); no 2^n-entry
+table is read.  One form takes its products straight from the images of
+x -> b x and x -> c x.  The rows are GF(2)-linear in b and in c, so for a
+batch two LinearMaps (_polar_map: the b part for each k, the c part once
+per context) hold the rows of the basis forms.  In dual-basis
+coordinates y, tr(lam x) is the parity of lam & y, so lam's bits join the
+diagonal.
 
 W and rank by elimination (form_values, walsh_at).  A form's transform
 value is fixed by its rank and Arf invariant: take out one hyperbolic pair
@@ -26,11 +27,12 @@ time: for y < 2^j, g(y + 2^j) = g(y) + g(e_j) + s_j.y, with s_j the low j
 bits of polar row j, so
 W_{j+1}[mu + 2^j mu_j] = W_j[mu] + (-1)^(g(e_j) + mu_j) W_j[mu ^ s_j]:
 n steps of int32 additions inside the int32 result, exact because
-|W_j| <= 2^j, with no rank and no closed form.  The values reach 2^n, so a
-caller casts them to int64 before squaring.  fwht is the
-Hadamard transform of an integer array along its last axis, exact float32
-matrix products by small Sylvester factors, and transform_column (one
-lambda and one c, every b) runs it on tables indexed by x, reindexed
+|W_j| <= 2^j, with no rank and no closed form; past 1024 values a form,
+in aligned blocks of rows that stay in L2 with the block they read.  The
+values reach 2^n, so a caller casts them to int64 before squaring.  fwht
+is the Hadamard transform of an integer array along its last axis, exact
+float32 matrix products by small Sylvester factors, and transform_column
+(one lambda and one c, every b) runs it on tables indexed by x, reindexed
 through walsh_perm.  transform_column and the L-image ranks (the
 GF(2)-rank of the n images of the radical's linearized map, _rank_images:
 symplectic_ranks for a batch, symplectic_rank for one form) share nothing
@@ -72,6 +74,9 @@ _FWHT_MAX_L1 = 1 << 24
 # _step permutes W_j's values in rows of this many columns (a read-only arange)
 _COLUMNS = np.arange(1 << 10)
 _COLUMNS.setflags(write=False)
+# _step doubles W_j in aligned blocks of this many rows of _COLUMNS values:
+# 32 rows of int32 are 128 KB, so a block and its partner stay in L2
+_BLOCK_ROWS = 32
 # the form-independent part of _low_steps' flat index, one entry per index
 # column of its up to 10 steps (2^10 = _COLUMNS.size values): the column's
 # step j, its offset 1 - 2^j and the mask 2^j - 1 of s_j's bits
@@ -271,10 +276,9 @@ def fwht(a) -> np.ndarray:
     return x.astype(np.int64)
 
 
-def _polar_map(ctx: FieldCtx, t: int) -> LinearMap:
-    """The LinearMap sending a to the polar rows of the form tr(x a' x^(2^t)),
-    with a' = a, or delta a for t = n/2: the b part (t = k) and the c part
-    (t = n/2) of every form.
+def _polar_part(ctx: FieldCtx, t: int, times: LinearMap) -> np.ndarray:
+    """The polar rows of the form tr(x a' x^(2^t)), with a' = a, or delta a
+    for t = n/2: the b part (t = k) and the c part (t = n/2) of every form.
 
     Row j of a form's polar rows over the dual basis d of ctx is an n-bit
     int: bit i is B(d_j, d_i) for i != j and bit j is f(d_j), where
@@ -284,28 +288,47 @@ def _polar_map(ctx: FieldCtx, t: int) -> LinearMap:
     n by n matrix m[i, j] = tr(d_i w(d_j)): f(d_j) = m[j, j] and
     B(d_i, d_j) = m[i, j] + m[j, i].  As tr(d_i alpha^l) = 1 exactly when
     l = i, tr(d_i y) is bit i of y, so m[i, j] is bit i of w(d_j) and no
-    2^n-entry table is read.  The rows are GF(2)-linear in b and in c, so
-    the map's images are the rows of the forms a = alpha^l, whose w(d_j)
-    are the alpha-ladders of a' d_j^(2^t).  Built once per context and t.
+    2^n-entry table is read.
+
+    times maps x to a x: ctx.times_map(a) for one coefficient a, whose n
+    rows come back as an (n,) array, straight from the map's images; or
+    ctx.alpha_ladder for every basis form a = alpha^l at once, whose rows
+    come back as (n, n), row l for alpha^l.  The products w(d_j) are times
+    applied to the twisted dual basis d_j^(2^t), times delta for t = n/2.
     """
+    twisted = ctx.frobenius_map(t).vec(ctx.dual_basis)
+    if t == ctx.half:
+        twisted = ctx.times_map(ctx.trh_lift).vec(twisted)
+    w = np.moveaxis(times.vec(twisted), 0, -1)  # w[..., j] = w(d_j)
+    cols = np.arange(ctx.n)
+    # bit i of mt[..., j] is m[j, i], bit j of w[..., i]
+    mt = (((w[..., None] >> cols) & 1) << cols[:, None]).sum(axis=-2)
+    return (w ^ mt) | (w & 1 << cols)
+
+
+def _polar_map(ctx: FieldCtx, t: int) -> LinearMap:
+    """The LinearMap sending a to the polar rows of the form tr(x a' x^(2^t))
+    (_polar_part).  The rows are GF(2)-linear in a, so the map's images are
+    the rows of the basis forms a = alpha^l.  Built once per context and t."""
     maps = _POLAR_MAPS.setdefault(ctx, {})
     if t not in maps:
-        twisted = ctx.frobenius_map(t).vec(ctx.dual_basis)
-        if t == ctx.half:
-            twisted = ctx.times_map(ctx.trh_lift).vec(twisted)
-        w = ctx.alpha_ladder.vec(twisted).T  # w[l, j] = w(d_j) of the form a = alpha^l
-        cols = np.arange(ctx.n)
-        # bit i of mt[l, j] is m[j, i], bit j of w[l, i]
-        mt = (((w[..., None] >> cols) & 1) << cols[:, None]).sum(axis=1)
-        maps[t] = LinearMap((w ^ mt) | (w & 1 << cols))
+        maps[t] = LinearMap(_polar_part(ctx, t, ctx.alpha_ladder))
     return maps[t]
 
 
 def _polar_rows(ctx: FieldCtx, k: int, bs, cs) -> np.ndarray:
-    """The polar rows (see _polar_map) of the forms (bs[r], cs[r]), as an
+    """The polar rows (see _polar_part) of the forms (bs[r], cs[r]), as an
     (R, n) int64 array; bs and cs are R field and subfield elements, not
-    checked here."""
-    bs, rows = np.asarray(bs), _polar_map(ctx, ctx.half).vec(cs)
+    checked here.  One form's rows come straight from its n products
+    through ctx.times_map, and a batch's through the two _polar_maps."""
+    bs, cs = np.asarray(bs), np.asarray(cs)
+    if bs.size == 1:
+        b, c = int(bs.item()), int(cs.item())
+        rows = _polar_part(ctx, ctx.half, ctx.times_map(c))
+        if b:
+            rows ^= _polar_part(ctx, k, ctx.times_map(b))
+        return rows[None]
+    rows = _polar_map(ctx, ctx.half).vec(cs)
     if bs.any():  # forms (0, c), such as the small Kasami set's, need no b part
         rows ^= _polar_map(ctx, k).vec(bs)
     return rows
@@ -447,28 +470,43 @@ def _low_steps(w: np.ndarray, tmp: np.ndarray, rows: np.ndarray, steps: int) -> 
 
 def _step(w: np.ndarray, tmp: np.ndarray, j: int, r: int) -> None:
     """W_{j+1} into w[:2^(j+1)] from W_j in w[:2^j], in place, for one form
-    whose W_j holds at least c = _COLUMNS.size values.
+    whose W_j holds at least c = _COLUMNS.size values; tmp must hold
+    min(2 * _BLOCK_ROWS * c, 2^j) values.
 
-    r is row j of its polar rows (see walsh_spectra), s = r mod 2^j.  The
-    low bits of s permute the columns of the (2^j / c, c) view of W_j (one
-    np.take into tmp), and each higher bit reverses one axis of the
-    (2, ..., 2, c) view of T = W_j[mu ^ s], which copies nothing and keeps
-    every inner loop a contiguous row.  The two halves of W_{j+1} are then
+    r is row j of its polar rows (see walsh_spectra), s = r mod 2^j, and
+    T = W_j[mu ^ s].  In the (2^j / c, c) view of W_j the low bits of s
+    permute the columns and the high bits h = s // c the rows: row rho of T
+    is row rho ^ h of W_j.  The rows go in aligned blocks of
+    b = min(_BLOCK_ROWS, 2^j / c), so block B of T is block B ^ (h // b) of
+    W_j, its partner, with its rows flipped by h mod b.  A block and its
+    partner are each gathered by one np.take of the columns into tmp before
+    either is overwritten, and the flips reverse axes of the (2, ..., 2, c)
+    view of the gathered block, which copies nothing and keeps every inner
+    loop a contiguous row.  The block's two halves of W_{j+1} are then
     W_j + T and W_j - T, swapped where bit j of r, g(e_j), is 1.
     """
     size, c = 1 << j, _COLUMNS.size
     s = r & size - 1
-    low, t = w[:size].reshape(-1, c), tmp[:size].reshape(-1, c)
-    np.take(low, _COLUMNS ^ (s & c - 1), axis=1, out=t, mode="wrap")
-    if s >= c:
-        axes, high = len(low).bit_length() - 1, s // c
-        shape = (2,) * axes + (c,)
-        flips = tuple(slice(None, None, -1 if high >> i & 1 else 1)
-                      for i in reversed(range(axes)))
-        low, t = low.reshape(shape), t.reshape(shape)[flips]
+    low, high = w[:size].reshape(-1, c), w[size : 2 * size].reshape(-1, c)
+    rows = min(_BLOCK_ROWS, len(low))
+    axes, h = rows.bit_length() - 1, s // c
+    shape = (2,) * axes + (c,)
+    flips = tuple(slice(None, None, -1 if h >> i & 1 else 1) for i in reversed(range(axes)))
+    mate = h >> axes << axes  # the first row of a block's partner, XORed in
+    cols = _COLUMNS ^ (s & c - 1)
+    bufs = tmp[: (1 if mate == 0 else 2) * rows * c].reshape(-1, rows, c)
     plus, minus = (np.subtract, np.add) if r >> j & 1 else (np.add, np.subtract)
-    minus(low, t, out=w[size : 2 * size].reshape(low.shape))
-    plus(low, t, out=low)
+    for lo in range(0, len(low), rows):
+        if lo ^ mate < lo:
+            continue  # done with its partner
+        blocks = (lo,) if mate == 0 else (lo, lo ^ mate)
+        for at, t in zip(blocks, bufs):
+            # the index is in range; "wrap" spares take a buffered copy of out
+            np.take(low[at ^ mate : (at ^ mate) + rows], cols, axis=1, out=t, mode="wrap")
+        for at, t in zip(blocks, bufs):
+            x, t = low[at : at + rows].reshape(shape), t.reshape(shape)[flips]
+            minus(x, t, out=high[at : at + rows].reshape(shape))
+            plus(x, t, out=x)
 
 
 def walsh_spectra(ctx: FieldCtx, k: int, bs: np.ndarray, cs: np.ndarray) -> np.ndarray:
@@ -491,12 +529,14 @@ def walsh_spectra(ctx: FieldCtx, k: int, bs: np.ndarray, cs: np.ndarray) -> np.n
     reach 2^n, so cast them to int64 before squaring.
 
     The steps up to _COLUMNS.size values a form run on the whole batch
-    (_low_steps), the later ones one form at a time (_step).  All of them
-    work inside the result, and T = W_j[mu ^ s_j] goes to one int32 scratch
-    buffer of at most half the result's values.  With the batched steps'
-    index of fewer than _COLUMNS.size entries a form, a call allocates
-    about 6 bytes per value from n = 11 on.  Raises TooLarge past
-    TABLE_MAX_N, before any allocation.
+    (_low_steps), the later ones one form at a time (_step), in blocks of
+    _BLOCK_ROWS rows of _COLUMNS.size values.  All of them work inside the
+    result, and T = W_j[mu ^ s_j] goes to one int32 scratch buffer of
+    min(two blocks, 2^(n-1)) values for one form.  With the batched steps'
+    index of fewer than _COLUMNS.size entries a form, one form's spectrum
+    allocates its 4 bytes per value and that scratch: 6 bytes per value
+    from n = 11 to 16, and 4 bytes per value plus 256 KB from n = 17 on.
+    Raises TooLarge past TABLE_MAX_N, before any allocation.
     """
     if ctx.n > TABLE_MAX_N:
         raise TooLarge(f"whole spectra of 2^n int32 values are built only for "
@@ -504,7 +544,8 @@ def walsh_spectra(ctx: FieldCtx, k: int, bs: np.ndarray, cs: np.ndarray) -> np.n
     rows = _polar_rows(ctx, k, bs, cs)
     batched = min(ctx.n, _COLUMNS.size.bit_length() - 1)
     out = np.empty((len(rows), ctx.order), dtype=np.int32)
-    tmp = np.empty(max(len(rows) << batched >> 1, ctx.order // 2), dtype=np.int32)
+    tmp = np.empty(max(len(rows) << batched >> 1,
+                       min(2 * _BLOCK_ROWS * _COLUMNS.size, ctx.order // 2)), dtype=np.int32)
     out[:, 0] = 1
     _low_steps(out, tmp, rows, batched)
     for w, r in zip(out, rows.tolist()):
@@ -557,24 +598,27 @@ def symplectic_ranks(ctx: FieldCtx, k: int, bs, c) -> np.ndarray:
     rank is the GF(2)-rank of the form's n images (_rank_images), read
     through the two maps of _rank_maps and reduced one leading bit at a
     time (_row_ranks), _RANK_BLOCK forms at once, image-major in the
-    narrowest unsigned dtype that holds n bits.  The zero form has rank 0.
+    narrowest unsigned dtype that holds n bits.  The blocks are read from
+    bs and c as broadcast, so a call allocates its result and about one
+    block's work arrays.  The zero form has rank 0.
     """
     require_valid_k(ctx.n, k)
     bs = _field_elements(ctx, bs)
     c = _subfield_elements(ctx, c)
-    shape = np.broadcast_shapes(bs.shape, c.shape)
-    flat_b = np.broadcast_to(bs, shape).ravel()
     b_map, c_map = _rank_maps(ctx, k)
-    # a single c stays a scalar: n images shared by every form, not n per form
-    flat_c = np.broadcast_to(c, shape).ravel() if c.ndim else c
+    # a single c keeps n images shared by every form, not n per form
+    c_images = None if c.ndim else c_map.vec(c)
     narrow = np.min_scalar_type(ctx.group_order)
-    rank = np.empty(flat_b.size, dtype=np.int64)
-    for lo in range(0, flat_b.size, _RANK_BLOCK):
-        hi = lo + _RANK_BLOCK
-        images = b_map.vec(flat_b[lo:hi])
-        images ^= c_map.vec(flat_c[lo:hi] if c.ndim else c)
-        rank[lo:hi] = _row_ranks(images.T.astype(narrow, order="C"))
-    return rank.reshape(shape)
+    rank = np.empty(np.broadcast_shapes(bs.shape, c.shape), dtype=np.int64)
+    # blocks of the broadcast forms, in C order: no copy of the grid is made
+    with np.nditer([bs, c, rank], ["external_loop", "buffered", "zerosize_ok"],
+                   [["readonly"], ["readonly"], ["writeonly"]], order="C",
+                   buffersize=_RANK_BLOCK) as blocks:
+        for b, c_block, out in blocks:
+            images = b_map.vec(b)
+            images ^= c_map.vec(c_block) if c_images is None else c_images
+            out[...] = _row_ranks(images.T.astype(narrow, order="C"))
+    return rank
 
 
 def _row_ranks(images: np.ndarray) -> np.ndarray:

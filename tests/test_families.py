@@ -240,6 +240,30 @@ def test_find_rows_of_unshared_prefixes_in_small_blocks(monkeypatch):
     assert np.all(found[::2] == -1)
 
 
+@pytest.mark.parametrize("width", [2, 8, 12, 64])
+def test_find_shuffled_repeated_and_missing_queries(monkeypatch, width):
+    # queries in random order, each table row asked for up to three times,
+    # among rows the table lacks: the least index of an equal row, or -1,
+    # as a dict of the rows' bytes gives it, for every _FIND_ROWS
+    rng = np.random.default_rng(width)
+    rows = rng.integers(0, 256, (400, width), dtype=np.uint8)
+    rows[:, : min(width - 1, 8)] &= 0x81  # many rows share a prefix
+    rows[rng.integers(0, 400, 40)] = rows[rng.integers(0, 400, 40)]  # repeats
+    first = {}
+    for i, row in enumerate(rows):
+        first.setdefault(row.tobytes(), i)
+    missing = rng.integers(0, 256, (150, width), dtype=np.uint8)
+    queries = np.concatenate([rows, rows[rng.integers(0, 400, 400)], missing])
+    queries = queries[rng.permutation(len(queries))]
+    want = [first.get(row.tobytes(), -1) for row in queries]
+    assert -1 in want
+    index = fam.RowIndex(rows)
+    for find_rows in (fam._FIND_ROWS, 16):
+        monkeypatch.setattr(fam, "_FIND_ROWS", find_rows)
+        assert index.find(queries).tolist() == want
+    assert fam.RowIndex(rows[:0]).find(queries).tolist() == [-1] * len(queries)
+
+
 @pytest.mark.parametrize("n,width", [(4, 2), (6, 8)])
 def test_row_index_at_the_member_widths(n, width):
     """Member rows 2 bytes wide (n = 4, a zero-padded prefix) and exactly

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gkasami import families as fam
+from gkasami import gf2n
 from gkasami import quadform as qf
 from gkasami.gf2n import (
     DEFAULT_POLYS,
@@ -20,6 +21,7 @@ from gkasami.gf2n import (
     TooLarge,
     UnsupportedN,
     cyclotomic_classes,
+    _linear_table,
     _unit_preimages,
     gf2_kernel_basis,
     make_field,
@@ -347,11 +349,39 @@ def test_linear_map_paths_agree(n):
         lmap = LinearMap(images)
         assert lmap.split == n // 2
         assert np.array_equal(lmap.vec(xs[:6].reshape(2, 3)), want[:6].reshape((2, 3) + shape[1:]))
+        if len(shape) == 1:
+            assert [lmap.direct(x) for x in xs[:64].tolist()] == want[:64].tolist()
         assert "tables" not in vars(lmap)
         assert np.array_equal(lmap.vec(xs), want)
         assert "tables" in vars(lmap)
         if len(shape) == 1:
             assert [lmap(x) for x in xs[:64].tolist()] == want[:64].tolist()
+
+
+def test_a_subfield_test_and_a_few_powers_build_no_table(monkeypatch):
+    # the first QuadFormParams on a fresh n = 32 context tests c by mapping
+    # it straight from the half Frobenius map's images, and up to
+    # _IMAGE_STEPS powers step straight from the images of x -> g x: no
+    # half-width table (2^16 entries here) is built for either
+    ctx = make_field(N_MAX)
+    built = []
+    monkeypatch.setattr(gf2n, "_linear_table",
+                        lambda images: built.append(len(images)) or _linear_table(images))
+    k = next(k for k in range(1, N_MAX) if qf.valid_k(N_MAX, k))
+    qf.QuadFormParams(ctx, k, 3, ctx.beta)
+    with pytest.raises(ValueError, match="not in the subfield"):
+        qf.QuadFormParams(ctx, k, 3, ctx.alpha)
+    assert ctx.powers(ctx.beta, gf2n._IMAGE_STEPS).tolist() == [
+        ctx.pow(ctx.beta, j) for j in range(gf2n._IMAGE_STEPS)]
+    assert built == []
+
+
+@pytest.mark.parametrize("n", [8, 20])
+def test_powers_agree_on_both_sides_of_the_image_steps(n):
+    ctx = make_field(n)
+    g = ctx.pow(ctx.alpha, 12345 % ctx.group_order)
+    for count in (1, gf2n._IMAGE_STEPS, gf2n._IMAGE_STEPS + 1, SCALAR_POWERS + 3):
+        assert ctx.powers(g, count).tolist() == [ctx.pow(g, j) for j in range(count)]
 
 
 def test_mul_against_raw(ctx4, ctx6):

@@ -249,11 +249,11 @@ def test_walsh_spectrum_in_small_blocks(monkeypatch):
 
 def direct_sums(params, j):
     """W_j[mu] = sum over y < 2^j of (-1)^(g(y) + mu.y), from the truth table
-    at the dual points, one mu at a time."""
+    at the dual points, 2^8 mu at a time."""
     g = qf.truth_table(params)[dual_points(params.ctx)[: 1 << j]].astype(np.int64)
     y = np.arange(1 << j)
-    return np.array([(1 - 2 * ((g + np.bitwise_count(y & mu)) & 1)).sum()
-                     for mu in range(1 << j)])
+    return np.concatenate([(1 - 2 * ((g + np.bitwise_count(y & mu[:, None])) & 1)).sum(axis=1)
+                           for mu in np.arange(1 << j).reshape(-1, min(1 << j, 1 << 8))])
 
 
 @pytest.mark.parametrize("columns", [1, 4, 1 << 10])
@@ -287,6 +287,35 @@ def test_step_doubles_the_sums_over_the_dual_bits(monkeypatch, n, columns):
             assert np.array_equal(qf.walsh_spectrum(p), butterfly_route(p))
 
 
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_step_in_narrow_blocks_matches_the_direct_sums(monkeypatch, n):
+    # blocks of 2 rows of 4 columns: step j meets a partner block where bit
+    # 1 or higher of h = s // 4 is set, and flips the two rows inside a
+    # block where bit 0 of h is (from j = 3 on); both happen among these
+    # forms.  tmp is exactly the two blocks _step is documented to need
+    monkeypatch.setattr(qf, "_COLUMNS", np.arange(4))
+    monkeypatch.setattr(qf, "_BLOCK_ROWS", 2)
+    ctx = make_field(n)
+    rng = np.random.default_rng(500 + n)
+    k = next(k for k in range(1, n) if qf.valid_k(n, k))
+    b, c = int(rng.integers(1, ctx.order)), int(rng.choice(ctx.subfield_elements[1:]))
+    seen = set()
+    for p in (qf.QuadFormParams(ctx, k, b, c), qf.QuadFormParams(ctx, k, b, 0)):
+        rows = qf._polar_rows(ctx, k, [p.b], [p.c])[0].tolist()
+        have = direct_sums(p, 2)
+        for j in range(2, n):
+            h = (rows[j] & (1 << j) - 1) >> 2
+            seen |= {"partner"} if h >> 1 else set()
+            seen |= {"flip"} if h & 1 and j >= 3 else set()
+            w = np.zeros(1 << n, dtype=np.int32)
+            w[: 1 << j] = have
+            qf._step(w, np.zeros(min(16, 1 << j), dtype=np.int32), j, rows[j])
+            have = direct_sums(p, j + 1)
+            assert np.array_equal(w[: 2 << j], have)
+        assert np.array_equal(qf.walsh_spectrum(p), butterfly_route(p))
+    assert seen == {"partner", "flip"}
+
+
 def test_walsh_spectrum_calls_no_matmul(monkeypatch):
     ctx = make_field(16)
     params = qf.QuadFormParams(ctx, 1, 12345, int(ctx.beta))
@@ -300,18 +329,21 @@ def test_walsh_spectrum_calls_no_matmul(monkeypatch):
 
 
 def test_walsh_spectrum_allocates_only_its_result():
-    # at most 6 bytes per value: the int32 result and 2^(n-1) int32 of
-    # scratch, plus index and iterator buffers of fixed size
-    ctx = make_field(16)
-    params = qf.QuadFormParams(ctx, 1, 4321, int(ctx.beta))
-    qf.walsh_spectrum(params)  # the context's scalar tables, built once
-    tracemalloc.start()
-    try:
-        qf.walsh_spectrum(params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 6 << 16 <= peak <= (6 << 16) + (1 << 16)
+    # the int32 result and min(two blocks, 2^(n-1)) int32 of scratch, a
+    # block being 32 rows of 1024 values, plus index and iterator buffers of
+    # fixed size: 6 bytes per value at n = 16, and 4 bytes per value plus
+    # two blocks (256 KB) at n = 20
+    for n, want in ((16, 6 << 16), (20, (4 << 20) + (256 << 10))):
+        ctx = make_field(n)
+        params = qf.QuadFormParams(ctx, 1, 4321, int(ctx.beta))
+        qf.walsh_spectrum(params)  # the context's scalar tables, built once
+        tracemalloc.start()
+        try:
+            qf.walsh_spectrum(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert want <= peak <= want + (1 << 16)
 
 
 @pytest.mark.parametrize("lam", [-1, 16])
@@ -434,6 +466,45 @@ def test_polar_rows_match_the_truth_table(n):
                     assert row >> i & 1 == pair
 
 
+@pytest.mark.parametrize("n", range(4, N_MAX + 1, 2))
+def test_one_form_polar_rows_are_the_map_rows(n):
+    # one form's rows come straight from its n products, a batch's through
+    # the two _polar_maps, whose images are the rows of the basis forms
+    ctx = make_field(n)
+    rng = np.random.default_rng(700 + n)
+    b = int(rng.integers(1, ctx.order))
+    c = ctx.pow(ctx.beta, int(rng.integers(0, (1 << ctx.half) - 1)))
+    c_map = qf._polar_map(ctx, ctx.half)
+    for k in (k for k in range(1, n) if qf.valid_k(n, k)):
+        b_map = qf._polar_map(ctx, k)
+        for bb, cc in ((b, 0), (b, c), (0, c)):
+            one = qf._polar_rows(ctx, k, [bb], [cc])
+            assert one.shape == (1, n)
+            assert np.array_equal(one[0], b_map.vec(bb) ^ c_map.vec(cc))
+            batch = qf._polar_rows(ctx, k, np.array([bb, 1]), np.array([cc, 0]))
+            assert np.array_equal(batch[0], one[0])
+
+
+def test_one_form_builds_no_polar_map():
+    # walsh_spectrum and walsh_at (the small Kasami engine's call) read one
+    # form's rows from its products; a batch builds the two maps
+    ctx = make_field(10)
+    k = next(k for k in range(1, 10) if qf.valid_k(10, k))
+    params = qf.QuadFormParams(ctx, k, 77, ctx.beta)
+    spec = qf.walsh_spectrum(params)
+    lams = np.arange(0, ctx.order, 37)
+    at, rank = qf.walsh_at(params, lams)
+    small = qf.walsh_at(qf.QuadFormParams(ctx, k, 0, 1), ctx.powers(ctx.alpha, 31))
+    assert ctx not in qf._POLAR_MAPS
+    assert np.array_equal(qf.walsh_spectra(ctx, k, np.array([77, 0]), np.array([ctx.beta, 1]))[0],
+                          spec)
+    assert set(qf._POLAR_MAPS[ctx]) == {k, ctx.half}
+    assert np.array_equal(at, spec[lams]) and rank == qf.symplectic_rank(params)
+    assert np.array_equal(small[0], qf.form_values(ctx, k, np.zeros(31, np.int64),
+                                                    np.ones(31, np.int64),
+                                                    ctx.powers(ctx.alpha, 31))[0])
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("n", [18, 20])
 def test_walsh_spectrum_matches_the_whole_dual_table(n):
@@ -470,6 +541,27 @@ def test_whole_spectra_refuse_past_the_table_cap(n):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
+
+
+def test_symplectic_ranks_allocate_their_result_and_one_block():
+    # a (2^12 - 1) x 64 grid broadcast from a column of b and a row of c:
+    # blocks are read from the broadcast views, so no int64 copy of the grid
+    # (2 MB each) is made, only the result and one block's work arrays, a
+    # few (_RANK_BLOCK, n) int64 arrays
+    ctx = make_field(12)
+    bs, cs = np.arange(1, ctx.order)[:, None], ctx.subfield_elements[None, :]
+    qf.symplectic_ranks(ctx, 1, bs[:5], cs)  # the context's maps, built once
+    tracemalloc.start()
+    try:
+        ranks = qf.symplectic_ranks(ctx, 1, bs, cs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ranks.shape == (ctx.group_order, 64)
+    assert ranks.nbytes <= peak <= ranks.nbytes + 5 * qf._RANK_BLOCK * ctx.n * 8
+    for i, j in [(0, 0), (100, 7), (4094, 63)]:
+        params = qf.QuadFormParams(ctx, 1, int(bs[i, 0]), int(cs[0, j]))
+        assert ranks[i, j] == qf.symplectic_rank(params)
 
 
 def test_symplectic_rank_matches_definition_exhaustive_n4(ctx4):
