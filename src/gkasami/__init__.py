@@ -43,7 +43,6 @@ from .quadform import (
 )
 from .theory import (
     CodeSpec,
-    Prediction,
     build_code,
     dual_low_weights,
     predict,
@@ -59,7 +58,6 @@ __all__ = [
     "FamilyParams",
     "FieldCtx",
     "LinearizedPoly",
-    "Prediction",
     "QuadFormParams",
     "SequenceFamily",
     "SequenceTag",

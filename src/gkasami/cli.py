@@ -171,7 +171,7 @@ def cmd_code_weights(args) -> int:
     ctx = _field(args)
     k = _resolve_k(ctx, args, fam.FamilyKind.GENERALIZED)
     code = theory.build_code(ctx, k)
-    predicted = theory.predict("code-weights", ctx.n, k).histogram
+    predicted = theory.predict("code-weights", ctx.n, k)
     match = code.weight_histogram == predicted
     _emit(
         {

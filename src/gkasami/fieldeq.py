@@ -166,11 +166,6 @@ def theta_root_counts(ctx: FieldCtx, k: int) -> np.ndarray:
     return counts[:, index[log_w]]
 
 
-def count_three_root_thetas(ctx: FieldCtx, k: int) -> tuple[int, int]:
-    """How many theta in E* give three roots in each reduced equation."""
-    return three_root_totals(theta_root_counts(ctx, k))
-
-
 def three_root_totals(roots: np.ndarray) -> tuple[int, int]:
     """How many theta give three roots in each reduced equation, from
     theta_root_counts."""
@@ -206,9 +201,12 @@ def _equal_pairs(images: np.ndarray) -> int:
     return int(np.dot(counts, counts))
 
 
-def census(ctx: FieldCtx, k: int, roots: np.ndarray | None = None) -> EquationCensus:
-    """Every brute-force count for (n, k); roots is theta_root_counts(ctx, k)
-    when the caller already holds it, else it is computed here."""
+def census(ctx: FieldCtx, k: int, roots: np.ndarray | None = None,
+           at0: np.ndarray | None = None) -> EquationCensus:
+    """Every brute-force count for (n, k).  roots is theta_root_counts(ctx, k)
+    and at0 is W_{b,c}(0) at [c, b] for c in F*, transform_column(ctx, k,
+    ctx.subfield_elements[1:], 0), when the caller already holds them; each
+    is computed here otherwise."""
     require_valid_k(ctx.n, k)
     if ctx.n > PAIR_SCAN_MAX_N:
         raise TooLarge(f"census limited to n <= {PAIR_SCAN_MAX_N}")
@@ -231,7 +229,9 @@ def census(ctx: FieldCtx, k: int, roots: np.ndarray | None = None) -> EquationCe
     joint_pairs = _equal_pairs(p1 * ctx.order + p2)
 
     # W_{b,c}(0) over b in E*, c in F*, summed as exact ints
-    col = ValueHistogram.from_array(transform_column(ctx, k, ctx.subfield_elements[1:], 0)[:, 1:])
+    if at0 is None:
+        at0 = transform_column(ctx, k, ctx.subfield_elements[1:], 0)
+    col = ValueHistogram.from_array(at0[:, 1:])
     s1, s2, s3 = (sum(v**d * c for v, c in col.counts.items()) for d in (1, 2, 3))
 
     first, second = three_root_totals(theta_root_counts(ctx, k) if roots is None else roots)
@@ -243,10 +243,11 @@ def census(ctx: FieldCtx, k: int, roots: np.ndarray | None = None) -> EquationCe
     )
 
 
-def census_report(ctx: FieldCtx, k: int, roots: np.ndarray | None = None) -> dict:
+def census_report(ctx: FieldCtx, k: int, roots: np.ndarray | None = None,
+                  at0: np.ndarray | None = None) -> dict:
     """JSON-ready report: every census count with its closed-form prediction
-    (roots as for census)."""
-    c = census(ctx, k, roots)
+    (roots and at0 as for census)."""
+    c = census(ctx, k, roots, at0)
     n = c.n
     ps = theory.walsh0_power_sums(n)
     blocks = [

@@ -259,7 +259,7 @@ class FieldCtx:
         for _ in range(n - 1):
             images.append(self._square.vec(images[-1]))
         self._frobenius_images = images
-        self._frobenius_maps: dict[int, LinearMap] = {}
+        self._frobenius_maps: dict[int, LinearMap] = {1: self._square}
         self._half_frobenius = self.frobenius_map(self.half)
         self._check_primitive()
         self._build_subfield()

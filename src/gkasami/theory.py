@@ -4,9 +4,10 @@ the MacWilliams low-order dual-weight check.
 
 All formula evaluation is exact big-integer arithmetic; a division that
 does not come out exact raises instead of rounding, since that is itself a
-regression signal.  Several families of results split on the parity of
-n/2, so predictors come in -odd (n = 2 mod 4) and -even (n = 0 mod 4)
-flavors; requesting the wrong flavor raises ParityMismatch.
+regression signal.  Several results split on the parity of n/2 (odd for
+n = 2 mod 4, even for n = 0 mod 4); each named closed form holds both
+cases and picks one by half_odd(n), so a caller names only the
+distribution.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ from .families import _span_rows, packed_rows, sign_rows
 from .gf2n import FieldCtx, TooLarge, UnsupportedN, half_odd
 from .histogram import ValueHistogram
 from .quadform import exponents, orbit_classes, require_valid_k
-
-
-class ParityMismatch(ValueError):
-    """Raised when a predictor is evaluated at the wrong parity of n/2."""
 
 
 class NonIntegerResult(ArithmeticError):
@@ -121,16 +118,9 @@ def small_set_r_max_expected(n: int) -> int:
 # -- histogram closed forms --------------------------------------------
 
 
-def _walsh_b_at1_odd(n: int) -> ValueHistogram:
-    m = n // 2
-    return _hist({
-        (1 << (m + 1)): (1 << (n - 3)) + (1 << (m - 2)),
-        -(1 << (m + 1)): (1 << (n - 3)) - (1 << (m - 2)),
-        0: (1 << n) - (1 << (n - 2)) - 1,
-    })
-
-
-def _walsh_b_at0_even(n: int) -> ValueHistogram:
+def _walsh_b_at0(n: int) -> ValueHistogram:
+    if half_odd(n):
+        return _hist({0: (1 << n) - 1})
     m = n // 2
     return _hist({
         -(1 << (m + 1)): _div3((1 << n) - 1),
@@ -138,8 +128,14 @@ def _walsh_b_at0_even(n: int) -> ValueHistogram:
     })
 
 
-def _walsh_b_at1_even(n: int) -> ValueHistogram:
+def _walsh_b_at1(n: int) -> ValueHistogram:
     m = n // 2
+    if half_odd(n):
+        return _hist({
+            (1 << (m + 1)): (1 << (n - 3)) + (1 << (m - 2)),
+            -(1 << (m + 1)): (1 << (n - 3)) - (1 << (m - 2)),
+            0: (1 << n) - (1 << (n - 2)) - 1,
+        })
     return _hist({
         (1 << (m + 1)): _div3((1 << (n - 3)) + (1 << (m - 2))),
         -(1 << (m + 1)): _div3((1 << (n - 3)) - (1 << (m - 2)) - 1),
@@ -177,30 +173,15 @@ def _walsh_full(n: int) -> ValueHistogram:
     })
 
 
-def _walsh_bc_at0_odd(n: int) -> ValueHistogram:
+def _walsh_bc_at0(n: int) -> ValueHistogram:
     m = n // 2
     en = (1 << n) - 1
-    return _hist({
-        -(1 << (m + 1)): _div3(en * ((1 << (m - 1)) - 1)),
-        0: en * ((1 << (m - 1)) - 1),
-        (1 << m): _div3(en * ((1 << m) + 1)),
-    })
-
-
-def _walsh_bc_at1_odd(n: int) -> ValueHistogram:
-    m = n // 2
-    return _hist({
-        (1 << (m + 1)): _div3(((1 << (n - 3)) + (1 << (m - 2))) * ((1 << (m + 1)) - 4)),
-        -(1 << (m + 1)): _div3((1 << (3 * m - 2)) - (1 << n) + (1 << (m - 1)) + 1),
-        0: (1 << (3 * m - 1)) - (1 << n) - (1 << (m - 1)) + 1,
-        (1 << m): _div3(((1 << (n - 1)) + (1 << (m - 1)) - 1) * ((1 << m) + 1)),
-        -(1 << m): _div3(((1 << (n - 1)) - (1 << (m - 1))) * ((1 << m) + 1)),
-    })
-
-
-def _walsh_bc_at0_even(n: int) -> ValueHistogram:
-    m = n // 2
-    en = (1 << n) - 1
+    if half_odd(n):
+        return _hist({
+            -(1 << (m + 1)): _div3(en * ((1 << (m - 1)) - 1)),
+            0: en * ((1 << (m - 1)) - 1),
+            (1 << m): _div3(en * ((1 << m) + 1)),
+        })
     return _hist({
         -(1 << (m + 1)): _div3(en * ((1 << (m - 1)) - 2)),
         0: en * (1 << (m - 1)),
@@ -208,8 +189,16 @@ def _walsh_bc_at0_even(n: int) -> ValueHistogram:
     })
 
 
-def _walsh_bc_at1_even(n: int) -> ValueHistogram:
+def _walsh_bc_at1(n: int) -> ValueHistogram:
     m = n // 2
+    if half_odd(n):
+        return _hist({
+            (1 << (m + 1)): _div3(((1 << (n - 3)) + (1 << (m - 2))) * ((1 << (m + 1)) - 4)),
+            -(1 << (m + 1)): _div3((1 << (3 * m - 2)) - (1 << n) + (1 << (m - 1)) + 1),
+            0: (1 << (3 * m - 1)) - (1 << n) - (1 << (m - 1)) + 1,
+            (1 << m): _div3(((1 << (n - 1)) + (1 << (m - 1)) - 1) * ((1 << m) + 1)),
+            -(1 << m): _div3(((1 << (n - 1)) - (1 << (m - 1))) * ((1 << m) + 1)),
+        })
     return _hist({
         (1 << (m + 1)): _div3(((1 << (m + 1)) - 2) * ((1 << (n - 3)) + (1 << (m - 2)))),
         -(1 << (m + 1)): _div3((1 << (3 * m - 2)) - 3 * (1 << (n - 2)) + 2),
@@ -219,19 +208,16 @@ def _walsh_bc_at1_even(n: int) -> ValueHistogram:
     })
 
 
-def _walsh_family_mix_odd(n: int) -> ValueHistogram:
+def _walsh_family_mix(n: int) -> ValueHistogram:
     m = n // 2
-    return _hist({
-        (1 << (m + 1)): _div3(((1 << (n - 3)) + (1 << (m - 2))) * ((1 << (m + 1)) - 1)),
-        -(1 << (m + 1)): _div3(((1 << (n - 3)) - (1 << (m - 2))) * ((1 << (m + 1)) - 1)),
-        0: (1 << (3 * m - 1)) - (1 << (n - 2)) + 1,
-        (1 << m): _div3((1 << (3 * m - 1)) + (1 << n) + (1 << (m + 1))),
-        -(1 << m): _div3((1 << (3 * m - 1)) + (1 << m) - 3),
-    })
-
-
-def _walsh_family_mix_even(n: int) -> ValueHistogram:
-    m = n // 2
+    if half_odd(n):
+        return _hist({
+            (1 << (m + 1)): _div3(((1 << (n - 3)) + (1 << (m - 2))) * ((1 << (m + 1)) - 1)),
+            -(1 << (m + 1)): _div3(((1 << (n - 3)) - (1 << (m - 2))) * ((1 << (m + 1)) - 1)),
+            0: (1 << (3 * m - 1)) - (1 << (n - 2)) + 1,
+            (1 << m): _div3((1 << (3 * m - 1)) + (1 << n) + (1 << (m + 1))),
+            -(1 << m): _div3((1 << (3 * m - 1)) + (1 << m) - 3),
+        })
     w = (1 << n) + (1 << m) - 1
     return _hist({
         (1 << (m + 1)): _div3(w * ((1 << (m + 1)) - 1) * ((1 << (n - 3)) + (1 << (m - 2)))),
@@ -253,20 +239,10 @@ def _walsh_family_mix_even(n: int) -> ValueHistogram:
 
 
 def _code_weights(n: int) -> ValueHistogram:
-    """Weight distribution of the generalized Kasami code, zero word included."""
-    m = n // 2
-    fm = (1 << m) - 1
-    big = (1 << (n + 1)) + (1 << m) - 1
-    mid = (1 << n) + (1 << (m + 1)) + 4
-    half = 1 << (n - 1)
-    return _hist({
-        half - (1 << m): _div3(fm * ((1 << (n - 3)) + (1 << (m - 2))) * big),
-        half + (1 << m): _div3(fm * ((1 << (n - 3)) - (1 << (m - 2))) * big),
-        half: fm * ((1 << (2 * n - 1)) + (1 << (3 * m - 2)) - (1 << (n - 2)) + (1 << m) + 1),
-        half - (1 << (m - 1)): _div3(fm * ((1 << (n - 1)) + (1 << (m - 1))) * mid),
-        half + (1 << (m - 1)): _div3(fm * ((1 << (n - 1)) - (1 << (m - 1))) * mid),
-        0: 1,
-    })
+    """Weight distribution of the generalized Kasami code, zero word included:
+    the codeword of (gamma, delta, eta) has weight (2^n - W)/2 for
+    W = W_{delta,eta}(gamma), so it is walsh-full relabelled."""
+    return _hist({((1 << n) - w) // 2: c for w, c in _walsh_full(n).counts.items()})
 
 
 def _theta_root_counts(n: int) -> ValueHistogram:
@@ -275,35 +251,32 @@ def _theta_root_counts(n: int) -> ValueHistogram:
     return _hist({3: deficient, 0: (1 << n) - 1 - deficient})
 
 
-def _family_corr_odd(n: int) -> ValueHistogram:
+def _family_corr(n: int) -> ValueHistogram:
     m = n // 2
-    return _hist({
-        (1 << n) - 1: (1 << (3 * m)) + (1 << m),
-        -1: (1 << (m + 1)) * (
-            (1 << (7 * m - 2)) - (1 << (3 * n - 3)) + (1 << (2 * n - 1))
-            - (1 << (3 * m - 1)) + (1 << (n - 2)) - 1
-        ),
-        (1 << m) - 1: _div3(
-            (1 << (4 * n - 1)) + (1 << (7 * m)) + (1 << (3 * n + 1))
-            - (1 << (2 * n)) - (1 << (3 * m + 1)) - (1 << (n + 2))
-        ),
-        -(1 << m) - 1: _div3(
-            (1 << (4 * n - 1)) + (1 << (3 * n)) - 3 * (1 << (5 * m))
-            + (1 << (2 * n + 1)) - 3 * (1 << (3 * m)) + (1 << n) + 3 * (1 << m)
-        ),
-        (1 << (m + 1)) - 1: _div3(
-            (1 << (m + 1)) * ((1 << (n - 3)) + (1 << (m - 2)))
-            * ((1 << (2 * n - 1)) - 1) * ((1 << (m + 1)) - 1)
-        ),
-        -(1 << (m + 1)) - 1: _div3(
-            (1 << (m + 1)) * ((1 << (n - 3)) - (1 << (m - 2)))
-            * ((1 << (2 * n - 1)) - 1) * ((1 << (m + 1)) - 1)
-        ),
-    })
-
-
-def _family_corr_even(n: int) -> ValueHistogram:
-    m = n // 2
+    if half_odd(n):
+        return _hist({
+            (1 << n) - 1: (1 << (3 * m)) + (1 << m),
+            -1: (1 << (m + 1)) * (
+                (1 << (7 * m - 2)) - (1 << (3 * n - 3)) + (1 << (2 * n - 1))
+                - (1 << (3 * m - 1)) + (1 << (n - 2)) - 1
+            ),
+            (1 << m) - 1: _div3(
+                (1 << (4 * n - 1)) + (1 << (7 * m)) + (1 << (3 * n + 1))
+                - (1 << (2 * n)) - (1 << (3 * m + 1)) - (1 << (n + 2))
+            ),
+            -(1 << m) - 1: _div3(
+                (1 << (4 * n - 1)) + (1 << (3 * n)) - 3 * (1 << (5 * m))
+                + (1 << (2 * n + 1)) - 3 * (1 << (3 * m)) + (1 << n) + 3 * (1 << m)
+            ),
+            (1 << (m + 1)) - 1: _div3(
+                (1 << (m + 1)) * ((1 << (n - 3)) + (1 << (m - 2)))
+                * ((1 << (2 * n - 1)) - 1) * ((1 << (m + 1)) - 1)
+            ),
+            -(1 << (m + 1)) - 1: _div3(
+                (1 << (m + 1)) * ((1 << (n - 3)) - (1 << (m - 2)))
+                * ((1 << (2 * n - 1)) - 1) * ((1 << (m + 1)) - 1)
+            ),
+        })
     return _hist({
         (1 << n) - 1: (1 << (3 * m)) + (1 << m) - 1,
         -1: (
@@ -332,11 +305,9 @@ def _family_corr_even(n: int) -> ValueHistogram:
     })
 
 
-def _imbalance_odd(n: int) -> ValueHistogram:
-    return _walsh_family_mix_odd(n).shifted(-1)
-
-
-def _imbalance_even(n: int) -> ValueHistogram:
+def _imbalance(n: int) -> ValueHistogram:
+    if half_odd(n):
+        return _walsh_family_mix(n).shifted(-1)
     m = n // 2
     return _hist({
         (1 << (m + 1)) - 1: _div3(((1 << (m + 1)) - 1) * ((1 << (n - 3)) + (1 << (m - 2)))),
@@ -368,44 +339,28 @@ def small_kasami_correlation(n: int) -> ValueHistogram:
     })
 
 
-# registry: name -> (parity requirement, builder)
-_ODD, _EVEN, _ANY = "odd", "even", "any"
-
-PREDICTORS: dict[str, tuple[str, callable]] = {
-    "walsh-b-at1-odd": (_ODD, _walsh_b_at1_odd),
-    "walsh-b-at0-even": (_EVEN, _walsh_b_at0_even),
-    "walsh-b-at1-even": (_EVEN, _walsh_b_at1_even),
-    "walsh-c-at0": (_ANY, _walsh_c_at0),
-    "walsh-c-at1": (_ANY, _walsh_c_at1),
-    "walsh-full": (_ANY, _walsh_full),
-    "walsh-bc-at0-odd": (_ODD, _walsh_bc_at0_odd),
-    "walsh-bc-at1-odd": (_ODD, _walsh_bc_at1_odd),
-    "walsh-bc-at0-even": (_EVEN, _walsh_bc_at0_even),
-    "walsh-bc-at1-even": (_EVEN, _walsh_bc_at1_even),
-    "walsh-family-mix-odd": (_ODD, _walsh_family_mix_odd),
-    "walsh-family-mix-even": (_EVEN, _walsh_family_mix_even),
-    "code-weights": (_ANY, _code_weights),
-    "theta-root-counts": (_ANY, _theta_root_counts),
-    "family-corr-odd": (_ODD, _family_corr_odd),
-    "family-corr-even": (_EVEN, _family_corr_even),
-    "imbalance-odd": (_ODD, _imbalance_odd),
-    "imbalance-even": (_EVEN, _imbalance_even),
+PREDICTORS: dict[str, callable] = {
+    "walsh-b-at0": _walsh_b_at0,
+    "walsh-b-at1": _walsh_b_at1,
+    "walsh-c-at0": _walsh_c_at0,
+    "walsh-c-at1": _walsh_c_at1,
+    "walsh-full": _walsh_full,
+    "walsh-bc-at0": _walsh_bc_at0,
+    "walsh-bc-at1": _walsh_bc_at1,
+    "walsh-family-mix": _walsh_family_mix,
+    "code-weights": _code_weights,
+    "theta-root-counts": _theta_root_counts,
+    "family-corr": _family_corr,
+    "imbalance": _imbalance,
 }
 
 
-@dataclass(frozen=True)
-class Prediction:
-    name: str
-    n: int
-    k: int | None
-    histogram: ValueHistogram
-
-
-def predict(name: str, n: int, k: int | None = None) -> Prediction:
+def predict(name: str, n: int, k: int | None = None) -> ValueHistogram:
     """Evaluate a named closed form at (n, k) as an exact histogram.
 
     n must be even and at least 4, with no upper bound; a k that is given
-    must be admissible for n.  The closed forms do not depend on k.
+    must be admissible for n.  The closed forms do not depend on k; each
+    picks its case of the parity of n/2 itself.
     """
     if name not in PREDICTORS:
         raise KeyError(f"unknown prediction {name!r}; know {sorted(PREDICTORS)}")
@@ -413,22 +368,11 @@ def predict(name: str, n: int, k: int | None = None) -> Prediction:
         raise UnsupportedN(f"closed forms need even n >= 4, got n = {n}")
     if k is not None:
         require_valid_k(n, k)
-    parity, builder = PREDICTORS[name]
-    if parity == _ODD and not half_odd(n):
-        raise ParityMismatch(f"{name} requires n = 2 mod 4, got n = {n}")
-    if parity == _EVEN and half_odd(n):
-        raise ParityMismatch(f"{name} requires n = 0 mod 4, got n = {n}")
-    return Prediction(name, n, k, builder(n))
+    return PREDICTORS[name](n)
 
 
 def family_correlation_histogram(n: int) -> ValueHistogram:
-    name = "family-corr-odd" if half_odd(n) else "family-corr-even"
-    return predict(name, n).histogram
-
-
-def imbalance_histogram(n: int) -> ValueHistogram:
-    name = "imbalance-odd" if half_odd(n) else "imbalance-even"
-    return predict(name, n).histogram
+    return predict("family-corr", n)
 
 
 # -- the generalized Kasami code ----------------------------------------

@@ -4,13 +4,13 @@ desk-scale computation.
 Each claim compares an independently computed quantity (transform columns,
 direct spectra, rank computations, brute-force root or set counting,
 sequence enumeration) with its closed form, and reports a machine-readable
-block.  The claims that read the transform at lambda = 0 or 1 take slices of
-two tables, W_{b,c}(0) and W_{b,c}(1) for every b and every c in F, built
-once per run.  walsh-full-distribution and rank-value-consistency take one
-whole spectrum per orbit of x -> u*x on the forms (quadform.orbit_classes),
-and the code weights one matrix product over the same representatives, as
-a cyclic shift of the code is that substitution: all three are exhaustive
-over orbit representatives.  Squaring maps every field equation and form
+block.  The claims that read the transform at lambda = 0 or 1, the census's
+power sums among them, take slices of two tables, W_{b,c}(0) and W_{b,c}(1)
+for every b and every c in F, built once per run.  walsh-full-distribution
+and rank-value-consistency take one whole spectrum per orbit of x -> u*x on
+the forms (quadform.orbit_classes), and the code weights one matrix product
+over the same representatives, as a cyclic shift of the code is that
+substitution: all three are exhaustive over orbit representatives.  Squaring maps every field equation and form
 the remaining scans read to one with the same count: the root counts of
 the kernel and reduced equations (one scan, fieldeq.theta_root_counts,
 shared by three claims) are evaluated at one theta per class of
@@ -171,21 +171,13 @@ def _claim_pure_quad_rank(b: _Bundle) -> ClaimResult:
 
 
 def _claim_pure_quad_transform(b: _Bundle) -> ClaimResult:
-    ctx, k = b.ctx, b.k
-    n = ctx.n
+    n, k = b.ctx.n, b.k
     at0, at1 = (ValueHistogram.from_array(col[0, 1:]) for col in b.columns)
-    if half_odd(n):
-        want = theory.predict("walsh-b-at1-odd", n, k).histogram
-        return ClaimResult(
-            "pure-quad-transform", at0 == ValueHistogram({0: ctx.order - 1}) and at1 == want,
-            {"at0": "all zero", "at1": _entries(want)},
-            {"at0": _entries(at0), "at1": _entries(at1)},
-        )
-    want0 = theory.predict("walsh-b-at0-even", n, k).histogram
-    want1 = theory.predict("walsh-b-at1-even", n, k).histogram
+    want0, want1 = (theory.predict(f"walsh-b-at{lam}", n, k) for lam in (0, 1))
     return ClaimResult(
         "pure-quad-transform", at0 == want0 and at1 == want1,
-        {"at0": _entries(want0), "at1": _entries(want1)},
+        {"at0": "all zero" if want0.counts.keys() == {0} else _entries(want0),
+         "at1": _entries(want1)},
         {"at0": _entries(at0), "at1": _entries(at1)},
     )
 
@@ -195,8 +187,7 @@ def _claim_norm_form(b: _Bundle) -> ClaimResult:
     n = ctx.n
     ranks_ok = bool(np.all(symplectic_ranks(ctx, k, 0, ctx.subfield_elements[1:]) == n))
     at0, at1 = (ValueHistogram.from_array(col[1:, 0]) for col in b.columns)
-    want0 = theory.predict("walsh-c-at0", n, k).histogram
-    want1 = theory.predict("walsh-c-at1", n, k).histogram
+    want0, want1 = (theory.predict(f"walsh-c-at{lam}", n, k) for lam in (0, 1))
     return ClaimResult(
         "norm-form", ranks_ok and at0 == want0 and at1 == want1,
         {"rank": n, "at0": _entries(want0), "at1": _entries(want1)},
@@ -206,16 +197,13 @@ def _claim_norm_form(b: _Bundle) -> ClaimResult:
 
 def _claim_walsh_full(b: _Bundle) -> ClaimResult:
     return _hist_claim("walsh-full-distribution", b.spectra[0],
-                       theory.predict("walsh-full", b.ctx.n, b.k).histogram, _ORBIT_NOTE)
+                       theory.predict("walsh-full", b.ctx.n, b.k), _ORBIT_NOTE)
 
 
 def _claim_walsh_mixed(b: _Bundle) -> ClaimResult:
-    ctx, k = b.ctx, b.k
-    n = ctx.n
+    n, k = b.ctx.n, b.k
     at0, at1 = (ValueHistogram.from_array(col[1:, 1:]) for col in b.columns)
-    suffix = "odd" if half_odd(n) else "even"
-    want0 = theory.predict(f"walsh-bc-at0-{suffix}", n, k).histogram
-    want1 = theory.predict(f"walsh-bc-at1-{suffix}", n, k).histogram
+    want0, want1 = (theory.predict(f"walsh-bc-at{lam}", n, k) for lam in (0, 1))
     return ClaimResult(
         "walsh-mixed-pairs", at0 == want0 and at1 == want1,
         {"at0": _entries(want0), "at1": _entries(want1)},
@@ -233,15 +221,13 @@ def _claim_walsh_family_mix(b: _Bundle) -> ClaimResult:
     if half_odd(n):
         got = ValueHistogram.from_array(col1)
         got.merge(ValueHistogram.from_array(col0[:, 1]))
-        want = theory.predict("walsh-family-mix-odd", n, k).histogram
-        return _hist_claim("walsh-family-mix", got, want)
-    got = ValueHistogram.from_array(col1, ctx.order + (1 << ctx.half) - 1)
-    gset, dset = fam.gamma_delta_sets(ctx)
-    for row in ctx.subfield_index[dset].tolist():
-        got.merge(ValueHistogram.from_array(np.delete(col0[:, gset], row, axis=0)))
-        got.merge(ValueHistogram.from_array(col0[row]), len(gset))
-    want = theory.predict("walsh-family-mix-even", n, k).histogram
-    return _hist_claim("walsh-family-mix", got, want)
+    else:
+        got = ValueHistogram.from_array(col1, ctx.order + (1 << ctx.half) - 1)
+        gset, dset = fam.gamma_delta_sets(ctx)
+        for row in ctx.subfield_index[dset].tolist():
+            got.merge(ValueHistogram.from_array(np.delete(col0[:, gset], row, axis=0)))
+            got.merge(ValueHistogram.from_array(col0[row]), len(gset))
+    return _hist_claim("walsh-family-mix", got, theory.predict("walsh-family-mix", n, k))
 
 
 def _claim_subgrid_orbits(b: _Bundle) -> ClaimResult:
@@ -329,7 +315,7 @@ def _claim_reduced_vs_kernel(b: _Bundle) -> ClaimResult:
 
 
 def _claim_census(b: _Bundle) -> ClaimResult:
-    report = fieldeq.census_report(b.ctx, b.k, b.theta_roots)
+    report = fieldeq.census_report(b.ctx, b.k, b.theta_roots, b.columns[0][1:])
     return ClaimResult("equation-census", report["match"], None, report["counts"],
                        "three-root counts " + _THETA_NOTE)
 
@@ -358,7 +344,7 @@ def _claim_rank_value_consistency(b: _Bundle) -> ClaimResult:
 
 
 def _claim_code_weights(b: _Bundle) -> ClaimResult:
-    want = theory.predict("code-weights", b.ctx.n, b.k).histogram
+    want = theory.predict("code-weights", b.ctx.n, b.k)
     return _hist_claim("code-weights", b.code.weight_histogram, want, _ORBIT_NOTE)
 
 
@@ -393,7 +379,7 @@ def _claim_imbalance(b: _Bundle) -> ClaimResult:
         weights[lo : lo + len(block)] = np.bitwise_count(block).sum(axis=1, dtype=np.int64)
     imbalance = ctx.group_order - 2 * weights
     got = ValueHistogram.from_array(imbalance)
-    want = theory.imbalance_histogram(ctx.n)
+    want = theory.predict("imbalance", ctx.n)
     # per-sequence bridge: imbalance = transform value at 1 (part one) or
     # at 0 (part two), minus one
     col0, col1 = b.columns

@@ -56,14 +56,14 @@ def test_criterion_02_example_distribution_n4(family4):
 def test_criterion_03_closed_form_distributions(family4, family6):
     t0 = time.time()
     got6 = corr.full_distribution_spectral(family6).histogram
-    assert got6 == theory.predict("family-corr-odd", 6, 2).histogram
+    assert got6 == theory.predict("family-corr", 6, 2)
     got4 = corr.full_distribution_spectral(family4).histogram
-    assert got4 == theory.predict("family-corr-even", 4, 1).histogram
+    assert got4 == theory.predict("family-corr", 4, 1)
     # extended: n = 8 through the spectral engine only
     ctx8 = make_field(8)
     family8 = fam.build_family(fam.family_params(ctx8, "fk", 1))
     got8 = corr.full_distribution_spectral(family8).histogram
-    assert got8 == theory.predict("family-corr-even", 8, 1).histogram
+    assert got8 == theory.predict("family-corr", 8, 1)
     elapsed = time.time() - t0
     assert elapsed <= 600.0
     _report(3, "closed-form correlation distributions at n=4, 6, 8", elapsed, 600)
@@ -82,7 +82,7 @@ def test_criterion_05_three_root_theta_counts():
     t0 = time.time()
     for n, k in ((6, 2), (10, 2), (4, 1), (8, 1)):
         ctx = make_field(n)
-        first, second = fieldeq.count_three_root_thetas(ctx, k)
+        first, second = fieldeq.three_root_totals(fieldeq.theta_root_counts(ctx, k))
         assert first == second == theory.three_root_theta_count(n), (n, first)
     elapsed = time.time() - t0
     assert elapsed <= 30.0
@@ -93,7 +93,7 @@ def test_criterion_06_code_weight_distribution(ctx4, ctx6):
     t0 = time.time()
     for ctx, k in ((ctx4, 1), (ctx6, 2)):
         code = theory.build_code(ctx, k)
-        assert code.weight_histogram == theory.predict("code-weights", ctx.n, k).histogram
+        assert code.weight_histogram == theory.predict("code-weights", ctx.n, k)
     elapsed = time.time() - t0
     assert elapsed <= 10.0
     _report(6, "code weight distributions at n=4, 6", elapsed, 10)
@@ -118,37 +118,31 @@ def test_criterion_08_walsh_distribution_suite(ctx4, ctx6, ctx8):
 
         # full grid over all lambda
         full = spectrum_distribution(ctx, k, range(ctx.order), cs_all, range(ctx.order))
-        assert full == theory.predict("walsh-full", n).histogram
+        assert full == theory.predict("walsh-full", n)
 
         # pure-quad rows
-        at1 = spectrum_distribution(ctx, k, bs_star, [0], [1])
-        if odd:
-            assert at1 == theory.predict("walsh-b-at1-odd", n).histogram
-            at0 = spectrum_distribution(ctx, k, bs_star, [0], [0])
-            assert at0 == ValueHistogram({0: ctx.order - 1})
-        else:
-            assert at1 == theory.predict("walsh-b-at1-even", n).histogram
-            at0 = spectrum_distribution(ctx, k, bs_star, [0], [0])
-            assert at0 == theory.predict("walsh-b-at0-even", n).histogram
+        assert spectrum_distribution(ctx, k, bs_star, [0], [0]) == \
+            theory.predict("walsh-b-at0", n)
+        assert spectrum_distribution(ctx, k, bs_star, [0], [1]) == \
+            theory.predict("walsh-b-at1", n)
 
         # norm-form rows
         assert spectrum_distribution(ctx, k, [0], cs_star, [0]) == \
-            theory.predict("walsh-c-at0", n).histogram
+            theory.predict("walsh-c-at0", n)
         assert spectrum_distribution(ctx, k, [0], cs_star, [1]) == \
-            theory.predict("walsh-c-at1", n).histogram
+            theory.predict("walsh-c-at1", n)
 
         # mixed-pair rows
-        suffix = "odd" if odd else "even"
         assert spectrum_distribution(ctx, k, bs_star, cs_star, [0]) == \
-            theory.predict(f"walsh-bc-at0-{suffix}", n).histogram
+            theory.predict("walsh-bc-at0", n)
         assert spectrum_distribution(ctx, k, bs_star, cs_star, [1]) == \
-            theory.predict(f"walsh-bc-at1-{suffix}", n).histogram
+            theory.predict("walsh-bc-at1", n)
 
         # family mixes
         if odd:
             mix = spectrum_distribution(ctx, k, range(ctx.order), cs_all, [1])
             mix.merge(spectrum_distribution(ctx, k, [1], cs_all, [0]))
-            assert mix == theory.predict("walsh-family-mix-odd", n).histogram
+            assert mix == theory.predict("walsh-family-mix", n)
         else:
             weight = ctx.order + (1 << ctx.half) - 1
             mix = spectrum_distribution(ctx, k, range(ctx.order), cs_all, [1], weight)
@@ -158,7 +152,7 @@ def test_criterion_08_walsh_distribution_suite(ctx4, ctx6, ctx8):
                     rest = [c for c in cs_all if c != e1]
                     mix.merge(spectrum_distribution(ctx, k, [z1], rest, [0]))
                     mix.merge(spectrum_distribution(ctx, k, range(ctx.order), [e1], [0]))
-            assert mix == theory.predict("walsh-family-mix-even", n).histogram
+            assert mix == theory.predict("walsh-family-mix", n)
     elapsed = time.time() - t0
     assert elapsed <= 60.0
     _report(8, "transform distribution suite at n=4, 6, 8", elapsed, 60)
@@ -212,7 +206,7 @@ def test_criterion_11_imbalance(family4, family6, ctx8):
         rows = fam.member_table(family)[0]
         got = ValueHistogram.from_array(
             family.period - 2 * np.bitwise_count(rows).sum(axis=1, dtype=np.int64))
-        assert got == theory.imbalance_histogram(n), n
+        assert got == theory.predict("imbalance", n), n
     _report(11, "imbalance distributions at n=4, 6, 8", time.time() - t0)
 
 

@@ -370,15 +370,15 @@ def test_imbalance_histogram(family6):
     assert np.all(imbalance % 2 != 0)
     got = ValueHistogram.from_array(imbalance)
     assert got.counts[-1] == 241
-    assert got == theory.imbalance_histogram(6)
+    assert got == theory.predict("imbalance", 6)
 
 
 def test_imbalance_histogram_even_parity(family4, ctx8):
     got = ValueHistogram.from_array(imbalances(fam.member_table(family4)[0], family4.period))
-    assert got == theory.imbalance_histogram(4)
+    assert got == theory.predict("imbalance", 4)
     family8 = fam.build_family(fam.family_params(ctx8, "fk", 1))
     got8 = ValueHistogram.from_array(imbalances(fam.member_table(family8)[0], family8.period))
-    assert got8 == theory.imbalance_histogram(8)
+    assert got8 == theory.predict("imbalance", 8)
 
 
 def test_export_formats(ctx4, family4):

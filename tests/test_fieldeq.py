@@ -109,10 +109,12 @@ def test_theta_class_scan_matches_the_full_scan_n10(k):
 
 
 def test_three_root_theta_counts(ctx4, ctx6):
-    assert fe.count_three_root_thetas(ctx6, 2) == (36, 36)
-    assert fe.count_three_root_thetas(ctx4, 1) == (10, 10)
-    ctx8 = make_field(8)
-    first, second = fe.count_three_root_thetas(ctx8, 1)
+    def totals(ctx, k):
+        return fe.three_root_totals(fe.theta_root_counts(ctx, k))
+
+    assert totals(ctx6, 2) == (36, 36)
+    assert totals(ctx4, 1) == (10, 10)
+    first, second = totals(make_field(8), 1)
     assert first == second == theory.three_root_theta_count(8)
 
 
@@ -205,3 +207,12 @@ def test_census_pairs_match_xor_grid(n):
     for k in (k for k in range(1, n) if qf.valid_k(n, k)):
         c = fe.census(ctx, k)
         assert (c.quad_pairs, c.norm_pairs, c.joint_pairs) == xor_grid_pairs(ctx, k)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_census_with_passed_rows_equals_census_without(n):
+    # the lambda = 0 rows a caller passes in give the census it would build
+    ctx = make_field(n)
+    k = 1 if n % 4 == 0 else 2
+    at0 = qf.transform_column(ctx, k, ctx.subfield_elements, 0)[1:]
+    assert fe.census(ctx, k, at0=at0) == fe.census(ctx, k)

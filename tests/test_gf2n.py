@@ -477,6 +477,14 @@ def test_frobenius(ctx4):
         assert ctx4.trace(ctx4.frobenius(x, 1)) == ctx4.trace(x)
 
 
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_one_squaring_map_per_context(n):
+    # x -> x^2 is built once: frobenius_map(1) is the squaring map itself
+    ctx = make_field(n)
+    assert ctx.frobenius_map(1) is ctx._square is ctx.frobenius_map(n + 1)
+    assert np.array_equal(ctx._square.images, ctx._frobenius_images[1])
+
+
 def test_subfield_membership(ctx6):
     assert ctx6.in_subfield(0)
     assert ctx6.in_subfield(1)

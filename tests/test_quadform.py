@@ -648,7 +648,7 @@ def test_spectrum_distribution_full_grid(ctx6):
     )
     assert h.total() == 1 << (5 * 6 // 2)
     assert h.counts[64] == 1
-    assert h == theory.predict("walsh-full", 6).histogram
+    assert h == theory.predict("walsh-full", 6)
 
 
 def test_spectrum_distribution_pure_quad_row(ctx6):

@@ -17,57 +17,53 @@ def test_predict_populations_symbolic():
     # every predictor must account for exactly its population, for both parities
     for n in (4, 6, 8, 10):
         m = n // 2
-        odd = m % 2 == 1
         M = theory.family_size(n)
         pop = {
-            "walsh-full": 1 << (5 * m),
+            "walsh-b-at0": (1 << n) - 1,
+            "walsh-b-at1": (1 << n) - 1,
             "walsh-c-at0": (1 << m) - 1,
             "walsh-c-at1": (1 << m) - 1,
+            "walsh-full": 1 << (5 * m),
+            "walsh-bc-at0": ((1 << n) - 1) * ((1 << m) - 1),
+            "walsh-bc-at1": ((1 << n) - 1) * ((1 << m) - 1),
+            # one value per member (odd n/2), or 2^n + 2^{n/2} - 1 per member
+            "walsh-family-mix": M if m % 2 else ((1 << n) + (1 << m) - 1) * M,
             "code-weights": 1 << (5 * m),
             "theta-root-counts": (1 << n) - 1,
+            "family-corr": M * M * ((1 << n) - 1),
+            "imbalance": M,
         }
-        if odd:
-            pop.update({
-                "walsh-b-at1-odd": (1 << n) - 1,
-                "walsh-bc-at0-odd": ((1 << n) - 1) * ((1 << m) - 1),
-                "walsh-bc-at1-odd": ((1 << n) - 1) * ((1 << m) - 1),
-                "walsh-family-mix-odd": (1 << (3 * m)) + (1 << m),
-                "family-corr-odd": M * M * ((1 << n) - 1),
-                "imbalance-odd": M,
-            })
-        else:
-            pop.update({
-                "walsh-b-at0-even": (1 << n) - 1,
-                "walsh-b-at1-even": (1 << n) - 1,
-                "walsh-bc-at0-even": ((1 << n) - 1) * ((1 << m) - 1),
-                "walsh-bc-at1-even": ((1 << n) - 1) * ((1 << m) - 1),
-                "walsh-family-mix-even": ((1 << n) + (1 << m) - 1)
-                * ((1 << (3 * m)) + (1 << m) - 1),
-                "family-corr-even": M * M * ((1 << n) - 1),
-                "imbalance-even": M,
-            })
+        assert set(pop) == set(theory.PREDICTORS)
         for name, want in pop.items():
-            assert theory.predict(name, n).histogram.total() == want, (name, n)
+            assert theory.predict(name, n).total() == want, (name, n)
 
 
 def test_predict_spot_values():
-    odd_form = theory.predict("family-corr-odd", 6, 2).histogram
+    odd_form = theory.predict("family-corr", 6, 2)
     assert odd_form.counts[-9] == 2_853_064
     assert odd_form.counts[63] == 520
-    even_form = theory.predict("family-corr-even", 4, 1).histogram
+    even_form = theory.predict("family-corr", 4, 1)
     assert even_form.counts[3] == 18_418
     assert even_form.counts[15] == 67
-    roots = theory.predict("theta-root-counts", 6).histogram
+    roots = theory.predict("theta-root-counts", 6)
     assert roots.counts == {3: 36, 0: 27}
+    # W_{b,0}(0) vanishes for every b in E* when n/2 is odd
+    assert theory.predict("walsh-b-at0", 6).counts == {0: 63}
+    assert theory.predict("walsh-b-at0", 8).counts == {-32: 85, 16: 170}
     assert theory.three_root_theta_count(10) == 660
     assert theory.three_root_theta_count(8) == (2**9 - 2) // 3
 
 
 def test_predict_parity_and_name_errors():
-    with pytest.raises(theory.ParityMismatch):
-        theory.predict("family-corr-odd", 4)
-    with pytest.raises(theory.ParityMismatch):
-        theory.predict("walsh-b-at0-even", 6)
+    # one name per distribution, evaluated at both parities of n/2: no name
+    # carries a parity suffix, and the old suffixed names are unknown
+    for name in theory.PREDICTORS:
+        assert not name.endswith(("-odd", "-even"))
+        assert theory.predict(name, 6).total() and theory.predict(name, 8).total()
+    for name in theory.PREDICTORS:
+        for suffix in ("-odd", "-even"):
+            with pytest.raises(KeyError):
+                theory.predict(name + suffix, 6)
     with pytest.raises(KeyError):
         theory.predict("no-such-form", 6)
 
@@ -81,16 +77,17 @@ def test_predict_rejects_unsupported_n(n):
 def test_predict_checks_a_given_k():
     with pytest.raises(InvalidK):
         theory.predict("walsh-full", 6, 3)
-    assert theory.predict("walsh-full", 6, 2).histogram == theory.predict("walsh-full", 6).histogram
+    assert theory.predict("walsh-full", 6, 2) == theory.predict("walsh-full", 6)
     # no upper bound on n: the closed forms evaluate past every table
-    assert theory.predict("family-corr-even", 32, 1).histogram.total() == (
+    assert theory.predict("family-corr", 32, 1).total() == (
         theory.family_size(32) ** 2 * ((1 << 32) - 1))
 
 
 def test_family_dispatch_helpers():
-    assert theory.family_correlation_histogram(6) == theory.predict("family-corr-odd", 6).histogram
-    assert theory.family_correlation_histogram(8) == theory.predict("family-corr-even", 8).histogram
-    assert theory.imbalance_histogram(4) == theory.predict("imbalance-even", 4).histogram
+    assert theory.family_correlation_histogram(6) == theory.predict("family-corr", 6)
+    assert theory.family_correlation_histogram(8) == theory.predict("family-corr", 8)
+    # odd n/2: the imbalance is the family transform mix shifted by -1
+    assert theory.predict("imbalance", 6) == theory.predict("walsh-family-mix", 6).shifted(-1)
 
 
 def test_six_valued_support():
@@ -117,13 +114,13 @@ def test_build_code_n4(ctx4):
     assert code.length == 15 and code.dimension == 10
     assert code.weight_histogram.total() == 1 << 10
     assert set(code.weight_histogram.counts) == {0, 4, 6, 8, 10, 12}
-    assert code.weight_histogram == theory.predict("code-weights", 4).histogram
+    assert code.weight_histogram == theory.predict("code-weights", 4)
 
 
 def test_build_code_n6(ctx6):
     code = theory.build_code(ctx6, 2)
     assert code.weight_histogram.counts[32] == 15_183
-    assert code.weight_histogram == theory.predict("code-weights", 6).histogram
+    assert code.weight_histogram == theory.predict("code-weights", 6)
 
 
 def test_code_guard():
@@ -152,7 +149,7 @@ def test_code_weights_match_popcount_reference(n):
 
 def test_code_weights_n10():
     code = theory.build_code(make_field(10), 2)
-    assert code.weight_histogram == theory.predict("code-weights", 10).histogram
+    assert code.weight_histogram == theory.predict("code-weights", 10)
     assert code.weight_histogram.total() == 1 << 25
 
 
@@ -206,7 +203,7 @@ def test_build_code_packs_one_row_per_gamma_and_representative(n, monkeypatch):
     monkeypatch.setattr(theory, "packed_rows", spy)
     monkeypatch.setattr(fam, "packed_rows", spy)
     code = theory.build_code(ctx, k)
-    assert code.weight_histogram == theory.predict("code-weights", n, k).histogram
+    assert code.weight_histogram == theory.predict("code-weights", n, k)
     representatives = len(qf.orbit_classes(ctx, k)[0])
     assert sum(packed) <= ctx.n + 2 * representatives
 

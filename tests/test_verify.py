@@ -64,6 +64,20 @@ def test_imbalance_in_small_row_blocks(monkeypatch, n, k):
     assert blocks.empirical == whole.empirical == whole.predicted
 
 
+def test_one_pair_of_transform_columns_per_run(ctx8, monkeypatch):
+    # the census reads the run's lambda = 0 column instead of building its own
+    lams, original = [], qf.transform_column
+
+    def column(ctx, k, c_list, lam):
+        lams.append(lam)
+        return original(ctx, k, c_list, lam)
+
+    for module in (qf, verify, fieldeq):
+        monkeypatch.setattr(module, "transform_column", column)
+    assert verify.claims_report(ctx8, 1)["pass"] is True
+    assert sorted(lams) == [0, 1]
+
+
 def test_claims_report_shape(ctx4):
     report = verify.claims_report(ctx4, 1)
     assert report["pass"] is True
@@ -518,22 +532,22 @@ def test_optional_n10_checks():
     cs_all = [int(c) for c in ctx.subfield_elements]
     mix = spectrum_distribution(ctx, 2, range(ctx.order), cs_all, [1])
     mix.merge(spectrum_distribution(ctx, 2, [1], cs_all, [0]))
-    assert mix == theory.predict("walsh-family-mix-odd", 10).histogram
+    assert mix == theory.predict("walsh-family-mix", 10)
     # full correlation distribution through the spectral engine
     family = fam.build_family(fam.family_params(ctx, "fk", 2))
     report = corr.full_distribution_spectral(family)
-    assert report.histogram == theory.predict("family-corr-odd", 10).histogram
+    assert report.histogram == theory.predict("family-corr", 10)
     assert report.r_max == theory.r_max_expected(10) == 65
     # imbalance via the per-sequence popcounts
     rows = fam.member_table(family)[0]
     got = ValueHistogram.from_array(
         family.period - 2 * np.bitwise_count(rows).sum(axis=1, dtype=np.int64))
-    assert got == theory.imbalance_histogram(10)
+    assert got == theory.predict("imbalance", 10)
     print(f"optional n=10 checks in {time.time() - t0:.1f}s")
 
 
 def test_n10_reduced_equation_counts():
     ctx = make_field(10)
     for k in (2, 4, 6, 8):
-        first, second = fieldeq.count_three_root_thetas(ctx, k)
+        first, second = fieldeq.three_root_totals(fieldeq.theta_root_counts(ctx, k))
         assert first == second == theory.three_root_theta_count(10) == 660
