@@ -9,7 +9,6 @@ from .correlation import (
     CorrelationReport,
     full_distribution_brute,
     full_distribution_spectral,
-    r_max,
 )
 from .families import (
     FamilyKind,
@@ -21,26 +20,10 @@ from .families import (
     gamma_delta_sets,
     sequence_term,
 )
-from .fieldeq import (
-    EquationCensus,
-    LinearizedPoly,
-    census,
-    census_report,
-    count_affine_roots,
-    count_kernel_roots,
-    count_reduced_roots,
-    linearized_kernel,
-)
+from .fieldeq import EquationCensus, census, census_report
 from .gf2n import FieldCtx, make_field
 from .histogram import ValueHistogram
-from .quadform import (
-    QuadFormParams,
-    eval_f,
-    symplectic_rank,
-    valid_k,
-    walsh_point,
-    walsh_spectrum,
-)
+from .quadform import QuadFormParams, symplectic_rank, valid_k, walsh_spectrum
 from .theory import (
     CodeSpec,
     build_code,
@@ -57,7 +40,6 @@ __all__ = [
     "FamilyKind",
     "FamilyParams",
     "FieldCtx",
-    "LinearizedPoly",
     "QuadFormParams",
     "SequenceFamily",
     "SequenceTag",
@@ -66,22 +48,15 @@ __all__ = [
     "build_family",
     "census",
     "census_report",
-    "count_affine_roots",
-    "count_kernel_roots",
-    "count_reduced_roots",
     "dual_low_weights",
-    "eval_f",
     "family_params",
     "full_distribution_brute",
     "full_distribution_spectral",
     "gamma_delta_sets",
-    "linearized_kernel",
     "make_field",
     "predict",
-    "r_max",
     "sequence_term",
     "symplectic_rank",
     "valid_k",
-    "walsh_point",
     "walsh_spectrum",
 ]

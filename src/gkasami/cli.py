@@ -84,8 +84,7 @@ def _resolve_k(ctx: FieldCtx, args, kind: fam.FamilyKind) -> int:
     if kind == fam.FamilyKind.SMALL_KASAMI and k is None:
         return ctx.half + 1
     if k is None:
-        want = 2 if half_odd(ctx.n) else 1
-        k = ctx.half + 1 if not valid_k(ctx.n, want) else want
+        k = 2 if half_odd(ctx.n) else 1
         print(f"note: --k not given, using k = {k}", file=sys.stderr)
     return k
 

@@ -126,12 +126,8 @@ class CorrelationReport:
         }
 
 
-def r_max(report: CorrelationReport) -> int:
-    """Largest |value| over all triples except the in-phase autocorrelations."""
-    return _r_max_from_histogram(report.histogram, report.period, report.family_size)
-
-
 def _r_max_from_histogram(hist: ValueHistogram, period: int, size: int) -> int:
+    """Largest |value| over all triples except the in-phase autocorrelations."""
     rest = dict(hist.counts)
     inphase = rest.get(period, 0)
     if inphase < size:

@@ -1,7 +1,7 @@
 """Exhaustive solution counting for the field equations behind the
-rank and distribution results: affine equations eps*x^(2^l+1) + v*x + theta,
-the kernel equation of the symplectic radical, and the triple/pair power-sum
-set censuses with their degree-1..3 transform power sums.
+rank and distribution results: the kernel equation of the symplectic
+radical with its two reduced equations, and the triple/pair power-sum set
+censuses with their degree-1..3 transform power sums.
 
 These are the independent oracles: every count here is obtained by direct
 evaluation over the field (or over E^3 for the triple sets; the pair sets
@@ -13,13 +13,12 @@ theta^2) and gives every member of a class its leader's counts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import theory
-from .gf2n import FieldCtx, TooLarge, cyclotomic_classes, gf2_kernel_basis
+from .gf2n import FieldCtx, TooLarge, cyclotomic_classes
 from .histogram import ValueHistogram
 from .quadform import exponents, require_valid_k, transform_column
 
@@ -29,107 +28,21 @@ PAIR_SCAN_MAX_N = 10
 _THETA_BLOCK = 1 << 16
 
 
-class BadParams(ValueError):
-    """Raised when an equation's parameter preconditions are violated."""
-
-
-@dataclass(frozen=True)
-class LinearizedPoly:
-    """L(x) = sum_i coeffs[i] * x^(2^i) over GF(2^n)."""
-
-    coeffs: tuple[int, ...]
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "LinearizedPoly":
-        return cls(tuple(int(a) for a in coeffs))
-
-    def evaluate(self, ctx: FieldCtx, x: int) -> int:
-        acc = 0
-        for i, a in enumerate(self.coeffs):
-            if a:
-                acc ^= ctx.mul(a, ctx.frobenius(x, i))
-        return acc
-
-
-def linearized_kernel(ctx: FieldCtx, poly: LinearizedPoly) -> list[int]:
-    """GF(2)-basis of the root space {x : L(x) = 0}; its size is a power of 2."""
-    images = [poly.evaluate(ctx, 1 << j) for j in range(ctx.n)]
-    return gf2_kernel_basis(images)
-
-
-def count_affine_roots(ctx: FieldCtx, eps: int, v: int, theta: int, l: int) -> int:
-    """Roots in E of eps*x^(2^l+1) + v*x + theta, by evaluation at every x.
-
-    Requires eps != 0, theta a nonzero field element and gcd(l, n) = 1; the
-    count never exceeds 3 (verified exhaustively in the test suite).
-    """
-    if eps == 0 or not 0 < theta < ctx.order or math.gcd(l, ctx.n) != 1:
-        raise BadParams("need eps != 0, 0 < theta < 2^n, gcd(l, n) = 1")
-    xs = np.arange(ctx.order, dtype=np.int64)
-    lhs = ctx.scale_vec(eps, ctx.pow_vec(xs, (1 << l) + 1))
-    lhs ^= ctx.scale_vec(v, xs)
-    lhs ^= theta
-    return int(np.count_nonzero(lhs == 0))
-
-
-def _kernel_eq_values(ctx: FieldCtx, theta: int, k: int) -> np.ndarray:
-    """theta^(2^{n-k}) z^(2^{n-k}) + theta z^(2^k) + z^(2^{n/2}) over all z."""
-    n = ctx.n
-    zs = np.arange(ctx.order, dtype=np.int64)
-    tq = ctx.frobenius(theta, n - k)
-    vals = ctx.scale_vec(tq, ctx.frob_vec(zs, n - k))
-    vals ^= ctx.scale_vec(theta, ctx.frob_vec(zs, k))
-    vals ^= ctx.frob_vec(zs, ctx.half)
-    return vals
-
-
-def count_kernel_roots(ctx: FieldCtx, theta: int, k: int) -> int:
-    """Nonzero roots z of the radical kernel equation for (theta, c=1)."""
-    if theta == 0:
-        raise BadParams("theta must be nonzero")
-    require_valid_k(ctx.n, k)
-    vals = _kernel_eq_values(ctx, theta, k)
-    return int(np.count_nonzero(vals[1:] == 0))
-
-
 def _reduced_exponent(ctx: FieldCtx, shift: int) -> int:
     """2^(shift mod n) + 1, the exponent of w in a reduced equation."""
     return (1 << shift % ctx.n) + 1
-
-
-def count_reduced_roots(ctx: FieldCtx, theta: int, k: int) -> tuple[int, int]:
-    """Root counts of the two reduced auxiliary equations.
-
-    First: theta^(2^{n-k}) w^(2^{n/2-k}+1) + w + theta = 0 (natural for
-    k < n/2); second: theta w^(2^{k-n/2}+1) + w + theta^(2^{n-k}) = 0
-    (natural for k > n/2).  The shifts are taken mod n so both are
-    defined for every admissible k; w = 0 is never a root.  The parity-
-    appropriate count equals count_kernel_roots for the same theta.
-    """
-    if theta == 0:
-        raise BadParams("theta must be nonzero")
-    require_valid_k(ctx.n, k)
-    n = ctx.n
-    ws = np.arange(ctx.order, dtype=np.int64)
-    tq = ctx.frobenius(theta, n - k)
-
-    lhs = ctx.scale_vec(tq, ctx.pow_vec(ws, _reduced_exponent(ctx, n // 2 - k)))
-    lhs ^= ws
-    lhs ^= theta
-    first_count = int(np.count_nonzero(lhs[1:] == 0))
-
-    lhs = ctx.scale_vec(theta, ctx.pow_vec(ws, _reduced_exponent(ctx, k - n // 2)))
-    lhs ^= ws
-    lhs ^= tq
-    second_count = int(np.count_nonzero(lhs[1:] == 0))
-    return first_count, second_count
 
 
 def theta_root_counts(ctx: FieldCtx, k: int) -> np.ndarray:
     """Nonzero-root counts of the kernel equation and of both reduced
     equations for every theta in E*, as an int64 array at [equation, theta - 1].
 
-    Row 0 is count_kernel_roots, rows 1 and 2 are count_reduced_roots.
+    Row 0 counts the nonzero z with theta^(2^{n-k}) z^(2^{n-k}) + theta z^(2^k)
+    + z^(2^{n/2}) = 0, the radical kernel equation of the form (theta, 1);
+    rows 1 and 2 the w with theta^(2^{n-k}) w^(2^{n/2-k}+1) + w + theta = 0
+    and theta w^(2^{k-n/2}+1) + w + theta^(2^{n-k}) = 0, the shifts taken
+    mod n.  The tests' oracles count_kernel_roots and count_reduced_roots
+    (tests/reference.py) count them at one theta by evaluation over E.
     Squaring any of the three equations gives the same equation at theta^2
     with roots z -> z^2, so each count is constant on the Frobenius classes
     of theta: the equations are evaluated at theta = alpha^l for the least

@@ -100,10 +100,6 @@ class MalformedPolynomial(ValueError):
     """Raised when polynomial text does not parse as a hex bitmask."""
 
 
-class NonDivisor(ValueError):
-    """Raised when a trace is requested onto GF(2^m) with m not dividing n."""
-
-
 class TooLarge(ValueError):
     """Raised when an exhaustive computation is requested beyond its size guard."""
 
@@ -476,15 +472,6 @@ class FieldCtx:
         """Absolute trace onto GF(2), as an int 0 or 1."""
         return (self._element(x) & self._trace_mask).bit_count() & 1
 
-    def trace_to_subfield(self, x: int, m: int) -> int:
-        """Trace of x onto GF(2^m) embedded in E; m must divide n."""
-        if m <= 0 or self.n % m != 0:
-            raise NonDivisor(f"m = {m} does not divide n = {self.n}")
-        acc = 0
-        for i in range(self.n // m):
-            acc ^= self.frobenius(x, i * m)
-        return acc
-
     def in_subfield(self, x: int) -> bool:
         """True exactly for the elements of F; False for any x outside [0, 2^n).
         One test maps x straight from the half Frobenius map's images."""
@@ -503,13 +490,6 @@ class FieldCtx:
     def element_labels(self) -> list[str]:
         """[element_label(x) for x in E], indexed by x, from one read of log."""
         return ["0"] + [f"a^{j}" for j in self.log[1:].tolist()]
-
-    def element_from_label(self, text: str) -> int:
-        if text == "0":
-            return 0
-        if not text.startswith("a^"):
-            raise ValueError(f"bad element label {text!r}")
-        return self.pow(self.alpha, int(text[2:]))
 
     @cached_property
     def beta_powers(self) -> np.ndarray:

@@ -65,10 +65,6 @@ class ValueHistogram:
             ]
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "ValueHistogram":
-        return cls({int(e["value"]): int(e["count"]) for e in obj["entries"]})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ValueHistogram):
             return NotImplemented

@@ -166,15 +166,6 @@ class QuadFormParams:
             raise ValueError(f"b = {self.b} out of range")
 
 
-def eval_f(params: QuadFormParams, x: int) -> int:
-    """The form's value at a single point, as an int 0 or 1."""
-    ctx = params.ctx
-    e1, e2 = exponents(ctx, params.k)
-    t1 = ctx.trace(ctx.mul(params.b, ctx.pow(x, e1)))
-    t2 = ctx.trace(ctx.mul(ctx.trh_lift, ctx.mul(params.c, ctx.pow(x, e2))))
-    return t1 ^ t2
-
-
 def trace_rows(ctx: FieldCtx, coeffs, e: int) -> np.ndarray:
     """uint8 rows tr(a x^e) over x in E, one per a in coeffs; 0 at x = 0.
 
@@ -191,21 +182,6 @@ def trace_rows(ctx: FieldCtx, coeffs, e: int) -> np.ndarray:
         np.bitwise_count(xe & mask, out=row)
     rows &= 1
     return rows
-
-
-def truth_table(params: QuadFormParams) -> np.ndarray:
-    """uint8 array of the form's values over all of E, indexed by x."""
-    ctx = params.ctx
-    e1, e2 = exponents(ctx, params.k)
-    return (trace_rows(ctx, [params.b], e1)
-            ^ trace_rows(ctx, [ctx.mul(ctx.trh_lift, params.c)], e2))[0]
-
-
-def walsh_point(params: QuadFormParams, lam: int) -> int:
-    """Exact transform value sum_x (-1)^(f(x) + tr(lam*x)) by direct summation."""
-    ctx = params.ctx
-    tt = trace_rows(ctx, [lam], 1)[0] ^ truth_table(params)
-    return int(ctx.order - 2 * int(tt.sum()))
 
 
 def _hadamard(s: int) -> np.ndarray:
@@ -514,7 +490,8 @@ def walsh_spectra(ctx: FieldCtx, k: int, bs: np.ndarray, cs: np.ndarray) -> np.n
     whose row r is indexed by lambda.
 
     bs and cs are int64 arrays of R field and subfield elements, not checked
-    here, as in form_values.  Each row is pointwise equal to walsh_point.
+    here, as in form_values.  Each row equals, value by value, the direct
+    sum of the tests' oracle walsh_point (tests/reference.py).
     With x = sum_i y_i d_i over the dual basis, tr(lam x) is the parity of
     lam & y, so a spectrum is the Hadamard transform of g(y) = f(x),
     already indexed by lam.  It is built one bit of y at a time from the

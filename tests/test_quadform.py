@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from gkasami import families as fam
+from gkasami import fieldeq
 from gkasami import quadform as qf
 from gkasami import theory
 from gkasami.gf2n import N_MAX, TABLE_MAX_N, TooLarge, gf2_kernel_basis, make_field
 
-from reference import dual_truth_table, spectra_block, spectrum_distribution
+from reference import (count_affine_roots, count_kernel_roots, count_reduced_roots,
+                       dual_truth_table, eval_f, spectra_block, spectrum_distribution,
+                       truth_table, walsh_point)
 from test_gf2n import raw_mul_vec, raw_pow2_vec, raw_trace_mask
 
 
@@ -52,9 +55,9 @@ def test_c_outside_the_field_is_not_in_the_subfield(ctx4, c):
 
 def test_eval_f_trivial(ctx4):
     zero = qf.QuadFormParams(ctx4, 1, 0, 0)
-    assert all(qf.eval_f(zero, x) == 0 for x in range(16))
+    assert all(eval_f(zero, x) == 0 for x in range(16))
     some = qf.QuadFormParams(ctx4, 1, 5, 1)
-    assert qf.eval_f(some, 0) == 0
+    assert eval_f(some, 0) == 0
 
 
 def test_eval_f_matches_truth_table(ctx6):
@@ -63,18 +66,38 @@ def test_eval_f_matches_truth_table(ctx6):
         b = int(rng.randint(0, ctx6.order))
         c = int(ctx6.subfield_elements[rng.randint(0, 8)])
         p = qf.QuadFormParams(ctx6, 2, b, c)
-        tt = qf.truth_table(p)
+        tt = truth_table(p)
         for x in range(ctx6.order):
-            assert qf.eval_f(p, x) == int(tt[x])
+            assert eval_f(p, x) == int(tt[x])
 
 
 def test_walsh_point_trivial_cases(ctx6):
     zero = qf.QuadFormParams(ctx6, 2, 0, 0)
-    assert qf.walsh_point(zero, 0) == 64
+    assert walsh_point(zero, 0) == 64
     for lam in range(1, 64):
-        assert qf.walsh_point(zero, lam) == 0
+        assert walsh_point(zero, lam) == 0
     for c in ctx6.subfield_elements[1:]:
-        assert qf.walsh_point(qf.QuadFormParams(ctx6, 2, 0, int(c)), 0) == -8
+        assert walsh_point(qf.QuadFormParams(ctx6, 2, 0, int(c)), 0) == -8
+
+
+def test_reference_oracles_call_no_engine_route(monkeypatch, ctx6):
+    # with every engine route they check patched to raise, the oracles still
+    # give their known values at n = 6
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle called an engine route")
+
+    for name in ("_polar_rows", "_eliminate", "_eliminate_one", "walsh_spectra", "fwht",
+                 "transform_column"):
+        monkeypatch.setattr(qf, name, refuse)
+    monkeypatch.setattr(fieldeq, "theta_root_counts", refuse)
+    zero, pure_norm = qf.QuadFormParams(ctx6, 2, 0, 0), qf.QuadFormParams(ctx6, 2, 0, 1)
+    assert walsh_point(zero, 0) == 64 and walsh_point(pure_norm, 0) == -8
+    assert sum(1 - 2 * eval_f(pure_norm, x) for x in range(ctx6.order)) == -8
+    assert count_affine_roots(ctx6, 1, 0, 1, 1) == 3
+    thetas = range(1, ctx6.order)
+    assert sum(count_kernel_roots(ctx6, t, 2) == 3 for t in thetas) == 36
+    assert [sum(count == 3 for count in counts)
+            for counts in zip(*(count_reduced_roots(ctx6, t, 2) for t in thetas))] == [36, 36]
 
 
 def test_scaling_identity_for_pure_quad(ctx4):
@@ -82,17 +105,17 @@ def test_scaling_identity_for_pure_quad(ctx4):
     # transform at 1 of the form with coefficient b
     e1 = (1 << 1) + 1
     for b in range(1, 16):
-        base = qf.walsh_point(qf.QuadFormParams(ctx4, 1, b, 0), 1)
+        base = walsh_point(qf.QuadFormParams(ctx4, 1, b, 0), 1)
         for a in range(1, 16):
             scaled = ctx4.mul(b, ctx4.pow(a, e1))
-            assert qf.walsh_point(qf.QuadFormParams(ctx4, 1, scaled, 0), a) == base
+            assert walsh_point(qf.QuadFormParams(ctx4, 1, scaled, 0), a) == base
 
 
 def test_spectrum_equals_point_exhaustive_n4(ctx4):
     for p in all_params(ctx4, 1):
         spec = qf.walsh_spectrum(p)
         for lam in range(16):
-            assert int(spec[lam]) == qf.walsh_point(p, lam)
+            assert int(spec[lam]) == walsh_point(p, lam)
 
 
 @pytest.mark.parametrize("n,k", [(6, 2), (8, 1)])
@@ -106,7 +129,7 @@ def test_spectrum_equals_point_sampled(n, k):
         spec = qf.walsh_spectrum(p)
         assert spec.dtype == np.int32
         for lam in rng.randint(0, ctx.order, size=12):
-            assert int(spec[int(lam)]) == qf.walsh_point(p, int(lam))
+            assert int(spec[int(lam)]) == walsh_point(p, int(lam))
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10, 12]
@@ -132,7 +155,7 @@ def test_walsh_spectra_rows_are_the_one_form_spectra(n):
                 params = qf.QuadFormParams(ctx, k, b, c)
                 assert np.array_equal(spec, qf.walsh_spectrum(params))
                 for lam in rng.integers(0, ctx.order, 2).tolist():
-                    assert int(spec[lam]) == qf.walsh_point(params, lam)
+                    assert int(spec[lam]) == walsh_point(params, lam)
 
 
 def test_walsh_spectrum_exact_at_n20():
@@ -204,7 +227,7 @@ def test_fwht_checks_the_l1_norm_when_the_magnitude_bound_fails():
 def butterfly_route(params):
     """Reference: the trace_rows truth table indexed by x, an int64 butterfly,
     then the walsh_perm reindexing."""
-    w = 1 - 2 * qf.truth_table(params).astype(np.int64)
+    w = 1 - 2 * truth_table(params).astype(np.int64)
     h = 1
     while h < w.size:
         blk = w.reshape(-1, 2, h)
@@ -250,7 +273,7 @@ def test_walsh_spectrum_in_small_blocks(monkeypatch):
 def direct_sums(params, j):
     """W_j[mu] = sum over y < 2^j of (-1)^(g(y) + mu.y), from the truth table
     at the dual points, 2^8 mu at a time."""
-    g = qf.truth_table(params)[dual_points(params.ctx)[: 1 << j]].astype(np.int64)
+    g = truth_table(params)[dual_points(params.ctx)[: 1 << j]].astype(np.int64)
     y = np.arange(1 << j)
     return np.concatenate([(1 - 2 * ((g + np.bitwise_count(y & mu[:, None])) & 1)).sum(axis=1)
                            for mu in np.arange(1 << j).reshape(-1, min(1 << j, 1 << 8))])
@@ -351,7 +374,7 @@ def test_lambda_must_be_a_field_element(ctx4, lam):
     # -1 used to wrap onto 15 and return walsh_point(p, 15)
     p = qf.QuadFormParams(ctx4, 1, 3, 1)
     with pytest.raises(ValueError, match="not an element"):
-        qf.walsh_point(p, lam)
+        walsh_point(p, lam)
     with pytest.raises(ValueError, match="not an element"):
         qf.transform_column(ctx4, 1, [1], lam)
 
@@ -374,7 +397,7 @@ def test_pure_quad_spectrum_support_odd_half(ctx6):
 
 def brute_radical_dim(ctx, p):
     """Definition-level radical: z such that f(x)+f(z)+f(x+z) = 0 for all x."""
-    tt = qf.truth_table(p)
+    tt = truth_table(p)
     dim = 0
     for z in range(ctx.order):
         if all(tt[x] ^ tt[z] ^ tt[x ^ z] == 0 for x in range(ctx.order)):
@@ -435,7 +458,7 @@ def test_spectra_and_ranks_match_the_tables_at_large_n(n):
         b, c = int(rng.integers(1, ctx.order)), 0 if i % 3 == 0 else int(rng.choice(sub))
         params = qf.QuadFormParams(ctx, k, b, c)
         if n == 16 or i < 2:
-            want = qf.fwht(1 - 2 * qf.truth_table(params)[points].view(np.int8))
+            want = qf.fwht(1 - 2 * truth_table(params)[points].view(np.int8))
             assert np.array_equal(qf.walsh_spectrum(params), want)
         bs, cs = rng.integers(0, ctx.order, 24), sub[rng.integers(0, sub.size, 24)]
         assert qf.symplectic_ranks(ctx, k, bs, cs).tolist() == [
@@ -455,7 +478,7 @@ def test_polar_rows_match_the_truth_table(n):
         c = int(rng.choice(ctx.subfield_elements))
         for b in (0, int(rng.integers(1, ctx.order))):
             params = qf.QuadFormParams(ctx, k, b, c)
-            tt = qf.truth_table(params)[points]
+            tt = truth_table(params)[points]
             rows = qf._polar_rows(ctx, k, [b], [c])[0].tolist()
             assert len(rows) == n
             for j, row in enumerate(rows):

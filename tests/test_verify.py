@@ -11,8 +11,9 @@ from gkasami import fieldeq, quadform as qf, theory, verify
 from gkasami.gf2n import half_odd, make_field
 from gkasami.histogram import ValueHistogram
 
-from reference import (affine_root_max_full, code_tables, rank_deficient_b_counts_full,
-                       spectra_block, spectrum_distribution, theta_root_counts_full)
+from reference import (affine_root_max_full, code_tables, count_affine_roots,
+                       rank_deficient_b_counts_full, spectra_block, spectrum_distribution,
+                       theta_root_counts_full)
 
 
 def test_all_claims_pass_n6(ctx6):
@@ -255,7 +256,7 @@ def test_affine_root_bound_is_the_grid_maximum(ctx4):
     ctx = ctx4
     result = verify._claim_affine_root_bound(verify._Bundle(ctx, 1))
     want = max(
-        fieldeq.count_affine_roots(ctx, eps, v, theta, 1)
+        count_affine_roots(ctx, eps, v, theta, 1)
         for eps in range(1, ctx.order)
         for v in range(ctx.order)
         for theta in range(1, ctx.order)
@@ -275,7 +276,7 @@ def affine_root_counts(ctx, eps):
 
 def test_affine_root_counts_reference(ctx4):
     for eps in range(1, ctx4.order):
-        want = [[fieldeq.count_affine_roots(ctx4, eps, v, theta, 1)
+        want = [[count_affine_roots(ctx4, eps, v, theta, 1)
                  for theta in range(1, ctx4.order)] for v in range(ctx4.order)]
         assert affine_root_counts(ctx4, eps).tolist() == want
 
@@ -287,7 +288,7 @@ def test_affine_root_counts_follow_the_cube_class(n):
     {1, alpha, alpha^2}, the one with the same discrete log mod 3."""
     ctx = make_field(n)
     reps = ctx.antilog[:3].tolist()
-    want = [sorted(fieldeq.count_affine_roots(ctx, r, v, theta, 1)
+    want = [sorted(count_affine_roots(ctx, r, v, theta, 1)
                    for v in range(ctx.order) for theta in range(1, ctx.order))
             for r in reps]
     for eps in range(1, ctx.order):
