@@ -9,12 +9,14 @@ families, correlation engines) is a pure function of the context.
 Every GF(2)-linear map the context uses (the reduction of a product,
 multiplication by a constant, the Frobenius x -> x^(2^i), the alpha-ladder
 x -> (x alpha^j)_j) is a :class:`LinearMap`: a few inputs are mapped
-straight from the images of the basis, more through two 2^{n/2}-entry
-tables.  A context is built in O(2^{n/2}) and does its scalar arithmetic
-through these maps; the 2^n-entry log/antilog, trace-pairing and
-subfield-index tables are built on first read.  Each trace has one route:
-tr(x) is the parity of x & a mask, over arrays tr(a y) is the parity of
-walsh_perm[a] & y, and the trace of y from F onto GF(2) is tr(delta y).
+straight from the images of the basis, more through one table of at most
+256 rows per byte of the input, so no map table grows with n.  A context
+is built in O(2^{n/2}), the list of F's elements, and does its scalar
+arithmetic through these maps; the 2^n-entry log/antilog, trace-pairing
+and subfield-index tables are built on first read.  Each trace has one
+route: tr(x) is the parity of x & a mask, over arrays tr(a y) is the
+parity of walsh_perm[a] & y, and the trace of y from F onto GF(2) is
+tr(delta y).
 
 The subfield F is never given its own bit width: it is the set of elements
 of E fixed by the (n/2)-fold Frobenius, and beta = alpha^(2^{n/2}+1)
@@ -43,7 +45,7 @@ unnoticed):
 Past n = TABLE_MAX_N (20) a context builds no 2^n-entry table: reading one
 raises TooLarge, naming it, and so do pow_vec and element_labels, which
 read them.  Scalar arithmetic, the LinearMaps and the 2^{n/2}-entry tables
-work up to N_MAX (32).
+(subfield_elements, beta_powers) work up to N_MAX (32).
 """
 
 from __future__ import annotations
@@ -76,15 +78,13 @@ N_MAX = 32
 # the 2^n-entry tables (log, antilog, walsh_perm, subfield_index) are
 # built only up to this n; past it reading one raises TooLarge
 TABLE_MAX_N = 20
-# powers FieldCtx.powers takes one step at a time before it starts doubling
-SCALAR_POWERS = 1 << 10
-# powers FieldCtx.powers takes straight from the images of x -> g x: up to
-# about 32 steps cost less than building its two tables at n = 6 to 20
-_IMAGE_STEPS = 1 << 5
+# powers FieldCtx.powers takes one step at a time, straight from the images
+# of x -> g x, before it starts doubling
+SCALAR_POWERS = 1 << 5
 # LinearMap.vec maps an array straight from the images while it picks at
 # most this many image entries (array entries times image entries); building
-# the two tables gets cheaper from about 2^12 picks (n = 8) to about 2^14.5
-# (n = 20, n-vector images) on
+# and reading the byte tables gets cheaper from about 2^10.5 picks (n = 8,
+# int images) to about 2^14 (n = 20, n-vector images) on
 _DIRECT_PICKS = 1 << 13
 
 
@@ -125,33 +125,35 @@ class LinearMap:
     maps one int; vec maps an integer array elementwise.  vec maps a small
     array (up to _DIRECT_PICKS) straight from the images, the XOR of
     images[i] over the set bits i of each entry, so a map read only at a
-    few points builds no table.  Larger arrays and calls read two tables
-    built on first use, of the map on the low split = ceil(bits/2) bits
-    and on the rest, so a map on n bits costs 2^{n/2} entries instead of
-    2^n: m(x) = lo[x & low] ^ hi[x >> split].
+    few points builds no table.  Larger arrays and calls read one table per
+    byte of the input, built on first use: tables[i] is the map on bits
+    8i .. 8i + 7, so no table has more than 256 rows whatever the width,
+    and m(x) is the XOR over the bytes x_i of x of tables[i][x_i].  vec
+    reads each int64 entry as a bit pattern, so a map on 64 bits takes
+    entries with bit 63 set, which are negative.
     """
 
     def __init__(self, images):
         self.images = np.asarray(images, dtype=np.int64)
-        self.split = (len(self.images) + 1) // 2
-        self.low = (1 << self.split) - 1
 
     @cached_property
-    def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        return _linear_table(self.images[: self.split]), _linear_table(self.images[self.split :])
+    def tables(self) -> list[np.ndarray]:
+        return [_linear_table(self.images[lo : lo + 8]) for lo in range(0, len(self.images), 8)]
 
     @cached_property
-    def _lists(self) -> tuple[list[int], list[int]]:  # scalar lookups are faster in lists
-        lo, hi = self.tables
-        return lo.tolist(), hi.tolist()
+    def _lists(self) -> list[list[int]]:  # scalar lookups are faster in lists
+        return [table.tolist() for table in self.tables]
 
     @cached_property
     def _image_list(self) -> list[int]:
         return self.images.tolist()
 
     def __call__(self, x: int) -> int:
-        lo, hi = self._lists
-        return lo[x & self.low] ^ hi[x >> self.split]
+        acc = 0
+        for table in self._lists:
+            acc ^= table[x & 0xFF]
+            x >>= 8
+        return acc
 
     def direct(self, x: int) -> int:
         """The map at one int straight from the (int) images, the XOR of
@@ -164,6 +166,8 @@ class LinearMap:
         return acc
 
     def vec(self, xs, out: np.ndarray | None = None) -> np.ndarray:
+        """The map at every entry of xs; with out, the result is written
+        there and the byte tables' gathers are XORed into it in place."""
         xs = np.asarray(xs)
         if xs.size * self.images.size <= _DIRECT_PICKS:
             bits = len(self.images)
@@ -171,23 +175,27 @@ class LinearMap:
             if self.images.ndim > 1:
                 picked = picked[..., None]
             return np.bitwise_xor.reduce(picked * self.images, axis=xs.ndim, out=out)
-        lo, hi = self.tables
-        return np.bitwise_xor(lo.take(xs & self.low, axis=0),
-                              hi.take(xs >> self.split, axis=0), out=out)
+        first, *rest = self.tables
+        # in range for entries below 2^bits; "wrap" spares take a buffered copy of out
+        out = first.take(xs & 0xFF, axis=0, out=out, mode="wrap")
+        for i, table in enumerate(rest, 1):
+            out ^= table.take(xs >> 8 * i & 0xFF, axis=0)
+        return out
 
 
 class FieldCtx:
     """Immutable GF(2^n) context.
 
-    Building one takes O(2^{n/2}) work: it builds LinearMaps (two
-    2^{n/2}-entry tables each) for the reduction of a product and for
-    squaring, and checks that alpha has order 2^n - 1 (by the orders of
-    beta and gamma, see _check_primitive), that the absolute trace lands
-    in GF(2), that F has 2^{n/2} elements, that delta + delta^(2^{n/2}) = 1
-    for the subfield trace's lift delta, and that the trace pairing is
-    nondegenerate.  Scalar arithmetic needs no 2^n-entry table: mul is a
-    carry-less product reduced through a map, pow and inv square through
-    the Frobenius map, trace is the parity of x & a mask, in_subfield tests
+    Building one takes O(2^{n/2}) work: it builds LinearMaps (whose byte
+    tables of at most 256 rows are built on first use) for the reduction
+    of a product and for squaring, lists the 2^{n/2} elements of F, and
+    checks that alpha has order 2^n - 1 (by the orders of beta and gamma,
+    see _check_primitive), that the absolute trace lands in GF(2), that F
+    has 2^{n/2} elements, that delta + delta^(2^{n/2}) = 1 for the subfield
+    trace's lift delta, and that the trace pairing is nondegenerate.
+    Scalar arithmetic needs no 2^n-entry table: mul is a carry-less
+    product reduced through a map, pow and inv square through the
+    Frobenius map, trace is the parity of x & a mask, in_subfield tests
     x^(2^{n/2}) = x, and element_label takes the discrete log through
     F* x U (see _dlog).  The 2^n-entry tables are built on first read, in
     O(2^n), for the engines that gather through them at small n, and only
@@ -352,31 +360,24 @@ class FieldCtx:
     def powers(self, g: int, count: int) -> np.ndarray:
         """int64 array [g^0, g^1, ..., g^(count - 1)].
 
-        The first SCALAR_POWERS are single steps through the map x -> g x:
-        straight from its images (LinearMap.direct) up to _IMAGE_STEPS of
-        them, through its two half-width tables past that.  Then each step
-        doubles the array, out[m:m+t] = g^m * out[:t], through the two
-        half-width tables of x -> g^m x.
+        The first SCALAR_POWERS are single steps through the map x -> g x,
+        straight from its images (LinearMap.direct), so its tables are never
+        built.  Then each step doubles the array, out[m:m+t] = g^m * out[:t],
+        through the map x -> g^m x.
         """
         out = np.empty(count, dtype=np.int64)
         filled = min(count, SCALAR_POWERS)
         step = self.times_map(g)
         head, x = [], 1
-        if count <= _IMAGE_STEPS:
-            for _ in range(filled):
-                head.append(x)
-                x = step.direct(x)
-        else:
-            (lo, hi), low, split = step._lists, step.low, step.split
-            for _ in range(filled):
-                head.append(x)
-                x = lo[x & low] ^ hi[x >> split]  # step(x), inlined
+        for _ in range(filled):
+            head.append(x)
+            x = step.direct(x)
         out[:filled] = head
         while filled < count:
             t = min(filled, count - filled)
             self.times_map(x).vec(out[:t], out=out[filled : filled + t])
             filled += t
-            x = step(int(out[filled - 1]))
+            x = step.direct(int(out[filled - 1]))
         return out
 
     @cached_property
@@ -497,27 +498,28 @@ class FieldCtx:
         return _read_only(self.powers(self.beta, (1 << self.half) - 1))
 
     @cached_property
-    def _half_logs(self) -> tuple[dict[int, int], dict[int, int], list[int], int, int]:
+    def _half_logs(self) -> tuple[tuple[np.ndarray, np.ndarray],
+                                  tuple[np.ndarray, np.ndarray], int, int]:
         """Logs on F* (base beta) and on U = {u : u^(2^{n/2}+1) = 1} (base
-        gamma = alpha^(2^{n/2}-1)), the powers of beta, and the CRT weights
-        that join a residue mod 2^{n/2} - 1 and one mod 2^{n/2} + 1."""
+        gamma = alpha^(2^{n/2}-1)), each as its powers in increasing order
+        and their exponents (_sorted_logs), and the CRT weights that join a
+        residue mod 2^{n/2} - 1 and one mod 2^{n/2} + 1."""
         units = (1 << self.half) - 1
-        beta_powers = self.beta_powers.tolist()
-        gamma_powers = self.powers(self.pow(self.alpha, units), units + 2).tolist()
-        return ({y: j for j, y in enumerate(beta_powers)},
-                {u: j for j, u in enumerate(gamma_powers)},
-                beta_powers,
+        gamma_powers = self.powers(self.pow(self.alpha, units), units + 2)
+        return (_sorted_logs(self.beta_powers), _sorted_logs(gamma_powers),
                 (units + 2) * pow(units + 2, -1, units),
                 units * pow(units, -1, units + 2))
 
     def _dlog(self, x: int) -> int:
         """log_alpha x for x != 0: with L = log x and q = 2^{n/2}, the norm
-        x^(q+1) = beta^L fixes L mod q - 1, and x^(q-1) = gamma^L fixes L mod q + 1."""
-        log_beta, log_gamma, beta_powers, w1, w2 = self._half_logs
+        x^(q+1) = beta^L fixes L mod q - 1, and x^(q-1) = gamma^L fixes L mod q + 1.
+        Each log is one binary search of the sorted powers."""
+        (beta_keys, beta_logs), (gamma_keys, gamma_logs), w1, w2 = self._half_logs
         xq = self._half_frobenius(x)
-        l1 = log_beta[self._mul(xq, x)]
+        l1 = int(beta_logs[beta_keys.searchsorted(self._mul(xq, x))])
         # x^(q-1) = x^(2q) / x^(q+1), and 1 / x^(q+1) = beta^(-l1)
-        l2 = log_gamma[self._mul(self._square(xq), beta_powers[-l1 % len(beta_powers)])]
+        inverse = int(self.beta_powers[-l1 % len(beta_keys)])
+        l2 = int(gamma_logs[gamma_keys.searchsorted(self._mul(self._square(xq), inverse))])
         return (l1 * w1 + l2 * w2) % self.group_order
 
     # -- vector operations (numpy arrays of elements) ------------------
@@ -556,6 +558,13 @@ def _field_elements(ctx: FieldCtx, xs) -> np.ndarray:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _sorted_logs(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """powers[j] = g^j for the j below g's order, as (the powers in
+    increasing order, their exponents j): the log of g^j is at its position."""
+    logs = np.argsort(powers)
+    return powers[logs], logs
 
 
 def _prime_factors(m: int) -> set[int]:

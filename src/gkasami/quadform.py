@@ -4,9 +4,10 @@ A form is read through its polar rows: the n x n polar form over the
 trace-dual basis d, with the values f(d_j) on the diagonal, from the n
 products b d_j^(2^k) + delta c d_j^(2^{n/2}) (_polar_part); no 2^n-entry
 table is read.  One form takes its products straight from the images of
-x -> b x and x -> c x.  The rows are GF(2)-linear in b and in c, so for a
-batch two LinearMaps (_polar_map: the b part for each k, the c part once
-per context) hold the rows of the basis forms.  In dual-basis
+x -> b x and x -> c x.  The rows are GF(2)-linear in b and in c, so a
+batch builds two LinearMaps (_polar_map: the b part and the c part) whose
+images are the rows of the basis forms; their byte tables hold at most 256
+rows, so a call builds them afresh and no map outlives it.  In dual-basis
 coordinates y, tr(lam x) is the parity of lam & y, so lam's bits join the
 diagonal.
 
@@ -53,7 +54,6 @@ row tr(a x^e) over x in E; trace_rows is the one builder of such rows.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,10 +87,6 @@ _LOW_MASK = (1 << _LOW_STEP) - 1
 _RANK_BLOCK = 1 << 12
 # forms form_values eliminates at once; bounds its block x n int64 work arrays
 _FORM_BLOCK = 1 << 12
-# _polar_map per context and t, dropped with their context
-_POLAR_MAPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-# _rank_maps per context and k, dropped with their context
-_RANK_MAPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class InvalidK(ValueError):
@@ -285,11 +281,8 @@ def _polar_part(ctx: FieldCtx, t: int, times: LinearMap) -> np.ndarray:
 def _polar_map(ctx: FieldCtx, t: int) -> LinearMap:
     """The LinearMap sending a to the polar rows of the form tr(x a' x^(2^t))
     (_polar_part).  The rows are GF(2)-linear in a, so the map's images are
-    the rows of the basis forms a = alpha^l.  Built once per context and t."""
-    maps = _POLAR_MAPS.setdefault(ctx, {})
-    if t not in maps:
-        maps[t] = LinearMap(_polar_part(ctx, t, ctx.alpha_ladder))
-    return maps[t]
+    the rows of the basis forms a = alpha^l."""
+    return LinearMap(_polar_part(ctx, t, ctx.alpha_ladder))
 
 
 def _polar_rows(ctx: FieldCtx, k: int, bs, cs) -> np.ndarray:
@@ -556,44 +549,37 @@ def _rank_images(ctx: FieldCtx, k: int, bs, cs) -> np.ndarray:
             ^ frob(k + ctx.half).vec(ladder.vec(cs)))
 
 
-def _rank_maps(ctx: FieldCtx, k: int) -> tuple[LinearMap, LinearMap]:
-    """LinearMaps sending b, and c, to their shares of a form's n rank
-    images (_rank_images, which is GF(2)-linear in b and in c), from the
-    images of the basis alpha^l.  Built once per context and k."""
-    maps = _RANK_MAPS.setdefault(ctx, {})
-    if k not in maps:
-        basis = ctx.alpha_ladder.images[:, 0]
-        maps[k] = (LinearMap(_rank_images(ctx, k, basis, 0)),
-                   LinearMap(_rank_images(ctx, k, 0, basis)))
-    return maps[k]
-
-
 def symplectic_ranks(ctx: FieldCtx, k: int, bs, c) -> np.ndarray:
     """Symplectic ranks of the forms (b, c) for b in bs, as an int array.
 
     c is one subfield element or an array of them broadcast against bs.  The
-    rank is the GF(2)-rank of the form's n images (_rank_images), read
-    through the two maps of _rank_maps and reduced one leading bit at a
-    time (_row_ranks), _RANK_BLOCK forms at once, image-major in the
-    narrowest unsigned dtype that holds n bits.  The blocks are read from
-    bs and c as broadcast, so a call allocates its result and about one
-    block's work arrays.  The zero form has rank 0.
+    rank is the GF(2)-rank of the form's n images (_rank_images), reduced
+    one leading bit at a time (_row_ranks), _RANK_BLOCK forms at once,
+    image-major in the narrowest unsigned dtype that holds n bits.  The
+    images are GF(2)-linear in b and in c, so one LinearMap of the 2n-bit
+    word b + 2^n c, whose images are those of the basis forms (alpha^l, 0)
+    and (0, alpha^l), reads each block's images into one buffer.  At
+    n = 32 the word fills all 64 bits of an int64, which the map reads as
+    a bit pattern.  The blocks are read from bs and c as broadcast, so a
+    call allocates its result and a few blocks' work arrays.  The zero
+    form has rank 0.
     """
     require_valid_k(ctx.n, k)
     bs = _field_elements(ctx, bs)
     c = _subfield_elements(ctx, c)
-    b_map, c_map = _rank_maps(ctx, k)
-    # a single c keeps n images shared by every form, not n per form
-    c_images = None if c.ndim else c_map.vec(c)
+    basis = ctx.alpha_ladder.images[:, 0]
+    pair_map = LinearMap(np.concatenate([_rank_images(ctx, k, basis, 0),
+                                         _rank_images(ctx, k, 0, basis)]))
     narrow = np.min_scalar_type(ctx.group_order)
     rank = np.empty(np.broadcast_shapes(bs.shape, c.shape), dtype=np.int64)
+    buf = np.empty((min(rank.size, _RANK_BLOCK), ctx.n), dtype=np.int64)
     # blocks of the broadcast forms, in C order: no copy of the grid is made
     with np.nditer([bs, c, rank], ["external_loop", "buffered", "zerosize_ok"],
                    [["readonly"], ["readonly"], ["writeonly"]], order="C",
                    buffersize=_RANK_BLOCK) as blocks:
         for b, c_block, out in blocks:
-            images = b_map.vec(b)
-            images ^= c_map.vec(c_block) if c_images is None else c_images
+            words = b | (c_block.astype(np.uint64) << ctx.n).view(np.int64)
+            images = pair_map.vec(words, out=buf[: len(b)])
             out[...] = _row_ranks(images.T.astype(narrow, order="C"))
     return rank
 

@@ -335,35 +335,39 @@ def test_scalar_ops_match_the_tables(n):
 
 @pytest.mark.parametrize("n", [8, 20])
 def test_linear_map_paths_agree(n):
-    # a few entries map straight from the images and build no table, many
-    # go through the half-width tables; both, and the scalar call, give the
-    # XOR of the images of the set bits.  A map on n - 1 bits, as the
-    # reduction's, splits as one on n bits does
+    # n-bit images, ints or 3-vectors, on inputs of every width from 1 to
+    # 62: a few entries map straight from the images and build no table,
+    # more than _DIRECT_PICKS picks go through one table per input byte of
+    # at most 256 rows.  vec (into a fresh array or into out), the scalar
+    # call and direct all give the XOR of the images of the set bits
     rng = np.random.default_rng(n)
-    for shape in ((n,), (n - 1,), (n, 3)):
-        bits = shape[0]
-        xs = rng.integers(0, 1 << bits, size=1 << 12)
-        images = rng.integers(0, 1 << n, size=shape)
-        want = np.array([np.bitwise_xor.reduce(images[[j for j in range(bits) if x >> j & 1]],
-                                               axis=0)
-                         for x in xs.tolist()])
-        lmap = LinearMap(images)
-        assert lmap.split == n // 2
-        assert np.array_equal(lmap.vec(xs[:6].reshape(2, 3)), want[:6].reshape((2, 3) + shape[1:]))
-        if len(shape) == 1:
-            assert [lmap.direct(x) for x in xs[:64].tolist()] == want[:64].tolist()
-        assert "tables" not in vars(lmap)
-        assert np.array_equal(lmap.vec(xs), want)
-        assert "tables" in vars(lmap)
-        if len(shape) == 1:
-            assert [lmap(x) for x in xs[:64].tolist()] == want[:64].tolist()
+    for bits in range(1, 63):
+        for shape in ((bits,), (bits, 3)):
+            images = rng.integers(0, 1 << n, size=shape)
+            xs = rng.integers(0, 1 << bits, size=gf2n._DIRECT_PICKS // images.size + 1)
+            want = np.zeros(xs.shape + shape[1:], dtype=np.int64)
+            for j, image in enumerate(images):
+                want ^= np.multiply.outer(xs >> j & 1, image)
+            lmap = LinearMap(images)
+            assert np.array_equal(lmap.vec(xs[:6].reshape(2, 3)),
+                                  want[:6].reshape((2, 3) + shape[1:]))
+            if len(shape) == 1:
+                assert [lmap.direct(x) for x in xs[:64].tolist()] == want[:64].tolist()
+            assert "tables" not in vars(lmap)
+            assert np.array_equal(lmap.vec(xs), want)
+            assert len(lmap.tables) == -(-bits // 8)
+            assert max(len(table) for table in lmap.tables) == min(1 << bits, 256)
+            out = np.empty_like(want)
+            assert lmap.vec(xs, out=out) is out and np.array_equal(out, want)
+            if len(shape) == 1:
+                assert [lmap(x) for x in xs[:64].tolist()] == want[:64].tolist()
 
 
 def test_a_subfield_test_and_a_few_powers_build_no_table(monkeypatch):
     # the first QuadFormParams on a fresh n = 32 context tests c by mapping
     # it straight from the half Frobenius map's images, and up to
-    # _IMAGE_STEPS powers step straight from the images of x -> g x: no
-    # half-width table (2^16 entries here) is built for either
+    # SCALAR_POWERS powers step straight from the images of x -> g x: no
+    # table is built for either
     ctx = make_field(N_MAX)
     built = []
     monkeypatch.setattr(gf2n, "_linear_table",
@@ -372,8 +376,8 @@ def test_a_subfield_test_and_a_few_powers_build_no_table(monkeypatch):
     qf.QuadFormParams(ctx, k, 3, ctx.beta)
     with pytest.raises(ValueError, match="not in the subfield"):
         qf.QuadFormParams(ctx, k, 3, ctx.alpha)
-    assert ctx.powers(ctx.beta, gf2n._IMAGE_STEPS).tolist() == [
-        ctx.pow(ctx.beta, j) for j in range(gf2n._IMAGE_STEPS)]
+    assert ctx.powers(ctx.beta, SCALAR_POWERS).tolist() == [
+        ctx.pow(ctx.beta, j) for j in range(SCALAR_POWERS)]
     assert built == []
 
 
@@ -381,7 +385,7 @@ def test_a_subfield_test_and_a_few_powers_build_no_table(monkeypatch):
 def test_powers_agree_on_both_sides_of_the_image_steps(n):
     ctx = make_field(n)
     g = ctx.pow(ctx.alpha, 12345 % ctx.group_order)
-    for count in (1, gf2n._IMAGE_STEPS, gf2n._IMAGE_STEPS + 1, SCALAR_POWERS + 3):
+    for count in (1, SCALAR_POWERS, SCALAR_POWERS + 1, (1 << 10) + 3):
         assert ctx.powers(g, count).tolist() == [ctx.pow(g, j) for j in range(count)]
 
 

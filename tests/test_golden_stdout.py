@@ -8,6 +8,11 @@ one replaces the digest in the same change.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -295,3 +300,34 @@ def test_stdout_digest(capsys, command):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == {**GOLDEN, **GOLDEN_SLOW}[command]
+
+
+# runs the CLI with its arguments in a child and prints [exit code, stdout
+# sha256, the child's peak RSS in KiB].  Linux counts a process's RSS at
+# its exec in the peak of the program it execs, so the CLI is started by
+# this small launcher, not by the test process itself
+_LAUNCH = """
+import hashlib, json, os, subprocess, sys
+cli = "import sys; from gkasami import cli; sys.exit(cli.main(sys.argv[1:]))"
+with subprocess.Popen([sys.executable, "-c", cli, *sys.argv[1:]], stdout=subprocess.PIPE) as proc:
+    out = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+print(json.dumps([proc.returncode, hashlib.sha256(out).hexdigest(), usage.ru_maxrss]))
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["fk", "large-kasami"])
+def test_cold_corr_n32_stays_small(kind):
+    """`corr --n 32` in a fresh process prints the golden report and peaks
+    below 80 MB of RSS: no LinearMap table has more than 256 rows (two
+    tables of 2^16 rows a map held about 96 MB, for a 149 MB peak)."""
+    command = f"corr --engine spectral --kind {kind} --n 32"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    launched = subprocess.run([sys.executable, "-c", _LAUNCH, *command.split()], env=env,
+                              capture_output=True, text=True, check=True)
+    code, digest, peak_kib = json.loads(launched.stdout)
+    assert code == 0
+    assert digest == GOLDEN_SLOW[command]
+    assert peak_kib < 80 << 10  # Linux reports KiB

@@ -508,20 +508,22 @@ def test_one_form_polar_rows_are_the_map_rows(n):
             assert np.array_equal(batch[0], one[0])
 
 
-def test_one_form_builds_no_polar_map():
+def test_one_form_builds_no_polar_map(monkeypatch):
     # walsh_spectrum and walsh_at (the small Kasami engine's call) read one
     # form's rows from its products; a batch builds the two maps
     ctx = make_field(10)
     k = next(k for k in range(1, 10) if qf.valid_k(10, k))
+    built, polar_map = [], qf._polar_map
+    monkeypatch.setattr(qf, "_polar_map", lambda ctx, t: built.append(t) or polar_map(ctx, t))
     params = qf.QuadFormParams(ctx, k, 77, ctx.beta)
     spec = qf.walsh_spectrum(params)
     lams = np.arange(0, ctx.order, 37)
     at, rank = qf.walsh_at(params, lams)
     small = qf.walsh_at(qf.QuadFormParams(ctx, k, 0, 1), ctx.powers(ctx.alpha, 31))
-    assert ctx not in qf._POLAR_MAPS
+    assert built == []
     assert np.array_equal(qf.walsh_spectra(ctx, k, np.array([77, 0]), np.array([ctx.beta, 1]))[0],
                           spec)
-    assert set(qf._POLAR_MAPS[ctx]) == {k, ctx.half}
+    assert sorted(built) == sorted({k, ctx.half})
     assert np.array_equal(at, spec[lams]) and rank == qf.symplectic_rank(params)
     assert np.array_equal(small[0], qf.form_values(ctx, k, np.zeros(31, np.int64),
                                                     np.ones(31, np.int64),
@@ -569,11 +571,12 @@ def test_whole_spectra_refuse_past_the_table_cap(n):
 def test_symplectic_ranks_allocate_their_result_and_one_block():
     # a (2^12 - 1) x 64 grid broadcast from a column of b and a row of c:
     # blocks are read from the broadcast views, so no int64 copy of the grid
-    # (2 MB each) is made, only the result and one block's work arrays, a
-    # few (_RANK_BLOCK, n) int64 arrays
+    # (2 MB each) is made, only the result and one block's work arrays: the
+    # block's images read into one (_RANK_BLOCK, n) int64 buffer, one byte
+    # table's gather of that size, and the narrow image-major copy
     ctx = make_field(12)
     bs, cs = np.arange(1, ctx.order)[:, None], ctx.subfield_elements[None, :]
-    qf.symplectic_ranks(ctx, 1, bs[:5], cs)  # the context's maps, built once
+    qf.symplectic_ranks(ctx, 1, bs[:5], cs)  # the context's ladder and Frobenius maps
     tracemalloc.start()
     try:
         ranks = qf.symplectic_ranks(ctx, 1, bs, cs)
@@ -581,7 +584,7 @@ def test_symplectic_ranks_allocate_their_result_and_one_block():
     finally:
         tracemalloc.stop()
     assert ranks.shape == (ctx.group_order, 64)
-    assert ranks.nbytes <= peak <= ranks.nbytes + 5 * qf._RANK_BLOCK * ctx.n * 8
+    assert ranks.nbytes <= peak <= ranks.nbytes + 3 * qf._RANK_BLOCK * ctx.n * 8
     for i, j in [(0, 0), (100, 7), (4094, 63)]:
         params = qf.QuadFormParams(ctx, 1, int(bs[i, 0]), int(cs[0, j]))
         assert ranks[i, j] == qf.symplectic_rank(params)
@@ -898,8 +901,10 @@ def test_rank_routes_agree_past_n16(n):
 @pytest.mark.parametrize("n", [16, 32])
 def test_symplectic_ranks_split_blocks_in_the_narrow_dtype(monkeypatch, n):
     """Blocks of 7 forms reduced in uint16 at n = 16 and uint32 at n = 32,
-    with images that set the dtype's top bit, give the one-form ranks."""
-    ctx = make_field(n)
+    with images that set the dtype's top bit, give the one-form ranks.  At
+    n = 32 the polynomial's subfield reaches bit 31 (the default one's does
+    not), so the word b + 2^n c that reads the images sets bit 63."""
+    ctx = make_field(n, 0x1000000AF if n == 32 else None)
     rng = np.random.default_rng(7 * n)
     k = admissible_k(n)[-1]
     sub = ctx.subfield_elements
@@ -917,6 +922,11 @@ def test_symplectic_ranks_split_blocks_in_the_narrow_dtype(monkeypatch, n):
     assert len(blocks) == 6 and {dtype for dtype, _ in blocks} == {np.dtype(f"uint{n}")}
     assert any(top for _, top in blocks)
     assert ranks.tolist() == one_form_ranks(ctx, k, bs, cs)
+    # two forms map straight from the images (LinearMap.vec's direct path),
+    # with c's top bit set: bit 63 of the word b + 2^n c at n = 32
+    top = np.flatnonzero(cs >> n - 1)[:2]
+    assert len(top) == 2
+    assert qf.symplectic_ranks(ctx, k, bs[top], cs[top]).tolist() == ranks[top].tolist()
 
 
 @pytest.mark.slow
@@ -1003,21 +1013,16 @@ def test_form_values_blocking_keeps_values(monkeypatch, ctx8):
     assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
 
 
-def test_polar_maps_are_dropped_with_their_context():
-    ctx = make_field(6)
-    first = qf._polar_map(ctx, 2)
-    assert qf._polar_map(ctx, 2) is first
+def test_batch_calls_keep_no_context_alive():
+    # form_values, symplectic_ranks and walsh_spectra build their maps per
+    # call, past _DIRECT_PICKS so through tables, and keep none of them
+    ctx = make_field(8)
+    bs, cs, _ = qf.orbit_classes(ctx, 1)
+    bs, cs = np.resize(bs, 1 << 10), np.resize(cs, 1 << 10)
+    w, rank = qf.form_values(ctx, 1, bs, cs)
+    assert np.array_equal(qf.symplectic_ranks(ctx, 1, bs, cs), rank)
+    assert np.array_equal(qf.walsh_spectra(ctx, 1, bs, cs)[:, 0], w)
     gone = weakref.ref(ctx)
-    del ctx, first
-    gc.collect()
-    assert gone() is None
-
-
-def test_rank_maps_are_cached_and_dropped_with_their_context():
-    ctx = make_field(6)
-    first = qf._rank_maps(ctx, 2)
-    assert qf._rank_maps(ctx, 2) is first and qf._rank_maps(ctx, 4) is not first
-    gone = weakref.ref(ctx)
-    del ctx, first
+    del ctx
     gc.collect()
     assert gone() is None
