@@ -8,6 +8,7 @@ import pytest
 
 from gkasami import families as fam
 from gkasami import fieldeq
+from gkasami import gf2n
 from gkasami import quadform as qf
 from gkasami import theory
 from gkasami.gf2n import N_MAX, TABLE_MAX_N, TooLarge, gf2_kernel_basis, make_field
@@ -1013,15 +1014,39 @@ def test_form_values_blocking_keeps_values(monkeypatch, ctx8):
     assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
 
 
-def test_batch_calls_keep_no_context_alive():
-    # form_values, symplectic_ranks and walsh_spectra build their maps per
-    # call, past _DIRECT_PICKS so through tables, and keep none of them
+def test_polar_maps_are_dropped_with_their_context(monkeypatch):
+    # form_values and walsh_spectra on a batch build their two polar maps per
+    # call, past _DIRECT_PICKS so through byte tables, and keep none of them
     ctx = make_field(8)
+    built, polar_map = [], qf._polar_map
+    monkeypatch.setattr(qf, "_polar_map",
+                        lambda ctx, t: built.append(polar_map(ctx, t)) or built[-1])
     bs, cs, _ = qf.orbit_classes(ctx, 1)
     bs, cs = np.resize(bs, 1 << 10), np.resize(cs, 1 << 10)
-    w, rank = qf.form_values(ctx, 1, bs, cs)
-    assert np.array_equal(qf.symplectic_ranks(ctx, 1, bs, cs), rank)
+    w, _ = qf.form_values(ctx, 1, bs, cs)
     assert np.array_equal(qf.walsh_spectra(ctx, 1, bs, cs)[:, 0], w)
+    assert len(built) == 4 and all("tables" in vars(m) for m in built)
+    gone = weakref.ref(ctx)
+    del ctx, built
+    gc.collect()
+    assert gone() is None
+
+
+def test_rank_maps_are_cached_and_dropped_with_their_context(monkeypatch):
+    # symplectic_ranks builds its rank map once per call, and every block
+    # reads the same byte tables cached on it: two tables for the 16-bit
+    # word b + 2^8 c across four blocks; the call keeps no context alive
+    ctx = make_field(8)
+    bs, cs, _ = qf.orbit_classes(ctx, 1)
+    bs, cs = np.resize(bs, 1 << 12), np.resize(cs, 1 << 12)
+    rank = qf.form_values(ctx, 1, bs, cs)[1]
+    assert np.array_equal(qf.symplectic_ranks(ctx, 1, bs, cs), rank)
+    built, linear_table = [], gf2n._linear_table
+    monkeypatch.setattr(gf2n, "_linear_table",
+                        lambda images, *a: built.append(len(images)) or linear_table(images, *a))
+    monkeypatch.setattr(qf, "_RANK_BLOCK", 1 << 10)
+    assert np.array_equal(qf.symplectic_ranks(ctx, 1, bs, cs), rank)
+    assert built == [8, 8]
     gone = weakref.ref(ctx)
     del ctx
     gc.collect()
