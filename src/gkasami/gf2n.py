@@ -8,15 +8,18 @@ families, correlation engines) is a pure function of the context.
 
 Every GF(2)-linear map the context uses (the reduction of a product,
 multiplication by a constant, the Frobenius x -> x^(2^i), the alpha-ladder
-x -> (x alpha^j)_j) is a :class:`LinearMap`: a few inputs are mapped
-straight from the images of the basis, more through one table of at most
-256 rows per byte of the input, so no map table grows with n.  A context
-is built in O(2^{n/2}), the list of F's elements, and does its scalar
-arithmetic through these maps; the 2^n-entry log/antilog, trace-pairing
-and subfield-index tables are built on first read.  Each trace has one
-route: tr(x) is the parity of x & a mask, over arrays tr(a y) is the
-parity of walsh_perm[a] & y, and the trace of y from F onto GF(2) is
-tr(delta y).
+x -> (x alpha^j)_j) is a :class:`LinearMap`: one int and a few array
+entries are mapped straight from the images of the basis, more through
+one table of at most 256 rows per byte of the input, so no map table grows
+with n.  A context is built in O(n^2) scalar work and builds no table: the
+trace mask comes from Newton's identities on the defining polynomial, the
+only Frobenius map built is x -> x^(2^{n/2}), composed from squaring in
+about log2 n steps, and its scalar checks map straight from the images.
+The other Frobenius maps, the list of F's elements and the 2^n-entry
+log/antilog, trace-pairing and subfield-index tables are built on first
+use.  Each trace has one route: tr(x) is the parity of x & a mask, over
+arrays tr(a y) is the parity of walsh_perm[a] & y, and the trace of y
+from F onto GF(2) is tr(delta y).
 
 The subfield F is never given its own bit width: it is the set of elements
 of E fixed by the (n/2)-fold Frobenius, and beta = alpha^(2^{n/2}+1)
@@ -122,15 +125,15 @@ class LinearMap:
 
     images[i] is the image of bit i: an int, or a vector (then images has
     shape (bits, m) and results gain an axis of length m).  Calling the map
-    maps one int; vec maps an integer array elementwise.  vec maps a small
-    array (up to _DIRECT_PICKS) straight from the images, the XOR of
-    images[i] over the set bits i of each entry, so a map read only at a
-    few points builds no table.  Larger arrays and calls read one table per
-    byte of the input, built on first use: tables[i] is the map on bits
-    8i .. 8i + 7, so no table has more than 256 rows whatever the width,
-    and m(x) is the XOR over the bytes x_i of x of tables[i][x_i].  vec
-    reads each int64 entry as a bit pattern, so a map on 64 bits takes
-    entries with bit 63 set, which are negative.
+    maps one int straight from the (int) images, the XOR of images[i] over
+    the set bits i of x, so scalar arithmetic builds no table.  vec maps an
+    integer array elementwise: a small array (up to _DIRECT_PICKS) straight
+    from the images too, a larger one through one table per byte of the
+    input, built on first use: tables[i] is the map on bits 8i .. 8i + 7,
+    so no table has more than 256 rows whatever the width, and m(x) is the
+    XOR over the bytes x_i of x of tables[i][x_i].  vec reads each int64
+    entry as a bit pattern, so a map on 64 bits takes entries with bit 63
+    set, which are negative.
     """
 
     def __init__(self, images):
@@ -141,23 +144,10 @@ class LinearMap:
         return [_linear_table(self.images[lo : lo + 8]) for lo in range(0, len(self.images), 8)]
 
     @cached_property
-    def _lists(self) -> list[list[int]]:  # scalar lookups are faster in lists
-        return [table.tolist() for table in self.tables]
-
-    @cached_property
     def _image_list(self) -> list[int]:
         return self.images.tolist()
 
     def __call__(self, x: int) -> int:
-        acc = 0
-        for table in self._lists:
-            acc ^= table[x & 0xFF]
-            x >>= 8
-        return acc
-
-    def direct(self, x: int) -> int:
-        """The map at one int straight from the (int) images, the XOR of
-        images[i] over the set bits i of x: builds no table."""
         acc, images = 0, self._image_list
         while x:
             low = x & -x
@@ -186,20 +176,27 @@ class LinearMap:
 class FieldCtx:
     """Immutable GF(2^n) context.
 
-    Building one takes O(2^{n/2}) work: it builds LinearMaps (whose byte
-    tables of at most 256 rows are built on first use) for the reduction
-    of a product and for squaring, lists the 2^{n/2} elements of F, and
-    checks that alpha has order 2^n - 1 (by the orders of beta and gamma,
-    see _check_primitive), that the absolute trace lands in GF(2), that F
-    has 2^{n/2} elements, that delta + delta^(2^{n/2}) = 1 for the subfield
-    trace's lift delta, and that the trace pairing is nondegenerate.
-    Scalar arithmetic needs no 2^n-entry table: mul is a carry-less
-    product reduced through a map, pow and inv square through the
-    Frobenius map, trace is the parity of x & a mask, in_subfield tests
+    Building one takes O(n^2) scalar work and builds no table.  It builds
+    LinearMaps (whose byte tables of at most 256 rows are built on first
+    use) for the reduction of a product and for squaring, from the powers
+    alpha^m, m < 2n - 1, and composes x -> x^(2^{n/2}) from them
+    (frobenius_map).  It checks that alpha has order 2^n - 1
+    (alpha^(2^n) = alpha and the orders of beta and gamma, see
+    _check_primitive), takes the absolute trace mask from Newton's
+    identities (_power_sums) and checks tr(x^2) = tr(x) on the basis,
+    checks that the trace pairing is nondegenerate (its inverse is the
+    dual basis), that F has 2^{n/2} elements, and that
+    delta + delta^(2^{n/2}) = 1 for the subfield trace's lift delta.
+    Scalar arithmetic, these checks' included, needs no table: mul is a
+    carry-less product reduced through a map, pow and inv square through
+    the Frobenius map, each map call XORs the images of its argument's set
+    bits, trace is the parity of x & a mask, in_subfield tests
     x^(2^{n/2}) = x, and element_label takes the discrete log through
-    F* x U (see _dlog).  The 2^n-entry tables are built on first read, in
-    O(2^n), for the engines that gather through them at small n, and only
-    up to n = TABLE_MAX_N: past it reading one raises TooLarge.
+    F* x U (see _dlog).  The other Frobenius maps are composed on first
+    use, subfield_elements is built on first read, and the 2^n-entry
+    tables are built on first read, in O(2^n), for the engines that gather
+    through them at small n, and only up to n = TABLE_MAX_N: past it
+    reading one raises TooLarge.
 
     Public attributes (all read-only; the numpy tables have their write
     flag cleared so a context can be shared freely across workers):
@@ -214,7 +211,8 @@ class FieldCtx:
                    the trace of y from F onto GF(2) is tr(delta * y)
     alpha_ladder      : LinearMap sending x to the n-vector (x alpha^j)_j
                         (built on first read)
-    subfield_elements : int64 array, the 2^{n/2} elements of F in increasing order
+    subfield_elements : int64 array, the 2^{n/2} elements of F in increasing
+                        order (built on first read)
     dual_basis        : int64 array of n elements d_i with tr(alpha^j d_i) = 1
                         exactly when i = j (walsh_perm[d_i] = 1 << i); a table
                         indexed by y, of f at sum_i y_i d_i, has its Hadamard
@@ -255,20 +253,14 @@ class FieldCtx:
         for _ in range(n - 1):
             powers.append(x)
             x = self._times_alpha(x)
-        self._alpha_powers = np.array(powers, dtype=np.int64)
+        self._alpha_powers = powers
         self._reduce = LinearMap(powers[n:])  # bits n .. 2n-2 of a product
         self._square = LinearMap(powers[::2])
-        # images of the basis under x -> x^(2^i), for every i < n
-        images = [np.array(powers[:n], dtype=np.int64)]
-        for _ in range(n - 1):
-            images.append(self._square.vec(images[-1]))
-        self._frobenius_images = images
         self._frobenius_maps: dict[int, LinearMap] = {1: self._square}
         self._half_frobenius = self.frobenius_map(self.half)
         self._check_primitive()
+        self._build_dual_basis()
         self._build_subfield()
-        self._build_dual_basis(powers)
-        self.subfield_elements.setflags(write=False)
         self.dual_basis.setflags(write=False)
 
     # -- construction -------------------------------------------------
@@ -284,21 +276,26 @@ class FieldCtx:
     def _check_primitive(self) -> None:
         # the order test: alpha is primitive iff alpha^N = 1 and
         # alpha^(N/p) != 1 for each prime p dividing N = 2^n - 1 =
-        # (q - 1)(q + 1), q = 2^{n/2}.  With beta = alpha^(q+1) and
-        # gamma = alpha^(q-1), alpha^(N/p) is beta^((q-1)/p) for p | q - 1
-        # and gamma^((q+1)/p) for p | q + 1, and as q - 1 and q + 1 are
-        # coprime, alpha has order ord(beta) ord(gamma): N exactly when beta
-        # has order q - 1 (so generates F*) and gamma has order q + 1
-        group, units = self.group_order, (1 << self.half) - 1
-        self.beta = self._times_alpha(int(self._frobenius_images[self.half][1]))
-        if self._raw_pow(self.beta, units) != 1:
+        # (q - 1)(q + 1), q = 2^{n/2}.  alpha^N = 1 exactly when alpha is a
+        # unit (x does not divide the polynomial) and alpha^(2^n) = alpha,
+        # two half Frobenius steps; then 1/alpha = (poly - 1)/x.  With
+        # beta = alpha^(q+1) and gamma = alpha^(q-1), alpha^(N/p) is
+        # beta^((q-1)/p) for p | q - 1 and gamma^((q+1)/p) for p | q + 1, and
+        # as q - 1 and q + 1 are coprime, alpha has order ord(beta) ord(gamma):
+        # N exactly when beta has order q - 1 (so generates F*) and gamma has
+        # order q + 1
+        frob, units = self._half_frobenius, (1 << self.half) - 1
+        alpha_q = frob(self.alpha)
+        if not self.poly & 1 or frob(alpha_q) != self.alpha:
             raise NonPrimitivePolynomial(f"{hex(self.poly)} is not primitive "
-                                         f"(alpha^{group} != 1)")
-        beta_order = self._order(self.beta, units)
-        gamma_order = self._order(self._raw_pow(self.alpha, units), units + 2)
-        if (beta_order, gamma_order) != (units, units + 2):
+                                         f"(alpha^{self.group_order} != 1)")
+        self.beta = self._times_alpha(alpha_q)
+        gamma = self._mul(alpha_q, self.poly >> 1)
+        if (1 in self._pows(self.beta, [units // p for p in _prime_factors(units)])
+                or 1 in self._pows(gamma, [(units + 2) // p for p in _prime_factors(units + 2)])):
+            order = self._order(self.beta, units) * self._order(gamma, units + 2)
             raise NonPrimitivePolynomial(f"{hex(self.poly)} is not primitive "
-                                         f"(alpha has order {beta_order * gamma_order})")
+                                         f"(alpha has order {order})")
 
     def _order(self, x: int, group: int) -> int:
         """The multiplicative order of x, given x^group = 1."""
@@ -308,47 +305,61 @@ class FieldCtx:
                 order //= p
         return order
 
-    def _build_subfield(self) -> None:
-        images, half = self._frobenius_images, self.half
-        # bit j of the absolute trace mask is tr(alpha^j), the sum of the n
-        # Frobenius images of alpha^j
-        tr = np.bitwise_xor.reduce(images).tolist()
-        if set(tr) - {0, 1}:
-            raise AssertionError("absolute trace must land in GF(2)")
-        self._trace_mask = sum(t << j for j, t in enumerate(tr))
-        # F is the kernel of x -> x^(2^{n/2}) + x
-        half_images = (images[half] ^ images[0]).tolist()
-        kernel = gf2_kernel_basis(half_images)
-        if len(kernel) != half:
-            raise AssertionError("subfield must have 2^{n/2} elements")
-        # kernel vector i has leading bit j_i with j_0 < j_1 < ..., so the
-        # table of their combinations is already in increasing order
-        self.subfield_elements = _linear_table(kernel)
-        # a basis element off F has t = alpha^j + alpha^(j 2^{n/2}) in F*, so
-        # 1/t = t^(2^{n/2} - 2), and delta = alpha^j / t has delta + delta^(2^{n/2}) = 1
-        j = next(j for j, t in enumerate(half_images) if t)
-        t = half_images[j]
-        self.trh_lift = self._mul(1 << j, self._raw_pow(t, (1 << half) - 2))
-        # delta + delta^(2^{n/2}), the XOR of the images of delta's bits
-        if LinearMap(half_images).direct(self.trh_lift) != 1:
-            raise AssertionError("subfield trace lift must have delta + delta^(2^{n/2}) = 1")
-
-    def _build_dual_basis(self, powers: list[int]) -> None:
-        # bit m of packed is tr(alpha^m), and bit i of masks[j] is
-        # tr(alpha^j alpha^i) = tr(alpha^(i+j))
-        packed = sum(((x & self._trace_mask).bit_count() & 1) << m for m, x in enumerate(powers))
-        self._trace_masks = [packed >> j & self.group_order for j in range(self.n)]
+    def _build_dual_basis(self) -> None:
+        traces = _power_sums(self.poly, self.n)  # bit m is tr(alpha^m)
+        mask = self._trace_mask = traces & self.group_order
+        # x -> parity(x & mask) is tr(a x) for one a, and tr(a x^2) =
+        # tr(a^2 x^2), so it takes equal values at x and x^2, checked at the
+        # basis and its squares (the squaring map's images), exactly when a
+        # is 0 or 1; the pairing check below rules out 0
+        if any((y & mask).bit_count() + (mask >> j) & 1
+               for j, y in enumerate(self._square._image_list)):
+            raise AssertionError("absolute trace must have tr(x^2) = tr(x)")
+        # bit i of masks[j] is tr(alpha^j alpha^i) = tr(alpha^(i+j))
+        self._trace_masks = [traces >> j & self.group_order for j in range(self.n)]
         dual = _unit_preimages(self._trace_masks)
         if dual is None:
             raise AssertionError("trace pairing must be nondegenerate")
         self.dual_basis = np.array(dual, dtype=np.int64)
 
+    def _build_subfield(self) -> None:
+        half = self.half
+        # F is the kernel of x -> x^(2^{n/2}) + x
+        half_images = [x ^ 1 << j for j, x in enumerate(self._half_frobenius._image_list)]
+        self._subfield_basis = gf2_kernel_basis(half_images)
+        if len(self._subfield_basis) != half:
+            raise AssertionError("subfield must have 2^{n/2} elements")
+        # a basis element off F has t = alpha^j + alpha^(j 2^{n/2}) in F*, so
+        # 1/t = t^(2^{n/2} - 2), and delta = alpha^j / t has delta + delta^(2^{n/2}) = 1
+        j = next(j for j, t in enumerate(half_images) if t)
+        inverse = self._pows(half_images[j], [(1 << half) - 2])[0]
+        self.trh_lift = self._mul(inverse, 1 << j)
+        if self.trh_lift ^ self._half_frobenius(self.trh_lift) != 1:
+            raise AssertionError("subfield trace lift must have delta + delta^(2^{n/2}) = 1")
+
+    @cached_property
+    def subfield_elements(self) -> np.ndarray:
+        """int64 array, the 2^{n/2} elements of F in increasing order."""
+        # kernel vector i has leading bit j_i with j_0 < j_1 < ..., so the
+        # table of their combinations is already in increasing order
+        return _read_only(_linear_table(self._subfield_basis))
+
     def frobenius_map(self, i: int) -> LinearMap:
-        """x -> x^(2^i) as a LinearMap, built once per i (i may be any integer; period n)."""
+        """x -> x^(2^i) as a LinearMap (i may be any integer; period n).
+
+        Built once per i, on first use, as two cached maps composed by one
+        vec call: x^(2^i) = (x^(2^j))^(2^(i-j)) for the largest power of two
+        j < i, so a new i maps at most about 2 log2 n arrays of n images.
+        """
         i %= self.n
-        if i not in self._frobenius_maps:
-            self._frobenius_maps[i] = LinearMap(self._frobenius_images[i])
-        return self._frobenius_maps[i]
+        maps = self._frobenius_maps
+        if i not in maps:
+            if i == 0:
+                maps[0] = LinearMap(self._alpha_powers[: self.n])
+            else:
+                j = 1 << (i - 1).bit_length() - 1
+                maps[i] = LinearMap(self.frobenius_map(i - j).vec(self.frobenius_map(j).images))
+        return maps[i]
 
     def times_map(self, c: int) -> LinearMap:
         """x -> c * x as a LinearMap; its images are the alpha-ladder of c."""
@@ -361,7 +372,7 @@ class FieldCtx:
         """int64 array [g^0, g^1, ..., g^(count - 1)].
 
         The first SCALAR_POWERS are single steps through the map x -> g x,
-        straight from its images (LinearMap.direct), so its tables are never
+        each a scalar call straight from its images, so its tables are never
         built.  Then each step doubles the array, out[m:m+t] = g^m * out[:t],
         through the map x -> g^m x.
         """
@@ -371,13 +382,13 @@ class FieldCtx:
         head, x = [], 1
         for _ in range(filled):
             head.append(x)
-            x = step.direct(x)
+            x = step(x)
         out[:filled] = head
         while filled < count:
             t = min(filled, count - filled)
             self.times_map(x).vec(out[:t], out=out[filled : filled + t])
             filled += t
-            x = step.direct(int(out[filled - 1]))
+            x = step(int(out[filled - 1]))
         return out
 
     @cached_property
@@ -385,7 +396,8 @@ class FieldCtx:
         """x -> (x alpha^j for j < n) as a LinearMap with n-vector images, so
         alpha_ladder.vec(xs) has a last axis of length n."""
         # the image of alpha^i is (alpha^(i+j))_j
-        return LinearMap(self._alpha_powers[np.add.outer(np.arange(self.n), np.arange(self.n))])
+        powers = np.array(self._alpha_powers, dtype=np.int64)
+        return LinearMap(powers[np.add.outer(np.arange(self.n), np.arange(self.n))])
 
     # -- tables built on first read -------------------------------------
 
@@ -435,16 +447,25 @@ class FieldCtx:
             b ^= low
         return (acc & self.group_order) ^ self._reduce(acc >> self.n)
 
+    def _pows(self, x: int, exps: list[int]) -> list[int]:
+        """[x^e for e in exps] (e >= 0): each the product of the squares
+        x^(2^i) over the set bits i of e, from one run of squarings through
+        the Frobenius map for all of exps."""
+        squares = [x]
+        for _ in range(max(exps).bit_length() - 1):
+            squares.append(self._square(squares[-1]))
+        out = []
+        for e in exps:
+            acc = 1
+            for i, y in enumerate(squares):
+                if e >> i & 1:
+                    acc = self._mul(y, acc)
+            out.append(acc)
+        return out
+
     def _raw_pow(self, a: int, e: int) -> int:
-        """a^e for e >= 0 by square-and-multiply, squaring through the Frobenius map."""
-        acc = 1
-        while e:
-            if e & 1:
-                acc = self._mul(a, acc)
-            e >>= 1
-            if e:
-                a = self._square(a)
-        return acc
+        """a^e for e >= 0 by square-and-multiply (_pows)."""
+        return self._pows(a, [e])[0]
 
     def mul(self, a: int, b: int) -> int:
         self._element(a)
@@ -476,7 +497,7 @@ class FieldCtx:
     def in_subfield(self, x: int) -> bool:
         """True exactly for the elements of F; False for any x outside [0, 2^n).
         One test maps x straight from the half Frobenius map's images."""
-        return 0 <= x < self.order and self._half_frobenius.direct(x) == x
+        return 0 <= x < self.order and self._half_frobenius(x) == x
 
     @property
     def poly_hex(self) -> str:
@@ -565,6 +586,26 @@ def _sorted_logs(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     increasing order, their exponents j): the log of g^j is at its position."""
     logs = np.argsort(powers)
     return powers[logs], logs
+
+
+def _power_sums(poly: int, n: int) -> int:
+    """The traces tr(alpha^m) for m < 2n - 1, as bit m of one int, for alpha
+    a root of poly (degree n, even, irreducible).
+
+    The roots of poly = x^n + sum_{i<n} c_i x^i are the n conjugates of
+    alpha, so tr(alpha^m) is their m-th power sum s_m, and Newton's
+    identities give s_m = sum_{1 <= i < m, i <= n} c_{n-i} s_{m-i} + m c_{n-m}
+    mod 2 (the last term for m <= n only), with s_0 = n mod 2 = 0: 2n - 2
+    steps of a few int operations, no field arithmetic.  Bit i of taps is
+    c_{n-i} (1 <= i <= n), and bit i of window is s_{m-i}.
+    """
+    taps = int(bin(poly)[:1:-1], 2) & ~1
+    sums = window = 0
+    for m in range(1, 2 * n - 1):
+        s = ((window & taps).bit_count() + (m & taps >> m & 1)) & 1
+        sums |= s << m
+        window = (window | s) << 1
+    return sums
 
 
 def _prime_factors(m: int) -> set[int]:

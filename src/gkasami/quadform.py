@@ -7,9 +7,9 @@ table is read.  One form takes its products straight from the images of
 x -> b x and x -> c x.  The rows are GF(2)-linear in b and in c, so a
 batch builds two LinearMaps (_polar_map: the b part and the c part) whose
 images are the rows of the basis forms; their byte tables hold at most 256
-rows, so a call builds them afresh and no map outlives it.  In dual-basis
-coordinates y, tr(lam x) is the parity of lam & y, so lam's bits join the
-diagonal.
+rows, so each call builds the pair afresh, once for all its blocks
+(polar_maps), and no map outlives it.  In dual-basis coordinates y,
+tr(lam x) is the parity of lam & y, so lam's bits join the diagonal.
 
 W and rank by elimination (form_values, walsh_at).  A form's transform
 value is fixed by its rank and Arf invariant: take out one hyperbolic pair
@@ -285,21 +285,33 @@ def _polar_map(ctx: FieldCtx, t: int) -> LinearMap:
     return LinearMap(_polar_part(ctx, t, ctx.alpha_ladder))
 
 
-def _polar_rows(ctx: FieldCtx, k: int, bs, cs) -> np.ndarray:
+def polar_maps(ctx: FieldCtx, k: int, bs) -> tuple[LinearMap, LinearMap | None]:
+    """The two _polar_maps a batch of forms (bs[r], cs[r]) reads: the c part
+    and the b part, with no b part when every b is 0 (forms (0, c), such as
+    the small Kasami set's).  A call that reads the rows of many blocks
+    builds the pair once and passes it to each (_polar_rows)."""
+    return _polar_map(ctx, ctx.half), (_polar_map(ctx, k) if np.any(bs) else None)
+
+
+def _polar_rows(ctx: FieldCtx, k: int, bs, cs, maps=None) -> np.ndarray:
     """The polar rows (see _polar_part) of the forms (bs[r], cs[r]), as an
     (R, n) int64 array; bs and cs are R field and subfield elements, not
-    checked here.  One form's rows come straight from its n products
-    through ctx.times_map, and a batch's through the two _polar_maps."""
+    checked here.  With maps (polar_maps of a batch holding these forms) the
+    rows come through them; without, one form's rows come straight from its
+    n products through ctx.times_map, and a batch's through its own pair."""
     bs, cs = np.asarray(bs), np.asarray(cs)
-    if bs.size == 1:
-        b, c = int(bs.item()), int(cs.item())
-        rows = _polar_part(ctx, ctx.half, ctx.times_map(c))
-        if b:
-            rows ^= _polar_part(ctx, k, ctx.times_map(b))
-        return rows[None]
-    rows = _polar_map(ctx, ctx.half).vec(cs)
-    if bs.any():  # forms (0, c), such as the small Kasami set's, need no b part
-        rows ^= _polar_map(ctx, k).vec(bs)
+    if maps is None:
+        if bs.size == 1:
+            b, c = int(bs.item()), int(cs.item())
+            rows = _polar_part(ctx, ctx.half, ctx.times_map(c))
+            if b:
+                rows ^= _polar_part(ctx, k, ctx.times_map(b))
+            return rows[None]
+        maps = polar_maps(ctx, k, bs)
+    c_map, b_map = maps
+    rows = c_map.vec(cs)
+    if b_map is not None:
+        rows ^= b_map.vec(bs)
     return rows
 
 
@@ -393,13 +405,16 @@ def form_values(ctx: FieldCtx, k: int, bs: np.ndarray, cs: np.ndarray,
     one field element or R of them; none is checked here (the spectral
     engine passes orbit representatives).  The forms go through _polar_rows
     and _eliminate _FORM_BLOCK at a time, so no array larger than a block
-    of n-bit rows is built and no 2^n-entry table is read.
+    of n-bit rows is built and no 2^n-entry table is read; a batch builds
+    its pair of polar maps once, for every block.
     """
     lams = np.broadcast_to(lams, bs.shape)
     w, rank = np.empty(bs.size, dtype=np.int64), np.empty(bs.size, dtype=np.int64)
+    maps = polar_maps(ctx, k, bs) if bs.size > 1 else None
     for lo in range(0, bs.size, _FORM_BLOCK):
         block = slice(lo, lo + _FORM_BLOCK)
-        at, rank[block] = _eliminate(_polar_rows(ctx, k, bs[block], cs[block]), lams[block, None])
+        rows = _polar_rows(ctx, k, bs[block], cs[block], maps)
+        at, rank[block] = _eliminate(rows, lams[block, None])
         w[block] = at[:, 0]
     return w, rank
 
@@ -478,13 +493,16 @@ def _step(w: np.ndarray, tmp: np.ndarray, j: int, r: int) -> None:
             plus(x, t, out=x)
 
 
-def walsh_spectra(ctx: FieldCtx, k: int, bs: np.ndarray, cs: np.ndarray) -> np.ndarray:
+def walsh_spectra(ctx: FieldCtx, k: int, bs: np.ndarray, cs: np.ndarray,
+                  maps=None) -> np.ndarray:
     """Whole spectra of the forms (bs[r], cs[r]), as an (R, 2^n) int32 array
     whose row r is indexed by lambda.
 
     bs and cs are int64 arrays of R field and subfield elements, not checked
-    here, as in form_values.  Each row equals, value by value, the direct
-    sum of the tests' oracle walsh_point (tests/reference.py).
+    here, as in form_values; maps, polar_maps of a batch holding these
+    forms, spares a caller that reads a batch in blocks a pair per block.
+    Each row equals, value by value, the direct sum of the tests' oracle
+    walsh_point (tests/reference.py).
     With x = sum_i y_i d_i over the dual basis, tr(lam x) is the parity of
     lam & y, so a spectrum is the Hadamard transform of g(y) = f(x),
     already indexed by lam.  It is built one bit of y at a time from the
@@ -511,7 +529,7 @@ def walsh_spectra(ctx: FieldCtx, k: int, bs: np.ndarray, cs: np.ndarray) -> np.n
     if ctx.n > TABLE_MAX_N:
         raise TooLarge(f"whole spectra of 2^n int32 values are built only for "
                        f"n <= {TABLE_MAX_N} (TABLE_MAX_N), not n = {ctx.n}")
-    rows = _polar_rows(ctx, k, bs, cs)
+    rows = _polar_rows(ctx, k, bs, cs, maps)
     batched = min(ctx.n, _COLUMNS.size.bit_length() - 1)
     out = np.empty((len(rows), ctx.order), dtype=np.int32)
     tmp = np.empty(max(len(rows) << batched >> 1,

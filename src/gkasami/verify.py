@@ -36,8 +36,8 @@ from . import families as fam
 from . import fieldeq, theory
 from .gf2n import FieldCtx, cyclotomic_classes, half_odd
 from .histogram import ValueHistogram
-from .quadform import (orbit_classes, rank_spectrum, symplectic_ranks, transform_column,
-                       walsh_spectra)
+from .quadform import (orbit_classes, polar_maps, rank_spectrum, symplectic_ranks,
+                       transform_column, walsh_spectra)
 
 VERIFY_NS = (4, 6, 8, 10)
 BRUTE_CROSSCHECK_MAX_N = 6
@@ -101,15 +101,17 @@ class _Bundle:
         (b, c, lam), and whether every representative's spectrum is the one
         its rank determines (quadform.rank_spectrum).  The spectra come from
         walsh_spectra in blocks of rows of at most _SPECTRA_VALUES values,
-        and each block is counted by one np.unique over (row, value) keys."""
+        all read through one pair of polar maps, and each block is counted
+        by one np.unique over (row, value) keys."""
         ctx, k = self.ctx, self.k
         n = ctx.n
         bs, cs, weights = orbit_classes(ctx, k)
         ranks = symplectic_ranks(ctx, k, bs, cs).tolist()
         specs = [ValueHistogram({}) for _ in weights]
         step = max(1, _SPECTRA_VALUES >> n)
+        maps = polar_maps(ctx, k, bs)
         for lo in range(0, len(bs), step):
-            block = walsh_spectra(ctx, k, bs[lo : lo + step], cs[lo : lo + step])
+            block = walsh_spectra(ctx, k, bs[lo : lo + step], cs[lo : lo + step], maps)
             # |W| <= 2^n: row r's value v is the key r 2^(n+2) + v + 2^n
             base = (np.arange(lo, lo + len(block), dtype=np.int64) << n + 2) + (1 << n)
             keys, counts = np.unique(base[:, None] + block, return_counts=True)

@@ -117,21 +117,42 @@ def test_default_polys_all_primitive():
             assert len(ctx.antilog) == ctx.group_order and int(ctx.log[1]) == 0
 
 
-@pytest.mark.parametrize("n", range(TABLE_MAX_N + 2, N_MAX + 1, 2))
-def test_large_fields_pass_the_order_test_and_build_no_table(n):
-    # make_field runs FieldCtx's order test on the default polynomial; past
-    # TABLE_MAX_N every 2^n-entry table refuses, naming itself, while scalar
-    # arithmetic still agrees with repeated multiplication by alpha
+@pytest.mark.parametrize("n", [8, *range(TABLE_MAX_N + 2, N_MAX + 1, 2)])
+def test_large_fields_pass_the_order_test_and_build_no_table(n, monkeypatch):
+    # make_field runs FieldCtx's order test on the default polynomial from
+    # composed Frobenius maps, at most ceil(log2 n) + 1 vec calls, and
+    # scalar arithmetic straight from the maps' images: it builds no table,
+    # and subfield_elements waits for its first read.  Past TABLE_MAX_N every
+    # 2^n-entry table refuses, naming itself, while scalar arithmetic still
+    # agrees with repeated multiplication by alpha
+    built, mapped, vec = [], [], LinearMap.vec
+    monkeypatch.setattr(gf2n, "_linear_table",
+                        lambda images, *a: built.append(len(images)) or _linear_table(images, *a))
+    monkeypatch.setattr(LinearMap, "vec",
+                        lambda self, xs, out=None: mapped.append(np.size(xs)) or vec(self, xs, out))
     ctx = make_field(n)
+    assert built == [] and 0 < len(mapped) <= math.ceil(math.log2(n)) + 1
+    assert "subfield_elements" not in vars(ctx)
+    elements = ctx.subfield_elements
+    assert built == [ctx.half] and vars(ctx)["subfield_elements"] is elements
+    assert elements.tolist() == sorted(y for y in elements.tolist() if ctx.in_subfield(y))
+    assert len(elements) == 1 << ctx.half and not elements.flags.writeable
     assert ctx.poly == DEFAULT_POLYS[n] and ctx.pow(ctx.alpha, ctx.group_order) == 1
     assert ctx.pow(ctx.alpha, 37) == ctx.powers(ctx.alpha, 38)[-1]
     assert ctx.element_label(ctx.beta) == f"a^{(1 << ctx.half) + 1}"
+    if n <= TABLE_MAX_N:
+        return
     for name in LAZY_TABLES:
         with pytest.raises(TooLarge, match=rf"table {name} is built only for n <= {TABLE_MAX_N}"):
             getattr(ctx, name)
     assert not set(LAZY_TABLES) & set(vars(ctx))
+
+
+@pytest.mark.parametrize("n", range(4, N_MAX + 1, 2))
+def test_x_n_plus_1_is_rejected(n):
+    # x^n + 1 = (x^(n/2) + 1)^2 fails the order test at every n
     with pytest.raises(NonPrimitivePolynomial):
-        make_field(n, (1 << n) | 1)  # x^n + 1 = (x^(n/2) + 1)^2
+        make_field(n, (1 << n) | 1)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
@@ -336,10 +357,11 @@ def test_scalar_ops_match_the_tables(n):
 @pytest.mark.parametrize("n", [8, 20])
 def test_linear_map_paths_agree(n):
     # n-bit images, ints or 3-vectors, on inputs of every width from 1 to
-    # 62: a few entries map straight from the images and build no table,
-    # more than _DIRECT_PICKS picks go through one table per input byte of
-    # at most 256 rows.  vec (into a fresh array or into out), the scalar
-    # call and direct all give the XOR of the images of the set bits
+    # 62: a few entries, and every scalar call, map straight from the
+    # images and build no table, more than _DIRECT_PICKS picks go through
+    # one table per input byte of at most 256 rows.  vec (into a fresh array
+    # or into out) and the scalar call give the XOR of the images of the set
+    # bits, the call also once the tables exist
     rng = np.random.default_rng(n)
     for bits in range(1, 63):
         for shape in ((bits,), (bits, 3)):
@@ -352,7 +374,7 @@ def test_linear_map_paths_agree(n):
             assert np.array_equal(lmap.vec(xs[:6].reshape(2, 3)),
                                   want[:6].reshape((2, 3) + shape[1:]))
             if len(shape) == 1:
-                assert [lmap.direct(x) for x in xs[:64].tolist()] == want[:64].tolist()
+                assert [lmap(x) for x in xs[:64].tolist()] == want[:64].tolist()
             assert "tables" not in vars(lmap)
             assert np.array_equal(lmap.vec(xs), want)
             assert len(lmap.tables) == -(-bits // 8)
@@ -487,7 +509,39 @@ def test_one_squaring_map_per_context(n):
     # x -> x^2 is built once: frobenius_map(1) is the squaring map itself
     ctx = make_field(n)
     assert ctx.frobenius_map(1) is ctx._square is ctx.frobenius_map(n + 1)
-    assert np.array_equal(ctx._square.images, ctx._frobenius_images[1])
+    assert ctx.frobenius_map(1).images.tolist() == [raw_mul(1 << j, 1 << j, ctx.poly, n)
+                                                   for j in range(n)]
+
+
+@pytest.mark.parametrize("n", [8, 20])
+def test_frobenius_maps_are_repeated_squarings(n):
+    # every x -> x^(2^i), built on first use from composed cached maps, in
+    # a seeded order, against i raw squarings of the basis
+    ctx = make_field(n)
+    basis = np.array([1 << j for j in range(n)], dtype=np.int64)
+    order = list(range(n))
+    random.Random(n).shuffle(order)
+    for i in order:
+        assert np.array_equal(ctx.frobenius_map(i).images, raw_pow2_vec(basis, ctx.poly, n, i))
+        assert ctx.frobenius_map(i + n) is ctx.frobenius_map(i)
+
+
+@pytest.mark.parametrize("n", sorted(DEFAULT_POLYS))
+def test_trace_mask_from_newtons_identities(n):
+    # the mask from the power sums of the polynomial's roots is the one from
+    # n - 1 raw squarings of every basis element
+    assert make_field(n)._trace_mask == raw_trace_mask(DEFAULT_POLYS[n], n)
+
+
+def test_a_trace_mask_from_another_polynomial_fails_the_check(monkeypatch):
+    # 0x12b is primitive too, but the mask from its power sums is another
+    # functional on the field of 0x11d: tr(a x) with a not in {0, 1}, so
+    # tr(x^2) = tr(x) fails at some basis element
+    assert make_field(8, 0x12B).poly == 0x12B
+    power_sums = gf2n._power_sums
+    monkeypatch.setattr(gf2n, "_power_sums", lambda poly, n: power_sums(0x12B, n))
+    with pytest.raises(AssertionError, match=r"tr\(x\^2\) = tr\(x\)"):
+        make_field(8)
 
 
 def test_subfield_membership(ctx6):

@@ -1004,14 +1004,18 @@ def test_elimination_detects_one_flipped_polar_bit(ctx8, flip):
 
 
 def test_form_values_blocking_keeps_values(monkeypatch, ctx8):
+    # nine blocks of four forms read one pair of polar maps, built once
     rng = np.random.default_rng(5)
     bs = rng.integers(0, ctx8.order, 35)
     cs = ctx8.subfield_elements[rng.integers(0, 16, 35)]
     lams = rng.integers(0, ctx8.order, 35)
     whole = qf.form_values(ctx8, 3, bs, cs, lams)
+    built, polar_map = [], qf._polar_map
+    monkeypatch.setattr(qf, "_polar_map", lambda ctx, t: built.append(t) or polar_map(ctx, t))
     monkeypatch.setattr(qf, "_FORM_BLOCK", 4)
     blocked = qf.form_values(ctx8, 3, bs, cs, lams)
     assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
+    assert sorted(built) == [3, ctx8.half]
 
 
 def test_polar_maps_are_dropped_with_their_context(monkeypatch):

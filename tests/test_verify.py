@@ -31,9 +31,9 @@ def test_all_claims_pass_n8(ctx8, monkeypatch):
         lams.append(lam)
         return qf.transform_column(ctx, k, c_list, lam)
 
-    def batch(ctx, k, bs, cs):
+    def batch(ctx, k, bs, cs, maps=None):
         spectra.extend(zip(bs.tolist(), cs.tolist()))
-        return qf.walsh_spectra(ctx, k, bs, cs)
+        return qf.walsh_spectra(ctx, k, bs, cs, maps)
 
     monkeypatch.setattr(verify, "transform_column", column)
     monkeypatch.setattr(verify, "walsh_spectra", batch)
@@ -180,11 +180,16 @@ def test_orbit_claims_match_full_pass(n, k):
 
 @pytest.mark.parametrize("n,k", [(6, 2), (8, 1)])
 def test_spectra_in_small_row_blocks(monkeypatch, n, k):
-    # one representative per block, or three, counts the same as one block
+    # one representative per block, or three, counts the same as one block,
+    # and every block reads one pair of polar maps, built once
     whole = verify._Bundle(make_field(n), k).spectra
+    built, polar_map = [], qf._polar_map
+    monkeypatch.setattr(qf, "_polar_map", lambda ctx, t: built.append(t) or polar_map(ctx, t))
     for values in (1, 3 << n):
         monkeypatch.setattr(verify, "_SPECTRA_VALUES", values)
+        built.clear()
         assert verify._Bundle(make_field(n), k).spectra == whole
+        assert sorted(built) == sorted([k, n // 2])
 
 
 @pytest.mark.parametrize("n,k", [(6, 2), (8, 1)])
@@ -194,8 +199,9 @@ def test_rank_value_consistency_fails_on_one_moved_value_or_rank(monkeypatch, n,
     bs, cs, _ = qf.orbit_classes(ctx, k)
     last = (int(bs[-1]), int(cs[-1]))
 
-    def moved(ctx, k, bs, cs):  # one value of the last representative's spectrum changes sign
-        spectra = qf.walsh_spectra(ctx, k, bs, cs)
+    # one value of the last representative's spectrum changes sign
+    def moved(ctx, k, bs, cs, maps=None):
+        spectra = qf.walsh_spectra(ctx, k, bs, cs, maps)
         for b, c, spec in zip(bs.tolist(), cs.tolist(), spectra):
             if (b, c) == last:
                 lam = np.flatnonzero(spec)[0]
@@ -237,8 +243,8 @@ def test_one_flipped_polar_bit_fails_both_spectra_claims(monkeypatch, n, k):
     i, j = next((i, j) for j in range(n) for i in range(j) if rank_with(i, j) != rank)
     polar_rows, last, seen = qf._polar_rows, (int(bs[-1]), int(cs[-1])), []
 
-    def flipped(ctx, k, bs, cs):
-        got = polar_rows(ctx, k, bs, cs)
+    def flipped(ctx, k, bs, cs, maps=None):
+        got = polar_rows(ctx, k, bs, cs, maps)
         at = [r for r, bc in enumerate(zip(np.asarray(bs).tolist(), np.asarray(cs).tolist()))
               if bc == last]
         got[at, j] ^= 1 << i
