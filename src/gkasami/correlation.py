@@ -47,19 +47,19 @@ column with lam != 0 has the histogram of the lam = 1 column.  A form's
 rank fixes its spectrum over all lam (quadform.rank_spectrum), so the
 grid's spectra less its lam = 0 column are 2^n - 1 lam = 1 columns.
 The same substitution maps the form (b, c) to (b u^(2^k+1), c N(u)) and
-keeps its rank and W(0), so the ranks and W(0) of one form per orbit
-(quadform.orbit_classes: 2 + g1 + g2 forms, about 2^(n/2)), counted with
-the orbit sizes, give those of all 2^(3n/2).  Both come from one pass,
-quadform.form_values: each representative's polar rows, eliminated one
-hyperbolic pair at a time, give its W(0) and its rank, with no transform
-column and no 2^n-entry table.  The completion part against
-itself is a whole-grid count too: a shift by tau moves the part-two tag
+keeps its rank and W(0), and so does (b, c) -> (b^2, c^2), so the ranks
+and W(0) of one form per class of both (the leaders of
+quadform.form_classes: 4119 at n = 32), counted with the class sizes, give
+those of all 2^(3n/2).  Both come from one pass, quadform.form_values:
+each leader's polar rows, eliminated one hyperbolic pair at a time, give
+its W(0) and its rank, with no transform column and no 2^n-entry table.
+The completion part against itself is a whole-grid count too: a shift by tau moves the part-two tag
 (zeta, eta) to (zeta alpha^(tau (2^k+1)), eta beta^tau), and over all
 part-two tags and shifts these images meet every pair of E* x F* exactly
 once (E* x F for odd n/2).  So the triples of one tag (zeta1, eta1) meet
 the lam = 0 values of the whole E x F grid minus the row b = zeta1, and for
 even n/2 minus the column c = eta1 plus the cell (zeta1, eta1), each
-counted over the representatives by residues of logs mod g1 and g2.  The
+counted over the orbits of x -> u*x by residues of logs mod g1 and g2.  The
 small Kasami set needs one form, (0, 1): its rank fixes its spectrum, and
 quadform.walsh_at eliminates its polar rows once for its values at the
 2^(n/2) - 1 points alpha^s, as a vector of diagonals.  So the engine runs
@@ -350,8 +350,8 @@ def _weighted(values: np.ndarray, counts) -> ValueHistogram:
 
 def _lambda1_column(ctx, ranks: np.ndarray, sizes, col0: ValueHistogram) -> ValueHistogram:
     """Distribution of W_{b,c}(1) over all (b, c) in E x F, from the ranks
-    of the orbit representatives (quadform.orbit_classes), counted with
-    their orbit sizes, and the lam = 0 column col0 (module docstring)."""
+    of the leaders of quadform.form_classes, counted with their class sizes,
+    and the lam = 0 column col0 (module docstring)."""
     order = ctx.order
     every_lam = ValueHistogram()
     for rank, forms in _weighted(ranks, sizes).counts.items():
@@ -362,42 +362,40 @@ def _lambda1_column(ctx, ranks: np.ndarray, sizes, col0: ValueHistogram) -> Valu
     return ValueHistogram({v: c // (order - 1) for v, c in every_lam.counts.items()})
 
 
-def _completion_block(ctx, k: int, orbits, w0: np.ndarray) -> ValueHistogram:
+def _completion_block(ctx, k: int, classes: qf.FormClasses, w0: np.ndarray) -> ValueHistogram:
     """W(0) over every (t1, t2, tau) with t1, t2 in part two, from W(0) at
-    the forms of orbits (quadform.orbit_classes), w0: per t1 = (zeta, eta)
+    the leaders of classes (quadform.form_classes), w0: per t1 = (zeta, eta)
     the whole E x F grid less the row b = zeta, and for even n/2 less the
     column c = eta plus the cell (zeta, eta) (module docstring).  For
-    zeta = alpha^l, W_{zeta,0}(0) is the representative's at l mod g1; for
-    c = beta^j, u = alpha^(-j) has N(u) = 1/c, so W_{zeta,c}(0) =
-    W_{zeta u^(2^k+1),1}(0) is the one at (l - j (2^k+1)) mod g2, as g2
-    divides (2^{n/2} - 1)(2^k + 1)."""
-    _, cs, sizes = orbits
-    sizes, units = np.array(sizes, dtype=np.int64), (1 << ctx.half) - 1
-    e1, _ = qf.exponents(ctx, k)
-    g1 = np.count_nonzero(cs == 0) - 1  # cs is 0, 1, then g1 zeros and g2 ones
+    zeta = alpha^l, W_{zeta,0}(0) is that of the orbit of (alpha^(l mod g1), 0);
+    for c = beta^j, u = alpha^(-j) has N(u) = 1/c, so W_{zeta,c}(0) =
+    W_{zeta u^(2^k+1),1}(0) is that of (alpha^((l - j (2^k+1)) mod g2), 1),
+    as g2 divides (2^{n/2} - 1)(2^k + 1); the orbits are read through their
+    leaders' rows, classes.on_c0 and classes.on_c1."""
+    units, (e1, _) = (1 << ctx.half) - 1, qf.exponents(ctx, k)
+    on_c0, on_c1, leaders = classes.on_c0, classes.on_c1, len(classes.sizes)
     gamma_logs, delta_logs = completion_logs(ctx)
     tags = len(gamma_logs) * len(delta_logs)
-    counts = tags * sizes
-    on_c0, on_c1 = counts[2:2 + g1], counts[2 + g1:]  # views
-    g2 = len(on_c1)
+    counts = [tags * size for size in classes.sizes]
     # the row b = zeta of each tag: c = 0, then c = beta^j for every j
-    on_c0 -= len(delta_logs) * np.bincount(gamma_logs % g1, minlength=g1)
-    row = (gamma_logs[:, None] - np.arange(units) * e1) % g2
-    on_c1 -= len(delta_logs) * np.bincount(row.ravel(), minlength=g2)
+    row = (gamma_logs[:, None] - np.arange(units) * e1) % len(on_c1)
+    less = len(delta_logs) * (np.bincount(on_c0[gamma_logs % len(on_c0)], minlength=leaders)
+                              + np.bincount(on_c1[row.ravel()], minlength=leaders))
     if delta_logs.min() >= 0:
         # Delta lies in F* (even n/2), so the images miss the column c = eta
-        # of each tag; an orbit that meets F* meets each c in it in
+        # of each tag; a class that meets F* meets each c in it in
         # 1/(2^{n/2} - 1) of its forms
-        counts[cs == 1] -= tags * sizes[cs == 1] // units
-        cell = (gamma_logs[:, None] - delta_logs * e1) % g2
-        on_c1 += np.bincount(cell.ravel(), minlength=g2)
-    return _weighted(w0, counts)
+        counts = [count - tags * size // units * c
+                  for count, size, c in zip(counts, classes.sizes, classes.cs.tolist())]
+        cell = (gamma_logs[:, None] - delta_logs * e1) % len(on_c1)
+        less -= np.bincount(on_c1[cell.ravel()], minlength=leaders)
+    return _weighted(w0, [count - m for count, m in zip(counts, less.tolist())])
 
 
 def full_distribution_spectral(family: SequenceFamily) -> CorrelationReport:
     """Histogram via the shift-to-transform parameter map, W(0) and the
-    ranks at the orbit representatives; reads the family's parameters,
-    never a member."""
+    ranks at the leaders of quadform.form_classes; reads the family's
+    parameters, never a member."""
     params = family.params
     ctx, k = params.ctx, params.k
     order, group = ctx.order, ctx.group_order
@@ -423,13 +421,13 @@ def full_distribution_spectral(family: SequenceFamily) -> CorrelationReport:
         # itself meets lam = 1 + alpha^tau (0 at tau = 0, else never 0 or 1);
         # part one against part two, either way round, meets every lam != 0.
         grid = 1 << (3 * ctx.half)
-        bs, cs, sizes = orbits = qf.orbit_classes(ctx, k)
-        w0, ranks = qf.form_values(ctx, k, bs, cs)  # W(0) and rank at each representative
-        col0 = _weighted(w0, sizes)
+        classes = qf.form_classes(ctx, k)
+        w0, ranks = qf.form_values(ctx, k, classes.bs, classes.cs)  # at each leader
+        col0 = _weighted(w0, classes.sizes)
         walsh = col0.scaled(grid)
-        walsh.merge(_lambda1_column(ctx, ranks, sizes, col0),
+        walsh.merge(_lambda1_column(ctx, ranks, classes.sizes, col0),
                     grid * (order - 2) + 2 * (family.size - grid) * group)
-        walsh.merge(_completion_block(ctx, k, orbits, w0))
+        walsh.merge(_completion_block(ctx, k, classes, w0))
 
     return _report(family, "spectral", walsh.shifted(-1))
 

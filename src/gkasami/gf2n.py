@@ -188,8 +188,8 @@ class FieldCtx:
     dual basis), that F has 2^{n/2} elements, and that
     delta + delta^(2^{n/2}) = 1 for the subfield trace's lift delta.
     Scalar arithmetic, these checks' included, needs no table: mul is a
-    carry-less product reduced through a map, pow and inv square through
-    the Frobenius map, each map call XORs the images of its argument's set
+    carry-less product reduced through a map, pow (pow(a, -1) is the
+    inverse) squares through the Frobenius map, each map call XORs the images of its argument's set
     bits, trace is the parity of x & a mask, in_subfield tests
     x^(2^{n/2}) = x, and element_label takes the discrete log through
     F* x U (see _dlog).  The other Frobenius maps are composed on first
@@ -471,11 +471,6 @@ class FieldCtx:
         self._element(a)
         return self._mul(a, self._element(b))
 
-    def inv(self, a: int) -> int:
-        if self._element(a) == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return self._raw_pow(a, self.group_order - 1)
-
     def pow(self, a: int, e: int) -> int:
         """a^e with the exponent reduced mod 2^n - 1; 0^0 = 1, 0^e = 0 for e > 0."""
         if self._element(a) == 0:
@@ -485,10 +480,6 @@ class FieldCtx:
                 raise ZeroDivisionError("0 to a negative power")
             return 0
         return self._raw_pow(a, e % self.group_order)
-
-    def frobenius(self, x: int, i: int) -> int:
-        """x^(2^i), the i-fold Frobenius (i may be any integer; period n)."""
-        return self.frobenius_map(i)(self._element(x))
 
     def trace(self, x: int) -> int:
         """Absolute trace onto GF(2), as an int 0 or 1."""

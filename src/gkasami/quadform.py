@@ -8,7 +8,7 @@ x -> b x and x -> c x.  The rows are GF(2)-linear in b and in c, so a
 batch builds two LinearMaps (_polar_map: the b part and the c part) whose
 images are the rows of the basis forms; their byte tables hold at most 256
 rows, so each call builds the pair afresh, once for all its blocks
-(polar_maps), and no map outlives it.  In dual-basis coordinates y,
+(_polar_maps), and no map outlives it.  In dual-basis coordinates y,
 tr(lam x) is the parity of lam & y, so lam's bits join the diagonal.
 
 W and rank by elimination (form_values, walsh_at).  A form's transform
@@ -43,9 +43,10 @@ it against.
 
 Substituting x -> u*x gives W_{b,c}(lam) = W_{b u^(2^k+1), c N(u)}(lam u)
 with N(u) = u^(2^{n/2}+1), which moves any form with c != 0 to one with
-c = 1.  orbit_classes names one form per orbit of that substitution, with
-the orbit sizes, so rank, W(0) and spectrum-multiset questions over all
-forms reduce to about 2^{n/2} of them.
+c = 1, and x -> x^2 gives W_{b^2,c^2}(lam^2) = W_{b,c}(lam).  form_classes
+names one form per class of both, with the class sizes, so rank, W(0) and
+spectrum-multiset questions over all forms reduce to those leaders (17 of
+the 68 orbit representatives at n = 12, 4119 of 65,540 at n = 32).
 
 Every term of a form, of a family member and of a codeword is a trace
 row tr(a x^e) over x in E; trace_rows is the one builder of such rows.
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2n import (TABLE_MAX_N, FieldCtx, LinearMap, TooLarge, _echelon, _field_elements,
-                   half_odd)
+                   cyclotomic_classes, half_odd)
 from .histogram import ValueHistogram
 
 # most memory transform_column may allocate, counted as _TRANSFORM_BYTES
@@ -122,27 +123,46 @@ def exponents(ctx: FieldCtx, k: int) -> tuple[int, int]:
     return (1 << k) + 1, (1 << ctx.half) + 1
 
 
-def orbit_classes(ctx: FieldCtx, k: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """One form (b, c) per orbit of x -> u*x on all 2^{3n/2} forms, with orbit sizes.
+@dataclass(frozen=True)
+class FormClasses:
+    """The leader (bs[i], cs[i]) of each class of forms (form_classes) and the
+    sizes[i] forms of its class, as ints; on_c0[r] and on_c1[r] are the rows
+    of the leaders of the classes of (alpha^r, 0), r < g1, and (alpha^r, 1),
+    r < g2."""
 
-    The substitution maps (b, c) to (b u^(2^k+1), c N(u)), so rank and
-    spectrum multiset are orbit invariants.  Returns int64 arrays b and c and
-    the orbit sizes as ints, in this order: (0, 0) alone; (0, 1), whose orbit
-    is (0, c) for every c in F*; (alpha^r, 0) for r < g1 = gcd(2^k+1, 2^n-1),
-    the b in E* with log b = r mod g1; (alpha^r, 1) for
-    r < g2 = gcd((2^{n/2}-1)(2^k+1), 2^n-1), whose orbit meets c = 1 in the
-    b with log b = r mod g2 and holds (2^{n/2}-1) times as many forms.
+    bs: np.ndarray
+    cs: np.ndarray
+    sizes: list[int]
+    on_c0: np.ndarray
+    on_c1: np.ndarray
+
+
+def form_classes(ctx: FieldCtx, k: int) -> FormClasses:
+    """The classes of all 2^{3n/2} forms (b, c) under x -> u*x and x -> x^2.
+
+    x -> u*x maps (b, c) to (b u^(2^k+1), c N(u)) and x -> x^2 maps it to
+    (b^2, c^2), so rank, W(0) and spectrum multiset are class invariants.
+    The orbits of x -> u*x are (0, 0) alone; (0, 1), holding (0, c) for
+    every c in F*; (alpha^r, 0) for r < g1 = gcd(2^k+1, 2^n-1), the b in E*
+    with log b = r mod g1; and (alpha^r, 1) for
+    r < g2 = gcd((2^{n/2}-1)(2^k+1), 2^n-1), which meets c = 1 in the b with
+    log b = r mod g2 and holds (2^{n/2}-1) times as many forms.  Squaring
+    fixes the first two and sends r to 2r mod g1, and mod g2 (c = 1 is
+    fixed), so a class's leader is its least r (gf2n.cyclotomic_classes),
+    the leaders come in that order, and a class holds its orbits' forms.
     """
     require_valid_k(ctx.n, k)
     group, units = ctx.group_order, (1 << ctx.half) - 1
     e1, _ = exponents(ctx, k)
     g1, g2 = math.gcd(e1, group), math.gcd(units * e1, group)
-    powers = ctx.powers(ctx.alpha, max(g1, g2))
-    bs = np.concatenate([[0, 0], powers[:g1], powers[:g2]])
-    cs = np.array([0, 1] + [0] * g1 + [1] * g2, dtype=np.int64)
-    weights = [1, units] + [group // g1] * g1 + [group // g2 * units] * g2
-    assert sum(weights) == 1 << 3 * ctx.half
-    return bs, cs, weights
+    (lead0, on_c0), (lead1, on_c1) = cyclotomic_classes(g1, 2), cyclotomic_classes(g2, 2)
+    powers = ctx.powers(ctx.alpha, g2)  # g1 divides g2
+    sizes = ([1, units] + [s * (group // g1) for s in np.bincount(on_c0).tolist()]
+             + [s * (group // g2 * units) for s in np.bincount(on_c1).tolist()])
+    assert sum(sizes) == 1 << 3 * ctx.half
+    return FormClasses(np.concatenate([[0, 0], powers[lead0], powers[lead1]]),
+                       np.repeat([0, 1, 0, 1], [1, 1, lead0.size, lead1.size]),
+                       sizes, on_c0 + 2, on_c1 + 2 + lead0.size)
 
 
 @dataclass(frozen=True)
@@ -285,20 +305,20 @@ def _polar_map(ctx: FieldCtx, t: int) -> LinearMap:
     return LinearMap(_polar_part(ctx, t, ctx.alpha_ladder))
 
 
-def polar_maps(ctx: FieldCtx, k: int, bs) -> tuple[LinearMap, LinearMap | None]:
-    """The two _polar_maps a batch of forms (bs[r], cs[r]) reads: the c part
-    and the b part, with no b part when every b is 0 (forms (0, c), such as
-    the small Kasami set's).  A call that reads the rows of many blocks
-    builds the pair once and passes it to each (_polar_rows)."""
-    return _polar_map(ctx, ctx.half), (_polar_map(ctx, k) if np.any(bs) else None)
+def _polar_maps(ctx: FieldCtx, k: int) -> tuple[LinearMap, LinearMap]:
+    """The two _polar_maps a batch of forms reads: the c part and the b
+    part.  A call that reads the rows of many blocks builds the pair once
+    and passes it to each (_polar_rows)."""
+    return _polar_map(ctx, ctx.half), _polar_map(ctx, k)
 
 
 def _polar_rows(ctx: FieldCtx, k: int, bs, cs, maps=None) -> np.ndarray:
     """The polar rows (see _polar_part) of the forms (bs[r], cs[r]), as an
     (R, n) int64 array; bs and cs are R field and subfield elements, not
-    checked here.  With maps (polar_maps of a batch holding these forms) the
-    rows come through them; without, one form's rows come straight from its
-    n products through ctx.times_map, and a batch's through its own pair."""
+    checked here.  With maps (_polar_maps, built once for a batch read in
+    blocks) the rows come through them; without, one form's rows come
+    straight from its n products through ctx.times_map, and a batch's
+    through its own pair."""
     bs, cs = np.asarray(bs), np.asarray(cs)
     if maps is None:
         if bs.size == 1:
@@ -307,12 +327,9 @@ def _polar_rows(ctx: FieldCtx, k: int, bs, cs, maps=None) -> np.ndarray:
             if b:
                 rows ^= _polar_part(ctx, k, ctx.times_map(b))
             return rows[None]
-        maps = polar_maps(ctx, k, bs)
+        maps = _polar_maps(ctx, k)
     c_map, b_map = maps
-    rows = c_map.vec(cs)
-    if b_map is not None:
-        rows ^= b_map.vec(bs)
-    return rows
+    return c_map.vec(cs) ^ b_map.vec(bs)
 
 
 def _drop_pair(q, sign, i, j, ri, rj) -> None:
@@ -403,14 +420,14 @@ def form_values(ctx: FieldCtx, k: int, bs: np.ndarray, cs: np.ndarray,
 
     bs and cs are int64 arrays of R field and subfield elements, and lams
     one field element or R of them; none is checked here (the spectral
-    engine passes orbit representatives).  The forms go through _polar_rows
-    and _eliminate _FORM_BLOCK at a time, so no array larger than a block
-    of n-bit rows is built and no 2^n-entry table is read; a batch builds
-    its pair of polar maps once, for every block.
+    engine passes the leaders of form_classes).  The forms go through
+    _polar_rows and _eliminate _FORM_BLOCK at a time, so no array larger
+    than a block of n-bit rows is built and no 2^n-entry table is read; a
+    batch builds its pair of polar maps once, for every block.
     """
     lams = np.broadcast_to(lams, bs.shape)
     w, rank = np.empty(bs.size, dtype=np.int64), np.empty(bs.size, dtype=np.int64)
-    maps = polar_maps(ctx, k, bs) if bs.size > 1 else None
+    maps = _polar_maps(ctx, k) if bs.size > 1 else None
     for lo in range(0, bs.size, _FORM_BLOCK):
         block = slice(lo, lo + _FORM_BLOCK)
         rows = _polar_rows(ctx, k, bs[block], cs[block], maps)
@@ -493,16 +510,13 @@ def _step(w: np.ndarray, tmp: np.ndarray, j: int, r: int) -> None:
             plus(x, t, out=x)
 
 
-def walsh_spectra(ctx: FieldCtx, k: int, bs: np.ndarray, cs: np.ndarray,
-                  maps=None) -> np.ndarray:
+def walsh_spectra(ctx: FieldCtx, k: int, bs: np.ndarray, cs: np.ndarray) -> np.ndarray:
     """Whole spectra of the forms (bs[r], cs[r]), as an (R, 2^n) int32 array
     whose row r is indexed by lambda.
 
     bs and cs are int64 arrays of R field and subfield elements, not checked
-    here, as in form_values; maps, polar_maps of a batch holding these
-    forms, spares a caller that reads a batch in blocks a pair per block.
-    Each row equals, value by value, the direct sum of the tests' oracle
-    walsh_point (tests/reference.py).
+    here, as in form_values.  Each row equals, value by value, the direct
+    sum of the tests' oracle walsh_point (tests/reference.py).
     With x = sum_i y_i d_i over the dual basis, tr(lam x) is the parity of
     lam & y, so a spectrum is the Hadamard transform of g(y) = f(x),
     already indexed by lam.  It is built one bit of y at a time from the
@@ -529,7 +543,7 @@ def walsh_spectra(ctx: FieldCtx, k: int, bs: np.ndarray, cs: np.ndarray,
     if ctx.n > TABLE_MAX_N:
         raise TooLarge(f"whole spectra of 2^n int32 values are built only for "
                        f"n <= {TABLE_MAX_N} (TABLE_MAX_N), not n = {ctx.n}")
-    rows = _polar_rows(ctx, k, bs, cs, maps)
+    rows = _polar_rows(ctx, k, bs, cs)
     batched = min(ctx.n, _COLUMNS.size.bit_length() - 1)
     out = np.empty((len(rows), ctx.order), dtype=np.int32)
     tmp = np.empty(max(len(rows) << batched >> 1,

@@ -20,7 +20,7 @@ import numpy as np
 from .families import _span_rows, packed_rows, sign_rows
 from .gf2n import FieldCtx, TooLarge, UnsupportedN, half_odd
 from .histogram import ValueHistogram
-from .quadform import exponents, orbit_classes, require_valid_k
+from .quadform import exponents, form_classes, require_valid_k
 
 
 class NonIntegerResult(ArithmeticError):
@@ -402,7 +402,7 @@ class CodeSpec:
 
 def _code_weight_counts(lin: np.ndarray, rest: np.ndarray, weights: list[int]) -> list[int]:
     """counts[w] = codewords of weight w, from +-1 float32 rows: lin for every
-    gamma, rest for one (delta, eta) per shift orbit, counted weights[i] times.
+    gamma, rest for one (delta, eta) per class, counted weights[i] times.
 
     lin @ rest.T holds sum_t (-1)^(codeword bit t) = p - 2w for every gamma
     and representative at once, exact because every partial sum is an
@@ -417,13 +417,14 @@ def _code_weight_counts(lin: np.ndarray, rest: np.ndarray, weights: list[int]) -
 
 def build_code(ctx: FieldCtx, k: int) -> CodeSpec:
     """Histogram the weights of all 2^{5n/2} codewords (n <= 10) from one
-    (delta, eta) per orbit of the cyclic shift.
+    (delta, eta) per class of the cyclic shift and squaring.
 
     Shifting a codeword by one position maps (gamma, delta, eta) to
     (gamma alpha, delta alpha^(2^k+1), eta beta) and keeps its weight, which
-    is x -> alpha x in the trace rows.  So the weights are, summed over the
-    representatives (delta, eta) of quadform.orbit_classes, orbit size times
-    the weights over every gamma: one exact float32 matrix product (see
+    is x -> alpha x in the trace rows; x -> x^2 permutes the positions and
+    maps it to (gamma^2, delta^2, eta^2).  So the weights are, summed over
+    the leaders (delta, eta) of quadform.form_classes, class size times the
+    weights over every gamma: one exact float32 matrix product (see
     _code_weight_counts).  The rows tr(gamma x) of every gamma are the span
     of n basis rows (families._span_rows).  The weights are direct sums over
     the codeword bits, not transform values.
@@ -433,11 +434,11 @@ def build_code(ctx: FieldCtx, k: int) -> CodeSpec:
         raise TooLarge(f"code enumeration limited to n <= {CODE_ENUM_MAX_N}")
     e1, e2 = exponents(ctx, k)
     period = ctx.group_order
-    deltas, etas, weights = orbit_classes(ctx, k)
+    classes = form_classes(ctx, k)
     lin = sign_rows(_span_rows(ctx, 1), period)
-    rest = sign_rows(packed_rows(ctx, deltas, e1)
-                     ^ packed_rows(ctx, ctx.scale_vec(ctx.trh_lift, etas), e2), period)
-    counts = _code_weight_counts(lin, rest, weights)
+    rest = sign_rows(packed_rows(ctx, classes.bs, e1)
+                     ^ packed_rows(ctx, ctx.scale_vec(ctx.trh_lift, classes.cs), e2), period)
+    counts = _code_weight_counts(lin, rest, classes.sizes)
     return CodeSpec(
         ctx=ctx,
         k=k,

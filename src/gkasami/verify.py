@@ -7,11 +7,13 @@ sequence enumeration) with its closed form, and reports a machine-readable
 block.  The claims that read the transform at lambda = 0 or 1, the census's
 power sums among them, take slices of two tables, W_{b,c}(0) and W_{b,c}(1)
 for every b and every c in F, built once per run.  walsh-full-distribution
-and rank-value-consistency take one whole spectrum per orbit of x -> u*x on
-the forms (quadform.orbit_classes), and the code weights one matrix product
-over the same representatives, as a cyclic shift of the code is that
-substitution: all three are exhaustive over orbit representatives.  Squaring maps every field equation and form
-the remaining scans read to one with the same count: the root counts of
+and rank-value-consistency take one whole spectrum per class of forms under
+x -> u*x and squaring (the leaders of quadform.form_classes), and the code
+weights one matrix product over the same leaders, as a cyclic shift of the
+code is that substitution and squaring permutes its positions: all three
+are exhaustive over Frobenius classes of orbit representatives.  Squaring
+also maps every field equation and form the remaining scans read to one
+with the same count: the root counts of
 the kernel and reduced equations (one scan, fieldeq.theta_root_counts,
 shared by three claims) are evaluated at one theta per class of
 theta -> theta^2, the affine-root bound at one theta per class of
@@ -36,20 +38,17 @@ from . import families as fam
 from . import fieldeq, theory
 from .gf2n import FieldCtx, cyclotomic_classes, half_odd
 from .histogram import ValueHistogram
-from .quadform import (orbit_classes, polar_maps, rank_spectrum, symplectic_ranks,
-                       transform_column, walsh_spectra)
+from .quadform import (form_classes, rank_spectrum, symplectic_ranks, transform_column,
+                       walsh_spectra)
 
 VERIFY_NS = (4, 6, 8, 10)
 BRUTE_CROSSCHECK_MAX_N = 6
-_ORBIT_NOTE = "exhaustive over orbit representatives of x -> u*x"
+_ORBIT_NOTE = "exhaustive over Frobenius classes of orbit representatives of x -> u*x"
 _THETA_NOTE = "exhaustive over Frobenius classes of theta"
 # (theta, x) values the affine-root scan holds at once
 _AFFINE_BLOCK = 1 << 16
 # member rows the imbalance claim popcounts at once (all of them at n <= 8)
 _IMBALANCE_ROWS = 1 << 13
-# spectrum values _Bundle.spectra holds at once: 2^18 / 2^n rows of
-# walsh_spectra (64 at n = 12), one row from n = 18 on
-_SPECTRA_VALUES = 1 << 18
 
 
 @dataclass
@@ -96,31 +95,20 @@ class _Bundle:
 
     @cached_property
     def spectra(self) -> tuple[ValueHistogram, bool]:
-        """One whole spectrum per orbit of x -> u*x (quadform.orbit_classes),
-        counted with its orbit size: the histogram of W_{b,c}(lam) over all
-        (b, c, lam), and whether every representative's spectrum is the one
-        its rank determines (quadform.rank_spectrum).  The spectra come from
-        walsh_spectra in blocks of rows of at most _SPECTRA_VALUES values,
-        all read through one pair of polar maps, and each block is counted
-        by one np.unique over (row, value) keys."""
+        """One whole spectrum per leader of quadform.form_classes, counted
+        with its class size: the histogram of W_{b,c}(lam) over all
+        (b, c, lam), and whether every leader's spectrum is the one its rank
+        determines (quadform.rank_spectrum).  The spectra come from one
+        walsh_spectra call (at most 39 leaders, at n = 16)."""
         ctx, k = self.ctx, self.k
-        n = ctx.n
-        bs, cs, weights = orbit_classes(ctx, k)
-        ranks = symplectic_ranks(ctx, k, bs, cs).tolist()
-        specs = [ValueHistogram({}) for _ in weights]
-        step = max(1, _SPECTRA_VALUES >> n)
-        maps = polar_maps(ctx, k, bs)
-        for lo in range(0, len(bs), step):
-            block = walsh_spectra(ctx, k, bs[lo : lo + step], cs[lo : lo + step], maps)
-            # |W| <= 2^n: row r's value v is the key r 2^(n+2) + v + 2^n
-            base = (np.arange(lo, lo + len(block), dtype=np.int64) << n + 2) + (1 << n)
-            keys, counts = np.unique(base[:, None] + block, return_counts=True)
-            for key, count in zip(keys.tolist(), counts.tolist()):
-                specs[key >> n + 2].add_value((key & (4 << n) - 1) - (1 << n), count)
+        classes = form_classes(ctx, k)
+        ranks = symplectic_ranks(ctx, k, classes.bs, classes.cs).tolist()
+        spectra = walsh_spectra(ctx, k, classes.bs, classes.cs)
         hist, rank_ok = ValueHistogram({}), True
-        for spec, w, r in zip(specs, weights, ranks):
-            hist.merge(spec, w)
-            rank_ok &= spec == rank_spectrum(n, r)
+        for row, size, rank in zip(spectra, classes.sizes, ranks):
+            spec = ValueHistogram.from_array(row)
+            hist.merge(spec, size)
+            rank_ok &= spec == rank_spectrum(ctx.n, rank)
         return hist, rank_ok
 
     @cached_property

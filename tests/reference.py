@@ -3,8 +3,10 @@ form's whole dual-basis truth table, the full packed trace-row tables of
 the generalized Kasami code, and the correlation of two sequences given
 as Python ints.
 
-No engine builds these; the tests compare the engines' orbit, column and
-rank routes against them.  spectra_block transforms one truth table per
+No engine builds these; the tests compare the engines' class, column and
+rank routes against them, and orbit_representatives lists one form per
+orbit of x -> u*x, unreduced by squaring, for the class table to be
+checked against.  spectra_block transforms one truth table per
 (b, c), indexed by x, by fwht and reindexes through walsh_perm;
 walsh_spectrum reads no truth table and runs no Hadamard stage, as it
 doubles the sum over the dual-basis bits from the form's polar rows.
@@ -28,8 +30,9 @@ row of lambda.  None reads polar rows, eliminates, or runs a Hadamard
 transform or a transform column.  count_kernel_roots, count_reduced_roots
 and count_affine_roots count one equation's roots by evaluation at every
 field element, one theta at a time; linearized_kernel reduces the n images
-of a linearized polynomial.  trace_to_subfield sums Frobenius images onto
-any subfield, element_from_label inverts FieldCtx.element_label, and
+of a linearized polynomial.  frobenius maps one element through
+FieldCtx.frobenius_map, trace_to_subfield sums Frobenius images onto any
+subfield, element_from_label inverts FieldCtx.element_label, and
 histogram_from_json_dict reads ValueHistogram.to_json_dict back.
 """
 
@@ -54,13 +57,19 @@ class NonDivisor(ValueError):
     """Raised when a trace is requested onto GF(2^m) with m not dividing n."""
 
 
+def frobenius(ctx: FieldCtx, x: int, i: int) -> int:
+    """x^(2^i), the i-fold Frobenius of the element x (i may be any integer;
+    period n), straight from the images of ctx.frobenius_map(i)."""
+    return ctx.frobenius_map(i)(x)
+
+
 def trace_to_subfield(ctx: FieldCtx, x: int, m: int) -> int:
     """Trace of x onto GF(2^m) embedded in E; m must divide n."""
     if m <= 0 or ctx.n % m != 0:
         raise NonDivisor(f"m = {m} does not divide n = {ctx.n}")
     acc = 0
     for i in range(ctx.n // m):
-        acc ^= ctx.frobenius(x, i * m)
+        acc ^= frobenius(ctx, x, i * m)
     return acc
 
 
@@ -76,6 +85,26 @@ def element_from_label(ctx: FieldCtx, text: str) -> int:
 def histogram_from_json_dict(obj: dict) -> ValueHistogram:
     """The histogram whose ValueHistogram.to_json_dict is obj."""
     return ValueHistogram({int(e["value"]): int(e["count"]) for e in obj["entries"]})
+
+
+def orbit_representatives(ctx: FieldCtx, k: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """One form (b, c) per orbit of x -> u*x on all 2^{3n/2} forms, with the
+    orbit sizes: int64 arrays b and c and a list of ints, in this order:
+    (0, 0); (0, 1); (alpha^r, 0) for r < g1; (alpha^r, 1) for r < g2 (see
+    quadform.form_classes, whose leaders are one per class of these under
+    squaring).  class_rows gives the row of each one's leader."""
+    group, units = ctx.group_order, (1 << ctx.half) - 1
+    e1, _ = qf.exponents(ctx, k)
+    g1, g2 = math.gcd(e1, group), math.gcd(units * e1, group)
+    powers = ctx.powers(ctx.alpha, g2)
+    bs = np.concatenate([[0, 0], powers[:g1], powers[:g2]])
+    cs = np.array([0, 1] + [0] * g1 + [1] * g2, dtype=np.int64)
+    return bs, cs, [1, units] + [group // g1] * g1 + [group // g2 * units] * g2
+
+
+def class_rows(classes: qf.FormClasses) -> np.ndarray:
+    """The row in classes of the leader of each of orbit_representatives."""
+    return np.concatenate([[0, 1], classes.on_c0, classes.on_c1])
 
 
 def eval_f(params: qf.QuadFormParams, x: int) -> int:
@@ -116,7 +145,7 @@ class LinearizedPoly:
         acc = 0
         for i, a in enumerate(self.coeffs):
             if a:
-                acc ^= ctx.mul(a, ctx.frobenius(x, i))
+                acc ^= ctx.mul(a, frobenius(ctx, x, i))
         return acc
 
 
@@ -149,7 +178,7 @@ def count_kernel_roots(ctx: FieldCtx, theta: int, k: int) -> int:
     qf.require_valid_k(ctx.n, k)
     n = ctx.n
     zs = np.arange(ctx.order, dtype=np.int64)
-    tq = ctx.frobenius(theta, n - k)
+    tq = frobenius(ctx, theta, n - k)
     vals = ctx.scale_vec(tq, ctx.frob_vec(zs, n - k))
     vals ^= ctx.scale_vec(theta, ctx.frob_vec(zs, k))
     vals ^= ctx.frob_vec(zs, ctx.half)
@@ -170,7 +199,7 @@ def count_reduced_roots(ctx: FieldCtx, theta: int, k: int) -> tuple[int, int]:
     qf.require_valid_k(ctx.n, k)
     n = ctx.n
     ws = np.arange(ctx.order, dtype=np.int64)
-    tq = ctx.frobenius(theta, n - k)
+    tq = frobenius(ctx, theta, n - k)
 
     lhs = ctx.scale_vec(tq, ctx.pow_vec(ws, fieldeq._reduced_exponent(ctx, n // 2 - k)))
     lhs ^= ws

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import threading
@@ -440,17 +441,16 @@ def transformed_lambda0_column(ctx, k):
 
 
 def engine_lambda0(ctx, k):
-    """The engine's orbit listing, W(0) and the rank at each representative,
-    and the lam = 0 column, as full_distribution_spectral builds them."""
-    orbits = qf.orbit_classes(ctx, k)
-    bs, cs, sizes = orbits
-    w0, ranks = qf.form_values(ctx, k, bs, cs)
-    return orbits, w0, ranks, corr._weighted(w0, sizes)
+    """The engine's class table, W(0) and the rank at each leader, and the
+    lam = 0 column, as full_distribution_spectral builds them."""
+    classes = qf.form_classes(ctx, k)
+    w0, ranks = qf.form_values(ctx, k, classes.bs, classes.cs)
+    return classes, w0, ranks, corr._weighted(w0, classes.sizes)
 
 
 def engine_completion(ctx, k):
-    orbits, w0, _, _ = engine_lambda0(ctx, k)
-    return corr._completion_block(ctx, k, orbits, w0)
+    classes, w0, _, _ = engine_lambda0(ctx, k)
+    return corr._completion_block(ctx, k, classes, w0)
 
 
 @pytest.mark.parametrize("n,k", [(4, 1), (4, 3), (6, 2), (6, 4), (8, 1), (8, 3), (8, 5), (8, 7),
@@ -493,14 +493,14 @@ def full_rank_lambda1_column(ctx, k):
 
 
 def orbit_lambda1_column(ctx, k):
-    orbits, _, ranks, col0 = engine_lambda0(ctx, k)
-    return corr._lambda1_column(ctx, ranks, orbits[2], col0)
+    classes, _, ranks, col0 = engine_lambda0(ctx, k)
+    return corr._lambda1_column(ctx, ranks, classes.sizes, col0)
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in (8, 10, 12) for k in range(1, n) if qf.valid_k(n, k)]
                          + [(14, 2), (16, 3), pytest.param(18, 2, marks=pytest.mark.slow)])
 def test_rank_lambda1_column_matches_fwht(n, k):
-    """The engine's orbit-representative column equals the full-E rank
+    """The engine's column from the class leaders equals the full-E rank
     route and the transformed column."""
     ctx = make_field(n)
     got = orbit_lambda1_column(ctx, k)
@@ -523,42 +523,44 @@ def spy_eliminate(monkeypatch):
 
 def test_lambda1_column_ranks_only_orbit_representatives(monkeypatch, ctx8):
     """The ranks behind the lam = 1 column come from one elimination of the
-    polar rows of exactly the orbit representatives."""
+    polar rows of exactly the class leaders: 9 of the 2 + 3 + 15 orbit
+    representatives."""
     calls = spy_eliminate(monkeypatch)
     orbit_lambda1_column(ctx8, 1)
-    bs, cs, _ = qf.orbit_classes(ctx8, 1)
-    assert len(bs) == 2 + 3 + 15 and len(calls) == 1
-    assert np.array_equal(calls[0][0], qf._polar_rows(ctx8, 1, bs, cs))
+    classes = qf.form_classes(ctx8, 1)
+    assert len(classes.bs) == 2 + 1 + 6 and len(calls) == 1
+    assert np.array_equal(calls[0][0], qf._polar_rows(ctx8, 1, classes.bs, classes.cs))
 
 
 def test_spectral_engine_builds_the_lambda0_column_once(monkeypatch, ctx8):
-    """W(0) comes from one elimination at lam = 0, read at the orbit
-    representatives only."""
+    """W(0) comes from one elimination at lam = 0, read at the class
+    leaders only."""
     calls = spy_eliminate(monkeypatch)
     family = fam.build_family(fam.family_params(ctx8, "fk", 1))
     report = corr.full_distribution_spectral(family)
     assert report.histogram == corr.predicted_histogram(family)
-    bs, cs, _ = qf.orbit_classes(ctx8, 1)
+    classes = qf.form_classes(ctx8, 1)
     assert len(calls) == 1
     rows, lams = calls[0]
-    assert np.array_equal(rows, qf._polar_rows(ctx8, 1, bs, cs)) and not lams.any()
+    assert np.array_equal(rows, qf._polar_rows(ctx8, 1, classes.bs, classes.cs))
+    assert not lams.any()
 
 
 @pytest.mark.parametrize("n,k", [(8, 1), (10, 2), (12, 5)])
 def test_lambda0_column_from_the_representatives(n, k):
-    """W(0) at the representatives, counted with the orbit sizes, is the
+    """W(0) at the class leaders, counted with the class sizes, is the
     histogram of the c = 0 and c = 1 transform rows, c != 0 scaled to 1."""
     ctx = make_field(n)
     assert engine_lambda0(ctx, k)[3] == transformed_lambda0_column(ctx, k)
 
 
 def test_rank_lambda1_column_refuses_inexact_division(ctx8):
-    orbits, _, ranks, col0 = engine_lambda0(ctx8, 1)
+    classes, _, ranks, col0 = engine_lambda0(ctx8, 1)
     v = next(iter(col0.counts))  # one lam = 0 value moved: the counts no longer split evenly
     col0.add_value(v, -1)
     col0.add_value(v + 4)
     with pytest.raises(AssertionError):
-        corr._lambda1_column(ctx8, ranks, orbits[2], col0)
+        corr._lambda1_column(ctx8, ranks, classes.sizes, col0)
 
 
 def test_spectral_engine_uses_no_transform_or_rank_route(monkeypatch, ctx8):
@@ -625,3 +627,42 @@ def test_spectral_engine_matches_closed_form_without_members(n, kind, monkeypatc
     family = fam.build_family(fam.family_params(ctx, kind, k))
     report = corr.full_distribution_spectral(family)
     assert report.histogram == corr.predicted_histogram(family)
+
+
+def sweep_failures(n):
+    """The (kind, k) of each spectral corr run at n whose histogram is not
+    its closed form: fk at every admissible k, then the small and large
+    Kasami sets."""
+    ctx = make_field(n)
+    runs = [("fk", k) for k in range(1, n) if qf.valid_k(n, k)]
+    failed = []
+    for kind, k in runs + [("small-kasami", None), ("large-kasami", None)]:
+        family = fam.build_family(fam.family_params(ctx, kind, k))
+        if corr.full_distribution_spectral(family).histogram != corr.predicted_histogram(family):
+            failed.append((kind, k))
+    return failed
+
+
+@pytest.mark.parametrize("n", range(4, gf2n.N_MAX + 1, 2))
+def test_spectral_corr_matches_closed_form_at_every_admissible_k(n):
+    # the paper claims one distribution for every k that meets its gcd
+    # condition, and g1, g2 and the class table depend on k
+    assert sweep_failures(n) == []
+
+
+@pytest.mark.parametrize("n,k", [(8, 3), (22, 6)])
+def test_sweep_fails_on_one_leader_size_moved(monkeypatch, n, k):
+    """The last leader's class size moved onto another c = 1 leader with a
+    different W(0) or rank, for one k: the sweep reports that run."""
+    ctx, form_classes = make_field(n), qf.form_classes
+    classes = form_classes(ctx, k)
+    w0, ranks = qf.form_values(ctx, k, classes.bs, classes.cs)
+    last = len(classes.sizes) - 1
+    to = next(j for j in range(last) if classes.cs[j] == 1
+              and (w0[j], ranks[j]) != (w0[last], ranks[last]))
+    sizes = list(classes.sizes)
+    sizes[to], sizes[last] = sizes[to] + sizes[last], 0
+    moved = dataclasses.replace(classes, sizes=sizes)
+    monkeypatch.setattr(qf, "form_classes",
+                        lambda ctx, kk: moved if kk == k else form_classes(ctx, kk))
+    assert sweep_failures(n) == [("fk", k)]

@@ -16,7 +16,7 @@ from gkasami.gf2n import TooLarge, make_field
 from gkasami.histogram import ValueHistogram
 from gkasami.quadform import InvalidK
 
-from reference import code_tables, codeword
+from reference import code_tables, codeword, frobenius
 
 
 def unpack_bits(bits: list[int], length: int) -> np.ndarray:
@@ -90,9 +90,9 @@ def test_public_names_resolve_and_no_int_member_path_remains():
     # _kernel_eq_values, inside one there)
     moved = {fieldeq: ("BadParams", "LinearizedPoly", "linearized_kernel", "count_affine_roots",
                        "_kernel_eq_values", "count_kernel_roots", "count_reduced_roots"),
-             qf: ("eval_f", "truth_table", "walsh_point"),
+             qf: ("eval_f", "truth_table", "walsh_point", "orbit_classes", "polar_maps"),
              gf2n: ("NonDivisor",),
-             gf2n.FieldCtx: ("trace_to_subfield", "element_from_label"),
+             gf2n.FieldCtx: ("trace_to_subfield", "element_from_label", "frobenius"),
              ValueHistogram: ("from_json_dict",),
              corr: ("r_max",)}
     assert [(owner.__name__, name) for owner, names in moved.items()
@@ -129,20 +129,33 @@ def runtime_references(path: Path, own: str | None) -> set[tuple[str, str]]:
     return found
 
 
+def attribute_reads(path: Path) -> set[str]:
+    """The name of every attribute the code in path reads, of any object."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def test_every_export_is_read_outside_the_tests():
-    # every public name is read by the package's commands and engines or by
-    # the benchmark; a name only tests read belongs in tests/reference.py
+    # every public name, and every public method of an exported class, is
+    # read by the package's commands and engines or by the benchmark; one
+    # only tests read belongs in tests/reference.py
     import gkasami
 
     src = Path(gkasami.__file__).parent
-    read = set()
-    for path in src.glob("*.py"):
-        if path.name != "__init__.py":
-            read |= runtime_references(path, path.stem)
-    for name in ("run.py", "workloads.py"):
-        read |= runtime_references(src.parents[1] / "perfbench" / name, None)
+    paths = [path for path in src.glob("*.py") if path.name != "__init__.py"]
+    bench = [src.parents[1] / "perfbench" / name for name in ("run.py", "workloads.py")]
+    read, attributes = set(), set()
+    for path in paths + bench:
+        read |= runtime_references(path, path.stem if path in paths else None)
+        attributes |= attribute_reads(path)
     assert [name for name in gkasami.__all__
             if (getattr(gkasami, name).__module__.rpartition(".")[2], name) not in read] == []
+    methods = [(cls.__name__, name) for cls in map(gkasami.__dict__.get, gkasami.__all__)
+               if isinstance(cls, type) for name, member in vars(cls).items()
+               if not name.startswith("_") and callable(getattr(member, "__get__", None))
+               and not isinstance(member, cls)]
+    assert ("FieldCtx", "mul") in methods
+    assert [(owner, name) for owner, name in methods if name not in attributes] == []
 
 
 def test_gamma_delta_sets(ctx4, ctx6, ctx8):
@@ -413,7 +426,7 @@ def test_small_kasami_term_identity(ctx6):
             x = ctx6.pow(ctx6.alpha, t)
             # y lies in F, and its trace onto GF(2) is the sum of y^(2^i), i < n/2
             y = ctx6.mul(int(eta), ctx6.pow(x, e2))
-            want = ctx6.trace(x) ^ reduce(xor, (ctx6.frobenius(y, i) for i in range(ctx6.half)))
+            want = ctx6.trace(x) ^ reduce(xor, (frobenius(ctx6, y, i) for i in range(ctx6.half)))
             assert fam.sequence_term(params, tag, t) == want
 
 

@@ -7,8 +7,8 @@ from gkasami import theory
 from gkasami.gf2n import TooLarge, make_field
 
 from reference import (BadParams, LinearizedPoly, count_affine_roots, count_kernel_roots,
-                       count_reduced_roots, linearized_kernel, theta_root_counts_full,
-                       walsh_point)
+                       count_reduced_roots, frobenius, linearized_kernel,
+                       theta_root_counts_full, walsh_point)
 
 
 def test_linearized_kernel_basics(ctx6):
@@ -75,9 +75,9 @@ def test_count_kernel_roots_matches_kernel_equation(ctx4, ctx6):
             assert got in (0, 3)
             # cross-check against the linearized-kernel route
             direct = sum(
-                ctx.mul(ctx.frobenius(theta, ctx.n - k), ctx.frobenius(z, ctx.n - k))
-                ^ ctx.mul(theta, ctx.frobenius(z, k))
-                ^ ctx.frobenius(z, ctx.half)
+                ctx.mul(frobenius(ctx, theta, ctx.n - k), frobenius(ctx, z, ctx.n - k))
+                ^ ctx.mul(theta, frobenius(ctx, z, k))
+                ^ frobenius(ctx, z, ctx.half)
                 == 0
                 for z in range(1, ctx.order)
             )

@@ -26,7 +26,7 @@ from gkasami.gf2n import (
     make_field,
 )
 
-from reference import NonDivisor, element_from_label, eval_f, trace_to_subfield
+from reference import NonDivisor, element_from_label, eval_f, frobenius, trace_to_subfield
 
 
 def raw_mul(a, b, poly, n):
@@ -333,8 +333,8 @@ def test_scalar_ops_match_the_tables(n):
     consts = [rng.randrange(1, ctx.order) for _ in range(2)]
     exps = [0, 1, -1, rng.randrange(ctx.group_order), -rng.randrange(ctx.group_order)]
     got = [(x, [ctx.mul(a, x) for a in consts], [ctx.pow(x, e) for e in exps if x or e >= 0],
-            ctx.inv(x) if x else None, ctx.trace(x), ctx.in_subfield(x), ctx.element_label(x),
-            ctx.frobenius(x, 3))
+            ctx.pow(x, -1) if x else None, ctx.trace(x), ctx.in_subfield(x), ctx.element_label(x),
+            frobenius(ctx, x, 3))
            for x in xs]
     assert not set(LAZY_TABLES) & set(vars(ctx))
     log, antilog, group = ctx.log, ctx.antilog, ctx.group_order
@@ -433,9 +433,9 @@ def test_mul_basics(ctx4):
 
 def test_inverse_round_trip(ctx6):
     for a in range(1, ctx6.order):
-        assert ctx6.mul(a, ctx6.inv(a)) == 1
+        assert ctx6.mul(a, ctx6.pow(a, -1)) == 1
     with pytest.raises(ZeroDivisionError):
-        ctx6.inv(0)
+        ctx6.pow(0, -1)
 
 
 def test_pow_conventions(ctx4):
@@ -444,7 +444,7 @@ def test_pow_conventions(ctx4):
     assert ctx4.pow(2, 15) == 1
     assert ctx4.pow(0, 0) == 1
     assert ctx4.pow(0, 3) == 0
-    assert ctx4.pow(3, -1) == ctx4.inv(3)
+    assert ctx4.pow(3, -1) == ctx4.pow(3, 14)
 
 
 def test_norm_power_lands_in_subfield(ctx4, ctx6):
@@ -452,7 +452,7 @@ def test_norm_power_lands_in_subfield(ctx4, ctx6):
         e = (1 << ctx.half) + 1
         for x in range(ctx.order):
             y = ctx.pow(x, e)
-            assert ctx.frobenius(y, ctx.half) == y
+            assert frobenius(ctx, y, ctx.half) == y
 
 
 def test_log_antilog_round_trip(ctx6):
@@ -499,9 +499,9 @@ def test_subfield_trace_f_linearity(ctx6):
 
 def test_frobenius(ctx4):
     for x in range(ctx4.order):
-        assert ctx4.frobenius(x, 0) == x
-        assert ctx4.frobenius(x, ctx4.n) == x
-        assert ctx4.trace(ctx4.frobenius(x, 1)) == ctx4.trace(x)
+        assert frobenius(ctx4, x, 0) == x
+        assert frobenius(ctx4, x, ctx4.n) == x
+        assert ctx4.trace(frobenius(ctx4, x, 1)) == ctx4.trace(x)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -558,7 +558,7 @@ def test_subfield_membership(ctx6):
 ACCESSORS = {
     "mul-left": lambda ctx, x: ctx.mul(x, 1),
     "mul-right": lambda ctx, x: ctx.mul(1, x),
-    "inv": lambda ctx, x: ctx.inv(x),
+    "inv": lambda ctx, x: ctx.pow(x, -1),
     "pow": lambda ctx, x: ctx.pow(x, 1),
     "trace": lambda ctx, x: ctx.trace(x),
     "element_label": lambda ctx, x: ctx.element_label(x),
@@ -644,7 +644,7 @@ def test_vector_helpers_match_scalar(ctx6):
     for x in range(ctx6.order):
         assert int(sv[x]) == ctx6.mul(13, x)
         assert int(pv[x]) == ctx6.pow(x, 5)
-        assert int(fv[x]) == ctx6.frobenius(x, 3)
+        assert int(fv[x]) == frobenius(ctx6, x, 3)
 
 
 def test_tables_are_read_only(ctx4):

@@ -16,15 +16,15 @@ from pathlib import Path
 
 import pytest
 
-from gkasami import cli
+from gkasami import cli, verify
 
 GOLDEN = {
-    "verify --n 4 --k 1": "5060ac0ee6def331007801469952a6670d86c642d35d4ac9c99f97aaa6c0e146",
-    "verify --n 4 --k 3": "a4aaeec0769096d078f405e862ebcb10063416e11d752df3657d9aa8bb667e46",
-    "verify --n 6 --k 2": "7bac8acf5bd29253436813c44264e5051228b758cda3328aafe900763bf5f492",
-    "verify --n 6 --k 4": "45a88d60fa43bddc61f781ec7015698f5abf57a4175722566ffa9cb1fa2298c7",
-    "verify --n 8 --k 1": "3436a965e6a75784a54a571fd1f3b718b1e11295a1e65d5008c97898fd9014c7",
-    "verify --n 10 --k 2": "de562c1f36fb03918879f2187c7a0bb38fb4ebc3e3c0a8177b0c5c65ed74019c",
+    "verify --n 4 --k 1": "552bb8227a54a9a6fa625f53ad6b39b0a01db5bb6b58623bb9a10f6326d3f832",
+    "verify --n 4 --k 3": "58992dd8bea11899f4321f825a06c32b86c1298c4488b2843cc4a4acc0b810d9",
+    "verify --n 6 --k 2": "87843bd2f4a3591db008b5aecd1f47f7315e518c64118ecd5f7b11117e5163a2",
+    "verify --n 6 --k 4": "4e3d0c04561a72df92d1dbd663740c11d3786efde4843790d41c3de86715127a",
+    "verify --n 8 --k 1": "bccfba5a38b53ccbe66d1173802ddb43b4d33c0bf0920b873da478c035b25531",
+    "verify --n 10 --k 2": "64dddc81baed0fbf51e929e316028a72ea52dc3492cd36df9fa8b4a6fcd01fc8",
     "corr --engine spectral --kind fk --n 4":
         "b4659afcbcfd3c171f69ca4783133345caeff54371f4baee072d08b7e9687d37",
     "corr --engine spectral --kind small-kasami --n 4":
@@ -300,6 +300,26 @@ def test_stdout_digest(capsys, command):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == {**GOLDEN, **GOLDEN_SLOW}[command]
+
+
+# the verify digests before the whole-spectra and code-weight claims ran on
+# Frobenius classes of the orbit representatives: only their note differs
+VERIFY_BEFORE_CLASSES = {
+    "verify --n 4 --k 1": "5060ac0ee6def331007801469952a6670d86c642d35d4ac9c99f97aaa6c0e146",
+    "verify --n 4 --k 3": "a4aaeec0769096d078f405e862ebcb10063416e11d752df3657d9aa8bb667e46",
+    "verify --n 6 --k 2": "7bac8acf5bd29253436813c44264e5051228b758cda3328aafe900763bf5f492",
+    "verify --n 6 --k 4": "45a88d60fa43bddc61f781ec7015698f5abf57a4175722566ffa9cb1fa2298c7",
+    "verify --n 8 --k 1": "3436a965e6a75784a54a571fd1f3b718b1e11295a1e65d5008c97898fd9014c7",
+    "verify --n 10 --k 2": "de562c1f36fb03918879f2187c7a0bb38fb4ebc3e3c0a8177b0c5c65ed74019c",
+}
+
+
+@pytest.mark.parametrize("command", list(VERIFY_BEFORE_CLASSES))
+def test_verify_digest_changed_only_in_its_note(capsys, command):
+    assert cli.main(command.split()) == 0
+    out = capsys.readouterr().out.replace(verify._ORBIT_NOTE,
+                                          "exhaustive over orbit representatives of x -> u*x")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_BEFORE_CLASSES[command]
 
 
 # runs the CLI with its arguments in a child and prints [exit code, stdout

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -13,9 +14,9 @@ from gkasami import quadform as qf
 from gkasami import theory
 from gkasami.gf2n import N_MAX, TABLE_MAX_N, TooLarge, gf2_kernel_basis, make_field
 
-from reference import (count_affine_roots, count_kernel_roots, count_reduced_roots,
-                       dual_truth_table, eval_f, spectra_block, spectrum_distribution,
-                       truth_table, walsh_point)
+from reference import (class_rows, count_affine_roots, count_kernel_roots, count_reduced_roots,
+                       dual_truth_table, eval_f, frobenius, orbit_representatives,
+                       spectra_block, spectrum_distribution, truth_table, walsh_point)
 from test_gf2n import raw_mul_vec, raw_pow2_vec, raw_trace_mask
 
 
@@ -144,7 +145,7 @@ def test_walsh_spectra_rows_are_the_one_form_spectra(n):
     rng = np.random.default_rng(300 + n)
     sub = ctx.subfield_elements
     for k in (k for k in range(1, n) if qf.valid_k(n, k)):
-        reps_b, reps_c, _ = qf.orbit_classes(ctx, k)
+        reps_b, reps_c, _ = orbit_representatives(ctx, k)
         bs = np.concatenate([reps_b, rng.integers(1, ctx.order, 8)])
         cs = np.concatenate([reps_c, np.zeros(4, np.int64), rng.choice(sub[1:], 4)])
         assert (bs[0], cs[0]) == (0, 0) and np.count_nonzero(cs == 0) > 4
@@ -411,12 +412,12 @@ def scalar_rank(ctx, k, b, c):
     L(z) = b^(2^{n-k}) z^(2^{n-k}) + b z^(2^k) + c z^(2^{n/2}),
     one scalar image at a time."""
     n = ctx.n
-    bq = ctx.frobenius(b, n - k)
+    bq = frobenius(ctx, b, n - k)
 
     def lin_map(z):
-        return (ctx.mul(bq, ctx.frobenius(z, n - k))
-                ^ ctx.mul(b, ctx.frobenius(z, k))
-                ^ ctx.mul(c, ctx.frobenius(z, ctx.half)))
+        return (ctx.mul(bq, frobenius(ctx, z, n - k))
+                ^ ctx.mul(b, frobenius(ctx, z, k))
+                ^ ctx.mul(c, frobenius(ctx, z, ctx.half)))
 
     return n - len(gf2_kernel_basis([lin_map(1 << j) for j in range(n)]))
 
@@ -788,11 +789,12 @@ def test_trace_row_coefficients_must_be_field_elements(ctx4, a):
 
 def orbit_index(ctx, k):
     """The orbit of every form (b, c) under x -> u*x, as the position of its
-    representative in orbit_classes, at [subfield index of c, b].  Each
+    representative in reference.orbit_representatives, at
+    [subfield index of c, b].  Each
     representative's orbit {(b u^(2^k+1), c N(u)) : u in E*} is listed
     directly; the orbits must be disjoint, cover every form and have the
     stated sizes."""
-    bs, cs, weights = qf.orbit_classes(ctx, k)
+    bs, cs, weights = orbit_representatives(ctx, k)
     e1, e2 = qf.exponents(ctx, k)
     us = np.arange(1, ctx.order)
     index = np.full((1 << ctx.half, ctx.order), -1)
@@ -850,15 +852,72 @@ def test_rank_and_w0_are_class_constant_n12(n, k):
 
 @pytest.mark.parametrize("n,k", [(8, 1), (10, 2), (12, 1), (12, 5)])
 def test_orbit_class_counts(n, k):
-    """g1 and g2 as gcds, and the orbit sizes sum to every form."""
+    """g1 and g2 as gcds, the class sizes as ints summing to every form,
+    and every orbit representative's leader the least of its class of
+    r -> 2r."""
     ctx = make_field(n)
-    bs, cs, weights = qf.orbit_classes(ctx, k)
+    classes = qf.form_classes(ctx, k)
+    bs, cs, weights = orbit_representatives(ctx, k)
     group, units = ctx.group_order, (1 << ctx.half) - 1
     g1, g2 = math.gcd((1 << k) + 1, group), math.gcd(units * ((1 << k) + 1), group)
-    assert len(bs) == len(cs) == len(weights) == 2 + g1 + g2
-    assert sum(weights) == 1 << (3 * n // 2)
-    assert cs.tolist() == [0, 1] + [0] * g1 + [1] * g2
-    assert ctx.log[bs[2:]].tolist() == list(range(g1)) + list(range(g2))
+    assert (len(classes.on_c0), len(classes.on_c1)) == (g1, g2)
+    assert len(bs) == len(weights) == 2 + g1 + g2
+    assert sum(classes.sizes) == sum(weights) == 1 << (3 * n // 2)
+    rows = class_rows(classes)
+    assert np.array_equal(classes.cs[rows], cs) and classes.bs[:2].tolist() == [0, 0]
+    for r, (b, g) in enumerate(zip(bs[2:].tolist(), [g1] * g1 + [g2] * g2)):
+        cls = {(ctx.log[b] << i) % g for i in range(n)}
+        assert ctx.log[classes.bs[rows[2 + r]]] == min(cls)
+    assert all(type(size) is int for size in classes.sizes)
+
+
+def leaders_stand_for_every_representative(ctx, k, classes):
+    """W(0) and the rank of each orbit representative, and its whole-spectrum
+    multiset for n <= 12, are those of its leader in classes, read through
+    class_rows; and the class sizes sum the orbit sizes."""
+    bs, cs, weights = orbit_representatives(ctx, k)
+    rows = class_rows(classes)
+    sizes = [0] * len(classes.sizes)
+    for row, w in zip(rows.tolist(), weights):
+        sizes[row] += w
+    ok = sizes == classes.sizes
+    for got, want in zip(qf.form_values(ctx, k, classes.bs, classes.cs),
+                         qf.form_values(ctx, k, bs, cs)):
+        ok &= np.array_equal(got[rows], want)
+    if ctx.n <= 12:
+        got, want = (np.sort(qf.walsh_spectra(ctx, k, b, c), axis=1)
+                     for b, c in ((classes.bs, classes.cs), (bs, cs)))
+        ok &= np.array_equal(got[rows], want)
+    return ok
+
+
+@pytest.mark.parametrize("n", range(4, 22, 2))
+def test_leaders_stand_for_every_orbit_representative(n):
+    """The squaring reduction, for every admissible k: each of the unreduced
+    orbit representatives has its leader's W(0), rank and spectrum."""
+    ctx = make_field(n)
+    for k in admissible_k(n):
+        assert leaders_stand_for_every_representative(ctx, k, qf.form_classes(ctx, k))
+
+
+@pytest.mark.parametrize("n,k", [(8, 1), (10, 2), (12, 5), (20, 3)])
+def test_one_representative_moved_to_another_class_fails(n, k):
+    """An (alpha^r, 1) representative put in a class whose W(0) or rank
+    differs, its orbit size moved along so that the sizes still add up,
+    fails the check."""
+    ctx = make_field(n)
+    classes = qf.form_classes(ctx, k)
+    w0, ranks = qf.form_values(ctx, k, classes.bs, classes.cs)
+    bs, cs, weights = orbit_representatives(ctx, k)
+    r, to = next((r, to) for r, row in enumerate(classes.on_c1.tolist())
+                 for to in range(len(classes.sizes))
+                 if classes.cs[to] == 1 and (w0[to], ranks[to]) != (w0[row], ranks[row]))
+    on_c1, sizes = classes.on_c1.copy(), list(classes.sizes)
+    sizes[on_c1[r]] -= weights[-1]
+    sizes[to] += weights[-1]
+    on_c1[r] = to
+    moved = dataclasses.replace(classes, on_c1=on_c1, sizes=sizes)
+    assert not leaders_stand_for_every_representative(ctx, k, moved)
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in (4, 6, 8, 10, 12) for k in admissible_k(n)]
@@ -869,7 +928,7 @@ def test_elimination_matches_transform_column_and_ranks(n, k):
     elimination equal W(0) read from the transform column (a Hadamard
     transform over x) and symplectic_ranks (the L-image route)."""
     ctx = make_field(n)
-    bs, cs, _ = qf.orbit_classes(ctx, k)
+    bs, cs, _ = orbit_representatives(ctx, k)
     w0, ranks = qf.form_values(ctx, k, bs, cs)
     assert np.array_equal(w0, qf.transform_column(ctx, k, [0, 1], 0)[cs, bs])
     assert np.array_equal(ranks, qf.symplectic_ranks(ctx, k, bs, cs))
@@ -889,7 +948,7 @@ def test_rank_routes_agree_past_n16(n):
     ctx = make_field(n)
     rng = np.random.default_rng(n)
     k = int(rng.choice(admissible_k(n)))
-    bs, cs, _ = qf.orbit_classes(ctx, k)
+    bs, cs, _ = orbit_representatives(ctx, k)
     pick = np.concatenate([[1, 2], rng.choice(np.arange(3, bs.size), 62, replace=False)])
     bs, cs = bs[pick], cs[pick]
     ranks = qf.symplectic_ranks(ctx, k, bs, cs)
@@ -935,7 +994,7 @@ def test_rank_routes_agree_at_every_representative_n32():
     """The elimination, the batched and the one-form rank of all 65,540
     orbit representatives at n = 32, the zero form (rank 0) batched only."""
     ctx = make_field(32)
-    bs, cs, _ = qf.orbit_classes(ctx, 1)
+    bs, cs, _ = orbit_representatives(ctx, 1)
     assert bs.size == 65540
     ranks = qf.symplectic_ranks(ctx, 1, bs, cs)
     assert np.array_equal(qf.form_values(ctx, 1, bs, cs)[1], ranks)
@@ -1025,7 +1084,7 @@ def test_polar_maps_are_dropped_with_their_context(monkeypatch):
     built, polar_map = [], qf._polar_map
     monkeypatch.setattr(qf, "_polar_map",
                         lambda ctx, t: built.append(polar_map(ctx, t)) or built[-1])
-    bs, cs, _ = qf.orbit_classes(ctx, 1)
+    bs, cs, _ = orbit_representatives(ctx, 1)
     bs, cs = np.resize(bs, 1 << 10), np.resize(cs, 1 << 10)
     w, _ = qf.form_values(ctx, 1, bs, cs)
     assert np.array_equal(qf.walsh_spectra(ctx, 1, bs, cs)[:, 0], w)
@@ -1041,7 +1100,7 @@ def test_rank_maps_are_cached_and_dropped_with_their_context(monkeypatch):
     # reads the same byte tables cached on it: two tables for the 16-bit
     # word b + 2^8 c across four blocks; the call keeps no context alive
     ctx = make_field(8)
-    bs, cs, _ = qf.orbit_classes(ctx, 1)
+    bs, cs, _ = orbit_representatives(ctx, 1)
     bs, cs = np.resize(bs, 1 << 12), np.resize(cs, 1 << 12)
     rank = qf.form_values(ctx, 1, bs, cs)[1]
     assert np.array_equal(qf.symplectic_ranks(ctx, 1, bs, cs), rank)

@@ -188,8 +188,8 @@ def test_family_members_are_codewords(ctx4, ctx6, family4, family6):
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
 def test_build_code_packs_one_row_per_gamma_and_representative(n, monkeypatch):
     """lin rows for every gamma, spanned by n packed basis rows; quad and
-    norm rows only at the orbit representatives: at most n + 2 (2 + g1 + g2)
-    packed rows."""
+    norm rows only at the L class leaders of quadform.form_classes: at most
+    n + 2 L packed rows."""
     ctx = make_field(n)
     k = next(k for k in range(1, n) if qf.valid_k(n, k))
     packed = []
@@ -204,8 +204,8 @@ def test_build_code_packs_one_row_per_gamma_and_representative(n, monkeypatch):
     monkeypatch.setattr(fam, "packed_rows", spy)
     code = theory.build_code(ctx, k)
     assert code.weight_histogram == theory.predict("code-weights", n, k)
-    representatives = len(qf.orbit_classes(ctx, k)[0])
-    assert sum(packed) <= ctx.n + 2 * representatives
+    leaders = len(qf.form_classes(ctx, k).bs)
+    assert sum(packed) <= ctx.n + 2 * leaders
 
 
 def test_weight_transform_correspondence(ctx4, ctx6):

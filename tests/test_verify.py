@@ -31,9 +31,9 @@ def test_all_claims_pass_n8(ctx8, monkeypatch):
         lams.append(lam)
         return qf.transform_column(ctx, k, c_list, lam)
 
-    def batch(ctx, k, bs, cs, maps=None):
-        spectra.extend(zip(bs.tolist(), cs.tolist()))
-        return qf.walsh_spectra(ctx, k, bs, cs, maps)
+    def batch(ctx, k, bs, cs):
+        spectra.append(list(zip(bs.tolist(), cs.tolist())))
+        return qf.walsh_spectra(ctx, k, bs, cs)
 
     monkeypatch.setattr(verify, "transform_column", column)
     monkeypatch.setattr(verify, "walsh_spectra", batch)
@@ -43,12 +43,13 @@ def test_all_claims_pass_n8(ctx8, monkeypatch):
     names = {r.name for r in results}
     assert "subgrid-orbit-multisets" in names
     # the lambda in {0, 1} claims share two columns; walsh-full and
-    # rank-value share one spectrum per orbit representative
+    # rank-value share one walsh_spectra call, one spectrum per class
+    # leader: 9 of the 2 + g1 + g2 = 20 orbit representatives
     assert sorted(lams) == [0, 1]
-    g1, g2 = math.gcd(3, 255), math.gcd(15 * 3, 255)
-    assert len(spectra) == 2 + g1 + g2 == 20
-    bs, cs, _ = qf.orbit_classes(ctx8, 1)
-    assert spectra == list(zip(bs.tolist(), cs.tolist()))
+    classes = qf.form_classes(ctx8, 1)
+    assert len(classes.on_c0) == math.gcd(3, 255) and len(classes.on_c1) == math.gcd(15 * 3, 255)
+    assert spectra == [list(zip(classes.bs.tolist(), classes.cs.tolist()))]
+    assert len(spectra[0]) == 9
     # no whole spectra grid is left to call: spectra_block lives in the tests
     assert not hasattr(qf, "spectra_block")
 
@@ -139,7 +140,7 @@ def test_column_claims_match_grid_reference(n, k):
 
 def full_pass_spectra(ctx, k):
     """The spectra histogram and rank consistency from every form's spectrum,
-    one spectra_block per c: the reference for the orbit-representative pass."""
+    one spectra_block per c: the reference for the class-leader pass."""
     n = ctx.n
     hist, rank_ok = ValueHistogram({}), True
     for c in ctx.subfield_elements.tolist():
@@ -179,36 +180,22 @@ def test_orbit_claims_match_full_pass(n, k):
 
 
 @pytest.mark.parametrize("n,k", [(6, 2), (8, 1)])
-def test_spectra_in_small_row_blocks(monkeypatch, n, k):
-    # one representative per block, or three, counts the same as one block,
-    # and every block reads one pair of polar maps, built once
-    whole = verify._Bundle(make_field(n), k).spectra
-    built, polar_map = [], qf._polar_map
-    monkeypatch.setattr(qf, "_polar_map", lambda ctx, t: built.append(t) or polar_map(ctx, t))
-    for values in (1, 3 << n):
-        monkeypatch.setattr(verify, "_SPECTRA_VALUES", values)
-        built.clear()
-        assert verify._Bundle(make_field(n), k).spectra == whole
-        assert sorted(built) == sorted([k, n // 2])
-
-
-@pytest.mark.parametrize("n,k", [(6, 2), (8, 1)])
 def test_rank_value_consistency_fails_on_one_moved_value_or_rank(monkeypatch, n, k):
     ctx = make_field(n)
     assert verify._claim_rank_value_consistency(verify._Bundle(ctx, k)).ok
-    bs, cs, _ = qf.orbit_classes(ctx, k)
-    last = (int(bs[-1]), int(cs[-1]))
+    classes = qf.form_classes(ctx, k)
+    last = (int(classes.bs[-1]), int(classes.cs[-1]))
 
-    # one value of the last representative's spectrum changes sign
-    def moved(ctx, k, bs, cs, maps=None):
-        spectra = qf.walsh_spectra(ctx, k, bs, cs, maps)
+    # one value of the last leader's spectrum changes sign
+    def moved(ctx, k, bs, cs):
+        spectra = qf.walsh_spectra(ctx, k, bs, cs)
         for b, c, spec in zip(bs.tolist(), cs.tolist(), spectra):
             if (b, c) == last:
                 lam = np.flatnonzero(spec)[0]
                 spec[lam] = -spec[lam]
         return spectra
 
-    def shifted(by):  # the last representative's rank moves by `by`
+    def shifted(by):  # the last leader's rank moves by `by`
         def ranks(*args):
             got = qf.symplectic_ranks(*args)
             got[-1] += by
@@ -224,13 +211,14 @@ def test_rank_value_consistency_fails_on_one_moved_value_or_rank(monkeypatch, n,
 
 @pytest.mark.parametrize("n,k", [(6, 2), (8, 1), (10, 2)])
 def test_one_flipped_polar_bit_fails_both_spectra_claims(monkeypatch, n, k):
-    # bit i of polar row j > i adds y_i y_j to the last representative's
-    # form as the doubling reads it; the first such bit that moves its rank
-    # moves its spectrum, so the spectra histogram and the rank check fail
+    # bit i of polar row j > i adds y_i y_j to the last leader's form as
+    # the doubling reads it; the first such bit that moves its rank moves
+    # its spectrum, so the spectra histogram and the rank check fail
     ctx = make_field(n)
     bundle = verify._Bundle(ctx, k)
     assert verify._claim_walsh_full(bundle).ok and verify._claim_rank_value_consistency(bundle).ok
-    bs, cs, _ = qf.orbit_classes(ctx, k)
+    classes = qf.form_classes(ctx, k)
+    bs, cs = classes.bs, classes.cs
     rows = qf._polar_rows(ctx, k, bs[-1:], cs[-1:])
 
     def rank_with(i, j):  # the rank of the form plus y_i y_j
