@@ -51,8 +51,11 @@ keeps its rank and W(0), and so does (b, c) -> (b^2, c^2), so the ranks
 and W(0) of one form per class of both (the leaders of
 quadform.form_classes: 4119 at n = 32), counted with the class sizes, give
 those of all 2^(3n/2).  Both come from one pass, quadform.form_values:
-each leader's polar rows, eliminated one hyperbolic pair at a time, give
-its W(0) and its rank, with no transform column and no 2^n-entry table.
+each leader's polar rows, read through one polar map built per call and
+eliminated one hyperbolic pair at a time in one kernel over narrow words,
+give its W(0) and its rank, with no transform column and no 2^n-entry
+table.  So a pass is form_classes, one map, one elimination and a few
+histogram merges over the leaders' values.
 The completion part against itself is a whole-grid count too: a shift by tau moves the part-two tag
 (zeta, eta) to (zeta alpha^(tau (2^k+1)), eta beta^tau), and over all
 part-two tags and shifts these images meet every pair of E* x F* exactly
@@ -140,18 +143,18 @@ def _r_max_from_histogram(hist: ValueHistogram, period: int, size: int) -> int:
 
 
 def _report(family: SequenceFamily, engine: str, hist: ValueHistogram) -> CorrelationReport:
-    period = family.period
-    if hist.total() != family.size**2 * period:
+    period, size = family.period, family.size
+    if hist.total() != size**2 * period:
         raise AssertionError("histogram does not cover all ordered triples")
     return CorrelationReport(
         n=family.params.ctx.n,
         k=family.params.k,
         kind=family.params.kind,
         engine=engine,
-        family_size=family.size,
+        family_size=size,
         period=period,
         histogram=hist,
-        r_max=_r_max_from_histogram(hist, period, family.size),
+        r_max=_r_max_from_histogram(hist, period, size),
     )
 
 
@@ -340,10 +343,10 @@ def full_distribution_brute(family: SequenceFamily, jobs: int = 1) -> Correlatio
 # -- spectral engine -------------------------------------------------------
 
 
-def _weighted(values: np.ndarray, counts) -> ValueHistogram:
+def _weighted(values: np.ndarray, counts: list[int]) -> ValueHistogram:
     """Each values[i] counted counts[i] times over."""
     hist = {}
-    for v, c in zip(values.tolist(), np.asarray(counts).tolist()):
+    for v, c in zip(values.tolist(), counts):
         hist[v] = hist.get(v, 0) + c
     return ValueHistogram(hist)
 
@@ -353,9 +356,12 @@ def _lambda1_column(ctx, ranks: np.ndarray, sizes, col0: ValueHistogram) -> Valu
     of the leaders of quadform.form_classes, counted with their class sizes,
     and the lam = 0 column col0 (module docstring)."""
     order = ctx.order
+    forms = {}
+    for rank, size in zip(ranks.tolist(), sizes):
+        forms[rank] = forms.get(rank, 0) + size
     every_lam = ValueHistogram()
-    for rank, forms in _weighted(ranks, sizes).counts.items():
-        every_lam.merge(qf.rank_spectrum(ctx.n, rank), forms)
+    for rank, count in forms.items():
+        every_lam.merge(qf.rank_spectrum(ctx.n, rank), count)
     every_lam.merge(col0, -1)
     if any(c % (order - 1) for c in every_lam.counts.values()):
         raise AssertionError("summed rank spectra are not 2^n - 1 equal columns")

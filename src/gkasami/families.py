@@ -23,8 +23,8 @@ member_table gathers them into one table.  Packed rows are the only
 member form.  RowIndex sorts packed rows by their bytes and finds rows
 among them; the brute engine and verify look members up through it.
 theory.build_code packs the code's rows with packed_rows and _span_rows
-too, and sign_rows turns packed rows into the +-1 float32 rows that the
-brute engine and the code-weight enumeration multiply.
+too, and counts their weights by popcount; sign_rows turns packed rows into
+the +-1 float32 rows that the brute engine multiplies.
 """
 
 from __future__ import annotations
@@ -185,8 +185,8 @@ def packed_rows(ctx: FieldCtx, coeffs, e: int) -> np.ndarray:
 
 def sign_rows(rows: np.ndarray, period: int) -> np.ndarray:
     """(-1)^bit as float32, one row per packed uint8 row (see packed_rows),
-    over bits t = 0 .. period - 1: the +-1 form both matrix-product oracles
-    (the brute correlation engine and the code-weight enumeration) multiply."""
+    over bits t = 0 .. period - 1: the +-1 form the brute correlation
+    engine multiplies."""
     signs = np.unpackbits(rows, axis=1, count=period, bitorder="little").astype(np.float32)
     signs *= -2
     signs += 1

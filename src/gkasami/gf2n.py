@@ -89,6 +89,9 @@ SCALAR_POWERS = 1 << 5
 # and reading the byte tables gets cheaper from about 2^10.5 picks (n = 8,
 # int images) to about 2^14 (n = 20, n-vector images) on
 _DIRECT_PICKS = 1 << 13
+# cyclotomic_classes walks the classes in Python ints up to this modulus,
+# where a walk costs about as much as the fixed overhead of the numpy route
+_WALKED_MODULUS = 1 << 7
 
 
 class UnsupportedN(ValueError):
@@ -372,13 +375,14 @@ class FieldCtx:
         """int64 array [g^0, g^1, ..., g^(count - 1)].
 
         The first SCALAR_POWERS are single steps through the map x -> g x,
-        each a scalar call straight from its images, so its tables are never
-        built.  Then each step doubles the array, out[m:m+t] = g^m * out[:t],
-        through the map x -> g^m x.
+        each a scalar call straight from its images (for g = alpha, one
+        shift and reduction), so its tables are never built.  Then each step
+        doubles the array, out[m:m+t] = g^m * out[:t], through the map
+        x -> g^m x.
         """
         out = np.empty(count, dtype=np.int64)
         filled = min(count, SCALAR_POWERS)
-        step = self.times_map(g)
+        step = self._times_alpha if g == self.alpha else self.times_map(g)
         head, x = [], 1
         for _ in range(filled):
             head.append(x)
@@ -690,18 +694,39 @@ def cyclotomic_classes(modulus: int, mult: int) -> tuple[np.ndarray, np.ndarray]
     unit mod modulus.  With modulus = 2^n - 1 and mult = 2 the class of l
     holds the logs of the Frobenius class {theta^(2^i)} of theta = alpha^l;
     mult = 4 gives the classes of theta -> theta^4.  Integer arithmetic
-    only: the class minimum of every residue over its images mult^i l for
-    i below the order of mult.
+    only.  Up to _WALKED_MODULUS residues each class is walked in Python
+    ints from its least residue, the least one not yet reached, so tiny
+    moduli pay no numpy call.  Past it every residue takes the minimum over
+    its images mult^i l, i below the order s of mult, by pointer jumping:
+    with image the map l -> mult^m l, low = min(low, low[image]) doubles the
+    m images each minimum covers and image[image] doubles m, so
+    ceil(log2 s) rounds of gathers cover them all, with no % sweep.
     """
     if modulus < 1 or math.gcd(mult, modulus) != 1:
         raise ValueError(f"{mult} is not a unit mod {modulus}")
-    steps, unit = 1, mult % modulus
-    while unit != 1 % modulus:
+    mult %= modulus
+    if modulus <= _WALKED_MODULUS:
+        index, leaders = [-1] * modulus, []
+        for l in range(modulus):
+            if index[l] < 0:
+                while index[l] < 0:
+                    index[l] = len(leaders)
+                    l = l * mult % modulus
+                leaders.append(l)  # back where the walk started
+        return np.array(leaders, dtype=np.int64), np.array(index, dtype=np.int64)
+    steps, unit = 1, mult
+    while unit != 1:
         steps, unit = steps + 1, unit * mult % modulus
-    residues = np.arange(modulus, dtype=np.int64)
-    low, image = residues.copy(), residues
-    for _ in range(steps - 1):
-        image = image * mult % modulus
-        np.minimum(low, image, out=low)
-    is_leader = low == residues
-    return np.flatnonzero(is_leader), (np.cumsum(is_leader) - 1)[low]
+    # mult * l, less modulus once for each r * modulus it has passed
+    image = np.arange(0, mult * modulus, mult, dtype=np.int64)
+    for r in range(1, mult):
+        image[-(-r * modulus // mult):] -= modulus
+    low, rounds = np.arange(modulus, dtype=np.int64), (steps - 1).bit_length()
+    for r in range(rounds):
+        np.minimum(low, low.take(image), out=low)
+        if r + 1 < rounds:
+            image = image.take(image)
+    leaders = np.flatnonzero(low == np.arange(modulus))
+    place = np.empty(modulus, dtype=np.int64)  # read at the leaders only
+    place[leaders] = np.arange(leaders.size)
+    return leaders, place.take(low)

@@ -18,8 +18,8 @@ class ValueHistogram:
     counts: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.counts = {int(v): int(c) for v, c in self.counts.items() if c != 0}
-        if any(c < 0 for c in self.counts.values()):
+        self.counts = {int(v): int(c) for v, c in self.counts.items() if c}
+        if self.counts and min(self.counts.values()) < 0:
             raise ValueError("histogram counts must be positive")
 
     @classmethod

@@ -2,14 +2,16 @@
 
 A form is read through its polar rows: the n x n polar form over the
 trace-dual basis d, with the values f(d_j) on the diagonal, from the n
-products b d_j^(2^k) + delta c d_j^(2^{n/2}) (_polar_part); no 2^n-entry
-table is read.  One form takes its products straight from the images of
-x -> b x and x -> c x.  The rows are GF(2)-linear in b and in c, so a
-batch builds two LinearMaps (_polar_map: the b part and the c part) whose
-images are the rows of the basis forms; their byte tables hold at most 256
-rows, so each call builds the pair afresh, once for all its blocks
-(_polar_maps), and no map outlives it.  In dual-basis coordinates y,
-tr(lam x) is the parity of lam & y, so lam's bits join the diagonal.
+products b d_j^(2^k) + delta c d_j^(2^{n/2}) and one bit transpose
+(_polar_rows, _polar_from_products); no 2^n-entry table is read.  One
+form takes its products straight from the images of x -> b x and
+x -> (delta c) x.  The rows are GF(2)-linear in b and in c, so a batch
+builds one LinearMap of the word b + 2^n c (_polar_map) whose images are
+the rows of the 2n basis forms, from one stacked pass over both twisted
+bases; its byte tables hold at most 256 rows, so each call builds it
+afresh, once for all its blocks, and no map outlives it.  In dual-basis
+coordinates y, tr(lam x) is the parity of lam & y, so lam's bits join the
+diagonal.
 
 W and rank by elimination (form_values, walsh_at).  A form's transform
 value is fixed by its rank and Arf invariant: take out one hyperbolic pair
@@ -17,10 +19,11 @@ value is fixed by its rank and Arf invariant: take out one hyperbolic pair
 of two linear terms to the rest; once no cross term is left, W is 0 if a
 free variable keeps a linear term and (-1)^sign 2^(n - pairs) otherwise,
 and the symplectic rank is twice the pairs.  form_values batches this over
-R forms in blocks of _FORM_BLOCK with numpy; walsh_at finds the pairs of
-one form once, in Python ints, and takes each out of a whole vector of
-diagonals, one per lam.  Both reach n = 32, where W = +-2^(n-j) still fits
-int64.
+R forms in blocks of _FORM_BLOCK with one numpy kernel (_eliminate), whose
+rows and diagonals are the words of one array in the narrowest unsigned
+type that holds n bits; walsh_at finds the pairs of one form once, in
+Python ints, and takes each out of a whole vector of diagonals, one per
+lam.  Both reach n = 32, where W = +-2^(n-j) still fits int64.
 
 Whole spectra (walsh_spectra, for a batch of forms; walsh_spectrum, its
 one-form call) double the sums over the dual-basis bits of y one bit at a
@@ -156,13 +159,15 @@ def form_classes(ctx: FieldCtx, k: int) -> FormClasses:
     e1, _ = exponents(ctx, k)
     g1, g2 = math.gcd(e1, group), math.gcd(units * e1, group)
     (lead0, on_c0), (lead1, on_c1) = cyclotomic_classes(g1, 2), cyclotomic_classes(g2, 2)
-    powers = ctx.powers(ctx.alpha, g2)  # g1 divides g2
     sizes = ([1, units] + [s * (group // g1) for s in np.bincount(on_c0).tolist()]
              + [s * (group // g2 * units) for s in np.bincount(on_c1).tolist()])
-    assert sum(sizes) == 1 << 3 * ctx.half
-    return FormClasses(np.concatenate([[0, 0], powers[lead0], powers[lead1]]),
-                       np.repeat([0, 1, 0, 1], [1, 1, lead0.size, lead1.size]),
-                       sizes, on_c0 + 2, on_c1 + 2 + lead0.size)
+    if sum(sizes) != 1 << 3 * ctx.half:
+        raise AssertionError(f"the classes hold {sum(sizes)} forms, not 2^(3n/2)")
+    powers = ctx.powers(ctx.alpha, g2)  # g1 divides g2
+    bs, cs = np.zeros(len(sizes), dtype=np.int64), np.zeros(len(sizes), dtype=np.int64)
+    bs[2:] = powers.take(np.concatenate([lead0, lead1]))
+    cs[1], cs[2 + lead0.size :] = 1, 1
+    return FormClasses(bs, cs, sizes, on_c0 + 2, on_c1 + 2 + lead0.size)
 
 
 @dataclass(frozen=True)
@@ -268,9 +273,50 @@ def fwht(a) -> np.ndarray:
     return x.astype(np.int64)
 
 
-def _polar_part(ctx: FieldCtx, t: int, times: LinearMap) -> np.ndarray:
-    """The polar rows of the form tr(x a' x^(2^t)), with a' = a, or delta a
-    for t = n/2: the b part (t = k) and the c part (t = n/2) of every form.
+def _polar_from_products(w: np.ndarray) -> np.ndarray:
+    """Polar rows from the products w[..., j] = w(d_j) (see _polar_rows), an
+    int64 array whose last axis has length n: row j is w_j ^ mt_j with its
+    bit j set to that of w_j, where bit i of mt_j is bit j of w_i.  The bit
+    transpose mt is one unpackbits of the words' little-endian bytes and
+    one packbits along the other axis, for any leading shape."""
+    n, little = w.shape[-1], np.dtype("<i8")
+    w = np.ascontiguousarray(w, dtype=little)
+    bits = np.unpackbits(w.view(np.uint8).reshape(w.shape + (8,)), axis=-1, count=n,
+                         bitorder="little")  # bits[..., i, j] is bit j of w_i
+    mt = np.zeros(w.shape + (8,), dtype=np.uint8)
+    mt[..., : (n + 7) // 8] = np.packbits(bits, axis=-2, bitorder="little").swapaxes(-1, -2)
+    unit = 1 << np.arange(n)
+    return (w ^ mt.view(little)[..., 0]) | (w & unit)
+
+
+def _twisted_basis(ctx: FieldCtx, t: int) -> np.ndarray:
+    """The dual basis twisted by x -> x^(2^t): the n elements d_j^(2^t)."""
+    return ctx.frobenius_map(t).vec(ctx.dual_basis)
+
+
+def _polar_map(ctx: FieldCtx, k: int) -> LinearMap:
+    """The LinearMap sending the 2n-bit word b + 2^n c to the polar rows of
+    the form (b, c) (_polar_rows).  The rows are GF(2)-linear in b and in
+    c, so its images are the rows of the basis forms (alpha^l, 0), then
+    (0, alpha^l): one alpha-ladder product of both twisted bases, d_j^(2^k)
+    and delta d_j^(2^{n/2}), and one bit transpose for all 2n forms."""
+    twisted = np.stack([_twisted_basis(ctx, k),
+                        ctx.times_map(ctx.trh_lift).vec(_twisted_basis(ctx, ctx.half))])
+    # ladder products come back as [part, j, l]; the map's images are [(part, l), j]
+    w = ctx.alpha_ladder.vec(twisted).swapaxes(-1, -2)
+    return LinearMap(_polar_from_products(w).reshape(2 * ctx.n, ctx.n))
+
+
+def _form_words(ctx: FieldCtx, bs: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """The 2n-bit words b + 2^n c of the forms (bs, cs), broadcast together,
+    that the maps of _polar_map and symplectic_ranks read, as int64 bit
+    patterns: at n = 32 they fill all 64 bits."""
+    return bs | (cs.astype(np.uint64) << ctx.n).view(np.int64)
+
+
+def _polar_rows(ctx: FieldCtx, k: int, bs, cs, polar_map: LinearMap | None = None) -> np.ndarray:
+    """The polar rows of the forms (bs[r], cs[r]), as an (R, n) int64 array;
+    bs and cs are R field and subfield elements, not checked here.
 
     Row j of a form's polar rows over the dual basis d of ctx is an n-bit
     int: bit i is B(d_j, d_i) for i != j and bit j is f(d_j), where
@@ -280,56 +326,23 @@ def _polar_part(ctx: FieldCtx, t: int, times: LinearMap) -> np.ndarray:
     n by n matrix m[i, j] = tr(d_i w(d_j)): f(d_j) = m[j, j] and
     B(d_i, d_j) = m[i, j] + m[j, i].  As tr(d_i alpha^l) = 1 exactly when
     l = i, tr(d_i y) is bit i of y, so m[i, j] is bit i of w(d_j) and no
-    2^n-entry table is read.
+    2^n-entry table is read (_polar_from_products).
 
-    times maps x to a x: ctx.times_map(a) for one coefficient a, whose n
-    rows come back as an (n,) array, straight from the map's images; or
-    ctx.alpha_ladder for every basis form a = alpha^l at once, whose rows
-    come back as (n, n), row l for alpha^l.  The products w(d_j) are times
-    applied to the twisted dual basis d_j^(2^t), times delta for t = n/2.
+    One form's products come straight from the images of x -> b x and
+    x -> (delta c) x applied to the twisted bases.  A batch's rows come
+    through polar_map (_polar_map), built once by a caller that reads many
+    blocks, or else for this call.
     """
-    twisted = ctx.frobenius_map(t).vec(ctx.dual_basis)
-    if t == ctx.half:
-        twisted = ctx.times_map(ctx.trh_lift).vec(twisted)
-    w = np.moveaxis(times.vec(twisted), 0, -1)  # w[..., j] = w(d_j)
-    cols = np.arange(ctx.n)
-    # bit i of mt[..., j] is m[j, i], bit j of w[..., i]
-    mt = (((w[..., None] >> cols) & 1) << cols[:, None]).sum(axis=-2)
-    return (w ^ mt) | (w & 1 << cols)
-
-
-def _polar_map(ctx: FieldCtx, t: int) -> LinearMap:
-    """The LinearMap sending a to the polar rows of the form tr(x a' x^(2^t))
-    (_polar_part).  The rows are GF(2)-linear in a, so the map's images are
-    the rows of the basis forms a = alpha^l."""
-    return LinearMap(_polar_part(ctx, t, ctx.alpha_ladder))
-
-
-def _polar_maps(ctx: FieldCtx, k: int) -> tuple[LinearMap, LinearMap]:
-    """The two _polar_maps a batch of forms reads: the c part and the b
-    part.  A call that reads the rows of many blocks builds the pair once
-    and passes it to each (_polar_rows)."""
-    return _polar_map(ctx, ctx.half), _polar_map(ctx, k)
-
-
-def _polar_rows(ctx: FieldCtx, k: int, bs, cs, maps=None) -> np.ndarray:
-    """The polar rows (see _polar_part) of the forms (bs[r], cs[r]), as an
-    (R, n) int64 array; bs and cs are R field and subfield elements, not
-    checked here.  With maps (_polar_maps, built once for a batch read in
-    blocks) the rows come through them; without, one form's rows come
-    straight from its n products through ctx.times_map, and a batch's
-    through its own pair."""
-    bs, cs = np.asarray(bs), np.asarray(cs)
-    if maps is None:
+    bs, cs = np.asarray(bs, dtype=np.int64), np.asarray(cs, dtype=np.int64)
+    if polar_map is None:
         if bs.size == 1:
             b, c = int(bs.item()), int(cs.item())
-            rows = _polar_part(ctx, ctx.half, ctx.times_map(c))
+            w = ctx.times_map(ctx.mul(ctx.trh_lift, c)).vec(_twisted_basis(ctx, ctx.half))
             if b:
-                rows ^= _polar_part(ctx, k, ctx.times_map(b))
-            return rows[None]
-        maps = _polar_maps(ctx, k)
-    c_map, b_map = maps
-    return c_map.vec(cs) ^ b_map.vec(bs)
+                w ^= ctx.times_map(b).vec(_twisted_basis(ctx, k))
+            return _polar_from_products(w)[None]
+        polar_map = _polar_map(ctx, k)
+    return polar_map.vec(_form_words(ctx, bs, cs))
 
 
 def _drop_pair(q, sign, i, j, ri, rj) -> None:
@@ -356,6 +369,11 @@ def _values(q, sign, n: int, pairs):
     return np.where(q != 0, 0, (1 - 2 * sign) << (n - pairs))
 
 
+def _word(n: int) -> type:
+    """The narrowest unsigned numpy type that holds n bits."""
+    return next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if n <= 8 * t().itemsize)
+
+
 def _eliminate(rows: np.ndarray, lams) -> tuple[np.ndarray, np.ndarray]:
     """W(lam) and the symplectic rank of R forms, by hyperbolic-pair elimination.
 
@@ -366,30 +384,46 @@ def _eliminate(rows: np.ndarray, lams) -> tuple[np.ndarray, np.ndarray]:
     (_drop_pair): row i, its first nonzero row (argmax, as _row_ranks
     picks pivots), and row j, j the lowest set bit of row i.  Every row l
     gains row j where its bit i is set and row i where its bit j is, which
-    clears both columns.  At most n/2 steps; the rank is twice the pairs.
+    clears both columns, and a diagonal takes the same update plus ri & rj,
+    so each form's rows and then its diagonals are the words of one row of
+    a (R, n + L) array in the narrowest word that holds n bits (_word).
+    The n/2 steps work in that array and two more of its shape, allocated
+    once, and in arrays of R entries; a step leaves a form with no cross
+    term as it is, and the rank is twice the pairs.
     """
     forms, n = rows.shape
-    unit = 1 << np.arange(n, dtype=np.int64)
+    word, unit = _word(n), 1 << np.arange(n, dtype=np.int64)
     q = np.bitwise_xor.reduce(rows & unit, axis=1)[:, None] ^ lams
-    rows = rows & ~unit
-    sign = np.zeros(q.shape, dtype=np.int64)
+    words = np.empty((forms, n + q.shape[1]), dtype=word)
+    words[:, :n] = rows & ~unit
+    words[:, n:] = q
+    polar, diags = words[:, :n], words[:, n:]
+    gain, other = np.empty_like(words), np.empty_like(words)
+    nonzero, i = np.empty(polar.shape, dtype=bool), np.empty(forms, dtype=np.intp)
+    starts, flat = np.arange(0, words.size, words.shape[1]), words.reshape(-1)
+    sign = np.zeros(diags.shape, dtype=word)
     pairs = np.zeros(forms, dtype=np.int64)
-    at, cols = np.arange(forms), np.arange(n)
     for _ in range(n // 2):
-        i = (rows != 0).argmax(axis=1)
-        ri = rows[at, i]
-        live = ri != 0
-        if not live.any():
-            break
-        bi = (ri[:, None] >> cols) & 1  # bit i of every row
-        j = bi.argmax(axis=1)
-        rj = rows[at, j]
-        rows ^= bi * rj[:, None] ^ ((rj[:, None] >> cols) & 1) * ri[:, None]
-        # a form with no cross term left has ri = rj = 0 and i = j = 0, so
-        # its q stays, and sign flips only if q has bit 0, when W is 0 anyway
-        _drop_pair(q, sign, i[:, None], j[:, None], ri[:, None], rj[:, None])
-        pairs += live
-    return _values(q, sign, n, pairs[:, None]), 2 * pairs
+        np.not_equal(polar, 0, out=nonzero)
+        nonzero.argmax(axis=1, out=i)
+        ri = flat.take(starts + i)
+        # j is the lowest set bit of ri; a form with no cross term left has
+        # ri = 0 and every row 0, so any j in range leaves its words, and its
+        # sign flips only if q is nonzero, when W is 0 anyway
+        j = np.minimum(np.bitwise_count((ri & -ri) - word(1)), n - 1)
+        rj = flat.take(starts + j)
+        np.right_shift(words, i.astype(np.uint8)[:, None], out=gain)
+        gain &= 1
+        np.right_shift(words, j[:, None], out=other)
+        other &= 1
+        sign ^= gain[:, n:] & other[:, n:]
+        gain *= rj[:, None]
+        other *= ri[:, None]
+        words ^= gain
+        words ^= other
+        diags ^= (ri & rj)[:, None]
+        pairs += ri != 0
+    return _values(diags, sign.astype(np.int64), n, pairs[:, None]), 2 * pairs
 
 
 def _eliminate_one(rows: list[int], lams: np.ndarray) -> tuple[np.ndarray, int]:
@@ -422,15 +456,18 @@ def form_values(ctx: FieldCtx, k: int, bs: np.ndarray, cs: np.ndarray,
     one field element or R of them; none is checked here (the spectral
     engine passes the leaders of form_classes).  The forms go through
     _polar_rows and _eliminate _FORM_BLOCK at a time, so no array larger
-    than a block of n-bit rows is built and no 2^n-entry table is read; a
-    batch builds its pair of polar maps once, for every block.
+    than a few blocks of n-bit rows is built and no 2^n-entry table is
+    read: a batch builds its polar map once, for every block, and each
+    block's elimination works in three arrays of narrow words, allocated
+    once (at n = 32, the 4119 leaders of form_classes peak at about 4 MB
+    under tracemalloc).
     """
     lams = np.broadcast_to(lams, bs.shape)
     w, rank = np.empty(bs.size, dtype=np.int64), np.empty(bs.size, dtype=np.int64)
-    maps = _polar_maps(ctx, k) if bs.size > 1 else None
+    polar_map = _polar_map(ctx, k) if bs.size > 1 else None
     for lo in range(0, bs.size, _FORM_BLOCK):
         block = slice(lo, lo + _FORM_BLOCK)
-        rows = _polar_rows(ctx, k, bs[block], cs[block], maps)
+        rows = _polar_rows(ctx, k, bs[block], cs[block], polar_map)
         at, rank[block] = _eliminate(rows, lams[block, None])
         w[block] = at[:, 0]
     return w, rank
@@ -610,8 +647,7 @@ def symplectic_ranks(ctx: FieldCtx, k: int, bs, c) -> np.ndarray:
                    [["readonly"], ["readonly"], ["writeonly"]], order="C",
                    buffersize=_RANK_BLOCK) as blocks:
         for b, c_block, out in blocks:
-            words = b | (c_block.astype(np.uint64) << ctx.n).view(np.int64)
-            images = pair_map.vec(words, out=buf[: len(b)])
+            images = pair_map.vec(_form_words(ctx, b, c_block), out=buf[: len(b)])
             out[...] = _row_ranks(images.T.astype(narrow, order="C"))
     return rank
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import _span_rows, packed_rows, sign_rows
+from .families import _span_rows, packed_rows
 from .gf2n import FieldCtx, TooLarge, UnsupportedN, half_odd
 from .histogram import ValueHistogram
 from .quadform import exponents, form_classes, require_valid_k
@@ -400,19 +400,30 @@ class CodeSpec:
     weight_histogram: ValueHistogram
 
 
-def _code_weight_counts(lin: np.ndarray, rest: np.ndarray, weights: list[int]) -> list[int]:
-    """counts[w] = codewords of weight w, from +-1 float32 rows: lin for every
-    gamma, rest for one (delta, eta) per class, counted weights[i] times.
+def _code_weight_counts(lin: np.ndarray, rest: np.ndarray, weights: list[int],
+                        period: int) -> list[int]:
+    """counts[w] = codewords of weight w, from packed rows
+    (families.packed_rows): lin for every gamma, rest for one (delta, eta)
+    per class, counted weights[i] times.
 
-    lin @ rest.T holds sum_t (-1)^(codeword bit t) = p - 2w for every gamma
-    and representative at once, exact because every partial sum is an
-    integer of size at most p < 2^24.
+    A codeword is the XOR of its two rows, so its weight is the popcount of
+    that XOR, taken over whole 64-bit words of the zero-padded rows (the
+    pad bits are 0 in both), for every gamma at once, one row of rest at
+    a time.
     """
-    period = lin.shape[1]
-    twice = (period - lin @ rest.T).astype(np.intp)  # 2w at [gamma, representative]
-    counts = sum(w * np.bincount(col, minlength=2 * period + 1)
-                 for w, col in zip(weights, twice.T))
-    return counts[::2].tolist()
+    words = -(-lin.shape[1] // 8)
+
+    def wide(rows):
+        out = np.zeros((len(rows), 8 * words), dtype=np.uint8)
+        out[:, : rows.shape[1]] = rows
+        return out.view(np.uint64)
+
+    lin = wide(lin)
+    counts = 0
+    for size, row in zip(weights, wide(rest)):
+        weight = np.bitwise_count(lin ^ row).sum(axis=1, dtype=np.intp)
+        counts = counts + size * np.bincount(weight, minlength=period + 1)
+    return counts.tolist()
 
 
 def build_code(ctx: FieldCtx, k: int) -> CodeSpec:
@@ -424,9 +435,9 @@ def build_code(ctx: FieldCtx, k: int) -> CodeSpec:
     is x -> alpha x in the trace rows; x -> x^2 permutes the positions and
     maps it to (gamma^2, delta^2, eta^2).  So the weights are, summed over
     the leaders (delta, eta) of quadform.form_classes, class size times the
-    weights over every gamma: one exact float32 matrix product (see
+    weights over every gamma: popcounts of the XOR of packed rows (see
     _code_weight_counts).  The rows tr(gamma x) of every gamma are the span
-    of n basis rows (families._span_rows).  The weights are direct sums over
+    of n basis rows (families._span_rows).  The weights are direct counts of
     the codeword bits, not transform values.
     """
     require_valid_k(ctx.n, k)
@@ -435,10 +446,9 @@ def build_code(ctx: FieldCtx, k: int) -> CodeSpec:
     e1, e2 = exponents(ctx, k)
     period = ctx.group_order
     classes = form_classes(ctx, k)
-    lin = sign_rows(_span_rows(ctx, 1), period)
-    rest = sign_rows(packed_rows(ctx, classes.bs, e1)
-                     ^ packed_rows(ctx, ctx.scale_vec(ctx.trh_lift, classes.cs), e2), period)
-    counts = _code_weight_counts(lin, rest, classes.sizes)
+    rest = (packed_rows(ctx, classes.bs, e1)
+            ^ packed_rows(ctx, ctx.scale_vec(ctx.trh_lift, classes.cs), e2))
+    counts = _code_weight_counts(_span_rows(ctx, 1), rest, classes.sizes, period)
     return CodeSpec(
         ctx=ctx,
         k=k,

@@ -494,18 +494,19 @@ def test_polar_rows_match_the_truth_table(n):
 @pytest.mark.parametrize("n", range(4, N_MAX + 1, 2))
 def test_one_form_polar_rows_are_the_map_rows(n):
     # one form's rows come straight from its n products, a batch's through
-    # the two _polar_maps, whose images are the rows of the basis forms
+    # the _polar_map of the word b + 2^n c, whose images are the rows of the
+    # basis forms (alpha^l, 0) and (0, alpha^l)
     ctx = make_field(n)
     rng = np.random.default_rng(700 + n)
     b = int(rng.integers(1, ctx.order))
     c = ctx.pow(ctx.beta, int(rng.integers(0, (1 << ctx.half) - 1)))
-    c_map = qf._polar_map(ctx, ctx.half)
     for k in (k for k in range(1, n) if qf.valid_k(n, k)):
-        b_map = qf._polar_map(ctx, k)
+        polar_map = qf._polar_map(ctx, k)
         for bb, cc in ((b, 0), (b, c), (0, c)):
             one = qf._polar_rows(ctx, k, [bb], [cc])
             assert one.shape == (1, n)
-            assert np.array_equal(one[0], b_map.vec(bb) ^ c_map.vec(cc))
+            word = qf._form_words(ctx, np.array([bb]), np.array([cc]))
+            assert np.array_equal(one[0], polar_map.vec(word)[0])
             batch = qf._polar_rows(ctx, k, np.array([bb, 1]), np.array([cc, 0]))
             assert np.array_equal(batch[0], one[0])
 
@@ -516,7 +517,7 @@ def test_one_form_builds_no_polar_map(monkeypatch):
     ctx = make_field(10)
     k = next(k for k in range(1, 10) if qf.valid_k(10, k))
     built, polar_map = [], qf._polar_map
-    monkeypatch.setattr(qf, "_polar_map", lambda ctx, t: built.append(t) or polar_map(ctx, t))
+    monkeypatch.setattr(qf, "_polar_map", lambda ctx, k: built.append(k) or polar_map(ctx, k))
     params = qf.QuadFormParams(ctx, k, 77, ctx.beta)
     spec = qf.walsh_spectrum(params)
     lams = np.arange(0, ctx.order, 37)
@@ -525,7 +526,7 @@ def test_one_form_builds_no_polar_map(monkeypatch):
     assert built == []
     assert np.array_equal(qf.walsh_spectra(ctx, k, np.array([77, 0]), np.array([ctx.beta, 1]))[0],
                           spec)
-    assert sorted(built) == sorted({k, ctx.half})
+    assert built == [k]
     assert np.array_equal(at, spec[lams]) and rank == qf.symplectic_rank(params)
     assert np.array_equal(small[0], qf.form_values(ctx, k, np.zeros(31, np.int64),
                                                     np.ones(31, np.int64),
@@ -871,6 +872,40 @@ def test_orbit_class_counts(n, k):
     assert all(type(size) is int for size in classes.sizes)
 
 
+def test_form_classes_raise_when_the_classes_miss_a_form(monkeypatch):
+    """The class sizes must sum to all 2^(3n/2) forms: with one residue
+    dropped from the classes of the c = 1 forms, form_classes raises, under
+    python -O too, as the check is no assert statement."""
+    classes = qf.cyclotomic_classes
+
+    def short(modulus, mult):
+        leaders, index = classes(modulus, mult)
+        return leaders, index[:-1]
+
+    ctx = make_field(8)
+    qf.form_classes(ctx, 1)
+    monkeypatch.setattr(qf, "cyclotomic_classes", short)
+    with pytest.raises(AssertionError, match="forms, not 2"):
+        qf.form_classes(ctx, 1)
+
+
+def test_form_values_on_the_n32_leaders_stay_in_small_buffers():
+    # the 4119 leaders at n = 32, k = 1: two blocks, each the block's polar
+    # rows, one byte table's gather of their shape, and the elimination's
+    # three (block, n + 1) uint32 arrays, about 4 MB in all (7.2 MB while
+    # each step allocated its (block, n) int64 temporaries)
+    ctx = make_field(32)
+    classes = qf.form_classes(ctx, 1)
+    tracemalloc.start()
+    try:
+        w, rank = qf.form_values(ctx, 1, classes.bs, classes.cs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(w) == len(rank) == 4119
+    assert peak < 5 << 20
+
+
 def leaders_stand_for_every_representative(ctx, k, classes):
     """W(0) and the rank of each orbit representative, and its whole-spectrum
     multiset for n <= 12, are those of its leader in classes, read through
@@ -1063,32 +1098,32 @@ def test_elimination_detects_one_flipped_polar_bit(ctx8, flip):
 
 
 def test_form_values_blocking_keeps_values(monkeypatch, ctx8):
-    # nine blocks of four forms read one pair of polar maps, built once
+    # nine blocks of four forms read one polar map, built once
     rng = np.random.default_rng(5)
     bs = rng.integers(0, ctx8.order, 35)
     cs = ctx8.subfield_elements[rng.integers(0, 16, 35)]
     lams = rng.integers(0, ctx8.order, 35)
     whole = qf.form_values(ctx8, 3, bs, cs, lams)
     built, polar_map = [], qf._polar_map
-    monkeypatch.setattr(qf, "_polar_map", lambda ctx, t: built.append(t) or polar_map(ctx, t))
+    monkeypatch.setattr(qf, "_polar_map", lambda ctx, k: built.append(k) or polar_map(ctx, k))
     monkeypatch.setattr(qf, "_FORM_BLOCK", 4)
     blocked = qf.form_values(ctx8, 3, bs, cs, lams)
     assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
-    assert sorted(built) == [3, ctx8.half]
+    assert built == [3]
 
 
 def test_polar_maps_are_dropped_with_their_context(monkeypatch):
-    # form_values and walsh_spectra on a batch build their two polar maps per
+    # form_values and walsh_spectra on a batch build their polar map per
     # call, past _DIRECT_PICKS so through byte tables, and keep none of them
     ctx = make_field(8)
     built, polar_map = [], qf._polar_map
     monkeypatch.setattr(qf, "_polar_map",
-                        lambda ctx, t: built.append(polar_map(ctx, t)) or built[-1])
+                        lambda ctx, k: built.append(polar_map(ctx, k)) or built[-1])
     bs, cs, _ = orbit_representatives(ctx, 1)
     bs, cs = np.resize(bs, 1 << 10), np.resize(cs, 1 << 10)
     w, _ = qf.form_values(ctx, 1, bs, cs)
     assert np.array_equal(qf.walsh_spectra(ctx, 1, bs, cs)[:, 0], w)
-    assert len(built) == 4 and all("tables" in vars(m) for m in built)
+    assert len(built) == 2 and all("tables" in vars(m) for m in built)
     gone = weakref.ref(ctx)
     del ctx, built
     gc.collect()
