@@ -709,10 +709,11 @@ def cyclotomic_classes(modulus: int, mult: int) -> tuple[np.ndarray, np.ndarray]
         index, leaders = [-1] * modulus, []
         for l in range(modulus):
             if index[l] < 0:
-                while index[l] < 0:
-                    index[l] = len(leaders)
-                    l = l * mult % modulus
-                leaders.append(l)  # back where the walk started
+                x = l
+                while index[x] < 0:
+                    index[x] = len(leaders)
+                    x = x * mult % modulus
+                leaders.append(l)
         return np.array(leaders, dtype=np.int64), np.array(index, dtype=np.int64)
     steps, unit = 1, mult
     while unit != 1:

@@ -300,8 +300,9 @@ def _polar_map(ctx: FieldCtx, k: int) -> LinearMap:
     c, so its images are the rows of the basis forms (alpha^l, 0), then
     (0, alpha^l): one alpha-ladder product of both twisted bases, d_j^(2^k)
     and delta d_j^(2^{n/2}), and one bit transpose for all 2n forms."""
-    twisted = np.stack([_twisted_basis(ctx, k),
-                        ctx.times_map(ctx.trh_lift).vec(_twisted_basis(ctx, ctx.half))])
+    twisted = np.concatenate([_twisted_basis(ctx, k),
+                              ctx.times_map(ctx.trh_lift).vec(_twisted_basis(ctx, ctx.half))])
+    twisted = twisted.reshape(2, ctx.n)
     # ladder products come back as [part, j, l]; the map's images are [(part, l), j]
     w = ctx.alpha_ladder.vec(twisted).swapaxes(-1, -2)
     return LinearMap(_polar_from_products(w).reshape(2 * ctx.n, ctx.n))
@@ -369,11 +370,6 @@ def _values(q, sign, n: int, pairs):
     return np.where(q != 0, 0, (1 - 2 * sign) << (n - pairs))
 
 
-def _word(n: int) -> type:
-    """The narrowest unsigned numpy type that holds n bits."""
-    return next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if n <= 8 * t().itemsize)
-
-
 def _eliminate(rows: np.ndarray, lams) -> tuple[np.ndarray, np.ndarray]:
     """W(lam) and the symplectic rank of R forms, by hyperbolic-pair elimination.
 
@@ -386,13 +382,13 @@ def _eliminate(rows: np.ndarray, lams) -> tuple[np.ndarray, np.ndarray]:
     gains row j where its bit i is set and row i where its bit j is, which
     clears both columns, and a diagonal takes the same update plus ri & rj,
     so each form's rows and then its diagonals are the words of one row of
-    a (R, n + L) array in the narrowest word that holds n bits (_word).
+    a (R, n + L) array in the narrowest unsigned type that holds n bits.
     The n/2 steps work in that array and two more of its shape, allocated
     once, and in arrays of R entries; a step leaves a form with no cross
     term as it is, and the rank is twice the pairs.
     """
     forms, n = rows.shape
-    word, unit = _word(n), 1 << np.arange(n, dtype=np.int64)
+    word, unit = np.min_scalar_type((1 << n) - 1), 1 << np.arange(n, dtype=np.int64)
     q = np.bitwise_xor.reduce(rows & unit, axis=1)[:, None] ^ lams
     words = np.empty((forms, n + q.shape[1]), dtype=word)
     words[:, :n] = rows & ~unit
@@ -410,7 +406,7 @@ def _eliminate(rows: np.ndarray, lams) -> tuple[np.ndarray, np.ndarray]:
         # j is the lowest set bit of ri; a form with no cross term left has
         # ri = 0 and every row 0, so any j in range leaves its words, and its
         # sign flips only if q is nonzero, when W is 0 anyway
-        j = np.minimum(np.bitwise_count((ri & -ri) - word(1)), n - 1)
+        j = np.minimum(np.bitwise_count((ri & -ri) - word.type(1)), n - 1)
         rj = flat.take(starts + j)
         np.right_shift(words, i.astype(np.uint8)[:, None], out=gain)
         gain &= 1
