@@ -6,12 +6,12 @@ products b d_j^(2^k) + delta c d_j^(2^{n/2}) and one bit transpose
 (_polar_rows, _polar_from_products); no 2^n-entry table is read.  One
 form takes its products straight from the images of x -> b x and
 x -> (delta c) x.  The rows are GF(2)-linear in b and in c, so a batch
-builds one LinearMap of the word b + 2^n c (_polar_map) whose images are
-the rows of the 2n basis forms, from one stacked pass over both twisted
-bases; its byte tables hold at most 256 rows, so each call builds it
-afresh, once for all its blocks, and no map outlives it.  In dual-basis
-coordinates y, tr(lam x) is the parity of lam & y, so lam's bits join the
-diagonal.
+builds two LinearMaps (_polar_maps: the c part and the b part) whose
+images are the rows of the basis forms, both from one stacked pass over
+the two twisted bases; their byte tables hold at most 256 rows, so each
+call builds the pair afresh, once for all its blocks, and no map outlives
+it.  In dual-basis coordinates y, tr(lam x) is the parity of lam & y, so
+lam's bits join the diagonal.
 
 W and rank by elimination (form_values, walsh_at).  A form's transform
 value is fixed by its rank and Arf invariant: take out one hyperbolic pair
@@ -294,28 +294,22 @@ def _twisted_basis(ctx: FieldCtx, t: int) -> np.ndarray:
     return ctx.frobenius_map(t).vec(ctx.dual_basis)
 
 
-def _polar_map(ctx: FieldCtx, k: int) -> LinearMap:
-    """The LinearMap sending the 2n-bit word b + 2^n c to the polar rows of
-    the form (b, c) (_polar_rows).  The rows are GF(2)-linear in b and in
-    c, so its images are the rows of the basis forms (alpha^l, 0), then
-    (0, alpha^l): one alpha-ladder product of both twisted bases, d_j^(2^k)
-    and delta d_j^(2^{n/2}), and one bit transpose for all 2n forms."""
-    twisted = np.concatenate([_twisted_basis(ctx, k),
-                              ctx.times_map(ctx.trh_lift).vec(_twisted_basis(ctx, ctx.half))])
-    twisted = twisted.reshape(2, ctx.n)
-    # ladder products come back as [part, j, l]; the map's images are [(part, l), j]
-    w = ctx.alpha_ladder.vec(twisted).swapaxes(-1, -2)
-    return LinearMap(_polar_from_products(w).reshape(2 * ctx.n, ctx.n))
+def _polar_maps(ctx: FieldCtx, k: int) -> tuple[LinearMap, LinearMap]:
+    """The LinearMaps sending c and b to the c part and the b part of the
+    polar rows of the form (b, c) (_polar_rows).  The rows are GF(2)-linear
+    in b and in c, so their images are the rows of the basis forms
+    (0, alpha^l) and (alpha^l, 0): one alpha-ladder product of both twisted
+    bases, delta d_j^(2^{n/2}) and d_j^(2^k), and one bit transpose for all
+    2n forms.  A call that reads the rows of many blocks builds the pair
+    once and passes it to each."""
+    twisted = np.concatenate([ctx.times_map(ctx.trh_lift).vec(_twisted_basis(ctx, ctx.half)),
+                              _twisted_basis(ctx, k)]).reshape(2, ctx.n)
+    # ladder products come back as [part, j, l]; a map's images are [l, j]
+    c_rows, b_rows = _polar_from_products(ctx.alpha_ladder.vec(twisted).swapaxes(-1, -2))
+    return LinearMap(c_rows), LinearMap(b_rows)
 
 
-def _form_words(ctx: FieldCtx, bs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    """The 2n-bit words b + 2^n c of the forms (bs, cs), broadcast together,
-    that the maps of _polar_map and symplectic_ranks read, as int64 bit
-    patterns: at n = 32 they fill all 64 bits."""
-    return bs | (cs.astype(np.uint64) << ctx.n).view(np.int64)
-
-
-def _polar_rows(ctx: FieldCtx, k: int, bs, cs, polar_map: LinearMap | None = None) -> np.ndarray:
+def _polar_rows(ctx: FieldCtx, k: int, bs, cs, maps=None) -> np.ndarray:
     """The polar rows of the forms (bs[r], cs[r]), as an (R, n) int64 array;
     bs and cs are R field and subfield elements, not checked here.
 
@@ -331,19 +325,20 @@ def _polar_rows(ctx: FieldCtx, k: int, bs, cs, polar_map: LinearMap | None = Non
 
     One form's products come straight from the images of x -> b x and
     x -> (delta c) x applied to the twisted bases.  A batch's rows come
-    through polar_map (_polar_map), built once by a caller that reads many
+    through maps (_polar_maps), built once by a caller that reads many
     blocks, or else for this call.
     """
-    bs, cs = np.asarray(bs, dtype=np.int64), np.asarray(cs, dtype=np.int64)
-    if polar_map is None:
+    bs, cs = np.asarray(bs), np.asarray(cs)
+    if maps is None:
         if bs.size == 1:
             b, c = int(bs.item()), int(cs.item())
             w = ctx.times_map(ctx.mul(ctx.trh_lift, c)).vec(_twisted_basis(ctx, ctx.half))
             if b:
                 w ^= ctx.times_map(b).vec(_twisted_basis(ctx, k))
             return _polar_from_products(w)[None]
-        polar_map = _polar_map(ctx, k)
-    return polar_map.vec(_form_words(ctx, bs, cs))
+        maps = _polar_maps(ctx, k)
+    c_map, b_map = maps
+    return c_map.vec(cs) ^ b_map.vec(bs)
 
 
 def _drop_pair(q, sign, i, j, ri, rj) -> None:
@@ -453,17 +448,17 @@ def form_values(ctx: FieldCtx, k: int, bs: np.ndarray, cs: np.ndarray,
     engine passes the leaders of form_classes).  The forms go through
     _polar_rows and _eliminate _FORM_BLOCK at a time, so no array larger
     than a few blocks of n-bit rows is built and no 2^n-entry table is
-    read: a batch builds its polar map once, for every block, and each
+    read: a batch builds its pair of polar maps once, for every block, and each
     block's elimination works in three arrays of narrow words, allocated
     once (at n = 32, the 4119 leaders of form_classes peak at about 4 MB
     under tracemalloc).
     """
     lams = np.broadcast_to(lams, bs.shape)
     w, rank = np.empty(bs.size, dtype=np.int64), np.empty(bs.size, dtype=np.int64)
-    polar_map = _polar_map(ctx, k) if bs.size > 1 else None
+    maps = _polar_maps(ctx, k) if bs.size > 1 else None
     for lo in range(0, bs.size, _FORM_BLOCK):
         block = slice(lo, lo + _FORM_BLOCK)
-        rows = _polar_rows(ctx, k, bs[block], cs[block], polar_map)
+        rows = _polar_rows(ctx, k, bs[block], cs[block], maps)
         at, rank[block] = _eliminate(rows, lams[block, None])
         w[block] = at[:, 0]
     return w, rank
@@ -643,7 +638,8 @@ def symplectic_ranks(ctx: FieldCtx, k: int, bs, c) -> np.ndarray:
                    [["readonly"], ["readonly"], ["writeonly"]], order="C",
                    buffersize=_RANK_BLOCK) as blocks:
         for b, c_block, out in blocks:
-            images = pair_map.vec(_form_words(ctx, b, c_block), out=buf[: len(b)])
+            words = b | (c_block.astype(np.uint64) << ctx.n).view(np.int64)
+            images = pair_map.vec(words, out=buf[: len(b)])
             out[...] = _row_ranks(images.T.astype(narrow, order="C"))
     return rank
 

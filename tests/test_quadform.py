@@ -494,19 +494,17 @@ def test_polar_rows_match_the_truth_table(n):
 @pytest.mark.parametrize("n", range(4, N_MAX + 1, 2))
 def test_one_form_polar_rows_are_the_map_rows(n):
     # one form's rows come straight from its n products, a batch's through
-    # the _polar_map of the word b + 2^n c, whose images are the rows of the
-    # basis forms (alpha^l, 0) and (0, alpha^l)
+    # the two _polar_maps, whose images are the rows of the basis forms
     ctx = make_field(n)
     rng = np.random.default_rng(700 + n)
     b = int(rng.integers(1, ctx.order))
     c = ctx.pow(ctx.beta, int(rng.integers(0, (1 << ctx.half) - 1)))
     for k in (k for k in range(1, n) if qf.valid_k(n, k)):
-        polar_map = qf._polar_map(ctx, k)
+        c_map, b_map = qf._polar_maps(ctx, k)
         for bb, cc in ((b, 0), (b, c), (0, c)):
             one = qf._polar_rows(ctx, k, [bb], [cc])
             assert one.shape == (1, n)
-            word = qf._form_words(ctx, np.array([bb]), np.array([cc]))
-            assert np.array_equal(one[0], polar_map.vec(word)[0])
+            assert np.array_equal(one[0], b_map.vec(bb) ^ c_map.vec(cc))
             batch = qf._polar_rows(ctx, k, np.array([bb, 1]), np.array([cc, 0]))
             assert np.array_equal(batch[0], one[0])
 
@@ -516,8 +514,8 @@ def test_one_form_builds_no_polar_map(monkeypatch):
     # form's rows from its products; a batch builds the two maps
     ctx = make_field(10)
     k = next(k for k in range(1, 10) if qf.valid_k(10, k))
-    built, polar_map = [], qf._polar_map
-    monkeypatch.setattr(qf, "_polar_map", lambda ctx, k: built.append(k) or polar_map(ctx, k))
+    built, polar_maps = [], qf._polar_maps
+    monkeypatch.setattr(qf, "_polar_maps", lambda ctx, k: built.append(k) or polar_maps(ctx, k))
     params = qf.QuadFormParams(ctx, k, 77, ctx.beta)
     spec = qf.walsh_spectrum(params)
     lams = np.arange(0, ctx.order, 37)
@@ -892,8 +890,8 @@ def test_form_classes_raise_when_the_classes_miss_a_form(monkeypatch):
 def test_form_values_on_the_n32_leaders_stay_in_small_buffers():
     # the 4119 leaders at n = 32, k = 1: two blocks, each the block's polar
     # rows, one byte table's gather of their shape, and the elimination's
-    # three (block, n + 1) uint32 arrays, about 4 MB in all (7.2 MB while
-    # each step allocated its (block, n) int64 temporaries)
+    # three (block, n + 1) uint32 arrays, about 4 MB in all; (block, n)
+    # int64 temporaries allocated per step would pass 7 MB
     ctx = make_field(32)
     classes = qf.form_classes(ctx, 1)
     tracemalloc.start()
@@ -1098,14 +1096,14 @@ def test_elimination_detects_one_flipped_polar_bit(ctx8, flip):
 
 
 def test_form_values_blocking_keeps_values(monkeypatch, ctx8):
-    # nine blocks of four forms read one polar map, built once
+    # nine blocks of four forms read one pair of polar maps, built once
     rng = np.random.default_rng(5)
     bs = rng.integers(0, ctx8.order, 35)
     cs = ctx8.subfield_elements[rng.integers(0, 16, 35)]
     lams = rng.integers(0, ctx8.order, 35)
     whole = qf.form_values(ctx8, 3, bs, cs, lams)
-    built, polar_map = [], qf._polar_map
-    monkeypatch.setattr(qf, "_polar_map", lambda ctx, k: built.append(k) or polar_map(ctx, k))
+    built, polar_maps = [], qf._polar_maps
+    monkeypatch.setattr(qf, "_polar_maps", lambda ctx, k: built.append(k) or polar_maps(ctx, k))
     monkeypatch.setattr(qf, "_FORM_BLOCK", 4)
     blocked = qf.form_values(ctx8, 3, bs, cs, lams)
     assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
@@ -1113,17 +1111,17 @@ def test_form_values_blocking_keeps_values(monkeypatch, ctx8):
 
 
 def test_polar_maps_are_dropped_with_their_context(monkeypatch):
-    # form_values and walsh_spectra on a batch build their polar map per
+    # form_values and walsh_spectra on a batch build their two polar maps per
     # call, past _DIRECT_PICKS so through byte tables, and keep none of them
     ctx = make_field(8)
-    built, polar_map = [], qf._polar_map
-    monkeypatch.setattr(qf, "_polar_map",
-                        lambda ctx, k: built.append(polar_map(ctx, k)) or built[-1])
+    built, polar_maps = [], qf._polar_maps
+    monkeypatch.setattr(qf, "_polar_maps",
+                        lambda ctx, k: built.extend(polar_maps(ctx, k)) or built[-2:])
     bs, cs, _ = orbit_representatives(ctx, 1)
     bs, cs = np.resize(bs, 1 << 10), np.resize(cs, 1 << 10)
     w, _ = qf.form_values(ctx, 1, bs, cs)
     assert np.array_equal(qf.walsh_spectra(ctx, 1, bs, cs)[:, 0], w)
-    assert len(built) == 2 and all("tables" in vars(m) for m in built)
+    assert len(built) == 4 and all("tables" in vars(m) for m in built)
     gone = weakref.ref(ctx)
     del ctx, built
     gc.collect()
