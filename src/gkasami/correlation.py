@@ -51,11 +51,11 @@ keeps its rank and W(0), and so does (b, c) -> (b^2, c^2), so the ranks
 and W(0) of one form per class of both (the leaders of
 quadform.form_classes: 4119 at n = 32), counted with the class sizes, give
 those of all 2^(3n/2).  Both come from one pass, quadform.form_values:
-each leader's polar rows, read through one polar map built per call and
-eliminated one hyperbolic pair at a time in one kernel over narrow words,
-give its W(0) and its rank, with no transform column and no 2^n-entry
-table.  So a pass is form_classes, one map, one elimination and a few
-histogram merges over the leaders' values.
+each leader's polar rows, read through one pair of polar maps built per
+call and eliminated one hyperbolic pair at a time in one kernel over
+narrow words, give its W(0) and its rank, with no transform column and no
+2^n-entry table.  So a pass is form_classes, one pair of maps, one
+elimination and a few histogram merges over the leaders' values.
 The completion part against itself is a whole-grid count too: a shift by tau moves the part-two tag
 (zeta, eta) to (zeta alpha^(tau (2^k+1)), eta beta^tau), and over all
 part-two tags and shifts these images meet every pair of E* x F* exactly
