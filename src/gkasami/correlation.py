@@ -55,7 +55,9 @@ each leader's polar rows, read through one pair of polar maps built per
 call and eliminated one hyperbolic pair at a time in one kernel over
 narrow words, give its W(0) and its rank, with no transform column and no
 2^n-entry table.  So a pass is form_classes, one pair of maps, one
-elimination and a few histogram merges over the leaders' values.
+elimination, and one dict of transform-value counts that the lam = 0
+column, the lam = 1 column and the completion block add into, shifted by
+-1 into the one histogram the report carries.
 The completion part against itself is a whole-grid count too: a shift by tau moves the part-two tag
 (zeta, eta) to (zeta alpha^(tau (2^k+1)), eta beta^tau), and over all
 part-two tags and shifts these images meet every pair of E* x F* exactly
@@ -65,9 +67,23 @@ even n/2 minus the column c = eta1 plus the cell (zeta1, eta1), each
 counted over the orbits of x -> u*x by residues of logs mod g1 and g2.  The
 small Kasami set needs one form, (0, 1): its rank fixes its spectrum, and
 quadform.walsh_at eliminates its polar rows once for its values at the
-2^(n/2) - 1 points alpha^s, as a vector of diagonals.  So the engine runs
-wherever a field context does, to n = 32.  Both engines produce identical
-exact histograms.
+2^(n/2) - 1 points alpha^s, as a vector of diagonals, counted in a dict
+with no sort.  So the engine runs wherever a field context does, to
+n = 32.  Both engines produce identical exact histograms.
+
+The completion block is the one step that needs k admissible,
+gcd(n/2 - k, n) = 1.  A tag's images zeta alpha^(tau (2^k+1)) stay in
+the coset of zeta under the subgroup of index g1 = gcd(2^k+1, 2^n-1), so
+the tags meet every pair once only if Gamma holds one element of each
+coset, g1 = |Gamma|: 1 for odd n/2 and 3 for even, which admissible k
+gives (for even n/2 the two conditions are the same).  Part one against itself and
+against part two sweep the grid bijectively for any k.  At n = 6, k = 1
+(g1 = 3, Gamma = {1}) the brute engine on the rows of part one, of part
+two and of both (tests/reference.py's fk_member_rows) equals the part-one
+and the cross blocks and differs from the completion block in its 63, 15,
+-9 and -33 counts: 63 is taken 24 times, not 8, so 16 ordered pairs of
+distinct part-two members are cyclic shifts of one another.  At n = 8,
+k = 2 (g1 = 5) it is 27 times, not 15.
 
 Histograms count all ordered triples including the in-phase ones; the
 maximum-correlation statistic excludes i = j at shift 0 by removing one
@@ -76,6 +92,7 @@ period-value count per family member.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +107,7 @@ from .families import (
     member_table,
     sign_rows,
 )
-from .gf2n import cyclotomic_classes
+from .gf2n import cyclotomic_classes, half_odd
 from .histogram import ValueHistogram
 
 BRUTE_DEFAULT_MAX_N = 6
@@ -343,41 +360,40 @@ def full_distribution_brute(family: SequenceFamily, jobs: int = 1) -> Correlatio
 # -- spectral engine -------------------------------------------------------
 
 
-def _weighted(values: np.ndarray, counts: list[int]) -> ValueHistogram:
-    """Each values[i] counted counts[i] times over."""
-    hist = {}
-    for v, c in zip(values.tolist(), counts):
-        hist[v] = hist.get(v, 0) + c
-    return ValueHistogram(hist)
+def _weighted(pairs, times: int = 1, into: dict | None = None) -> dict:
+    """The count dict into (a new one if None) with the value of each pair
+    (value, count) of ints added count * times times over."""
+    counts = {} if into is None else into
+    for v, c in pairs:
+        counts[v] = counts.get(v, 0) + c * times
+    return counts
 
 
-def _lambda1_column(ctx, ranks: np.ndarray, sizes, col0: ValueHistogram) -> ValueHistogram:
-    """Distribution of W_{b,c}(1) over all (b, c) in E x F, from the ranks
-    of the leaders of quadform.form_classes, counted with their class sizes,
-    and the lam = 0 column col0 (module docstring)."""
+def _lambda1_column(ctx, ranks: np.ndarray, sizes, col0: dict) -> dict:
+    """Counts of W_{b,c}(1) over all (b, c) in E x F, from the ranks of the
+    leaders of quadform.form_classes, counted with their class sizes, and
+    the counts col0 of the lam = 0 column (module docstring)."""
     order = ctx.order
-    forms = {}
-    for rank, size in zip(ranks.tolist(), sizes):
-        forms[rank] = forms.get(rank, 0) + size
-    every_lam = ValueHistogram()
+    forms = _weighted(zip(ranks.tolist(), sizes))
+    every_lam = {v: -c for v, c in col0.items()}
     for rank, count in forms.items():
-        every_lam.merge(qf.rank_spectrum(ctx.n, rank), count)
-    every_lam.merge(col0, -1)
-    if any(c % (order - 1) for c in every_lam.counts.values()):
+        _weighted(qf._rank_counts(ctx.n, rank).items(), count, every_lam)
+    if any(c % (order - 1) for c in every_lam.values()):
         raise AssertionError("summed rank spectra are not 2^n - 1 equal columns")
-    return ValueHistogram({v: c // (order - 1) for v, c in every_lam.counts.items()})
+    return {v: c // (order - 1) for v, c in every_lam.items() if c}
 
 
-def _completion_block(ctx, k: int, classes: qf.FormClasses, w0: np.ndarray) -> ValueHistogram:
-    """W(0) over every (t1, t2, tau) with t1, t2 in part two, from W(0) at
-    the leaders of classes (quadform.form_classes), w0: per t1 = (zeta, eta)
-    the whole E x F grid less the row b = zeta, and for even n/2 less the
-    column c = eta plus the cell (zeta, eta) (module docstring).  For
-    zeta = alpha^l, W_{zeta,0}(0) is that of the orbit of (alpha^(l mod g1), 0);
-    for c = beta^j, u = alpha^(-j) has N(u) = 1/c, so W_{zeta,c}(0) =
-    W_{zeta u^(2^k+1),1}(0) is that of (alpha^((l - j (2^k+1)) mod g2), 1),
-    as g2 divides (2^{n/2} - 1)(2^k + 1); the orbits are read through their
-    leaders' rows, classes.on_c0 and classes.on_c1."""
+def _completion_counts(ctx, k: int, classes: qf.FormClasses) -> list[int]:
+    """How many triples (t1, t2, tau) with t1, t2 in part two take W(0) of
+    each leader of classes (quadform.form_classes), in the leaders' order:
+    per t1 = (zeta, eta) the whole E x F grid less the row b = zeta, and for
+    even n/2 less the column c = eta plus the cell (zeta, eta) (module
+    docstring).  For zeta = alpha^l, W_{zeta,0}(0) is that of the orbit of
+    (alpha^(l mod g1), 0); for c = beta^j, u = alpha^(-j) has N(u) = 1/c, so
+    W_{zeta,c}(0) = W_{zeta u^(2^k+1),1}(0) is that of
+    (alpha^((l - j (2^k+1)) mod g2), 1), as g2 divides
+    (2^{n/2} - 1)(2^k + 1); the orbits are read through their leaders'
+    rows, classes.on_c0 and classes.on_c1."""
     units, (e1, _) = (1 << ctx.half) - 1, qf.exponents(ctx, k)
     on_c0, on_c1, leaders = classes.on_c0, classes.on_c1, len(classes.sizes)
     gamma_logs, delta_logs = completion_logs(ctx)
@@ -387,7 +403,7 @@ def _completion_block(ctx, k: int, classes: qf.FormClasses, w0: np.ndarray) -> V
     row = (gamma_logs[:, None] - np.arange(units) * e1) % len(on_c1)
     less = len(delta_logs) * (np.bincount(on_c0[gamma_logs % len(on_c0)], minlength=leaders)
                               + np.bincount(on_c1[row.ravel()], minlength=leaders))
-    if delta_logs.min() >= 0:
+    if not half_odd(ctx.n):
         # Delta lies in F* (even n/2), so the images miss the column c = eta
         # of each tag; a class that meets F* meets each c in it in
         # 1/(2^{n/2} - 1) of its forms
@@ -395,13 +411,14 @@ def _completion_block(ctx, k: int, classes: qf.FormClasses, w0: np.ndarray) -> V
                   for count, size, c in zip(counts, classes.sizes, classes.cs.tolist())]
         cell = (gamma_logs[:, None] - delta_logs * e1) % len(on_c1)
         less -= np.bincount(on_c1[cell.ravel()], minlength=leaders)
-    return _weighted(w0, [count - m for count, m in zip(counts, less.tolist())])
+    return [count - m for count, m in zip(counts, less.tolist())]
 
 
 def full_distribution_spectral(family: SequenceFamily) -> CorrelationReport:
     """Histogram via the shift-to-transform parameter map, W(0) and the
     ranks at the leaders of quadform.form_classes; reads the family's
-    parameters, never a member."""
+    parameters, never a member.  Every block adds into one count dict of
+    transform values, and the histogram, shifted by -1, is built once."""
     params = family.params
     ctx, k = params.ctx, params.k
     order, group = ctx.order, ctx.group_order
@@ -412,14 +429,14 @@ def full_distribution_spectral(family: SequenceFamily) -> CorrelationReport:
         # lam = 1 + alpha^tau, and for each delta2 that sum sweeps F once.
         sweep = 1 << ctx.half
         # the zero form c = 0: 2^n at lam = 0 (tau = 0), zero elsewhere
-        walsh = ValueHistogram({order: sweep, 0: (group - 1) * sweep})
+        walsh = {order: sweep, 0: (group - 1) * sweep}
         # c != 0: W_{0,c}(lam) = W_{0,1}(lam u), N(u) = 1/c, over lam u in E
         # minus {u}; over all c in F*, the u are alpha^s for s < 2^{n/2} - 1.
         # The form's rank fixes its spectrum over all of E
         at_u, rank = qf.walsh_at(qf.QuadFormParams(ctx, k, 0, 1),
                                  ctx.powers(ctx.alpha, sweep - 1))
-        walsh.merge(qf.rank_spectrum(ctx.n, rank), sweep * (sweep - 1))
-        walsh.merge(ValueHistogram.from_array(at_u), -sweep)
+        _weighted(qf._rank_counts(ctx.n, rank).items(), sweep * (sweep - 1), walsh)
+        _weighted(zip(at_u.tolist(), itertools.repeat(1)), -sweep, walsh)
     else:
         # part one covers all of E x F: for a fixed shift the twisted tag
         # combinations sweep the grid bijectively, once per opposing tag, so
@@ -429,13 +446,14 @@ def full_distribution_spectral(family: SequenceFamily) -> CorrelationReport:
         grid = 1 << (3 * ctx.half)
         classes = qf.form_classes(ctx, k)
         w0, ranks = qf.form_values(ctx, k, classes.bs, classes.cs)  # at each leader
-        col0 = _weighted(w0, classes.sizes)
-        walsh = col0.scaled(grid)
-        walsh.merge(_lambda1_column(ctx, ranks, classes.sizes, col0),
-                    grid * (order - 2) + 2 * (family.size - grid) * group)
-        walsh.merge(_completion_block(ctx, k, classes, w0))
+        w0 = w0.tolist()
+        col0 = _weighted(zip(w0, classes.sizes))
+        walsh = {v: c * grid for v, c in col0.items()}
+        col1 = _lambda1_column(ctx, ranks, classes.sizes, col0)
+        _weighted(col1.items(), grid * (order - 2) + 2 * (family.size - grid) * group, walsh)
+        _weighted(zip(w0, _completion_counts(ctx, k, classes)), into=walsh)
 
-    return _report(family, "spectral", walsh.shifted(-1))
+    return _report(family, "spectral", ValueHistogram({v - 1: c for v, c in walsh.items()}))
 
 
 def predicted_histogram(family: SequenceFamily) -> ValueHistogram:

@@ -125,11 +125,13 @@ class SequenceFamily:
 
     @property
     def size(self) -> int:
+        """2^{n/2} members for the small set; else 2^{3n/2} in part one and
+        |Gamma| |Delta| in part two, by completion_logs' parity rule:
+        1 * 2^{n/2} for odd n/2, 3 * (2^{n/2} - 1)/3 for even n/2."""
         ctx = self.params.ctx
         if self.params.kind == FamilyKind.SMALL_KASAMI:
             return 1 << ctx.half
-        gamma_logs, delta_logs = completion_logs(ctx)
-        return (ctx.order << ctx.half) + len(gamma_logs) * len(delta_logs)
+        return (ctx.order << ctx.half) + (1 << ctx.half) - (0 if half_odd(ctx.n) else 1)
 
     @property
     def period(self) -> int:
@@ -261,16 +263,21 @@ def member_table(family: SequenceFamily) -> tuple[np.ndarray, np.ndarray, int]:
     """Every member as one packed row (member_blocks order), its pair (gamma,
     delta) or (zeta, eta) as a row of an int64 array, and the number of
     part-one members, which come first.  Refuses as member_blocks does,
-    before the table is allocated."""
+    before the table is allocated, and raises AssertionError unless the
+    blocks fill exactly family.size rows."""
     blocks = member_blocks(family)
     rows = np.empty((family.size, (family.period + 7) // 8), dtype=np.uint8)
     pairs = np.empty((family.size, 2), dtype=np.int64)
     end = part_one = 0
     for variant, block_pairs, block in blocks:
         start, end = end, end + len(block)
+        if end > len(rows):
+            raise AssertionError(f"the member blocks hold more than family.size = {len(rows)} rows")
         rows[start:end], pairs[start:end] = block, block_pairs
         if variant == "gamma-delta":
             part_one = end
+    if end < len(rows):
+        raise AssertionError(f"the member blocks hold {end} rows, not family.size = {len(rows)}")
     return rows, pairs, part_one
 
 

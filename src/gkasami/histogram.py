@@ -47,9 +47,6 @@ class ValueHistogram:
             self.add_value(v, c * times)
         return self
 
-    def scaled(self, m: int) -> "ValueHistogram":
-        return ValueHistogram({v: c * m for v, c in self.counts.items()})
-
     def shifted(self, d: int) -> "ValueHistogram":
         return ValueHistogram({v + d: c for v, c in self.counts.items()})
 

@@ -2,8 +2,9 @@
 
 A form is read through its polar rows: the n x n polar form over the
 trace-dual basis d, with the values f(d_j) on the diagonal, from the n
-products b d_j^(2^k) + delta c d_j^(2^{n/2}) and one bit transpose
-(_polar_rows, _polar_from_products); no 2^n-entry table is read.  One
+products b d_j^(2^k) + delta c d_j^(2^{n/2}) and one bit transpose, an
+integer matmul of the powers 2^i with the products' bits (_polar_rows,
+_polar_from_products); no 2^n-entry table is read.  One
 form takes its products straight from the images of x -> b x and
 x -> (delta c) x.  The rows are GF(2)-linear in b and in c, so a batch
 builds two LinearMaps (_polar_maps: the c part and the b part) whose
@@ -21,9 +22,12 @@ free variable keeps a linear term and (-1)^sign 2^(n - pairs) otherwise,
 and the symplectic rank is twice the pairs.  form_values batches this over
 R forms in blocks of _FORM_BLOCK with one numpy kernel (_eliminate), whose
 rows and diagonals are the words of one array in the narrowest unsigned
-type that holds n bits; walsh_at finds the pairs of one form once, in
-Python ints, and takes each out of a whole vector of diagonals, one per
-lam.  Both reach n = 32, where W = +-2^(n-j) still fits int64.
+type that holds n bits, and each of whose n/2 steps takes bits i and j of
+every word by one shift of the stacked pair (i, j) and XORs both updates
+in, 20 numpy calls in buffers allocated once per block; walsh_at finds the
+pairs of one form once, in Python ints, and takes each out of a whole
+vector of diagonals, one per lam.  Both reach n = 32, where
+W = +-2^(n-j) still fits int64.
 
 Whole spectra (walsh_spectra, for a batch of forms; walsh_spectrum, its
 one-form call) double the sums over the dual-basis bits of y one bit at a
@@ -277,16 +281,12 @@ def _polar_from_products(w: np.ndarray) -> np.ndarray:
     """Polar rows from the products w[..., j] = w(d_j) (see _polar_rows), an
     int64 array whose last axis has length n: row j is w_j ^ mt_j with its
     bit j set to that of w_j, where bit i of mt_j is bit j of w_i.  The bit
-    transpose mt is one unpackbits of the words' little-endian bytes and
-    one packbits along the other axis, for any leading shape."""
-    n, little = w.shape[-1], np.dtype("<i8")
-    w = np.ascontiguousarray(w, dtype=little)
-    bits = np.unpackbits(w.view(np.uint8).reshape(w.shape + (8,)), axis=-1, count=n,
-                         bitorder="little")  # bits[..., i, j] is bit j of w_i
-    mt = np.zeros(w.shape + (8,), dtype=np.uint8)
-    mt[..., : (n + 7) // 8] = np.packbits(bits, axis=-2, bitorder="little").swapaxes(-1, -2)
+    transpose mt is one integer matmul of the powers 2^i with the words'
+    bits, for any leading shape."""
+    n = w.shape[-1]
     unit = 1 << np.arange(n)
-    return (w ^ mt.view(little)[..., 0]) | (w & unit)
+    mt = unit @ ((w[..., :, None] >> np.arange(n)) & 1)  # the bits [..., i, j] are bit j of w_i
+    return (w ^ mt) | (w & unit)
 
 
 def _twisted_basis(ctx: FieldCtx, t: int) -> np.ndarray:
@@ -374,47 +374,62 @@ def _eliminate(rows: np.ndarray, lams) -> tuple[np.ndarray, np.ndarray]:
     Each step takes one pair out of every form that still has a cross term
     (_drop_pair): row i, its first nonzero row (argmax, as _row_ranks
     picks pivots), and row j, j the lowest set bit of row i.  Every row l
-    gains row j where its bit i is set and row i where its bit j is, which
-    clears both columns, and a diagonal takes the same update plus ri & rj,
-    so each form's rows and then its diagonals are the words of one row of
-    a (R, n + L) array in the narrowest unsigned type that holds n bits.
-    The n/2 steps work in that array and two more of its shape, allocated
-    once, and in arrays of R entries; a step leaves a form with no cross
-    term as it is, and the rank is twice the pairs.
+    gains rj where its bit i is set and ri where its bit j is, which clears
+    both columns, and a diagonal takes the same update plus ri & rj, so
+    each form's rows and then its diagonals are the words of one row of a
+    (R, n + L) array in the narrowest unsigned type that holds n bits.
+
+    A step is 20 numpy calls in buffers allocated once per block: a take
+    each for ri and rj (j is read off ri), one right shift of the words by
+    the stacked (i, j) into a (2, R, n + L) buffer for bits i and j of
+    every word, one product of its halves with the stacked (rj, ri), and
+    both XORed into the words.  A form with no cross term left has ri = 0
+    and every row 0, so any j in range leaves its words, and its sign flips
+    only if q is nonzero, when W is 0 anyway.  Step s keeps rj in
+    pivots[s] and ri in pivots[s + 1], where step s + 1 puts its rj, and
+    q_i q_j in signs[s]: the rank is twice the nonzero rj, and the sign
+    the XOR of signs.
     """
     forms, n = rows.shape
     word, unit = np.min_scalar_type((1 << n) - 1), 1 << np.arange(n, dtype=np.int64)
     q = np.bitwise_xor.reduce(rows & unit, axis=1)[:, None] ^ lams
     words = np.empty((forms, n + q.shape[1]), dtype=word)
-    words[:, :n] = rows & ~unit
-    words[:, n:] = q
     polar, diags = words[:, :n], words[:, n:]
-    gain, other = np.empty_like(words), np.empty_like(words)
-    nonzero, i = np.empty(polar.shape, dtype=bool), np.empty(forms, dtype=np.intp)
+    np.bitwise_and(rows, ~unit, out=polar, casting="unsafe")
+    diags[...] = q
+    bits = np.empty((2,) + words.shape, dtype=word)
+    pivots = np.empty((n // 2 + 1, forms), dtype=word)
+    signs = np.empty((n // 2,) + diags.shape, dtype=word)
+    at, low = np.empty((2, forms), dtype=word), np.empty(forms, dtype=word)  # at: (i, j)
+    nonzero = np.empty(polar.shape, dtype=bool)
+    i, index = np.empty(forms, dtype=np.intp), np.empty(forms, dtype=np.intp)
     starts, flat = np.arange(0, words.size, words.shape[1]), words.reshape(-1)
-    sign = np.zeros(diags.shape, dtype=word)
-    pairs = np.zeros(forms, dtype=np.int64)
-    for _ in range(n // 2):
+    for s in range(n // 2):
+        rj, ri = pivots[s], pivots[s + 1]
         np.not_equal(polar, 0, out=nonzero)
         nonzero.argmax(axis=1, out=i)
-        ri = flat.take(starts + i)
-        # j is the lowest set bit of ri; a form with no cross term left has
-        # ri = 0 and every row 0, so any j in range leaves its words, and its
-        # sign flips only if q is nonzero, when W is 0 anyway
-        j = np.minimum(np.bitwise_count((ri & -ri) - word.type(1)), n - 1)
-        rj = flat.take(starts + j)
-        np.right_shift(words, i.astype(np.uint8)[:, None], out=gain)
-        gain &= 1
-        np.right_shift(words, j[:, None], out=other)
-        other &= 1
-        sign ^= gain[:, n:] & other[:, n:]
-        gain *= rj[:, None]
-        other *= ri[:, None]
-        words ^= gain
-        words ^= other
-        diags ^= (ri & rj)[:, None]
-        pairs += ri != 0
-    return _values(diags, sign.astype(np.int64), n, pairs[:, None]), 2 * pairs
+        np.add(starts, i, out=index)
+        flat.take(index, out=ri)
+        at[0] = i
+        # the lowest set bit of ri; ri = 0 gives the word's width, so cap it
+        np.negative(ri, out=low)
+        low &= ri
+        low -= 1
+        np.bitwise_count(low, out=at[1])
+        np.minimum(at[1], n - 1, out=at[1])
+        np.add(starts, at[1], out=index)
+        flat.take(index, out=rj)
+        np.right_shift(words, at[:, :, None], out=bits)
+        bits &= 1
+        np.bitwise_and(bits[0, :, n:], bits[1, :, n:], out=signs[s])
+        bits *= pivots[s : s + 2, :, None]
+        words ^= bits[0]
+        words ^= bits[1]
+        np.bitwise_and(ri, rj, out=low)
+        diags ^= low[:, None]
+    pairs = np.add.reduce(pivots[: n // 2] != 0, axis=0, dtype=np.int64)
+    sign = np.bitwise_xor.reduce(signs, axis=0, dtype=np.int64)
+    return _values(diags, sign, n, pairs[:, None]), 2 * pairs
 
 
 def _eliminate_one(rows: list[int], lams: np.ndarray) -> tuple[np.ndarray, int]:
@@ -449,17 +464,17 @@ def form_values(ctx: FieldCtx, k: int, bs: np.ndarray, cs: np.ndarray,
     _polar_rows and _eliminate _FORM_BLOCK at a time, so no array larger
     than a few blocks of n-bit rows is built and no 2^n-entry table is
     read: a batch builds its pair of polar maps once, for every block, and each
-    block's elimination works in three arrays of narrow words, allocated
-    once (at n = 32, the 4119 leaders of form_classes peak at about 4 MB
+    block's elimination works in buffers of narrow words allocated once
+    (at n = 32, the 4119 leaders of form_classes peak at about 4.3 MB
     under tracemalloc).
     """
-    lams = np.broadcast_to(lams, bs.shape)
+    lams = np.asarray(lams)
     w, rank = np.empty(bs.size, dtype=np.int64), np.empty(bs.size, dtype=np.int64)
     maps = _polar_maps(ctx, k) if bs.size > 1 else None
     for lo in range(0, bs.size, _FORM_BLOCK):
         block = slice(lo, lo + _FORM_BLOCK)
         rows = _polar_rows(ctx, k, bs[block], cs[block], maps)
-        at, rank[block] = _eliminate(rows, lams[block, None])
+        at, rank[block] = _eliminate(rows, lams[block, None] if lams.ndim else lams)
         w[block] = at[:, 0]
     return w, rank
 
@@ -674,15 +689,21 @@ def symplectic_rank(params: QuadFormParams) -> int:
     return len(_echelon(images.tolist())[0])
 
 
+def _rank_counts(n: int, rank: int) -> dict[int, int]:
+    """rank_spectrum's value counts as a plain dict, for an even rank
+    0 <= rank <= n (0 counted 0 times at rank n): a form of rank 2j takes
+    +-2^(n-j) at (2^(2j) +- 2^j)/2 of the lam and 0 at the rest."""
+    j = rank // 2
+    return {1 << (n - j): (4**j + 2**j) // 2, -(1 << (n - j)): (4**j - 2**j) // 2,
+            0: (1 << n) - 4**j}
+
+
 def rank_spectrum(n: int, rank: int) -> ValueHistogram | None:
     """The Walsh spectrum over every lam of a form of symplectic rank 2j on
-    GF(2^n): +-2^(n-j) at (2^(2j) +- 2^j)/2 of the lam and 0 at the rest.
-    None for a rank no form has: odd, or above n."""
+    GF(2^n) (_rank_counts).  None for a rank no form has: odd, or above n."""
     if rank % 2 or not 0 <= rank <= n:
         return None
-    j = rank // 2
-    return ValueHistogram({1 << (n - j): (4**j + 2**j) // 2, -(1 << (n - j)): (4**j - 2**j) // 2,
-                           0: (1 << n) - 4**j})
+    return ValueHistogram(_rank_counts(n, rank))
 
 
 def _subfield_elements(ctx: FieldCtx, cs) -> np.ndarray:

@@ -17,7 +17,10 @@ lambda.  spectra_block and code_tables build their rows with
 quadform.trace_rows, the subfield trace tr_h(c y) as the row of
 tr(delta c y), delta = ctx.trh_lift; code_tables packs every trace row
 with np.packbits, so it shares with families.packed_rows only the trace
-rows.  brute_histogram takes one plain +-1 product per shift, with
+rows.  fk_member_rows builds the fk members at any k, admissible or not,
+from families.packed_rows with no admissibility check, for the brute
+engine to show what the gcd hypothesis rules out.  brute_histogram takes
+one plain +-1 product per shift, with
 no folding of row pairs and no orbits of shifts.  theta_root_counts_full
 evaluates the kernel and reduced equations at every theta, and
 affine_root_max_full and rank_deficient_b_counts_full scan every theta and
@@ -44,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gkasami import fieldeq
+from gkasami.families import gamma_delta_sets, packed_rows
 from gkasami import quadform as qf
 from gkasami.gf2n import FieldCtx, TooLarge, gf2_kernel_basis
 from gkasami.histogram import ValueHistogram
@@ -302,6 +306,23 @@ def codeword(ctx: FieldCtx, tables, gamma: int, delta: int, eta: int) -> int:
     lin, quad, norm = tables
     row = lin[gamma] ^ quad[delta] ^ norm[ctx.subfield_index[eta]]
     return int.from_bytes(row.tobytes(), "little")
+
+
+def fk_member_rows(ctx: FieldCtx, k: int) -> np.ndarray:
+    """The fk family's members as packed rows (families.packed_rows) for any
+    k in 1 .. n - 1, admissible or not: the 2^(3n/2) rows of part one,
+    m ^ quad[gamma] ^ norm[delta] over E x F, then quad[zeta] ^ norm[eta]
+    over Gamma x Delta (families.gamma_delta_sets), in
+    families.member_table's order."""
+    e1, e2 = qf.exponents(ctx, k)
+    gset, dset = gamma_delta_sets(ctx)
+    m = packed_rows(ctx, [1], 1)
+    norm_one, norm_two = (packed_rows(ctx, ctx.scale_vec(ctx.trh_lift, cs), e2)
+                          for cs in (ctx.subfield_elements, dset))
+    part_one = packed_rows(ctx, range(ctx.order), e1)[:, None] ^ (m ^ norm_one)
+    part_two = packed_rows(ctx, gset, e1)[:, None] ^ norm_two
+    width = m.shape[1]
+    return np.concatenate([part_one.reshape(-1, width), part_two.reshape(-1, width)])
 
 
 def brute_histogram(rows: np.ndarray, period: int) -> ValueHistogram:

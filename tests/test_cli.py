@@ -94,6 +94,14 @@ def test_default_k_is_admissible_at_every_n(capsys, n):
     assert capsys.readouterr().err == f"note: --k not given, using k = {k}\n"
 
 
+@pytest.mark.parametrize("engine", ["spectral", "brute"])
+@pytest.mark.parametrize("k", ["1", "3", "5"])
+def test_corr_refuses_an_inadmissible_k(capsys, engine, k):
+    code, out, err = run(capsys, ["corr", "--n", "6", "--k", k, "--engine", engine])
+    assert code == 1 and out == ""
+    assert "invalid" in err
+
+
 def test_family_gen_invalid_k(capsys):
     code, _, err = run(capsys, ["family", "gen", "--n", "6", "--k", "3"])
     assert code == 1

@@ -15,7 +15,8 @@ from gkasami import theory, verify
 from gkasami.gf2n import make_field
 from gkasami.histogram import ValueHistogram
 
-from reference import LengthMismatch, brute_histogram, correlate, rotate, spectra_block
+from reference import (LengthMismatch, brute_histogram, correlate, fk_member_rows, rotate,
+                       spectra_block)
 from test_gf2n import LAZY_TABLES
 
 EXAMPLE_N4 = {15: 67, -1: 28598, 3: 18418, -5: 11044, 7: 6902, -9: 2306}
@@ -445,12 +446,13 @@ def engine_lambda0(ctx, k):
     lam = 0 column, as full_distribution_spectral builds them."""
     classes = qf.form_classes(ctx, k)
     w0, ranks = qf.form_values(ctx, k, classes.bs, classes.cs)
-    return classes, w0, ranks, corr._weighted(w0, classes.sizes)
+    return classes, w0, ranks, ValueHistogram(corr._weighted(zip(w0.tolist(), classes.sizes)))
 
 
 def engine_completion(ctx, k):
     classes, w0, _, _ = engine_lambda0(ctx, k)
-    return corr._completion_block(ctx, k, classes, w0)
+    counts = corr._completion_counts(ctx, k, classes)
+    return ValueHistogram(corr._weighted(zip(w0.tolist(), counts)))
 
 
 @pytest.mark.parametrize("n,k", [(4, 1), (4, 3), (6, 2), (6, 4), (8, 1), (8, 3), (8, 5), (8, 7),
@@ -494,7 +496,7 @@ def full_rank_lambda1_column(ctx, k):
 
 def orbit_lambda1_column(ctx, k):
     classes, _, ranks, col0 = engine_lambda0(ctx, k)
-    return corr._lambda1_column(ctx, ranks, classes.sizes, col0)
+    return ValueHistogram(corr._lambda1_column(ctx, ranks, classes.sizes, col0.counts))
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in (8, 10, 12) for k in range(1, n) if qf.valid_k(n, k)]
@@ -560,7 +562,7 @@ def test_rank_lambda1_column_refuses_inexact_division(ctx8):
     col0.add_value(v, -1)
     col0.add_value(v + 4)
     with pytest.raises(AssertionError):
-        corr._lambda1_column(ctx8, ranks, classes.sizes, col0)
+        corr._lambda1_column(ctx8, ranks, classes.sizes, col0.counts)
 
 
 def test_spectral_engine_uses_no_transform_or_rank_route(monkeypatch, ctx8):
@@ -575,6 +577,23 @@ def test_spectral_engine_uses_no_transform_or_rank_route(monkeypatch, ctx8):
     for kind in ("fk", "small-kasami", "large-kasami"):
         family = fam.build_family(fam.family_params(ctx8, kind, 1 if kind == "fk" else None))
         assert corr.full_distribution_spectral(family).histogram == corr.predicted_histogram(family)
+
+
+def test_small_kasami_counts_its_values_without_a_sort(monkeypatch):
+    """The small Kasami engine counts its 2^(n/2) - 1 values at the points
+    alpha^s in a dict (_weighted): no np.unique on a fresh context."""
+    calls, unique = [], np.unique
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    family = fam.build_family(fam.family_params(make_field(8), "small-kasami"))
+    report = corr.full_distribution_spectral(family)
+    assert calls == []
+    monkeypatch.undo()
+    assert report.histogram == corr.predicted_histogram(family)
 
 
 @pytest.mark.parametrize("n", [20, 32])
@@ -666,3 +685,33 @@ def test_sweep_fails_on_one_leader_size_moved(monkeypatch, n, k):
     monkeypatch.setattr(qf, "form_classes",
                         lambda ctx, kk: moved if kk == k else form_classes(ctx, kk))
     assert sweep_failures(n) == [("fk", k)]
+
+
+def shifted_member_triples(n, k):
+    """Ordered triples of the fk rows of k (reference.fk_member_rows, no
+    admissibility check) at correlation 2^n - 1 beyond the in-phase ones,
+    from the brute engine, after checking the rows are distinct (and, at an
+    admissible k, that they are the family's)."""
+    ctx = make_field(n)
+    rows = fk_member_rows(ctx, k)
+    assert len(rows) == theory.family_size(n) == len({row.tobytes() for row in rows})
+    if qf.valid_k(n, k):
+        family = fam.build_family(fam.family_params(ctx, "fk", k))
+        assert np.array_equal(rows, fam.member_table(family)[0])
+    return corr._brute_histogram(rows, ctx.group_order).counts[ctx.group_order] - len(rows)
+
+
+@pytest.mark.parametrize("k,extra", [(1, 16), (2, 0), (4, 0), (5, 16)])
+def test_inadmissible_k_makes_members_shifts_of_one_another_n6(k, extra):
+    """The gcd hypothesis is sharp at n = 6: at k = 1 and 5 the 520 members
+    stay distinct, but 16 ordered pairs of distinct members are cyclic
+    shifts of one another (k = 3 = n/2 repeats members outright)."""
+    assert shifted_member_triples(6, k) == extra
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k,extra", [(1, 0), (2, 12), (3, 0), (5, 0), (6, 12), (7, 0)])
+def test_inadmissible_k_makes_members_shifts_of_one_another_n8(k, extra):
+    """At n = 8, k = 2 and 6 give 12 such pairs among 4111 distinct members."""
+    assert shifted_member_triples(8, k) == extra
+

@@ -185,12 +185,33 @@ def test_family_sizes_and_distinctness(family4, family6):
         assert not np.any(np.unpackbits(rows, axis=1, bitorder="little")[:, family.period:])
 
 
-@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
 @pytest.mark.parametrize("kind", list(fam.FamilyKind))
 def test_size_counts_the_members(n, kind):
     k = (2 if (n // 2) % 2 else 1) if kind == fam.FamilyKind.GENERALIZED else None
     family = fam.build_family(fam.family_params(make_field(n), kind, k))
     assert family.size == sum(len(rows) for _, _, rows in fam.member_blocks(family))
+
+
+@pytest.mark.parametrize("n", range(4, 33, 2))
+def test_size_is_part_one_plus_the_completion_tags(n):
+    """The arithmetic size is 2^(3n/2) plus the |Gamma| |Delta| tags that
+    completion_logs lists, and the closed form theory.family_size."""
+    ctx = make_field(n)
+    gamma_logs, delta_logs = fam.completion_logs(ctx)
+    family = fam.build_family(fam.family_params(ctx, "large-kasami"))
+    assert family.size == (1 << 3 * n // 2) + len(gamma_logs) * len(delta_logs)
+    assert family.size == theory.family_size(n)
+
+
+@pytest.mark.parametrize("off", [1, -1])
+def test_member_table_refuses_a_size_that_misses_the_blocks(ctx4, monkeypatch, off):
+    """A size one off would leave np.empty rows unfilled, or drop members."""
+    family = fam.build_family(fam.family_params(ctx4, "fk", 1))
+    size = family.size
+    monkeypatch.setattr(fam.SequenceFamily, "size", property(lambda self: size + off))
+    with pytest.raises(AssertionError):
+        fam.member_table(family)
 
 
 @pytest.mark.parametrize("kind", list(fam.FamilyKind))

@@ -21,7 +21,6 @@ def test_merge_scale_shift():
     h = ValueHistogram({1: 2})
     h.merge(ValueHistogram({1: 1, -1: 4}), times=3)
     assert h.counts == {1: 5, -1: 12}
-    assert h.scaled(2).counts == {1: 10, -1: 24}
     assert h.shifted(-1).counts == {0: 5, -2: 12}
 
 
