@@ -65,11 +65,15 @@ once (E* x F for odd n/2).  So the triples of one tag (zeta1, eta1) meet
 the lam = 0 values of the whole E x F grid minus the row b = zeta1, and for
 even n/2 minus the column c = eta1 plus the cell (zeta1, eta1), each
 counted over the orbits of x -> u*x by residues of logs mod g1 and g2.  The
-small Kasami set needs one form, (0, 1): its rank fixes its spectrum, and
-quadform.walsh_at eliminates its polar rows once for its values at the
-2^(n/2) - 1 points alpha^s, as a vector of diagonals, counted in a dict
-with no sort.  So the engine runs wherever a field context does, to
-n = 32.  Both engines produce identical exact histograms.
+small Kasami set needs one form, (0, 1), the norm form: x -> u*x with
+N(u) = 1 fixes it, so W_{0,1}(lam u) = W_{0,1}(lam) and its values are
+constant on the cosets of U = ker N, 2^(n/2) + 1 elements each.  Its
+spectrum less W(0), which its rank fixes, is then 2^(n/2) + 1 copies of
+the column of one value per coset, the same exact division as the
+lam = 1 column's, and quadform.form_values gives the rank and W(0) from
+one elimination of its polar rows in Python ints.  So the engine runs
+wherever a field context does, to n = 32.  Both engines produce identical
+exact histograms.
 
 The completion block is the one step that needs k admissible,
 gcd(n/2 - k, n) = 1.  A tag's images zeta alpha^(tau (2^k+1)) stay in
@@ -92,7 +96,6 @@ period-value count per family member.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -369,18 +372,18 @@ def _weighted(pairs, times: int = 1, into: dict | None = None) -> dict:
     return counts
 
 
-def _lambda1_column(ctx, ranks: np.ndarray, sizes, col0: dict) -> dict:
-    """Counts of W_{b,c}(1) over all (b, c) in E x F, from the ranks of the
-    leaders of quadform.form_classes, counted with their class sizes, and
-    the counts col0 of the lam = 0 column (module docstring)."""
-    order = ctx.order
-    forms = _weighted(zip(ranks.tolist(), sizes))
+def _equal_column(n: int, ranks: list[int], sizes, col0: dict, parts: int) -> dict:
+    """Counts of one of `parts` equal columns: the spectra over every lam of
+    forms of the given ranks, each counted with its size
+    (quadform._rank_counts), less the counts col0 of their lam = 0 column,
+    divided exactly by parts (module docstring); AssertionError if the
+    division is inexact."""
     every_lam = {v: -c for v, c in col0.items()}
-    for rank, count in forms.items():
-        _weighted(qf._rank_counts(ctx.n, rank).items(), count, every_lam)
-    if any(c % (order - 1) for c in every_lam.values()):
-        raise AssertionError("summed rank spectra are not 2^n - 1 equal columns")
-    return {v: c // (order - 1) for v, c in every_lam.items() if c}
+    for rank, count in _weighted(zip(ranks, sizes)).items():
+        _weighted(qf._rank_counts(n, rank).items(), count, every_lam)
+    if any(c % parts for c in every_lam.values()):
+        raise AssertionError(f"summed rank spectra are not {parts} equal columns")
+    return {v: c // parts for v, c in every_lam.items() if c}
 
 
 def _completion_counts(ctx, k: int, classes: qf.FormClasses) -> list[int]:
@@ -430,13 +433,15 @@ def full_distribution_spectral(family: SequenceFamily) -> CorrelationReport:
         sweep = 1 << ctx.half
         # the zero form c = 0: 2^n at lam = 0 (tau = 0), zero elsewhere
         walsh = {order: sweep, 0: (group - 1) * sweep}
-        # c != 0: W_{0,c}(lam) = W_{0,1}(lam u), N(u) = 1/c, over lam u in E
-        # minus {u}; over all c in F*, the u are alpha^s for s < 2^{n/2} - 1.
-        # The form's rank fixes its spectrum over all of E
-        at_u, rank = qf.walsh_at(qf.QuadFormParams(ctx, k, 0, 1),
-                                 ctx.powers(ctx.alpha, sweep - 1))
-        _weighted(qf._rank_counts(ctx.n, rank).items(), sweep * (sweep - 1), walsh)
-        _weighted(zip(at_u.tolist(), itertools.repeat(1)), -sweep, walsh)
+        # c != 0: W_{0,c}(lam) = W_{0,1}(lam u) for N(u) = 1/c, so tau = 0
+        # meets W_{0,1}(0); W_{0,1}(lam u) = W_{0,1}(lam) for u in U = ker N,
+        # so at each of the 2^n - 2 other lam the c in F* meet W_{0,1} once
+        # on each coset of U: the form's spectrum less W(0), which its rank
+        # fixes, split into 2^{n/2} + 1 equal columns
+        w0, rank = (a.item() for a in qf.form_values(ctx, k, [0], [1]))
+        _weighted([(w0, sweep - 1)], sweep, walsh)
+        col1 = _equal_column(ctx.n, [rank], [1], {w0: 1}, sweep + 1)
+        _weighted(col1.items(), sweep * (order - 2), walsh)
     else:
         # part one covers all of E x F: for a fixed shift the twisted tag
         # combinations sweep the grid bijectively, once per opposing tag, so
@@ -449,7 +454,7 @@ def full_distribution_spectral(family: SequenceFamily) -> CorrelationReport:
         w0 = w0.tolist()
         col0 = _weighted(zip(w0, classes.sizes))
         walsh = {v: c * grid for v, c in col0.items()}
-        col1 = _lambda1_column(ctx, ranks, classes.sizes, col0)
+        col1 = _equal_column(ctx.n, ranks.tolist(), classes.sizes, col0, order - 1)
         _weighted(col1.items(), grid * (order - 2) + 2 * (family.size - grid) * group, walsh)
         _weighted(zip(w0, _completion_counts(ctx, k, classes)), into=walsh)
 

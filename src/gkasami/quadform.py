@@ -14,20 +14,19 @@ call builds the pair afresh, once for all its blocks, and no map outlives
 it.  In dual-basis coordinates y, tr(lam x) is the parity of lam & y, so
 lam's bits join the diagonal.
 
-W and rank by elimination (form_values, walsh_at).  A form's transform
-value is fixed by its rank and Arf invariant: take out one hyperbolic pair
-(i, j) with B(d_i, d_j) = 1 at a time, which doubles W and adds a product
-of two linear terms to the rest; once no cross term is left, W is 0 if a
-free variable keeps a linear term and (-1)^sign 2^(n - pairs) otherwise,
-and the symplectic rank is twice the pairs.  form_values batches this over
-R forms in blocks of _FORM_BLOCK with one numpy kernel (_eliminate), whose
+W and rank by elimination (form_values).  A form's transform value is
+fixed by its rank and Arf invariant: take out one hyperbolic pair (i, j)
+with B(d_i, d_j) = 1 at a time, which doubles W and adds a product of two
+linear terms to the rest; once no cross term is left, W is 0 if a free
+variable keeps a linear term and (-1)^sign 2^(n - pairs) otherwise, and
+the symplectic rank is twice the pairs.  form_values batches this over R
+forms in blocks of _FORM_BLOCK with one numpy kernel (_eliminate), whose
 rows and diagonals are the words of one array in the narrowest unsigned
 type that holds n bits, and each of whose n/2 steps takes bits i and j of
 every word by one shift of the stacked pair (i, j) and XORs both updates
-in, 20 numpy calls in buffers allocated once per block; walsh_at finds the
-pairs of one form once, in Python ints, and takes each out of a whole
-vector of diagonals, one per lam.  Both reach n = 32, where
-W = +-2^(n-j) still fits int64.
+in, 20 numpy calls in buffers allocated once per block; one form takes its
+pairs out in Python ints, with no numpy call (_eliminate_one).  Both reach
+n = 32, where W = +-2^(n-j) still fits int64.
 
 Whole spectra (walsh_spectra, for a batch of forms; walsh_spectrum, its
 one-form call) double the sums over the dual-basis bits of y one bit at a
@@ -341,30 +340,6 @@ def _polar_rows(ctx: FieldCtx, k: int, bs, cs, maps=None) -> np.ndarray:
     return c_map.vec(cs) ^ b_map.vec(bs)
 
 
-def _drop_pair(q, sign, i, j, ri, rj) -> None:
-    """Take the hyperbolic pair (i, j) out of the diagonals q, in place.
-
-    With B_ij = 1, L1 and L2 the rest of rows i and j (ri, rj) and q_i, q_j
-    the diagonal bits, the form is y_i y_j + Q' + y_i (L1 + q_i)
-    + y_j (L2 + q_j) = y_i' y_j' + Q' + (L1 + q_i)(L2 + q_j), with
-    y_i' = y_i + L2 + q_j and y_j' = y_j + L1 + q_i.  Summing over y_i' and
-    y_j' doubles W and leaves Q' + L1 L2 + q_j L1 + q_i L2 + q_i q_j: the
-    diagonal gains ri & rj, q_i rj and q_j ri, and the constant q_i q_j
-    joins sign.  ri holds bit j and not bit i, and rj bit i and not bit j,
-    so the same update clears q_i and q_j.  Works on ints and on numpy
-    arrays that broadcast.
-    """
-    qi, qj = (q >> i) & 1, (q >> j) & 1
-    sign ^= qi & qj
-    q ^= (ri & rj) ^ qi * rj ^ qj * ri
-
-
-def _values(q, sign, n: int, pairs):
-    """W once every pair is out: 0 if a free variable keeps a linear term
-    (a set bit of q), else (-1)^sign 2^(pairs + free) = (-1)^sign 2^(n - pairs)."""
-    return np.where(q != 0, 0, (1 - 2 * sign) << (n - pairs))
-
-
 def _eliminate(rows: np.ndarray, lams) -> tuple[np.ndarray, np.ndarray]:
     """W(lam) and the symplectic rank of R forms, by hyperbolic-pair elimination.
 
@@ -372,12 +347,13 @@ def _eliminate(rows: np.ndarray, lams) -> tuple[np.ndarray, np.ndarray]:
     of field elements broadcast against (R, 1).  tr(lam x) is the parity of
     lam & y in dual-basis coordinates, so lam's bits join the diagonal.
     Each step takes one pair out of every form that still has a cross term
-    (_drop_pair): row i, its first nonzero row (argmax, as _row_ranks
-    picks pivots), and row j, j the lowest set bit of row i.  Every row l
-    gains rj where its bit i is set and ri where its bit j is, which clears
-    both columns, and a diagonal takes the same update plus ri & rj, so
-    each form's rows and then its diagonals are the words of one row of a
-    (R, n + L) array in the narrowest unsigned type that holds n bits.
+    (_eliminate_one gives the algebra): row i, its first nonzero row
+    (argmax, as _row_ranks picks pivots), and row j, j the lowest set bit
+    of row i.  Every row l gains rj where its bit i is set and ri where its
+    bit j is, which clears both columns, and a diagonal takes the same
+    update plus ri & rj, so each form's rows and then its diagonals are the
+    words of one row of a (R, n + L) array in the narrowest unsigned type
+    that holds n bits.
 
     A step is 20 numpy calls in buffers allocated once per block: a take
     each for ri and rj (j is read off ri), one right shift of the words by
@@ -388,7 +364,8 @@ def _eliminate(rows: np.ndarray, lams) -> tuple[np.ndarray, np.ndarray]:
     only if q is nonzero, when W is 0 anyway.  Step s keeps rj in
     pivots[s] and ri in pivots[s + 1], where step s + 1 puts its rj, and
     q_i q_j in signs[s]: the rank is twice the nonzero rj, and the sign
-    the XOR of signs.
+    the XOR of signs, and W is 0 where q is nonzero and (-1)^sign
+    2^(n - pairs) elsewhere.
     """
     forms, n = rows.shape
     word, unit = np.min_scalar_type((1 << n) - 1), 1 << np.arange(n, dtype=np.int64)
@@ -429,28 +406,42 @@ def _eliminate(rows: np.ndarray, lams) -> tuple[np.ndarray, np.ndarray]:
         diags ^= low[:, None]
     pairs = np.add.reduce(pivots[: n // 2] != 0, axis=0, dtype=np.int64)
     sign = np.bitwise_xor.reduce(signs, axis=0, dtype=np.int64)
-    return _values(diags, sign, n, pairs[:, None]), 2 * pairs
+    return np.where(diags != 0, 0, (1 - 2 * sign) << (n - pairs[:, None])), 2 * pairs
 
 
-def _eliminate_one(rows: list[int], lams: np.ndarray) -> tuple[np.ndarray, int]:
-    """_eliminate for one form, its polar rows as ints: W at every lam in
-    lams (an int64 array) and the rank.  The pairs depend on the rows alone,
-    so they are found once, in Python ints, and each one is taken out of
-    every diagonal at once."""
+def _eliminate_one(rows: list[int], lam: int) -> tuple[int, int]:
+    """W(lam) and the symplectic rank of one form, its polar rows as ints,
+    by _eliminate's steps in Python ints, with no numpy call.
+
+    Row i is the first nonzero row and j its lowest set bit, so B_ij = 1.
+    With L1 and L2 the rest of rows i and j (ri, rj) and q_i, q_j the
+    diagonal bits, the form is y_i y_j + Q' + y_i (L1 + q_i)
+    + y_j (L2 + q_j) = y_i' y_j' + Q' + (L1 + q_i)(L2 + q_j), with
+    y_i' = y_i + L2 + q_j and y_j' = y_j + L1 + q_i.  Summing over y_i' and
+    y_j' doubles W and leaves Q' + L1 L2 + q_j L1 + q_i L2 + q_i q_j: the
+    diagonal gains ri & rj, q_i rj and q_j ri, and the constant q_i q_j
+    joins sign.  ri holds bit j and not bit i, and rj bit i and not bit j,
+    so the same update clears q_i and q_j, and every row gains rj where its
+    bit i is set and ri where its bit j is, which clears both columns.
+    Once no cross term is left, W is 0 if a free variable keeps a linear
+    term (a set bit of q), else (-1)^sign 2^(pairs + free)
+    = (-1)^sign 2^(n - pairs).
+    """
     n = len(rows)
-    q = np.array(lams ^ sum(r & 1 << j for j, r in enumerate(rows)))  # an array even for one lam
+    q = lam ^ sum(r & 1 << j for j, r in enumerate(rows))
     rows = [r & ~(1 << j) for j, r in enumerate(rows)]
-    sign = np.zeros(q.shape, dtype=np.int64)
-    pairs = 0
+    sign = pairs = 0
     for i in range(n):
         ri = rows[i]
         if ri:
             j = (ri & -ri).bit_length() - 1
             rj = rows[j]
             rows = [r ^ (rj if r >> i & 1 else 0) ^ (ri if r >> j & 1 else 0) for r in rows]
-            _drop_pair(q, sign, i, j, ri, rj)
+            qi, qj = q >> i & 1, q >> j & 1
+            sign ^= qi & qj
+            q ^= (ri & rj) ^ qi * rj ^ qj * ri
             pairs += 1
-    return _values(q, sign, n, pairs), 2 * pairs
+    return 0 if q else (1 - 2 * sign) << (n - pairs), 2 * pairs
 
 
 def form_values(ctx: FieldCtx, k: int, bs: np.ndarray, cs: np.ndarray,
@@ -458,35 +449,29 @@ def form_values(ctx: FieldCtx, k: int, bs: np.ndarray, cs: np.ndarray,
     """W_{b,c}(lam) and the symplectic rank of the forms (bs[r], cs[r]) at
     lams[r], as int64 arrays of bs's length.
 
-    bs and cs are int64 arrays of R field and subfield elements, and lams
-    one field element or R of them; none is checked here (the spectral
-    engine passes the leaders of form_classes).  The forms go through
-    _polar_rows and _eliminate _FORM_BLOCK at a time, so no array larger
-    than a few blocks of n-bit rows is built and no 2^n-entry table is
-    read: a batch builds its pair of polar maps once, for every block, and each
-    block's elimination works in buffers of narrow words allocated once
-    (at n = 32, the 4119 leaders of form_classes peak at about 4.3 MB
-    under tracemalloc).
+    bs and cs are R field and subfield elements, and lams one field element
+    or R of them; none is checked here (the spectral engine passes the
+    leaders of form_classes, and for small Kasami the one form (0, 1)).  One
+    form's polar rows come from its products and are eliminated in Python
+    ints (_eliminate_one).  A batch goes through _polar_rows and _eliminate
+    _FORM_BLOCK forms at a time, so no array larger than a few blocks of
+    n-bit rows is built and no 2^n-entry table is read: it builds its pair
+    of polar maps once, for every block, and each block's elimination works
+    in buffers of narrow words allocated once (at n = 32, the 4119 leaders
+    of form_classes peak at about 4.3 MB under tracemalloc).
     """
-    lams = np.asarray(lams)
+    bs, cs, lams = np.asarray(bs), np.asarray(cs), np.asarray(lams)
+    if bs.size == 1:
+        w, rank = _eliminate_one(_polar_rows(ctx, k, bs, cs)[0].tolist(), int(lams.item()))
+        return np.array([w]), np.array([rank])
     w, rank = np.empty(bs.size, dtype=np.int64), np.empty(bs.size, dtype=np.int64)
-    maps = _polar_maps(ctx, k) if bs.size > 1 else None
+    maps = _polar_maps(ctx, k)
     for lo in range(0, bs.size, _FORM_BLOCK):
         block = slice(lo, lo + _FORM_BLOCK)
         rows = _polar_rows(ctx, k, bs[block], cs[block], maps)
         at, rank[block] = _eliminate(rows, lams[block, None] if lams.ndim else lams)
         w[block] = at[:, 0]
     return w, rank
-
-
-def walsh_at(params: QuadFormParams, lams) -> tuple[np.ndarray, int]:
-    """W(lam) of one form at every lam in lams (field elements), as an int64
-    array of lams' shape, and its symplectic rank: one elimination of its
-    polar rows, with the lams as a vector of diagonals (_eliminate_one)."""
-    ctx = params.ctx
-    lams = _field_elements(ctx, lams)
-    rows = _polar_rows(ctx, params.k, [params.b], [params.c])[0].tolist()
-    return _eliminate_one(rows, lams)
 
 
 def _low_steps(w: np.ndarray, tmp: np.ndarray, rows: np.ndarray, steps: int) -> None:

@@ -496,7 +496,8 @@ def full_rank_lambda1_column(ctx, k):
 
 def orbit_lambda1_column(ctx, k):
     classes, _, ranks, col0 = engine_lambda0(ctx, k)
-    return ValueHistogram(corr._lambda1_column(ctx, ranks, classes.sizes, col0.counts))
+    return ValueHistogram(corr._equal_column(ctx.n, ranks.tolist(), classes.sizes, col0.counts,
+                                             ctx.order - 1))
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in (8, 10, 12) for k in range(1, n) if qf.valid_k(n, k)]
@@ -562,11 +563,77 @@ def test_rank_lambda1_column_refuses_inexact_division(ctx8):
     col0.add_value(v, -1)
     col0.add_value(v + 4)
     with pytest.raises(AssertionError):
-        corr._lambda1_column(ctx8, ranks, classes.sizes, col0.counts)
+        corr._equal_column(8, ranks.tolist(), classes.sizes, col0.counts, ctx8.order - 1)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_small_kasami_refuses_an_inexact_column(monkeypatch, n):
+    """With W(0) of the form (0, 1) negated, its spectrum less W(0) no
+    longer splits into 2^(n/2) + 1 equal columns."""
+    family = fam.build_family(fam.family_params(make_field(n), "small-kasami"))
+    form_values = qf.form_values
+
+    def negated(ctx, k, bs, cs, lams=0):
+        w, rank = form_values(ctx, k, bs, cs, lams)
+        return -w, rank
+
+    monkeypatch.setattr(qf, "form_values", negated)
+    with pytest.raises(AssertionError, match="equal columns"):
+        corr.full_distribution_spectral(family)
+
+
+def test_small_kasami_eliminates_one_form_in_ints(monkeypatch, ctx8):
+    """The small Kasami branch makes one form_values call, of the one form
+    (0, 1), and never enters the numpy kernel or ctx.powers."""
+    family = fam.build_family(fam.family_params(ctx8, "small-kasami"))
+    calls, form_values = [], qf.form_values
+
+    def spy(ctx, k, bs, cs, lams=0):
+        calls.append((np.asarray(bs).tolist(), np.asarray(cs).tolist(), np.asarray(lams).tolist()))
+        return form_values(ctx, k, bs, cs, lams)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the small Kasami branch took a batch route")
+
+    monkeypatch.setattr(qf, "form_values", spy)
+    monkeypatch.setattr(qf, "_eliminate", refuse)
+    monkeypatch.setattr(type(ctx8), "powers", refuse)
+    report = corr.full_distribution_spectral(family)
+    monkeypatch.undo()
+    assert calls == [([0], [1], 0)]
+    assert report.histogram == corr.predicted_histogram(family)
+
+
+@pytest.mark.parametrize("kind", ["fk", "small-kasami", "large-kasami"])
+def test_spectral_engine_reads_no_transform_value_off_lam_zero(monkeypatch, ctx8, kind):
+    """Every kind reads ranks and W(0) of whole forms only: each form_values
+    call and each elimination it makes is at lam = 0."""
+    family = fam.build_family(fam.family_params(ctx8, kind, 1 if kind == "fk" else None))
+    seen, form_values, eliminate, eliminate_one = [], qf.form_values, qf._eliminate, qf._eliminate_one
+
+    def spy_values(ctx, k, bs, cs, lams=0):
+        seen.append(np.asarray(lams))
+        return form_values(ctx, k, bs, cs, lams)
+
+    def spy_eliminate(rows, lams):
+        seen.append(np.asarray(lams))
+        return eliminate(rows, lams)
+
+    def spy_eliminate_one(rows, lam):
+        seen.append(np.asarray(lam))
+        return eliminate_one(rows, lam)
+
+    monkeypatch.setattr(qf, "form_values", spy_values)
+    monkeypatch.setattr(qf, "_eliminate", spy_eliminate)
+    monkeypatch.setattr(qf, "_eliminate_one", spy_eliminate_one)
+    report = corr.full_distribution_spectral(family)
+    monkeypatch.undo()
+    assert len(seen) == 2 and not any(lam.any() for lam in seen)
+    assert report.histogram == corr.predicted_histogram(family)
 
 
 def test_spectral_engine_uses_no_transform_or_rank_route(monkeypatch, ctx8):
-    """W(0), ranks and the small Kasami values come from the elimination
+    """W(0) and the ranks, small Kasami's too, come from the elimination
     alone; transform columns, whole spectra and L-image ranks stay for
     verify and the tests, as the independent side."""
     def refuse(*args):
@@ -580,8 +647,8 @@ def test_spectral_engine_uses_no_transform_or_rank_route(monkeypatch, ctx8):
 
 
 def test_small_kasami_counts_its_values_without_a_sort(monkeypatch):
-    """The small Kasami engine counts its 2^(n/2) - 1 values at the points
-    alpha^s in a dict (_weighted): no np.unique on a fresh context."""
+    """The small Kasami engine counts its values in a dict (_weighted): no
+    np.unique on a fresh context."""
     calls, unique = [], np.unique
 
     def spy(*args, **kwargs):

@@ -102,9 +102,10 @@ def test_public_names_resolve_and_no_int_member_path_remains():
 def runtime_references(path: Path, own: str | None) -> set[tuple[str, str]]:
     """(module, name) for every name of a gkasami module that the code in
     path reads: imported from the module, read as an attribute of an alias
-    of the module, or, for own = the file's module, loaded by name.
-    Docstrings, comments, annotations and attributes of other objects (such
-    as a report's r_max field) are not references."""
+    of the module, or, for own = the file's module, loaded by name outside
+    the module-level definition of that name.  Docstrings, comments,
+    annotations and attributes of other objects (such as a report's r_max
+    field) are not references."""
     tree = ast.parse(path.read_text())
     aliases, found = {}, set()
     annotations = {id(part) for node in ast.walk(tree)
@@ -118,14 +119,19 @@ def runtime_references(path: Path, own: str | None) -> set[tuple[str, str]]:
                     found.add((module, alias.name))
                 else:
                     aliases[alias.asname or alias.name] = alias.name
-    for node in ast.walk(tree):
-        if id(node) in annotations:
-            continue
-        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in aliases):
-            found.add((aliases[node.value.id], node.attr))
-        elif own and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            found.add((own, node.id))
+    for stmt in tree.body:
+        read = set()
+        for node in ast.walk(stmt):
+            if id(node) in annotations:
+                continue
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases):
+                read.add((aliases[node.value.id], node.attr))
+            elif own and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add((own, node.id))
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            read.discard((own, stmt.name))  # a definition naming itself
+        found |= read
     return found
 
 
@@ -156,6 +162,24 @@ def test_every_export_is_read_outside_the_tests():
                and not isinstance(member, cls)]
     assert ("FieldCtx", "mul") in methods
     assert [(owner, name) for owner, name in methods if name not in attributes] == []
+
+
+def test_every_module_level_definition_is_read_outside_the_tests():
+    # every module-level function and class of the package is read by code
+    # outside its own definition, in the package or in the benchmark; one
+    # only tests read belongs in tests/reference.py
+    import gkasami
+
+    src = Path(gkasami.__file__).parent
+    paths = [path for path in src.glob("*.py") if path.name != "__init__.py"]
+    bench = [path for path in (src.parents[1] / "perfbench").glob("*.py")
+             if not path.name.startswith("test_")]
+    read = set().union(*(runtime_references(path, path.stem if path in paths else None)
+                         for path in paths + bench))
+    defined = [(path.stem, node.name) for path in paths for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert ("quadform", "_eliminate_one") in defined and len(bench) >= 3
+    assert [name for name in defined if name not in read] == []
 
 
 def test_gamma_delta_sets(ctx4, ctx6, ctx8):

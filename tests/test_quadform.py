@@ -510,8 +510,8 @@ def test_one_form_polar_rows_are_the_map_rows(n):
 
 
 def test_one_form_builds_no_polar_map(monkeypatch):
-    # walsh_spectrum and walsh_at (the small Kasami engine's call) read one
-    # form's rows from its products; a batch builds the two maps
+    # walsh_spectrum and one-form form_values (the small Kasami engine's
+    # call) read one form's rows from its products; a batch builds the two maps
     ctx = make_field(10)
     k = next(k for k in range(1, 10) if qf.valid_k(10, k))
     built, polar_maps = [], qf._polar_maps
@@ -519,16 +519,16 @@ def test_one_form_builds_no_polar_map(monkeypatch):
     params = qf.QuadFormParams(ctx, k, 77, ctx.beta)
     spec = qf.walsh_spectrum(params)
     lams = np.arange(0, ctx.order, 37)
-    at, rank = qf.walsh_at(params, lams)
-    small = qf.walsh_at(qf.QuadFormParams(ctx, k, 0, 1), ctx.powers(ctx.alpha, 31))
+    at = [qf.form_values(ctx, k, [77], [ctx.beta], lam) for lam in lams.tolist()]
+    small = qf.form_values(ctx, k, [0], [1])
     assert built == []
     assert np.array_equal(qf.walsh_spectra(ctx, k, np.array([77, 0]), np.array([ctx.beta, 1]))[0],
                           spec)
     assert built == [k]
-    assert np.array_equal(at, spec[lams]) and rank == qf.symplectic_rank(params)
-    assert np.array_equal(small[0], qf.form_values(ctx, k, np.zeros(31, np.int64),
-                                                    np.ones(31, np.int64),
-                                                    ctx.powers(ctx.alpha, 31))[0])
+    assert [w.item() for w, _ in at] == spec[lams].tolist()
+    assert {rank.item() for _, rank in at} == {qf.symplectic_rank(params)}
+    batch = qf.form_values(ctx, k, np.zeros(2, np.int64), np.ones(2, np.int64))
+    assert [a.tolist() for a in small] == [a[:1].tolist() for a in batch]
 
 
 @pytest.mark.slow
@@ -1049,12 +1049,12 @@ def test_elimination_matches_walsh_spectrum_at_seeded_lams(n):
         w, ranks = (a.reshape(lams.shape)
                     for a in qf.form_values(ctx, k, bs.repeat(16), cs.repeat(16), lams.ravel()))
         for b, c, lam, got, rank in zip(bs.tolist(), cs.tolist(), lams, w, ranks):
-            params = qf.QuadFormParams(ctx, k, b, c)
-            want = qf.walsh_spectrum(params)[lam]
+            want = qf.walsh_spectrum(qf.QuadFormParams(ctx, k, b, c))[lam]
             assert np.array_equal(got, want)
-            at, one_rank = qf.walsh_at(params, lam)
-            assert np.array_equal(at, want)
-            assert set(rank.tolist()) == {one_rank} == {int(qf.symplectic_ranks(ctx, k, b, c))}
+            at, one_rank = qf._eliminate(qf._polar_rows(ctx, k, [b], [c]), lam[None])
+            assert np.array_equal(at[0], want)
+            assert set(rank.tolist()) == set(one_rank.tolist()) == {
+                int(qf.symplectic_ranks(ctx, k, b, c))}
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -1067,9 +1067,10 @@ def test_elimination_matches_walsh_spectrum_everywhere(n):
             want = qf.walsh_spectrum(params)
             bs, cs = np.full(lams.size, params.b), np.full(lams.size, params.c)
             got, ranks = qf.form_values(ctx, k, bs, cs, lams)
-            at, rank = qf.walsh_at(params, lams)
-            assert np.array_equal(got, want) and np.array_equal(at, want)
-            assert set(ranks.tolist()) == {rank} == {int(qf.symplectic_ranks(ctx, k, params.b, params.c))}
+            at, rank = qf._eliminate(qf._polar_rows(ctx, k, [params.b], [params.c]), lams[None])
+            assert np.array_equal(got, want) and np.array_equal(at[0], want)
+            assert set(ranks.tolist()) == set(rank.tolist()) == {
+                int(qf.symplectic_ranks(ctx, k, params.b, params.c))}
 
 
 @pytest.mark.parametrize("flip", ["pair", "diagonal"])
@@ -1084,7 +1085,7 @@ def test_elimination_detects_one_flipped_polar_bit(ctx8, flip):
         want = qf.walsh_spectrum(qf.QuadFormParams(ctx8, k, b, c))
         rows = qf._polar_rows(ctx8, k, [b], [c])
         assert np.array_equal(qf._eliminate(rows, lams[None])[0][0], want)
-        assert np.array_equal(qf._eliminate_one(rows[0].tolist(), lams)[0], want)
+        assert [qf._eliminate_one(rows[0].tolist(), lam)[0] for lam in lams.tolist()] == want.tolist()
         i, j = rng.choice(8, 2, replace=False).tolist()
         if flip == "pair":
             rows[0, i] ^= 1 << j
@@ -1092,7 +1093,48 @@ def test_elimination_detects_one_flipped_polar_bit(ctx8, flip):
         else:
             rows[0, i] ^= 1 << i
         assert not np.array_equal(qf._eliminate(rows, lams[None])[0][0], want)
-        assert not np.array_equal(qf._eliminate_one(rows[0].tolist(), lams)[0], want)
+        assert [qf._eliminate_one(rows[0].tolist(), lam)[0] for lam in lams.tolist()] != want.tolist()
+
+
+def one_and_batch(ctx, k, b, c, lam):
+    """W(lam) and the rank of the form (b, c) from one-form form_values (the
+    int route, _eliminate_one) and from the same form given twice (the batch
+    route, _eliminate), as lists."""
+    one = [a.tolist() for a in qf.form_values(ctx, k, [b], [c], lam)]
+    w, rank = qf.form_values(ctx, k, np.array([b, b]), np.array([c, c]), lam)
+    assert w[0] == w[1] and rank[0] == rank[1]
+    return one, [w[:1].tolist(), rank[:1].tolist()]
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_one_form_values_match_the_batch_route_for_every_form(n):
+    ctx = make_field(n)
+    rng = np.random.default_rng(400 + n)
+    for k in admissible_k(n):
+        for params in all_params(ctx, k):
+            for lam in (0, int(rng.integers(1, ctx.order))):
+                one, batch = one_and_batch(ctx, k, params.b, params.c, lam)
+                assert one == batch
+
+
+@pytest.mark.parametrize("n", range(8, 34, 2))
+def test_one_form_values_match_the_batch_route_at_seeded_forms(monkeypatch, n):
+    # the zero form and c = 0 forms among them, at lam = 0 and at seeded lam
+    ctx = make_field(n)
+    rng = np.random.default_rng(500 + n)
+    sub = ctx.subfield_elements
+    calls, eliminate = [], qf._eliminate
+    monkeypatch.setattr(qf, "_eliminate", lambda rows, lams: calls.append(len(rows))
+                        or eliminate(rows, lams))
+    for k in admissible_k(n):
+        bs, cs = rng.integers(0, ctx.order, 6), sub[rng.integers(0, sub.size, 6)]
+        bs[0] = cs[:2] = 0
+        for b, c in zip(bs.tolist(), cs.tolist()):
+            for lam in (0, int(rng.integers(1, ctx.order))):
+                one, batch = one_and_batch(ctx, k, b, c, lam)
+                assert one == batch
+    # every one-form call stayed off the numpy kernel
+    assert set(calls) == {2}
 
 
 def test_form_values_blocking_keeps_values(monkeypatch, ctx8):
